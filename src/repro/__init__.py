@@ -17,8 +17,7 @@ Quickstart::
 The :mod:`repro.api` facade is the entry point for every kind of run
 (single runs, batches, sweeps, the bench suite); observability — event
 tracing, metrics export, cycle breakdowns — is switched on per run with
-:class:`repro.api.ObsOptions`.  The legacy ``run_trace``/``run_benchmark``
-helpers still work but emit :class:`DeprecationWarning`.
+:class:`repro.api.ObsOptions`.
 """
 
 from . import api
@@ -55,7 +54,7 @@ from .security.obliviousness import (
     check_obliviousness,
 )
 from .sim.results import SimulationResult
-from .sim.runner import make_workload, run_benchmark, run_trace
+from .sim.runner import make_workload
 from .sim.simulator import Simulator
 from .stats import Stats
 from .traces.benchmarks import BENCHMARKS, BenchmarkModel, benchmark_trace
@@ -89,8 +88,6 @@ __all__ = [
     "find_z_allocation",
     "Simulator",
     "SimulationResult",
-    "run_trace",
-    "run_benchmark",
     "make_workload",
     "Trace",
     "BENCHMARKS",

@@ -17,7 +17,6 @@ from ..config import SystemConfig
 from ..errors import ConfigError
 from ..perf.parallel import SimPoint, fanout
 from ..sim.results import SimulationResult
-from ..sim.runner import run_benchmark  # noqa: F401  (re-exported API)
 
 #: knob name -> function(config, value) -> new config
 KNOBS: Dict[str, Callable[[SystemConfig, Any], SystemConfig]] = {

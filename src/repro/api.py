@@ -2,9 +2,7 @@
 
 Every in-repo entry point — the CLI, the experiment harness, the bench
 suite, the sweep engine, and the examples — constructs simulations through
-this module instead of wiring components by hand.  The legacy helpers
-``repro.sim.runner.run_trace`` / ``run_benchmark`` still work but are
-deprecation shims over :func:`run`.
+this module instead of wiring components by hand.
 
 Quickstart::
 

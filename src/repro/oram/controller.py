@@ -169,35 +169,39 @@ class PathORAMController:
         self._initialize_tree()
 
     def _rebind_native(self) -> None:
-        """(Re)derive the optional C-kernel bindings from current state.
+        """(Re)derive the optional C-kernel binding from current state.
 
-        The read-phase bulk fill is valid for every scheme (tree-top
-        removal hooks run in Python on the returned top blocks); the whole
-        write phase is only valid for the ungated dedicated tree-top
-        cache, whose placement hooks are bare counters (S-Stash schemes
-        gate placement and keep the Python placement loop, with only the
-        pool grouping in C).  Called from ``__init__`` and again after
-        unpickling: the kernel module is process-local state that cannot
-        cross a checkpoint, so :meth:`__setstate__` rebinds it here.
+        One binding serves the read-phase bulk fill, per-access placement
+        and whole-batch dummy paths for every tree-top type.  The tree-top
+        arguments both placement kernels take are derived here as well:
+        mode 0 for the dedicated cache, whose placement hooks are bare
+        counters, and mode 1 for IR-Stash's S-Stash, whose set-occupancy
+        dicts and ``set_of`` index the kernel gates placement on.  Called
+        from ``__init__`` and again after unpickling: the kernel module is
+        process-local state that cannot cross a checkpoint, so
+        :meth:`__setstate__` rebinds it here.
         """
-        self._native_bulk = (
+        self._native = (
             _fastpath
             if _fastpath is not None and self.oram.levels < 64
             else None
         )
-        self._native = (
-            self._native_bulk
-            if self._native_bulk is not None
-            and type(self.treetop) is TreeTopCache
-            else None
-        )
+        treetop = self.treetop
+        if treetop.addressable_by_block:
+            self._treetop_args = (
+                1, treetop._resident, treetop._set_count, treetop.set_of,
+                treetop.ways,
+            )
+        else:
+            self._treetop_args = (0, None, None, None, 0)
 
     # ------------------------------------------------------------------
     # pickling (mid-run checkpoints)
     # ------------------------------------------------------------------
     # Controllers are snapshotted mid-run by repro.sim.checkpoint.  Three
     # kinds of attribute cannot (or must not) cross the pickle boundary:
-    # the C kernel bindings (module objects, process-local), and the two
+    # the C kernel binding (a process-local module object, with the
+    # tree-top arguments derived alongside it), and the two
     # observer hooks (arbitrary callables — auditors and checkpoint
     # managers re-attach themselves on resume).  Everything else is plain
     # Python state and round-trips exactly, so a resumed run is
@@ -205,7 +209,7 @@ class PathORAMController:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_native"] = None
-        state["_native_bulk"] = None
+        state["_treetop_args"] = None
         state["_batch_ctx"] = None
         state["_packed_triples"] = {}
         state["observer"] = None
@@ -548,9 +552,9 @@ class PathORAMController:
         removed = self.tree.read_and_clear(leaf)
         top = self.oram.top_cached_levels
         counters = self.stats.counters
-        if self._native_bulk is not None:
+        if self._native is not None:
             stash = self.stash
-            next_seq, top_blocks = self._native_bulk.stash_bulk_add(
+            next_seq, top_blocks = self._native.stash_bulk_add(
                 removed,
                 stash._entries,
                 stash._seq,
@@ -671,8 +675,8 @@ class PathORAMController:
         count = min(self.oram.leaves, cap)
         path_slots = self.tree.path_slots
         triples = self._path_dram_triples
-        bulk = self._native_bulk
-        pack = getattr(bulk, "pack_triples", None) if bulk else None
+        native = self._native
+        pack = native.pack_triples if native is not None else None
         packed = self._packed_triples
         n_banks = len(self.dram.bank_ready)
         n_channels = len(self.dram.bus_free)
@@ -715,9 +719,13 @@ class PathORAMController:
     ) -> None:
         """Greedy bottom-up placement of stash blocks along one path.
 
-        Eviction candidates come pre-grouped by deepest eligible level from
-        the stash's leaf-prefix index (:meth:`Stash.path_pools`) instead of
-        a full stash scan, and bucket slots are filled directly.
+        With the C kernel loaded, ``write_path_place`` places the whole
+        path for either tree-top mode.  The Python loop below serves
+        kernel-less runs and Fig. 5's ``track_migration``, which classifies
+        each placement: eviction candidates come pre-grouped by deepest
+        eligible level from the stash's leaf-prefix index
+        (:meth:`Stash.path_pools`) instead of a full stash scan, and bucket
+        slots are filled directly.
         """
         oram = self.oram
         levels = oram.levels
@@ -733,7 +741,7 @@ class PathORAMController:
         if self._native is not None and not track:
             stash = self.stash
             try:
-                top_placed = self._native.write_path_place(
+                counts = self._native.write_path_place(
                     leaf,
                     stash._entries,
                     stash._seq,
@@ -746,11 +754,20 @@ class PathORAMController:
                     levels,
                     top,
                     EMPTY,
+                    *self._treetop_args,
                 )
             except RuntimeError as exc:
                 raise ProtocolError(str(exc)) from None
-            if top_placed:
-                stats.counters[sk.TREETOP_PLACED] += top_placed
+            # Only keys the Python loop would have created, as in
+            # _apply_batch_counters.
+            placed_top, ss_placed, ss_skips = counts
+            counters = stats.counters
+            if placed_top:
+                counters[sk.TREETOP_PLACED] += placed_top
+            if ss_placed:
+                counters[sk.SSTASH_PLACED] += ss_placed
+            if ss_skips:
+                counters[sk.SSTASH_PLACEMENT_SKIPS] += ss_skips
             return
 
         path_slots = tree.path_slots(leaf)
@@ -1073,21 +1090,7 @@ class PathORAMController:
     # ------------------------------------------------------------------
     # whole-batch dummy stepping (native fastpath)
     # ------------------------------------------------------------------
-    def _native_batch_mode(self) -> int:
-        """Tree-top mode the batch kernel supports for this controller.
-
-        0 = dedicated counter-only cache, 1 = S-Stash gating, -1 = an
-        unknown tree-top subclass whose hooks must run in Python.
-        """
-        if type(self.treetop) is TreeTopCache:
-            return 0
-        from ..core.ir_stash import SStash
-
-        if type(self.treetop) is SStash:
-            return 1
-        return -1
-
-    def _build_batch_ctx(self, mode: int) -> tuple:
+    def _build_batch_ctx(self) -> tuple:
         """Freeze every container/callable ``run_batch`` mutates or calls.
 
         All slots are live references into controller state: the kernel
@@ -1096,16 +1099,6 @@ class PathORAMController:
         """
         dram_cfg = self.config.dram
         stash = self.stash
-        if mode == 1:
-            resident = self.treetop._resident
-            set_count = self.treetop._set_count
-            set_of = self.treetop.set_of
-            ways = self.treetop.ways
-        else:
-            resident = None
-            set_count = None
-            set_of = None
-            ways = 0
         return (
             self.rng.randrange,
             self.oram.leaves,
@@ -1134,11 +1127,7 @@ class PathORAMController:
                 dram_cfg.t_burst,
                 dram_cfg.t_cas + dram_cfg.t_burst,
             ),
-            mode,
-            resident,
-            set_count,
-            set_of,
-            ways,
+            *self._treetop_args,
             # Kernel-maintained packed triple arrays (possibly pre-warmed
             # by warm_path_caches); reset alongside the triples table.
             self._packed_triples,
@@ -1213,51 +1202,49 @@ class PathORAMController:
         """
         batch = self.batch_counters
         if (
-            self._native_bulk is not None
+            self._native is not None
             and self.SUPPORTS_NATIVE_BATCH
             and self.stats.tracer is None
             and self.observer is None
             and self.slot_observer is None
         ):
-            mode = self._native_batch_mode()
-            if mode >= 0:
-                ctx = self._batch_ctx
-                if ctx is None:
-                    ctx = self._batch_ctx = self._build_batch_ctx(mode)
-                stash = self.stash
-                n, new_now, next_seq, max_occ, bounds, agg, timings = (
-                    self._native_bulk.run_batch(
-                        ctx,
-                        now,
-                        stash._next_seq,
-                        interval,
-                        max_paths,
-                        -1 if horizon is None else horizon,
-                        self.oram.eviction_threshold
-                        if stop_on_threshold
-                        else -1,
-                        self.oram.eviction_threshold,
-                        want_bounds,
-                        collect_timing,
-                    )
+            ctx = self._batch_ctx
+            if ctx is None:
+                ctx = self._batch_ctx = self._build_batch_ctx()
+            stash = self.stash
+            n, new_now, next_seq, max_occ, bounds, agg, timings = (
+                self._native.run_batch(
+                    ctx,
+                    now,
+                    stash._next_seq,
+                    interval,
+                    max_paths,
+                    -1 if horizon is None else horizon,
+                    self.oram.eviction_threshold
+                    if stop_on_threshold
+                    else -1,
+                    self.oram.eviction_threshold,
+                    want_bounds,
+                    collect_timing,
                 )
-                stash._next_seq = next_seq
-                if max_occ > stash.peak_occupancy:
-                    stash.peak_occupancy = max_occ
-                if n:
-                    self._apply_batch_counters(n, agg)
-                    if stop_on_threshold:
-                        self._consecutive_evictions = 0
-                batch[sk.ENGINE_BATCH_CALLS] = (
-                    batch.get(sk.ENGINE_BATCH_CALLS, 0) + 1
-                )
-                batch[sk.ENGINE_BATCH_PATHS] = (
-                    batch.get(sk.ENGINE_BATCH_PATHS, 0) + n
-                )
-                if timings is not None:
-                    for key, value in zip(_BATCH_TIMING_KEYS, timings):
-                        batch[key] = batch.get(key, 0) + value
-                return n, new_now, bounds
+            )
+            stash._next_seq = next_seq
+            if max_occ > stash.peak_occupancy:
+                stash.peak_occupancy = max_occ
+            if n:
+                self._apply_batch_counters(n, agg)
+                if stop_on_threshold:
+                    self._consecutive_evictions = 0
+            batch[sk.ENGINE_BATCH_CALLS] = (
+                batch.get(sk.ENGINE_BATCH_CALLS, 0) + 1
+            )
+            batch[sk.ENGINE_BATCH_PATHS] = (
+                batch.get(sk.ENGINE_BATCH_PATHS, 0) + n
+            )
+            if timings is not None:
+                for key, value in zip(_BATCH_TIMING_KEYS, timings):
+                    batch[key] = batch.get(key, 0) + value
+            return n, new_now, bounds
 
         bounds = [] if want_bounds else None
         n = 0

@@ -18,8 +18,8 @@ implementation trick:
   the write burst is queued into a bounded window serviced through the
   same DRAM bank model, where it contends with (and overlaps) the read
   bursts of later accesses;
-* the window is bounded (``REPRO_DECOUPLE_WINDOW``, default 4 pending
-  write phases, per Palermo's small deferred-write queue): overflowing
+* the window is bounded (:data:`WINDOW` pending write phases, per
+  Palermo's small deferred-write queue): overflowing
   drains the oldest write first, and end-of-run drains the remainder
   (:meth:`drain_background`, called by the simulator loop).
 
@@ -31,7 +31,6 @@ is the observable Palermo argues is safe to reorder.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from typing import Deque, Optional, Set, Tuple
@@ -43,17 +42,10 @@ from .controller import PathORAMController
 from .treetop import TreeTopCache
 from .types import PathType
 
-#: default bound on pending (deferred) write phases
-DEFAULT_WINDOW = 4
-
-
-def decouple_window() -> int:
-    """The configured deferred-write window (``REPRO_DECOUPLE_WINDOW``)."""
-    try:
-        window = int(os.environ.get("REPRO_DECOUPLE_WINDOW", "") or DEFAULT_WINDOW)
-    except ValueError:
-        window = DEFAULT_WINDOW
-    return max(1, window)
+#: bound on pending (deferred) write phases.  It changes simulated
+#: cycles, so it is a constant rather than a setting outside the config
+#: fingerprint.
+WINDOW = 4
 
 
 class DecoupledPathORAMController(PathORAMController):
@@ -70,11 +62,9 @@ class DecoupledPathORAMController(PathORAMController):
         rng: Optional[random.Random] = None,
         treetop: Optional[TreeTopCache] = None,
         delayed_remap: bool = False,
-        window: Optional[int] = None,
     ) -> None:
         super().__init__(config, stats, rng, treetop=treetop,
                          delayed_remap=delayed_remap)
-        self.window = window if window is not None else decouple_window()
         #: deferred write phases: (leaf, ready cycle, path type), oldest
         #: first; ``ready`` is the access's read-phase finish, the
         #: earliest cycle its write burst may issue.
@@ -96,7 +86,7 @@ class DecoupledPathORAMController(PathORAMController):
         self._place_path(leaf, preexisting)
         self._pending_writes.append((leaf, finish_read, path_type))
         self.stats.counters[sk.DECOUPLE_DEFERRED_WRITES] += 1
-        while len(self._pending_writes) > self.window:
+        while len(self._pending_writes) > WINDOW:
             self._drain_oldest()
         self._after_write_phase()
         return finish_read

@@ -29,7 +29,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ProtocolError, StashOverflowError
 from ..obs import events as ev
-from ..perf.native import fastpath as _native
 from ..stats import Stats
 
 
@@ -198,23 +197,13 @@ class Stash:
         whose deepest common level with the target path is ``d``, each pool
         in stash insertion order — exactly the grouping a full scan with
         ``tree.deepest_common_level`` per block would produce, but computed
-        from the leaf-prefix index.
+        from the leaf-prefix index.  The C placement kernel groups the same
+        dicts itself; this serves the pure-Python placement loop.
         """
         levels = self._levels
         if levels is None:
             raise ProtocolError("path index not configured")
         pools = self._pools
-        if _native is not None and levels < 64:
-            _native.path_pools_fill(
-                leaf,
-                self._entries,
-                self._by_prefix,
-                self._prefix_shift,
-                self._prefix_levels,
-                levels,
-                pools,
-            )
-            return pools
         for pool in pools:
             if pool:
                 pool.clear()

@@ -474,18 +474,8 @@ fail:
     return NULL;
 }
 
-/* write_path_place(leaf, entries, seq_dict, by_prefix, prefix_shift,
- *                  prefix_levels, path_slots, z_per_level, level_used,
- *                  levels, top, empty) -> placed_top
- *
- * The full greedy bottom-up write phase for the ungated case (dedicated
- * tree-top cache: may_place always true, placement hooks are counters):
- * group every stash block by deepest eligible level via the leaf-prefix
- * index, then fill bucket slots deepest-first, removing placed blocks
- * from the stash.  Mirrors Stash.path_pools + the placement loop in
- * PathORAMController._write_path.
- */
-
+/* Pool entry of the placement engine: a stash block with its insertion
+ * sequence number. */
 typedef struct {
     long long seq;
     PyObject *block;
@@ -597,67 +587,6 @@ group_by_depth(long long leaf, PyObject *entries, PyObject *by_prefix,
             qsort(items + offsets[d], (size_t)counts[d],
                   sizeof(PoolItem), pool_item_cmp);
     return 0;
-}
-
-/* path_pools_fill(leaf, entries, by_prefix, prefix_shift, prefix_levels,
- *                 levels, pools) -> None
- *
- * Fill the stash's reusable per-depth pool lists for the path to `leaf`
- * (the grouping step of the write phase), leaving placement to the
- * caller — used by schemes whose tree-top structure gates placement.
- */
-static PyObject *
-path_pools_fill(PyObject *self, PyObject *args)
-{
-    PyObject *entries, *by_prefix, *pools;
-    long long leaf, prefix_shift, prefix_levels, levels;
-    if (!PyArg_ParseTuple(args, "LO!O!LLLO!",
-                          &leaf,
-                          &PyDict_Type, &entries,
-                          &PyDict_Type, &by_prefix,
-                          &prefix_shift, &prefix_levels, &levels,
-                          &PyList_Type, &pools))
-        return NULL;
-    if (levels < 1 || levels > FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(pools) < (Py_ssize_t)levels) {
-        PyErr_SetString(PyExc_ValueError, "unsupported level count");
-        return NULL;
-    }
-    for (long long d = 0; d < levels; d++) {
-        PyObject *pool = PyList_GET_ITEM(pools, d);
-        if (!PyList_Check(pool)) {
-            PyErr_SetString(PyExc_TypeError, "pools must hold lists");
-            return NULL;
-        }
-        if (PyList_GET_SIZE(pool) &&
-            PyList_SetSlice(pool, 0, PY_SSIZE_T_MAX, NULL) < 0)
-            return NULL;
-    }
-    Py_ssize_t total = PyDict_GET_SIZE(entries);
-    if (total == 0)
-        Py_RETURN_NONE;
-
-    PoolItem *items = PyMem_Malloc(sizeof(PoolItem) * (size_t)total);
-    if (items == NULL)
-        return PyErr_NoMemory();
-    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
-    Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
-    if (group_by_depth(leaf, entries, by_prefix, prefix_shift,
-                       prefix_levels, levels, items, counts, offsets) < 0) {
-        PyMem_Free(items);
-        return NULL;
-    }
-    for (long long d = 0; d < levels; d++) {
-        PyObject *pool = PyList_GET_ITEM(pools, d);
-        for (Py_ssize_t i = 0; i < counts[d]; i++) {
-            if (PyList_Append(pool, items[offsets[d] + i].block) < 0) {
-                PyMem_Free(items);
-                return NULL;
-            }
-        }
-    }
-    PyMem_Free(items);
-    Py_RETURN_NONE;
 }
 
 /* SStash.on_remove without the stats hook: drop ``block`` from the
@@ -906,13 +835,48 @@ write_place_core(long long leaf, PyObject *entries, PyObject *seq_dict,
     return rc;
 }
 
+/* Validate the S-Stash fields of a tree-top mode (0 = dedicated
+ * counter-only cache, whose fields are ignored; 1 = S-Stash gating).
+ * Returns 0, or -1 with an exception set.
+ */
+static int
+check_treetop(long long mode, PyObject *resident, PyObject *set_count)
+{
+    if (mode == 0)
+        return 0;
+    if (mode != 1) {
+        PyErr_SetString(PyExc_ValueError, "unknown tree-top mode");
+        return -1;
+    }
+    if (!PyDict_Check(resident) || !PyDict_Check(set_count)) {
+        PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
+        return -1;
+    }
+    return 0;
+}
+
+/* write_path_place(leaf, entries, seq_dict, by_prefix, prefix_shift,
+ *                  prefix_levels, path_slots, z_per_level, level_used,
+ *                  levels, top, empty, treetop_mode, resident, set_count,
+ *                  set_of, ways)
+ *   -> (placed_top, sstash_placed, sstash_skips)
+ *
+ * The full greedy bottom-up write phase of one path access: group every
+ * stash block by deepest eligible level via the leaf-prefix index, then
+ * fill bucket slots deepest-first through place_pools, removing placed
+ * blocks from the stash.  The tree-top arguments are run_batch's:
+ * mode 1 gates placements into the cached top on the S-Stash set having
+ * a free way.  Mirrors the Python placement loop in
+ * PathORAMController._place_path.
+ */
 static PyObject *
 write_path_place(PyObject *self, PyObject *args)
 {
     PyObject *entries, *seq_dict, *by_prefix, *path_slots, *z_list,
-        *level_used;
-    long long leaf, prefix_shift, prefix_levels, levels, top, empty;
-    if (!PyArg_ParseTuple(args, "LO!O!O!LLO!O!O!LLL",
+        *level_used, *resident, *set_count, *set_of;
+    long long leaf, prefix_shift, prefix_levels, levels, top, empty,
+        treetop_mode, ways;
+    if (!PyArg_ParseTuple(args, "LO!O!O!LLO!O!O!LLLLOOOL",
                           &leaf,
                           &PyDict_Type, &entries,
                           &PyDict_Type, &seq_dict,
@@ -921,7 +885,11 @@ write_path_place(PyObject *self, PyObject *args)
                           &PyList_Type, &path_slots,
                           &PyList_Type, &z_list,
                           &PyList_Type, &level_used,
-                          &levels, &top, &empty))
+                          &levels, &top, &empty,
+                          &treetop_mode, &resident, &set_count, &set_of,
+                          &ways))
+        return NULL;
+    if (check_treetop(treetop_mode, resident, set_count) < 0)
         return NULL;
     if (levels < 1 || levels > FASTPATH_MAX_LEVELS ||
         PyList_GET_SIZE(z_list) < (Py_ssize_t)levels ||
@@ -942,8 +910,9 @@ write_path_place(PyObject *self, PyObject *args)
     long long ss_skips = 0;
     if (write_place_core(leaf, entries, seq_dict, by_prefix, prefix_shift,
                          prefix_levels, path_slots, z_arr, used_arr,
-                         levels, top, empty, 0, NULL, NULL, NULL, 0,
-                         &placed_top, &ss_placed, &ss_skips) < 0)
+                         levels, top, empty, treetop_mode == 1, resident,
+                         set_count, set_of, ways, &placed_top, &ss_placed,
+                         &ss_skips) < 0)
         return NULL;
     for (long long d = 0; d < levels; d++) {
         PyObject *used_obj = PyLong_FromLongLong(used_arr[d]);
@@ -951,7 +920,7 @@ write_path_place(PyObject *self, PyObject *args)
             return NULL;
         PyList_SetItem(level_used, d, used_obj);
     }
-    return PyLong_FromLongLong(placed_top);
+    return Py_BuildValue("LLL", placed_top, ss_placed, ss_skips);
 }
 
 /* path_triples(leaf, level_meta, row_blocks, channels, banks_per_channel)
@@ -1258,11 +1227,8 @@ run_batch(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "malformed run_batch ctx");
         return NULL;
     }
-    if (treetop_mode == 1 &&
-        (!PyDict_Check(resident) || !PyDict_Check(set_count))) {
-        PyErr_SetString(PyExc_TypeError, "S-Stash ctx slots must be dicts");
+    if (check_treetop(treetop_mode, resident, set_count) < 0)
         return NULL;
-    }
     DramTiming dcfg;
     dcfg.ratio = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 0));
     dcfg.t_rp = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 1));
@@ -1767,11 +1733,9 @@ static PyMethodDef fastpath_methods[] = {
     {"stash_bulk_add", stash_bulk_add, METH_VARARGS,
      "Insert read-phase blocks into the stash with index maintenance."},
     {"write_path_place", write_path_place, METH_VARARGS,
-     "Greedy bottom-up write-phase placement for ungated tree-top caches."},
+     "Greedy bottom-up write-phase placement of one path access."},
     {"path_triples", path_triples, METH_VARARGS,
      "Fused path address generation + DRAM decomposition for one leaf."},
-    {"path_pools_fill", path_pools_fill, METH_VARARGS,
-     "Group stash blocks by deepest eligible level into reusable pools."},
     {"pack_triples", pack_triples_entry, METH_VARARGS,
      "Pack a (triples, blocks) cache entry into the kernel's byte form."},
     {"run_batch", run_batch, METH_VARARGS,

@@ -72,6 +72,11 @@ CACHE_SCHEMA = 1
 #: EWMA weight of the newest wall-time observation in the priors store
 PRIOR_ALPHA = 0.5
 
+#: a task's deadline is ``max(TASK_TIMEOUT_FLOOR, TASK_TIMEOUT_FACTOR x
+#: its EWMA-prior seconds)`` unless ``REPRO_TASK_TIMEOUT`` fixes it
+TASK_TIMEOUT_FLOOR = 30.0
+TASK_TIMEOUT_FACTOR = 20.0
+
 
 # ----------------------------------------------------------------------
 # cache location + code salt
@@ -666,8 +671,6 @@ class _Supervisor:
         self.retry_budget = _env_int("REPRO_TASK_RETRIES", 2)
         self.max_respawns = _env_int("REPRO_MAX_RESPAWNS", 3)
         self.timeout_override = _env_float("REPRO_TASK_TIMEOUT", 0.0)
-        self.timeout_floor = _env_float("REPRO_TASK_TIMEOUT_FLOOR", 30.0)
-        self.timeout_factor = _env_float("REPRO_TASK_TIMEOUT_FACTOR", 20.0)
 
     # -- policy -------------------------------------------------------------
     def _deadline_for(self, index: int) -> Optional[float]:
@@ -675,7 +678,7 @@ class _Supervisor:
             seconds = self.timeout_override
         elif self.costs is not None:
             seconds = max(
-                self.timeout_floor, self.timeout_factor * self.costs[index]
+                TASK_TIMEOUT_FLOOR, TASK_TIMEOUT_FACTOR * self.costs[index]
             )
         else:
             return None  # no estimate, no override: don't guess a ceiling

@@ -1,7 +1,19 @@
 """On-demand build and load of the optional C hot-path kernels.
 
-The simulator's innermost loops (batch DRAM timing, path read-and-clear)
-have bit-identical C implementations in ``_fastpath.c``.  This module
+The simulator's innermost loops have bit-identical C implementations in
+``_fastpath.c``, exposed as these entry points:
+
+* ``dram_service`` — DRAM bank timing over decomposed address triples;
+* ``read_and_clear`` — clear a path's slots into (block, level) pairs;
+* ``stash_bulk_add`` — insert read-phase blocks with stash index upkeep;
+* ``write_path_place`` — one path's greedy bottom-up write placement;
+* ``path_triples`` — a leaf's path addresses, decomposed for DRAM;
+* ``pack_triples`` — a triples entry in ``run_batch``'s packed form;
+* ``run_batch`` — whole stretches of dummy paths in one call.
+
+``write_path_place`` and ``run_batch`` share one placement engine and
+place in C for both tree-top modes: the dedicated cache and IR-Stash's
+S-Stash, whose set-occupancy gate the engine applies.  This module
 compiles them with the system C compiler on first use, caches the shared
 object under ``~/.cache/repro-fastpath/`` keyed by source hash and Python
 ABI, and exposes the loaded module as :data:`fastpath`.
@@ -83,33 +95,56 @@ def _self_test(module) -> bool:
     ):
         return False
 
-    # Pool grouping alone: same two blocks against target leaf 1 in a
-    # 3-level tree (prefix covers the whole 2-bit leaf).
-    pools = [[7], [], []]
-    module.path_pools_fill(1, {5: 1, 9: 3}, {1: {0: 5}, 3: {1: 9}},
-                           0, 2, 3, pools)
-    if pools != [[9], [], [5]]:
-        return False
-
-    # Write-phase placement: 3 levels, z=1 everywhere, target leaf 1.
-    # Block 5 (leaf 1) belongs at the bottom, block 9 (leaf 3) diverges
-    # at the root; both place and leave the stash empty.
+    # Write-phase placement: 3 levels, z=1 everywhere, target leaf 1,
+    # dedicated tree-top mode.  Block 5 (leaf 1) belongs at the bottom,
+    # block 9 (leaf 3) diverges at the root; both place and leave the
+    # stash empty.
     entries = {5: 1, 9: 3}
     seq = {5: 0, 9: 1}
     by_prefix = {1: {0: 5}, 3: {1: 9}}
     path_slots = [(0, [-1]), (1, [-1]), (2, [-1])]
     level_used = [0, 0, 0]
-    placed_top = module.write_path_place(
+    counts = module.write_path_place(
         1, entries, seq, by_prefix, 0, 2, path_slots, [1, 1, 1],
-        level_used, 3, 0, -1
+        level_used, 3, 0, -1, 0, None, None, None, 0
     )
     if not (
-        placed_top == 0
+        counts == (0, 0, 0)
         and entries == {}
         and seq == {}
         and by_prefix == {}
         and path_slots == [(0, [9]), (1, [-1]), (2, [5])]
         and level_used == [1, 0, 1]
+    ):
+        return False
+
+    # Gated placement: levels 0-1 are S-Stash (one way per set, set =
+    # block parity) and set 0 is already full with block 8.  Target leaf
+    # 0: block 5 (leaf 0) places at the ungated bottom; even block 2
+    # (leaf 1) is skipped at level 1 and carried up to the root, where
+    # block 3 (leaf 2, odd set) takes the first slot and block 2 is
+    # skipped again, so it stays in the stash.
+    entries = {2: 1, 3: 2, 5: 0}
+    seq = {2: 0, 3: 1, 5: 2}
+    by_prefix = {1: {0: 2}, 2: {1: 3}, 0: {2: 5}}
+    path_slots = [(0, [-1, -1]), (1, [-1]), (2, [-1])]
+    level_used = [0, 0, 0]
+    resident = {8: 0}
+    set_count = {0: 1}
+    counts = module.write_path_place(
+        0, entries, seq, by_prefix, 0, 2, path_slots, [2, 1, 1],
+        level_used, 3, 2, -1, 1, resident, set_count,
+        lambda block: block & 1, 1
+    )
+    if not (
+        counts == (0, 1, 2)
+        and entries == {2: 1}
+        and seq == {2: 0}
+        and by_prefix == {1: {0: 2}}
+        and path_slots == [(0, [3, -1]), (1, [-1]), (2, [5])]
+        and level_used == [1, 0, 1]
+        and resident == {8: 0, 3: 1}
+        and set_count == {0: 1, 1: 1}
     ):
         return False
 

@@ -9,7 +9,6 @@ from .checkpoint import (
 )
 from .persistence import CampaignJournal
 from .results import SimulationResult
-from .runner import run_benchmark, run_trace
 from .simulator import MemoryHierarchy, Simulator
 
 __all__ = [
@@ -22,6 +21,4 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "save_checkpoint",
     "load_checkpoint",
-    "run_trace",
-    "run_benchmark",
 ]

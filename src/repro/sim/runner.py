@@ -1,16 +1,13 @@
-"""Legacy entry points, kept as shims over :mod:`repro.api`.
+"""Workload construction and the IR-Alloc search's evaluation callback.
 
-:func:`make_workload` remains the canonical workload factory (the facade
-itself calls it); :func:`run_trace` and :func:`run_benchmark` are
-deprecated — construct a :class:`repro.api.RunSpec` and call
-:func:`repro.api.run` instead.
+:func:`make_workload` is the canonical workload factory (the facade itself
+calls it).  Runs go through :func:`repro.api.run`.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..config import ORAMConfig, SystemConfig
 from ..errors import ConfigError
@@ -18,34 +15,6 @@ from ..traces.benchmarks import BENCHMARKS, benchmark_trace
 from ..traces.mix import standard_mix
 from ..traces.synthetic import random_trace
 from ..traces.trace import Trace
-from .results import SimulationResult
-
-
-def run_trace(
-    scheme: str,
-    trace: Trace,
-    config: Optional[SystemConfig] = None,
-    seed: int = 1,
-    utilization_snapshots: int = 0,
-) -> SimulationResult:
-    """Deprecated: use ``repro.api.run(RunSpec(..., trace=trace))``."""
-    warnings.warn(
-        "repro.sim.runner.run_trace is deprecated; use "
-        "repro.api.run(RunSpec(scheme=..., trace=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .. import api
-
-    spec = api.RunSpec(
-        scheme=scheme,
-        workload=trace.name,
-        seed=seed,
-        config=config,
-        utilization_snapshots=utilization_snapshots,
-        trace=trace,
-    )
-    return api.run(spec).result
 
 
 def make_workload(
@@ -69,34 +38,6 @@ def make_workload(
     raise ConfigError(
         f"unknown workload {name!r}; options: {sorted(BENCHMARKS)} + mix/random"
     )
-
-
-def run_benchmark(
-    scheme: str,
-    workload: str,
-    config: Optional[SystemConfig] = None,
-    records: int = 4000,
-    seed: int = 7,
-    utilization_snapshots: int = 0,
-) -> SimulationResult:
-    """Deprecated: use ``repro.api.run(RunSpec(...))``."""
-    warnings.warn(
-        "repro.sim.runner.run_benchmark is deprecated; use "
-        "repro.api.run(RunSpec(scheme=..., workload=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .. import api
-
-    spec = api.RunSpec(
-        scheme=scheme,
-        workload=workload,
-        records=records,
-        seed=seed,
-        config=config,
-        utilization_snapshots=utilization_snapshots,
-    )
-    return api.run(spec).result
 
 
 def random_trace_evaluator(

@@ -1,4 +1,4 @@
-"""Tests for the ``repro.api`` facade and the legacy shims over it."""
+"""Tests for the ``repro.api`` facade."""
 
 import json
 import warnings
@@ -9,7 +9,7 @@ from repro import api
 from repro.__main__ import main
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.sim.runner import make_workload, run_benchmark, run_trace
+from repro.sim.runner import make_workload
 
 TINY = SystemConfig.tiny()
 
@@ -69,27 +69,6 @@ class TestObsOptions:
 
 
 class TestFacadeEquivalence:
-    def test_run_matches_legacy_run_benchmark(self):
-        out = api.run(api.RunSpec(
-            scheme="Baseline", workload="gcc", records=300, seed=11,
-            config=TINY,
-        ))
-        with pytest.warns(DeprecationWarning):
-            legacy = run_benchmark(
-                "Baseline", "gcc", TINY, records=300, seed=11
-            )
-        assert fingerprint(out.result) == fingerprint(legacy)
-
-    def test_run_matches_legacy_run_trace(self):
-        trace = make_workload("mix", TINY, 300, seed=5)
-        out = api.run(api.RunSpec(
-            scheme="IR-Alloc", workload=trace.name, seed=3,
-            config=TINY, trace=trace,
-        ))
-        with pytest.warns(DeprecationWarning):
-            legacy = run_trace("IR-Alloc", trace, TINY, seed=3)
-        assert fingerprint(out.result) == fingerprint(legacy)
-
     def test_deterministic_for_fixed_seed(self):
         spec = api.RunSpec(
             scheme="IR-ORAM", workload="mix", records=250, seed=9, config=TINY
@@ -131,14 +110,7 @@ class TestRunMany:
 
 
 class TestShimsDeprecation:
-    def test_run_benchmark_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_benchmark"):
-            run_benchmark("Baseline", "gcc", TINY, records=100)
-
-    def test_run_trace_warns(self):
-        trace = make_workload("gcc", TINY, 100, seed=2)
-        with pytest.warns(DeprecationWarning, match="run_trace"):
-            run_trace("Baseline", trace, TINY)
+    """The public entry points raise no DeprecationWarning."""
 
     def test_make_workload_does_not_warn(self):
         with warnings.catch_warnings():

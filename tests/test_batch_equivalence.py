@@ -18,7 +18,6 @@ import pytest
 from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
-from repro.sim.runner import run_benchmark
 from repro.validate import golden
 
 ALL_SCHEMES = sorted(SCHEMES)
@@ -31,12 +30,10 @@ def _disable_natives(monkeypatch):
     """Force every pure-Python fallback, including the batch kernel."""
     import repro.mem.dram as dram
     import repro.oram.controller as controller
-    import repro.oram.stash as stash
     import repro.oram.tree as tree
 
     monkeypatch.setattr(dram, "_native", None)
     monkeypatch.setattr(tree, "_native", None)
-    monkeypatch.setattr(stash, "_native", None)
     monkeypatch.setattr(controller, "_fastpath", None)
 
 
@@ -50,7 +47,10 @@ def _fingerprint(result):
 
 def _run_sim(scheme, seed=11, records=200):
     config = SystemConfig.tiny()
-    return run_benchmark(scheme, "random", config, records=records, seed=seed)
+    return api.run(api.RunSpec(
+        scheme=scheme, workload="random", config=config, records=records,
+        seed=seed,
+    )).result
 
 
 def _controller_state(controller):
@@ -86,12 +86,11 @@ class TestKernelLockstep:
                 scheme, config, rng=random.Random(7)
             ).controller
             if not natives:
-                controller._native_bulk = None
-                controller._fastpath = None
+                controller._native = None
             return controller
 
         batched = build(natives=True)
-        assert batched._native_bulk is not None
+        assert batched._native is not None
         reference = build(natives=False)
         interval = 50
         now_a = now_b = 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.api import RunSpec, run
 from repro.config import SystemConfig
 from repro.errors import ReproError
 from repro.sim.persistence import (
@@ -11,7 +12,6 @@ from repro.sim.persistence import (
     result_to_dict,
     save_results,
 )
-from repro.sim.runner import run_benchmark
 
 
 class TestCLI:
@@ -63,9 +63,10 @@ class TestCLI:
 class TestPersistence:
     @pytest.fixture
     def result(self):
-        return run_benchmark(
-            "Baseline", "gcc", SystemConfig.tiny(), records=200
-        )
+        return run(RunSpec(
+            scheme="Baseline", workload="gcc", config=SystemConfig.tiny(),
+            records=200,
+        )).result
 
     def test_round_trip(self, result, tmp_path):
         path = save_results([result], tmp_path / "results.json")

@@ -73,7 +73,6 @@ class TestControllerFallbacks:
         config = SystemConfig.tiny()
         fast = PathORAMController(config, rng=random.Random(9))
         slow = PathORAMController(config, rng=random.Random(9))
-        slow._native_bulk = None
         slow._native = None
         fast_out = self._dummy_loop(fast)
         slow_out = self._dummy_loop(slow)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
 from repro.oram.types import PathType
 from repro.sim.results import SimulationResult
-from repro.sim.runner import make_workload, run_benchmark, run_trace
+from repro.sim.runner import make_workload
 from repro.sim.simulator import Simulator
 from repro.traces.synthetic import random_trace, zipf_trace
 from repro.traces.trace import Trace
@@ -20,7 +21,10 @@ def config():
 
 
 def quick_run(scheme, config, records=250, workload="random", seed=5):
-    return run_benchmark(scheme, workload, config, records=records, seed=seed)
+    return run(RunSpec(
+        scheme=scheme, workload=workload, config=config, records=records,
+        seed=seed,
+    )).result
 
 
 class TestEndToEnd:
@@ -49,7 +53,9 @@ class TestEndToEnd:
     def test_llc_filters_requests(self, config):
         rng = random.Random(1)
         hot = zipf_trace(400, 64, rng, alpha=1.5)
-        result = run_trace("Baseline", hot, config)
+        result = run(RunSpec(
+            scheme="Baseline", trace=hot, config=config, seed=1
+        )).result
         # with a 64-block footprint and a larger LLC, almost everything hits
         assert result.counters["hierarchy.demand_misses"] < 100
 

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.experiments.run_all import ALL_EXPERIMENTS
 from repro.oram.types import PathType, Request, RequestKind
 from repro.sim.results import SimulationResult
-from repro.sim.runner import make_workload, run_benchmark
+from repro.sim.runner import make_workload
 from repro.traces.benchmarks import BENCHMARKS, benchmark_trace
 
 
@@ -51,8 +52,10 @@ class TestRunner:
             assert len(trace) >= 48
 
     def test_run_benchmark_default_config(self):
-        result = run_benchmark("Baseline", "gcc",
-                               SystemConfig.tiny(), records=100)
+        result = run(RunSpec(
+            scheme="Baseline", workload="gcc", config=SystemConfig.tiny(),
+            records=100,
+        )).result
         assert isinstance(result, SimulationResult)
 
 

@@ -11,10 +11,12 @@ import random
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.config import SystemConfig
+from repro.core.ir_stash import SStash
 from repro.core.schemes import build_scheme
 from repro.oram.controller import PathORAMController
-from repro.sim.runner import run_benchmark
+from repro.sim.runner import make_workload
 from repro.sim.simulator import Simulator
 from repro.traces.synthetic import random_trace
 
@@ -38,7 +40,10 @@ def _run(scheme, seed, reference=False, monkeypatch=None):
             "_write_path",
             PathORAMController._write_path_reference,
         )
-    return run_benchmark(scheme, "random", config, records=220, seed=seed)
+    return run(RunSpec(
+        scheme=scheme, workload="random", config=config, records=220,
+        seed=seed,
+    )).result
 
 
 class TestWritePhaseEquivalence:
@@ -71,15 +76,48 @@ class TestNativeFallbackEquivalence:
 
         import repro.mem.dram as dram
         import repro.oram.controller as controller
-        import repro.oram.stash as stash
         import repro.oram.tree as tree
 
         monkeypatch.setattr(dram, "_native", None)
         monkeypatch.setattr(tree, "_native", None)
-        monkeypatch.setattr(stash, "_native", None)
         monkeypatch.setattr(controller, "_fastpath", None)
         without_native = _fingerprint(_run(scheme, seed=11))
         assert with_native == without_native
+
+
+class TestSStashPlacesInKernel:
+    """With the kernel loaded, S-Stash schemes place in C, not Python."""
+
+    @pytest.mark.parametrize("scheme", ["IR-Stash", "IR-ORAM"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_python_placement_loop(self, scheme, seed, monkeypatch):
+        from repro.perf import native
+
+        if native.fastpath is None:
+            pytest.skip("native kernels unavailable; nothing to compare")
+        # Built by hand so the hooks are counted from the first slot on,
+        # not during the tree-top mirroring of tree initialization.
+        config = SystemConfig.tiny()
+        components = build_scheme(scheme, config, rng=random.Random(seed))
+        trace = make_workload("random", config, 220, seed)
+        calls = []
+        for name in ("may_place", "on_place"):
+            original = getattr(SStash, name)
+
+            def counted(self, block, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, block)
+
+            monkeypatch.setattr(SStash, name, counted)
+        kernel = Simulator(components, trace).run()
+        monkeypatch.undo()
+        assert calls == []
+        reference = _run(scheme, seed, reference=True, monkeypatch=monkeypatch)
+        # Rejections on a full set really happen, and the kernel counts
+        # placements and skips exactly as the Python hooks do.
+        for key in ("sstash.placed", "sstash.placement_skips"):
+            assert kernel.counters.get(key, 0) > 0
+            assert kernel.counters[key] == reference.counters[key]
 
 
 class TestEvictionPressureEquivalence:
