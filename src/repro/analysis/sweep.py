@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig
 from ..errors import ConfigError
-from ..perf.parallel import SimPoint, fanout
+from ..perf.engine import SimPoint, run_points
 from ..sim.results import SimulationResult
 
 #: knob name -> function(config, value) -> new config
@@ -125,6 +125,7 @@ def sweep_parameter(
         )
         for value in values
     ]
-    for value, item in zip(values, fanout(points, jobs=jobs)):
+    results, _ = run_points(points, jobs=jobs)
+    for value, item in zip(values, results):
         sweep.points.append(SweepPoint(value=value, result=item.result))
     return sweep

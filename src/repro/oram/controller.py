@@ -39,6 +39,7 @@ from ..mem.dram import DRAMModel
 from ..mem.layout import TreeLayout
 from ..obs import events as ev
 from ..perf.native import fastpath as _fastpath
+from ..perf.native import kernel_ctx
 from ..stats import Stats
 from .plb import PLB
 from .posmap import PositionMap
@@ -150,10 +151,10 @@ class PathORAMController:
         #: (calls, paths, per-phase nanoseconds); surfaced through the
         #: stats snapshot by the API layer after the run completes.
         self.batch_counters: dict = {}
-        #: cached 29-slot context tuple handed to the native batch kernel;
-        #: rebuilt lazily, invalidated whenever a referenced container is
-        #: replaced (artifact adoption, unpickling).
-        self._batch_ctx = None
+        #: the context tuple every C kernel call takes; built lazily by
+        #: :meth:`_kernel_ctx`, invalidated whenever a referenced container
+        #: is replaced (artifact adoption, unpickling).
+        self._ctx = None
         #: per-leaf DRAM triples packed into the kernel's byte form;
         #: filled lazily by the kernel (or eagerly by
         #: :meth:`warm_path_caches`), reset whenever the layout changes.
@@ -171,13 +172,9 @@ class PathORAMController:
     def _rebind_native(self) -> None:
         """(Re)derive the optional C-kernel binding from current state.
 
-        One binding serves the read-phase bulk fill, per-access placement
-        and whole-batch dummy paths for every tree-top type.  The tree-top
-        arguments both placement kernels take are derived here as well:
-        mode 0 for the dedicated cache, whose placement hooks are bare
-        counters, and mode 1 for IR-Stash's S-Stash, whose set-occupancy
-        dicts and ``set_of`` index the kernel gates placement on.  Called
-        from ``__init__`` and again after unpickling: the kernel module is
+        One binding serves the per-access read and write phases and
+        whole-batch dummy paths for every tree-top type.  Called from
+        ``__init__`` and again after unpickling: the kernel module is
         process-local state that cannot cross a checkpoint, so
         :meth:`__setstate__` rebinds it here.
         """
@@ -186,31 +183,22 @@ class PathORAMController:
             if _fastpath is not None and self.oram.levels < 64
             else None
         )
-        treetop = self.treetop
-        if treetop.addressable_by_block:
-            self._treetop_args = (
-                1, treetop._resident, treetop._set_count, treetop.set_of,
-                treetop.ways,
-            )
-        else:
-            self._treetop_args = (0, None, None, None, 0)
 
     # ------------------------------------------------------------------
     # pickling (mid-run checkpoints)
     # ------------------------------------------------------------------
     # Controllers are snapshotted mid-run by repro.sim.checkpoint.  Three
     # kinds of attribute cannot (or must not) cross the pickle boundary:
-    # the C kernel binding (a process-local module object, with the
-    # tree-top arguments derived alongside it), and the two
-    # observer hooks (arbitrary callables — auditors and checkpoint
+    # the C kernel binding (a process-local module object), the kernel
+    # context and packed triples derived for it, and the two observer
+    # hooks (arbitrary callables — auditors and checkpoint
     # managers re-attach themselves on resume).  Everything else is plain
     # Python state and round-trips exactly, so a resumed run is
     # bit-identical to an uninterrupted one.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_native"] = None
-        state["_treetop_args"] = None
-        state["_batch_ctx"] = None
+        state["_ctx"] = None
         state["_packed_triples"] = {}
         state["observer"] = None
         state["slot_observer"] = None
@@ -539,50 +527,47 @@ class PathORAMController:
     # path access primitives
     # ------------------------------------------------------------------
     def _service_path(
-        self, leaf: int, path_type: PathType, now: int
-    ) -> Tuple[int, int, List[Tuple[int, int]]]:
+        self, leaf: int, path_type: PathType, now: int,
+        served: Optional[int] = None,
+    ) -> Tuple[int, int, int]:
         """Common read-phase + bookkeeping for every path access.
 
-        Returns ``(finish_read, start, removed_blocks)`` where
-        ``removed_blocks`` are the real blocks pulled into the stash.
+        Every real block on the path moves into the stash, and blocks
+        read from the cached top leave the tree-top structure.  Returns
+        ``(finish_read, start, served_level)``: the level ``served`` was
+        read from, or -1 when it was not on the path.
         """
         triples, blocks = self._path_dram_triples(leaf)
         finish_read = self.dram.service_decomposed(triples, False, now)
 
-        removed = self.tree.read_and_clear(leaf)
-        top = self.oram.top_cached_levels
         counters = self.stats.counters
+        stash = self.stash
         if self._native is not None:
-            stash = self.stash
-            next_seq, top_blocks = self._native.stash_bulk_add(
-                removed,
-                stash._entries,
-                stash._seq,
-                stash._by_prefix,
-                stash._prefix_shift,
-                stash._next_seq,
-                self.posmap._leaf_of,
-                top,
+            next_seq, removed_top, ss_removed, served_level = (
+                self._native.read_path(
+                    self._kernel_ctx(), leaf, stash._next_seq, served
+                )
             )
             stash._next_seq = next_seq
-            occupancy = len(stash._entries)
-            if occupancy > stash.peak_occupancy:
-                stash.peak_occupancy = occupancy
-                tracer = self.stats.tracer
-                if tracer is not None:
-                    tracer.emit(ev.STASH_HWM, now, occupancy=occupancy)
-            if top_blocks:
-                treetop_remove = self.treetop.on_remove
-                for block in top_blocks:
-                    treetop_remove(block)
+            # Only keys the hooks would have created, as in
+            # _apply_batch_counters.
+            if removed_top:
+                counters[sk.TREETOP_REMOVED] += removed_top
+            if ss_removed:
+                counters[sk.SSTASH_REMOVED] += ss_removed
         else:
-            stash_add = self.stash.add
+            top = self.oram.top_cached_levels
+            insert = stash.insert
             leaf_of = self.posmap.leaf_of
             treetop_remove = self.treetop.on_remove
-            for block, level in removed:
+            served_level = -1
+            for block, level in self.tree.read_and_clear(leaf):
                 if level < top:
                     treetop_remove(block)
-                stash_add(block, leaf_of(block))
+                insert(block, leaf_of(block))
+                if block == served:
+                    served_level = level
+        stash.note_peak(now)
 
         self.path_count += 1
         counters[_PATHS_KEY[path_type]] += 1
@@ -611,7 +596,7 @@ class PathORAMController:
                 write_addresses=list(addresses),
             )
             self.observer(record)
-        return finish_read, now, removed
+        return finish_read, now, served_level
 
     def adopt_artifacts(self, layout: TreeLayout, path_dram: dict) -> None:
         """Adopt shared config-derived artifacts from an artifact cache.
@@ -627,9 +612,9 @@ class PathORAMController:
         """
         self.layout = layout
         self._path_dram = path_dram
-        # The batch context captures the triples table by reference, and
+        # The kernel context captures the triples table by reference, and
         # the packed mirror was derived from the replaced table.
-        self._batch_ctx = None
+        self._ctx = None
         self._packed_triples = {}
 
     def _path_dram_triples(self, leaf: int) -> Tuple[list, int]:
@@ -739,22 +724,9 @@ class PathORAMController:
         track = self.track_migration and preexisting is not None
 
         if self._native is not None and not track:
-            stash = self.stash
             try:
                 counts = self._native.write_path_place(
-                    leaf,
-                    stash._entries,
-                    stash._seq,
-                    stash._by_prefix,
-                    stash._prefix_shift,
-                    stash._prefix_levels,
-                    tree.path_slots(leaf),
-                    self._z_list,
-                    level_used,
-                    levels,
-                    top,
-                    EMPTY,
-                    *self._treetop_args,
+                    self._kernel_ctx(), leaf
                 )
             except RuntimeError as exc:
                 raise ProtocolError(str(exc)) from None
@@ -908,17 +880,20 @@ class PathORAMController:
         """
         leaf = self.posmap.leaf_of(block)
         preexisting = set(self.stash.blocks()) if self.track_migration else None
-        finish_read, start, removed = self._service_path(leaf, path_type, now)
+        finish_read, start, served_level = self._service_path(
+            leaf, path_type, now, served=block
+        )
 
         if block not in self.stash:
             raise ProtocolError(
                 f"block {block} absent from path {leaf} and stash"
             )
-        if serve_request is not None and serve_request.kind is RequestKind.READ:
-            for found_block, level in removed:
-                if found_block == block:
-                    self.stats.bump(sk.HIT_LEVEL, level)
-                    break
+        if (
+            serve_request is not None
+            and serve_request.kind is RequestKind.READ
+            and served_level >= 0
+        ):
+            self.stats.bump(sk.HIT_LEVEL, served_level)
 
         extract = extract_block or (
             self.delayed_remap
@@ -1088,57 +1063,75 @@ class PathORAMController:
         return SlotResult(True, PathType.DUMMY, start, finish_read, finish_write)
 
     # ------------------------------------------------------------------
-    # whole-batch dummy stepping (native fastpath)
+    # native kernel context and whole-batch dummy stepping
     # ------------------------------------------------------------------
-    def _build_batch_ctx(self) -> tuple:
-        """Freeze every container/callable ``run_batch`` mutates or calls.
+    def _kernel_ctx(self) -> tuple:
+        """The context tuple every C kernel call takes, built once.
 
-        All slots are live references into controller state: the kernel
-        mutates the same dicts/lists the Python loop would, so stepping
-        styles can be mixed freely within one run.
+        All slots are live references into controller state: the kernels
+        mutate the same dicts/lists the Python loops would, so execution
+        tiers can be mixed freely within one run.
         """
+        ctx = self._ctx
+        if ctx is not None:
+            return ctx
         dram_cfg = self.config.dram
         stash = self.stash
-        return (
-            self.rng.randrange,
-            self.oram.leaves,
-            self._path_dram,
-            self._path_dram_triples,
-            self.tree._path_slots_cache,
-            self.tree.path_slots,
-            stash._entries,
-            stash._seq,
-            stash._by_prefix,
-            stash._prefix_shift,
-            stash._prefix_levels,
-            self.posmap._leaf_of,
-            self._z_list,
-            self.tree.level_used,
-            self.oram.levels,
-            self.oram.top_cached_levels,
-            EMPTY,
-            self.dram.bank_ready,
-            self.dram.bank_open_row,
-            self.dram.bus_free,
-            (
+        treetop = self.treetop
+        # Direct getrandbits leaf draws are only valid for plain
+        # random.Random (the kernel inlines exactly its _randbelow
+        # rejection loop); any subclass falls back to randrange.
+        plain_rng = type(self.rng) is random.Random
+        if treetop.addressable_by_block:
+            # IR-Stash's S-Stash: the kernels release its entries and gate
+            # placement on its set-occupancy dicts and set_of index.
+            sstash = dict(
+                treetop_mode=1, resident=treetop._resident,
+                set_count=treetop._set_count, set_of=treetop.set_of,
+                ways=treetop.ways,
+            )
+        else:
+            # The dedicated cache, whose hooks are bare counters.
+            sstash = dict(
+                treetop_mode=0, resident=None, set_count=None, set_of=None,
+                ways=0,
+            )
+        ctx = self._ctx = kernel_ctx(
+            randrange=self.rng.randrange,
+            leaves=self.oram.leaves,
+            triples_cache=self._path_dram,
+            triples_fn=self._path_dram_triples,
+            slots_cache=self.tree._path_slots_cache,
+            slots_fn=self.tree.path_slots,
+            entries=stash._entries,
+            seq=stash._seq,
+            by_prefix=stash._by_prefix,
+            prefix_shift=stash._prefix_shift,
+            prefix_levels=stash._prefix_levels,
+            leaf_table=self.posmap._leaf_of,
+            z_per_level=self._z_list,
+            level_used=self.tree.level_used,
+            levels=self.oram.levels,
+            top=self.oram.top_cached_levels,
+            empty=EMPTY,
+            bank_ready=self.dram.bank_ready,
+            bank_open_row=self.dram.bank_open_row,
+            bus_free=self.dram.bus_free,
+            dram_params=(
                 dram_cfg.cpu_cycles_per_dram_cycle,
                 dram_cfg.t_rp,
                 dram_cfg.t_rcd,
                 dram_cfg.t_burst,
                 dram_cfg.t_cas + dram_cfg.t_burst,
             ),
-            *self._treetop_args,
+            **sstash,
             # Kernel-maintained packed triple arrays (possibly pre-warmed
             # by warm_path_caches); reset alongside the triples table.
-            self._packed_triples,
-            # Direct getrandbits leaf draws are only valid for plain
-            # random.Random (the kernel inlines exactly its _randbelow
-            # rejection loop); any subclass falls back to randrange.
-            self.rng.getrandbits if type(self.rng) is random.Random
-            else None,
-            self.oram.leaves.bit_length()
-            if type(self.rng) is random.Random else 0,
+            packed=self._packed_triples,
+            getrandbits=self.rng.getrandbits if plain_rng else None,
+            leaf_bits=self.oram.leaves.bit_length() if plain_rng else 0,
         )
+        return ctx
 
     def _apply_batch_counters(self, n: int, agg: tuple) -> None:
         """Apply one batch's aggregated effects to the stats counters.
@@ -1208,13 +1201,10 @@ class PathORAMController:
             and self.observer is None
             and self.slot_observer is None
         ):
-            ctx = self._batch_ctx
-            if ctx is None:
-                ctx = self._batch_ctx = self._build_batch_ctx()
             stash = self.stash
             n, new_now, next_seq, max_occ, bounds, agg, timings = (
                 self._native.run_batch(
-                    ctx,
+                    self._kernel_ctx(),
                     now,
                     stash._next_seq,
                     interval,

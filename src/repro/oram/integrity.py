@@ -334,9 +334,9 @@ def attach_integrity(controller, stats: Optional[Stats] = None) -> MerkleIntegri
     original_service = controller._service_path
     original_write = controller._write_path
 
-    def service_with_verify(leaf, path_type, now):
+    def service_with_verify(leaf, path_type, now, served=None):
         integrity.verify_path(leaf)
-        return original_service(leaf, path_type, now)
+        return original_service(leaf, path_type, now, served)
 
     def write_with_update(leaf, finish_read, path_type, preexisting=None):
         finish = original_write(leaf, finish_read, path_type, preexisting)

@@ -114,12 +114,26 @@ class Stash:
 
     # -- core API ----------------------------------------------------------
     def add(self, block: int, leaf: int, enforce_capacity: bool = False) -> None:
-        """Insert or update a block's stash entry.
+        """Insert or update a block's stash entry and track the peak.
 
         With ``enforce_capacity`` the classic Path ORAM failure mode is
         modeled: exceeding the hard capacity raises
         :class:`StashOverflowError`.  The controller normally leaves this
         off and relies on background eviction instead (Ren et al.).
+        """
+        self.insert(block, leaf)
+        self.note_peak()
+        occupancy = len(self._entries)
+        if enforce_capacity and occupancy > self.capacity:
+            raise StashOverflowError(
+                f"stash holds {occupancy} blocks > capacity {self.capacity}"
+            )
+
+    def insert(self, block: int, leaf: int) -> None:
+        """Insert or update a block's stash entry, without peak tracking.
+
+        A path's read phase inserts every block it reads this way and
+        then calls :meth:`note_peak` once, as the C read phase does.
         """
         entries = self._entries
         old_leaf = entries.get(block)
@@ -136,16 +150,23 @@ class Stash:
                 bucket[seq] = block
         elif old_leaf != leaf:
             self._index_move(block, old_leaf, leaf)
-        occupancy = len(entries)
+
+    def note_peak(self, now: Optional[int] = None) -> None:
+        """Raise the high-water mark to the current occupancy.
+
+        A new peak emits ``stash.hwm`` at ``now`` (default: the tracer's
+        clock).
+        """
+        occupancy = len(self._entries)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
             tracer = self.stats.tracer
             if tracer is not None:
-                tracer.emit(ev.STASH_HWM, tracer.now, occupancy=occupancy)
-        if enforce_capacity and occupancy > self.capacity:
-            raise StashOverflowError(
-                f"stash holds {occupancy} blocks > capacity {self.capacity}"
-            )
+                tracer.emit(
+                    ev.STASH_HWM,
+                    tracer.now if now is None else now,
+                    occupancy=occupancy,
+                )
 
     def remove(self, block: int) -> int:
         """Remove a block, returning its leaf."""

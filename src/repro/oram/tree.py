@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import ORAMConfig
 from ..errors import ProtocolError
-from ..perf.native import fastpath as _native
 
 #: Marker for an unoccupied slot (a "dummy block" once encrypted).
 EMPTY = -1
@@ -136,26 +135,16 @@ class ORAMTree:
         return pairs
 
     # -- slot mutation -----------------------------------------------------------
-    def read_and_clear(
-        self, leaf: int, from_level: int = 0
-    ) -> List[Tuple[int, int]]:
+    def read_and_clear(self, leaf: int) -> List[Tuple[int, int]]:
         """Remove every real block on a path; return ``(block, level)`` pairs.
 
         This is the read phase of a path access: every slot is fetched, real
-        blocks go to the caller (the stash), dummies are discarded.
+        blocks go to the caller (the stash), dummies are discarded.  The
+        controller's C read phase (``read_path``) runs the same loop.
         """
-        if from_level == 0:
-            pairs = self.path_slots(leaf)
-        else:
-            pairs = [
-                (level, slots)
-                for level, _, slots in self.path_buckets(leaf, from_level)
-            ]
-        if _native is not None:
-            return _native.read_and_clear(pairs, self.level_used, EMPTY)
         removed: List[Tuple[int, int]] = []
         level_used = self.level_used
-        for level, slots in pairs:
+        for level, slots in self.path_slots(leaf):
             for i, block in enumerate(slots):
                 if block != EMPTY:
                     removed.append((block, level))

@@ -104,94 +104,8 @@ dram_service(PyObject *self, PyObject *args)
     return Py_BuildValue("LLL", finish, row_hits, conflicts);
 }
 
-/* read_and_clear(pairs, level_used, empty) -> [(block, level), ...]
- *
- * `pairs` is a list of (level, slots) tuples (ORAMTree.path_slots);
- * every non-empty slot is cleared to `empty`, its block collected, and
- * level_used decremented per level.  Mirrors the pure-Python loop in
- * ORAMTree.read_and_clear.
- */
-static PyObject *
-read_and_clear(PyObject *self, PyObject *args)
-{
-    PyObject *pairs, *level_used;
-    long long empty;
-    if (!PyArg_ParseTuple(args, "O!O!L",
-                          &PyList_Type, &pairs,
-                          &PyList_Type, &level_used, &empty))
-        return NULL;
-
-    PyObject *removed = PyList_New(0);
-    if (removed == NULL)
-        return NULL;
-    PyObject *empty_obj = PyLong_FromLongLong(empty);
-    if (empty_obj == NULL) {
-        Py_DECREF(removed);
-        return NULL;
-    }
-
-    Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
-    for (Py_ssize_t p = 0; p < n_pairs; p++) {
-        PyObject *pair = PyList_GET_ITEM(pairs, p);
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            PyErr_SetString(PyExc_TypeError, "pairs must hold (level, slots)");
-            goto fail;
-        }
-        PyObject *level_obj = PyTuple_GET_ITEM(pair, 0);
-        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-        if (!PyList_Check(slots)) {
-            PyErr_SetString(PyExc_TypeError, "slots must be a list");
-            goto fail;
-        }
-        Py_ssize_t z = PyList_GET_SIZE(slots);
-        long long cleared = 0;
-        for (Py_ssize_t i = 0; i < z; i++) {
-            PyObject *block = PyList_GET_ITEM(slots, i);
-            long long value = PyLong_AsLongLong(block);
-            if (PyErr_Occurred())
-                goto fail;
-            if (value == empty)
-                continue;
-            PyObject *tup = PyTuple_Pack(2, block, level_obj);
-            if (tup == NULL)
-                goto fail;
-            int rc = PyList_Append(removed, tup);
-            Py_DECREF(tup);
-            if (rc < 0)
-                goto fail;
-            Py_INCREF(empty_obj);
-            PyList_SetItem(slots, i, empty_obj);
-            cleared++;
-        }
-        if (cleared) {
-            long long level = PyLong_AsLongLong(level_obj);
-            if (PyErr_Occurred())
-                goto fail;
-            if (level < 0 || level >= PyList_GET_SIZE(level_used)) {
-                PyErr_SetString(PyExc_IndexError, "level out of range");
-                goto fail;
-            }
-            long long used =
-                PyLong_AsLongLong(PyList_GET_ITEM(level_used, level));
-            if (PyErr_Occurred())
-                goto fail;
-            PyObject *used_obj = PyLong_FromLongLong(used - cleared);
-            if (used_obj == NULL)
-                goto fail;
-            PyList_SetItem(level_used, level, used_obj);
-        }
-    }
-    Py_DECREF(empty_obj);
-    return removed;
-
-fail:
-    Py_DECREF(empty_obj);
-    Py_DECREF(removed);
-    return NULL;
-}
-
 /* ---------------------------------------------------------------- */
-/* Stash index surgery shared by the bulk-add and write-path kernels */
+/* Stash index surgery shared by the read and write phases           */
 /* ---------------------------------------------------------------- */
 
 static inline long long
@@ -249,7 +163,7 @@ stash_remove_indexed(PyObject *entries, PyObject *seq_dict,
 }
 
 /* Insert or update one stash entry with full index maintenance (the body
- * of Stash.add).  ``leaf_obj``/``leaf`` are the block's current mapping;
+ * of Stash.insert).  ``leaf_obj``/``leaf`` are the block's current mapping;
  * the previous mapping is read *before* the entries dict is updated so
  * the borrowed old-leaf reference is never used after its slot has been
  * replaced.  Advances ``*next_seq`` for fresh entries.  Returns 0, or -1
@@ -408,72 +322,6 @@ stash_insert_with_seq(PyObject *entries, PyObject *seq_dict,
     return 0;
 }
 
-/* stash_bulk_add(removed, entries, seq_dict, by_prefix, prefix_shift,
- *                next_seq, leaf_table, top) -> (next_seq, top_blocks)
- *
- * Insert every (block, level) pair pulled off a path into the stash with
- * full leaf-prefix index maintenance, mirroring Stash.add.  Blocks read
- * out of the cached top levels are returned so the caller can run the
- * tree-top structure's removal hook on exactly those.
- */
-static PyObject *
-stash_bulk_add(PyObject *self, PyObject *args)
-{
-    PyObject *removed, *entries, *seq_dict, *by_prefix, *leaf_table;
-    long long prefix_shift, next_seq, top;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!LLO!L",
-                          &PyList_Type, &removed,
-                          &PyDict_Type, &entries,
-                          &PyDict_Type, &seq_dict,
-                          &PyDict_Type, &by_prefix,
-                          &prefix_shift, &next_seq,
-                          &PyList_Type, &leaf_table, &top))
-        return NULL;
-
-    PyObject *top_blocks = PyList_New(0);
-    if (top_blocks == NULL)
-        return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(removed);
-    Py_ssize_t table_size = PyList_GET_SIZE(leaf_table);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *pair = PyList_GET_ITEM(removed, i);
-        PyObject *block = PyTuple_GET_ITEM(pair, 0);
-        long long level = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
-        long long block_id = PyLong_AsLongLong(block);
-        if (PyErr_Occurred())
-            goto fail;
-        if (level < top && PyList_Append(top_blocks, block) < 0)
-            goto fail;
-        if (block_id < 0 || block_id >= table_size) {
-            PyErr_SetString(PyExc_IndexError, "block outside position map");
-            goto fail;
-        }
-        PyObject *leaf_obj = PyList_GET_ITEM(leaf_table, block_id);
-        long long leaf = PyLong_AsLongLong(leaf_obj);
-        if (leaf == -1) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "block has no mapping");
-            goto fail;
-        }
-        if (stash_add_one(entries, seq_dict, by_prefix, prefix_shift,
-                          block, leaf_obj, leaf, &next_seq) < 0)
-            goto fail;
-    }
-    {
-        PyObject *seq_val = PyLong_FromLongLong(next_seq);
-        if (seq_val == NULL)
-            goto fail;
-        PyObject *result = PyTuple_Pack(2, seq_val, top_blocks);
-        Py_DECREF(seq_val);
-        Py_DECREF(top_blocks);
-        return result;
-    }
-
-fail:
-    Py_DECREF(top_blocks);
-    return NULL;
-}
-
 /* Pool entry of the placement engine: a stash block with its insertion
  * sequence number. */
 typedef struct {
@@ -492,102 +340,195 @@ pool_item_cmp(const void *a, const void *b)
 
 #define FASTPATH_MAX_LEVELS 64
 
-/* Cap on the packed per-leaf triple cache inside a batch ctx; mirrors
+/* Cap on the packed per-leaf triple cache inside the kernel ctx; mirrors
  * ORAMTree.PATH_CACHE_LIMIT so both memo layers evict in step.
  */
 #define PACKED_CACHE_LIMIT (1 << 16)
 
-/* Depth-bucket every stash block for the path to `leaf` via the prefix
- * index: blocks sharing the target prefix get an exact XOR/bit-length
- * depth, diverging prefix buckets land wholesale at the prefix divergence
- * depth.  Fills `items` (capacity >= len(entries)) segmented by depth
- * (counts/offsets, length `levels`), each segment sorted by stash
- * insertion sequence.  Mirrors Stash.path_pools.  Returns 0, or -1 with
- * an exception set.
+typedef struct {
+    long long ratio;      /* CPU cycles per DRAM cycle */
+    long long t_rp;
+    long long t_rcd;
+    long long t_burst;
+    long long cas_burst;  /* t_cas + t_burst */
+} DramTiming;
+
+/* ---------------------------------------------------------------- */
+/* The kernel context                                                */
+/* ---------------------------------------------------------------- */
+
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 29-slot
+ * tuple PathORAMController._kernel_ctx freezes; read_path,
+ * write_path_place and run_batch all take it:
+ *
+ *    0 randrange        leaf draw for run_batch
+ *    1 leaves           leaf count
+ *    2 triples_cache    leaf -> (DRAM triples, blocks) memo
+ *    3 triples_fn       its memoizing miss fallback
+ *    4 slots_cache      leaf -> [(level, slots), ...] memo
+ *    5 slots_fn         its memoizing miss fallback
+ *    6-8                stash entries, seq and prefix-bucket dicts
+ *    9-10               stash prefix shift and prefix levels
+ *   11 leaf_table       position-map leaf list
+ *   12-16               z per level, level occupancy, levels, cached
+ *                       top levels, empty-slot marker
+ *   17-19               DRAM bank ready / open row / bus free lists
+ *   20 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
+ *   21 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
+ *   22-25               S-Stash resident, set_count, set_of, ways
+ *   26 packed_cache     leaf -> packed triple bytes, kernel-filled
+ *   27-28               the RNG's getrandbits and the leaf-count bit
+ *                       width when it is a plain random.Random, else
+ *                       None, 0
+ *
+ * Object fields are borrowed from the tuple.  Bucket sizes and level
+ * occupancy are hoisted into C arrays (occupancy goes back through
+ * store_used), and the tree-top counters gather one call's hook effects
+ * for the caller to apply.
+ */
+typedef struct {
+    PyObject *randrange, *leaves_obj, *triples_cache, *triples_fn,
+        *slots_cache, *slots_fn, *entries, *seq_dict, *by_prefix,
+        *leaf_table, *level_used, *empty_obj, *bank_ready, *bank_open_row,
+        *bus_free, *resident, *set_count, *set_of, *packed_cache,
+        *getrandbits;
+    long long leaves, prefix_shift, prefix_levels, levels, top, empty,
+        ways, leaf_bits;
+    int gated;  /* tree-top mode 1: S-Stash set gating and release */
+    DramTiming dram;
+    long long z_arr[FASTPATH_MAX_LEVELS];
+    long long used_arr[FASTPATH_MAX_LEVELS];
+    long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
+} KernelCtx;
+
+/* Unpack and validate ``ctx`` into ``c``.  Returns 0, or -1 with an
+ * exception set.
  */
 static int
-group_by_depth(long long leaf, PyObject *entries, PyObject *by_prefix,
-               long long prefix_shift, long long prefix_levels,
-               long long levels, PoolItem *items,
-               Py_ssize_t *counts, Py_ssize_t *offsets)
+parse_ctx(PyObject *ctx, KernelCtx *c)
 {
-    long long base = levels - 1;
-    long long target_prefix = leaf >> prefix_shift;
-    Py_ssize_t fill[FASTPATH_MAX_LEVELS];
-    PyObject *prefix_obj, *bucket;
-    Py_ssize_t pos = 0;
-
-    memset(counts, 0, sizeof(Py_ssize_t) * (size_t)levels);
-    /* count per depth */
-    while (PyDict_Next(by_prefix, &pos, &prefix_obj, &bucket)) {
-        long long prefix = PyLong_AsLongLong(prefix_obj);
-        if (prefix == -1 && PyErr_Occurred())
-            return -1;
-        if (prefix == target_prefix) {
-            PyObject *seq_obj, *block;
-            Py_ssize_t bpos = 0;
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                PyObject *leaf_obj = PyDict_GetItem(entries, block);
-                if (leaf_obj == NULL) {
-                    PyErr_SetString(PyExc_KeyError,
-                                    "stash index out of sync");
-                    return -1;
-                }
-                long long block_leaf = PyLong_AsLongLong(leaf_obj);
-                if (block_leaf == -1 && PyErr_Occurred())
-                    return -1;
-                long long depth =
-                    base - bit_length(
-                        (unsigned long long)(leaf ^ block_leaf));
-                counts[depth]++;
-            }
-        } else {
-            long long depth =
-                prefix_levels - bit_length(
-                    (unsigned long long)(prefix ^ target_prefix));
-            counts[depth] += PyDict_GET_SIZE(bucket);
-        }
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 29) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 29 slots");
+        return -1;
     }
-    offsets[0] = 0;
-    for (long long d = 1; d < levels; d++)
-        offsets[d] = offsets[d - 1] + counts[d - 1];
-    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)levels);
-    /* fill */
-    pos = 0;
-    while (PyDict_Next(by_prefix, &pos, &prefix_obj, &bucket)) {
-        long long prefix = PyLong_AsLongLong(prefix_obj);
-        PyObject *seq_obj, *block;
-        Py_ssize_t bpos = 0;
-        if (prefix == target_prefix) {
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                long long block_leaf = PyLong_AsLongLong(
-                    PyDict_GetItem(entries, block));
-                long long depth =
-                    base - bit_length(
-                        (unsigned long long)(leaf ^ block_leaf));
-                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
-                items[fill[depth]].block = block;
-                fill[depth]++;
-            }
-        } else {
-            long long depth =
-                prefix_levels - bit_length(
-                    (unsigned long long)(prefix ^ target_prefix));
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
-                items[fill[depth]].block = block;
-                fill[depth]++;
-            }
-        }
-    }
+#define CTX(i) PyTuple_GET_ITEM(ctx, i)
+    c->randrange = CTX(0);
+    c->leaves_obj = CTX(1);
+    c->triples_cache = CTX(2);
+    c->triples_fn = CTX(3);
+    c->slots_cache = CTX(4);
+    c->slots_fn = CTX(5);
+    c->entries = CTX(6);
+    c->seq_dict = CTX(7);
+    c->by_prefix = CTX(8);
+    c->leaf_table = CTX(11);
+    PyObject *z_list = CTX(12);
+    c->level_used = CTX(13);
+    c->empty_obj = CTX(16);
+    c->bank_ready = CTX(17);
+    c->bank_open_row = CTX(18);
+    c->bus_free = CTX(19);
+    PyObject *dram_params = CTX(20);
+    c->resident = CTX(22);
+    c->set_count = CTX(23);
+    c->set_of = CTX(24);
+    c->packed_cache = CTX(26);
+    c->getrandbits = CTX(27);
+    c->leaves = PyLong_AsLongLong(c->leaves_obj);
+    c->prefix_shift = PyLong_AsLongLong(CTX(9));
+    c->prefix_levels = PyLong_AsLongLong(CTX(10));
+    c->levels = PyLong_AsLongLong(CTX(14));
+    c->top = PyLong_AsLongLong(CTX(15));
+    c->empty = PyLong_AsLongLong(c->empty_obj);
+    long long mode = PyLong_AsLongLong(CTX(21));
+    c->ways = PyLong_AsLongLong(CTX(25));
+    c->leaf_bits = PyLong_AsLongLong(CTX(28));
+#undef CTX
     if (PyErr_Occurred())
         return -1;
-    for (long long d = 0; d < levels; d++)
-        if (counts[d] > 1)
-            qsort(items + offsets[d], (size_t)counts[d],
-                  sizeof(PoolItem), pool_item_cmp);
+    if (!PyDict_Check(c->triples_cache) || !PyDict_Check(c->slots_cache) ||
+        !PyDict_Check(c->entries) || !PyDict_Check(c->seq_dict) ||
+        !PyDict_Check(c->by_prefix) || !PyList_Check(c->leaf_table) ||
+        !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
+        !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
+        !PyList_Check(c->bus_free) || !PyDict_Check(c->packed_cache) ||
+        !PyTuple_Check(dram_params) || PyTuple_GET_SIZE(dram_params) != 5) {
+        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
+        return -1;
+    }
+    if (mode != 0 && mode != 1) {
+        PyErr_SetString(PyExc_ValueError, "unknown tree-top mode");
+        return -1;
+    }
+    if (mode == 1 &&
+        (!PyDict_Check(c->resident) || !PyDict_Check(c->set_count))) {
+        PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
+        return -1;
+    }
+    c->gated = (mode == 1);
+    c->dram.ratio = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 0));
+    c->dram.t_rp = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 1));
+    c->dram.t_rcd = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 2));
+    c->dram.t_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 3));
+    c->dram.cas_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 4));
+    if (c->levels < 1 || c->levels > FASTPATH_MAX_LEVELS ||
+        PyList_GET_SIZE(z_list) < (Py_ssize_t)c->levels ||
+        PyList_GET_SIZE(c->level_used) < (Py_ssize_t)c->levels) {
+        PyErr_SetString(PyExc_ValueError, "unsupported level count");
+        return -1;
+    }
+    for (long long d = 0; d < c->levels; d++) {
+        c->z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
+        c->used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d));
+    }
+    c->placed_top = c->removed_top = 0;
+    c->ss_placed = c->ss_removed = c->ss_skips = 0;
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Write the hoisted level occupancy back to the ctx's ``level_used``. */
+static int
+store_used(const KernelCtx *c)
+{
+    for (long long d = 0; d < c->levels; d++) {
+        if (PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d)) ==
+            c->used_arr[d])
+            continue;
+        PyObject *value = PyLong_FromLongLong(c->used_arr[d]);
+        if (value == NULL)
+            return -1;
+        PyList_SetItem(c->level_used, d, value);
+    }
     return 0;
 }
+
+/* A path's (level, slots) pairs: memo hit, or the memoizing fallback.
+ * Returns a new reference, or NULL with an exception set.
+ */
+static PyObject *
+ctx_path_slots(const KernelCtx *c, PyObject *leaf_obj)
+{
+    PyObject *pairs = PyDict_GetItemWithError(c->slots_cache, leaf_obj);
+    if (pairs != NULL) {
+        Py_INCREF(pairs);
+    } else {
+        if (PyErr_Occurred())
+            return NULL;
+        pairs = PyObject_CallOneArg(c->slots_fn, leaf_obj);
+        if (pairs == NULL)
+            return NULL;
+    }
+    if (!PyList_Check(pairs)) {
+        Py_DECREF(pairs);
+        PyErr_SetString(PyExc_TypeError, "path_slots must be a list");
+        return NULL;
+    }
+    return pairs;
+}
+
+/* ---------------------------------------------------------------- */
+/* Read phase                                                        */
+/* ---------------------------------------------------------------- */
 
 /* SStash.on_remove without the stats hook: drop ``block`` from the
  * block-address index and release its set slot.
@@ -630,171 +571,370 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
     return rc;
 }
 
+/* run_batch's empty-stash fastpath buffer: blocks read off the path
+ * bypass the stash dicts and are kept here in read order, with their
+ * pre-assigned sequence numbers, leaves and path depths.  ``items`` has
+ * room for 4 * cap entries — the upper three quarters are place_pools
+ * scratch.  Every ``items[i].block`` in [0, n) holds a strong reference.
+ */
+typedef struct {
+    PoolItem *items;
+    PyObject **leaf_obj;  /* borrowed from the leaf table */
+    long long *leaf;
+    long long *depth;
+    unsigned char *placed;
+    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
+    Py_ssize_t n, cap;
+} ReadBuf;
+
+/* The read phase of one path access, the one loop behind read_path and
+ * run_batch: clear every real block off the path ``pairs`` to ``leaf``,
+ * release its tree-top entry when it sat in a cached level (S-Stash
+ * removal in mode 1, a bare count in mode 0), and move it into the
+ * stash under the next sequence number — into the dict index, or into
+ * ``rb`` when it is non-NULL.  The level ``served`` was read from goes
+ * to ``*served_level``.  Mirrors ORAMTree.read_and_clear plus the
+ * per-block loop of PathORAMController._service_path.  Returns 0, or -1
+ * with an exception set (blocks already in ``rb`` stay for the caller
+ * to release).
+ */
+static int
+read_path_core(KernelCtx *c, long long leaf, PyObject *pairs,
+               long long *next_seq, ReadBuf *rb, long long served,
+               long long *served_level)
+{
+    long long tprefix = leaf >> c->prefix_shift;
+    Py_ssize_t table_size = PyList_GET_SIZE(c->leaf_table);
+    Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
+    for (Py_ssize_t p = 0; p < n_pairs; p++) {
+        PyObject *pair = PyList_GET_ITEM(pairs, p);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
+            !PyList_Check(PyTuple_GET_ITEM(pair, 1))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "pairs must hold (level, slots)");
+            return -1;
+        }
+        long long level = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
+        if (level == -1 && PyErr_Occurred())
+            return -1;
+        if (level < 0 || level >= c->levels) {
+            PyErr_SetString(PyExc_IndexError, "level out of range");
+            return -1;
+        }
+        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
+        Py_ssize_t z_size = PyList_GET_SIZE(slots);
+        for (Py_ssize_t s = 0; s < z_size; s++) {
+            PyObject *block = PyList_GET_ITEM(slots, s);
+            long long value = PyLong_AsLongLong(block);
+            if (value == -1 && PyErr_Occurred())
+                return -1;
+            if (value == c->empty)
+                continue;
+            if (value < 0 || value >= table_size) {
+                PyErr_SetString(PyExc_IndexError,
+                                "block outside position map");
+                return -1;
+            }
+            PyObject *bleaf_obj = PyList_GET_ITEM(c->leaf_table, value);
+            long long bleaf = PyLong_AsLongLong(bleaf_obj);
+            if (bleaf == -1) {
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError,
+                                    "block has no mapping");
+                return -1;
+            }
+            Py_INCREF(block);  /* outlive the slot overwrite */
+            Py_INCREF(c->empty_obj);
+            PyList_SetItem(slots, s, c->empty_obj);
+            c->used_arr[level]--;
+            if (value == served)
+                *served_level = level;
+            if (level < c->top) {
+                if (c->gated) {
+                    if (sstash_remove(c->resident, c->set_count, block) < 0) {
+                        Py_DECREF(block);
+                        return -1;
+                    }
+                    c->ss_removed++;
+                } else {
+                    c->removed_top++;
+                }
+            }
+            if (rb == NULL) {
+                int rc = stash_add_one(c->entries, c->seq_dict,
+                                       c->by_prefix, c->prefix_shift, block,
+                                       bleaf_obj, bleaf, next_seq);
+                Py_DECREF(block);
+                if (rc < 0)
+                    return -1;
+                continue;
+            }
+            long long bprefix = bleaf >> c->prefix_shift;
+            long long depth = (bprefix == tprefix)
+                ? (c->levels - 1) -
+                      bit_length((unsigned long long)(leaf ^ bleaf))
+                : c->prefix_levels -
+                      bit_length((unsigned long long)(bprefix ^ tprefix));
+            if (rb->n >= rb->cap || depth < 0 || depth >= c->levels) {
+                PyErr_SetString(PyExc_RuntimeError, "path read overflow");
+                Py_DECREF(block);
+                return -1;
+            }
+            Py_ssize_t i = rb->n++;
+            rb->items[i].seq = (*next_seq)++;
+            rb->items[i].block = block;  /* keep the strong ref */
+            rb->items[i].idx = i;
+            rb->leaf_obj[i] = bleaf_obj;
+            rb->leaf[i] = bleaf;
+            rb->depth[i] = depth;
+            rb->counts[depth]++;
+        }
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------------- */
+/* Write phase                                                       */
+/* ---------------------------------------------------------------- */
+
+/* Depth-bucket every stash block for the path to `leaf` via the prefix
+ * index: blocks sharing the target prefix get an exact XOR/bit-length
+ * depth, diverging prefix buckets land wholesale at the prefix divergence
+ * depth.  Fills `items` (capacity >= len(entries)) segmented by depth
+ * (counts/offsets, length `levels`), each segment sorted by stash
+ * insertion sequence.  Mirrors Stash.path_pools.  Returns 0, or -1 with
+ * an exception set.
+ */
+static int
+group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
+               Py_ssize_t *counts, Py_ssize_t *offsets)
+{
+    long long levels = c->levels;
+    long long base = levels - 1;
+    long long target_prefix = leaf >> c->prefix_shift;
+    Py_ssize_t fill[FASTPATH_MAX_LEVELS];
+    PyObject *prefix_obj, *bucket;
+    Py_ssize_t pos = 0;
+
+    memset(counts, 0, sizeof(Py_ssize_t) * (size_t)levels);
+    /* count per depth */
+    while (PyDict_Next(c->by_prefix, &pos, &prefix_obj, &bucket)) {
+        long long prefix = PyLong_AsLongLong(prefix_obj);
+        if (prefix == -1 && PyErr_Occurred())
+            return -1;
+        if (prefix == target_prefix) {
+            PyObject *seq_obj, *block;
+            Py_ssize_t bpos = 0;
+            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
+                PyObject *leaf_obj = PyDict_GetItem(c->entries, block);
+                if (leaf_obj == NULL) {
+                    PyErr_SetString(PyExc_KeyError,
+                                    "stash index out of sync");
+                    return -1;
+                }
+                long long block_leaf = PyLong_AsLongLong(leaf_obj);
+                if (block_leaf == -1 && PyErr_Occurred())
+                    return -1;
+                long long depth =
+                    base - bit_length(
+                        (unsigned long long)(leaf ^ block_leaf));
+                counts[depth]++;
+            }
+        } else {
+            long long depth =
+                c->prefix_levels - bit_length(
+                    (unsigned long long)(prefix ^ target_prefix));
+            counts[depth] += PyDict_GET_SIZE(bucket);
+        }
+    }
+    offsets[0] = 0;
+    for (long long d = 1; d < levels; d++)
+        offsets[d] = offsets[d - 1] + counts[d - 1];
+    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)levels);
+    /* fill */
+    pos = 0;
+    while (PyDict_Next(c->by_prefix, &pos, &prefix_obj, &bucket)) {
+        long long prefix = PyLong_AsLongLong(prefix_obj);
+        PyObject *seq_obj, *block;
+        Py_ssize_t bpos = 0;
+        if (prefix == target_prefix) {
+            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
+                long long block_leaf = PyLong_AsLongLong(
+                    PyDict_GetItem(c->entries, block));
+                long long depth =
+                    base - bit_length(
+                        (unsigned long long)(leaf ^ block_leaf));
+                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
+                items[fill[depth]].block = block;
+                fill[depth]++;
+            }
+        } else {
+            long long depth =
+                c->prefix_levels - bit_length(
+                    (unsigned long long)(prefix ^ target_prefix));
+            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
+                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
+                items[fill[depth]].block = block;
+                fill[depth]++;
+            }
+        }
+    }
+    if (PyErr_Occurred())
+        return -1;
+    for (long long d = 0; d < levels; d++)
+        if (counts[d] > 1)
+            qsort(items + offsets[d], (size_t)counts[d],
+                  sizeof(PoolItem), pool_item_cmp);
+    return 0;
+}
+
 /* The shared placement engine behind write_path_place and run_batch:
  * greedy bottom-up placement over ``items`` already segmented by depth
  * (counts/offsets, each segment sorted by sequence).  ``items`` must
  * have capacity 3*total — the upper two thirds are scratch for the
  * pool stack and the per-level rejection list.
  *
- * ``gated`` selects the S-Stash variant: placements into the cached top
- * levels consult the set-associativity constraint (``set_of`` callable,
- * ``set_count`` dict, ``ways``) and maintain the block-address index
- * (``resident``), mirroring the Python placement loop with
- * SStash.may_place/on_place; rejected blocks are retried at shallower
- * levels exactly like the Python ``pool.extend(rejected)``.  Counter
- * deltas accumulate into placed_top / ss_placed / ss_skips.
+ * In S-Stash mode, placements into the cached top levels consult the
+ * set-associativity constraint (``set_of``, ``set_count``, ``ways``) and
+ * maintain the block-address index (``resident``), mirroring the Python
+ * placement loop with SStash.may_place/on_place; rejected blocks are
+ * retried at shallower levels exactly like the Python
+ * ``pool.extend(rejected)``.  Counter deltas accumulate into the ctx.
  *
- * ``remove_placed`` selects how placements reconcile with the stash:
- * the dict-backed caller removes each placed block from the stash
- * index, while the array-mode caller (whose blocks never entered the
- * dicts) just gets ``placed_out[item.idx]`` marked so survivors can be
- * written back afterwards.
+ * With ``placed_out`` NULL each placed block is removed from the stash
+ * index as it lands; the array-mode caller (whose blocks never entered
+ * the dicts) passes ``placed_out`` and gets ``placed_out[item.idx]``
+ * marked so survivors can be written back afterwards.
  */
 static int
-place_pools(PoolItem *items, Py_ssize_t total, const Py_ssize_t *counts,
-            const Py_ssize_t *offsets, PyObject *entries,
-            PyObject *seq_dict, PyObject *by_prefix,
-            long long prefix_shift, PyObject *path_slots,
-            const long long *z_arr, long long *used_arr, long long levels,
-            long long top, long long empty, int gated,
-            PyObject *resident, PyObject *set_count, PyObject *set_of,
-            long long ways, int remove_placed, unsigned char *placed_out,
-            long long *placed_top, long long *ss_placed,
-            long long *ss_skips)
+place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
+            const Py_ssize_t *counts, const Py_ssize_t *offsets,
+            PyObject *path_slots, unsigned char *placed_out)
 {
     PoolItem *stack = items + total;
     PoolItem *rejected = items + 2 * total;
+    Py_ssize_t stack_size = 0;
+    Py_ssize_t ps_idx = PyList_GET_SIZE(path_slots) - 1;
 
     /* Greedy bottom-up placement, pool kept as a stack. */
-    {
-        Py_ssize_t stack_size = 0;
-        Py_ssize_t ps_idx = PyList_GET_SIZE(path_slots) - 1;
-        for (long long level = levels - 1; level >= 0; level--) {
-            Py_ssize_t cnt = counts[level];
-            if (cnt) {
-                memcpy(stack + stack_size, items + offsets[level],
-                       sizeof(PoolItem) * (size_t)cnt);
-                stack_size += cnt;
-            }
-            long long z = z_arr[level];
-            if (z == 0)
-                continue;
-            if (ps_idx < 0) {
-                PyErr_SetString(PyExc_ValueError,
-                                "path_slots out of sync with z_per_level");
-                goto fail;
-            }
-            PyObject *pair = PyList_GET_ITEM(path_slots, ps_idx);
-            long long pair_level =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-            if (pair_level != level) {
-                PyErr_SetString(PyExc_ValueError,
-                                "path_slots out of sync with z_per_level");
-                goto fail;
-            }
-            PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-            ps_idx--;
-            if (stack_size == 0)
-                continue;
-            int level_gated = gated && level < top;
-            Py_ssize_t z_size = PyList_GET_SIZE(slots);
-            Py_ssize_t scan = 0;
-            Py_ssize_t n_rej = 0;
-            long long placed = 0;
-            long long used_delta = 0;
-            while (stack_size > 0 && placed < z) {
-                PoolItem item = stack[--stack_size];
-                PyObject *block = item.block;
-                PyObject *idx_obj = NULL;
-                long long set_cnt = 0;
-                if (level_gated) {
-                    idx_obj = PyObject_CallOneArg(set_of, block);
-                    if (idx_obj == NULL)
-                        goto fail;
-                    PyObject *cnt_obj =
-                        PyDict_GetItemWithError(set_count, idx_obj);
-                    if (cnt_obj == NULL && PyErr_Occurred()) {
-                        Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    if (cnt_obj != NULL) {
-                        set_cnt = PyLong_AsLongLong(cnt_obj);
-                        if (set_cnt == -1 && PyErr_Occurred()) {
-                            Py_DECREF(idx_obj);
-                            goto fail;
-                        }
-                    }
-                    if (set_cnt >= ways) {
-                        /* Set full: skip this block for this round. */
-                        Py_DECREF(idx_obj);
-                        rejected[n_rej++] = item;
-                        (*ss_skips)++;
-                        continue;
-                    }
-                }
-                /* first EMPTY slot (earlier ones were just filled) */
-                Py_ssize_t free_idx = -1;
-                for (Py_ssize_t i = scan; i < z_size; i++) {
-                    long long occupant = PyLong_AsLongLong(
-                        PyList_GET_ITEM(slots, i));
-                    if (occupant == -1 && PyErr_Occurred()) {
-                        Py_XDECREF(idx_obj);
-                        goto fail;
-                    }
-                    if (occupant == empty) {
-                        free_idx = i;
-                        break;
-                    }
-                }
-                if (free_idx < 0) {
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "bucket full during write phase");
-                    Py_XDECREF(idx_obj);
-                    goto fail;
-                }
-                Py_INCREF(block);
-                PyList_SetItem(slots, free_idx, block);
-                scan = free_idx + 1;
-                used_delta++;
-                placed++;
-                if (level_gated) {
-                    PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
-                    if (cnt_obj == NULL ||
-                        PyDict_SetItem(set_count, idx_obj, cnt_obj) < 0) {
-                        Py_XDECREF(cnt_obj);
-                        Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    Py_DECREF(cnt_obj);
-                    if (PyDict_SetItem(resident, block, idx_obj) < 0) {
-                        Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    Py_DECREF(idx_obj);
-                    (*ss_placed)++;
-                } else if (level < top) {
-                    (*placed_top)++;
-                }
-                if (remove_placed) {
-                    if (stash_remove_indexed(entries, seq_dict, by_prefix,
-                                             prefix_shift, block) < 0)
-                        goto fail;
-                } else {
-                    placed_out[item.idx] = 1;
-                }
-            }
-            /* Re-stack rejected blocks in rejection order: the next pop
-             * takes the most recently rejected first, matching
-             * pool.extend(rejected) + pool.pop(). */
-            for (Py_ssize_t r = 0; r < n_rej; r++)
-                stack[stack_size++] = rejected[r];
-            used_arr[level] += used_delta;
+    for (long long level = c->levels - 1; level >= 0; level--) {
+        Py_ssize_t cnt = counts[level];
+        if (cnt) {
+            memcpy(stack + stack_size, items + offsets[level],
+                   sizeof(PoolItem) * (size_t)cnt);
+            stack_size += cnt;
         }
+        long long z = c->z_arr[level];
+        if (z == 0)
+            continue;
+        if (ps_idx < 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "path_slots out of sync with z_per_level");
+            return -1;
+        }
+        PyObject *pair = PyList_GET_ITEM(path_slots, ps_idx);
+        long long pair_level = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
+        if (pair_level != level) {
+            PyErr_SetString(PyExc_ValueError,
+                            "path_slots out of sync with z_per_level");
+            return -1;
+        }
+        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
+        ps_idx--;
+        if (stack_size == 0)
+            continue;
+        int level_gated = c->gated && level < c->top;
+        Py_ssize_t z_size = PyList_GET_SIZE(slots);
+        Py_ssize_t scan = 0;
+        Py_ssize_t n_rej = 0;
+        long long placed = 0;
+        while (stack_size > 0 && placed < z) {
+            PoolItem item = stack[--stack_size];
+            PyObject *block = item.block;
+            PyObject *idx_obj = NULL;
+            long long set_cnt = 0;
+            if (level_gated) {
+                idx_obj = PyObject_CallOneArg(c->set_of, block);
+                if (idx_obj == NULL)
+                    return -1;
+                PyObject *cnt_obj =
+                    PyDict_GetItemWithError(c->set_count, idx_obj);
+                if (cnt_obj == NULL && PyErr_Occurred()) {
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                if (cnt_obj != NULL) {
+                    set_cnt = PyLong_AsLongLong(cnt_obj);
+                    if (set_cnt == -1 && PyErr_Occurred()) {
+                        Py_DECREF(idx_obj);
+                        return -1;
+                    }
+                }
+                if (set_cnt >= c->ways) {
+                    /* Set full: skip this block for this round. */
+                    Py_DECREF(idx_obj);
+                    rejected[n_rej++] = item;
+                    c->ss_skips++;
+                    continue;
+                }
+            }
+            /* first EMPTY slot (earlier ones were just filled) */
+            Py_ssize_t free_idx = -1;
+            for (Py_ssize_t i = scan; i < z_size; i++) {
+                long long occupant =
+                    PyLong_AsLongLong(PyList_GET_ITEM(slots, i));
+                if (occupant == -1 && PyErr_Occurred()) {
+                    Py_XDECREF(idx_obj);
+                    return -1;
+                }
+                if (occupant == c->empty) {
+                    free_idx = i;
+                    break;
+                }
+            }
+            if (free_idx < 0) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "bucket full during write phase");
+                Py_XDECREF(idx_obj);
+                return -1;
+            }
+            Py_INCREF(block);
+            PyList_SetItem(slots, free_idx, block);
+            scan = free_idx + 1;
+            c->used_arr[level]++;
+            placed++;
+            if (level_gated) {
+                PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
+                if (cnt_obj == NULL ||
+                    PyDict_SetItem(c->set_count, idx_obj, cnt_obj) < 0) {
+                    Py_XDECREF(cnt_obj);
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                Py_DECREF(cnt_obj);
+                if (PyDict_SetItem(c->resident, block, idx_obj) < 0) {
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                Py_DECREF(idx_obj);
+                c->ss_placed++;
+            } else if (level < c->top) {
+                c->placed_top++;
+            }
+            if (placed_out != NULL)
+                placed_out[item.idx] = 1;
+            else if (stash_remove_indexed(c->entries, c->seq_dict,
+                                          c->by_prefix, c->prefix_shift,
+                                          block) < 0)
+                return -1;
+        }
+        /* Re-stack rejected blocks in rejection order: the next pop
+         * takes the most recently rejected first, matching
+         * pool.extend(rejected) + pool.pop(). */
+        for (Py_ssize_t r = 0; r < n_rej; r++)
+            stack[stack_size++] = rejected[r];
     }
     return 0;
-
-fail:
-    return -1;
 }
 
 /* Dict-backed placement: depth-bucket the whole stash via the prefix
@@ -802,17 +942,9 @@ fail:
  * the stash index as they land.
  */
 static int
-write_place_core(long long leaf, PyObject *entries, PyObject *seq_dict,
-                 PyObject *by_prefix, long long prefix_shift,
-                 long long prefix_levels, PyObject *path_slots,
-                 const long long *z_arr, long long *used_arr,
-                 long long levels,
-                 long long top, long long empty, int gated,
-                 PyObject *resident, PyObject *set_count, PyObject *set_of,
-                 long long ways, long long *placed_top,
-                 long long *ss_placed, long long *ss_skips)
+write_place_core(KernelCtx *c, long long leaf, PyObject *path_slots)
 {
-    Py_ssize_t total = PyDict_GET_SIZE(entries);
+    Py_ssize_t total = PyDict_GET_SIZE(c->entries);
     if (total == 0)
         return 0;
 
@@ -823,104 +955,84 @@ write_place_core(long long leaf, PyObject *entries, PyObject *seq_dict,
     }
     Py_ssize_t counts[FASTPATH_MAX_LEVELS];
     Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
-    int rc = group_by_depth(leaf, entries, by_prefix, prefix_shift,
-                            prefix_levels, levels, items, counts, offsets);
+    int rc = group_by_depth(c, leaf, items, counts, offsets);
     if (rc == 0)
-        rc = place_pools(items, total, counts, offsets, entries, seq_dict,
-                         by_prefix, prefix_shift, path_slots, z_arr,
-                         used_arr, levels, top, empty, gated, resident,
-                         set_count, set_of, ways, 1, NULL, placed_top,
-                         ss_placed, ss_skips);
+        rc = place_pools(c, items, total, counts, offsets, path_slots, NULL);
     PyMem_Free(items);
     return rc;
 }
 
-/* Validate the S-Stash fields of a tree-top mode (0 = dedicated
- * counter-only cache, whose fields are ignored; 1 = S-Stash gating).
- * Returns 0, or -1 with an exception set.
+/* ---------------------------------------------------------------- */
+/* Per-access entry points                                           */
+/* ---------------------------------------------------------------- */
+
+/* read_path(ctx, leaf, next_seq, served)
+ *   -> (next_seq, removed_top, sstash_removed, served_level)
+ *
+ * The read phase of one path access through read_path_core: every real
+ * block on the path to ``leaf`` moves into the stash dicts, starting at
+ * sequence number ``next_seq``, and cached-top blocks leave the tree-top
+ * structure.  ``served_level`` is the level ``served`` (a block, or
+ * None) was read from, -1 when it was not on the path.
  */
-static int
-check_treetop(long long mode, PyObject *resident, PyObject *set_count)
+static PyObject *
+read_path(PyObject *self, PyObject *args)
 {
-    if (mode == 0)
-        return 0;
-    if (mode != 1) {
-        PyErr_SetString(PyExc_ValueError, "unknown tree-top mode");
-        return -1;
-    }
-    if (!PyDict_Check(resident) || !PyDict_Check(set_count)) {
-        PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
-        return -1;
-    }
-    return 0;
+    PyObject *ctx, *leaf_obj, *served_obj;
+    long long next_seq;
+    if (!PyArg_ParseTuple(args, "OO!LO", &ctx, &PyLong_Type, &leaf_obj,
+                          &next_seq, &served_obj))
+        return NULL;
+    KernelCtx c;
+    if (parse_ctx(ctx, &c) < 0)
+        return NULL;
+    long long leaf = PyLong_AsLongLong(leaf_obj);
+    long long served =
+        served_obj == Py_None ? c.empty : PyLong_AsLongLong(served_obj);
+    if (PyErr_Occurred())
+        return NULL;
+    PyObject *pairs = ctx_path_slots(&c, leaf_obj);
+    if (pairs == NULL)
+        return NULL;
+    long long served_level = -1;
+    int rc = read_path_core(&c, leaf, pairs, &next_seq, NULL, served,
+                            &served_level);
+    Py_DECREF(pairs);
+    if (rc < 0 || store_used(&c) < 0)
+        return NULL;
+    return Py_BuildValue("LLLL", next_seq, c.removed_top, c.ss_removed,
+                         served_level);
 }
 
-/* write_path_place(leaf, entries, seq_dict, by_prefix, prefix_shift,
- *                  prefix_levels, path_slots, z_per_level, level_used,
- *                  levels, top, empty, treetop_mode, resident, set_count,
- *                  set_of, ways)
- *   -> (placed_top, sstash_placed, sstash_skips)
+/* write_path_place(ctx, leaf) -> (placed_top, sstash_placed, sstash_skips)
  *
  * The full greedy bottom-up write phase of one path access: group every
  * stash block by deepest eligible level via the leaf-prefix index, then
  * fill bucket slots deepest-first through place_pools, removing placed
- * blocks from the stash.  The tree-top arguments are run_batch's:
- * mode 1 gates placements into the cached top on the S-Stash set having
- * a free way.  Mirrors the Python placement loop in
- * PathORAMController._place_path.
+ * blocks from the stash.  In S-Stash mode placements into the cached
+ * top are gated on the block's set having a free way.  Mirrors the
+ * Python placement loop in PathORAMController._place_path.
  */
 static PyObject *
 write_path_place(PyObject *self, PyObject *args)
 {
-    PyObject *entries, *seq_dict, *by_prefix, *path_slots, *z_list,
-        *level_used, *resident, *set_count, *set_of;
-    long long leaf, prefix_shift, prefix_levels, levels, top, empty,
-        treetop_mode, ways;
-    if (!PyArg_ParseTuple(args, "LO!O!O!LLO!O!O!LLLLOOOL",
-                          &leaf,
-                          &PyDict_Type, &entries,
-                          &PyDict_Type, &seq_dict,
-                          &PyDict_Type, &by_prefix,
-                          &prefix_shift, &prefix_levels,
-                          &PyList_Type, &path_slots,
-                          &PyList_Type, &z_list,
-                          &PyList_Type, &level_used,
-                          &levels, &top, &empty,
-                          &treetop_mode, &resident, &set_count, &set_of,
-                          &ways))
+    PyObject *ctx, *leaf_obj;
+    if (!PyArg_ParseTuple(args, "OO!", &ctx, &PyLong_Type, &leaf_obj))
         return NULL;
-    if (check_treetop(treetop_mode, resident, set_count) < 0)
+    KernelCtx c;
+    if (parse_ctx(ctx, &c) < 0)
         return NULL;
-    if (levels < 1 || levels > FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)levels ||
-        PyList_GET_SIZE(level_used) < (Py_ssize_t)levels) {
-        PyErr_SetString(PyExc_ValueError, "unsupported level count");
+    long long leaf = PyLong_AsLongLong(leaf_obj);
+    if (leaf == -1 && PyErr_Occurred())
         return NULL;
-    }
-    long long z_arr[FASTPATH_MAX_LEVELS];
-    long long used_arr[FASTPATH_MAX_LEVELS];
-    for (long long d = 0; d < levels; d++) {
-        z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
-        used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-    }
-    if (PyErr_Occurred())
+    PyObject *pairs = ctx_path_slots(&c, leaf_obj);
+    if (pairs == NULL)
         return NULL;
-    long long placed_top = 0;
-    long long ss_placed = 0;
-    long long ss_skips = 0;
-    if (write_place_core(leaf, entries, seq_dict, by_prefix, prefix_shift,
-                         prefix_levels, path_slots, z_arr, used_arr,
-                         levels, top, empty, treetop_mode == 1, resident,
-                         set_count, set_of, ways, &placed_top, &ss_placed,
-                         &ss_skips) < 0)
+    int rc = write_place_core(&c, leaf, pairs);
+    Py_DECREF(pairs);
+    if (rc < 0 || store_used(&c) < 0)
         return NULL;
-    for (long long d = 0; d < levels; d++) {
-        PyObject *used_obj = PyLong_FromLongLong(used_arr[d]);
-        if (used_obj == NULL)
-            return NULL;
-        PyList_SetItem(level_used, d, used_obj);
-    }
-    return Py_BuildValue("LLL", placed_top, ss_placed, ss_skips);
+    return Py_BuildValue("LLL", c.placed_top, c.ss_placed, c.ss_skips);
 }
 
 /* path_triples(leaf, level_meta, row_blocks, channels, banks_per_channel)
@@ -1014,14 +1126,6 @@ fail:
 /* ---------------------------------------------------------------- */
 /* Whole-run batch stepping                                          */
 /* ---------------------------------------------------------------- */
-
-typedef struct {
-    long long ratio;      /* CPU cycles per DRAM cycle */
-    long long t_rp;
-    long long t_rcd;
-    long long t_burst;
-    long long cas_burst;  /* t_cas + t_burst */
-} DramTiming;
 
 /* DRAMModel._service_py over bank state hoisted into C arrays.  The
  * triples are a packed ``long long`` array of (bank, channel, row)
@@ -1132,6 +1236,7 @@ pack_triples_entry(PyObject *self, PyObject *args)
                         (Py_ssize_t)n_channels);
 }
 
+
 /* run_batch(ctx, now, next_seq, interval, max_paths, horizon,
  *           stop_threshold, trigger_threshold, want_bounds,
  *           collect_timing)
@@ -1139,28 +1244,22 @@ pack_triples_entry(PyObject *self, PyObject *args)
  *       timings | None)
  *
  * Execute up to ``max_paths`` whole dummy-path accesses — RNG leaf draw,
- * read-phase DRAM timing, path read-and-clear into the stash, greedy
+ * read-phase DRAM timing, the read phase through read_path_core, greedy
  * bottom-up write placement, write-phase DRAM timing — without returning
  * to the interpreter between paths.  Each iteration is bit-identical to
  * PathORAMController.dummy_path followed by ``now = max(now + interval,
  * finish_write)``.
  *
- * ``ctx`` is the 29-slot tuple built by the controller (RNG callable and
- * leaf count, the two per-leaf caches with their miss fallbacks, stash
- * index dicts, position-map leaf table, tree geometry, DRAM bank-state
- * lists and timing parameters, the tree-top mode: 0 = dedicated
- * counter-only cache, 1 = S-Stash gating, a dict the kernel fills with
- * packed per-leaf triple arrays so repeat leaves skip unboxing, and the
- * RNG's bound ``getrandbits`` plus the leaf-count bit width when the
- * controller verified plain ``random.Random`` semantics — the kernel
- * then draws leaves with rejection sampling exactly as
- * ``Random._randbelow_with_getrandbits`` does, skipping the interpreted
- * ``randrange`` wrapper while consuming the identical bit stream).  The batch stops early at
- * ``horizon`` (next real work item, -1 = none), or as soon as the stash
- * is over ``stop_threshold`` (-1 = never), so every slot-boundary
- * decision the per-access loop would have made stays identical.  Stash
- * occupancy is compared against ``trigger_threshold`` after every write
- * phase to accumulate eviction-trigger counts.
+ * ``ctx`` is the kernel context (see KernelCtx).  With the RNG's bound
+ * ``getrandbits`` present the kernel draws leaves with rejection
+ * sampling exactly as ``Random._randbelow_with_getrandbits`` does,
+ * skipping the interpreted ``randrange`` wrapper while consuming the
+ * identical bit stream.  The batch stops early at ``horizon`` (next real
+ * work item, -1 = none), or as soon as the stash is over
+ * ``stop_threshold`` (-1 = never), so every slot-boundary decision the
+ * per-access loop would have made stays identical.  Stash occupancy is
+ * compared against ``trigger_threshold`` after every write phase to
+ * accumulate eviction-trigger counts.
  *
  * ``agg`` is (blocks, row_hits, row_conflicts, placed_top, removed_top,
  * eviction_triggers, sstash_placed, sstash_removed, sstash_skips);
@@ -1175,102 +1274,35 @@ run_batch(PyObject *self, PyObject *args)
     long long now, next_seq, interval, max_paths, horizon, stop_threshold,
         trigger_threshold;
     int want_bounds, collect_timing;
-    if (!PyArg_ParseTuple(args, "O!LLLLLLLpp",
-                          &PyTuple_Type, &ctx, &now, &next_seq, &interval,
+    if (!PyArg_ParseTuple(args, "OLLLLLLLpp",
+                          &ctx, &now, &next_seq, &interval,
                           &max_paths, &horizon, &stop_threshold,
                           &trigger_threshold, &want_bounds,
                           &collect_timing))
         return NULL;
-    if (PyTuple_GET_SIZE(ctx) != 29) {
-        PyErr_SetString(PyExc_ValueError, "run_batch ctx must have 29 slots");
+    KernelCtx c;
+    if (parse_ctx(ctx, &c) < 0)
         return NULL;
-    }
-    PyObject *randrange = PyTuple_GET_ITEM(ctx, 0);
-    PyObject *leaves_obj = PyTuple_GET_ITEM(ctx, 1);
-    PyObject *triples_cache = PyTuple_GET_ITEM(ctx, 2);
-    PyObject *triples_fn = PyTuple_GET_ITEM(ctx, 3);
-    PyObject *slots_cache = PyTuple_GET_ITEM(ctx, 4);
-    PyObject *slots_fn = PyTuple_GET_ITEM(ctx, 5);
-    PyObject *entries = PyTuple_GET_ITEM(ctx, 6);
-    PyObject *seq_dict = PyTuple_GET_ITEM(ctx, 7);
-    PyObject *by_prefix = PyTuple_GET_ITEM(ctx, 8);
-    long long prefix_shift = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 9));
-    long long prefix_levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 10));
-    PyObject *leaf_table = PyTuple_GET_ITEM(ctx, 11);
-    PyObject *z_list = PyTuple_GET_ITEM(ctx, 12);
-    PyObject *level_used = PyTuple_GET_ITEM(ctx, 13);
-    long long levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 14));
-    long long top = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 15));
-    long long empty = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 16));
-    PyObject *bank_ready = PyTuple_GET_ITEM(ctx, 17);
-    PyObject *bank_open_row = PyTuple_GET_ITEM(ctx, 18);
-    PyObject *bus_free_list = PyTuple_GET_ITEM(ctx, 19);
-    PyObject *dram_params = PyTuple_GET_ITEM(ctx, 20);
-    long long treetop_mode = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 21));
-    PyObject *resident = PyTuple_GET_ITEM(ctx, 22);
-    PyObject *set_count = PyTuple_GET_ITEM(ctx, 23);
-    PyObject *set_of = PyTuple_GET_ITEM(ctx, 24);
-    long long ways = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 25));
-    PyObject *packed_cache = PyTuple_GET_ITEM(ctx, 26);
-    PyObject *getrandbits = PyTuple_GET_ITEM(ctx, 27);
-    long long leaf_bits = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 28));
-    if (PyErr_Occurred())
-        return NULL;
-    if (!PyDict_Check(entries) || !PyDict_Check(seq_dict) ||
-        !PyDict_Check(by_prefix) || !PyDict_Check(triples_cache) ||
-        !PyDict_Check(packed_cache) ||
-        !PyDict_Check(slots_cache) || !PyList_Check(leaf_table) ||
-        !PyList_Check(z_list) || !PyList_Check(level_used) ||
-        !PyList_Check(bank_ready) || !PyList_Check(bank_open_row) ||
-        !PyList_Check(bus_free_list) || !PyTuple_Check(dram_params) ||
-        PyTuple_GET_SIZE(dram_params) != 5) {
-        PyErr_SetString(PyExc_TypeError, "malformed run_batch ctx");
-        return NULL;
-    }
-    if (check_treetop(treetop_mode, resident, set_count) < 0)
-        return NULL;
-    DramTiming dcfg;
-    dcfg.ratio = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 0));
-    dcfg.t_rp = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 1));
-    dcfg.t_rcd = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 2));
-    dcfg.t_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 3));
-    dcfg.cas_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 4));
-    if (PyErr_Occurred())
-        return NULL;
-    if (levels < 1 || levels > FASTPATH_MAX_LEVELS || dcfg.ratio <= 0 ||
-        max_paths < 0 || now < 0 ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)levels ||
-        PyList_GET_SIZE(level_used) < (Py_ssize_t)levels) {
+    const DramTiming *dcfg = &c.dram;
+    if (dcfg->ratio <= 0 || max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
         return NULL;
     }
-
-    /* Hoist the per-level constants and occupancy counters into C
-     * arrays for the whole batch; occupancy is written back with the
-     * bank state on success.  Nothing the kernel calls back into
-     * (cache-miss fallbacks, the RNG) reads these lists mid-batch.
-     */
-    long long z_arr[FASTPATH_MAX_LEVELS];
-    long long used_arr[FASTPATH_MAX_LEVELS];
-    for (long long d = 0; d < levels; d++) {
-        z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
-        used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-    }
-    long long leaves_count = PyLong_AsLongLong(leaves_obj);
-    if (PyErr_Occurred())
-        return NULL;
-    int use_grb = (getrandbits != Py_None && leaf_bits > 0);
+    int use_grb = (c.getrandbits != Py_None && c.leaf_bits > 0);
     PyObject *bits_obj = NULL;
     if (use_grb) {
-        bits_obj = PyLong_FromLongLong(leaf_bits);
+        bits_obj = PyLong_FromLongLong(c.leaf_bits);
         if (bits_obj == NULL)
             return NULL;
     }
 
-    /* Hoist bank state into C arrays; written back only on success. */
-    Py_ssize_t n_banks = PyList_GET_SIZE(bank_ready);
-    Py_ssize_t n_channels = PyList_GET_SIZE(bus_free_list);
-    if (PyList_GET_SIZE(bank_open_row) != n_banks) {
+    /* Hoist bank state into C arrays; written back only on success.
+     * Nothing the kernel calls back into (cache-miss fallbacks, the
+     * RNG) reads the bank lists or level occupancy mid-batch.
+     */
+    Py_ssize_t n_banks = PyList_GET_SIZE(c.bank_ready);
+    Py_ssize_t n_channels = PyList_GET_SIZE(c.bus_free);
+    if (PyList_GET_SIZE(c.bank_open_row) != n_banks) {
         PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
         Py_XDECREF(bits_obj);
         return NULL;
@@ -1285,78 +1317,70 @@ run_batch(PyObject *self, PyObject *args)
     long long *open_row = bank_state + n_banks;
     long long *bus_free = bank_state + 2 * n_banks;
     for (Py_ssize_t i = 0; i < n_banks; i++) {
-        ready[i] = PyLong_AsLongLong(PyList_GET_ITEM(bank_ready, i));
-        open_row[i] = PyLong_AsLongLong(PyList_GET_ITEM(bank_open_row, i));
+        ready[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bank_ready, i));
+        open_row[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bank_open_row, i));
     }
     for (Py_ssize_t i = 0; i < n_channels; i++)
-        bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(bus_free_list, i));
-    PyObject *empty_obj = PyLong_FromLongLong(empty);
+        bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bus_free, i));
     PyObject *bounds = want_bounds ? PyList_New(0) : NULL;
-    if (PyErr_Occurred() || empty_obj == NULL ||
-        (want_bounds && bounds == NULL)) {
+    if (PyErr_Occurred() || (want_bounds && bounds == NULL)) {
         PyMem_Free(bank_state);
-        Py_XDECREF(empty_obj);
         Py_XDECREF(bounds);
         Py_XDECREF(bits_obj);
         return NULL;
     }
 
-    /* Scratch for the empty-stash array fastpath: when a path begins
-     * with an empty stash (the steady state for dummy-path batches),
-     * read blocks skip the stash dicts entirely — they are collected
-     * in read order, depth-bucketed with group_by_depth's exact
-     * XOR/bit-length rule, placed through the shared engine, and only
-     * the rare survivors are inserted into the dict index afterwards
-     * with their pre-assigned sequence numbers.  Both modes order each
-     * depth pool by ascending sequence and keep survivors in read
-     * (= sequence) order, so the resulting state is identical.
+    /* Empty-stash array fastpath: when a path begins with an empty stash
+     * (the steady state for dummy-path batches), read blocks skip the
+     * stash dicts entirely — they are collected in read order into a
+     * ReadBuf, depth-bucketed with group_by_depth's exact XOR/bit-length
+     * rule, placed through the shared engine, and only the rare
+     * survivors are inserted into the dict index afterwards with their
+     * pre-assigned sequence numbers.  Both modes order each depth pool
+     * by ascending sequence and keep survivors in read (= sequence)
+     * order, so the resulting state is identical.
      */
     long long max_slots = 0;
-    for (long long d = 0; d < levels; d++)
-        max_slots += z_arr[d];
-    PoolItem *abuf = NULL;          /* [read order | 3x engine scratch] */
-    PyObject **aleaf_obj = NULL;    /* borrowed leaf objects, read order */
-    long long *ableaf = NULL;
-    long long *adepth = NULL;
-    unsigned char *aplaced = NULL;
+    for (long long d = 0; d < c.levels; d++)
+        max_slots += c.z_arr[d];
+    ReadBuf rb;
+    memset(&rb, 0, sizeof rb);
     if (max_slots > 0) {
         size_t bytes = (sizeof(PoolItem) * 4 + sizeof(PyObject *) +
                         sizeof(long long) * 2 + 1) * (size_t)max_slots;
-        abuf = PyMem_Malloc(bytes);
-        if (abuf == NULL) {
+        rb.items = PyMem_Malloc(bytes);
+        if (rb.items == NULL) {
             PyMem_Free(bank_state);
-            Py_DECREF(empty_obj);
             Py_XDECREF(bounds);
             Py_XDECREF(bits_obj);
             return PyErr_NoMemory();
         }
-        aleaf_obj = (PyObject **)(abuf + 4 * max_slots);
-        ableaf = (long long *)(aleaf_obj + max_slots);
-        adepth = ableaf + max_slots;
-        aplaced = (unsigned char *)(adepth + max_slots);
+        rb.leaf_obj = (PyObject **)(rb.items + 4 * max_slots);
+        rb.leaf = (long long *)(rb.leaf_obj + max_slots);
+        rb.depth = rb.leaf + max_slots;
+        rb.placed = (unsigned char *)(rb.depth + max_slots);
+        rb.cap = max_slots;
     }
 
     long long n = 0;
     long long max_occ = 0;
     long long blocks_total = 0, row_hits = 0, row_conflicts = 0;
-    long long placed_top = 0, removed_top = 0, ev_triggers = 0;
-    long long ss_placed = 0, ss_removed = 0, ss_skips = 0;
+    long long ev_triggers = 0;
     unsigned long long t_rng = 0, t_read_dram = 0, t_stash = 0,
         t_place = 0, t_write_dram = 0;
-    Py_ssize_t table_size = PyList_GET_SIZE(leaf_table);
 
     while (n < max_paths) {
         if (horizon >= 0 && now >= horizon)
             break;
         if (stop_threshold >= 0 &&
-            (long long)PyDict_GET_SIZE(entries) > stop_threshold)
+            (long long)PyDict_GET_SIZE(c.entries) > stop_threshold)
             break;
         PyObject *leaf_obj = NULL, *packed = NULL, *pairs = NULL;
-        int array_mode = (abuf != NULL && PyDict_GET_SIZE(entries) == 0);
-        Py_ssize_t n_read = 0;
-        Py_ssize_t acounts[FASTPATH_MAX_LEVELS];
-        if (array_mode)
-            memset(acounts, 0, sizeof(Py_ssize_t) * (size_t)levels);
+        ReadBuf *arr = NULL;
+        if (rb.items != NULL && PyDict_GET_SIZE(c.entries) == 0) {
+            arr = &rb;
+            memset(rb.counts, 0, sizeof(Py_ssize_t) * (size_t)c.levels);
+        }
         unsigned long long t0 = collect_timing ? now_ns() : 0;
 
         long long leaf;
@@ -1366,19 +1390,19 @@ run_batch(PyObject *self, PyObject *args)
              * the RNG bit stream matches randrange(leaves) exactly.
              */
             for (;;) {
-                leaf_obj = PyObject_CallOneArg(getrandbits, bits_obj);
+                leaf_obj = PyObject_CallOneArg(c.getrandbits, bits_obj);
                 if (leaf_obj == NULL)
                     goto path_fail;
                 leaf = PyLong_AsLongLong(leaf_obj);
                 if (leaf == -1 && PyErr_Occurred())
                     goto path_fail;
-                if (leaf < leaves_count)
+                if (leaf < c.leaves)
                     break;
                 Py_DECREF(leaf_obj);
                 leaf_obj = NULL;
             }
         } else {
-            leaf_obj = PyObject_CallOneArg(randrange, leaves_obj);
+            leaf_obj = PyObject_CallOneArg(c.randrange, c.leaves_obj);
             if (leaf_obj == NULL)
                 goto path_fail;
             leaf = PyLong_AsLongLong(leaf_obj);
@@ -1395,20 +1419,20 @@ run_batch(PyObject *self, PyObject *args)
          * else pack from the Python memo (calling its fallback on a
          * full miss) and remember the array for repeat leaves.
          */
-        packed = PyDict_GetItemWithError(packed_cache, leaf_obj);
+        packed = PyDict_GetItemWithError(c.packed_cache, leaf_obj);
         if (packed != NULL) {
             Py_INCREF(packed);
         } else {
             if (PyErr_Occurred())
                 goto path_fail;
             PyObject *cached = PyDict_GetItemWithError(
-                triples_cache, leaf_obj);
+                c.triples_cache, leaf_obj);
             if (cached != NULL) {
                 Py_INCREF(cached);
             } else {
                 if (PyErr_Occurred())
                     goto path_fail;
-                cached = PyObject_CallOneArg(triples_fn, leaf_obj);
+                cached = PyObject_CallOneArg(c.triples_fn, leaf_obj);
                 if (cached == NULL)
                     goto path_fail;
             }
@@ -1416,16 +1440,16 @@ run_batch(PyObject *self, PyObject *args)
             Py_DECREF(cached);
             if (packed == NULL)
                 goto path_fail;
-            if (PyDict_GET_SIZE(packed_cache) >= PACKED_CACHE_LIMIT) {
+            if (PyDict_GET_SIZE(c.packed_cache) >= PACKED_CACHE_LIMIT) {
                 /* Mirror the Python memo's FIFO eviction. */
                 PyObject *first_key, *first_val;
                 Py_ssize_t pos = 0;
-                if (PyDict_Next(packed_cache, &pos, &first_key,
+                if (PyDict_Next(c.packed_cache, &pos, &first_key,
                                 &first_val) &&
-                    PyDict_DelItem(packed_cache, first_key) < 0)
+                    PyDict_DelItem(c.packed_cache, first_key) < 0)
                     goto path_fail;
             }
-            if (PyDict_SetItem(packed_cache, leaf_obj, packed) < 0)
+            if (PyDict_SetItem(c.packed_cache, leaf_obj, packed) < 0)
                 goto path_fail;
         }
         const long long *tarr = (const long long *)PyBytes_AS_STRING(packed);
@@ -1434,134 +1458,29 @@ run_batch(PyObject *self, PyObject *args)
             PyBytes_GET_SIZE(packed) / (Py_ssize_t)sizeof(long long) / 3;
 
         /* Read phase through the DRAM model. */
-        long long now_dram = (now + dcfg.ratio - 1) / dcfg.ratio;
+        long long now_dram = (now + dcfg->ratio - 1) / dcfg->ratio;
         long long fr_dram = 0;
         dram_run_arr(tarr + 1, n_triples, ready, open_row, bus_free,
-                     now_dram, &dcfg, &fr_dram, &row_hits, &row_conflicts);
-        long long finish_read = fr_dram * dcfg.ratio;
+                     now_dram, dcfg, &fr_dram, &row_hits, &row_conflicts);
+        long long finish_read = fr_dram * dcfg->ratio;
         if (collect_timing) {
             unsigned long long t1 = now_ns();
             t_read_dram += t1 - t0;
             t0 = t1;
         }
 
-        /* Path slot pairs: cache hit or memoizing Python fallback. */
-        pairs = PyDict_GetItemWithError(slots_cache, leaf_obj);
-        if (pairs != NULL) {
-            Py_INCREF(pairs);
-        } else {
-            if (PyErr_Occurred())
-                goto path_fail;
-            pairs = PyObject_CallOneArg(slots_fn, leaf_obj);
-            if (pairs == NULL)
-                goto path_fail;
-        }
-        if (!PyList_Check(pairs)) {
-            PyErr_SetString(PyExc_TypeError, "path_slots must be a list");
+        /* Path read into the stash (or the array buffer). */
+        pairs = ctx_path_slots(&c, leaf_obj);
+        if (pairs == NULL)
             goto path_fail;
-        }
-
-        /* Fused read_and_clear + stash insertion + tree-top removal. */
-        long long tprefix = leaf >> prefix_shift;
-        Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
-        for (Py_ssize_t p = 0; p < n_pairs; p++) {
-            PyObject *pair = PyList_GET_ITEM(pairs, p);
-            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
-                !PyList_Check(PyTuple_GET_ITEM(pair, 1))) {
-                PyErr_SetString(PyExc_TypeError,
-                                "pairs must hold (level, slots)");
-                goto path_fail;
-            }
-            PyObject *level_obj = PyTuple_GET_ITEM(pair, 0);
-            PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-            long long level = PyLong_AsLongLong(level_obj);
-            if (level == -1 && PyErr_Occurred())
-                goto path_fail;
-            Py_ssize_t z_size = PyList_GET_SIZE(slots);
-            long long cleared = 0;
-            for (Py_ssize_t s = 0; s < z_size; s++) {
-                PyObject *block = PyList_GET_ITEM(slots, s);
-                long long value = PyLong_AsLongLong(block);
-                if (value == -1 && PyErr_Occurred())
-                    goto path_fail;
-                if (value == empty)
-                    continue;
-                Py_INCREF(block);  /* outlive the slot overwrite */
-                Py_INCREF(empty_obj);
-                PyList_SetItem(slots, s, empty_obj);
-                cleared++;
-                if (level < top) {
-                    if (treetop_mode == 1) {
-                        if (sstash_remove(resident, set_count, block) < 0) {
-                            Py_DECREF(block);
-                            goto path_fail;
-                        }
-                        ss_removed++;
-                    } else {
-                        removed_top++;
-                    }
-                }
-                if (value < 0 || value >= table_size) {
-                    PyErr_SetString(PyExc_IndexError,
-                                    "block outside position map");
-                    Py_DECREF(block);
-                    goto path_fail;
-                }
-                PyObject *bleaf_obj = PyList_GET_ITEM(leaf_table, value);
-                long long bleaf = PyLong_AsLongLong(bleaf_obj);
-                if (bleaf == -1) {
-                    if (!PyErr_Occurred())
-                        PyErr_SetString(PyExc_ValueError,
-                                        "block has no mapping");
-                    Py_DECREF(block);
-                    goto path_fail;
-                }
-                if (array_mode) {
-                    long long bprefix = bleaf >> prefix_shift;
-                    long long depth = (bprefix == tprefix)
-                        ? (levels - 1) -
-                              bit_length((unsigned long long)(leaf ^ bleaf))
-                        : prefix_levels -
-                              bit_length(
-                                  (unsigned long long)(bprefix ^ tprefix));
-                    if (n_read >= max_slots || depth < 0 ||
-                        depth >= levels) {
-                        PyErr_SetString(PyExc_RuntimeError,
-                                        "path read overflow");
-                        Py_DECREF(block);
-                        goto path_fail;
-                    }
-                    abuf[n_read].seq = next_seq;
-                    abuf[n_read].block = block;  /* keep the strong ref */
-                    abuf[n_read].idx = n_read;
-                    aleaf_obj[n_read] = bleaf_obj;
-                    ableaf[n_read] = bleaf;
-                    adepth[n_read] = depth;
-                    acounts[depth]++;
-                    next_seq++;
-                    n_read++;
-                } else {
-                    if (stash_add_one(entries, seq_dict, by_prefix,
-                                      prefix_shift, block, bleaf_obj, bleaf,
-                                      &next_seq) < 0) {
-                        Py_DECREF(block);
-                        goto path_fail;
-                    }
-                    Py_DECREF(block);
-                }
-            }
-            if (cleared) {
-                if (level < 0 || level >= levels) {
-                    PyErr_SetString(PyExc_IndexError, "level out of range");
-                    goto path_fail;
-                }
-                used_arr[level] -= cleared;
-            }
-        }
+        long long served_level;
+        if (read_path_core(&c, leaf, pairs, &next_seq, arr, c.empty,
+                           &served_level) < 0)
+            goto path_fail;
         {
-            long long occ = array_mode
-                ? (long long)n_read
-                : (long long)PyDict_GET_SIZE(entries);
+            long long occ = arr != NULL
+                ? (long long)rb.n
+                : (long long)PyDict_GET_SIZE(c.entries);
             if (occ > max_occ)
                 max_occ = occ;
         }
@@ -1572,49 +1491,39 @@ run_batch(PyObject *self, PyObject *args)
         }
 
         /* Greedy bottom-up write placement. */
-        if (array_mode) {
-            if (n_read > 0) {
-                /* Segment the read-order items by depth; read order is
-                 * ascending sequence, so each segment stays sorted. */
-                Py_ssize_t aoffsets[FASTPATH_MAX_LEVELS];
-                Py_ssize_t afill[FASTPATH_MAX_LEVELS];
-                aoffsets[0] = 0;
-                for (long long d = 1; d < levels; d++)
-                    aoffsets[d] = aoffsets[d - 1] + acounts[d - 1];
-                memcpy(afill, aoffsets,
-                       sizeof(Py_ssize_t) * (size_t)levels);
-                PoolItem *seg = abuf + max_slots;
-                for (Py_ssize_t i = 0; i < n_read; i++)
-                    seg[afill[adepth[i]]++] = abuf[i];
-                memset(aplaced, 0, (size_t)n_read);
-                if (place_pools(seg, n_read, acounts, aoffsets, entries,
-                                seq_dict, by_prefix, prefix_shift, pairs,
-                                z_arr, used_arr, levels, top, empty,
-                                treetop_mode == 1, resident, set_count,
-                                set_of, ways, 0, aplaced, &placed_top,
-                                &ss_placed, &ss_skips) < 0)
+        if (arr == NULL) {
+            if (write_place_core(&c, leaf, pairs) < 0)
+                goto path_fail;
+        } else if (rb.n > 0) {
+            /* Segment the read-order items by depth; read order is
+             * ascending sequence, so each segment stays sorted. */
+            Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
+            Py_ssize_t fill[FASTPATH_MAX_LEVELS];
+            offsets[0] = 0;
+            for (long long d = 1; d < c.levels; d++)
+                offsets[d] = offsets[d - 1] + rb.counts[d - 1];
+            memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c.levels);
+            PoolItem *seg = rb.items + max_slots;
+            for (Py_ssize_t i = 0; i < rb.n; i++)
+                seg[fill[rb.depth[i]]++] = rb.items[i];
+            memset(rb.placed, 0, (size_t)rb.n);
+            if (place_pools(&c, seg, rb.n, rb.counts, offsets, pairs,
+                            rb.placed) < 0)
+                goto path_fail;
+            /* Survivors enter the stash dicts in read order with their
+             * pre-assigned sequence numbers. */
+            for (Py_ssize_t i = 0; i < rb.n; i++) {
+                if (!rb.placed[i] &&
+                    stash_insert_with_seq(c.entries, c.seq_dict,
+                                          c.by_prefix, c.prefix_shift,
+                                          rb.items[i].block, rb.leaf_obj[i],
+                                          rb.leaf[i], rb.items[i].seq) < 0)
                     goto path_fail;
-                /* Survivors enter the stash dicts in read order with
-                 * their pre-assigned sequence numbers. */
-                for (Py_ssize_t i = 0; i < n_read; i++) {
-                    if (!aplaced[i] &&
-                        stash_insert_with_seq(entries, seq_dict,
-                                              by_prefix, prefix_shift,
-                                              abuf[i].block, aleaf_obj[i],
-                                              ableaf[i], abuf[i].seq) < 0)
-                        goto path_fail;
-                }
-                for (Py_ssize_t i = 0; i < n_read; i++)
-                    Py_DECREF(abuf[i].block);
-                n_read = 0;
             }
-        } else if (write_place_core(leaf, entries, seq_dict, by_prefix,
-                                    prefix_shift, prefix_levels, pairs,
-                                    z_arr, used_arr, levels, top, empty,
-                                    treetop_mode == 1, resident, set_count,
-                                    set_of, ways, &placed_top, &ss_placed,
-                                    &ss_skips) < 0)
-            goto path_fail;
+            for (Py_ssize_t i = 0; i < rb.n; i++)
+                Py_DECREF(rb.items[i].block);
+            rb.n = 0;
+        }
         if (collect_timing) {
             unsigned long long t1 = now_ns();
             t_place += t1 - t0;
@@ -1622,15 +1531,15 @@ run_batch(PyObject *self, PyObject *args)
         }
 
         /* Write phase through the DRAM model. */
-        now_dram = (finish_read + dcfg.ratio - 1) / dcfg.ratio;
+        now_dram = (finish_read + dcfg->ratio - 1) / dcfg->ratio;
         long long fw_dram = 0;
         dram_run_arr(tarr + 1, n_triples, ready, open_row, bus_free,
-                     now_dram, &dcfg, &fw_dram, &row_hits, &row_conflicts);
-        long long finish_write = fw_dram * dcfg.ratio;
+                     now_dram, dcfg, &fw_dram, &row_hits, &row_conflicts);
+        long long finish_write = fw_dram * dcfg->ratio;
         if (collect_timing)
             t_write_dram += now_ns() - t0;
 
-        if ((long long)PyDict_GET_SIZE(entries) > trigger_threshold)
+        if ((long long)PyDict_GET_SIZE(c.entries) > trigger_threshold)
             ev_triggers++;
         blocks_total += blocks;
 
@@ -1655,8 +1564,8 @@ run_batch(PyObject *self, PyObject *args)
         continue;
 
     path_fail:
-        for (Py_ssize_t i = 0; i < n_read; i++)
-            Py_DECREF(abuf[i].block);
+        for (Py_ssize_t i = 0; i < rb.n; i++)
+            Py_DECREF(rb.items[i].block);
         Py_XDECREF(pairs);
         Py_XDECREF(packed);
         Py_XDECREF(leaf_obj);
@@ -1669,33 +1578,28 @@ run_batch(PyObject *self, PyObject *args)
         PyObject *value = PyLong_FromLongLong(ready[i]);
         if (value == NULL)
             goto fail;
-        PyList_SetItem(bank_ready, i, value);
+        PyList_SetItem(c.bank_ready, i, value);
         value = PyLong_FromLongLong(open_row[i]);
         if (value == NULL)
             goto fail;
-        PyList_SetItem(bank_open_row, i, value);
+        PyList_SetItem(c.bank_open_row, i, value);
     }
     for (Py_ssize_t i = 0; i < n_channels; i++) {
         PyObject *value = PyLong_FromLongLong(bus_free[i]);
         if (value == NULL)
             goto fail;
-        PyList_SetItem(bus_free_list, i, value);
+        PyList_SetItem(c.bus_free, i, value);
     }
-    for (long long d = 0; d < levels; d++) {
-        PyObject *value = PyLong_FromLongLong(used_arr[d]);
-        if (value == NULL)
-            goto fail;
-        PyList_SetItem(level_used, d, value);
-    }
+    if (store_used(&c) < 0)
+        goto fail;
     PyMem_Free(bank_state);
-    PyMem_Free(abuf);
-    Py_DECREF(empty_obj);
+    PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
     {
         PyObject *agg = Py_BuildValue(
             "(LLLLLLLLL)", blocks_total, row_hits, row_conflicts,
-            placed_top, removed_top, ev_triggers, ss_placed, ss_removed,
-            ss_skips);
+            c.placed_top, c.removed_top, ev_triggers, c.ss_placed,
+            c.ss_removed, c.ss_skips);
         if (agg == NULL) {
             Py_XDECREF(bounds);
             return NULL;
@@ -1711,15 +1615,13 @@ run_batch(PyObject *self, PyObject *args)
         }
         if (bounds == NULL)
             bounds = Py_NewRef(Py_None);
-        PyObject *result = Py_BuildValue(
+        return Py_BuildValue(
             "(LLLLNNN)", n, now, next_seq, max_occ, bounds, agg, timings);
-        return result;
     }
 
 fail:
     PyMem_Free(bank_state);
-    PyMem_Free(abuf);
-    Py_DECREF(empty_obj);
+    PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
     Py_XDECREF(bounds);
     return NULL;
@@ -1728,10 +1630,8 @@ fail:
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
      "Batch DRAM timing over pre-decomposed (bank, channel, row) triples."},
-    {"read_and_clear", read_and_clear, METH_VARARGS,
-     "Clear a path's slots, returning the removed (block, level) pairs."},
-    {"stash_bulk_add", stash_bulk_add, METH_VARARGS,
-     "Insert read-phase blocks into the stash with index maintenance."},
+    {"read_path", read_path, METH_VARARGS,
+     "Read phase of one path access into the stash, tree-top included."},
     {"write_path_place", write_path_place, METH_VARARGS,
      "Greedy bottom-up write-phase placement of one path access."},
     {"path_triples", path_triples, METH_VARARGS,

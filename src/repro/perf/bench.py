@@ -3,7 +3,7 @@
 Two sections, both deterministic for a fixed seed:
 
 * **suite** — full-system simulations (scheme × workload grid) through
-  :func:`repro.perf.parallel.fanout`, timed per point and end to end;
+  :func:`repro.perf.engine.run_points`, timed per point and end to end;
 * **kernel** — a tight ``dummy_path`` loop per scheme, measuring the
   hot-path layer alone (read phase + stash + write phase + DRAM model)
   in paths per second, with no trace/LLC machinery around it.
@@ -27,9 +27,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
-from .engine import aggregate_engine_counters, run_points
+from .engine import SimPoint, aggregate_engine_counters, run_points
 from .native import available as native_available
-from .parallel import SimPoint
 
 #: rows kept per phase by ``--profile`` (sorted by cumulative time)
 PROFILE_TOP_N = 12

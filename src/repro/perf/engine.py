@@ -1,11 +1,7 @@
 """Persistent warm-pool execution engine with cross-run artifact caching.
 
-PR 1's ``fanout`` paid three recurring costs on every sweep: worker
-processes re-imported the scheme zoo per pool, every run re-derived the
-same config-dependent artifacts (subtree-layout tables, per-leaf DRAM
-triples, workload traces), and ``pool.map`` pre-chunked the points so one
-slow scheme could leave every other worker idle.  This module replaces
-that with three cooperating pieces:
+Independent simulation points (:class:`SimPoint`) fan out over worker
+processes through three cooperating pieces:
 
 * **Warm pool** — one long-lived :class:`~concurrent.futures.\
   ProcessPoolExecutor` per process, created on first use with an
@@ -54,17 +50,54 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import stats_keys as sk
 from ..config import ORAMConfig, SystemConfig
 from ..errors import EngineFaultError
 from ..obs import events as ev
-from .parallel import PointResult, SimPoint
+from ..sim.results import SimulationResult
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+@dataclass(frozen=True)
+class SimPoint:
+    """One independent (scheme, workload) simulation.
+
+    Every point derives all randomness from its own seed, so points can
+    run in any process in any order and still produce the exact numbers
+    a serial loop would.
+    """
+
+    scheme: str
+    workload: str
+    records: int = 2500
+    seed: int = 7
+    config: Optional[SystemConfig] = None
+    #: optional per-point JSONL event trace destination
+    trace_out: Optional[str] = None
+
+    def label(self) -> str:
+        return f"{self.scheme}/{self.workload}"
+
+
+@dataclass
+class PointResult:
+    """A finished point: the simulation result plus its wall-clock cost.
+
+    ``engine_counters`` holds the ``engine.*`` artifact-cache deltas this
+    point observed in its worker; simulation counters live in
+    ``result.counters`` and never include them, keeping results
+    bit-identical to the serial loop.
+    """
+
+    point: SimPoint
+    result: SimulationResult
+    wall_s: float
+    engine_counters: Dict[str, int] = field(default_factory=dict)
 
 #: schema version of the on-disk cache; bump on layout changes
 CACHE_SCHEMA = 1
@@ -643,7 +676,8 @@ class _Supervisor:
        up to ``REPRO_TASK_RETRIES`` times, then surfaces as
        :class:`~repro.errors.EngineFaultError`;
     2. a crashed worker breaks the pool; the pool is respawned and every
-       in-flight task re-dispatched (the crash victim charged a retry);
+       in-flight task re-dispatched (each crash victim charged a retry,
+       whether the crash shows up in a wait or at submit time);
     3. a task exceeding its deadline (``REPRO_TASK_TIMEOUT`` override, or
        ``max(floor, factor × EWMA prior)`` when a cost estimator exists)
        gets the pool killed and is charged a retry like a crash;
@@ -750,10 +784,49 @@ class _Supervisor:
             pool = get_pool(self.jobs)
             try:
                 self._refill(pool)
+            except BrokenExecutor:
+                # CPython marks a pool broken before it fails the in-flight
+                # futures, so a submit can see a crash before any wait does.
+                self._charge_victims()
+                self._respawn(pool, cause="broken_pool")
+                continue
+            try:
                 self._step(pool)
             except BrokenExecutor:
                 self._respawn(pool, cause="broken_pool")
         return [self.results[index] for index in range(len(self.items))]
+
+    def _harvest(self, future, state: _TaskState) -> bool:
+        """Record a finished task's result, or charge and requeue it.
+
+        Returns True when the task's worker died with the pool.
+        """
+        try:
+            self.results[state.index] = future.result()
+        except BrokenExecutor:
+            self._charge_retry(state.index, cause="worker_crash")
+            self.pending.insert(0, state.index)
+            return True
+        except Exception as exc:
+            self._charge_retry(
+                state.index, cause=f"{type(exc).__name__}: {exc}"
+            )
+            self.pending.insert(0, state.index)
+        return False
+
+    def _charge_victims(self) -> None:
+        """Settle the in-flight tasks of a pool found broken at submit time.
+
+        Finished tasks are harvested as :meth:`_step` would; the rest are
+        crash victims whose futures the dying pool has yet to fail, so each
+        is charged a retry and left for :meth:`_respawn` to re-dispatch.
+        """
+        for future, state in list(self.inflight.items()):
+            if future.done():
+                del self.inflight[future]
+                self._harvest(future, state)
+            else:
+                self._charge_retry(state.index, cause="worker_crash")
 
     def _step(self, pool: ProcessPoolExecutor) -> None:
         """One wait + harvest round; raises BrokenExecutor on pool death."""
@@ -771,21 +844,10 @@ class _Supervisor:
         )
         broken = False
         for future in done:
-            state = self.inflight.pop(future)
-            try:
-                self.results[state.index] = future.result()
-            except BrokenExecutor:
-                # The whole pool died; the remaining in-flight futures are
-                # doomed too.  Charge the victims and respawn once.
-                self._charge_retry(state.index, cause="worker_crash")
-                self.pending.insert(0, state.index)
-                broken = True
-            except Exception as exc:
-                self._charge_retry(
-                    state.index, cause=f"{type(exc).__name__}: {exc}"
-                )
-                self.pending.insert(0, state.index)
+            broken |= self._harvest(future, self.inflight.pop(future))
         if broken:
+            # The whole pool died; the remaining in-flight futures are
+            # doomed too.  Respawn once.
             raise BrokenProcessPool("worker crashed mid-task")
         self._expire(pool)
 

@@ -4,16 +4,17 @@ The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
 * ``dram_service`` — DRAM bank timing over decomposed address triples;
-* ``read_and_clear`` — clear a path's slots into (block, level) pairs;
-* ``stash_bulk_add`` — insert read-phase blocks with stash index upkeep;
+* ``read_path`` — one path's read phase into the stash;
 * ``write_path_place`` — one path's greedy bottom-up write placement;
 * ``path_triples`` — a leaf's path addresses, decomposed for DRAM;
 * ``pack_triples`` — a triples entry in ``run_batch``'s packed form;
 * ``run_batch`` — whole stretches of dummy paths in one call.
 
-``write_path_place`` and ``run_batch`` share one placement engine and
-place in C for both tree-top modes: the dedicated cache and IR-Stash's
-S-Stash, whose set-occupancy gate the engine applies.  This module
+``read_path``, ``write_path_place`` and ``run_batch`` take one context
+tuple (:func:`kernel_ctx`) and share one read loop and one placement
+engine, for both tree-top modes: the dedicated cache and IR-Stash's
+S-Stash, whose entries the read loop releases and whose set-occupancy
+gate the placement engine applies.  This module
 compiles them with the system C compiler on first use, caches the shared
 object under ``~/.cache/repro-fastpath/`` keyed by source hash and Python
 ABI, and exposes the loaded module as :data:`fastpath`.
@@ -50,6 +51,24 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-fastpath")
 
 
+#: Slot names of the kernel context tuple, in order; mirrors ``KernelCtx``
+#: in ``_fastpath.c``, which documents each slot.
+CTX_SLOTS = (
+    "randrange", "leaves", "triples_cache", "triples_fn", "slots_cache",
+    "slots_fn", "entries", "seq", "by_prefix", "prefix_shift",
+    "prefix_levels", "leaf_table", "z_per_level", "level_used", "levels",
+    "top", "empty", "bank_ready", "bank_open_row", "bus_free",
+    "dram_params", "treetop_mode", "resident", "set_count", "set_of",
+    "ways", "packed", "getrandbits", "leaf_bits",
+)
+
+
+def kernel_ctx(**slots) -> tuple:
+    """The context tuple ``read_path``, ``write_path_place`` and
+    ``run_batch`` take, from one keyword per :data:`CTX_SLOTS` name."""
+    return tuple(slots[name] for name in CTX_SLOTS)
+
+
 def _self_test(module) -> bool:
     """Run the kernels on tiny inputs with known-good answers."""
     # One bank, one channel, two accesses to the same fresh row:
@@ -66,48 +85,68 @@ def _self_test(module) -> bool:
     if ready != [7] or open_row != [7] or bus_free != [7]:
         return False
 
-    slots = [3, -1, 9]
-    level_used = [0, 2]
-    removed = module.read_and_clear([(1, slots)], level_used, -1)
-    if not (
-        removed == [(3, 1), (9, 1)]
-        and slots == [-1, -1, -1]
-        and level_used == [0, 0]
-    ):
-        return False
+    def ctx(**slots):
+        # A 3-level tree with Z=1, prefix shift 0, one DRAM bank, no
+        # tree-top cache; each case overrides what it exercises.
+        base = dict(
+            randrange=None, leaves=4, triples_cache={}, triples_fn=None,
+            slots_cache={}, slots_fn=None, entries={}, seq={},
+            by_prefix={}, prefix_shift=0, prefix_levels=2, leaf_table=[],
+            z_per_level=[1, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
+            empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
+            dram_params=(1, 4, 3, 2, 5), treetop_mode=0, resident=None,
+            set_count=None, set_of=None, ways=0, packed={},
+            getrandbits=None, leaf_bits=0,
+        )
+        base.update(slots)
+        return kernel_ctx(**base)
 
-    # Stash bulk add: two fresh blocks, leaves 6 and 3, prefix shift 2;
-    # block 5 was read from level 0 (< top=1).
-    entries: dict = {}
-    seq: dict = {}
-    by_prefix: dict = {}
+    # S-Stash read phase: level 0 is cached and block 3 (leaf 2) sits
+    # there, resident in set 1; block 5 (leaf 1) sits at the bottom of
+    # leaf 1's path and is the served block.  Both enter the stash with
+    # sequence numbers 4 and 5; block 3 releases its S-Stash entry.
+    path_slots = [(0, [3]), (1, [-1]), (2, [5])]
+    entries, seq, by_prefix = {}, {}, {}
+    level_used = [1, 0, 1]
+    resident = {3: 1, 8: 0}
+    set_count = {1: 1, 0: 1}
     leaf_table = [0] * 10
-    leaf_table[5] = 6
-    leaf_table[9] = 3
-    next_seq, top_blocks = module.stash_bulk_add(
-        [(5, 0), (9, 1)], entries, seq, by_prefix, 2, 0, leaf_table, 1
+    leaf_table[3] = 2
+    leaf_table[5] = 1
+    read_ctx = ctx(
+        slots_cache={1: path_slots}, entries=entries, seq=seq,
+        by_prefix=by_prefix, leaf_table=leaf_table, level_used=level_used,
+        top=1, treetop_mode=1, resident=resident, set_count=set_count,
+        set_of=lambda block: block & 1, ways=2,
     )
+    if module.read_path(read_ctx, 1, 4, 5) != (6, 0, 1, 2):
+        return False
     if not (
-        (next_seq, top_blocks) == (2, [5])
-        and entries == {5: 6, 9: 3}
-        and seq == {5: 0, 9: 1}
-        and by_prefix == {1: {0: 5}, 0: {1: 9}}
+        entries == {3: 2, 5: 1}
+        and seq == {3: 4, 5: 5}
+        and by_prefix == {2: {4: 3}, 1: {5: 5}}
+        and resident == {8: 0}
+        and set_count == {0: 1}
+        and path_slots == [(0, [-1]), (1, [-1]), (2, [-1])]
+        and level_used == [0, 0, 0]
     ):
         return False
+    # The path is empty now: nothing moves and block 7 is not found.
+    if module.read_path(read_ctx, 1, 6, 7) != (6, 0, 0, -1):
+        return False
 
-    # Write-phase placement: 3 levels, z=1 everywhere, target leaf 1,
-    # dedicated tree-top mode.  Block 5 (leaf 1) belongs at the bottom,
-    # block 9 (leaf 3) diverges at the root; both place and leave the
-    # stash empty.
+    # Write-phase placement, dedicated tree-top mode, target leaf 1.
+    # Block 5 (leaf 1) belongs at the bottom, block 9 (leaf 3) diverges
+    # at the root; both place and leave the stash empty.
     entries = {5: 1, 9: 3}
     seq = {5: 0, 9: 1}
     by_prefix = {1: {0: 5}, 3: {1: 9}}
     path_slots = [(0, [-1]), (1, [-1]), (2, [-1])]
     level_used = [0, 0, 0]
-    counts = module.write_path_place(
-        1, entries, seq, by_prefix, 0, 2, path_slots, [1, 1, 1],
-        level_used, 3, 0, -1, 0, None, None, None, 0
-    )
+    counts = module.write_path_place(ctx(
+        slots_cache={1: path_slots}, entries=entries, seq=seq,
+        by_prefix=by_prefix, level_used=level_used,
+    ), 1)
     if not (
         counts == (0, 0, 0)
         and entries == {}
@@ -131,11 +170,12 @@ def _self_test(module) -> bool:
     level_used = [0, 0, 0]
     resident = {8: 0}
     set_count = {0: 1}
-    counts = module.write_path_place(
-        0, entries, seq, by_prefix, 0, 2, path_slots, [2, 1, 1],
-        level_used, 3, 2, -1, 1, resident, set_count,
-        lambda block: block & 1, 1
-    )
+    counts = module.write_path_place(ctx(
+        slots_cache={0: path_slots}, entries=entries, seq=seq,
+        by_prefix=by_prefix, z_per_level=[2, 1, 1], level_used=level_used,
+        top=2, treetop_mode=1, resident=resident, set_count=set_count,
+        set_of=lambda block: block & 1, ways=1,
+    ), 0)
     if not (
         counts == (0, 1, 2)
         and entries == {2: 1}
@@ -160,46 +200,28 @@ def _self_test(module) -> bool:
     # (activate 3 + two row-hit bursts), write finishes at 17, and the
     # block is placed back at the root (diverges from its leaf at level
     # 1), leaving the stash empty again.
-    entries = {}
-    seq = {}
-    by_prefix = {}
-    leaf_table = [-1, -1, -1, 0]
+    entries, seq, by_prefix, packed = {}, {}, {}, {}
     level_used = [1, 0]
     ready = [0]
     open_row = [-1]
     bus_free = [0]
     slots0 = [3]
-    batch_ctx = (
-        (lambda n: 1),                     # randrange
-        2,                                 # leaves
-        {1: ([0, 0, 7, 0, 0, 7], 2)},      # triples cache
-        (lambda leaf: None),               # triples fallback (unused)
-        {1: [(0, slots0), (1, [-1])]},     # path-slots cache
-        (lambda leaf: None),               # slots fallback (unused)
-        entries, seq, by_prefix,
-        0,                                 # prefix shift
-        1,                                 # prefix levels
-        leaf_table,
-        [1, 1],                            # z per level
-        level_used,
-        2,                                 # levels
-        0,                                 # top (no tree-top cache)
-        -1,                                # empty marker
-        ready, open_row, bus_free,
-        (1, 4, 3, 2, 5),                   # ratio, t_rp, t_rcd, t_burst, cas+burst
-        0,                                 # treetop mode: counter cache
-        None, None, None, 0,               # S-Stash slots unused
-        {},                                # packed triple arrays
-        None, 0,                           # getrandbits leg disabled
+    batch_ctx = ctx(
+        randrange=lambda n: 1, leaves=2,
+        triples_cache={1: ([0, 0, 7, 0, 0, 7], 2)},
+        slots_cache={1: [(0, slots0), (1, [-1])]},
+        entries=entries, seq=seq, by_prefix=by_prefix, prefix_levels=1,
+        leaf_table=[-1, -1, -1, 0], z_per_level=[1, 1],
+        level_used=level_used, levels=2, bank_ready=ready,
+        bank_open_row=open_row, bus_free=bus_free, packed=packed,
     )
     result = module.run_batch(batch_ctx, 0, 0, 0, 1, -1, -1, 10, 1, 0)
     if result != (1, 17, 1, 1, [0, 10, 17],
                   (2, 3, 0, 0, 0, 0, 0, 0, 0), None):
         return False
-    packed = batch_ctx[26].get(1)
-    if packed != struct.pack("=7q", 2, 0, 0, 7, 0, 0, 7):
+    if packed.get(1) != struct.pack("=7q", 2, 0, 0, 7, 0, 0, 7):
         return False
-    if module.pack_triples(([0, 0, 7, 0, 0, 7], 2), 1, 1) != packed:
+    if module.pack_triples(([0, 0, 7, 0, 0, 7], 2), 1, 1) != packed[1]:
         return False
     return (
         entries == {}

@@ -30,10 +30,8 @@ def _disable_natives(monkeypatch):
     """Force every pure-Python fallback, including the batch kernel."""
     import repro.mem.dram as dram
     import repro.oram.controller as controller
-    import repro.oram.tree as tree
 
     monkeypatch.setattr(dram, "_native", None)
-    monkeypatch.setattr(tree, "_native", None)
     monkeypatch.setattr(controller, "_fastpath", None)
 
 

@@ -10,6 +10,8 @@ seed-stable across runs and ``--jobs`` values.
 import json
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -95,6 +97,37 @@ class ParentSafeCrash:
         return value * 2
 
 
+class BrokenAtSubmitPool:
+    """Synchronous stand-in for the process pool.
+
+    With ``break_after`` set, that many submits return futures that never
+    finish (their worker died) and the next submit raises
+    ``BrokenProcessPool`` — the window in which CPython has marked a pool
+    broken but not yet failed its in-flight futures.  Without it, every
+    submit runs the task at once.
+    """
+
+    def __init__(self, break_after=None):
+        self.break_after = break_after
+
+    def submit(self, fn, item):
+        future = Future()
+        if self.break_after is None:
+            future.set_result(fn(item))
+        elif self.break_after == 0:
+            raise BrokenProcessPool("a worker died")
+        else:
+            self.break_after -= 1
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _double_task(task):
+    return task[1] * 2
+
+
 def _tasks(n):
     return [(index, index + 10) for index in range(n)]
 
@@ -157,6 +190,20 @@ class TestSupervision:
         out = engine.engine_map(worker, _tasks(6), jobs=2)
         assert out == _expected(6)
         assert engine.engine_counters().get("engine.degraded", 0) == 1
+
+    def test_broken_pool_at_submit_charges_inflight(self, monkeypatch):
+        pools = [BrokenAtSubmitPool(break_after=1), BrokenAtSubmitPool()]
+        monkeypatch.setattr(
+            engine, "get_pool",
+            lambda workers: pools.pop(0) if len(pools) > 1 else pools[0],
+        )
+        out = engine.engine_map(_double_task, _tasks(4), jobs=2)
+        assert out == _expected(4)
+        counters = engine.engine_counters()
+        # Task 0 was in flight on the pool that broke when task 1 was
+        # submitted: it is the crash victim and pays one retry.
+        assert counters.get("engine.retries", 0) == 1
+        assert counters.get("engine.respawns", 0) == 1
 
     def test_event_hook_sees_recovery(self, tmp_path):
         (tmp_path / "m").mkdir()

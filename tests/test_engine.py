@@ -11,7 +11,7 @@ from repro.core.schemes import build_scheme
 from repro.oram.controller import PathORAMController
 from repro.oram.tree import ORAMTree
 from repro.perf import engine
-from repro.perf.parallel import SimPoint, run_points
+from repro.perf.engine import SimPoint, run_points
 from repro.stats import Stats
 
 

@@ -1,48 +1,14 @@
-"""Tests for the parallel experiment engine and the bench harness."""
+"""Tests for the sweep fan-out and the bench harness.
+
+Point fan-out itself (input order, serial/parallel bit-identity,
+``engine_map``) is covered in ``tests/test_engine.py``.
+"""
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.perf import bench
-from repro.perf.parallel import SimPoint, default_jobs, fanout, fanout_map
 from repro.analysis.sweep import sweep_parameter
-
-
-def _tiny_points():
-    config = SystemConfig.tiny()
-    return [
-        SimPoint("Baseline", "random", records=120, seed=3, config=config),
-        SimPoint("IR-Stash", "random", records=120, seed=3, config=config),
-        SimPoint("Baseline", "mix", records=120, seed=4, config=config),
-    ]
-
-
-class TestFanout:
-    def test_serial_matches_parallel(self):
-        serial = fanout(_tiny_points(), jobs=1)
-        parallel = fanout(_tiny_points(), jobs=2)
-        assert len(serial) == len(parallel) == 3
-        for a, b in zip(serial, parallel):
-            assert a.point == b.point
-            assert a.result.cycles == b.result.cycles
-            assert a.result.counters == b.result.counters
-
-    def test_order_preserved(self):
-        points = _tiny_points()
-        results = fanout(points, jobs=2)
-        assert [item.point for item in results] == points
-
-    def test_fanout_map_identity(self):
-        items = list(range(7))
-        assert fanout_map(_square, items, jobs=1) == [n * n for n in items]
-        assert fanout_map(_square, items, jobs=3) == [n * n for n in items]
-
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
-
-def _square(n):
-    return n * n
 
 
 class TestSweepJobs:

@@ -12,10 +12,15 @@ import random
 
 import pytest
 
+from repro import api
 from repro.config import DRAMConfig, SystemConfig
+from repro.core.schemes import build_scheme
 from repro.mem.dram import DRAMModel
+from repro.obs import events as ev
 from repro.oram.controller import PathORAMController
 from repro.perf import native
+from repro.sim.runner import make_workload
+from repro.sim.simulator import Simulator
 
 
 def _random_triples(rng, count, config):
@@ -78,6 +83,23 @@ class TestControllerFallbacks:
         slow_out = self._dummy_loop(slow)
         assert fast_out == slow_out
 
+        # IR-Stash on real accesses, which fill the cached top: the read
+        # phase releases S-Stash entries in C or in Python alike.
+        def run_ir_stash(natives):
+            components = build_scheme(
+                "IR-Stash", config, rng=random.Random(9)
+            )
+            if not natives:
+                components.controller._native = None
+            trace = make_workload("random", config, 220, 9)
+            return Simulator(components, trace).run()
+
+        fast_run = run_ir_stash(natives=True)
+        slow_run = run_ir_stash(natives=False)
+        assert fast_run.cycles == slow_run.cycles
+        assert fast_run.counters == slow_run.counters
+        assert fast_run.counters.get("sstash.removed", 0) > 0
+
     @pytest.mark.skipif(native.fastpath is None,
                         reason="native kernels unavailable")
     def test_python_triples_branch_identical(self, monkeypatch):
@@ -94,6 +116,30 @@ class TestControllerFallbacks:
             triples, blocks = slow._path_dram_triples(leaf)
             assert list(triples) == list(expected[0])
             assert blocks == expected[1]
+
+    @pytest.mark.skipif(native.fastpath is None,
+                        reason="native kernels unavailable")
+    @pytest.mark.parametrize("scheme", ["Baseline", "IR-ORAM"])
+    def test_traced_events_identical(self, scheme, monkeypatch):
+        import repro.mem.dram as dram_mod
+        import repro.oram.controller as controller_mod
+
+        def events():
+            seen = []
+            api.run(api.RunSpec(
+                scheme=scheme, workload="mix", config=SystemConfig.tiny(),
+                records=300, seed=3,
+                obs=api.ObsOptions(callback=seen.append),
+            ))
+            return [event.to_dict() for event in seen]
+
+        kernel = events()
+        monkeypatch.setattr(dram_mod, "_native", None)
+        monkeypatch.setattr(controller_mod, "_fastpath", None)
+        pure = events()
+        # One stash.hwm per read phase that raises the peak, on both tiers.
+        assert any(event["kind"] == ev.STASH_HWM for event in kernel)
+        assert kernel == pure
 
     def test_reference_write_phase_runs(self, monkeypatch):
         # _write_path_reference is the retained oracle; make sure it still

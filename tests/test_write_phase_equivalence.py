@@ -76,17 +76,19 @@ class TestNativeFallbackEquivalence:
 
         import repro.mem.dram as dram
         import repro.oram.controller as controller
-        import repro.oram.tree as tree
 
         monkeypatch.setattr(dram, "_native", None)
-        monkeypatch.setattr(tree, "_native", None)
         monkeypatch.setattr(controller, "_fastpath", None)
         without_native = _fingerprint(_run(scheme, seed=11))
         assert with_native == without_native
 
 
 class TestSStashPlacesInKernel:
-    """With the kernel loaded, S-Stash schemes place in C, not Python."""
+    """With the kernel loaded, S-Stash schemes place and release in C.
+
+    ``SStash.on_remove`` then runs only for PLB tree-top promotions; the
+    read phase releases S-Stash entries inside the kernel.
+    """
 
     @pytest.mark.parametrize("scheme", ["IR-Stash", "IR-ORAM"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -101,7 +103,7 @@ class TestSStashPlacesInKernel:
         components = build_scheme(scheme, config, rng=random.Random(seed))
         trace = make_workload("random", config, 220, seed)
         calls = []
-        for name in ("may_place", "on_place"):
+        for name in ("may_place", "on_place", "on_remove"):
             original = getattr(SStash, name)
 
             def counted(self, block, _name=name, _original=original):
@@ -111,11 +113,16 @@ class TestSStashPlacesInKernel:
             monkeypatch.setattr(SStash, name, counted)
         kernel = Simulator(components, trace).run()
         monkeypatch.undo()
-        assert calls == []
+        assert calls.count("may_place") == calls.count("on_place") == 0
+        assert calls.count("on_remove") == kernel.counters.get(
+            "plb.treetop_promotions", 0
+        )
+        assert kernel.counters.get("sstash.removed", 0) > 0
         reference = _run(scheme, seed, reference=True, monkeypatch=monkeypatch)
         # Rejections on a full set really happen, and the kernel counts
-        # placements and skips exactly as the Python hooks do.
-        for key in ("sstash.placed", "sstash.placement_skips"):
+        # placements, skips and releases exactly as the Python hooks do.
+        for key in ("sstash.placed", "sstash.placement_skips",
+                    "sstash.removed"):
             assert kernel.counters.get(key, 0) > 0
             assert kernel.counters[key] == reference.counters[key]
 
