@@ -118,7 +118,6 @@ class PathORAMController:
         self.namespace = Namespace(self.oram)
         self.tree = ORAMTree(self.oram)
         self.stash = Stash(self.oram.stash_capacity, self.stats)
-        self.stash.configure_path_index(self.oram.levels)
         self.posmap = PositionMap(self.namespace, self.oram.leaves, self.rng)
         self.plb = PLB(self.oram, self.stats)
         self.layout = TreeLayout(self.oram, config.dram)
@@ -462,16 +461,16 @@ class PathORAMController:
             pm1 = None
             pm2 = self.namespace.posmap2_block(block)
         # PosMap2 first: its own mapping is always on chip (PosMap3).
-        self._try_promote(pm2, parent_available=True)
+        self._try_promote(pm2)
         pm2_ready = self._posmap_on_chip(pm2)
         if pm1 is None:
             return [] if pm2_ready else [pm2]
-        self._try_promote(pm1, parent_available=pm2_ready)
+        self._try_promote(pm1)
         if self._posmap_on_chip(pm1):
             return []
         return [pm1] if pm2_ready else [pm2, pm1]
 
-    def _try_promote(self, pm_block: int, parent_available: bool) -> None:
+    def _try_promote(self, pm_block: int) -> None:
         """Move an on-chip-reachable PosMap block into the PLB at no cost.
 
         The stash is fully associative and searched by block address in
@@ -482,7 +481,6 @@ class PathORAMController:
         miss costs a full path access even when the block's bits happen to
         sit on chip, which is exactly the waste Section IV-C describes.
         """
-        del parent_available  # positional lookups are never used here
         if self._posmap_on_chip(pm_block):
             return
         if pm_block in self.stash:
@@ -543,12 +541,9 @@ class PathORAMController:
         counters = self.stats.counters
         stash = self.stash
         if self._native is not None:
-            next_seq, removed_top, ss_removed, served_level = (
-                self._native.read_path(
-                    self._kernel_ctx(), leaf, stash._next_seq, served
-                )
+            removed_top, ss_removed, served_level = self._native.read_path(
+                self._kernel_ctx(), leaf, served
             )
-            stash._next_seq = next_seq
             # Only keys the hooks would have created, as in
             # _apply_batch_counters.
             if removed_top:
@@ -707,10 +702,9 @@ class PathORAMController:
         With the C kernel loaded, ``write_path_place`` places the whole
         path for either tree-top mode.  The Python loop below serves
         kernel-less runs and Fig. 5's ``track_migration``, which classifies
-        each placement: eviction candidates come pre-grouped by deepest
-        eligible level from the stash's leaf-prefix index
-        (:meth:`Stash.path_pools`) instead of a full stash scan, and bucket
-        slots are filled directly.
+        each placement: eviction candidates come grouped by deepest
+        eligible level (:meth:`Stash.path_pools`), and bucket slots are
+        filled directly.
         """
         oram = self.oram
         levels = oram.levels
@@ -744,7 +738,7 @@ class PathORAMController:
 
         path_slots = tree.path_slots(leaf)
         slot_idx = len(path_slots) - 1
-        pools = self.stash.path_pools(leaf)
+        pools = self.stash.path_pools(leaf, levels)
         pool: List[int] = []
         for level in range(levels - 1, -1, -1):
             sub = pools[level]
@@ -1076,7 +1070,6 @@ class PathORAMController:
         if ctx is not None:
             return ctx
         dram_cfg = self.config.dram
-        stash = self.stash
         treetop = self.treetop
         # Direct getrandbits leaf draws are only valid for plain
         # random.Random (the kernel inlines exactly its _randbelow
@@ -1103,11 +1096,7 @@ class PathORAMController:
             triples_fn=self._path_dram_triples,
             slots_cache=self.tree._path_slots_cache,
             slots_fn=self.tree.path_slots,
-            entries=stash._entries,
-            seq=stash._seq,
-            by_prefix=stash._by_prefix,
-            prefix_shift=stash._prefix_shift,
-            prefix_levels=stash._prefix_levels,
+            entries=self.stash._entries,
             leaf_table=self.posmap._leaf_of,
             z_per_level=self._z_list,
             level_used=self.tree.level_used,
@@ -1202,11 +1191,10 @@ class PathORAMController:
             and self.slot_observer is None
         ):
             stash = self.stash
-            n, new_now, next_seq, max_occ, bounds, agg, timings = (
+            n, new_now, max_occ, bounds, agg, timings = (
                 self._native.run_batch(
                     self._kernel_ctx(),
                     now,
-                    stash._next_seq,
                     interval,
                     max_paths,
                     -1 if horizon is None else horizon,
@@ -1218,7 +1206,6 @@ class PathORAMController:
                     collect_timing,
                 )
             )
-            stash._next_seq = next_seq
             if max_occ > stash.peak_occupancy:
                 stash.peak_occupancy = max_occ
             if n:

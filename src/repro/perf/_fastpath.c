@@ -13,7 +13,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -105,7 +104,7 @@ dram_service(PyObject *self, PyObject *args)
 }
 
 /* ---------------------------------------------------------------- */
-/* Stash index surgery shared by the read and write phases           */
+/* Stash grouping shared by the read and write phases                */
 /* ---------------------------------------------------------------- */
 
 static inline long long
@@ -114,229 +113,21 @@ bit_length(unsigned long long x)
     return x ? 64 - __builtin_clzll(x) : 0;
 }
 
-/* Remove `block` from the stash dicts (entries, seq, prefix bucket).
- * The caller must hold another reference to `block` (e.g. a tree slot).
+/* The deepest level a block mapped to ``block_leaf`` may occupy on the
+ * path to ``leaf`` in a ``levels``-level tree: the XOR/bit-length rule of
+ * ORAMTree.deepest_common_level.  Negative for a leaf outside the tree.
  */
-static int
-stash_remove_indexed(PyObject *entries, PyObject *seq_dict,
-                     PyObject *by_prefix, long long prefix_shift,
-                     PyObject *block)
+static inline long long
+deepest_level(long long levels, long long leaf, long long block_leaf)
 {
-    PyObject *leaf_obj = PyDict_GetItem(entries, block);
-    if (leaf_obj == NULL) {
-        PyErr_SetString(PyExc_KeyError, "block not in stash");
-        return -1;
-    }
-    long long leaf = PyLong_AsLongLong(leaf_obj);
-    if (leaf == -1 && PyErr_Occurred())
-        return -1;
-    PyObject *seq_obj = PyDict_GetItem(seq_dict, block);
-    if (seq_obj == NULL) {
-        PyErr_SetString(PyExc_KeyError, "block not in stash seq index");
-        return -1;
-    }
-    Py_INCREF(seq_obj);
-    PyObject *prefix_obj = PyLong_FromLongLong(leaf >> prefix_shift);
-    if (prefix_obj == NULL) {
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
-    if (bucket == NULL || PyDict_DelItem(bucket, seq_obj) < 0) {
-        if (bucket == NULL)
-            PyErr_SetString(PyExc_KeyError, "stash prefix bucket missing");
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    if (PyDict_GET_SIZE(bucket) == 0 &&
-        PyDict_DelItem(by_prefix, prefix_obj) < 0) {
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    Py_DECREF(prefix_obj);
-    Py_DECREF(seq_obj);
-    if (PyDict_DelItem(seq_dict, block) < 0)
-        return -1;
-    return PyDict_DelItem(entries, block);
+    return (levels - 1) - bit_length((unsigned long long)(leaf ^ block_leaf));
 }
 
-/* Insert or update one stash entry with full index maintenance (the body
- * of Stash.insert).  ``leaf_obj``/``leaf`` are the block's current mapping;
- * the previous mapping is read *before* the entries dict is updated so
- * the borrowed old-leaf reference is never used after its slot has been
- * replaced.  Advances ``*next_seq`` for fresh entries.  Returns 0, or -1
- * with an exception set.
- */
-static int
-stash_add_one(PyObject *entries, PyObject *seq_dict, PyObject *by_prefix,
-              long long prefix_shift, PyObject *block, PyObject *leaf_obj,
-              long long leaf, long long *next_seq)
-{
-    PyObject *old_leaf = PyDict_GetItem(entries, block);
-    long long old = 0;
-    int fresh = (old_leaf == NULL);
-    if (!fresh) {
-        old = PyLong_AsLongLong(old_leaf);
-        if (old == -1 && PyErr_Occurred())
-            return -1;
-    }
-    if (PyDict_SetItem(entries, block, leaf_obj) < 0)
-        return -1;
-    if (fresh) {
-        /* Fresh entry: assign a sequence number and index it. */
-        PyObject *seq_obj = PyLong_FromLongLong(*next_seq);
-        if (seq_obj == NULL)
-            return -1;
-        (*next_seq)++;
-        if (PyDict_SetItem(seq_dict, block, seq_obj) < 0) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        PyObject *prefix_obj = PyLong_FromLongLong(leaf >> prefix_shift);
-        if (prefix_obj == NULL) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
-        if (bucket == NULL) {
-            bucket = PyDict_New();
-            if (bucket == NULL ||
-                PyDict_SetItem(by_prefix, prefix_obj, bucket) < 0) {
-                Py_XDECREF(bucket);
-                Py_DECREF(prefix_obj);
-                Py_DECREF(seq_obj);
-                return -1;
-            }
-            Py_DECREF(bucket);  /* by_prefix holds it now */
-        }
-        if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-            Py_DECREF(prefix_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
-        return 0;
-    }
-    /* Existing entry: keep its seq, move buckets if needed. */
-    {
-        long long old_prefix = old >> prefix_shift;
-        long long new_prefix = leaf >> prefix_shift;
-        if (old_prefix == new_prefix)
-            return 0;
-        PyObject *seq_obj = PyDict_GetItem(seq_dict, block);
-        if (seq_obj == NULL) {
-            PyErr_SetString(PyExc_KeyError, "stash seq missing");
-            return -1;
-        }
-        Py_INCREF(seq_obj);
-        PyObject *old_obj = PyLong_FromLongLong(old_prefix);
-        PyObject *bucket =
-            old_obj ? PyDict_GetItem(by_prefix, old_obj) : NULL;
-        if (bucket == NULL || PyDict_DelItem(bucket, seq_obj) < 0) {
-            if (bucket == NULL && !PyErr_Occurred())
-                PyErr_SetString(PyExc_KeyError,
-                                "stash prefix bucket missing");
-            Py_XDECREF(old_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        if (PyDict_GET_SIZE(bucket) == 0)
-            PyDict_DelItem(by_prefix, old_obj);
-        Py_DECREF(old_obj);
-        PyObject *new_obj = PyLong_FromLongLong(new_prefix);
-        if (new_obj == NULL) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        bucket = PyDict_GetItem(by_prefix, new_obj);
-        if (bucket == NULL) {
-            bucket = PyDict_New();
-            if (bucket == NULL ||
-                PyDict_SetItem(by_prefix, new_obj, bucket) < 0) {
-                Py_XDECREF(bucket);
-                Py_DECREF(new_obj);
-                Py_DECREF(seq_obj);
-                return -1;
-            }
-            Py_DECREF(bucket);
-        }
-        if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-            Py_DECREF(new_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(new_obj);
-        Py_DECREF(seq_obj);
-    }
-    return 0;
-}
-
-/* Insert a fresh block into the stash dicts with a pre-assigned
- * sequence number — the array-mode write-back for path survivors that
- * bypassed the dicts during the read phase.  The block must not already
- * be present; dict operations run in the same order as the fresh branch
- * of stash_add_one so the resulting index state is identical.
- */
-static int
-stash_insert_with_seq(PyObject *entries, PyObject *seq_dict,
-                      PyObject *by_prefix, long long prefix_shift,
-                      PyObject *block, PyObject *leaf_obj, long long leaf,
-                      long long seq)
-{
-    if (PyDict_SetItem(entries, block, leaf_obj) < 0)
-        return -1;
-    PyObject *seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
-        return -1;
-    if (PyDict_SetItem(seq_dict, block, seq_obj) < 0) {
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    PyObject *prefix_obj = PyLong_FromLongLong(leaf >> prefix_shift);
-    if (prefix_obj == NULL) {
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
-    if (bucket == NULL) {
-        bucket = PyDict_New();
-        if (bucket == NULL ||
-            PyDict_SetItem(by_prefix, prefix_obj, bucket) < 0) {
-            Py_XDECREF(bucket);
-            Py_DECREF(prefix_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(bucket);  /* by_prefix holds it now */
-    }
-    if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    Py_DECREF(prefix_obj);
-    Py_DECREF(seq_obj);
-    return 0;
-}
-
-/* Pool entry of the placement engine: a stash block with its insertion
- * sequence number. */
+/* Pool entry of the placement engine: a stash block, in stash order. */
 typedef struct {
-    long long seq;
     PyObject *block;
     Py_ssize_t idx;   /* read-order index (array-mode placement only) */
 } PoolItem;
-
-static int
-pool_item_cmp(const void *a, const void *b)
-{
-    long long sa = ((const PoolItem *)a)->seq;
-    long long sb = ((const PoolItem *)b)->seq;
-    return (sa > sb) - (sa < sb);
-}
 
 #define FASTPATH_MAX_LEVELS 64
 
@@ -357,7 +148,7 @@ typedef struct {
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 29-slot
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 25-slot
  * tuple PathORAMController._kernel_ctx freezes; read_path,
  * write_path_place and run_batch all take it:
  *
@@ -367,17 +158,16 @@ typedef struct {
  *    3 triples_fn       its memoizing miss fallback
  *    4 slots_cache      leaf -> [(level, slots), ...] memo
  *    5 slots_fn         its memoizing miss fallback
- *    6-8                stash entries, seq and prefix-bucket dicts
- *    9-10               stash prefix shift and prefix levels
- *   11 leaf_table       position-map leaf list
- *   12-16               z per level, level occupancy, levels, cached
+ *    6 entries          the stash's block -> leaf dict, in stash order
+ *    7 leaf_table       position-map leaf list
+ *    8-12               z per level, level occupancy, levels, cached
  *                       top levels, empty-slot marker
- *   17-19               DRAM bank ready / open row / bus free lists
- *   20 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
- *   21 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   22-25               S-Stash resident, set_count, set_of, ways
- *   26 packed_cache     leaf -> packed triple bytes, kernel-filled
- *   27-28               the RNG's getrandbits and the leaf-count bit
+ *   13-15               DRAM bank ready / open row / bus free lists
+ *   16 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
+ *   17 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
+ *   18-21               S-Stash resident, set_count, set_of, ways
+ *   22 packed_cache     leaf -> packed triple bytes, kernel-filled
+ *   23-24               the RNG's getrandbits and the leaf-count bit
  *                       width when it is a plain random.Random, else
  *                       None, 0
  *
@@ -388,12 +178,10 @@ typedef struct {
  */
 typedef struct {
     PyObject *randrange, *leaves_obj, *triples_cache, *triples_fn,
-        *slots_cache, *slots_fn, *entries, *seq_dict, *by_prefix,
-        *leaf_table, *level_used, *empty_obj, *bank_ready, *bank_open_row,
-        *bus_free, *resident, *set_count, *set_of, *packed_cache,
-        *getrandbits;
-    long long leaves, prefix_shift, prefix_levels, levels, top, empty,
-        ways, leaf_bits;
+        *slots_cache, *slots_fn, *entries, *leaf_table, *level_used,
+        *empty_obj, *bank_ready, *bank_open_row, *bus_free, *resident,
+        *set_count, *set_of, *packed_cache, *getrandbits;
+    long long leaves, levels, top, empty, ways, leaf_bits;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
     DramTiming dram;
     long long z_arr[FASTPATH_MAX_LEVELS];
@@ -407,8 +195,8 @@ typedef struct {
 static int
 parse_ctx(PyObject *ctx, KernelCtx *c)
 {
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 29) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 29 slots");
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 25) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 25 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
@@ -419,36 +207,31 @@ parse_ctx(PyObject *ctx, KernelCtx *c)
     c->slots_cache = CTX(4);
     c->slots_fn = CTX(5);
     c->entries = CTX(6);
-    c->seq_dict = CTX(7);
-    c->by_prefix = CTX(8);
-    c->leaf_table = CTX(11);
-    PyObject *z_list = CTX(12);
-    c->level_used = CTX(13);
-    c->empty_obj = CTX(16);
-    c->bank_ready = CTX(17);
-    c->bank_open_row = CTX(18);
-    c->bus_free = CTX(19);
-    PyObject *dram_params = CTX(20);
-    c->resident = CTX(22);
-    c->set_count = CTX(23);
-    c->set_of = CTX(24);
-    c->packed_cache = CTX(26);
-    c->getrandbits = CTX(27);
+    c->leaf_table = CTX(7);
+    PyObject *z_list = CTX(8);
+    c->level_used = CTX(9);
+    c->empty_obj = CTX(12);
+    c->bank_ready = CTX(13);
+    c->bank_open_row = CTX(14);
+    c->bus_free = CTX(15);
+    PyObject *dram_params = CTX(16);
+    c->resident = CTX(18);
+    c->set_count = CTX(19);
+    c->set_of = CTX(20);
+    c->packed_cache = CTX(22);
+    c->getrandbits = CTX(23);
     c->leaves = PyLong_AsLongLong(c->leaves_obj);
-    c->prefix_shift = PyLong_AsLongLong(CTX(9));
-    c->prefix_levels = PyLong_AsLongLong(CTX(10));
-    c->levels = PyLong_AsLongLong(CTX(14));
-    c->top = PyLong_AsLongLong(CTX(15));
+    c->levels = PyLong_AsLongLong(CTX(10));
+    c->top = PyLong_AsLongLong(CTX(11));
     c->empty = PyLong_AsLongLong(c->empty_obj);
-    long long mode = PyLong_AsLongLong(CTX(21));
-    c->ways = PyLong_AsLongLong(CTX(25));
-    c->leaf_bits = PyLong_AsLongLong(CTX(28));
+    long long mode = PyLong_AsLongLong(CTX(17));
+    c->ways = PyLong_AsLongLong(CTX(21));
+    c->leaf_bits = PyLong_AsLongLong(CTX(24));
 #undef CTX
     if (PyErr_Occurred())
         return -1;
     if (!PyDict_Check(c->triples_cache) || !PyDict_Check(c->slots_cache) ||
-        !PyDict_Check(c->entries) || !PyDict_Check(c->seq_dict) ||
-        !PyDict_Check(c->by_prefix) || !PyList_Check(c->leaf_table) ||
+        !PyDict_Check(c->entries) || !PyList_Check(c->leaf_table) ||
         !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
         !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
         !PyList_Check(c->bus_free) || !PyDict_Check(c->packed_cache) ||
@@ -572,15 +355,14 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
 }
 
 /* run_batch's empty-stash fastpath buffer: blocks read off the path
- * bypass the stash dicts and are kept here in read order, with their
- * pre-assigned sequence numbers, leaves and path depths.  ``items`` has
- * room for 4 * cap entries — the upper three quarters are place_pools
- * scratch.  Every ``items[i].block`` in [0, n) holds a strong reference.
+ * bypass the stash dict and are kept here in read order, with their
+ * leaves and path depths.  ``items`` has room for 4 * cap entries — the
+ * upper three quarters are place_pools scratch.  Every
+ * ``items[i].block`` in [0, n) holds a strong reference.
  */
 typedef struct {
     PoolItem *items;
     PyObject **leaf_obj;  /* borrowed from the leaf table */
-    long long *leaf;
     long long *depth;
     unsigned char *placed;
     Py_ssize_t counts[FASTPATH_MAX_LEVELS];
@@ -591,19 +373,16 @@ typedef struct {
  * run_batch: clear every real block off the path ``pairs`` to ``leaf``,
  * release its tree-top entry when it sat in a cached level (S-Stash
  * removal in mode 1, a bare count in mode 0), and move it into the
- * stash under the next sequence number — into the dict index, or into
- * ``rb`` when it is non-NULL.  The level ``served`` was read from goes
- * to ``*served_level``.  Mirrors ORAMTree.read_and_clear plus the
- * per-block loop of PathORAMController._service_path.  Returns 0, or -1
- * with an exception set (blocks already in ``rb`` stay for the caller
- * to release).
+ * stash — the end of the entries dict, or ``rb`` when it is non-NULL.
+ * The level ``served`` was read from goes to ``*served_level``.  Mirrors
+ * ORAMTree.read_and_clear plus the per-block loop of
+ * PathORAMController._service_path.  Returns 0, or -1 with an exception
+ * set (blocks already in ``rb`` stay for the caller to release).
  */
 static int
-read_path_core(KernelCtx *c, long long leaf, PyObject *pairs,
-               long long *next_seq, ReadBuf *rb, long long served,
-               long long *served_level)
+read_path_core(KernelCtx *c, long long leaf, PyObject *pairs, ReadBuf *rb,
+               long long served, long long *served_level)
 {
-    long long tprefix = leaf >> c->prefix_shift;
     Py_ssize_t table_size = PyList_GET_SIZE(c->leaf_table);
     Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
     for (Py_ssize_t p = 0; p < n_pairs; p++) {
@@ -661,31 +440,22 @@ read_path_core(KernelCtx *c, long long leaf, PyObject *pairs,
                 }
             }
             if (rb == NULL) {
-                int rc = stash_add_one(c->entries, c->seq_dict,
-                                       c->by_prefix, c->prefix_shift, block,
-                                       bleaf_obj, bleaf, next_seq);
+                int rc = PyDict_SetItem(c->entries, block, bleaf_obj);
                 Py_DECREF(block);
                 if (rc < 0)
                     return -1;
                 continue;
             }
-            long long bprefix = bleaf >> c->prefix_shift;
-            long long depth = (bprefix == tprefix)
-                ? (c->levels - 1) -
-                      bit_length((unsigned long long)(leaf ^ bleaf))
-                : c->prefix_levels -
-                      bit_length((unsigned long long)(bprefix ^ tprefix));
-            if (rb->n >= rb->cap || depth < 0 || depth >= c->levels) {
+            long long depth = deepest_level(c->levels, leaf, bleaf);
+            if (rb->n >= rb->cap || depth < 0) {
                 PyErr_SetString(PyExc_RuntimeError, "path read overflow");
                 Py_DECREF(block);
                 return -1;
             }
             Py_ssize_t i = rb->n++;
-            rb->items[i].seq = (*next_seq)++;
             rb->items[i].block = block;  /* keep the strong ref */
             rb->items[i].idx = i;
             rb->leaf_obj[i] = bleaf_obj;
-            rb->leaf[i] = bleaf;
             rb->depth[i] = depth;
             rb->counts[depth]++;
         }
@@ -697,100 +467,49 @@ read_path_core(KernelCtx *c, long long leaf, PyObject *pairs,
 /* Write phase                                                       */
 /* ---------------------------------------------------------------- */
 
-/* Depth-bucket every stash block for the path to `leaf` via the prefix
- * index: blocks sharing the target prefix get an exact XOR/bit-length
- * depth, diverging prefix buckets land wholesale at the prefix divergence
- * depth.  Fills `items` (capacity >= len(entries)) segmented by depth
- * (counts/offsets, length `levels`), each segment sorted by stash
- * insertion sequence.  Mirrors Stash.path_pools.  Returns 0, or -1 with
- * an exception set.
+/* Depth-bucket every stash block for the path to ``leaf`` with a
+ * two-pass counting sort over the entries dict: count per depth, then
+ * scatter.  Fills ``items`` (capacity >= len(entries)) segmented by
+ * depth (counts/offsets, length ``levels``); each segment keeps stash
+ * order.  Mirrors Stash.path_pools.  Returns 0, or -1 with an exception
+ * set.
  */
 static int
 group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
                Py_ssize_t *counts, Py_ssize_t *offsets)
 {
-    long long levels = c->levels;
-    long long base = levels - 1;
-    long long target_prefix = leaf >> c->prefix_shift;
     Py_ssize_t fill[FASTPATH_MAX_LEVELS];
-    PyObject *prefix_obj, *bucket;
+    PyObject *block, *leaf_obj;
     Py_ssize_t pos = 0;
 
-    memset(counts, 0, sizeof(Py_ssize_t) * (size_t)levels);
-    /* count per depth */
-    while (PyDict_Next(c->by_prefix, &pos, &prefix_obj, &bucket)) {
-        long long prefix = PyLong_AsLongLong(prefix_obj);
-        if (prefix == -1 && PyErr_Occurred())
+    memset(counts, 0, sizeof(Py_ssize_t) * (size_t)c->levels);
+    while (PyDict_Next(c->entries, &pos, &block, &leaf_obj)) {
+        long long block_leaf = PyLong_AsLongLong(leaf_obj);
+        if (block_leaf == -1 && PyErr_Occurred())
             return -1;
-        if (prefix == target_prefix) {
-            PyObject *seq_obj, *block;
-            Py_ssize_t bpos = 0;
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                PyObject *leaf_obj = PyDict_GetItem(c->entries, block);
-                if (leaf_obj == NULL) {
-                    PyErr_SetString(PyExc_KeyError,
-                                    "stash index out of sync");
-                    return -1;
-                }
-                long long block_leaf = PyLong_AsLongLong(leaf_obj);
-                if (block_leaf == -1 && PyErr_Occurred())
-                    return -1;
-                long long depth =
-                    base - bit_length(
-                        (unsigned long long)(leaf ^ block_leaf));
-                counts[depth]++;
-            }
-        } else {
-            long long depth =
-                c->prefix_levels - bit_length(
-                    (unsigned long long)(prefix ^ target_prefix));
-            counts[depth] += PyDict_GET_SIZE(bucket);
+        long long depth = deepest_level(c->levels, leaf, block_leaf);
+        if (depth < 0) {
+            PyErr_SetString(PyExc_ValueError, "stash leaf outside the tree");
+            return -1;
         }
+        counts[depth]++;
     }
     offsets[0] = 0;
-    for (long long d = 1; d < levels; d++)
+    for (long long d = 1; d < c->levels; d++)
         offsets[d] = offsets[d - 1] + counts[d - 1];
-    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)levels);
-    /* fill */
+    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c->levels);
     pos = 0;
-    while (PyDict_Next(c->by_prefix, &pos, &prefix_obj, &bucket)) {
-        long long prefix = PyLong_AsLongLong(prefix_obj);
-        PyObject *seq_obj, *block;
-        Py_ssize_t bpos = 0;
-        if (prefix == target_prefix) {
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                long long block_leaf = PyLong_AsLongLong(
-                    PyDict_GetItem(c->entries, block));
-                long long depth =
-                    base - bit_length(
-                        (unsigned long long)(leaf ^ block_leaf));
-                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
-                items[fill[depth]].block = block;
-                fill[depth]++;
-            }
-        } else {
-            long long depth =
-                c->prefix_levels - bit_length(
-                    (unsigned long long)(prefix ^ target_prefix));
-            while (PyDict_Next(bucket, &bpos, &seq_obj, &block)) {
-                items[fill[depth]].seq = PyLong_AsLongLong(seq_obj);
-                items[fill[depth]].block = block;
-                fill[depth]++;
-            }
-        }
+    while (PyDict_Next(c->entries, &pos, &block, &leaf_obj)) {
+        long long depth =
+            deepest_level(c->levels, leaf, PyLong_AsLongLong(leaf_obj));
+        items[fill[depth]++].block = block;
     }
-    if (PyErr_Occurred())
-        return -1;
-    for (long long d = 0; d < levels; d++)
-        if (counts[d] > 1)
-            qsort(items + offsets[d], (size_t)counts[d],
-                  sizeof(PoolItem), pool_item_cmp);
     return 0;
 }
 
 /* The shared placement engine behind write_path_place and run_batch:
  * greedy bottom-up placement over ``items`` already segmented by depth
- * (counts/offsets, each segment sorted by sequence).  ``items`` must
+ * (counts/offsets, each segment in stash order).  ``items`` must
  * have capacity 3*total — the upper two thirds are scratch for the
  * pool stack and the per-level rejection list.
  *
@@ -802,8 +521,8 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
  * ``pool.extend(rejected)``.  Counter deltas accumulate into the ctx.
  *
  * With ``placed_out`` NULL each placed block is removed from the stash
- * index as it lands; the array-mode caller (whose blocks never entered
- * the dicts) passes ``placed_out`` and gets ``placed_out[item.idx]``
+ * dict as it lands; the array-mode caller (whose blocks never entered
+ * the dict) passes ``placed_out`` and gets ``placed_out[item.idx]``
  * marked so survivors can be written back afterwards.
  */
 static int
@@ -921,11 +640,11 @@ place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
             } else if (level < c->top) {
                 c->placed_top++;
             }
+            /* The slot now holds a reference, so dropping the dict's
+             * cannot free ``block``. */
             if (placed_out != NULL)
                 placed_out[item.idx] = 1;
-            else if (stash_remove_indexed(c->entries, c->seq_dict,
-                                          c->by_prefix, c->prefix_shift,
-                                          block) < 0)
+            else if (PyDict_DelItem(c->entries, block) < 0)
                 return -1;
         }
         /* Re-stack rejected blocks in rejection order: the next pop
@@ -937,9 +656,9 @@ place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
     return 0;
 }
 
-/* Dict-backed placement: depth-bucket the whole stash via the prefix
- * index, then run the shared engine with placed blocks removed from
- * the stash index as they land.
+/* Dict-backed placement: depth-bucket the whole stash, then run the
+ * shared engine with placed blocks removed from the stash dict as they
+ * land.
  */
 static int
 write_place_core(KernelCtx *c, long long leaf, PyObject *path_slots)
@@ -966,22 +685,21 @@ write_place_core(KernelCtx *c, long long leaf, PyObject *path_slots)
 /* Per-access entry points                                           */
 /* ---------------------------------------------------------------- */
 
-/* read_path(ctx, leaf, next_seq, served)
- *   -> (next_seq, removed_top, sstash_removed, served_level)
+/* read_path(ctx, leaf, served)
+ *   -> (removed_top, sstash_removed, served_level)
  *
  * The read phase of one path access through read_path_core: every real
- * block on the path to ``leaf`` moves into the stash dicts, starting at
- * sequence number ``next_seq``, and cached-top blocks leave the tree-top
- * structure.  ``served_level`` is the level ``served`` (a block, or
- * None) was read from, -1 when it was not on the path.
+ * block on the path to ``leaf`` moves into the stash dict, and
+ * cached-top blocks leave the tree-top structure.  ``served_level`` is
+ * the level ``served`` (a block, or None) was read from, -1 when it was
+ * not on the path.
  */
 static PyObject *
 read_path(PyObject *self, PyObject *args)
 {
     PyObject *ctx, *leaf_obj, *served_obj;
-    long long next_seq;
-    if (!PyArg_ParseTuple(args, "OO!LO", &ctx, &PyLong_Type, &leaf_obj,
-                          &next_seq, &served_obj))
+    if (!PyArg_ParseTuple(args, "OO!O", &ctx, &PyLong_Type, &leaf_obj,
+                          &served_obj))
         return NULL;
     KernelCtx c;
     if (parse_ctx(ctx, &c) < 0)
@@ -995,21 +713,19 @@ read_path(PyObject *self, PyObject *args)
     if (pairs == NULL)
         return NULL;
     long long served_level = -1;
-    int rc = read_path_core(&c, leaf, pairs, &next_seq, NULL, served,
-                            &served_level);
+    int rc = read_path_core(&c, leaf, pairs, NULL, served, &served_level);
     Py_DECREF(pairs);
     if (rc < 0 || store_used(&c) < 0)
         return NULL;
-    return Py_BuildValue("LLLL", next_seq, c.removed_top, c.ss_removed,
-                         served_level);
+    return Py_BuildValue("LLL", c.removed_top, c.ss_removed, served_level);
 }
 
 /* write_path_place(ctx, leaf) -> (placed_top, sstash_placed, sstash_skips)
  *
  * The full greedy bottom-up write phase of one path access: group every
- * stash block by deepest eligible level via the leaf-prefix index, then
- * fill bucket slots deepest-first through place_pools, removing placed
- * blocks from the stash.  In S-Stash mode placements into the cached
+ * stash block by deepest eligible level, then fill bucket slots
+ * deepest-first through place_pools, removing placed blocks from the
+ * stash.  In S-Stash mode placements into the cached
  * top are gated on the block's set having a free way.  Mirrors the
  * Python placement loop in PathORAMController._place_path.
  */
@@ -1237,11 +953,9 @@ pack_triples_entry(PyObject *self, PyObject *args)
 }
 
 
-/* run_batch(ctx, now, next_seq, interval, max_paths, horizon,
- *           stop_threshold, trigger_threshold, want_bounds,
- *           collect_timing)
- *   -> (n, now, next_seq, max_occupancy, bounds | None, agg,
- *       timings | None)
+/* run_batch(ctx, now, interval, max_paths, horizon, stop_threshold,
+ *           trigger_threshold, want_bounds, collect_timing)
+ *   -> (n, now, max_occupancy, bounds | None, agg, timings | None)
  *
  * Execute up to ``max_paths`` whole dummy-path accesses — RNG leaf draw,
  * read-phase DRAM timing, the read phase through read_path_core, greedy
@@ -1271,14 +985,13 @@ static PyObject *
 run_batch(PyObject *self, PyObject *args)
 {
     PyObject *ctx;
-    long long now, next_seq, interval, max_paths, horizon, stop_threshold,
+    long long now, interval, max_paths, horizon, stop_threshold,
         trigger_threshold;
     int want_bounds, collect_timing;
-    if (!PyArg_ParseTuple(args, "OLLLLLLLpp",
-                          &ctx, &now, &next_seq, &interval,
-                          &max_paths, &horizon, &stop_threshold,
-                          &trigger_threshold, &want_bounds,
-                          &collect_timing))
+    if (!PyArg_ParseTuple(args, "OLLLLLLpp",
+                          &ctx, &now, &interval, &max_paths, &horizon,
+                          &stop_threshold, &trigger_threshold,
+                          &want_bounds, &collect_timing))
         return NULL;
     KernelCtx c;
     if (parse_ctx(ctx, &c) < 0)
@@ -1332,13 +1045,12 @@ run_batch(PyObject *self, PyObject *args)
 
     /* Empty-stash array fastpath: when a path begins with an empty stash
      * (the steady state for dummy-path batches), read blocks skip the
-     * stash dicts entirely — they are collected in read order into a
-     * ReadBuf, depth-bucketed with group_by_depth's exact XOR/bit-length
-     * rule, placed through the shared engine, and only the rare
-     * survivors are inserted into the dict index afterwards with their
-     * pre-assigned sequence numbers.  Both modes order each depth pool
-     * by ascending sequence and keep survivors in read (= sequence)
-     * order, so the resulting state is identical.
+     * stash dict entirely — they are collected in read order into a
+     * ReadBuf, depth-bucketed with group_by_depth's XOR/bit-length rule,
+     * placed through the shared engine, and only the rare survivors
+     * enter the dict afterwards, in read order.  In dict mode the same
+     * blocks would enter an empty dict in read order too, so both modes
+     * see the same pools and leave the same stash.
      */
     long long max_slots = 0;
     for (long long d = 0; d < c.levels; d++)
@@ -1347,7 +1059,7 @@ run_batch(PyObject *self, PyObject *args)
     memset(&rb, 0, sizeof rb);
     if (max_slots > 0) {
         size_t bytes = (sizeof(PoolItem) * 4 + sizeof(PyObject *) +
-                        sizeof(long long) * 2 + 1) * (size_t)max_slots;
+                        sizeof(long long) + 1) * (size_t)max_slots;
         rb.items = PyMem_Malloc(bytes);
         if (rb.items == NULL) {
             PyMem_Free(bank_state);
@@ -1356,8 +1068,7 @@ run_batch(PyObject *self, PyObject *args)
             return PyErr_NoMemory();
         }
         rb.leaf_obj = (PyObject **)(rb.items + 4 * max_slots);
-        rb.leaf = (long long *)(rb.leaf_obj + max_slots);
-        rb.depth = rb.leaf + max_slots;
+        rb.depth = (long long *)(rb.leaf_obj + max_slots);
         rb.placed = (unsigned char *)(rb.depth + max_slots);
         rb.cap = max_slots;
     }
@@ -1474,8 +1185,7 @@ run_batch(PyObject *self, PyObject *args)
         if (pairs == NULL)
             goto path_fail;
         long long served_level;
-        if (read_path_core(&c, leaf, pairs, &next_seq, arr, c.empty,
-                           &served_level) < 0)
+        if (read_path_core(&c, leaf, pairs, arr, c.empty, &served_level) < 0)
             goto path_fail;
         {
             long long occ = arr != NULL
@@ -1495,8 +1205,8 @@ run_batch(PyObject *self, PyObject *args)
             if (write_place_core(&c, leaf, pairs) < 0)
                 goto path_fail;
         } else if (rb.n > 0) {
-            /* Segment the read-order items by depth; read order is
-             * ascending sequence, so each segment stays sorted. */
+            /* Segment the read-order items by depth; each segment keeps
+             * read order. */
             Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
             Py_ssize_t fill[FASTPATH_MAX_LEVELS];
             offsets[0] = 0;
@@ -1510,14 +1220,11 @@ run_batch(PyObject *self, PyObject *args)
             if (place_pools(&c, seg, rb.n, rb.counts, offsets, pairs,
                             rb.placed) < 0)
                 goto path_fail;
-            /* Survivors enter the stash dicts in read order with their
-             * pre-assigned sequence numbers. */
+            /* Survivors enter the stash dict in read order. */
             for (Py_ssize_t i = 0; i < rb.n; i++) {
                 if (!rb.placed[i] &&
-                    stash_insert_with_seq(c.entries, c.seq_dict,
-                                          c.by_prefix, c.prefix_shift,
-                                          rb.items[i].block, rb.leaf_obj[i],
-                                          rb.leaf[i], rb.items[i].seq) < 0)
+                    PyDict_SetItem(c.entries, rb.items[i].block,
+                                   rb.leaf_obj[i]) < 0)
                     goto path_fail;
             }
             for (Py_ssize_t i = 0; i < rb.n; i++)
@@ -1616,7 +1323,7 @@ run_batch(PyObject *self, PyObject *args)
         if (bounds == NULL)
             bounds = Py_NewRef(Py_None);
         return Py_BuildValue(
-            "(LLLLNNN)", n, now, next_seq, max_occ, bounds, agg, timings);
+            "(LLLNNN)", n, now, max_occ, bounds, agg, timings);
     }
 
 fail:

@@ -14,7 +14,10 @@ The simulator's innermost loops have bit-identical C implementations in
 tuple (:func:`kernel_ctx`) and share one read loop and one placement
 engine, for both tree-top modes: the dedicated cache and IR-Stash's
 S-Stash, whose entries the read loop releases and whose set-occupancy
-gate the placement engine applies.  This module
+gate the placement engine applies.  The stash is its ``block -> leaf``
+dict alone: the kernels append read blocks to it, delete placed ones,
+and group write-phase candidates by scanning it in insertion order.
+This module
 compiles them with the system C compiler on first use, caches the shared
 object under ``~/.cache/repro-fastpath/`` keyed by source hash and Python
 ABI, and exposes the loaded module as :data:`fastpath`.
@@ -55,9 +58,8 @@ def _cache_dir() -> str:
 #: in ``_fastpath.c``, which documents each slot.
 CTX_SLOTS = (
     "randrange", "leaves", "triples_cache", "triples_fn", "slots_cache",
-    "slots_fn", "entries", "seq", "by_prefix", "prefix_shift",
-    "prefix_levels", "leaf_table", "z_per_level", "level_used", "levels",
-    "top", "empty", "bank_ready", "bank_open_row", "bus_free",
+    "slots_fn", "entries", "leaf_table", "z_per_level", "level_used",
+    "levels", "top", "empty", "bank_ready", "bank_open_row", "bus_free",
     "dram_params", "treetop_mode", "resident", "set_count", "set_of",
     "ways", "packed", "getrandbits", "leaf_bits",
 )
@@ -86,12 +88,11 @@ def _self_test(module) -> bool:
         return False
 
     def ctx(**slots):
-        # A 3-level tree with Z=1, prefix shift 0, one DRAM bank, no
-        # tree-top cache; each case overrides what it exercises.
+        # A 3-level tree with Z=1, one DRAM bank, no tree-top cache; each
+        # case overrides what it exercises.
         base = dict(
             randrange=None, leaves=4, triples_cache={}, triples_fn=None,
-            slots_cache={}, slots_fn=None, entries={}, seq={},
-            by_prefix={}, prefix_shift=0, prefix_levels=2, leaf_table=[],
+            slots_cache={}, slots_fn=None, entries={}, leaf_table=[],
             z_per_level=[1, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
             dram_params=(1, 4, 3, 2, 5), treetop_mode=0, resident=None,
@@ -103,10 +104,10 @@ def _self_test(module) -> bool:
 
     # S-Stash read phase: level 0 is cached and block 3 (leaf 2) sits
     # there, resident in set 1; block 5 (leaf 1) sits at the bottom of
-    # leaf 1's path and is the served block.  Both enter the stash with
-    # sequence numbers 4 and 5; block 3 releases its S-Stash entry.
+    # leaf 1's path and is the served block.  Both enter the stash in
+    # read order; block 3 releases its S-Stash entry.
     path_slots = [(0, [3]), (1, [-1]), (2, [5])]
-    entries, seq, by_prefix = {}, {}, {}
+    entries = {}
     level_used = [1, 0, 1]
     resident = {3: 1, 8: 0}
     set_count = {1: 1, 0: 1}
@@ -114,17 +115,15 @@ def _self_test(module) -> bool:
     leaf_table[3] = 2
     leaf_table[5] = 1
     read_ctx = ctx(
-        slots_cache={1: path_slots}, entries=entries, seq=seq,
-        by_prefix=by_prefix, leaf_table=leaf_table, level_used=level_used,
-        top=1, treetop_mode=1, resident=resident, set_count=set_count,
+        slots_cache={1: path_slots}, entries=entries,
+        leaf_table=leaf_table, level_used=level_used, top=1,
+        treetop_mode=1, resident=resident, set_count=set_count,
         set_of=lambda block: block & 1, ways=2,
     )
-    if module.read_path(read_ctx, 1, 4, 5) != (6, 0, 1, 2):
+    if module.read_path(read_ctx, 1, 5) != (0, 1, 2):
         return False
     if not (
-        entries == {3: 2, 5: 1}
-        and seq == {3: 4, 5: 5}
-        and by_prefix == {2: {4: 3}, 1: {5: 5}}
+        list(entries.items()) == [(3, 2), (5, 1)]
         and resident == {8: 0}
         and set_count == {0: 1}
         and path_slots == [(0, [-1]), (1, [-1]), (2, [-1])]
@@ -132,28 +131,41 @@ def _self_test(module) -> bool:
     ):
         return False
     # The path is empty now: nothing moves and block 7 is not found.
-    if module.read_path(read_ctx, 1, 6, 7) != (6, 0, 0, -1):
+    if module.read_path(read_ctx, 1, 7) != (0, 0, -1):
         return False
 
     # Write-phase placement, dedicated tree-top mode, target leaf 1.
     # Block 5 (leaf 1) belongs at the bottom, block 9 (leaf 3) diverges
     # at the root; both place and leave the stash empty.
     entries = {5: 1, 9: 3}
-    seq = {5: 0, 9: 1}
-    by_prefix = {1: {0: 5}, 3: {1: 9}}
     path_slots = [(0, [-1]), (1, [-1]), (2, [-1])]
     level_used = [0, 0, 0]
     counts = module.write_path_place(ctx(
-        slots_cache={1: path_slots}, entries=entries, seq=seq,
-        by_prefix=by_prefix, level_used=level_used,
+        slots_cache={1: path_slots}, entries=entries, level_used=level_used,
     ), 1)
     if not (
         counts == (0, 0, 0)
         and entries == {}
-        and seq == {}
-        and by_prefix == {}
         and path_slots == [(0, [9]), (1, [-1]), (2, [5])]
         and level_used == [1, 0, 1]
+    ):
+        return False
+
+    # Pool order is stash order: blocks 9 and then 4 (both leaf 3)
+    # diverge from leaf 0's path at the root, its one free slot.  The
+    # pool is a stack, so the last-inserted block 4 places and block 9
+    # stays; a kernel that orders the pool any other way places 9.
+    entries = {9: 3, 4: 3}
+    path_slots = [(0, [-1]), (1, [6]), (2, [7])]
+    level_used = [0, 1, 1]
+    counts = module.write_path_place(ctx(
+        slots_cache={0: path_slots}, entries=entries, level_used=level_used,
+    ), 0)
+    if not (
+        counts == (0, 0, 0)
+        and entries == {9: 3}
+        and path_slots == [(0, [4]), (1, [6]), (2, [7])]
+        and level_used == [1, 1, 1]
     ):
         return False
 
@@ -164,23 +176,19 @@ def _self_test(module) -> bool:
     # block 3 (leaf 2, odd set) takes the first slot and block 2 is
     # skipped again, so it stays in the stash.
     entries = {2: 1, 3: 2, 5: 0}
-    seq = {2: 0, 3: 1, 5: 2}
-    by_prefix = {1: {0: 2}, 2: {1: 3}, 0: {2: 5}}
     path_slots = [(0, [-1, -1]), (1, [-1]), (2, [-1])]
     level_used = [0, 0, 0]
     resident = {8: 0}
     set_count = {0: 1}
     counts = module.write_path_place(ctx(
-        slots_cache={0: path_slots}, entries=entries, seq=seq,
-        by_prefix=by_prefix, z_per_level=[2, 1, 1], level_used=level_used,
-        top=2, treetop_mode=1, resident=resident, set_count=set_count,
+        slots_cache={0: path_slots}, entries=entries,
+        z_per_level=[2, 1, 1], level_used=level_used, top=2,
+        treetop_mode=1, resident=resident, set_count=set_count,
         set_of=lambda block: block & 1, ways=1,
     ), 0)
     if not (
         counts == (0, 1, 2)
         and entries == {2: 1}
-        and seq == {2: 0}
-        and by_prefix == {1: {0: 2}}
         and path_slots == [(0, [3, -1]), (1, [-1]), (2, [5])]
         and level_used == [1, 0, 1]
         and resident == {8: 0, 3: 1}
@@ -200,7 +208,7 @@ def _self_test(module) -> bool:
     # (activate 3 + two row-hit bursts), write finishes at 17, and the
     # block is placed back at the root (diverges from its leaf at level
     # 1), leaving the stash empty again.
-    entries, seq, by_prefix, packed = {}, {}, {}, {}
+    entries, packed = {}, {}
     level_used = [1, 0]
     ready = [0]
     open_row = [-1]
@@ -210,13 +218,12 @@ def _self_test(module) -> bool:
         randrange=lambda n: 1, leaves=2,
         triples_cache={1: ([0, 0, 7, 0, 0, 7], 2)},
         slots_cache={1: [(0, slots0), (1, [-1])]},
-        entries=entries, seq=seq, by_prefix=by_prefix, prefix_levels=1,
-        leaf_table=[-1, -1, -1, 0], z_per_level=[1, 1],
+        entries=entries, leaf_table=[-1, -1, -1, 0], z_per_level=[1, 1],
         level_used=level_used, levels=2, bank_ready=ready,
         bank_open_row=open_row, bus_free=bus_free, packed=packed,
     )
-    result = module.run_batch(batch_ctx, 0, 0, 0, 1, -1, -1, 10, 1, 0)
-    if result != (1, 17, 1, 1, [0, 10, 17],
+    result = module.run_batch(batch_ctx, 0, 0, 1, -1, -1, 10, 1, 0)
+    if result != (1, 17, 1, [0, 10, 17],
                   (2, 3, 0, 0, 0, 0, 0, 0, 0), None):
         return False
     if packed.get(1) != struct.pack("=7q", 2, 0, 0, 7, 0, 0, 7):
@@ -225,8 +232,6 @@ def _self_test(module) -> bool:
         return False
     return (
         entries == {}
-        and seq == {}
-        and by_prefix == {}
         and slots0 == [3]
         and level_used == [1, 0]
         and ready == [14]

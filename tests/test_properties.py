@@ -155,23 +155,42 @@ class TestStashProperties:
     @common_settings
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 255)),
+            st.tuples(st.booleans(), st.integers(0, 30), st.integers(0, 255)),
             min_size=1,
             max_size=80,
-        )
+        ),
+        targets=st.lists(st.integers(0, 255), min_size=1, max_size=4),
     )
-    def test_add_remove_consistency(self, ops):
+    def test_add_remove_consistency(self, ops, targets):
         stash = Stash(1000)
         model = {}
-        for block, leaf in ops:
-            if block in model:
+        order = []
+        for remap, block, leaf in ops:
+            if block in model and remap:
+                # A re-map to any 8-bit leaf, usually in another subtree.
+                stash.update_leaf(block, leaf)
+                model[block] = leaf
+            elif block in model:
                 assert stash.remove(block) == model.pop(block)
+                order.remove(block)
             else:
                 stash.add(block, leaf)
                 model[block] = leaf
+                order.append(block)
         assert len(stash) == len(model)
         for block, leaf in model.items():
             assert stash.leaf_of(block) == leaf
+        # Survivors iterate in first-insertion order; a re-map keeps the
+        # block's place.
+        assert stash.blocks() == order
+        assert [block for block, _ in stash.items()] == order
+        tree = ORAMTree(make_oram(levels=9, top=3))
+        for target in targets:
+            reference = [[] for _ in range(9)]
+            for block, leaf in stash.items():
+                depth = tree.deepest_common_level(target, leaf)
+                reference[depth].append(block)
+            assert stash.path_pools(target, 9) == reference
 
 
 class TestNamespaceProperties:

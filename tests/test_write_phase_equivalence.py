@@ -1,6 +1,6 @@
 """Seed-sweep equivalence: optimized hot paths vs the reference write phase.
 
-The optimized write phase (leaf-prefix stash index + optional C kernels)
+The optimized write phase (in-order stash grouping + optional C kernels)
 must be *bit-identical* to the retained reference implementation
 (``PathORAMController._write_path_reference``): same cycles, same path
 counts, same counters, for any seed.  These tests run whole simulations
