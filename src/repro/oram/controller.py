@@ -102,6 +102,9 @@ class PathORAMController:
     #: so batches fall back to per-slot stepping through their overrides.
     SUPPORTS_NATIVE_BATCH = True
 
+    #: leaves whose DRAM triples ``_path_dram`` holds at once (FIFO)
+    PATH_CACHE_LIMIT = 1 << 16
+
     def __init__(
         self,
         config: SystemConfig,
@@ -395,13 +398,11 @@ class PathORAMController:
 
     def _find_in_treetop(self, block: int, leaf: int) -> Optional[Tuple[int, int]]:
         """Locate ``block`` in the cached-top portion of its path."""
-        top = self.oram.top_cached_levels
-        shift = self.oram.levels - 1
-        for level, slots in self.tree.path_slots(leaf):
-            if level >= top:
-                break
-            if block in slots:
-                return level, leaf >> (shift - level)
+        tree = self.tree
+        for level in range(self.oram.top_cached_levels):
+            position = tree.path_position(leaf, level)
+            if block in tree.bucket(level, position):
+                return level, position
         return None
 
     def _remove_from_treetop(self, block: int) -> None:
@@ -410,10 +411,7 @@ class PathORAMController:
         location = self._find_in_treetop(block, leaf)
         if location is None:
             raise ProtocolError(f"block {block} vanished from tree top")
-        level, position = location
-        slots = self.tree.bucket(level, position)
-        slots[slots.index(block)] = EMPTY
-        self.tree.level_used[level] -= 1
+        self.tree.remove(*location, block)
         self.treetop.on_remove(block)
 
     def _finish_reinsert(self, request: Request, now: int) -> None:
@@ -501,10 +499,7 @@ class PathORAMController:
         location = self._find_in_treetop(pm_block, leaf)
         if location is None:
             return
-        level, position = location
-        slots = self.tree.bucket(level, position)
-        slots[slots.index(pm_block)] = EMPTY
-        self.tree.level_used[level] -= 1
+        self.tree.remove(*location, pm_block)
         self.treetop.on_remove(pm_block)
         self.posmap.discard(pm_block)
         self._fill_plb(pm_block)
@@ -632,7 +627,7 @@ class PathORAMController:
                     self.dram.decompose_batch(addresses),
                     len(addresses),
                 )
-            if len(self._path_dram) >= ORAMTree.PATH_CACHE_LIMIT:
+            if len(self._path_dram) >= self.PATH_CACHE_LIMIT:
                 # FIFO eviction: drop the oldest entry (dicts preserve
                 # insertion order) so hot leaves survive cache pressure
                 # instead of being wiped with everything else.
@@ -643,17 +638,16 @@ class PathORAMController:
     def warm_path_caches(self, limit: Optional[int] = None) -> int:
         """Precompute the per-leaf memoization caches; returns leaves warmed.
 
-        Fills the path-slot cache (:meth:`ORAMTree.path_slots`) and the
-        DRAM-triple cache (:meth:`_path_dram_triples`) for up to ``limit``
-        leaves (default: as many as fit under the cache cap).  This is
-        pure address-geometry work — no protocol state (stash, tree
-        contents, RNG, DRAM banks) is touched — so warming never changes
-        simulated cycles; it only moves the one-time decomposition cost
-        out of latency-sensitive regions such as benchmark loops.
+        Fills the DRAM-triple cache (:meth:`_path_dram_triples`) and the
+        kernel's packed mirror of it for up to ``limit`` leaves (default:
+        as many as fit under the cache cap).  This is pure
+        address-geometry work — no protocol state (stash, tree contents,
+        RNG, DRAM banks) is touched — so warming never changes simulated
+        cycles; it only moves the one-time decomposition cost out of
+        latency-sensitive regions such as benchmark loops.
         """
-        cap = ORAMTree.PATH_CACHE_LIMIT if limit is None else limit
+        cap = self.PATH_CACHE_LIMIT if limit is None else limit
         count = min(self.oram.leaves, cap)
-        path_slots = self.tree.path_slots
         triples = self._path_dram_triples
         native = self._native
         pack = native.pack_triples if native is not None else None
@@ -661,7 +655,6 @@ class PathORAMController:
         n_banks = len(self.dram.bank_ready)
         n_channels = len(self.dram.bus_free)
         for leaf in range(count):
-            path_slots(leaf)
             entry = triples(leaf)
             if pack is not None and leaf not in packed:
                 packed[leaf] = pack(entry, n_banks, n_channels)
@@ -703,8 +696,8 @@ class PathORAMController:
         path for either tree-top mode.  The Python loop below serves
         kernel-less runs and Fig. 5's ``track_migration``, which classifies
         each placement: eviction candidates come grouped by deepest
-        eligible level (:meth:`Stash.path_pools`), and bucket slots are
-        filled directly.
+        eligible level (:meth:`Stash.path_pools`) and land through
+        :meth:`ORAMTree.place`.
         """
         oram = self.oram
         levels = oram.levels
@@ -714,7 +707,6 @@ class PathORAMController:
         treetop = self.treetop
         stats = self.stats
         z_per_level = oram.z_per_level
-        level_used = tree.level_used
         track = self.track_migration and preexisting is not None
 
         if self._native is not None and not track:
@@ -736,8 +728,6 @@ class PathORAMController:
                 counters[sk.SSTASH_PLACEMENT_SKIPS] += ss_skips
             return
 
-        path_slots = tree.path_slots(leaf)
-        slot_idx = len(path_slots) - 1
         pools = self.stash.path_pools(leaf, levels)
         pool: List[int] = []
         for level in range(levels - 1, -1, -1):
@@ -745,12 +735,9 @@ class PathORAMController:
             if sub:
                 pool.extend(sub)
             z = z_per_level[level]
-            if z == 0:
+            if z == 0 or not pool:
                 continue
-            slots = path_slots[slot_idx][1]
-            slot_idx -= 1
-            if not pool:
-                continue
+            position = tree.path_position(leaf, level)
             gated = level < top
             rejected: Optional[List[int]] = None
             placed = 0
@@ -762,14 +749,8 @@ class PathORAMController:
                     rejected.append(block)
                     stats.inc(sk.SSTASH_PLACEMENT_SKIPS)
                     continue
-                try:
-                    free = slots.index(EMPTY)
-                except ValueError:
-                    raise ProtocolError(
-                        "bucket full during write phase"
-                    ) from None
-                slots[free] = block
-                level_used[level] += 1
+                if not tree.place(level, position, block):
+                    raise ProtocolError("bucket full during write phase")
                 if gated:
                     treetop.on_place(block)
                 stash_remove(block)
@@ -1094,10 +1075,9 @@ class PathORAMController:
             leaves=self.oram.leaves,
             triples_cache=self._path_dram,
             triples_fn=self._path_dram_triples,
-            slots_cache=self.tree._path_slots_cache,
-            slots_fn=self.tree.path_slots,
             entries=self.stash._entries,
             leaf_table=self.posmap._leaf_of,
+            tree_slots=self.tree._slots,
             z_per_level=self._z_list,
             level_used=self.tree.level_used,
             levels=self.oram.levels,

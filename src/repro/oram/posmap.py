@@ -1,7 +1,8 @@
 """The position map: block-to-leaf assignments for the merged namespace.
 
 Logically this is three recursive tables (Freecursive); physically we hold
-one flat array of leaf assignments for every block in the namespace — the
+one flat ``array('q')`` of leaf assignments for every block in the namespace
+(the C kernels read it through the buffer protocol) — the
 *content* of PosMap1/2/3 — while the *access cost* of consulting the
 mappings is modeled by the PLB and the controller's recursion (fetching
 PosMap1/PosMap2 blocks through full ORAM path accesses).
@@ -14,7 +15,7 @@ re-established when the LLC evicts it.
 from __future__ import annotations
 
 import random
-from typing import List
+from array import array
 
 from ..errors import ProtocolError
 from .types import Namespace
@@ -30,9 +31,9 @@ class PositionMap:
         self.namespace = namespace
         self.leaves = leaves
         self._rng = rng
-        self._leaf_of: List[int] = [
-            rng.randrange(leaves) for _ in range(namespace.total_blocks)
-        ]
+        self._leaf_of = array(
+            "q", (rng.randrange(leaves) for _ in range(namespace.total_blocks))
+        )
         self.remap_count = 0
 
     def leaf_of(self, block: int) -> int:

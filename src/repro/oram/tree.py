@@ -12,7 +12,8 @@ meaning the level holds no memory-backed slots at all.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Iterable, List, Tuple
 
 from ..config import ORAMConfig
 from ..errors import ProtocolError
@@ -24,16 +25,14 @@ EMPTY = -1
 class ORAMTree:
     """Binary tree of buckets addressed by ``(level, position)``.
 
-    Buckets are stored in heap order (``index = (1 << level) - 1 + pos``)
-    in a dense list for trees up to :data:`DENSE_LEVEL_LIMIT` levels and in
-    a lazily populated dict beyond that (so paper-scale L=25 configurations
-    remain constructible).
+    Every slot lives in one flat ``array('q')``, level by level: level
+    ``l`` holds ``z_per_level[l] << l`` consecutive slots from
+    ``offset[l]``, and the bucket at ``position`` is the
+    ``z_per_level[l]`` slots from ``offset[l] + position * z_per_level[l]``.
+    A level with z = 0 takes no slots.  The C kernels index the same
+    array through the buffer protocol; Python callers go through the slot
+    methods below, which never hand out a view of it.
     """
-
-    DENSE_LEVEL_LIMIT = 21
-
-    #: paths whose (level, slots) sequences are memoized at once
-    PATH_CACHE_LIMIT = 1 << 16
 
     def __init__(self, config: ORAMConfig) -> None:
         self.config = config
@@ -43,41 +42,30 @@ class ORAMTree:
         self.level_slots: List[int] = [
             z << level for level, z in enumerate(self.z_per_level)
         ]
-        self._dense = self.levels <= self.DENSE_LEVEL_LIMIT
-        if self._dense:
-            self._buckets: List[Optional[List[int]]] = [None] * (
-                (1 << self.levels) - 1
-            )
-        else:
-            self._sparse: Dict[int, List[int]] = {}
-        #: leaf -> [(level, slots), ...] for z>0 levels.  Slot lists are
-        #: created once and only ever mutated in place, so caching the
-        #: references is safe.
-        self._path_slots_cache: Dict[int, List[Tuple[int, List[int]]]] = {}
+        self.offset: List[int] = []
+        total = 0
+        for slots in self.level_slots:
+            self.offset.append(total)
+            total += slots
+        self._slots = array("q", [EMPTY]) * total
 
     # -- bucket access -------------------------------------------------------
     @staticmethod
     def bucket_index(level: int, position: int) -> int:
         return (1 << level) - 1 + position
 
-    def bucket(self, level: int, position: int) -> List[int]:
-        """The slot array of one bucket (created empty on first touch)."""
+    def _start(self, level: int, position: int) -> int:
+        """Array index of a bucket's first slot."""
         if not 0 <= level < self.levels:
             raise ProtocolError(f"level {level} out of range")
         if not 0 <= position < (1 << level):
             raise ProtocolError(f"position {position} invalid at level {level}")
-        index = self.bucket_index(level, position)
-        if self._dense:
-            slots = self._buckets[index]
-            if slots is None:
-                slots = [EMPTY] * self.z_per_level[level]
-                self._buckets[index] = slots
-            return slots
-        slots = self._sparse.get(index)
-        if slots is None:
-            slots = [EMPTY] * self.z_per_level[level]
-            self._sparse[index] = slots
-        return slots
+        return self.offset[level] + position * self.z_per_level[level]
+
+    def bucket(self, level: int, position: int) -> List[int]:
+        """A copy of one bucket's slots."""
+        start = self._start(level, position)
+        return self._slots[start:start + self.z_per_level[level]].tolist()
 
     # -- path geometry ----------------------------------------------------------
     def path_position(self, leaf: int, level: int) -> int:
@@ -94,45 +82,20 @@ class ORAMTree:
             yield level, position, self.bucket(level, position)
 
     def iter_buckets(self) -> Iterable[Tuple[int, int, List[int]]]:
-        """Yield ``(level, position, slots)`` for every materialized bucket.
-
-        A bucket that was never touched holds no real blocks, so this
-        covers every resident block without materializing the rest of the
-        tree — safe at paper scale (L=25), where the conformance auditor
-        sweeps the tree during live runs.
-        """
-        if self._dense:
-            entries: Iterable[Tuple[int, List[int]]] = (
-                (index, slots)
-                for index, slots in enumerate(self._buckets)
-                if slots is not None
-            )
-        else:
-            entries = self._sparse.items()
-        for index, slots in entries:
-            level = (index + 1).bit_length() - 1
-            yield level, index - ((1 << level) - 1), slots
+        """Yield ``(level, position, slots)`` for every bucket of every
+        level with z > 0."""
+        for level, z in enumerate(self.z_per_level):
+            if z == 0:
+                continue
+            start = self.offset[level]
+            contents = self._slots[start:start + (z << level)].tolist()
+            for position in range(1 << level):
+                yield level, position, contents[position * z:(position + 1) * z]
 
     def deepest_common_level(self, leaf_a: int, leaf_b: int) -> int:
         """Deepest level shared by the paths to two leaves (0 = root only)."""
         xor = leaf_a ^ leaf_b
         return (self.levels - 1) - xor.bit_length()
-
-    def path_slots(self, leaf: int) -> List[Tuple[int, List[int]]]:
-        """Memoized ``(level, slots)`` pairs of a path's z>0 buckets."""
-        cached = self._path_slots_cache.get(leaf)
-        if cached is not None:
-            return cached
-        shift = self.levels - 1
-        pairs = [
-            (level, self.bucket(level, leaf >> (shift - level)))
-            for level in range(self.levels)
-            if self.z_per_level[level] != 0
-        ]
-        if len(self._path_slots_cache) >= self.PATH_CACHE_LIMIT:
-            self._path_slots_cache.clear()
-        self._path_slots_cache[leaf] = pairs
-        return pairs
 
     # -- slot mutation -----------------------------------------------------------
     def read_and_clear(self, leaf: int) -> List[Tuple[int, int]]:
@@ -142,10 +105,16 @@ class ORAMTree:
         blocks go to the caller (the stash), dummies are discarded.  The
         controller's C read phase (``read_path``) runs the same loop.
         """
+        if not 0 <= leaf < self.config.leaves:
+            raise ProtocolError(f"leaf {leaf} out of range")
         removed: List[Tuple[int, int]] = []
+        slots = self._slots
         level_used = self.level_used
-        for level, slots in self.path_slots(leaf):
-            for i, block in enumerate(slots):
+        shift = self.levels - 1
+        for level, z in enumerate(self.z_per_level):
+            start = self.offset[level] + (leaf >> (shift - level)) * z
+            for i in range(start, start + z):
+                block = slots[i]
                 if block != EMPTY:
                     removed.append((block, level))
                     slots[i] = EMPTY
@@ -154,17 +123,35 @@ class ORAMTree:
 
     def place(self, level: int, position: int, block: int) -> bool:
         """Put ``block`` into the first free slot of a bucket, if any."""
-        slots = self.bucket(level, position)
-        for i, occupant in enumerate(slots):
-            if occupant == EMPTY:
+        start = self._start(level, position)
+        slots = self._slots
+        for i in range(start, start + self.z_per_level[level]):
+            if slots[i] == EMPTY:
                 slots[i] = block
                 self.level_used[level] += 1
                 return True
         return False
 
+    def remove(self, level: int, position: int, block: int) -> None:
+        """Blank the slot of a bucket that holds ``block``."""
+        start = self._start(level, position)
+        slots = self._slots
+        for i in range(start, start + self.z_per_level[level]):
+            if slots[i] == block:
+                slots[i] = EMPTY
+                self.level_used[level] -= 1
+                return
+        raise ProtocolError(f"block {block} not in bucket (L{level}, {position})")
+
+    def set_slot(self, level: int, position: int, slot: int, block: int) -> None:
+        """Overwrite one slot without occupancy bookkeeping (fault
+        injection and tamper tests)."""
+        if not 0 <= slot < self.z_per_level[level]:
+            raise ProtocolError(f"slot {slot} invalid at level {level}")
+        self._slots[self._start(level, position) + slot] = block
+
     def free_slots(self, level: int, position: int) -> int:
-        slots = self.bucket(level, position)
-        return sum(1 for occupant in slots if occupant == EMPTY)
+        return self.bucket(level, position).count(EMPTY)
 
     # -- occupancy queries ----------------------------------------------------------
     def level_utilization(self) -> List[float]:
@@ -178,58 +165,43 @@ class ORAMTree:
         return sum(self.level_used)
 
     def initialize(self, blocks: Iterable[int], leaf_of, rng: random.Random):
-        """Place blocks into the tree bottom-up along their assigned paths.
+        """Place blocks into an empty tree bottom-up along their paths.
 
         ``leaf_of`` maps block -> leaf.  Blocks whose entire path is full are
         returned to the caller (they start life in the stash).  A shuffled
         placement order avoids systematic bias.
         """
+        if self.total_used():
+            raise ProtocolError("initialize needs an empty tree")
         overflow: List[int] = []
         block_list = list(blocks)
         rng.shuffle(block_list)
-        if self.total_used():
-            # Pre-occupied tree: fall back to per-slot placement.
-            for block in block_list:
-                leaf = leaf_of(block)
-                for level in range(self.levels - 1, -1, -1):
-                    if self.z_per_level[level] == 0:
-                        continue
-                    if self.place(level, self.path_position(leaf, level), block):
-                        break
-                else:
-                    overflow.append(block)
-            return overflow
-        # Bulk placement into a fresh tree only ever fills the first empty
-        # slot of each bucket, so per-bucket fill counters stand in for slot
-        # scans; buckets materialize once at the end.
-        levels = self.levels
-        shift = levels - 1
-        z_per_level = self.z_per_level
+        # Placement into an empty tree only ever fills the first empty slot
+        # of each bucket, so per-bucket fill counts (heap order) stand in
+        # for slot scans.
+        shift = self.levels - 1
+        slots = self._slots
         level_used = self.level_used
-        fill: Dict[int, int] = {}
-        pending: Dict[int, List[int]] = {}
-        active_levels = [
-            level for level in range(levels - 1, -1, -1)
-            if z_per_level[level] != 0
+        n_buckets = (1 << self.levels) - 1
+        fill = (
+            bytearray(n_buckets) if max(self.z_per_level) < 256
+            else [0] * n_buckets
+        )
+        active = [
+            (level, z, self.offset[level], (1 << level) - 1, shift - level)
+            for level, z in reversed(list(enumerate(self.z_per_level)))
+            if z != 0
         ]
         for block in block_list:
             leaf = leaf_of(block)
-            for level in active_levels:
-                index = (1 << level) - 1 + (leaf >> (shift - level))
-                count = fill.get(index, 0)
-                if count < z_per_level[level]:
-                    fill[index] = count + 1
-                    bucket_blocks = pending.get(index)
-                    if bucket_blocks is None:
-                        pending[index] = bucket_blocks = []
-                    bucket_blocks.append(block)
+            for level, z, start, first, level_shift in active:
+                position = leaf >> level_shift
+                count = fill[first + position]
+                if count < z:
+                    fill[first + position] = count + 1
+                    slots[start + position * z + count] = block
                     level_used[level] += 1
                     break
             else:
                 overflow.append(block)
-        for index, bucket_blocks in pending.items():
-            level = (index + 1).bit_length() - 1
-            position = index - ((1 << level) - 1)
-            slots = self.bucket(level, position)
-            slots[: len(bucket_blocks)] = bucket_blocks
         return overflow

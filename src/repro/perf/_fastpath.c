@@ -7,7 +7,8 @@
  * equivalence tests compare whole simulations across the two.
  *
  * The kernels operate directly on the simulator's live Python objects
- * (plain lists of ints), so there is a single source of truth for all
+ * (dicts and lists of ints, and the tree and position-map arrays through
+ * the buffer protocol), so there is a single source of truth for all
  * state; no separate C-side state is kept.
  */
 
@@ -123,16 +124,21 @@ deepest_level(long long levels, long long leaf, long long block_leaf)
     return (levels - 1) - bit_length((unsigned long long)(leaf ^ block_leaf));
 }
 
-/* Pool entry of the placement engine: a stash block, in stash order. */
+/* Pool entry of the placement engine: a stash block, in stash order.
+ * ``block`` is borrowed from the stash dict, or NULL for a block that
+ * run_batch's array mode read off the path without making an object.
+ */
 typedef struct {
     PyObject *block;
+    long long value;
     Py_ssize_t idx;   /* read-order index (array-mode placement only) */
 } PoolItem;
 
 #define FASTPATH_MAX_LEVELS 64
 
 /* Cap on the packed per-leaf triple cache inside the kernel ctx; mirrors
- * ORAMTree.PATH_CACHE_LIMIT so both memo layers evict in step.
+ * PathORAMController.PATH_CACHE_LIMIT, the cap of the triple memo it
+ * packs, so both evict in step.
  */
 #define PACKED_CACHE_LIMIT (1 << 16)
 
@@ -148,7 +154,7 @@ typedef struct {
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 25-slot
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 24-slot
  * tuple PathORAMController._kernel_ctx freezes; read_path,
  * write_path_place and run_batch all take it:
  *
@@ -156,47 +162,70 @@ typedef struct {
  *    1 leaves           leaf count
  *    2 triples_cache    leaf -> (DRAM triples, blocks) memo
  *    3 triples_fn       its memoizing miss fallback
- *    4 slots_cache      leaf -> [(level, slots), ...] memo
- *    5 slots_fn         its memoizing miss fallback
- *    6 entries          the stash's block -> leaf dict, in stash order
- *    7 leaf_table       position-map leaf list
- *    8-12               z per level, level occupancy, levels, cached
+ *    4 entries          the stash's block -> leaf dict, in stash order
+ *    5 leaf_table       position-map leaves by block, array('q')
+ *    6 tree_slots       every tree slot, level by level, array('q')
+ *    7-11               z per level, level occupancy, levels, cached
  *                       top levels, empty-slot marker
- *   13-15               DRAM bank ready / open row / bus free lists
- *   16 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
- *   17 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   18-21               S-Stash resident, set_count, set_of, ways
- *   22 packed_cache     leaf -> packed triple bytes, kernel-filled
- *   23-24               the RNG's getrandbits and the leaf-count bit
+ *   12-14               DRAM bank ready / open row / bus free lists
+ *   15 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
+ *   16 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
+ *   17-20               S-Stash resident, set_count, set_of, ways
+ *   21 packed_cache     leaf -> packed triple bytes, kernel-filled
+ *   22-23               the RNG's getrandbits and the leaf-count bit
  *                       width when it is a plain random.Random, else
  *                       None, 0
  *
- * Object fields are borrowed from the tuple.  Bucket sizes and level
- * occupancy are hoisted into C arrays (occupancy goes back through
- * store_used), and the tree-top counters gather one call's hook effects
- * for the caller to apply.
+ * Object fields are borrowed from the tuple.  The two arrays are held as
+ * buffers from parse_ctx to release_ctx, so nothing can resize them in
+ * between; level ``l``'s buckets start at ``offset[l]`` in the tree
+ * array, ``z_arr[l]`` slots each, as ORAMTree lays them out.  Bucket
+ * sizes and level occupancy are hoisted into C arrays (occupancy goes
+ * back through store_used), and the tree-top counters gather one call's
+ * hook effects for the caller to apply.
  */
 typedef struct {
     PyObject *randrange, *leaves_obj, *triples_cache, *triples_fn,
-        *slots_cache, *slots_fn, *entries, *leaf_table, *level_used,
-        *empty_obj, *bank_ready, *bank_open_row, *bus_free, *resident,
-        *set_count, *set_of, *packed_cache, *getrandbits;
-    long long leaves, levels, top, empty, ways, leaf_bits;
+        *entries, *level_used, *bank_ready, *bank_open_row, *bus_free,
+        *resident, *set_count, *set_of, *packed_cache, *getrandbits;
+    Py_buffer leaf_buf, tree_buf;
+    long long *leaf_table, *tree;
+    Py_ssize_t leaf_count;  /* blocks the position map covers */
+    long long leaf, leaves, levels, top, empty, ways, leaf_bits;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
     DramTiming dram;
     long long z_arr[FASTPATH_MAX_LEVELS];
+    long long offset[FASTPATH_MAX_LEVELS];
     long long used_arr[FASTPATH_MAX_LEVELS];
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
 } KernelCtx;
 
-/* Unpack and validate ``ctx`` into ``c``.  Returns 0, or -1 with an
- * exception set.
+/* Acquire ``obj`` as a writable buffer of ``long long`` (an array('q')).
+ * Returns its item count, or -1 with an exception set and nothing held.
+ */
+static Py_ssize_t
+get_q_buffer(PyObject *obj, Py_buffer *view, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->format == NULL || strcmp(view->format, "q") != 0 ||
+        view->itemsize != (Py_ssize_t)sizeof(long long)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('q')", what);
+        return -1;
+    }
+    return view->len / view->itemsize;
+}
+
+/* Unpack and validate ``ctx`` into ``c``, and parse ``leaf_obj`` into
+ * ``c->leaf`` unless it is NULL.  Returns 0 with both arrays held (pair
+ * with release_ctx), or -1 with an exception set and nothing held.
  */
 static int
-parse_ctx(PyObject *ctx, KernelCtx *c)
+parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
 {
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 25) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 25 slots");
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 24) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 24 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
@@ -204,34 +233,31 @@ parse_ctx(PyObject *ctx, KernelCtx *c)
     c->leaves_obj = CTX(1);
     c->triples_cache = CTX(2);
     c->triples_fn = CTX(3);
-    c->slots_cache = CTX(4);
-    c->slots_fn = CTX(5);
-    c->entries = CTX(6);
-    c->leaf_table = CTX(7);
-    PyObject *z_list = CTX(8);
-    c->level_used = CTX(9);
-    c->empty_obj = CTX(12);
-    c->bank_ready = CTX(13);
-    c->bank_open_row = CTX(14);
-    c->bus_free = CTX(15);
-    PyObject *dram_params = CTX(16);
-    c->resident = CTX(18);
-    c->set_count = CTX(19);
-    c->set_of = CTX(20);
-    c->packed_cache = CTX(22);
-    c->getrandbits = CTX(23);
+    c->entries = CTX(4);
+    PyObject *leaf_table = CTX(5);
+    PyObject *tree_slots = CTX(6);
+    PyObject *z_list = CTX(7);
+    c->level_used = CTX(8);
+    c->bank_ready = CTX(12);
+    c->bank_open_row = CTX(13);
+    c->bus_free = CTX(14);
+    PyObject *dram_params = CTX(15);
+    c->resident = CTX(17);
+    c->set_count = CTX(18);
+    c->set_of = CTX(19);
+    c->packed_cache = CTX(21);
+    c->getrandbits = CTX(22);
     c->leaves = PyLong_AsLongLong(c->leaves_obj);
-    c->levels = PyLong_AsLongLong(CTX(10));
-    c->top = PyLong_AsLongLong(CTX(11));
-    c->empty = PyLong_AsLongLong(c->empty_obj);
-    long long mode = PyLong_AsLongLong(CTX(17));
-    c->ways = PyLong_AsLongLong(CTX(21));
-    c->leaf_bits = PyLong_AsLongLong(CTX(24));
+    c->levels = PyLong_AsLongLong(CTX(9));
+    c->top = PyLong_AsLongLong(CTX(10));
+    c->empty = PyLong_AsLongLong(CTX(11));
+    long long mode = PyLong_AsLongLong(CTX(16));
+    c->ways = PyLong_AsLongLong(CTX(20));
+    c->leaf_bits = PyLong_AsLongLong(CTX(23));
 #undef CTX
     if (PyErr_Occurred())
         return -1;
-    if (!PyDict_Check(c->triples_cache) || !PyDict_Check(c->slots_cache) ||
-        !PyDict_Check(c->entries) || !PyList_Check(c->leaf_table) ||
+    if (!PyDict_Check(c->triples_cache) || !PyDict_Check(c->entries) ||
         !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
         !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
         !PyList_Check(c->bus_free) || !PyDict_Check(c->packed_cache) ||
@@ -254,19 +280,71 @@ parse_ctx(PyObject *ctx, KernelCtx *c)
     c->dram.t_rcd = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 2));
     c->dram.t_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 3));
     c->dram.cas_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 4));
-    if (c->levels < 1 || c->levels > FASTPATH_MAX_LEVELS ||
+    if (c->levels < 1 || c->levels >= FASTPATH_MAX_LEVELS ||
         PyList_GET_SIZE(z_list) < (Py_ssize_t)c->levels ||
         PyList_GET_SIZE(c->level_used) < (Py_ssize_t)c->levels) {
         PyErr_SetString(PyExc_ValueError, "unsupported level count");
         return -1;
     }
+    if (c->leaves < 1 || c->leaves > (1LL << (c->levels - 1))) {
+        PyErr_SetString(PyExc_ValueError, "leaf count does not fit the tree");
+        return -1;
+    }
+    /* Level offsets, overflow-checked: z << d never exceeds what is left
+     * below LLONG_MAX. */
+    long long total = 0;
     for (long long d = 0; d < c->levels; d++) {
-        c->z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
+        long long z = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
+        if (z == -1 && PyErr_Occurred())
+            return -1;
+        if (z < 0 || z > (LLONG_MAX - total) >> d) {
+            PyErr_SetString(PyExc_ValueError, "z per level out of range");
+            return -1;
+        }
+        c->z_arr[d] = z;
+        c->offset[d] = total;
+        total += z << d;
         c->used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d));
+    }
+    if (PyErr_Occurred())
+        return -1;
+    if (leaf_obj != NULL) {
+        c->leaf = PyLong_AsLongLong(leaf_obj);
+        if (c->leaf == -1 && PyErr_Occurred())
+            return -1;
+        if (c->leaf < 0 || c->leaf >= c->leaves) {
+            PyErr_SetString(PyExc_IndexError, "leaf out of range");
+            return -1;
+        }
     }
     c->placed_top = c->removed_top = 0;
     c->ss_placed = c->ss_removed = c->ss_skips = 0;
-    return PyErr_Occurred() ? -1 : 0;
+
+    c->leaf_count = get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
+    if (c->leaf_count < 0)
+        return -1;
+    Py_ssize_t tree_len = get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
+    if (tree_len < 0) {
+        PyBuffer_Release(&c->leaf_buf);
+        return -1;
+    }
+    if (tree_len != total) {
+        PyBuffer_Release(&c->tree_buf);
+        PyBuffer_Release(&c->leaf_buf);
+        PyErr_SetString(PyExc_ValueError,
+                        "tree_slots length does not match z per level");
+        return -1;
+    }
+    c->leaf_table = c->leaf_buf.buf;
+    c->tree = c->tree_buf.buf;
+    return 0;
+}
+
+static void
+release_ctx(KernelCtx *c)
+{
+    PyBuffer_Release(&c->tree_buf);
+    PyBuffer_Release(&c->leaf_buf);
 }
 
 /* Write the hoisted level occupancy back to the ctx's ``level_used``. */
@@ -285,28 +363,24 @@ store_used(const KernelCtx *c)
     return 0;
 }
 
-/* A path's (level, slots) pairs: memo hit, or the memoizing fallback.
- * Returns a new reference, or NULL with an exception set.
- */
-static PyObject *
-ctx_path_slots(const KernelCtx *c, PyObject *leaf_obj)
+/* The first tree slot of the bucket on the path to ``leaf`` at ``level``. */
+static inline long long *
+path_bucket(const KernelCtx *c, long long leaf, long long level)
 {
-    PyObject *pairs = PyDict_GetItemWithError(c->slots_cache, leaf_obj);
-    if (pairs != NULL) {
-        Py_INCREF(pairs);
-    } else {
-        if (PyErr_Occurred())
-            return NULL;
-        pairs = PyObject_CallOneArg(c->slots_fn, leaf_obj);
-        if (pairs == NULL)
-            return NULL;
-    }
-    if (!PyList_Check(pairs)) {
-        Py_DECREF(pairs);
-        PyErr_SetString(PyExc_TypeError, "path_slots must be a list");
-        return NULL;
-    }
-    return pairs;
+    return c->tree + c->offset[level] +
+           (leaf >> (c->levels - 1 - level)) * c->z_arr[level];
+}
+
+/* entries[block] = leaf, from C integers. */
+static int
+stash_insert(PyObject *entries, long long block, long long leaf)
+{
+    PyObject *key = PyLong_FromLongLong(block);
+    PyObject *value = key != NULL ? PyLong_FromLongLong(leaf) : NULL;
+    int rc = value != NULL ? PyDict_SetItem(entries, key, value) : -1;
+    Py_XDECREF(key);
+    Py_XDECREF(value);
+    return rc;
 }
 
 /* ---------------------------------------------------------------- */
@@ -357,12 +431,11 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
 /* run_batch's empty-stash fastpath buffer: blocks read off the path
  * bypass the stash dict and are kept here in read order, with their
  * leaves and path depths.  ``items`` has room for 4 * cap entries — the
- * upper three quarters are place_pools scratch.  Every
- * ``items[i].block`` in [0, n) holds a strong reference.
+ * upper three quarters are place_pools scratch.
  */
 typedef struct {
     PoolItem *items;
-    PyObject **leaf_obj;  /* borrowed from the leaf table */
+    long long *leaf;
     long long *depth;
     unsigned char *placed;
     Py_ssize_t counts[FASTPATH_MAX_LEVELS];
@@ -370,92 +443,68 @@ typedef struct {
 } ReadBuf;
 
 /* The read phase of one path access, the one loop behind read_path and
- * run_batch: clear every real block off the path ``pairs`` to ``leaf``,
- * release its tree-top entry when it sat in a cached level (S-Stash
- * removal in mode 1, a bare count in mode 0), and move it into the
- * stash — the end of the entries dict, or ``rb`` when it is non-NULL.
- * The level ``served`` was read from goes to ``*served_level``.  Mirrors
+ * run_batch: clear every real block off the path to ``leaf``, release
+ * its tree-top entry when it sat in a cached level (S-Stash removal in
+ * mode 1, a bare count in mode 0), and move it into the stash — the end
+ * of the entries dict, or ``rb`` when it is non-NULL.  The level
+ * ``served`` was read from goes to ``*served_level``.  Mirrors
  * ORAMTree.read_and_clear plus the per-block loop of
  * PathORAMController._service_path.  Returns 0, or -1 with an exception
- * set (blocks already in ``rb`` stay for the caller to release).
+ * set.
  */
 static int
-read_path_core(KernelCtx *c, long long leaf, PyObject *pairs, ReadBuf *rb,
-               long long served, long long *served_level)
+read_path_core(KernelCtx *c, long long leaf, ReadBuf *rb, long long served,
+               long long *served_level)
 {
-    Py_ssize_t table_size = PyList_GET_SIZE(c->leaf_table);
-    Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
-    for (Py_ssize_t p = 0; p < n_pairs; p++) {
-        PyObject *pair = PyList_GET_ITEM(pairs, p);
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
-            !PyList_Check(PyTuple_GET_ITEM(pair, 1))) {
-            PyErr_SetString(PyExc_TypeError,
-                            "pairs must hold (level, slots)");
-            return -1;
-        }
-        long long level = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-        if (level == -1 && PyErr_Occurred())
-            return -1;
-        if (level < 0 || level >= c->levels) {
-            PyErr_SetString(PyExc_IndexError, "level out of range");
-            return -1;
-        }
-        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-        Py_ssize_t z_size = PyList_GET_SIZE(slots);
-        for (Py_ssize_t s = 0; s < z_size; s++) {
-            PyObject *block = PyList_GET_ITEM(slots, s);
-            long long value = PyLong_AsLongLong(block);
-            if (value == -1 && PyErr_Occurred())
-                return -1;
+    for (long long level = 0; level < c->levels; level++) {
+        long long *slots = path_bucket(c, leaf, level);
+        for (long long s = 0; s < c->z_arr[level]; s++) {
+            long long value = slots[s];
             if (value == c->empty)
                 continue;
-            if (value < 0 || value >= table_size) {
+            if (value < 0 || value >= c->leaf_count) {
                 PyErr_SetString(PyExc_IndexError,
                                 "block outside position map");
                 return -1;
             }
-            PyObject *bleaf_obj = PyList_GET_ITEM(c->leaf_table, value);
-            long long bleaf = PyLong_AsLongLong(bleaf_obj);
+            long long bleaf = c->leaf_table[value];
             if (bleaf == -1) {
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_ValueError,
-                                    "block has no mapping");
+                PyErr_SetString(PyExc_ValueError, "block has no mapping");
                 return -1;
             }
-            Py_INCREF(block);  /* outlive the slot overwrite */
-            Py_INCREF(c->empty_obj);
-            PyList_SetItem(slots, s, c->empty_obj);
+            slots[s] = c->empty;
             c->used_arr[level]--;
             if (value == served)
                 *served_level = level;
             if (level < c->top) {
                 if (c->gated) {
-                    if (sstash_remove(c->resident, c->set_count, block) < 0) {
-                        Py_DECREF(block);
+                    PyObject *block = PyLong_FromLongLong(value);
+                    int rc = block != NULL
+                        ? sstash_remove(c->resident, c->set_count, block)
+                        : -1;
+                    Py_XDECREF(block);
+                    if (rc < 0)
                         return -1;
-                    }
                     c->ss_removed++;
                 } else {
                     c->removed_top++;
                 }
             }
             if (rb == NULL) {
-                int rc = PyDict_SetItem(c->entries, block, bleaf_obj);
-                Py_DECREF(block);
-                if (rc < 0)
+                if (stash_insert(c->entries, value, bleaf) < 0)
                     return -1;
                 continue;
             }
             long long depth = deepest_level(c->levels, leaf, bleaf);
             if (rb->n >= rb->cap || depth < 0) {
                 PyErr_SetString(PyExc_RuntimeError, "path read overflow");
-                Py_DECREF(block);
                 return -1;
             }
             Py_ssize_t i = rb->n++;
-            rb->items[i].block = block;  /* keep the strong ref */
+            rb->items[i].block = NULL;
+            rb->items[i].value = value;
             rb->items[i].idx = i;
-            rb->leaf_obj[i] = bleaf_obj;
+            rb->leaf[i] = bleaf;
             rb->depth[i] = depth;
             rb->counts[depth]++;
         }
@@ -502,16 +551,20 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
     while (PyDict_Next(c->entries, &pos, &block, &leaf_obj)) {
         long long depth =
             deepest_level(c->levels, leaf, PyLong_AsLongLong(leaf_obj));
-        items[fill[depth]++].block = block;
+        PoolItem *item = &items[fill[depth]++];
+        item->block = block;
+        item->value = PyLong_AsLongLong(block);
+        if (item->value == -1 && PyErr_Occurred())
+            return -1;
     }
     return 0;
 }
 
 /* The shared placement engine behind write_path_place and run_batch:
- * greedy bottom-up placement over ``items`` already segmented by depth
- * (counts/offsets, each segment in stash order).  ``items`` must
- * have capacity 3*total — the upper two thirds are scratch for the
- * pool stack and the per-level rejection list.
+ * greedy bottom-up placement onto the path to ``leaf`` of ``items``
+ * already segmented by depth (counts/offsets, each segment in stash
+ * order).  ``items`` must have capacity 3*total — the upper two thirds
+ * are scratch for the pool stack and the per-level rejection list.
  *
  * In S-Stash mode, placements into the cached top levels consult the
  * set-associativity constraint (``set_of``, ``set_count``, ``ways``) and
@@ -526,14 +579,13 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
  * marked so survivors can be written back afterwards.
  */
 static int
-place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
+place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
             const Py_ssize_t *counts, const Py_ssize_t *offsets,
-            PyObject *path_slots, unsigned char *placed_out)
+            unsigned char *placed_out)
 {
     PoolItem *stack = items + total;
     PoolItem *rejected = items + 2 * total;
     Py_ssize_t stack_size = 0;
-    Py_ssize_t ps_idx = PyList_GET_SIZE(path_slots) - 1;
 
     /* Greedy bottom-up placement, pool kept as a stack. */
     for (long long level = c->levels - 1; level >= 0; level--) {
@@ -544,108 +596,80 @@ place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
             stack_size += cnt;
         }
         long long z = c->z_arr[level];
-        if (z == 0)
+        if (z == 0 || stack_size == 0)
             continue;
-        if (ps_idx < 0) {
-            PyErr_SetString(PyExc_ValueError,
-                            "path_slots out of sync with z_per_level");
-            return -1;
-        }
-        PyObject *pair = PyList_GET_ITEM(path_slots, ps_idx);
-        long long pair_level = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-        if (pair_level != level) {
-            PyErr_SetString(PyExc_ValueError,
-                            "path_slots out of sync with z_per_level");
-            return -1;
-        }
-        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-        ps_idx--;
-        if (stack_size == 0)
-            continue;
+        long long *slots = path_bucket(c, leaf, level);
         int level_gated = c->gated && level < c->top;
-        Py_ssize_t z_size = PyList_GET_SIZE(slots);
-        Py_ssize_t scan = 0;
+        long long scan = 0;
         Py_ssize_t n_rej = 0;
         long long placed = 0;
         while (stack_size > 0 && placed < z) {
             PoolItem item = stack[--stack_size];
-            PyObject *block = item.block;
-            PyObject *idx_obj = NULL;
+            /* gated only: the block as an object, and its S-Stash set */
+            PyObject *block = NULL, *idx_obj = NULL;
             long long set_cnt = 0;
             if (level_gated) {
+                block = item.block != NULL ? Py_NewRef(item.block)
+                                           : PyLong_FromLongLong(item.value);
+                if (block == NULL)
+                    return -1;
                 idx_obj = PyObject_CallOneArg(c->set_of, block);
                 if (idx_obj == NULL)
-                    return -1;
+                    goto item_fail;
                 PyObject *cnt_obj =
                     PyDict_GetItemWithError(c->set_count, idx_obj);
-                if (cnt_obj == NULL && PyErr_Occurred()) {
-                    Py_DECREF(idx_obj);
-                    return -1;
-                }
+                if (cnt_obj == NULL && PyErr_Occurred())
+                    goto item_fail;
                 if (cnt_obj != NULL) {
                     set_cnt = PyLong_AsLongLong(cnt_obj);
-                    if (set_cnt == -1 && PyErr_Occurred()) {
-                        Py_DECREF(idx_obj);
-                        return -1;
-                    }
+                    if (set_cnt == -1 && PyErr_Occurred())
+                        goto item_fail;
                 }
                 if (set_cnt >= c->ways) {
                     /* Set full: skip this block for this round. */
                     Py_DECREF(idx_obj);
+                    Py_DECREF(block);
                     rejected[n_rej++] = item;
                     c->ss_skips++;
                     continue;
                 }
             }
             /* first EMPTY slot (earlier ones were just filled) */
-            Py_ssize_t free_idx = -1;
-            for (Py_ssize_t i = scan; i < z_size; i++) {
-                long long occupant =
-                    PyLong_AsLongLong(PyList_GET_ITEM(slots, i));
-                if (occupant == -1 && PyErr_Occurred()) {
-                    Py_XDECREF(idx_obj);
-                    return -1;
-                }
-                if (occupant == c->empty) {
-                    free_idx = i;
-                    break;
-                }
-            }
-            if (free_idx < 0) {
+            while (scan < z && slots[scan] != c->empty)
+                scan++;
+            if (scan == z) {
                 PyErr_SetString(PyExc_RuntimeError,
                                 "bucket full during write phase");
-                Py_XDECREF(idx_obj);
-                return -1;
+                goto item_fail;
             }
-            Py_INCREF(block);
-            PyList_SetItem(slots, free_idx, block);
-            scan = free_idx + 1;
+            slots[scan++] = item.value;
             c->used_arr[level]++;
             placed++;
             if (level_gated) {
                 PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
-                if (cnt_obj == NULL ||
-                    PyDict_SetItem(c->set_count, idx_obj, cnt_obj) < 0) {
-                    Py_XDECREF(cnt_obj);
-                    Py_DECREF(idx_obj);
-                    return -1;
-                }
-                Py_DECREF(cnt_obj);
-                if (PyDict_SetItem(c->resident, block, idx_obj) < 0) {
-                    Py_DECREF(idx_obj);
-                    return -1;
-                }
+                int rc = cnt_obj != NULL
+                    ? PyDict_SetItem(c->set_count, idx_obj, cnt_obj)
+                    : -1;
+                Py_XDECREF(cnt_obj);
+                if (rc < 0 ||
+                    PyDict_SetItem(c->resident, block, idx_obj) < 0)
+                    goto item_fail;
                 Py_DECREF(idx_obj);
+                Py_DECREF(block);
                 c->ss_placed++;
             } else if (level < c->top) {
                 c->placed_top++;
             }
-            /* The slot now holds a reference, so dropping the dict's
-             * cannot free ``block``. */
             if (placed_out != NULL)
                 placed_out[item.idx] = 1;
-            else if (PyDict_DelItem(c->entries, block) < 0)
+            else if (PyDict_DelItem(c->entries, item.block) < 0)
                 return -1;
+            continue;
+
+        item_fail:
+            Py_XDECREF(idx_obj);
+            Py_XDECREF(block);
+            return -1;
         }
         /* Re-stack rejected blocks in rejection order: the next pop
          * takes the most recently rejected first, matching
@@ -661,7 +685,7 @@ place_pools(KernelCtx *c, PoolItem *items, Py_ssize_t total,
  * land.
  */
 static int
-write_place_core(KernelCtx *c, long long leaf, PyObject *path_slots)
+write_place_core(KernelCtx *c, long long leaf)
 {
     Py_ssize_t total = PyDict_GET_SIZE(c->entries);
     if (total == 0)
@@ -676,7 +700,7 @@ write_place_core(KernelCtx *c, long long leaf, PyObject *path_slots)
     Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
     int rc = group_by_depth(c, leaf, items, counts, offsets);
     if (rc == 0)
-        rc = place_pools(c, items, total, counts, offsets, path_slots, NULL);
+        rc = place_pools(c, leaf, items, total, counts, offsets, NULL);
     PyMem_Free(items);
     return rc;
 }
@@ -702,19 +726,15 @@ read_path(PyObject *self, PyObject *args)
                           &served_obj))
         return NULL;
     KernelCtx c;
-    if (parse_ctx(ctx, &c) < 0)
+    if (parse_ctx(ctx, leaf_obj, &c) < 0)
         return NULL;
-    long long leaf = PyLong_AsLongLong(leaf_obj);
     long long served =
         served_obj == Py_None ? c.empty : PyLong_AsLongLong(served_obj);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *pairs = ctx_path_slots(&c, leaf_obj);
-    if (pairs == NULL)
-        return NULL;
     long long served_level = -1;
-    int rc = read_path_core(&c, leaf, pairs, NULL, served, &served_level);
-    Py_DECREF(pairs);
+    int rc = PyErr_Occurred()
+        ? -1
+        : read_path_core(&c, c.leaf, NULL, served, &served_level);
+    release_ctx(&c);
     if (rc < 0 || store_used(&c) < 0)
         return NULL;
     return Py_BuildValue("LLL", c.removed_top, c.ss_removed, served_level);
@@ -736,16 +756,10 @@ write_path_place(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OO!", &ctx, &PyLong_Type, &leaf_obj))
         return NULL;
     KernelCtx c;
-    if (parse_ctx(ctx, &c) < 0)
+    if (parse_ctx(ctx, leaf_obj, &c) < 0)
         return NULL;
-    long long leaf = PyLong_AsLongLong(leaf_obj);
-    if (leaf == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *pairs = ctx_path_slots(&c, leaf_obj);
-    if (pairs == NULL)
-        return NULL;
-    int rc = write_place_core(&c, leaf, pairs);
-    Py_DECREF(pairs);
+    int rc = write_place_core(&c, c.leaf);
+    release_ctx(&c);
     if (rc < 0 || store_used(&c) < 0)
         return NULL;
     return Py_BuildValue("LLL", c.placed_top, c.ss_placed, c.ss_skips);
@@ -994,37 +1008,36 @@ run_batch(PyObject *self, PyObject *args)
                           &want_bounds, &collect_timing))
         return NULL;
     KernelCtx c;
-    if (parse_ctx(ctx, &c) < 0)
+    if (parse_ctx(ctx, NULL, &c) < 0)
         return NULL;
     const DramTiming *dcfg = &c.dram;
+    PyObject *bits_obj = NULL, *bounds = NULL;
+    long long *bank_state = NULL;
+    ReadBuf rb;
+    memset(&rb, 0, sizeof rb);
+    Py_ssize_t n_banks = PyList_GET_SIZE(c.bank_ready);
+    Py_ssize_t n_channels = PyList_GET_SIZE(c.bus_free);
+    int use_grb = (c.getrandbits != Py_None && c.leaf_bits > 0);
     if (dcfg->ratio <= 0 || max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
-        return NULL;
+        goto fail;
     }
-    int use_grb = (c.getrandbits != Py_None && c.leaf_bits > 0);
-    PyObject *bits_obj = NULL;
-    if (use_grb) {
-        bits_obj = PyLong_FromLongLong(c.leaf_bits);
-        if (bits_obj == NULL)
-            return NULL;
-    }
+    if (use_grb && (bits_obj = PyLong_FromLongLong(c.leaf_bits)) == NULL)
+        goto fail;
 
     /* Hoist bank state into C arrays; written back only on success.
      * Nothing the kernel calls back into (cache-miss fallbacks, the
      * RNG) reads the bank lists or level occupancy mid-batch.
      */
-    Py_ssize_t n_banks = PyList_GET_SIZE(c.bank_ready);
-    Py_ssize_t n_channels = PyList_GET_SIZE(c.bus_free);
     if (PyList_GET_SIZE(c.bank_open_row) != n_banks) {
         PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
-        Py_XDECREF(bits_obj);
-        return NULL;
+        goto fail;
     }
-    long long *bank_state = PyMem_Malloc(
+    bank_state = PyMem_Malloc(
         sizeof(long long) * (size_t)(2 * n_banks + n_channels));
     if (bank_state == NULL) {
-        Py_XDECREF(bits_obj);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        goto fail;
     }
     long long *ready = bank_state;
     long long *open_row = bank_state + n_banks;
@@ -1035,13 +1048,10 @@ run_batch(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t i = 0; i < n_channels; i++)
         bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bus_free, i));
-    PyObject *bounds = want_bounds ? PyList_New(0) : NULL;
-    if (PyErr_Occurred() || (want_bounds && bounds == NULL)) {
-        PyMem_Free(bank_state);
-        Py_XDECREF(bounds);
-        Py_XDECREF(bits_obj);
-        return NULL;
-    }
+    if (PyErr_Occurred())
+        goto fail;
+    if (want_bounds && (bounds = PyList_New(0)) == NULL)
+        goto fail;
 
     /* Empty-stash array fastpath: when a path begins with an empty stash
      * (the steady state for dummy-path batches), read blocks skip the
@@ -1055,20 +1065,16 @@ run_batch(PyObject *self, PyObject *args)
     long long max_slots = 0;
     for (long long d = 0; d < c.levels; d++)
         max_slots += c.z_arr[d];
-    ReadBuf rb;
-    memset(&rb, 0, sizeof rb);
     if (max_slots > 0) {
-        size_t bytes = (sizeof(PoolItem) * 4 + sizeof(PyObject *) +
-                        sizeof(long long) + 1) * (size_t)max_slots;
+        size_t bytes = (sizeof(PoolItem) * 4 + sizeof(long long) * 2 + 1) *
+                       (size_t)max_slots;
         rb.items = PyMem_Malloc(bytes);
         if (rb.items == NULL) {
-            PyMem_Free(bank_state);
-            Py_XDECREF(bounds);
-            Py_XDECREF(bits_obj);
-            return PyErr_NoMemory();
+            PyErr_NoMemory();
+            goto fail;
         }
-        rb.leaf_obj = (PyObject **)(rb.items + 4 * max_slots);
-        rb.depth = (long long *)(rb.leaf_obj + max_slots);
+        rb.leaf = (long long *)(rb.items + 4 * max_slots);
+        rb.depth = rb.leaf + max_slots;
         rb.placed = (unsigned char *)(rb.depth + max_slots);
         rb.cap = max_slots;
     }
@@ -1086,10 +1092,11 @@ run_batch(PyObject *self, PyObject *args)
         if (stop_threshold >= 0 &&
             (long long)PyDict_GET_SIZE(c.entries) > stop_threshold)
             break;
-        PyObject *leaf_obj = NULL, *packed = NULL, *pairs = NULL;
+        PyObject *leaf_obj = NULL, *packed = NULL;
         ReadBuf *arr = NULL;
         if (rb.items != NULL && PyDict_GET_SIZE(c.entries) == 0) {
             arr = &rb;
+            rb.n = 0;
             memset(rb.counts, 0, sizeof(Py_ssize_t) * (size_t)c.levels);
         }
         unsigned long long t0 = collect_timing ? now_ns() : 0;
@@ -1119,6 +1126,10 @@ run_batch(PyObject *self, PyObject *args)
             leaf = PyLong_AsLongLong(leaf_obj);
             if (leaf == -1 && PyErr_Occurred())
                 goto path_fail;
+        }
+        if (leaf < 0 || leaf >= c.leaves) {
+            PyErr_SetString(PyExc_IndexError, "leaf out of range");
+            goto path_fail;
         }
         if (collect_timing) {
             unsigned long long t1 = now_ns();
@@ -1181,11 +1192,8 @@ run_batch(PyObject *self, PyObject *args)
         }
 
         /* Path read into the stash (or the array buffer). */
-        pairs = ctx_path_slots(&c, leaf_obj);
-        if (pairs == NULL)
-            goto path_fail;
         long long served_level;
-        if (read_path_core(&c, leaf, pairs, arr, c.empty, &served_level) < 0)
+        if (read_path_core(&c, leaf, arr, c.empty, &served_level) < 0)
             goto path_fail;
         {
             long long occ = arr != NULL
@@ -1202,7 +1210,7 @@ run_batch(PyObject *self, PyObject *args)
 
         /* Greedy bottom-up write placement. */
         if (arr == NULL) {
-            if (write_place_core(&c, leaf, pairs) < 0)
+            if (write_place_core(&c, leaf) < 0)
                 goto path_fail;
         } else if (rb.n > 0) {
             /* Segment the read-order items by depth; each segment keeps
@@ -1217,19 +1225,16 @@ run_batch(PyObject *self, PyObject *args)
             for (Py_ssize_t i = 0; i < rb.n; i++)
                 seg[fill[rb.depth[i]]++] = rb.items[i];
             memset(rb.placed, 0, (size_t)rb.n);
-            if (place_pools(&c, seg, rb.n, rb.counts, offsets, pairs,
+            if (place_pools(&c, leaf, seg, rb.n, rb.counts, offsets,
                             rb.placed) < 0)
                 goto path_fail;
             /* Survivors enter the stash dict in read order. */
             for (Py_ssize_t i = 0; i < rb.n; i++) {
                 if (!rb.placed[i] &&
-                    PyDict_SetItem(c.entries, rb.items[i].block,
-                                   rb.leaf_obj[i]) < 0)
+                    stash_insert(c.entries, rb.items[i].value,
+                                 rb.leaf[i]) < 0)
                     goto path_fail;
             }
-            for (Py_ssize_t i = 0; i < rb.n; i++)
-                Py_DECREF(rb.items[i].block);
-            rb.n = 0;
         }
         if (collect_timing) {
             unsigned long long t1 = now_ns();
@@ -1261,7 +1266,6 @@ run_batch(PyObject *self, PyObject *args)
                 Py_DECREF(value);
             }
         }
-        Py_DECREF(pairs);
         Py_DECREF(packed);
         Py_DECREF(leaf_obj);
 
@@ -1271,9 +1275,6 @@ run_batch(PyObject *self, PyObject *args)
         continue;
 
     path_fail:
-        for (Py_ssize_t i = 0; i < rb.n; i++)
-            Py_DECREF(rb.items[i].block);
-        Py_XDECREF(pairs);
         Py_XDECREF(packed);
         Py_XDECREF(leaf_obj);
         goto fail;
@@ -1302,6 +1303,7 @@ run_batch(PyObject *self, PyObject *args)
     PyMem_Free(bank_state);
     PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
+    release_ctx(&c);
     {
         PyObject *agg = Py_BuildValue(
             "(LLLLLLLLL)", blocks_total, row_hits, row_conflicts,
@@ -1331,6 +1333,7 @@ fail:
     PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
     Py_XDECREF(bounds);
+    release_ctx(&c);
     return NULL;
 }
 

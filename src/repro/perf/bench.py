@@ -75,8 +75,8 @@ def _kernel_worker(
     controller = build_scheme(
         scheme, config, rng=random.Random(seed)
     ).controller
-    # Warm the pure address-geometry caches (path slots, DRAM triples)
-    # outside the timed region: they never affect simulated cycles, and
+    # Warm the pure address-geometry cache (DRAM triples, and their
+    # packed kernel form) outside the timed region: they never affect simulated cycles, and
     # cold misses otherwise dominate the first few thousand paths.
     warm = getattr(controller, "warm_path_caches", None)
     if warm is not None:

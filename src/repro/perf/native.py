@@ -16,11 +16,13 @@ engine, for both tree-top modes: the dedicated cache and IR-Stash's
 S-Stash, whose entries the read loop releases and whose set-occupancy
 gate the placement engine applies.  The stash is its ``block -> leaf``
 dict alone: the kernels append read blocks to it, delete placed ones,
-and group write-phase candidates by scanning it in insertion order.
-This module
-compiles them with the system C compiler on first use, caches the shared
-object under ``~/.cache/repro-fastpath/`` keyed by source hash and Python
-ABI, and exposes the loaded module as :data:`fastpath`.
+and group write-phase candidates by scanning it in insertion order.  The
+tree's slots and the position map's leaves are two ``array('q')``
+buffers the kernels index directly, computing each path's slot indexes
+from ``z_per_level``.  This module compiles the kernels with the system C
+compiler on first use, caches the shared object under
+``~/.cache/repro-fastpath/`` keyed by source hash and Python ABI, and
+exposes the loaded module as :data:`fastpath`.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-test, or ``REPRO_FASTPATH=0`` in the environment all yield
@@ -38,6 +40,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+from array import array
 from typing import Optional
 
 _MODULE_NAME = "_repro_fastpath"
@@ -57,9 +60,9 @@ def _cache_dir() -> str:
 #: Slot names of the kernel context tuple, in order; mirrors ``KernelCtx``
 #: in ``_fastpath.c``, which documents each slot.
 CTX_SLOTS = (
-    "randrange", "leaves", "triples_cache", "triples_fn", "slots_cache",
-    "slots_fn", "entries", "leaf_table", "z_per_level", "level_used",
-    "levels", "top", "empty", "bank_ready", "bank_open_row", "bus_free",
+    "randrange", "leaves", "triples_cache", "triples_fn", "entries",
+    "leaf_table", "tree_slots", "z_per_level", "level_used", "levels",
+    "top", "empty", "bank_ready", "bank_open_row", "bus_free",
     "dram_params", "treetop_mode", "resident", "set_count", "set_of",
     "ways", "packed", "getrandbits", "leaf_bits",
 )
@@ -73,6 +76,9 @@ def kernel_ctx(**slots) -> tuple:
 
 def _self_test(module) -> bool:
     """Run the kernels on tiny inputs with known-good answers."""
+    def q(values):
+        return array("q", values)
+
     # One bank, one channel, two accesses to the same fresh row:
     # activate (t_rcd=3) + 2 bursts of 2, finish = 3 + 2 + 5 = 10 with
     # cas_burst=5; second access is a row hit issuing at t=5, done at 10.
@@ -88,11 +94,12 @@ def _self_test(module) -> bool:
         return False
 
     def ctx(**slots):
-        # A 3-level tree with Z=1, one DRAM bank, no tree-top cache; each
-        # case overrides what it exercises.
+        # A 3-level tree with Z=1 (slots: root, level 1 at 1-2, leaves at
+        # 3-6), one DRAM bank, no tree-top cache; each case overrides
+        # what it exercises.
         base = dict(
             randrange=None, leaves=4, triples_cache={}, triples_fn=None,
-            slots_cache={}, slots_fn=None, entries={}, leaf_table=[],
+            entries={}, leaf_table=q([]), tree_slots=q([-1] * 7),
             z_per_level=[1, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
             dram_params=(1, 4, 3, 2, 5), treetop_mode=0, resident=None,
@@ -106,19 +113,18 @@ def _self_test(module) -> bool:
     # there, resident in set 1; block 5 (leaf 1) sits at the bottom of
     # leaf 1's path and is the served block.  Both enter the stash in
     # read order; block 3 releases its S-Stash entry.
-    path_slots = [(0, [3]), (1, [-1]), (2, [5])]
+    tree = q([3, -1, -1, -1, 5, -1, -1])
     entries = {}
     level_used = [1, 0, 1]
     resident = {3: 1, 8: 0}
     set_count = {1: 1, 0: 1}
-    leaf_table = [0] * 10
+    leaf_table = q([0] * 10)
     leaf_table[3] = 2
     leaf_table[5] = 1
     read_ctx = ctx(
-        slots_cache={1: path_slots}, entries=entries,
-        leaf_table=leaf_table, level_used=level_used, top=1,
-        treetop_mode=1, resident=resident, set_count=set_count,
-        set_of=lambda block: block & 1, ways=2,
+        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        level_used=level_used, top=1, treetop_mode=1, resident=resident,
+        set_count=set_count, set_of=lambda block: block & 1, ways=2,
     )
     if module.read_path(read_ctx, 1, 5) != (0, 1, 2):
         return False
@@ -126,7 +132,7 @@ def _self_test(module) -> bool:
         list(entries.items()) == [(3, 2), (5, 1)]
         and resident == {8: 0}
         and set_count == {0: 1}
-        and path_slots == [(0, [-1]), (1, [-1]), (2, [-1])]
+        and tree == q([-1] * 7)
         and level_used == [0, 0, 0]
     ):
         return False
@@ -138,15 +144,15 @@ def _self_test(module) -> bool:
     # Block 5 (leaf 1) belongs at the bottom, block 9 (leaf 3) diverges
     # at the root; both place and leave the stash empty.
     entries = {5: 1, 9: 3}
-    path_slots = [(0, [-1]), (1, [-1]), (2, [-1])]
+    tree = q([-1] * 7)
     level_used = [0, 0, 0]
     counts = module.write_path_place(ctx(
-        slots_cache={1: path_slots}, entries=entries, level_used=level_used,
+        tree_slots=tree, entries=entries, level_used=level_used,
     ), 1)
     if not (
         counts == (0, 0, 0)
         and entries == {}
-        and path_slots == [(0, [9]), (1, [-1]), (2, [5])]
+        and tree == q([9, -1, -1, -1, 5, -1, -1])
         and level_used == [1, 0, 1]
     ):
         return False
@@ -156,32 +162,33 @@ def _self_test(module) -> bool:
     # pool is a stack, so the last-inserted block 4 places and block 9
     # stays; a kernel that orders the pool any other way places 9.
     entries = {9: 3, 4: 3}
-    path_slots = [(0, [-1]), (1, [6]), (2, [7])]
+    tree = q([-1, 6, -1, 7, -1, -1, -1])
     level_used = [0, 1, 1]
     counts = module.write_path_place(ctx(
-        slots_cache={0: path_slots}, entries=entries, level_used=level_used,
+        tree_slots=tree, entries=entries, level_used=level_used,
     ), 0)
     if not (
         counts == (0, 0, 0)
         and entries == {9: 3}
-        and path_slots == [(0, [4]), (1, [6]), (2, [7])]
+        and tree == q([4, 6, -1, 7, -1, -1, -1])
         and level_used == [1, 1, 1]
     ):
         return False
 
     # Gated placement: levels 0-1 are S-Stash (one way per set, set =
-    # block parity) and set 0 is already full with block 8.  Target leaf
+    # block parity) and set 0 is already full with block 8.  Z is 2 at
+    # the root (slots 0-1; level 1 at 2-3, leaves at 4-7).  Target leaf
     # 0: block 5 (leaf 0) places at the ungated bottom; even block 2
     # (leaf 1) is skipped at level 1 and carried up to the root, where
     # block 3 (leaf 2, odd set) takes the first slot and block 2 is
     # skipped again, so it stays in the stash.
     entries = {2: 1, 3: 2, 5: 0}
-    path_slots = [(0, [-1, -1]), (1, [-1]), (2, [-1])]
+    tree = q([-1] * 8)
     level_used = [0, 0, 0]
     resident = {8: 0}
     set_count = {0: 1}
     counts = module.write_path_place(ctx(
-        slots_cache={0: path_slots}, entries=entries,
+        tree_slots=tree, entries=entries,
         z_per_level=[2, 1, 1], level_used=level_used, top=2,
         treetop_mode=1, resident=resident, set_count=set_count,
         set_of=lambda block: block & 1, ways=1,
@@ -189,7 +196,7 @@ def _self_test(module) -> bool:
     if not (
         counts == (0, 1, 2)
         and entries == {2: 1}
-        and path_slots == [(0, [3, -1]), (1, [-1]), (2, [5])]
+        and tree == q([3, -1, -1, -1, 5, -1, -1, -1])
         and level_used == [1, 0, 1]
         and resident == {8: 0, 3: 1}
         and set_count == {0: 1, 1: 1}
@@ -213,12 +220,11 @@ def _self_test(module) -> bool:
     ready = [0]
     open_row = [-1]
     bus_free = [0]
-    slots0 = [3]
+    tree = q([3, -1, -1])
     batch_ctx = ctx(
         randrange=lambda n: 1, leaves=2,
-        triples_cache={1: ([0, 0, 7, 0, 0, 7], 2)},
-        slots_cache={1: [(0, slots0), (1, [-1])]},
-        entries=entries, leaf_table=[-1, -1, -1, 0], z_per_level=[1, 1],
+        triples_cache={1: ([0, 0, 7, 0, 0, 7], 2)}, tree_slots=tree,
+        entries=entries, leaf_table=q([-1, -1, -1, 0]), z_per_level=[1, 1],
         level_used=level_used, levels=2, bank_ready=ready,
         bank_open_row=open_row, bus_free=bus_free, packed=packed,
     )
@@ -232,7 +238,7 @@ def _self_test(module) -> bool:
         return False
     return (
         entries == {}
-        and slots0 == [3]
+        and tree == q([3, -1, -1])
         and level_used == [1, 0]
         and ready == [14]
         and open_row == [7]

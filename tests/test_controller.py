@@ -138,10 +138,11 @@ class TestInstantServicing:
             controller.stash.add(0, controller.posmap.leaf_of(0))
             # remove the tree copy to keep conservation
             leaf = controller.posmap.leaf_of(0)
-            for level, _, slots in controller.tree.path_buckets(leaf):
+            tree = controller.tree
+            for level, position, slots in tree.path_buckets(leaf):
                 if 0 in slots:
-                    slots[slots.index(0)] = EMPTY
-                    controller.tree.level_used[level] -= 1
+                    tree.set_slot(level, position, slots.index(0), EMPTY)
+                    tree.level_used[level] -= 1
             block = 0
         request = read_request(block, arrival=5)
         controller.enqueue(request)
@@ -194,7 +195,7 @@ class TestBackgroundEviction:
             if len(donor) > controller.oram.eviction_threshold:
                 break
         for block, level, position, slot in donor:
-            tree.bucket(level, position)[slot] = EMPTY
+            tree.set_slot(level, position, slot, EMPTY)
             tree.level_used[level] -= 1
             controller.stash.add(block, controller.posmap.leaf_of(block))
         result = controller.step(0, allow_dummy=False)

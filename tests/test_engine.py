@@ -9,7 +9,6 @@ from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import build_scheme
 from repro.oram.controller import PathORAMController
-from repro.oram.tree import ORAMTree
 from repro.perf import engine
 from repro.perf.engine import SimPoint, run_points
 from repro.stats import Stats
@@ -180,7 +179,7 @@ class TestArtifactCache:
 
 class TestPathDramFifo:
     def test_fifo_evicts_oldest_not_everything(self, monkeypatch):
-        monkeypatch.setattr(ORAMTree, "PATH_CACHE_LIMIT", 3)
+        monkeypatch.setattr(PathORAMController, "PATH_CACHE_LIMIT", 3)
         controller = PathORAMController(SystemConfig.tiny())
         controller._path_dram.clear()
         for leaf in (0, 1, 2):
@@ -192,7 +191,7 @@ class TestPathDramFifo:
         assert sorted(controller._path_dram) == [2, 3, 4]
 
     def test_reinserted_leaf_yields_same_triples(self, monkeypatch):
-        monkeypatch.setattr(ORAMTree, "PATH_CACHE_LIMIT", 2)
+        monkeypatch.setattr(PathORAMController, "PATH_CACHE_LIMIT", 2)
         controller = PathORAMController(SystemConfig.tiny())
         controller._path_dram.clear()
         original = controller._path_dram_triples(0)

@@ -49,13 +49,13 @@ class TestVerification:
 
     def test_tampered_block_detected(self, merkle, tree):
         slots = tree.bucket(3, 5)
-        slots[slots.index(22)] = 23  # attacker flips a block ID
+        tree.set_slot(3, 5, slots.index(22), 23)  # attacker flips a block ID
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
     def test_tampering_off_path_not_flagged(self, merkle, tree):
         slots = tree.bucket(5, 17)
-        slots[slots.index(33)] = 34
+        tree.set_slot(5, 17, slots.index(33), 34)
         # a path not crossing (5,17) and not adjacent to it still verifies
         merkle.verify_path(0)
 
@@ -87,7 +87,7 @@ class TestTamperingMatrix:
 
     def test_flipped_block_id_detected(self, merkle, tree):
         slots = tree.bucket(3, 5)
-        slots[slots.index(22)] = 22 ^ 1
+        tree.set_slot(3, 5, slots.index(22), 22 ^ 1)
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
@@ -101,7 +101,9 @@ class TestTamperingMatrix:
         # relocate bucket contents wholesale: (3,5) <-> (2,2), both on the
         # path to leaf 5<<2, without touching the stored hashes
         a, b = tree.bucket(3, 5), tree.bucket(2, 2)
-        a[:], b[:] = list(b), list(a)
+        for slot, (block_a, block_b) in enumerate(zip(a, b)):
+            tree.set_slot(3, 5, slot, block_b)
+            tree.set_slot(2, 2, slot, block_a)
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
@@ -126,7 +128,8 @@ class TestTamperingMatrix:
         # ...and replaying the stale-but-internally-consistent snapshot
         # fails against the *new* trusted root
         for level, position, slots, digest in snapshot:
-            tree.bucket(level, position)[:] = slots
+            for slot, block in enumerate(slots):
+                tree.set_slot(level, position, slot, block)
             merkle._hashes[ORAMTree.bucket_index(level, position)] = digest
         with pytest.raises(IntegrityError):
             merkle.verify_path(leaf)
@@ -164,7 +167,7 @@ class TestControllerIntegration:
                         slots = tree.bucket(level, position)
                         for i, block in enumerate(slots):
                             if block != EMPTY:
-                                slots[i] = block + 1
+                                tree.set_slot(level, position, i, block + 1)
                                 state["tampered"] = True
                                 break
                         if state["tampered"]:
@@ -172,8 +175,10 @@ class TestControllerIntegration:
                     if state["tampered"]:
                         break
                 if not state["tampered"]:
-                    slots = tree.bucket(0, 0)
-                    slots[0] = 12345 if slots[0] == EMPTY else slots[0] + 1
+                    first = tree.bucket(0, 0)[0]
+                    tree.set_slot(
+                        0, 0, 0, 12345 if first == EMPTY else first + 1
+                    )
                     state["tampered"] = True
             return original_step(now, allow_dummy)
 

@@ -127,7 +127,7 @@ class TestEvictionStormYield:
                 slots = tree.bucket(level, position)
                 for i, block in enumerate(slots):
                     if block != EMPTY:
-                        slots[i] = EMPTY
+                        tree.set_slot(level, position, i, EMPTY)
                         tree.level_used[level] -= 1
                         controller.stash.add(
                             block, controller.posmap.leaf_of(block)

@@ -45,12 +45,22 @@ class TestGeometry:
         assert tree.deepest_common_level(0, 31) == 0
         assert tree.deepest_common_level(0b10000, 0b10001) == 4
 
-    def test_sparse_representation_above_limit(self):
-        oram = make_oram(levels=22, top=8, user_blocks=1 << 18)
+    def test_flat_layout_with_zero_z_level(self):
+        oram = make_oram(levels=6, top=2).with_z_vector((4, 4, 0, 4, 4, 4))
         tree = ORAMTree(oram)
-        assert not tree._dense
-        bucket = tree.bucket(21, 12345)
-        assert bucket == [EMPTY] * 4
+        offset = [0, 4, 12, 12, 44, 108]
+        assert tree.offset == offset
+        assert len(tree._slots) == 108 + 4 * 32
+        # tag every slot with its own array index
+        for index in range(len(tree._slots)):
+            tree._slots[index] = index
+        for level, z in enumerate(oram.z_per_level):
+            for position in range(1 << level):
+                start = offset[level] + position * z
+                assert tree.bucket(level, position) == list(
+                    range(start, start + z)
+                )
+        assert tree.bucket(2, 3) == []
 
 
 class TestPlacement:
@@ -122,6 +132,13 @@ class TestInitialize:
                     if block == EMPTY:
                         continue
                     assert tree.path_position(leaves[block], level) == position
+
+    def test_occupied_tree_rejected(self, tree):
+        tree.place(3, 2, 77)
+        with pytest.raises(ProtocolError):
+            tree.initialize([1, 2], lambda block: 0, random.Random(1))
+        assert tree.bucket(3, 2) == [77, EMPTY, EMPTY, EMPTY]
+        assert tree.total_used() == 1
 
     def test_bottom_heavy_placement(self):
         oram = make_oram(levels=8, top=2)
