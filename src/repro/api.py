@@ -237,8 +237,8 @@ def run(
     """Run one :class:`RunSpec` to completion.
 
     ``artifacts`` is an optional :class:`repro.perf.engine.ArtifactCache`
-    supplying pre-built config-derived artifacts (workload traces, subtree
-    layouts, DRAM triple tables).  Everything it caches is a pure function
+    supplying pre-built config-derived artifacts (workload traces and
+    subtree layouts).  Everything it caches is a pure function
     of the config and seed, so injected runs are cycle- and counter-
     bit-identical to cold ones; the cache's hit/miss deltas are recorded
     into :attr:`RunResult.stats` under ``engine.*`` *after* the simulation

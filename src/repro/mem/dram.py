@@ -23,7 +23,8 @@ bit-identical pure-Python fallback.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from array import array
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import stats_keys as sk
 from ..config import DRAMConfig
@@ -62,18 +63,17 @@ class DRAMModel:
         flat_bank, channel, row = self.decompose_batch((phys_block,))
         return channel, flat_bank - channel * self.config.banks_per_channel, row
 
-    def decompose_batch(self, addresses: Iterable[int]) -> List[int]:
-        """Pre-resolve addresses to a flat ``[bank, channel, row, ...]`` list.
+    def decompose_batch(self, addresses: Iterable[int]) -> "array[int]":
+        """Resolve addresses to a flat ``array('q')`` of (bank, channel, row).
 
-        The triples use this model's flat bank indexing, so they stay valid
-        across :meth:`reset_state` and can be cached by callers that service
-        the same address batch repeatedly (path reads/writes).
+        The triples use this model's flat bank indexing; the C kernels'
+        ``dram_triples`` computes the same array for a whole path.
         """
         cfg = self.config
         row_blocks = cfg.row_blocks
         channels = cfg.channels
         banks_per_channel = cfg.banks_per_channel
-        flat: List[int] = []
+        flat = array("q")
         append = flat.append
         for phys_block in addresses:
             row = phys_block // row_blocks
@@ -120,12 +120,14 @@ class DRAMModel:
         )
 
     def service_decomposed(
-        self, triples: List[int], is_write: bool, start_cycle: int
+        self, triples: "array[int]", is_write: bool, start_cycle: int
     ) -> int:
-        """Hot path: service a pre-decomposed flat triple list.
+        """Hot path: service a flat ``array('q')`` of DRAM triples.
 
         Timing-identical to :meth:`service_addresses` on the corresponding
-        address list; callers cache the triples per path leaf.
+        address list.  Path accesses hand over the triples the controller
+        computes per access (:meth:`decompose_batch`, or the kernels'
+        ``dram_triples``).
         """
         cfg = self.config
         now_dram = -(-start_cycle // cfg.cpu_cycles_per_dram_cycle)
@@ -164,7 +166,7 @@ class DRAMModel:
         return finish_cpu
 
     def _service_py(
-        self, triples: List[int], now_dram: int
+        self, triples: Sequence[int], now_dram: int
     ) -> Tuple[int, int, int]:
         """Pure-Python batch service; the native kernel's oracle."""
         cfg = self.config

@@ -20,10 +20,15 @@ Terminology used here:
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence, Tuple
 
 from ..config import DRAMConfig, ORAMConfig
 from ..errors import ConfigError
+
+
+#: fields of one level record in :attr:`TreeLayout.path_table`
+PATH_RECORD_FIELDS = 6
 
 
 class TreeLayout:
@@ -100,28 +105,39 @@ class TreeLayout:
             row_cursor += rows * (1 << top)
         self.total_rows = row_cursor
 
-        # Flat per-level lookup used by the path_addresses() hot path:
-        # (leaf shift, Z, subtree depth r, local mask — doubling as the
-        #  heap-index base (1 << r) - 1 — offsets table, supernode row
-        #  base, rows per supernode).
-        self._level_meta: List[tuple] = []
-        for level in range(self.first_level, oram.levels):
-            z = oram.z_per_level[level]
-            if z == 0:
-                continue
-            rel = level - self.first_level
-            s, r = divmod(rel, k)
-            self._level_meta.append(
-                (
-                    oram.levels - 1 - level,
-                    z,
-                    r,
-                    (1 << r) - 1,
-                    self.local_offsets[s],
-                    self.superlevel_row_base[s],
-                    self.supernode_rows[s],
-                )
-            )
+        # The path table: one flat array('q') that path_addresses() and
+        # the C kernels read.  Header ``n``, then one record per memory
+        # level with z > 0, root first — (leaf shift, Z, subtree depth r,
+        # supernode row base, rows per supernode, first) — then every
+        # super level's local offsets.  ``first`` indexes this table at
+        # the local offset of the level's first bucket in its supernode,
+        # so the path to ``leaf`` (``position = leaf >> shift``) starts
+        # this level at offset ``table[first + (position & mask)]`` of row
+        # ``row_base + (position >> r) * rows``, with mask ``(1 << r) - 1``.
+        memory_levels = [
+            level for level in range(self.first_level, oram.levels)
+            if oram.z_per_level[level]
+        ]
+        cursor = 1 + PATH_RECORD_FIELDS * len(memory_levels)
+        offsets_start: List[int] = []
+        for offsets in self.local_offsets:
+            offsets_start.append(cursor)
+            cursor += len(offsets)
+        table = array("q", [len(memory_levels)])
+        for level in memory_levels:
+            s, r = divmod(level - self.first_level, k)
+            table.extend((
+                oram.levels - 1 - level,
+                oram.z_per_level[level],
+                r,
+                self.superlevel_row_base[s],
+                self.supernode_rows[s],
+                offsets_start[s] + (1 << r) - 1,
+            ))
+        for offsets in self.local_offsets:
+            table.extend(offsets)
+        #: the path table above, shared with the C kernels
+        self.path_table = table
 
     # -- queries -------------------------------------------------------------
     def slot_address(self, level: int, position: int, slot: int) -> int:
@@ -166,11 +182,16 @@ class TreeLayout:
         if cached is not None:
             return cached
         row_blocks = self.dram.row_blocks
+        table = self.path_table
         addrs: List[int] = []
         append = addrs.append
-        for shift, z, r, mask, offsets, row_base, rows in self._level_meta:
+        for i in range(1, 1 + PATH_RECORD_FIELDS * table[0],
+                       PATH_RECORD_FIELDS):
+            shift, z, r, row_base, rows, first = (
+                table[i:i + PATH_RECORD_FIELDS]
+            )
             position = leaf >> shift
-            offset = offsets[mask + (position & mask)]
+            offset = table[first + (position & ((1 << r) - 1))]
             row = row_base + (position >> r) * rows
             for slot in range(z):
                 combined = offset + slot

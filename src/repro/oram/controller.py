@@ -28,6 +28,7 @@ evictions and internal PosMap write-backs.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Set, Tuple
@@ -102,9 +103,6 @@ class PathORAMController:
     #: so batches fall back to per-slot stepping through their overrides.
     SUPPORTS_NATIVE_BATCH = True
 
-    #: leaves whose DRAM triples ``_path_dram`` holds at once (FIFO)
-    PATH_CACHE_LIMIT = 1 << 16
-
     def __init__(
         self,
         config: SystemConfig,
@@ -141,11 +139,6 @@ class PathORAMController:
         #: when True, classify write-phase placements for Fig. 5
         self.track_migration = False
 
-        #: leaf -> (decomposed DRAM triples, block count) for one path;
-        #: plain integers (flat bank index, channel, row), valid for every
-        #: DRAM model built from the same config, so the table may be
-        #: shared across runs (see :meth:`adopt_artifacts`).
-        self._path_dram: dict = {}
         self._rebind_native()
         self._z_list = list(self.oram.z_per_level)
 
@@ -157,10 +150,6 @@ class PathORAMController:
         #: :meth:`_kernel_ctx`, invalidated whenever a referenced container
         #: is replaced (artifact adoption, unpickling).
         self._ctx = None
-        #: per-leaf DRAM triples packed into the kernel's byte form;
-        #: filled lazily by the kernel (or eagerly by
-        #: :meth:`warm_path_caches`), reset whenever the layout changes.
-        self._packed_triples: dict = {}
 
         self.queue: Deque[Request] = deque()
         #: PosMap blocks evicted from the PLB whose re-insertion into the
@@ -192,16 +181,14 @@ class PathORAMController:
     # Controllers are snapshotted mid-run by repro.sim.checkpoint.  Three
     # kinds of attribute cannot (or must not) cross the pickle boundary:
     # the C kernel binding (a process-local module object), the kernel
-    # context and packed triples derived for it, and the two observer
-    # hooks (arbitrary callables — auditors and checkpoint
-    # managers re-attach themselves on resume).  Everything else is plain
-    # Python state and round-trips exactly, so a resumed run is
-    # bit-identical to an uninterrupted one.
+    # context derived for it, and the two observer hooks (arbitrary
+    # callables — auditors and checkpoint managers re-attach themselves
+    # on resume).  Everything else is plain Python state and round-trips
+    # exactly, so a resumed run is bit-identical to an uninterrupted one.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_native"] = None
         state["_ctx"] = None
-        state["_packed_triples"] = {}
         state["observer"] = None
         state["slot_observer"] = None
         return state
@@ -530,7 +517,8 @@ class PathORAMController:
         ``(finish_read, start, served_level)``: the level ``served`` was
         read from, or -1 when it was not on the path.
         """
-        triples, blocks = self._path_dram_triples(leaf)
+        triples = self._dram_triples(leaf)
+        blocks = len(triples) // 3
         finish_read = self.dram.service_decomposed(triples, False, now)
 
         counters = self.stats.counters
@@ -588,77 +576,27 @@ class PathORAMController:
             self.observer(record)
         return finish_read, now, served_level
 
-    def adopt_artifacts(self, layout: TreeLayout, path_dram: dict) -> None:
-        """Adopt shared config-derived artifacts from an artifact cache.
+    def adopt_artifacts(self, layout: TreeLayout) -> None:
+        """Adopt a shared subtree layout from an artifact cache.
 
-        ``layout`` and ``path_dram`` (the leaf -> decomposed-triples table)
-        are pure functions of the system config — the triples are plain
-        integer lists indexed by the flat bank scheme of
-        :meth:`~repro.mem.dram.DRAMModel.decompose_batch` — so adopting
-        them changes no simulated cycle or counter, only setup cost.
+        The layout is a pure function of the system config, so adopting
+        it changes no simulated cycle or counter, only setup cost.
         Called by :meth:`repro.perf.engine.ArtifactCache.attach` for plain
         ``PathORAMController`` instances (subclasses lay out additional
         trees at shifted base rows and keep private state).
         """
         self.layout = layout
-        self._path_dram = path_dram
-        # The kernel context captures the triples table by reference, and
-        # the packed mirror was derived from the replaced table.
+        # The kernel context holds the replaced layout's path table.
         self._ctx = None
-        self._packed_triples = {}
 
-    def _path_dram_triples(self, leaf: int) -> Tuple[list, int]:
-        """Memoized ``(decomposed triples, block count)`` for one path."""
-        cached = self._path_dram.get(leaf)
-        if cached is None:
-            if _fastpath is not None:
-                dram_cfg = self.config.dram
-                triples = _fastpath.path_triples(
-                    leaf,
-                    self.layout._level_meta,
-                    dram_cfg.row_blocks,
-                    dram_cfg.channels,
-                    dram_cfg.banks_per_channel,
-                )
-                cached = (triples, len(triples) // 3)
-            else:
-                addresses = self.layout.path_addresses(leaf)
-                cached = (
-                    self.dram.decompose_batch(addresses),
-                    len(addresses),
-                )
-            if len(self._path_dram) >= self.PATH_CACHE_LIMIT:
-                # FIFO eviction: drop the oldest entry (dicts preserve
-                # insertion order) so hot leaves survive cache pressure
-                # instead of being wiped with everything else.
-                self._path_dram.pop(next(iter(self._path_dram)))
-            self._path_dram[leaf] = cached
-        return cached
-
-    def warm_path_caches(self, limit: Optional[int] = None) -> int:
-        """Precompute the per-leaf memoization caches; returns leaves warmed.
-
-        Fills the DRAM-triple cache (:meth:`_path_dram_triples`) and the
-        kernel's packed mirror of it for up to ``limit`` leaves (default:
-        as many as fit under the cache cap).  This is pure
-        address-geometry work — no protocol state (stash, tree contents,
-        RNG, DRAM banks) is touched — so warming never changes simulated
-        cycles; it only moves the one-time decomposition cost out of
-        latency-sensitive regions such as benchmark loops.
-        """
-        cap = self.PATH_CACHE_LIMIT if limit is None else limit
-        count = min(self.oram.leaves, cap)
-        triples = self._path_dram_triples
-        native = self._native
-        pack = native.pack_triples if native is not None else None
-        packed = self._packed_triples
-        n_banks = len(self.dram.bank_ready)
-        n_channels = len(self.dram.bus_free)
-        for leaf in range(count):
-            entry = triples(leaf)
-            if pack is not None and leaf not in packed:
-                packed[leaf] = pack(entry, n_banks, n_channels)
-        return count
+    def _dram_triples(self, leaf: int) -> "array[int]":
+        """The DRAM (bank, channel, row) triples of one path, computed
+        from the layout on every access: by the kernels' ``dram_triples``
+        when loaded, else :meth:`TreeLayout.path_addresses` through
+        :meth:`DRAMModel.decompose_batch`."""
+        if self._native is not None:
+            return self._native.dram_triples(self._kernel_ctx(), leaf)
+        return self.dram.decompose_batch(self.layout.path_addresses(leaf))
 
     def _write_path(self, leaf: int, finish_read: int, path_type: PathType,
                     preexisting: Optional[Set[int]] = None) -> int:
@@ -680,7 +618,8 @@ class PathORAMController:
         self, leaf: int, finish_read: int, path_type: PathType
     ) -> int:
         """The write phase's DRAM burst for an already-placed path."""
-        triples, blocks = self._path_dram_triples(leaf)
+        triples = self._dram_triples(leaf)
+        blocks = len(triples) // 3
         finish_write = self.dram.service_decomposed(triples, True, finish_read)
         self.stats.counters[sk.MEM_BLOCKS_WRITTEN] += blocks
         self._emit_path_write(leaf, path_type, finish_read, finish_write,
@@ -1073,8 +1012,7 @@ class PathORAMController:
         ctx = self._ctx = kernel_ctx(
             randrange=self.rng.randrange,
             leaves=self.oram.leaves,
-            triples_cache=self._path_dram,
-            triples_fn=self._path_dram_triples,
+            path_table=self.layout.path_table,
             entries=self.stash._entries,
             leaf_table=self.posmap._leaf_of,
             tree_slots=self.tree._slots,
@@ -1092,11 +1030,11 @@ class PathORAMController:
                 dram_cfg.t_rcd,
                 dram_cfg.t_burst,
                 dram_cfg.t_cas + dram_cfg.t_burst,
+                dram_cfg.row_blocks,
+                dram_cfg.channels,
+                dram_cfg.banks_per_channel,
             ),
             **sstash,
-            # Kernel-maintained packed triple arrays (possibly pre-warmed
-            # by warm_path_caches); reset alongside the triples table.
-            packed=self._packed_triples,
             getrandbits=self.rng.getrandbits if plain_rng else None,
             leaf_bits=self.oram.leaves.bit_length() if plain_rng else 0,
         )

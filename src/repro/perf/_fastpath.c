@@ -7,15 +7,18 @@
  * equivalence tests compare whole simulations across the two.
  *
  * The kernels operate directly on the simulator's live Python objects
- * (dicts and lists of ints, and the tree and position-map arrays through
- * the buffer protocol), so there is a single source of truth for all
- * state; no separate C-side state is kept.
+ * (dicts and lists of ints, and the tree, position-map and layout
+ * path-table arrays through the buffer protocol), so there is a single
+ * source of truth for all state; no separate C-side state is kept.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 #include <time.h>
+
+/* array.array, imported at module init: dram_triples returns one. */
+static PyObject *array_type;
 
 static inline unsigned long long
 now_ns(void)
@@ -26,82 +29,222 @@ now_ns(void)
            (unsigned long long)ts.tv_nsec;
 }
 
+/* ---------------------------------------------------------------- */
+/* DRAM timing                                                       */
+/* ---------------------------------------------------------------- */
+
+typedef struct {
+    long long ratio;      /* CPU cycles per DRAM cycle */
+    long long t_rp;
+    long long t_rcd;
+    long long t_burst;
+    long long cas_burst;  /* t_cas + t_burst */
+} DramTiming;
+
+/* The DRAM model's bank state, hoisted from its three lists into one C
+ * allocation: ``ready`` and ``open_row`` (-1 = closed) per flat bank,
+ * ``bus_free`` per channel.
+ */
+typedef struct {
+    long long *ready, *open_row, *bus_free;
+    Py_ssize_t n_banks, n_channels;
+} BankState;
+
+/* DRAMModel._service_py over hoisted bank state, the one DRAM timing
+ * loop: ``triples`` holds ``n3`` (bank, channel, row) groups whose
+ * bank/channel indices the caller has range-checked.  Row hit/conflict
+ * counts accumulate into the caller's running totals.
+ */
+static void
+dram_run_arr(const long long *triples, Py_ssize_t n3, BankState *b,
+             long long now_dram, const DramTiming *cfg,
+             long long *finish_out, long long *hits_out,
+             long long *conflicts_out)
+{
+    long long *ready = b->ready, *open_row = b->open_row,
+        *bus_free = b->bus_free;
+    long long finish = now_dram;
+    for (Py_ssize_t i = 0; i < n3; i++) {
+        long long bank = triples[3 * i];
+        long long channel = triples[3 * i + 1];
+        long long row = triples[3 * i + 2];
+        long long t = ready[bank];
+        if (bus_free[channel] > t)
+            t = bus_free[channel];
+        if (now_dram > t)
+            t = now_dram;
+        if (open_row[bank] != row) {
+            if (open_row[bank] != -1) {
+                t += cfg->t_rp;
+                (*conflicts_out)++;
+            }
+            t += cfg->t_rcd;
+            open_row[bank] = row;
+        } else {
+            (*hits_out)++;
+        }
+        long long done = t + cfg->cas_burst;
+        long long next_slot = t + cfg->t_burst;
+        bus_free[channel] = next_slot;
+        ready[bank] = next_slot;
+        if (done > finish)
+            finish = done;
+    }
+    *finish_out = finish;
+}
+
+/* Hoist the bank-state lists into ``b``.  Returns 0 with the arrays
+ * allocated (pair with free_banks), or -1 with an exception set and
+ * nothing held.
+ */
+static int
+load_banks(BankState *b, PyObject *ready, PyObject *open_row,
+           PyObject *bus_free)
+{
+    b->n_banks = PyList_GET_SIZE(ready);
+    b->n_channels = PyList_GET_SIZE(bus_free);
+    if (PyList_GET_SIZE(open_row) != b->n_banks) {
+        PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
+        return -1;
+    }
+    b->ready = PyMem_Malloc(
+        sizeof(long long) * (size_t)(2 * b->n_banks + b->n_channels));
+    if (b->ready == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->open_row = b->ready + b->n_banks;
+    b->bus_free = b->open_row + b->n_banks;
+    for (Py_ssize_t i = 0; i < b->n_banks; i++) {
+        b->ready[i] = PyLong_AsLongLong(PyList_GET_ITEM(ready, i));
+        b->open_row[i] = PyLong_AsLongLong(PyList_GET_ITEM(open_row, i));
+    }
+    for (Py_ssize_t i = 0; i < b->n_channels; i++)
+        b->bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(bus_free, i));
+    if (PyErr_Occurred()) {
+        PyMem_Free(b->ready);
+        return -1;
+    }
+    return 0;
+}
+
+static void
+free_banks(BankState *b)
+{
+    PyMem_Free(b->ready);
+}
+
+/* list[i] = value unless it already holds that value.  Bounds-checked:
+ * a callback may have resized the list since load_banks.
+ */
+static int
+store_item(PyObject *list, Py_ssize_t i, long long value)
+{
+    PyObject *current = PyList_GetItem(list, i);
+    if (current == NULL)
+        return -1;
+    long long held = PyLong_AsLongLong(current);
+    if (held == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    else if (held == value)
+        return 0;
+    PyObject *obj = PyLong_FromLongLong(value);
+    if (obj == NULL)
+        return -1;
+    PyList_SetItem(list, i, obj);
+    return 0;
+}
+
+/* Write hoisted bank state back to the lists load_banks read. */
+static int
+store_banks(const BankState *b, PyObject *ready, PyObject *open_row,
+            PyObject *bus_free)
+{
+    for (Py_ssize_t i = 0; i < b->n_banks; i++) {
+        if (store_item(ready, i, b->ready[i]) < 0 ||
+            store_item(open_row, i, b->open_row[i]) < 0)
+            return -1;
+    }
+    for (Py_ssize_t i = 0; i < b->n_channels; i++) {
+        if (store_item(bus_free, i, b->bus_free[i]) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Acquire ``obj`` as a writable buffer of ``long long`` (an array('q')).
+ * Returns its item count, or -1 with an exception set and nothing held.
+ */
+static Py_ssize_t
+get_q_buffer(PyObject *obj, Py_buffer *view, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->format == NULL || strcmp(view->format, "q") != 0 ||
+        view->itemsize != (Py_ssize_t)sizeof(long long)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('q')", what);
+        return -1;
+    }
+    return view->len / view->itemsize;
+}
+
 /* dram_service(triples, ready, open_row, bus_free,
  *              now_dram, t_rp, t_rcd, t_burst, cas_burst)
  *   -> (finish_dram, row_hits, row_conflicts)
  *
- * `triples` is the flat [bank, channel, row, ...] list produced by
- * DRAMModel.decompose_batch; `ready`, `open_row` (row id or -1 = closed)
- * and `bus_free` are the model's bank-state lists, mutated in place.
- * Mirrors DRAMModel._service_py.
+ * `triples` is the flat array('q') of (bank, channel, row) groups that
+ * DRAMModel.decompose_batch or dram_triples produce; `ready`, `open_row`
+ * (row id or -1 = closed) and `bus_free` are the model's bank-state
+ * lists, updated in place.  Every bank and channel is range-checked
+ * before the timing loop runs.  Mirrors DRAMModel._service_py.
  */
 static PyObject *
 dram_service(PyObject *self, PyObject *args)
 {
     PyObject *triples, *ready, *open_row, *bus_free;
-    long long now_dram, t_rp, t_rcd, t_burst, cas_burst;
+    DramTiming cfg = {1, 0, 0, 0, 0};
+    long long now_dram;
     if (!PyArg_ParseTuple(
-            args, "O!O!O!O!LLLLL",
-            &PyList_Type, &triples, &PyList_Type, &ready,
-            &PyList_Type, &open_row, &PyList_Type, &bus_free,
-            &now_dram, &t_rp, &t_rcd, &t_burst, &cas_burst))
+            args, "OO!O!O!LLLLL", &triples,
+            &PyList_Type, &ready, &PyList_Type, &open_row,
+            &PyList_Type, &bus_free, &now_dram,
+            &cfg.t_rp, &cfg.t_rcd, &cfg.t_burst, &cfg.cas_burst))
         return NULL;
-
-    Py_ssize_t n = PyList_GET_SIZE(triples);
-    long long finish = now_dram;
-    long long row_hits = 0;
-    long long conflicts = 0;
-
-    for (Py_ssize_t i = 0; i + 2 < n; i += 3) {
-        long long bank = PyLong_AsLongLong(PyList_GET_ITEM(triples, i));
-        long long channel = PyLong_AsLongLong(PyList_GET_ITEM(triples, i + 1));
-        long long row = PyLong_AsLongLong(PyList_GET_ITEM(triples, i + 2));
-        if (PyErr_Occurred())
-            return NULL;
-        if (bank < 0 || bank >= PyList_GET_SIZE(ready) ||
-            channel < 0 || channel >= PyList_GET_SIZE(bus_free)) {
-            PyErr_SetString(PyExc_IndexError, "bank/channel out of range");
-            return NULL;
-        }
-
-        long long t = PyLong_AsLongLong(PyList_GET_ITEM(ready, bank));
-        long long freed = PyLong_AsLongLong(PyList_GET_ITEM(bus_free, channel));
-        if (freed > t)
-            t = freed;
-        if (now_dram > t)
-            t = now_dram;
-
-        long long current = PyLong_AsLongLong(PyList_GET_ITEM(open_row, bank));
-        if (PyErr_Occurred())
-            return NULL;
-        if (current != row) {
-            if (current != -1) {
-                t += t_rp;
-                conflicts++;
-            }
-            t += t_rcd;
-            PyObject *row_obj = PyLong_FromLongLong(row);
-            if (row_obj == NULL)
-                return NULL;
-            PyList_SetItem(open_row, bank, row_obj);
-        } else {
-            row_hits++;
-        }
-
-        long long done = t + cas_burst;
-        long long next_slot = t + t_burst;
-        PyObject *slot_obj = PyLong_FromLongLong(next_slot);
-        if (slot_obj == NULL)
-            return NULL;
-        PyList_SetItem(bus_free, channel, slot_obj);
-        slot_obj = PyLong_FromLongLong(next_slot);
-        if (slot_obj == NULL)
-            return NULL;
-        PyList_SetItem(ready, bank, slot_obj);
-        if (done > finish)
-            finish = done;
+    Py_buffer view;
+    Py_ssize_t n = get_q_buffer(triples, &view, "triples");
+    if (n < 0)
+        return NULL;
+    const long long *arr = view.buf;
+    BankState b;
+    long long finish = now_dram, row_hits = 0, conflicts = 0;
+    if (n % 3 != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "triples length not a multiple of 3");
+        goto fail;
     }
+    if (load_banks(&b, ready, open_row, bus_free) < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i < n; i += 3) {
+        if (arr[i] < 0 || arr[i] >= b.n_banks ||
+            arr[i + 1] < 0 || arr[i + 1] >= b.n_channels) {
+            PyErr_SetString(PyExc_IndexError, "bank/channel out of range");
+            free_banks(&b);
+            goto fail;
+        }
+    }
+    dram_run_arr(arr, n / 3, &b, now_dram, &cfg, &finish, &row_hits,
+                 &conflicts);
+    int rc = store_banks(&b, ready, open_row, bus_free);
+    free_banks(&b);
+    PyBuffer_Release(&view);
+    if (rc < 0)
+        return NULL;
     return Py_BuildValue("LLL", finish, row_hits, conflicts);
+
+fail:
+    PyBuffer_Release(&view);
+    return NULL;
 }
 
 /* ---------------------------------------------------------------- */
@@ -136,132 +279,185 @@ typedef struct {
 
 #define FASTPATH_MAX_LEVELS 64
 
-/* Cap on the packed per-leaf triple cache inside the kernel ctx; mirrors
- * PathORAMController.PATH_CACHE_LIMIT, the cap of the triple memo it
- * packs, so both evict in step.
- */
-#define PACKED_CACHE_LIMIT (1 << 16)
-
-typedef struct {
-    long long ratio;      /* CPU cycles per DRAM cycle */
-    long long t_rp;
-    long long t_rcd;
-    long long t_burst;
-    long long cas_burst;  /* t_cas + t_burst */
-} DramTiming;
-
 /* ---------------------------------------------------------------- */
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 24-slot
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 22-slot
  * tuple PathORAMController._kernel_ctx freezes; read_path,
- * write_path_place and run_batch all take it:
+ * write_path_place, dram_triples and run_batch all take it:
  *
  *    0 randrange        leaf draw for run_batch
  *    1 leaves           leaf count
- *    2 triples_cache    leaf -> (DRAM triples, blocks) memo
- *    3 triples_fn       its memoizing miss fallback
- *    4 entries          the stash's block -> leaf dict, in stash order
- *    5 leaf_table       position-map leaves by block, array('q')
- *    6 tree_slots       every tree slot, level by level, array('q')
- *    7-11               z per level, level occupancy, levels, cached
+ *    2 path_table       TreeLayout.path_table, array('q')
+ *    3 entries          the stash's block -> leaf dict, in stash order
+ *    4 leaf_table       position-map leaves by block, array('q')
+ *    5 tree_slots       every tree slot, level by level, array('q')
+ *    6-10               z per level, level occupancy, levels, cached
  *                       top levels, empty-slot marker
- *   12-14               DRAM bank ready / open row / bus free lists
- *   15 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst)
- *   16 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   17-20               S-Stash resident, set_count, set_of, ways
- *   21 packed_cache     leaf -> packed triple bytes, kernel-filled
- *   22-23               the RNG's getrandbits and the leaf-count bit
+ *   11-13               DRAM bank ready / open row / bus free lists
+ *   14 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst,
+ *                       row_blocks, channels, banks_per_channel)
+ *   15 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
+ *   16-19               S-Stash resident, set_count, set_of, ways
+ *   20-21               the RNG's getrandbits and the leaf-count bit
  *                       width when it is a plain random.Random, else
  *                       None, 0
  *
- * Object fields are borrowed from the tuple.  The two arrays are held as
- * buffers from parse_ctx to release_ctx, so nothing can resize them in
- * between; level ``l``'s buckets start at ``offset[l]`` in the tree
+ * Object fields are borrowed from the tuple.  The three arrays are held
+ * as buffers from parse_ctx to release_ctx, so nothing can resize them
+ * in between; level ``l``'s buckets start at ``offset[l]`` in the tree
  * array, ``z_arr[l]`` slots each, as ORAMTree lays them out.  Bucket
  * sizes and level occupancy are hoisted into C arrays (occupancy goes
  * back through store_used), and the tree-top counters gather one call's
  * hook effects for the caller to apply.
  */
 typedef struct {
-    PyObject *randrange, *leaves_obj, *triples_cache, *triples_fn,
-        *entries, *level_used, *bank_ready, *bank_open_row, *bus_free,
-        *resident, *set_count, *set_of, *packed_cache, *getrandbits;
-    Py_buffer leaf_buf, tree_buf;
+    PyObject *randrange, *leaves_obj, *entries, *level_used, *bank_ready,
+        *bank_open_row, *bus_free, *resident, *set_count, *set_of,
+        *getrandbits;
+    Py_buffer leaf_buf, tree_buf, path_buf;
     long long *leaf_table, *tree;
+    const long long *path_table;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
     long long leaf, leaves, levels, top, empty, ways, leaf_bits;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
     DramTiming dram;
+    long long row_blocks, channels, banks_per_channel;
+    long long path_blocks;  /* memory-backed slots on every path */
     long long z_arr[FASTPATH_MAX_LEVELS];
     long long offset[FASTPATH_MAX_LEVELS];
     long long used_arr[FASTPATH_MAX_LEVELS];
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
 } KernelCtx;
 
-/* Acquire ``obj`` as a writable buffer of ``long long`` (an array('q')).
- * Returns its item count, or -1 with an exception set and nothing held.
+/* Fields of one level record in TreeLayout.path_table. */
+enum { PT_SHIFT, PT_Z, PT_R, PT_ROW_BASE, PT_ROWS, PT_FIRST, PT_FIELDS };
+
+/* Validate the path table (``len`` items) against the tree and DRAM
+ * geometry, so fill_triples can run unchecked: records are levels in
+ * root-first order, each with the tree's Z for its level; every offset
+ * index a leaf can reach lies inside the table; no row computation
+ * overflows or goes negative, so every bank and channel lands inside
+ * the bank-state lists.  Sets ``path_blocks``.  Returns 0, or -1 with
+ * ValueError set.
  */
-static Py_ssize_t
-get_q_buffer(PyObject *obj, Py_buffer *view, const char *what)
+static int
+check_path_table(KernelCtx *c, Py_ssize_t len)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
-        return -1;
-    if (view->format == NULL || strcmp(view->format, "q") != 0 ||
-        view->itemsize != (Py_ssize_t)sizeof(long long)) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be an array('q')", what);
+    const long long *t = c->path_table;
+    long long n_banks;
+    if (c->row_blocks <= 0 || c->channels <= 0 ||
+        c->banks_per_channel <= 0 ||
+        __builtin_mul_overflow(c->channels, c->banks_per_channel,
+                               &n_banks) ||
+        n_banks != (long long)PyList_GET_SIZE(c->bank_ready) ||
+        n_banks != (long long)PyList_GET_SIZE(c->bank_open_row) ||
+        c->channels != (long long)PyList_GET_SIZE(c->bus_free)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "DRAM geometry does not match the bank lists");
         return -1;
     }
-    return view->len / view->itemsize;
+    if (len < 1 || t[0] < 0 || t[0] > c->levels ||
+        len < 1 + PT_FIELDS * t[0]) {
+        PyErr_SetString(PyExc_ValueError, "malformed path table");
+        return -1;
+    }
+    long long records_end = 1 + PT_FIELDS * t[0];
+    long long last_level = -1;
+    c->path_blocks = 0;
+    for (long long i = 0; i < t[0]; i++) {
+        const long long *rec = t + 1 + PT_FIELDS * i;
+        long long shift = rec[PT_SHIFT], r = rec[PT_R], first = rec[PT_FIRST];
+        long long level =
+            shift >= 0 && shift < c->levels ? c->levels - 1 - shift : -1;
+        if (level <= last_level || rec[PT_Z] != c->z_arr[level] ||
+            r < 0 || r > 62 ||
+            rec[PT_ROW_BASE] < 0 || rec[PT_ROWS] < 0 ||
+            first < records_end || first >= len ||
+            ((1LL << r) - 1) >= len - first) {
+            PyErr_SetString(PyExc_ValueError, "path table level out of range");
+            return -1;
+        }
+        last_level = level;
+        c->path_blocks += rec[PT_Z];
+        /* The deepest row any leaf reaches through this level. */
+        long long max_offset = 0;
+        for (long long j = 0; j < (1LL << r); j++) {
+            long long offset = t[first + j];
+            if (offset < 0 || offset > LLONG_MAX - rec[PT_Z]) {
+                PyErr_SetString(PyExc_ValueError,
+                                "path table offset out of range");
+                return -1;
+            }
+            if (offset > max_offset)
+                max_offset = offset;
+        }
+        long long row;
+        if (__builtin_mul_overflow(
+                ((c->leaves - 1) >> shift) >> r, rec[PT_ROWS],
+                &row) ||
+            __builtin_add_overflow(row, rec[PT_ROW_BASE], &row) ||
+            __builtin_add_overflow(
+                row, (max_offset + rec[PT_Z]) / c->row_blocks, &row)) {
+            PyErr_SetString(PyExc_ValueError, "path table row overflows");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+release_ctx(KernelCtx *c)
+{
+    PyBuffer_Release(&c->tree_buf);
+    PyBuffer_Release(&c->leaf_buf);
+    PyBuffer_Release(&c->path_buf);
 }
 
 /* Unpack and validate ``ctx`` into ``c``, and parse ``leaf_obj`` into
- * ``c->leaf`` unless it is NULL.  Returns 0 with both arrays held (pair
- * with release_ctx), or -1 with an exception set and nothing held.
+ * ``c->leaf`` unless it is NULL.  Returns 0 with all three arrays held
+ * (pair with release_ctx), or -1 with an exception set and nothing held.
  */
 static int
 parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
 {
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 24) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 24 slots");
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 22) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 22 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
     c->randrange = CTX(0);
     c->leaves_obj = CTX(1);
-    c->triples_cache = CTX(2);
-    c->triples_fn = CTX(3);
-    c->entries = CTX(4);
-    PyObject *leaf_table = CTX(5);
-    PyObject *tree_slots = CTX(6);
-    PyObject *z_list = CTX(7);
-    c->level_used = CTX(8);
-    c->bank_ready = CTX(12);
-    c->bank_open_row = CTX(13);
-    c->bus_free = CTX(14);
-    PyObject *dram_params = CTX(15);
-    c->resident = CTX(17);
-    c->set_count = CTX(18);
-    c->set_of = CTX(19);
-    c->packed_cache = CTX(21);
-    c->getrandbits = CTX(22);
+    PyObject *path_table = CTX(2);
+    c->entries = CTX(3);
+    PyObject *leaf_table = CTX(4);
+    PyObject *tree_slots = CTX(5);
+    PyObject *z_list = CTX(6);
+    c->level_used = CTX(7);
+    c->bank_ready = CTX(11);
+    c->bank_open_row = CTX(12);
+    c->bus_free = CTX(13);
+    PyObject *dram_params = CTX(14);
+    c->resident = CTX(16);
+    c->set_count = CTX(17);
+    c->set_of = CTX(18);
+    c->getrandbits = CTX(20);
     c->leaves = PyLong_AsLongLong(c->leaves_obj);
-    c->levels = PyLong_AsLongLong(CTX(9));
-    c->top = PyLong_AsLongLong(CTX(10));
-    c->empty = PyLong_AsLongLong(CTX(11));
-    long long mode = PyLong_AsLongLong(CTX(16));
-    c->ways = PyLong_AsLongLong(CTX(20));
-    c->leaf_bits = PyLong_AsLongLong(CTX(23));
+    c->levels = PyLong_AsLongLong(CTX(8));
+    c->top = PyLong_AsLongLong(CTX(9));
+    c->empty = PyLong_AsLongLong(CTX(10));
+    long long mode = PyLong_AsLongLong(CTX(15));
+    c->ways = PyLong_AsLongLong(CTX(19));
+    c->leaf_bits = PyLong_AsLongLong(CTX(21));
 #undef CTX
     if (PyErr_Occurred())
         return -1;
-    if (!PyDict_Check(c->triples_cache) || !PyDict_Check(c->entries) ||
+    if (!PyDict_Check(c->entries) ||
         !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
         !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
-        !PyList_Check(c->bus_free) || !PyDict_Check(c->packed_cache) ||
-        !PyTuple_Check(dram_params) || PyTuple_GET_SIZE(dram_params) != 5) {
+        !PyList_Check(c->bus_free) ||
+        !PyTuple_Check(dram_params) || PyTuple_GET_SIZE(dram_params) != 8) {
         PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
         return -1;
     }
@@ -275,11 +471,18 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
         return -1;
     }
     c->gated = (mode == 1);
-    c->dram.ratio = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 0));
-    c->dram.t_rp = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 1));
-    c->dram.t_rcd = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 2));
-    c->dram.t_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 3));
-    c->dram.cas_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 4));
+#define PARAM(i) PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, i))
+    c->dram.ratio = PARAM(0);
+    c->dram.t_rp = PARAM(1);
+    c->dram.t_rcd = PARAM(2);
+    c->dram.t_burst = PARAM(3);
+    c->dram.cas_burst = PARAM(4);
+    c->row_blocks = PARAM(5);
+    c->channels = PARAM(6);
+    c->banks_per_channel = PARAM(7);
+#undef PARAM
+    if (PyErr_Occurred())
+        return -1;
     if (c->levels < 1 || c->levels >= FASTPATH_MAX_LEVELS ||
         PyList_GET_SIZE(z_list) < (Py_ssize_t)c->levels ||
         PyList_GET_SIZE(c->level_used) < (Py_ssize_t)c->levels) {
@@ -320,17 +523,30 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     c->placed_top = c->removed_top = 0;
     c->ss_placed = c->ss_removed = c->ss_skips = 0;
 
-    c->leaf_count = get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
-    if (c->leaf_count < 0)
+    Py_ssize_t path_len =
+        get_q_buffer(path_table, &c->path_buf, "path_table");
+    if (path_len < 0)
         return -1;
-    Py_ssize_t tree_len = get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
+    c->path_table = c->path_buf.buf;
+    if (check_path_table(c, path_len) < 0) {
+        PyBuffer_Release(&c->path_buf);
+        return -1;
+    }
+    c->leaf_count =
+        get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
+    if (c->leaf_count < 0) {
+        PyBuffer_Release(&c->path_buf);
+        return -1;
+    }
+    Py_ssize_t tree_len =
+        get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
     if (tree_len < 0) {
         PyBuffer_Release(&c->leaf_buf);
+        PyBuffer_Release(&c->path_buf);
         return -1;
     }
     if (tree_len != total) {
-        PyBuffer_Release(&c->tree_buf);
-        PyBuffer_Release(&c->leaf_buf);
+        release_ctx(c);
         PyErr_SetString(PyExc_ValueError,
                         "tree_slots length does not match z per level");
         return -1;
@@ -340,12 +556,6 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     return 0;
 }
 
-static void
-release_ctx(KernelCtx *c)
-{
-    PyBuffer_Release(&c->tree_buf);
-    PyBuffer_Release(&c->leaf_buf);
-}
 
 /* Write the hoisted level occupancy back to the ctx's ``level_used``. */
 static int
@@ -765,207 +975,73 @@ write_path_place(PyObject *self, PyObject *args)
     return Py_BuildValue("LLL", c.placed_top, c.ss_placed, c.ss_skips);
 }
 
-/* path_triples(leaf, level_meta, row_blocks, channels, banks_per_channel)
- *   -> [bank, channel, row, ...]
+/* The DRAM (bank, channel, row) triples of the path to ``leaf``, written
+ * to ``out`` (room for 3 * path_blocks): TreeLayout.path_addresses
+ * followed by DRAMModel.decompose_batch, computed from the path table.
+ * Within a bucket the slots run on through consecutive columns, so the
+ * row and its bank and channel only change at a row boundary.
+ * check_path_table has bounded every index and row this reaches.
+ */
+static void
+fill_triples(const KernelCtx *c, long long leaf, long long *out)
+{
+    const long long *t = c->path_table;
+    for (long long i = 0; i < t[0]; i++) {
+        const long long *rec = t + 1 + PT_FIELDS * i;
+        long long position = leaf >> rec[PT_SHIFT];
+        long long r = rec[PT_R];
+        long long offset = t[rec[PT_FIRST] + (position & ((1LL << r) - 1))];
+        long long row = rec[PT_ROW_BASE] + (position >> r) * rec[PT_ROWS] +
+                        offset / c->row_blocks;
+        long long column = offset % c->row_blocks;
+        long long bank = 0, channel = 0, bank_row = -1;
+        for (long long s = 0; s < rec[PT_Z]; s++) {
+            if (row != bank_row) {
+                channel = row % c->channels;
+                bank = channel * c->banks_per_channel +
+                       (row / c->channels) % c->banks_per_channel;
+                bank_row = row;
+            }
+            *out++ = bank;
+            *out++ = channel;
+            *out++ = row;
+            if (++column == c->row_blocks) {
+                column = 0;
+                row++;
+            }
+        }
+    }
+}
+
+/* dram_triples(ctx, leaf) -> array('q') of [bank, channel, row, ...]
  *
- * Fused TreeLayout.path_addresses + DRAMModel.decompose_batch for one
- * path: walk the layout's per-level meta tuples
- * (shift, z, r, mask, offsets, row_base, rows) and emit the flat DRAM
- * triple list directly, skipping the intermediate address list.
+ * The DRAM triples of the path to ``leaf`` through fill_triples, for
+ * the per-access read and write phases to hand to dram_service.
  */
 static PyObject *
-path_triples(PyObject *self, PyObject *args)
+dram_triples(PyObject *self, PyObject *args)
 {
-    PyObject *meta;
-    long long leaf, row_blocks, channels, banks_per_channel;
-    if (!PyArg_ParseTuple(args, "LO!LLL",
-                          &leaf, &PyList_Type, &meta,
-                          &row_blocks, &channels, &banks_per_channel))
+    PyObject *ctx, *leaf_obj;
+    if (!PyArg_ParseTuple(args, "OO!", &ctx, &PyLong_Type, &leaf_obj))
         return NULL;
-    if (row_blocks <= 0 || channels <= 0 || banks_per_channel <= 0) {
-        PyErr_SetString(PyExc_ValueError, "invalid DRAM geometry");
+    KernelCtx c;
+    if (parse_ctx(ctx, leaf_obj, &c) < 0)
         return NULL;
-    }
-
-    Py_ssize_t n_levels = PyList_GET_SIZE(meta);
-    Py_ssize_t total = 0;
-    for (Py_ssize_t i = 0; i < n_levels; i++) {
-        PyObject *entry = PyList_GET_ITEM(meta, i);
-        long long z = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-        if (z == -1 && PyErr_Occurred())
-            return NULL;
-        total += (Py_ssize_t)z;
-    }
-    PyObject *flat = PyList_New(total * 3);
-    if (flat == NULL)
+    PyObject *raw = PyBytes_FromStringAndSize(
+        NULL, (Py_ssize_t)sizeof(long long) * 3 * c.path_blocks);
+    if (raw != NULL)
+        fill_triples(&c, c.leaf, (long long *)PyBytes_AS_STRING(raw));
+    release_ctx(&c);
+    if (raw == NULL)
         return NULL;
-    Py_ssize_t out = 0;
-    for (Py_ssize_t i = 0; i < n_levels; i++) {
-        PyObject *entry = PyList_GET_ITEM(meta, i);
-        long long shift = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
-        long long z = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-        long long r = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 2));
-        long long mask = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 3));
-        PyObject *offsets = PyTuple_GET_ITEM(entry, 4);
-        long long row_base = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 5));
-        long long rows = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 6));
-        if (PyErr_Occurred() || !PyList_Check(offsets)) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "offsets must be a list");
-            goto fail;
-        }
-        long long position = leaf >> shift;
-        Py_ssize_t off_idx = (Py_ssize_t)(mask + (position & mask));
-        if (off_idx < 0 || off_idx >= PyList_GET_SIZE(offsets)) {
-            PyErr_SetString(PyExc_IndexError, "layout offset out of range");
-            goto fail;
-        }
-        long long offset =
-            PyLong_AsLongLong(PyList_GET_ITEM(offsets, off_idx));
-        if (offset == -1 && PyErr_Occurred())
-            goto fail;
-        long long row0 = row_base + (position >> r) * rows;
-        for (long long slot = 0; slot < z; slot++) {
-            long long combined = offset + slot;
-            long long row = row0 + combined / row_blocks;
-            long long channel = row % channels;
-            long long bank =
-                channel * banks_per_channel +
-                (row / channels) % banks_per_channel;
-            PyObject *bank_obj = PyLong_FromLongLong(bank);
-            PyObject *chan_obj = PyLong_FromLongLong(channel);
-            PyObject *row_obj = PyLong_FromLongLong(row);
-            if (bank_obj == NULL || chan_obj == NULL || row_obj == NULL) {
-                Py_XDECREF(bank_obj);
-                Py_XDECREF(chan_obj);
-                Py_XDECREF(row_obj);
-                goto fail;
-            }
-            PyList_SET_ITEM(flat, out++, bank_obj);
-            PyList_SET_ITEM(flat, out++, chan_obj);
-            PyList_SET_ITEM(flat, out++, row_obj);
-        }
-    }
-    return flat;
-
-fail:
-    Py_DECREF(flat);
-    return NULL;
+    PyObject *result = PyObject_CallFunction(array_type, "sO", "q", raw);
+    Py_DECREF(raw);
+    return result;
 }
 
 /* ---------------------------------------------------------------- */
 /* Whole-run batch stepping                                          */
 /* ---------------------------------------------------------------- */
-
-/* DRAMModel._service_py over bank state hoisted into C arrays.  The
- * triples are a packed ``long long`` array of (bank, channel, row)
- * groups, range-checked once at pack time.  Row hit/conflict counts
- * accumulate into the caller's running totals.
- */
-static void
-dram_run_arr(const long long *triples, Py_ssize_t n3, long long *ready,
-             long long *open_row, long long *bus_free, long long now_dram,
-             const DramTiming *cfg, long long *finish_out,
-             long long *hits_out, long long *conflicts_out)
-{
-    long long finish = now_dram;
-    for (Py_ssize_t i = 0; i < n3; i++) {
-        long long bank = triples[3 * i];
-        long long channel = triples[3 * i + 1];
-        long long row = triples[3 * i + 2];
-        long long t = ready[bank];
-        if (bus_free[channel] > t)
-            t = bus_free[channel];
-        if (now_dram > t)
-            t = now_dram;
-        if (open_row[bank] != row) {
-            if (open_row[bank] != -1) {
-                t += cfg->t_rp;
-                (*conflicts_out)++;
-            }
-            t += cfg->t_rcd;
-            open_row[bank] = row;
-        } else {
-            (*hits_out)++;
-        }
-        long long done = t + cfg->cas_burst;
-        long long next_slot = t + cfg->t_burst;
-        bus_free[channel] = next_slot;
-        ready[bank] = next_slot;
-        if (done > finish)
-            finish = done;
-    }
-    *finish_out = finish;
-}
-
-/* Pack one leaf's (triples list, blocks) cache entry into a bytes
- * object: [blocks, bank0, chan0, row0, bank1, ...] as ``long long``.
- * Bank/channel indices are range-checked here, once per leaf, so the
- * per-path DRAM loop can run unchecked.  Returns a new reference.
- */
-static PyObject *
-pack_triples(PyObject *cached, Py_ssize_t n_banks, Py_ssize_t n_channels)
-{
-    if (!PyTuple_Check(cached) || PyTuple_GET_SIZE(cached) != 2 ||
-        !PyList_Check(PyTuple_GET_ITEM(cached, 0))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "triples entry must be (list, blocks)");
-        return NULL;
-    }
-    PyObject *triples = PyTuple_GET_ITEM(cached, 0);
-    long long blocks = PyLong_AsLongLong(PyTuple_GET_ITEM(cached, 1));
-    if (blocks == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(triples);
-    Py_ssize_t n3 = n / 3;
-    PyObject *packed = PyBytes_FromStringAndSize(
-        NULL, (Py_ssize_t)sizeof(long long) * (3 * n3 + 1));
-    if (packed == NULL)
-        return NULL;
-    long long *arr = (long long *)PyBytes_AS_STRING(packed);
-    arr[0] = blocks;
-    for (Py_ssize_t i = 0; i < 3 * n3; i++) {
-        long long value = PyLong_AsLongLong(PyList_GET_ITEM(triples, i));
-        if (value == -1 && PyErr_Occurred()) {
-            Py_DECREF(packed);
-            return NULL;
-        }
-        arr[i + 1] = value;
-    }
-    for (Py_ssize_t i = 0; i < n3; i++) {
-        long long bank = arr[3 * i + 1];
-        long long channel = arr[3 * i + 2];
-        if (bank < 0 || bank >= n_banks ||
-            channel < 0 || channel >= n_channels) {
-            PyErr_SetString(PyExc_IndexError, "bank/channel out of range");
-            Py_DECREF(packed);
-            return NULL;
-        }
-    }
-    return packed;
-}
-
-/* pack_triples(cached, n_banks, n_channels) -> bytes
- *
- * Python entry to the packed-triple encoder, so controllers can
- * pre-fill the batch kernel's packed cache while warming the per-leaf
- * memo caches instead of paying the packing cost inside measured runs.
- */
-static PyObject *
-pack_triples_entry(PyObject *self, PyObject *args)
-{
-    PyObject *cached;
-    long long n_banks, n_channels;
-    if (!PyArg_ParseTuple(args, "OLL", &cached, &n_banks, &n_channels))
-        return NULL;
-    if (n_banks <= 0 || n_channels <= 0) {
-        PyErr_SetString(PyExc_ValueError, "invalid DRAM geometry");
-        return NULL;
-    }
-    return pack_triples(cached, (Py_ssize_t)n_banks,
-                        (Py_ssize_t)n_channels);
-}
-
 
 /* run_batch(ctx, now, interval, max_paths, horizon, stop_threshold,
  *           trigger_threshold, want_bounds, collect_timing)
@@ -1012,11 +1088,10 @@ run_batch(PyObject *self, PyObject *args)
         return NULL;
     const DramTiming *dcfg = &c.dram;
     PyObject *bits_obj = NULL, *bounds = NULL;
-    long long *bank_state = NULL;
+    BankState banks = {NULL, NULL, NULL, 0, 0};
+    long long *triples = NULL;
     ReadBuf rb;
     memset(&rb, 0, sizeof rb);
-    Py_ssize_t n_banks = PyList_GET_SIZE(c.bank_ready);
-    Py_ssize_t n_channels = PyList_GET_SIZE(c.bus_free);
     int use_grb = (c.getrandbits != Py_None && c.leaf_bits > 0);
     if (dcfg->ratio <= 0 || max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
@@ -1025,30 +1100,16 @@ run_batch(PyObject *self, PyObject *args)
     if (use_grb && (bits_obj = PyLong_FromLongLong(c.leaf_bits)) == NULL)
         goto fail;
 
-    /* Hoist bank state into C arrays; written back only on success.
-     * Nothing the kernel calls back into (cache-miss fallbacks, the
-     * RNG) reads the bank lists or level occupancy mid-batch.
-     */
-    if (PyList_GET_SIZE(c.bank_open_row) != n_banks) {
-        PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
-        goto fail;
-    }
-    bank_state = PyMem_Malloc(
-        sizeof(long long) * (size_t)(2 * n_banks + n_channels));
-    if (bank_state == NULL) {
+    triples = PyMem_Malloc(sizeof(long long) * 3 * (size_t)c.path_blocks);
+    if (triples == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    long long *ready = bank_state;
-    long long *open_row = bank_state + n_banks;
-    long long *bus_free = bank_state + 2 * n_banks;
-    for (Py_ssize_t i = 0; i < n_banks; i++) {
-        ready[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bank_ready, i));
-        open_row[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bank_open_row, i));
-    }
-    for (Py_ssize_t i = 0; i < n_channels; i++)
-        bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(c.bus_free, i));
-    if (PyErr_Occurred())
+    /* Hoist bank state into C arrays; written back only on success.
+     * Nothing the kernel calls back into (the RNG, S-Stash ``set_of``)
+     * reads the bank lists or level occupancy mid-batch.
+     */
+    if (load_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
         goto fail;
     if (want_bounds && (bounds = PyList_New(0)) == NULL)
         goto fail;
@@ -1092,7 +1153,6 @@ run_batch(PyObject *self, PyObject *args)
         if (stop_threshold >= 0 &&
             (long long)PyDict_GET_SIZE(c.entries) > stop_threshold)
             break;
-        PyObject *leaf_obj = NULL, *packed = NULL;
         ReadBuf *arr = NULL;
         if (rb.items != NULL && PyDict_GET_SIZE(c.entries) == 0) {
             arr = &rb;
@@ -1101,35 +1161,25 @@ run_batch(PyObject *self, PyObject *args)
         }
         unsigned long long t0 = collect_timing ? now_ns() : 0;
 
+        /* With getrandbits, Random._randbelow_with_getrandbits inlined:
+         * draw bit_length(leaves) bits, rejecting draws >= leaves, so the
+         * RNG bit stream matches randrange(leaves) exactly.
+         */
         long long leaf;
-        if (use_grb) {
-            /* Random._randbelow_with_getrandbits, inlined: draw
-             * bit_length(leaves) bits, rejecting draws >= leaves, so
-             * the RNG bit stream matches randrange(leaves) exactly.
-             */
-            for (;;) {
-                leaf_obj = PyObject_CallOneArg(c.getrandbits, bits_obj);
-                if (leaf_obj == NULL)
-                    goto path_fail;
-                leaf = PyLong_AsLongLong(leaf_obj);
-                if (leaf == -1 && PyErr_Occurred())
-                    goto path_fail;
-                if (leaf < c.leaves)
-                    break;
-                Py_DECREF(leaf_obj);
-                leaf_obj = NULL;
-            }
-        } else {
-            leaf_obj = PyObject_CallOneArg(c.randrange, c.leaves_obj);
-            if (leaf_obj == NULL)
-                goto path_fail;
-            leaf = PyLong_AsLongLong(leaf_obj);
+        do {
+            PyObject *draw = use_grb
+                ? PyObject_CallOneArg(c.getrandbits, bits_obj)
+                : PyObject_CallOneArg(c.randrange, c.leaves_obj);
+            if (draw == NULL)
+                goto fail;
+            leaf = PyLong_AsLongLong(draw);
+            Py_DECREF(draw);
             if (leaf == -1 && PyErr_Occurred())
-                goto path_fail;
-        }
+                goto fail;
+        } while (use_grb && leaf >= c.leaves);
         if (leaf < 0 || leaf >= c.leaves) {
             PyErr_SetString(PyExc_IndexError, "leaf out of range");
-            goto path_fail;
+            goto fail;
         }
         if (collect_timing) {
             unsigned long long t1 = now_ns();
@@ -1137,53 +1187,13 @@ run_batch(PyObject *self, PyObject *args)
             t0 = t1;
         }
 
-        /* Per-leaf DRAM triples as a packed C array: packed-cache hit,
-         * else pack from the Python memo (calling its fallback on a
-         * full miss) and remember the array for repeat leaves.
-         */
-        packed = PyDict_GetItemWithError(c.packed_cache, leaf_obj);
-        if (packed != NULL) {
-            Py_INCREF(packed);
-        } else {
-            if (PyErr_Occurred())
-                goto path_fail;
-            PyObject *cached = PyDict_GetItemWithError(
-                c.triples_cache, leaf_obj);
-            if (cached != NULL) {
-                Py_INCREF(cached);
-            } else {
-                if (PyErr_Occurred())
-                    goto path_fail;
-                cached = PyObject_CallOneArg(c.triples_fn, leaf_obj);
-                if (cached == NULL)
-                    goto path_fail;
-            }
-            packed = pack_triples(cached, n_banks, n_channels);
-            Py_DECREF(cached);
-            if (packed == NULL)
-                goto path_fail;
-            if (PyDict_GET_SIZE(c.packed_cache) >= PACKED_CACHE_LIMIT) {
-                /* Mirror the Python memo's FIFO eviction. */
-                PyObject *first_key, *first_val;
-                Py_ssize_t pos = 0;
-                if (PyDict_Next(c.packed_cache, &pos, &first_key,
-                                &first_val) &&
-                    PyDict_DelItem(c.packed_cache, first_key) < 0)
-                    goto path_fail;
-            }
-            if (PyDict_SetItem(c.packed_cache, leaf_obj, packed) < 0)
-                goto path_fail;
-        }
-        const long long *tarr = (const long long *)PyBytes_AS_STRING(packed);
-        long long blocks = tarr[0];
-        Py_ssize_t n_triples =
-            PyBytes_GET_SIZE(packed) / (Py_ssize_t)sizeof(long long) / 3;
+        fill_triples(&c, leaf, triples);
 
         /* Read phase through the DRAM model. */
         long long now_dram = (now + dcfg->ratio - 1) / dcfg->ratio;
         long long fr_dram = 0;
-        dram_run_arr(tarr + 1, n_triples, ready, open_row, bus_free,
-                     now_dram, dcfg, &fr_dram, &row_hits, &row_conflicts);
+        dram_run_arr(triples, c.path_blocks, &banks, now_dram, dcfg,
+                     &fr_dram, &row_hits, &row_conflicts);
         long long finish_read = fr_dram * dcfg->ratio;
         if (collect_timing) {
             unsigned long long t1 = now_ns();
@@ -1194,7 +1204,7 @@ run_batch(PyObject *self, PyObject *args)
         /* Path read into the stash (or the array buffer). */
         long long served_level;
         if (read_path_core(&c, leaf, arr, c.empty, &served_level) < 0)
-            goto path_fail;
+            goto fail;
         {
             long long occ = arr != NULL
                 ? (long long)rb.n
@@ -1211,7 +1221,7 @@ run_batch(PyObject *self, PyObject *args)
         /* Greedy bottom-up write placement. */
         if (arr == NULL) {
             if (write_place_core(&c, leaf) < 0)
-                goto path_fail;
+                goto fail;
         } else if (rb.n > 0) {
             /* Segment the read-order items by depth; each segment keeps
              * read order. */
@@ -1227,13 +1237,13 @@ run_batch(PyObject *self, PyObject *args)
             memset(rb.placed, 0, (size_t)rb.n);
             if (place_pools(&c, leaf, seg, rb.n, rb.counts, offsets,
                             rb.placed) < 0)
-                goto path_fail;
+                goto fail;
             /* Survivors enter the stash dict in read order. */
             for (Py_ssize_t i = 0; i < rb.n; i++) {
                 if (!rb.placed[i] &&
                     stash_insert(c.entries, rb.items[i].value,
                                  rb.leaf[i]) < 0)
-                    goto path_fail;
+                    goto fail;
             }
         }
         if (collect_timing) {
@@ -1245,15 +1255,15 @@ run_batch(PyObject *self, PyObject *args)
         /* Write phase through the DRAM model. */
         now_dram = (finish_read + dcfg->ratio - 1) / dcfg->ratio;
         long long fw_dram = 0;
-        dram_run_arr(tarr + 1, n_triples, ready, open_row, bus_free,
-                     now_dram, dcfg, &fw_dram, &row_hits, &row_conflicts);
+        dram_run_arr(triples, c.path_blocks, &banks, now_dram, dcfg,
+                     &fw_dram, &row_hits, &row_conflicts);
         long long finish_write = fw_dram * dcfg->ratio;
         if (collect_timing)
             t_write_dram += now_ns() - t0;
 
         if ((long long)PyDict_GET_SIZE(c.entries) > trigger_threshold)
             ev_triggers++;
-        blocks_total += blocks;
+        blocks_total += c.path_blocks;
 
         if (want_bounds) {
             long long triple[3] = {now, finish_read, finish_write};
@@ -1261,46 +1271,24 @@ run_batch(PyObject *self, PyObject *args)
                 PyObject *value = PyLong_FromLongLong(triple[b]);
                 if (value == NULL || PyList_Append(bounds, value) < 0) {
                     Py_XDECREF(value);
-                    goto path_fail;
+                    goto fail;
                 }
                 Py_DECREF(value);
             }
         }
-        Py_DECREF(packed);
-        Py_DECREF(leaf_obj);
-
         long long next_now = now + interval;
         now = finish_write > next_now ? finish_write : next_now;
         n++;
-        continue;
-
-    path_fail:
-        Py_XDECREF(packed);
-        Py_XDECREF(leaf_obj);
-        goto fail;
     }
 
     /* Write the bank state and level occupancy back to the model's
      * lists. */
-    for (Py_ssize_t i = 0; i < n_banks; i++) {
-        PyObject *value = PyLong_FromLongLong(ready[i]);
-        if (value == NULL)
-            goto fail;
-        PyList_SetItem(c.bank_ready, i, value);
-        value = PyLong_FromLongLong(open_row[i]);
-        if (value == NULL)
-            goto fail;
-        PyList_SetItem(c.bank_open_row, i, value);
-    }
-    for (Py_ssize_t i = 0; i < n_channels; i++) {
-        PyObject *value = PyLong_FromLongLong(bus_free[i]);
-        if (value == NULL)
-            goto fail;
-        PyList_SetItem(c.bus_free, i, value);
-    }
+    if (store_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
+        goto fail;
     if (store_used(&c) < 0)
         goto fail;
-    PyMem_Free(bank_state);
+    free_banks(&banks);
+    PyMem_Free(triples);
     PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
     release_ctx(&c);
@@ -1329,7 +1317,8 @@ run_batch(PyObject *self, PyObject *args)
     }
 
 fail:
-    PyMem_Free(bank_state);
+    free_banks(&banks);
+    PyMem_Free(triples);
     PyMem_Free(rb.items);
     Py_XDECREF(bits_obj);
     Py_XDECREF(bounds);
@@ -1339,15 +1328,13 @@ fail:
 
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
-     "Batch DRAM timing over pre-decomposed (bank, channel, row) triples."},
+     "Batch DRAM timing over an array('q') of (bank, channel, row) triples."},
     {"read_path", read_path, METH_VARARGS,
      "Read phase of one path access into the stash, tree-top included."},
     {"write_path_place", write_path_place, METH_VARARGS,
      "Greedy bottom-up write-phase placement of one path access."},
-    {"path_triples", path_triples, METH_VARARGS,
-     "Fused path address generation + DRAM decomposition for one leaf."},
-    {"pack_triples", pack_triples_entry, METH_VARARGS,
-     "Pack a (triples, blocks) cache entry into the kernel's byte form."},
+    {"dram_triples", dram_triples, METH_VARARGS,
+     "DRAM (bank, channel, row) triples of one path, as an array('q')."},
     {"run_batch", run_batch, METH_VARARGS,
      "Whole-batch dummy-path execution over live controller state."},
     {NULL, NULL, 0, NULL},
@@ -1364,5 +1351,12 @@ static struct PyModuleDef fastpath_module = {
 PyMODINIT_FUNC
 PyInit__repro_fastpath(void)
 {
+    PyObject *array_module = PyImport_ImportModule("array");
+    if (array_module == NULL)
+        return NULL;
+    Py_XSETREF(array_type, PyObject_GetAttrString(array_module, "array"));
+    Py_DECREF(array_module);
+    if (array_type == NULL)
+        return NULL;
     return PyModule_Create(&fastpath_module);
 }

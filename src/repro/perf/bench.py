@@ -75,12 +75,6 @@ def _kernel_worker(
     controller = build_scheme(
         scheme, config, rng=random.Random(seed)
     ).controller
-    # Warm the pure address-geometry cache (DRAM triples, and their
-    # packed kernel form) outside the timed region: they never affect simulated cycles, and
-    # cold misses otherwise dominate the first few thousand paths.
-    warm = getattr(controller, "warm_path_caches", None)
-    if warm is not None:
-        warm()
     now = 0
     done = 0
     cycles_smoke = 0

@@ -13,15 +13,14 @@ processes through three cooperating pieces:
 
 * **Artifact cache** — a per-process :class:`ArtifactCache` keyed by
   :meth:`repro.config.SystemConfig.fingerprint`.  It holds the subtree
-  layout (``level_meta`` + path-address cache), the per-leaf DRAM triple
-  tables, generated workload traces, and memoized Z-search outcomes.
-  Everything cached is a pure function of the config (and trace seed), so
-  injection never changes simulation results — the equivalence tests in
-  ``tests/test_engine.py`` assert bit-identical cycles and counters
-  against the serial loop.  Triple tables, traces, and Z-search outcomes
-  additionally persist under ``.repro_cache/`` (see :func:`cache_root`),
-  keyed by a salt over the generating source files so code changes
-  invalidate stale entries automatically.
+  layout (path table + path-address cache), generated workload traces,
+  and memoized Z-search outcomes.  Everything cached is a pure function
+  of the config (and trace seed), so injection never changes simulation
+  results — the equivalence tests in ``tests/test_engine.py`` assert
+  bit-identical cycles and counters against the serial loop.  Traces and
+  Z-search outcomes additionally persist under ``.repro_cache/`` (see
+  :func:`cache_root`), keyed by a salt over the generating source files
+  so code changes invalidate stale entries automatically.
 
 * **Straggler-aware scheduling** — points are dispatched *individually*,
   longest-expected-first, with at most ``jobs`` in flight; per-scheme
@@ -198,7 +197,6 @@ class ArtifactCache:
         self.disk_dir = disk_dir if disk_dir is not None else cache_root()
         self.counters: Dict[str, int] = {}
         self._layouts: Dict[str, Any] = {}
-        self._triples: Dict[str, dict] = {}
         self._traces: Dict[Tuple, Any] = {}
         #: trace entries generated (not disk-loaded) since the last flush
         self._dirty_traces: set = set()
@@ -260,29 +258,6 @@ class ArtifactCache:
             self._bump(sk.ENGINE_LAYOUT_HITS)
         return layout
 
-    # -- per-leaf DRAM triple tables --------------------------------------
-    def triples_for(self, config: SystemConfig) -> dict:
-        """The shared ``leaf -> (triples, block_count)`` table for a config.
-
-        Misses fall back to the on-disk copy written by earlier processes;
-        a fresh (possibly pre-populated) dict is returned either way and
-        grows in place as the controller touches new leaves.
-        """
-        fp = config.fingerprint()
-        table = self._triples.get(fp)
-        if table is not None:
-            self._bump(sk.ENGINE_TRIPLES_HITS)
-            return table
-        loaded = self._disk_load("triples", f"{code_salt()}-{fp}")
-        if isinstance(loaded, dict) and loaded:
-            self._bump(sk.ENGINE_TRIPLES_DISK_HITS)
-            table = loaded
-        else:
-            self._bump(sk.ENGINE_TRIPLES_MISSES)
-            table = {}
-        self._triples[fp] = table
-        return table
-
     # -- workload traces ---------------------------------------------------
     def trace_for(
         self, name: str, config: SystemConfig, records: int, seed: int
@@ -336,45 +311,31 @@ class ArtifactCache:
 
     # -- controller injection ---------------------------------------------
     def attach(self, controller) -> None:
-        """Inject shared artifacts into a freshly built controller.
+        """Inject the shared layout into a freshly built controller.
 
         Only the plain :class:`~repro.oram.controller.PathORAMController`
-        participates: subclasses (Rho) lay their trees out at non-zero base
-        rows, so their triples must stay private.
+        participates: subclasses (Rho) lay extra trees out at non-zero
+        base rows, so their layouts must stay private.
         """
         from ..oram.controller import PathORAMController
 
         if type(controller) is not PathORAMController:
             return
-        config = controller.config
-        controller.adopt_artifacts(
-            self.layout_for(config), self.triples_for(config)
-        )
+        controller.adopt_artifacts(self.layout_for(controller.config))
 
     # -- persistence -------------------------------------------------------
     def flush(self) -> None:
-        """Persist triple tables and generated traces (merge with disk).
+        """Persist generated traces.
 
         Runs at process exit in every process that used the cache — in the
         parent via :mod:`atexit`, in pool workers via
         ``multiprocessing.util.Finalize`` (worker processes leave through
         ``os._exit`` and never run ``atexit`` handlers) — so the next
         *process* starts warm.  Concurrent flushes are safe: the values
-        are deterministic, writes are atomic replaces, and a table is
-        rewritten only when it holds more leaves than the disk copy.
+        are deterministic and writes are atomic replaces.
         """
         if not disk_cache_enabled():
             return
-        for fp, table in list(self._triples.items()):
-            if not table:
-                continue
-            key = f"{code_salt()}-{fp}"
-            existing = self._disk_load("triples", key)
-            if isinstance(existing, dict) and len(existing) >= len(table):
-                continue
-            merged = dict(existing) if isinstance(existing, dict) else {}
-            merged.update(table)
-            self._disk_store("triples", key, merged)
         for key, digest in list(self._dirty_traces):
             trace = self._traces.get(key)
             if trace is None:

@@ -3,23 +3,26 @@
 The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
-* ``dram_service`` — DRAM bank timing over decomposed address triples;
+* ``dram_service`` — DRAM bank timing over an ``array('q')`` of
+  (bank, channel, row) triples;
+* ``dram_triples`` — one path's DRAM triples, as such an array;
 * ``read_path`` — one path's read phase into the stash;
 * ``write_path_place`` — one path's greedy bottom-up write placement;
-* ``path_triples`` — a leaf's path addresses, decomposed for DRAM;
-* ``pack_triples`` — a triples entry in ``run_batch``'s packed form;
 * ``run_batch`` — whole stretches of dummy paths in one call.
 
-``read_path``, ``write_path_place`` and ``run_batch`` take one context
-tuple (:func:`kernel_ctx`) and share one read loop and one placement
-engine, for both tree-top modes: the dedicated cache and IR-Stash's
-S-Stash, whose entries the read loop releases and whose set-occupancy
-gate the placement engine applies.  The stash is its ``block -> leaf``
-dict alone: the kernels append read blocks to it, delete placed ones,
-and group write-phase candidates by scanning it in insertion order.  The
-tree's slots and the position map's leaves are two ``array('q')``
-buffers the kernels index directly, computing each path's slot indexes
-from ``z_per_level``.  This module compiles the kernels with the system C
+``dram_triples``, ``read_path``, ``write_path_place`` and ``run_batch``
+take one context tuple (:func:`kernel_ctx`) and share one read loop and
+one placement engine, for both tree-top modes: the dedicated cache and
+IR-Stash's S-Stash, whose entries the read loop releases and whose
+set-occupancy gate the placement engine applies.  The stash is its
+``block -> leaf`` dict alone: the kernels append read blocks to it,
+delete placed ones, and group write-phase candidates by scanning it in
+insertion order.  The tree's slots and the position map's leaves are two
+``array('q')`` buffers the kernels index directly, computing each path's
+slot indexes from ``z_per_level``.  A path's DRAM addresses are computed
+per access from the layout's ``path_table`` (a third ``array('q')``) and
+the DRAM geometry; ``dram_service`` and ``run_batch`` share one timing
+loop.  This module compiles the kernels with the system C
 compiler on first use, caches the shared object under
 ``~/.cache/repro-fastpath/`` keyed by source hash and Python ABI, and
 exposes the loaded module as :data:`fastpath`.
@@ -36,7 +39,6 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
-import struct
 import subprocess
 import sys
 import sysconfig
@@ -60,17 +62,18 @@ def _cache_dir() -> str:
 #: Slot names of the kernel context tuple, in order; mirrors ``KernelCtx``
 #: in ``_fastpath.c``, which documents each slot.
 CTX_SLOTS = (
-    "randrange", "leaves", "triples_cache", "triples_fn", "entries",
-    "leaf_table", "tree_slots", "z_per_level", "level_used", "levels",
-    "top", "empty", "bank_ready", "bank_open_row", "bus_free",
-    "dram_params", "treetop_mode", "resident", "set_count", "set_of",
-    "ways", "packed", "getrandbits", "leaf_bits",
+    "randrange", "leaves", "path_table", "entries", "leaf_table",
+    "tree_slots", "z_per_level", "level_used", "levels", "top", "empty",
+    "bank_ready", "bank_open_row", "bus_free", "dram_params",
+    "treetop_mode", "resident", "set_count", "set_of", "ways",
+    "getrandbits", "leaf_bits",
 )
 
 
 def kernel_ctx(**slots) -> tuple:
-    """The context tuple ``read_path``, ``write_path_place`` and
-    ``run_batch`` take, from one keyword per :data:`CTX_SLOTS` name."""
+    """The context tuple ``dram_triples``, ``read_path``,
+    ``write_path_place`` and ``run_batch`` take, from one keyword per
+    :data:`CTX_SLOTS` name."""
     return tuple(slots[name] for name in CTX_SLOTS)
 
 
@@ -86,7 +89,7 @@ def _self_test(module) -> bool:
     open_row = [-1]
     bus_free = [0]
     finish, hits, conflicts = module.dram_service(
-        [0, 0, 7, 0, 0, 7], ready, open_row, bus_free, 0, 4, 3, 2, 5
+        q([0, 0, 7, 0, 0, 7]), ready, open_row, bus_free, 0, 4, 3, 2, 5
     )
     if (finish, hits, conflicts) != (10, 1, 0):
         return False
@@ -95,15 +98,16 @@ def _self_test(module) -> bool:
 
     def ctx(**slots):
         # A 3-level tree with Z=1 (slots: root, level 1 at 1-2, leaves at
-        # 3-6), one DRAM bank, no tree-top cache; each case overrides
-        # what it exercises.
+        # 3-6), no memory-backed level in the path table, one DRAM bank
+        # with 4-block rows, no tree-top cache; each case overrides what
+        # it exercises.
         base = dict(
-            randrange=None, leaves=4, triples_cache={}, triples_fn=None,
-            entries={}, leaf_table=q([]), tree_slots=q([-1] * 7),
+            randrange=None, leaves=4, path_table=q([0]), entries={},
+            leaf_table=q([]), tree_slots=q([-1] * 7),
             z_per_level=[1, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
-            dram_params=(1, 4, 3, 2, 5), treetop_mode=0, resident=None,
-            set_count=None, set_of=None, ways=0, packed={},
+            dram_params=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0,
+            resident=None, set_count=None, set_of=None, ways=0,
             getrandbits=None, leaf_bits=0,
         )
         base.update(slots)
@@ -203,11 +207,28 @@ def _self_test(module) -> bool:
     ):
         return False
 
-    # Fused path->triples: one level, Z=2, offset 5 in a 4-block row at
-    # row base 3 -> both slots land in row 4 of channel 0, bank 0.
-    meta = [(0, 2, 0, 0, [5], 3, 1)]
-    triples = module.path_triples(0, meta, 4, 2, 2)
-    if triples != [0, 0, 4, 0, 0, 4]:
+    # Path triples: a 2-level tree with Z=2 in one supernode at row 5,
+    # 3-block rows, 2 channels of 2 banks.  Local offsets are root 0,
+    # left 2, right 4, so the 6-slot supernode spans rows 5-6 and the
+    # left bucket straddles them (column 2 of row 5, column 0 of row 6).
+    # Row 5 is channel 1, bank 1 * 2 + (5 // 2) % 2 = 2; row 6 is
+    # channel 0, bank (6 // 2) % 2 = 1.  Each table record is (shift, Z,
+    # r, row base, rows, index of its first local offset); the offsets
+    # sit at indexes 13-15.
+    triples_ctx = ctx(
+        leaves=2, levels=2, z_per_level=[2, 2], level_used=[0, 0],
+        tree_slots=q([-1] * 6), bank_ready=[0] * 4,
+        bank_open_row=[-1] * 4, bus_free=[0] * 2,
+        dram_params=(1, 4, 3, 2, 5, 3, 2, 2),
+        path_table=q([2, 1, 2, 0, 5, 2, 13, 0, 2, 1, 5, 2, 14, 0, 2, 4]),
+    )
+    if module.dram_triples(triples_ctx, 0) != q(
+        [2, 1, 5, 2, 1, 5, 2, 1, 5, 1, 0, 6]
+    ):
+        return False
+    if module.dram_triples(triples_ctx, 1) != q(
+        [2, 1, 5, 2, 1, 5, 1, 0, 6, 1, 0, 6]
+    ):
         return False
 
     # Whole-path batch: 2 leaves, 2 levels, block 3 sits at the root of
@@ -215,26 +236,24 @@ def _self_test(module) -> bool:
     # (activate 3 + two row-hit bursts), write finishes at 17, and the
     # block is placed back at the root (diverges from its leaf at level
     # 1), leaving the stash empty again.
-    entries, packed = {}, {}
+    entries = {}
     level_used = [1, 0]
     ready = [0]
     open_row = [-1]
     bus_free = [0]
     tree = q([3, -1, -1])
+    # One supernode at row 7 holds both levels (local offsets 0, 1, 2),
+    # so leaf 1's path is two blocks in row 7 of the one bank.
     batch_ctx = ctx(
         randrange=lambda n: 1, leaves=2,
-        triples_cache={1: ([0, 0, 7, 0, 0, 7], 2)}, tree_slots=tree,
-        entries=entries, leaf_table=q([-1, -1, -1, 0]), z_per_level=[1, 1],
-        level_used=level_used, levels=2, bank_ready=ready,
-        bank_open_row=open_row, bus_free=bus_free, packed=packed,
+        path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
+        tree_slots=tree, entries=entries, leaf_table=q([-1, -1, -1, 0]),
+        z_per_level=[1, 1], level_used=level_used, levels=2,
+        bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
     )
     result = module.run_batch(batch_ctx, 0, 0, 1, -1, -1, 10, 1, 0)
     if result != (1, 17, 1, [0, 10, 17],
                   (2, 3, 0, 0, 0, 0, 0, 0, 0), None):
-        return False
-    if packed.get(1) != struct.pack("=7q", 2, 0, 0, 7, 0, 0, 7):
-        return False
-    if module.pack_triples(([0, 0, 7, 0, 0, 7], 2), 1, 1) != packed[1]:
         return False
     return (
         entries == {}

@@ -197,9 +197,6 @@ PYRAMID_MAIN_REINSERTS = "pyramid.main_reinserts"
 # -- engine: warm-pool execution engine + artifact cache ----------------------
 ENGINE_LAYOUT_HITS = "engine.layout_hits"
 ENGINE_LAYOUT_MISSES = "engine.layout_misses"
-ENGINE_TRIPLES_HITS = "engine.triples_hits"
-ENGINE_TRIPLES_MISSES = "engine.triples_misses"
-ENGINE_TRIPLES_DISK_HITS = "engine.triples_disk_hits"
 ENGINE_TRACE_HITS = "engine.trace_hits"
 ENGINE_TRACE_MISSES = "engine.trace_misses"
 ENGINE_TRACE_DISK_HITS = "engine.trace_disk_hits"

@@ -34,8 +34,9 @@ class TestDecompose:
         for phys in (0, 1, 63, 64, 1000, 123457):
             channel, bank, row = dram.decompose(phys)
             flat = dram.decompose_batch([phys])
-            assert flat == [channel * cfg.banks_per_channel + bank,
-                            channel, row]
+            assert list(flat) == [
+                channel * cfg.banks_per_channel + bank, channel, row
+            ]
 
 
 class TestTiming:

@@ -8,7 +8,6 @@ import pytest
 from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import build_scheme
-from repro.oram.controller import PathORAMController
 from repro.perf import engine
 from repro.perf.engine import SimPoint, run_points
 from repro.stats import Stats
@@ -117,8 +116,7 @@ class TestArtifactCache:
         api.run(spec, artifacts=cache)
         before = dict(cache.counters)
         api.run(spec, artifacts=cache)
-        for key in ("engine.trace_hits", "engine.layout_hits",
-                    "engine.triples_hits"):
+        for key in ("engine.trace_hits", "engine.layout_hits"):
             assert cache.counters[key] > before.get(key, 0)
 
     def test_disk_round_trip_warm_start(self):
@@ -128,7 +126,6 @@ class TestArtifactCache:
         engine.reset()  # simulate a brand-new process, same cache dir
         warm, _ = run_points(points, jobs=1)
         agg = engine.aggregate_engine_counters(warm)
-        assert agg.get("engine.triples_disk_hits", 0) > 0
         assert agg.get("engine.trace_disk_hits", 0) > 0
         for a, b in zip(cold, warm):
             assert a.result.cycles == b.result.cycles
@@ -140,7 +137,7 @@ class TestArtifactCache:
         run_points(points, jobs=1)
         engine.get_cache().flush()
         assert not os.path.exists(
-            os.path.join(engine.cache_root(), "triples")
+            os.path.join(engine.cache_root(), "traces")
         )
 
     def test_trace_reconstruction_identical(self):
@@ -174,31 +171,6 @@ class TestArtifactCache:
         cache.attach(first)
         cache.attach(second)
         assert first.layout is second.layout
-        assert first._path_dram is second._path_dram
-
-
-class TestPathDramFifo:
-    def test_fifo_evicts_oldest_not_everything(self, monkeypatch):
-        monkeypatch.setattr(PathORAMController, "PATH_CACHE_LIMIT", 3)
-        controller = PathORAMController(SystemConfig.tiny())
-        controller._path_dram.clear()
-        for leaf in (0, 1, 2):
-            controller._path_dram_triples(leaf)
-        assert sorted(controller._path_dram) == [0, 1, 2]
-        controller._path_dram_triples(3)  # evicts leaf 0 only
-        assert sorted(controller._path_dram) == [1, 2, 3]
-        controller._path_dram_triples(4)  # evicts leaf 1 only
-        assert sorted(controller._path_dram) == [2, 3, 4]
-
-    def test_reinserted_leaf_yields_same_triples(self, monkeypatch):
-        monkeypatch.setattr(PathORAMController, "PATH_CACHE_LIMIT", 2)
-        controller = PathORAMController(SystemConfig.tiny())
-        controller._path_dram.clear()
-        original = controller._path_dram_triples(0)
-        controller._path_dram_triples(1)
-        controller._path_dram_triples(2)  # leaf 0 falls out
-        assert 0 not in controller._path_dram
-        assert controller._path_dram_triples(0) == original
 
 
 class TestZSearchCache:

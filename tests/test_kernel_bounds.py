@@ -1,11 +1,17 @@
-"""Leaf range checks of the C kernels that index the tree array.
+"""Range checks of the C kernels that index raw arrays.
 
-``read_path`` and ``write_path_place`` index the tree's ``array('q')``
-and the position map's ``array('q')`` directly through the buffer
-protocol.  A leaf outside ``[0, leaves)`` must raise before any slot is
-touched, and every exit must release both buffers: a leaked export makes
-``array`` refuse to resize with ``BufferError``.
+``read_path``, ``write_path_place`` and ``dram_triples`` index the
+tree's ``array('q')``, the position map's ``array('q')`` and the
+layout's path table directly through the buffer protocol, and
+``dram_triples`` and ``run_batch`` index the DRAM bank lists with banks
+and channels computed from that table.  A leaf outside ``[0, leaves)``
+must raise before any slot is touched, a malformed path table or DRAM
+geometry must raise before anything is indexed, and every exit must
+release all three buffers: a leaked export makes ``array`` refuse to
+resize with ``BufferError``.
 """
+
+from array import array
 
 import pytest
 
@@ -37,28 +43,82 @@ def controller():
     return controller
 
 
-@pytest.mark.parametrize("kernel", ["read_path", "write_path_place"])
+def _state(controller):
+    return (
+        controller.tree._slots.tobytes(),
+        list(controller.tree.level_used),
+        controller.posmap._leaf_of.tobytes(),
+        controller.layout.path_table.tobytes(),
+        list(controller.stash._entries.items()),
+        list(controller.dram.bank_ready),
+        list(controller.dram.bank_open_row),
+        list(controller.dram.bus_free),
+    )
+
+
+def _assert_no_export(*arrays):
+    """No buffer export outlives a failed call: resizing still works."""
+    for held in arrays:
+        held.append(0)
+        held.pop()
+
+
+def _call(controller, kernel, ctx, leaf):
+    native = controller._native
+    if kernel == "read_path":
+        return native.read_path(ctx, leaf, None)
+    if kernel == "run_batch":
+        return native.run_batch(ctx, 0, 0, 4, -1, -1, 90, False, False)
+    return getattr(native, kernel)(ctx, leaf)
+
+
+@pytest.mark.parametrize(
+    "kernel", ["read_path", "write_path_place", "dram_triples"]
+)
 def test_out_of_range_leaf_raises_and_touches_nothing(controller, kernel):
-    tree = controller.tree
-    leaf_of = controller.posmap._leaf_of
     ctx = controller._kernel_ctx()
-    call = getattr(controller._native, kernel)
-
-    def state():
-        return (
-            tree._slots.tobytes(),
-            list(tree.level_used),
-            leaf_of.tobytes(),
-            list(controller.stash._entries.items()),
-        )
-
-    before = state()
+    before = _state(controller)
     for leaf in (controller.oram.leaves, -1):
-        args = (ctx, leaf, None) if kernel == "read_path" else (ctx, leaf)
         with pytest.raises(IndexError):
-            call(*args)
-        assert state() == before
-    # No buffer export outlives the failed calls.
-    for array in (tree._slots, leaf_of):
-        array.append(0)
-        array.pop()
+            _call(controller, kernel, ctx, leaf)
+        assert _state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      controller.layout.path_table)
+
+
+def _malformed_ctx(controller, case):
+    """The controller's context with one path-table or DRAM-geometry
+    field broken; the table is a copy, so the layout stays intact."""
+    slots = dict(zip(native.CTX_SLOTS, controller._kernel_ctx()))
+    table = array("q", controller.layout.path_table)
+    params = list(slots["dram_params"])
+    if case == "offset index past its table":
+        # The deepest record's offsets start beyond the table's end.
+        table[1 + 6 * (table[0] - 1) + 5] = len(table)
+    elif case == "bank count mismatch":
+        params[6] += 1  # channels x banks_per_channel != len(bank_ready)
+    elif case == "row_blocks not positive":
+        params[5] = 0
+    slots["path_table"] = table
+    slots["dram_params"] = tuple(params)
+    return native.kernel_ctx(**slots), table
+
+
+@pytest.mark.parametrize(
+    "kernel", ["read_path", "write_path_place", "dram_triples", "run_batch"]
+)
+@pytest.mark.parametrize("case", [
+    "offset index past its table",
+    "bank count mismatch",
+    "row_blocks not positive",
+])
+def test_malformed_path_table_raises_before_indexing(
+    controller, kernel, case
+):
+    ctx, table = _malformed_ctx(controller, case)
+    before = _state(controller)
+    with pytest.raises(ValueError):
+        _call(controller, kernel, ctx, 0)
+    assert _state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      table)

@@ -9,6 +9,7 @@ implementation and the whole suite covers them).
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -24,12 +25,12 @@ from repro.sim.simulator import Simulator
 
 
 def _random_triples(rng, count, config):
-    triples = []
+    triples = array("q")
     n_banks = config.channels * config.banks_per_channel
     for _ in range(count):
         bank = rng.randrange(n_banks)
-        triples += [bank, bank // config.banks_per_channel,
-                    rng.randrange(64)]
+        triples.extend((bank, bank // config.banks_per_channel,
+                        rng.randrange(64)))
     return triples
 
 
@@ -99,23 +100,6 @@ class TestControllerFallbacks:
         assert fast_run.cycles == slow_run.cycles
         assert fast_run.counters == slow_run.counters
         assert fast_run.counters.get("sstash.removed", 0) > 0
-
-    @pytest.mark.skipif(native.fastpath is None,
-                        reason="native kernels unavailable")
-    def test_python_triples_branch_identical(self, monkeypatch):
-        import repro.oram.controller as controller_mod
-
-        config = SystemConfig.tiny()
-        fast = PathORAMController(config, rng=random.Random(5))
-        native_triples = {
-            leaf: fast._path_dram_triples(leaf) for leaf in range(8)
-        }
-        monkeypatch.setattr(controller_mod, "_fastpath", None)
-        slow = PathORAMController(config, rng=random.Random(5))
-        for leaf, expected in native_triples.items():
-            triples, blocks = slow._path_dram_triples(leaf)
-            assert list(triples) == list(expected[0])
-            assert blocks == expected[1]
 
     @pytest.mark.skipif(native.fastpath is None,
                         reason="native kernels unavailable")
