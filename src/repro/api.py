@@ -332,16 +332,20 @@ def run(
 
 
 def _record_batch_counters(controller, stats: Stats) -> None:
-    """Surface ``engine.batch.*`` bookkeeping after the result snapshot.
+    """Surface ``engine.batch.*`` and ``engine.tier.*`` bookkeeping after
+    the result snapshot.
 
     Batch execution stats describe *how* the run executed, never what it
     simulated, so — like the artifact-cache counters — they are recorded
     only after :class:`SimulationResult` has snapshotted ``counters``.
     """
     batch = getattr(controller, "batch_counters", None)
-    if batch:
-        for key, value in batch.items():
-            stats.set(key, value)
+    if batch is None:
+        return
+    for key, value in batch.items():
+        stats.set(key, value)
+    for key, value in controller.tier_counters().items():
+        stats.set(key, value)
 
 
 def run_many(

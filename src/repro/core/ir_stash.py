@@ -16,24 +16,29 @@ In the simulator the tree object itself stores top-level bucket contents
 enforces the set-associativity constraint on placement: a block whose
 target set is full is skipped for this write phase and retried later
 ("we skip picking this block for this round").
+
+A block's set is its MD5 hash, computed once: ``set_of`` records it in a
+per-S-Stash ``array('q')`` with one entry per namespace block (-1 = not
+hashed yet).  The C placement engine reads that array directly and calls
+``set_of`` only for a block it has not seen.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from array import array
 from typing import Dict, Optional
 
 from .. import stats_keys as sk
 from ..config import ORAMConfig
 from ..errors import ProtocolError
 from ..oram.treetop import TreeTopCache
+from ..oram.types import Namespace
 from ..stats import Stats
 
 
-@lru_cache(maxsize=1 << 16)
-def _md5_index(block: int, sets: int) -> int:
-    """MD5-based set index, cached per (block, sets)."""
+def md5_set_index(block: int, sets: int) -> int:
+    """The MD5-based set index of ``block`` among ``sets`` sets."""
     digest = hashlib.md5(block.to_bytes(8, "little")).digest()
     return int.from_bytes(digest[:4], "little") % sets
 
@@ -62,10 +67,15 @@ class SStash(TreeTopCache):
         self.sets = 1 << (sets - 1).bit_length()
         self._set_count: Dict[int, int] = {}
         self._resident: Dict[int, int] = {}
+        #: each namespace block's set, filled as ``set_of`` hashes it
+        self._set_index = array("q", [-1]) * Namespace(config).total_blocks
 
     # -- block-address index -----------------------------------------------------
     def set_of(self, block: int) -> int:
-        return _md5_index(block, self.sets)
+        index = self._set_index[block]
+        if index < 0:
+            index = self._set_index[block] = md5_set_index(block, self.sets)
+        return index
 
     def lookup_by_address(self, block: int) -> bool:
         hit = block in self._resident

@@ -18,7 +18,8 @@ Bank state is held in flat integer lists (``bank_ready``,
 ``bank_open_row`` with ``-1`` meaning closed, ``bus_free``) indexed by
 ``channel * banks_per_channel + bank``.  The batch-service inner loop runs
 in the optional :mod:`repro.perf.native` C kernel when available, with a
-bit-identical pure-Python fallback.
+bit-identical pure-Python fallback; a kernel path access times both of
+its bursts in C and books them through :meth:`DRAMModel.book`.
 """
 
 from __future__ import annotations
@@ -122,12 +123,13 @@ class DRAMModel:
     def service_decomposed(
         self, triples: "array[int]", is_write: bool, start_cycle: int
     ) -> int:
-        """Hot path: service a flat ``array('q')`` of DRAM triples.
+        """Service a flat ``array('q')`` of DRAM triples.
 
         Timing-identical to :meth:`service_addresses` on the corresponding
-        address list.  Path accesses hand over the triples the controller
-        computes per access (:meth:`decompose_batch`, or the kernels'
-        ``dram_triples``).
+        address list.  Bursts issued apart from a kernel path access
+        (deferred writes, the Rho and Ring small trees, the Python
+        phases) hand over the triples the controller computes per access
+        (:meth:`decompose_batch`, or the kernels' ``dram_triples``).
         """
         cfg = self.config
         now_dram = -(-start_cycle // cfg.cpu_cycles_per_dram_cycle)
@@ -145,13 +147,21 @@ class DRAMModel:
             )
         else:
             finish, row_hits, conflicts = self._service_py(triples, now_dram)
-        count = len(triples) // 3
+        finish_cpu = finish * cfg.cpu_cycles_per_dram_cycle
+        self.book(len(triples) // 3, is_write, start_cycle, finish_cpu,
+                  row_hits, conflicts)
+        return finish_cpu
+
+    def book(self, count: int, is_write: bool, start_cycle: int,
+             finish_cpu: int, row_hits: int, conflicts: int) -> None:
+        """Book one serviced burst of ``count`` accesses: the DRAM
+        counters, and a ``dram.batch`` event when traced.  Serves
+        :meth:`service_decomposed` and the bursts the C kernels time."""
         counters = self.stats.counters
         counters[sk.DRAM_ACCESSES] += count
         counters[sk.DRAM_ROW_HITS] += row_hits
         counters[sk.DRAM_ROW_CONFLICTS] += conflicts
         counters[sk.DRAM_WRITES if is_write else sk.DRAM_READS] += count
-        finish_cpu = finish * cfg.cpu_cycles_per_dram_cycle
         tracer = self.stats.tracer
         if tracer is not None:
             tracer.emit(
@@ -163,7 +173,6 @@ class DRAMModel:
                 write=is_write,
                 finish=finish_cpu,
             )
-        return finish_cpu
 
     def _service_py(
         self, triples: Sequence[int], now_dram: int

@@ -39,6 +39,7 @@ from ..errors import ProtocolError
 from ..mem.dram import DRAMModel
 from ..mem.layout import TreeLayout
 from ..obs import events as ev
+from ..perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 from ..perf.native import fastpath as _fastpath
 from ..perf.native import kernel_ctx
 from ..stats import Stats
@@ -67,6 +68,15 @@ _MEM_BLOCKS_KEY = {pt: sk.mem_blocks_key(pt) for pt in PathType}
 #: After this many back-to-back eviction slots one queued request is let
 #: through, preventing starvation during eviction storms.
 MAX_CONSECUTIVE_EVICTIONS = 50
+
+#: Tree-top hook counters, in the order the kernels report them.
+_HOOK_KEYS = (
+    sk.TREETOP_PLACED,
+    sk.TREETOP_REMOVED,
+    sk.SSTASH_PLACED,
+    sk.SSTASH_REMOVED,
+    sk.SSTASH_PLACEMENT_SKIPS,
+)
 
 #: Per-phase wall-time keys, in the order the batch kernel reports them.
 _BATCH_TIMING_KEYS = (
@@ -163,8 +173,8 @@ class PathORAMController:
     def _rebind_native(self) -> None:
         """(Re)derive the optional C-kernel binding from current state.
 
-        One binding serves the per-access read and write phases and
-        whole-batch dummy paths for every tree-top type.  Called from
+        One binding serves whole path accesses and whole-batch dummy
+        paths for every tree-top type.  Called from
         ``__init__`` and again after unpickling: the kernel module is
         process-local state that cannot cross a checkpoint, so
         :meth:`__setstate__` rebinds it here.
@@ -506,11 +516,115 @@ class PathORAMController:
     # ------------------------------------------------------------------
     # path access primitives
     # ------------------------------------------------------------------
+    def _kernel_tier(self) -> bool:
+        """Whether the C kernels may run this controller's path accesses.
+
+        They need the kernels loaded, no Fig. 5 migration tracking, no
+        instance hook on the position map's ``remap``, and every phase
+        method the kernels fuse (instance or class attribute) still the
+        stock one captured at import.  Controllers that hook a phase (the
+        Merkle layer, the leaky mutants, the write-phase reference
+        monkeypatch) run the Python phases, which stay the oracle.
+        Timing wrappers on the position map's class (perfbench's traced
+        mode) leave the kernel on, so a traced run times the same code.
+        """
+        if (
+            self._native is None
+            or self.track_migration
+            or "remap" in vars(self.posmap)
+        ):
+            return False
+        for name, stock in _STOCK_PHASES:
+            if getattr(getattr(self, name), "__func__", None) is not stock:
+                return False
+        return True
+
+    def _access(
+        self, leaf: int, path_type: PathType, now: int,
+        served: Optional[int] = None, mode: int = SERVED_NONE,
+    ) -> Tuple[int, int, int]:
+        """One path access of the path to ``leaf`` issued at ``now``.
+
+        Read phase, then the ``served`` block's step (``mode``: remap it,
+        extract it, or nothing for eviction and dummy paths), then the
+        write phase.  Returns ``(finish_read, finish_write,
+        served_level)``.  On the kernel tier one ``access_path`` call does
+        all of it; otherwise the Python phases run.
+        """
+        if self._kernel_tier():
+            return self._kernel_access(leaf, path_type, now, served, mode)
+        preexisting = (
+            set(self.stash.blocks())
+            if self.track_migration and path_type is not PathType.DUMMY
+            else None
+        )
+        finish_read, _, served_level = self._service_path(
+            leaf, path_type, now, served
+        )
+        if served is not None:
+            if served not in self.stash:
+                raise ProtocolError(
+                    f"block {served} absent from path {leaf} and stash"
+                )
+            if mode == SERVED_EXTRACT:
+                # The block leaves the ORAM (LLC-D / Rho promotion).
+                self.stash.remove(served)
+                self.posmap.discard(served)
+            else:
+                self.stash.update_leaf(served, self.posmap.remap(served))
+        finish_write = self._write_path(
+            leaf, finish_read, path_type, preexisting
+        )
+        return finish_read, finish_write, served_level
+
+    def _kernel_access(
+        self, leaf: int, path_type: PathType, now: int,
+        served: Optional[int], mode: int,
+    ) -> Tuple[int, int, int]:
+        """:meth:`_access` in one ``access_path`` call, booked and traced
+        exactly as the Python phases book and trace it.
+
+        A subclass that replaces :meth:`_writeback_path` (Palermo-style
+        deferral) keeps its read phase and placement in C and issues the
+        burst itself.
+        """
+        write_burst = (
+            getattr(self._writeback_path, "__func__", None)
+            is _STOCK_WRITEBACK
+        )
+        try:
+            (finish_read, finish_write, served_level, occupancy, blocks,
+             read_dram, write_dram, hooks) = self._native.access_path(
+                self._kernel_ctx(), leaf, now, served, mode, write_burst
+            )
+        except RuntimeError as exc:
+            raise ProtocolError(str(exc)) from None
+        self.dram.book(blocks, False, now, finish_read, *read_dram)
+        self.stash.note_peak(now, occupancy)
+        self._apply_path_counters(1, path_type, blocks, hooks)
+        self._emit_path_read(leaf, path_type, now, finish_read, blocks)
+        if write_burst:
+            self.dram.book(blocks, True, finish_read, finish_write,
+                           *write_dram)
+            self.stats.counters[sk.MEM_BLOCKS_WRITTEN] += blocks
+            self._emit_path_write(leaf, path_type, finish_read, finish_write,
+                                  blocks)
+        else:
+            finish_write = self._writeback_path(leaf, finish_read, path_type)
+        self._after_write_phase()
+        if mode == SERVED_REMAP:
+            self.posmap.remap_count += 1
+        batch = self.batch_counters
+        batch[sk.ENGINE_TIER_KERNEL_PATHS] = (
+            batch.get(sk.ENGINE_TIER_KERNEL_PATHS, 0) + 1
+        )
+        return finish_read, finish_write, served_level
+
     def _service_path(
         self, leaf: int, path_type: PathType, now: int,
         served: Optional[int] = None,
     ) -> Tuple[int, int, int]:
-        """Common read-phase + bookkeeping for every path access.
+        """The Python read phase of one path access.
 
         Every real block on the path moves into the stash, and blocks
         read from the cached top leave the tree-top structure.  Returns
@@ -521,38 +635,24 @@ class PathORAMController:
         blocks = len(triples) // 3
         finish_read = self.dram.service_decomposed(triples, False, now)
 
-        counters = self.stats.counters
-        stash = self.stash
-        if self._native is not None:
-            removed_top, ss_removed, served_level = self._native.read_path(
-                self._kernel_ctx(), leaf, served
-            )
-            # Only keys the hooks would have created, as in
-            # _apply_batch_counters.
-            if removed_top:
-                counters[sk.TREETOP_REMOVED] += removed_top
-            if ss_removed:
-                counters[sk.SSTASH_REMOVED] += ss_removed
-        else:
-            top = self.oram.top_cached_levels
-            insert = stash.insert
-            leaf_of = self.posmap.leaf_of
-            treetop_remove = self.treetop.on_remove
-            served_level = -1
-            for block, level in self.tree.read_and_clear(leaf):
-                if level < top:
-                    treetop_remove(block)
-                insert(block, leaf_of(block))
-                if block == served:
-                    served_level = level
-        stash.note_peak(now)
+        top = self.oram.top_cached_levels
+        insert = self.stash.insert
+        leaf_of = self.posmap.leaf_of
+        treetop_remove = self.treetop.on_remove
+        served_level = -1
+        for block, level in self.tree.read_and_clear(leaf):
+            if level < top:
+                treetop_remove(block)
+            insert(block, leaf_of(block))
+            if block == served:
+                served_level = level
+        self.stash.note_peak(now)
+        self._apply_path_counters(1, path_type, blocks)
+        self._emit_path_read(leaf, path_type, now, finish_read, blocks)
+        return finish_read, now, served_level
 
-        self.path_count += 1
-        counters[_PATHS_KEY[path_type]] += 1
-        counters[sk.PATHS_TOTAL] += 1
-        counters[sk.MEM_BLOCKS_READ] += blocks
-        counters[_MEM_BLOCKS_KEY[path_type]] += 2 * blocks
-
+    def _emit_path_read(self, leaf: int, path_type: PathType, now: int,
+                        finish_read: int, blocks: int) -> None:
         tracer = self.stats.tracer
         if tracer is not None:
             tracer.emit(
@@ -563,7 +663,6 @@ class PathORAMController:
                 finish=finish_read,
                 blocks=blocks,
             )
-
         if self.observer is not None:
             addresses = self.layout.path_addresses(leaf)
             record = PathAccessRecord(
@@ -574,7 +673,6 @@ class PathORAMController:
                 write_addresses=list(addresses),
             )
             self.observer(record)
-        return finish_read, now, served_level
 
     def adopt_artifacts(self, layout: TreeLayout) -> None:
         """Adopt a shared subtree layout from an artifact cache.
@@ -600,13 +698,13 @@ class PathORAMController:
 
     def _write_path(self, leaf: int, finish_read: int, path_type: PathType,
                     preexisting: Optional[Set[int]] = None) -> int:
-        """Greedy bottom-up write phase; returns the write completion cycle.
+        """The Python write phase; returns the write completion cycle.
 
         Placement (:meth:`_place_path`) and the DRAM write burst
         (:meth:`_writeback_path`) are separable — Palermo-style decoupled
-        controllers run placement at the slot but defer the burst — and
-        here they run back to back.  The placement decisions, and
-        therefore every counter and cycle, are bit-identical to
+        controllers replace the burst with a deferral — and here they run
+        back to back.  The placement decisions, and therefore every
+        counter and cycle, are bit-identical to
         :meth:`_write_path_reference`.
         """
         self._place_path(leaf, preexisting)
@@ -631,12 +729,9 @@ class PathORAMController:
     ) -> None:
         """Greedy bottom-up placement of stash blocks along one path.
 
-        With the C kernel loaded, ``write_path_place`` places the whole
-        path for either tree-top mode.  The Python loop below serves
-        kernel-less runs and Fig. 5's ``track_migration``, which classifies
-        each placement: eviction candidates come grouped by deepest
-        eligible level (:meth:`Stash.path_pools`) and land through
-        :meth:`ORAMTree.place`.
+        Eviction candidates come grouped by deepest eligible level
+        (:meth:`Stash.path_pools`) and land through :meth:`ORAMTree.place`;
+        with Fig. 5's ``track_migration`` each placement is classified.
         """
         oram = self.oram
         levels = oram.levels
@@ -647,25 +742,6 @@ class PathORAMController:
         stats = self.stats
         z_per_level = oram.z_per_level
         track = self.track_migration and preexisting is not None
-
-        if self._native is not None and not track:
-            try:
-                counts = self._native.write_path_place(
-                    self._kernel_ctx(), leaf
-                )
-            except RuntimeError as exc:
-                raise ProtocolError(str(exc)) from None
-            # Only keys the Python loop would have created, as in
-            # _apply_batch_counters.
-            placed_top, ss_placed, ss_skips = counts
-            counters = stats.counters
-            if placed_top:
-                counters[sk.TREETOP_PLACED] += placed_top
-            if ss_placed:
-                counters[sk.SSTASH_PLACED] += ss_placed
-            if ss_skips:
-                counters[sk.SSTASH_PLACEMENT_SKIPS] += ss_skips
-            return
 
         pools = self.stash.path_pools(leaf, levels)
         pool: List[int] = []
@@ -792,35 +868,18 @@ class PathORAMController:
         being remapped (LLC-D's delayed remapping, and Rho's promotion into
         the small tree, both work this way).
         """
-        leaf = self.posmap.leaf_of(block)
-        preexisting = set(self.stash.blocks()) if self.track_migration else None
-        finish_read, start, served_level = self._service_path(
-            leaf, path_type, now, served=block
-        )
-
-        if block not in self.stash:
-            raise ProtocolError(
-                f"block {block} absent from path {leaf} and stash"
-            )
-        if (
+        reading = (
             serve_request is not None
             and serve_request.kind is RequestKind.READ
-            and served_level >= 0
-        ):
-            self.stats.bump(sk.HIT_LEVEL, served_level)
-
-        extract = extract_block or (
-            self.delayed_remap
-            and serve_request is not None
-            and serve_request.kind is RequestKind.READ
         )
-        if extract:
-            # The block leaves the ORAM (LLC-D / Rho promotion).
-            self.stash.remove(block)
-            self.posmap.discard(block)
-        else:
-            new_leaf = self.posmap.remap(block)
-            self.stash.update_leaf(block, new_leaf)
+        extract = extract_block or (self.delayed_remap and reading)
+        finish_read, finish_write, served_level = self._access(
+            self.posmap.leaf_of(block), path_type, now, block,
+            SERVED_EXTRACT if extract else SERVED_REMAP,
+        )
+        if reading and served_level >= 0:
+            self.stats.bump(sk.HIT_LEVEL, served_level)
+        if not extract:
             parent = self.namespace.parent_block(block)
             if parent is not None:
                 if not self._posmap_on_chip(parent):
@@ -828,16 +887,13 @@ class PathORAMController:
                         f"parent PosMap block {parent} not on chip at remap"
                     )
                 self.plb.mark_dirty(parent)
-
         if serve_request is not None:
             serve_request.completion = finish_read
             serve_request.paths_used += 1
-
-        finish_write = self._write_path(leaf, finish_read, path_type, preexisting)
         return SlotResult(
             issued_path=True,
             path_type=path_type,
-            start=start,
+            start=now,
             finish_read=finish_read,
             finish_write=finish_write,
             completions=[serve_request] if serve_request is not None else [],
@@ -951,14 +1007,12 @@ class PathORAMController:
     def _eviction_path(self, now: int) -> SlotResult:
         """Background eviction: read+write a random path, no remap, no serve."""
         leaf = self.rng.randrange(self.oram.leaves)
-        preexisting = set(self.stash.blocks()) if self.track_migration else None
-        finish_read, start, _ = self._service_path(leaf, PathType.EVICTION, now)
-        finish_write = self._write_path(
-            leaf, finish_read, PathType.EVICTION, preexisting
+        finish_read, finish_write, _ = self._access(
+            leaf, PathType.EVICTION, now
         )
         self.stats.inc(sk.EVICTION_PATHS)
-        self.stats.inc(sk.EVICTION_CYCLES, finish_write - start)
-        return SlotResult(True, PathType.EVICTION, start, finish_read, finish_write)
+        self.stats.inc(sk.EVICTION_CYCLES, finish_write - now)
+        return SlotResult(True, PathType.EVICTION, now, finish_read, finish_write)
 
     def _dummy_slot(self, now: int) -> Optional[SlotResult]:
         """Fill an empty issue slot: IR-DWB conversion if possible, else dummy."""
@@ -972,9 +1026,8 @@ class PathORAMController:
     def dummy_path(self, now: int) -> SlotResult:
         """A dummy path access: random path, read + write back (PT_m)."""
         leaf = self.rng.randrange(self.oram.leaves)
-        finish_read, start, _ = self._service_path(leaf, PathType.DUMMY, now)
-        finish_write = self._write_path(leaf, finish_read, PathType.DUMMY)
-        return SlotResult(True, PathType.DUMMY, start, finish_read, finish_write)
+        finish_read, finish_write, _ = self._access(leaf, PathType.DUMMY, now)
+        return SlotResult(True, PathType.DUMMY, now, finish_read, finish_write)
 
     # ------------------------------------------------------------------
     # native kernel context and whole-batch dummy stepping
@@ -997,17 +1050,17 @@ class PathORAMController:
         plain_rng = type(self.rng) is random.Random
         if treetop.addressable_by_block:
             # IR-Stash's S-Stash: the kernels release its entries and gate
-            # placement on its set-occupancy dicts and set_of index.
+            # placement on its set-occupancy dicts and set-index array.
             sstash = dict(
                 treetop_mode=1, resident=treetop._resident,
                 set_count=treetop._set_count, set_of=treetop.set_of,
-                ways=treetop.ways,
+                set_index=treetop._set_index, ways=treetop.ways,
             )
         else:
             # The dedicated cache, whose hooks are bare counters.
             sstash = dict(
                 treetop_mode=0, resident=None, set_count=None, set_of=None,
-                ways=0,
+                set_index=None, ways=0,
             )
         ctx = self._ctx = kernel_ctx(
             randrange=self.rng.randrange,
@@ -1040,40 +1093,27 @@ class PathORAMController:
         )
         return ctx
 
-    def _apply_batch_counters(self, n: int, agg: tuple) -> None:
-        """Apply one batch's aggregated effects to the stats counters.
+    def _apply_path_counters(
+        self, n: int, path_type: PathType, blocks: int, hooks: tuple = (),
+    ) -> None:
+        """Count ``n`` paths of ``path_type`` that read ``blocks`` memory
+        blocks in all, plus the tree-top hook effects ``hooks`` —
+        (placed_top, removed_top, sstash_placed, sstash_removed,
+        sstash_skips), as ``access_path`` and ``run_batch`` report them.
 
-        Sums match the per-path increments exactly, and conditional keys
-        (tree-top hooks, eviction triggers, S-Stash events) are only
-        created when the corresponding per-path code would have created
-        them, so the counter *key set* is bit-identical too.
+        Hook keys are only created when the Python hooks would have
+        created them, so the counter *key set* is bit-identical across
+        tiers too.
         """
-        (blocks, hits, conflicts, placed_top, removed_top, ev_triggers,
-         ss_placed, ss_removed, ss_skips) = agg
         counters = self.stats.counters
         self.path_count += n
-        counters[_PATHS_KEY[PathType.DUMMY]] += n
+        counters[_PATHS_KEY[path_type]] += n
         counters[sk.PATHS_TOTAL] += n
         counters[sk.MEM_BLOCKS_READ] += blocks
-        counters[_MEM_BLOCKS_KEY[PathType.DUMMY]] += 2 * blocks
-        counters[sk.MEM_BLOCKS_WRITTEN] += blocks
-        counters[sk.DRAM_ACCESSES] += 2 * blocks
-        counters[sk.DRAM_READS] += blocks
-        counters[sk.DRAM_WRITES] += blocks
-        counters[sk.DRAM_ROW_HITS] += hits
-        counters[sk.DRAM_ROW_CONFLICTS] += conflicts
-        if placed_top:
-            counters[sk.TREETOP_PLACED] += placed_top
-        if removed_top:
-            counters[sk.TREETOP_REMOVED] += removed_top
-        if ev_triggers:
-            counters[sk.EVICTION_TRIGGERS] += ev_triggers
-        if ss_placed:
-            counters[sk.SSTASH_PLACED] += ss_placed
-        if ss_removed:
-            counters[sk.SSTASH_REMOVED] += ss_removed
-        if ss_skips:
-            counters[sk.SSTASH_PLACEMENT_SKIPS] += ss_skips
+        counters[_MEM_BLOCKS_KEY[path_type]] += 2 * blocks
+        for key, value in zip(_HOOK_KEYS, hooks):
+            if value:
+                counters[key] += value
 
     def run_dummy_batch(
         self,
@@ -1102,8 +1142,8 @@ class PathORAMController:
         """
         batch = self.batch_counters
         if (
-            self._native is not None
-            and self.SUPPORTS_NATIVE_BATCH
+            self.SUPPORTS_NATIVE_BATCH
+            and self._kernel_tier()
             and self.stats.tracer is None
             and self.observer is None
             and self.slot_observer is None
@@ -1127,7 +1167,15 @@ class PathORAMController:
             if max_occ > stash.peak_occupancy:
                 stash.peak_occupancy = max_occ
             if n:
-                self._apply_batch_counters(n, agg)
+                blocks, hits, conflicts, ev_triggers, hooks = agg
+                self._apply_path_counters(n, PathType.DUMMY, blocks, hooks)
+                # Batches run untraced: both bursts book in aggregate.
+                self.dram.book(blocks, False, now, new_now, hits, conflicts)
+                self.dram.book(blocks, True, now, new_now, 0, 0)
+                counters = self.stats.counters
+                counters[sk.MEM_BLOCKS_WRITTEN] += blocks
+                if ev_triggers:
+                    counters[sk.EVICTION_TRIGGERS] += ev_triggers
                 if stop_on_threshold:
                     self._consecutive_evictions = 0
             batch[sk.ENGINE_BATCH_CALLS] = (
@@ -1171,7 +1219,26 @@ class PathORAMController:
     def blocks_per_path(self) -> int:
         return self.oram.blocks_per_path()
 
+    def tier_counters(self) -> dict:
+        """``engine.tier.*``: the paths each execution tier has run."""
+        kernel = self.batch_counters.get(sk.ENGINE_TIER_KERNEL_PATHS, 0)
+        batched = self.batch_counters.get(sk.ENGINE_BATCH_PATHS, 0)
+        return {
+            sk.ENGINE_TIER_KERNEL_PATHS: kernel,
+            sk.ENGINE_TIER_BATCH_PATHS: batched,
+            sk.ENGINE_TIER_PYTHON_PATHS: self.path_count - kernel - batched,
+        }
+
     def path_type_counts(self) -> dict:
         return {
             pt.value: self.stats.get(_PATHS_KEY[pt]) for pt in PathType
         }
+
+
+#: The phase methods ``access_path`` and ``run_batch`` fuse, as defined
+#: here; :meth:`PathORAMController._kernel_tier` compares against these.
+_STOCK_PHASES = tuple(
+    (name, vars(PathORAMController)[name])
+    for name in ("_service_path", "_write_path", "_place_path")
+)
+_STOCK_WRITEBACK = vars(PathORAMController)["_writeback_path"]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Deque, Optional, Tuple
 
 from .. import stats_keys as sk
 from ..config import SystemConfig
@@ -71,30 +71,31 @@ class DecoupledPathORAMController(PathORAMController):
         self._pending_writes: Deque[Tuple[int, int, PathType]] = deque()
 
     # ------------------------------------------------------------------
-    # the decoupled write phase
+    # the decoupled write burst
     # ------------------------------------------------------------------
-    def _write_path(self, leaf: int, finish_read: int, path_type: PathType,
-                    preexisting: Optional[Set[int]] = None) -> int:
-        """Place now, defer the DRAM write burst; returns the slot finish.
+    def _writeback_path(
+        self, leaf: int, finish_read: int, path_type: PathType
+    ) -> int:
+        """Defer the placed path's DRAM write burst; returns the slot finish.
 
-        The slot completes at ``finish_read``: the next access's read
-        phase is not serialized behind this write burst.  The burst joins
-        the window and is serviced — at the earliest, at ``finish_read``,
-        and otherwise whenever the banks free up around later reads —
-        when the window overflows or the run drains.
+        Placement already ran at the slot (in C on the kernel tier, which
+        leaves this burst to us).  The slot completes at ``finish_read``:
+        the next access's read phase is not serialized behind this write
+        burst.  The burst joins the window and is serviced — at the
+        earliest, at ``finish_read``, and otherwise whenever the banks
+        free up around later reads — when the window overflows or the
+        run drains.
         """
-        self._place_path(leaf, preexisting)
         self._pending_writes.append((leaf, finish_read, path_type))
         self.stats.counters[sk.DECOUPLE_DEFERRED_WRITES] += 1
         while len(self._pending_writes) > WINDOW:
             self._drain_oldest()
-        self._after_write_phase()
         return finish_read
 
     def _drain_oldest(self) -> int:
         """Service the oldest pending write burst; returns its finish."""
         leaf, ready, path_type = self._pending_writes.popleft()
-        return self._writeback_path(leaf, ready, path_type)
+        return super()._writeback_path(leaf, ready, path_type)
 
     def drain_background(self, now: int) -> int:
         """Flush every pending write burst (end of run); returns the last

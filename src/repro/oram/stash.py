@@ -64,13 +64,17 @@ class Stash:
         """
         self._entries[block] = leaf
 
-    def note_peak(self, now: Optional[int] = None) -> None:
-        """Raise the high-water mark to the current occupancy.
+    def note_peak(
+        self, now: Optional[int] = None, occupancy: Optional[int] = None
+    ) -> None:
+        """Raise the high-water mark to ``occupancy`` (default: the
+        current one; a kernel path access reports its post-read value).
 
         A new peak emits ``stash.hwm`` at ``now`` (default: the tracer's
         clock).
         """
-        occupancy = len(self._entries)
+        if occupancy is None:
+            occupancy = len(self._entries)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
             tracer = self.stats.tracer

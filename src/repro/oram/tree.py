@@ -103,7 +103,8 @@ class ORAMTree:
 
         This is the read phase of a path access: every slot is fetched, real
         blocks go to the caller (the stash), dummies are discarded.  The
-        controller's C read phase (``read_path``) runs the same loop.
+        controller's C read phase (inside ``access_path``) runs the same
+        loop.
         """
         if not 0 <= leaf < self.config.leaves:
             raise ProtocolError(f"leaf {leaf} out of range")

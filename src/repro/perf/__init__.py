@@ -2,7 +2,8 @@
 
 * :mod:`repro.perf.native` — optional C kernels for the simulator's
   innermost loops, compiled on demand with a pure-Python fallback: one
-  read phase, one placement engine and one batch loop over one context.
+  call per path access and one batch loop, sharing one per-path function
+  over one context.
 * :mod:`repro.perf.engine` — supervised warm-pool fan-out over
   independent (scheme, workload, seed) simulation points
   (:class:`~repro.perf.engine.SimPoint`), with a cross-run artifact cache.

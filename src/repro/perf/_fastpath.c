@@ -283,11 +283,11 @@ typedef struct {
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 22-slot
- * tuple PathORAMController._kernel_ctx freezes; read_path,
- * write_path_place, dram_triples and run_batch all take it:
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 23-slot
+ * tuple PathORAMController._kernel_ctx freezes; access_path, dram_triples
+ * and run_batch all take it:
  *
- *    0 randrange        leaf draw for run_batch
+ *    0 randrange        leaf draw when the RNG is not a plain Random
  *    1 leaves           leaf count
  *    2 path_table       TreeLayout.path_table, array('q')
  *    3 entries          the stash's block -> leaf dict, in stash order
@@ -299,29 +299,35 @@ typedef struct {
  *   14 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst,
  *                       row_blocks, channels, banks_per_channel)
  *   15 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   16-19               S-Stash resident, set_count, set_of, ways
- *   20-21               the RNG's getrandbits and the leaf-count bit
+ *   16-18               S-Stash resident, set_count, set_of
+ *   19 set_index        S-Stash set index by block, array('q'), -1 where
+ *                       set_of has not hashed the block yet
+ *   20 ways             S-Stash ways per set
+ *   21-22               the RNG's getrandbits and the leaf-count bit
  *                       width when it is a plain random.Random, else
  *                       None, 0
  *
- * Object fields are borrowed from the tuple.  The three arrays are held
- * as buffers from parse_ctx to release_ctx, so nothing can resize them
- * in between; level ``l``'s buckets start at ``offset[l]`` in the tree
- * array, ``z_arr[l]`` slots each, as ORAMTree lays them out.  Bucket
- * sizes and level occupancy are hoisted into C arrays (occupancy goes
- * back through store_used), and the tree-top counters gather one call's
- * hook effects for the caller to apply.
+ * Object fields are borrowed from the tuple.  The arrays are held as
+ * buffers from parse_ctx to release_ctx, so nothing can resize them in
+ * between (set_of still writes set_index items); level ``l``'s buckets
+ * start at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
+ * ORAMTree lays them out.  Bucket sizes and level occupancy are hoisted
+ * into C arrays (occupancy goes back through store_used), and the
+ * tree-top counters gather one call's hook effects for the caller to
+ * apply.
  */
 typedef struct {
     PyObject *randrange, *leaves_obj, *entries, *level_used, *bank_ready,
         *bank_open_row, *bus_free, *resident, *set_count, *set_of,
         *getrandbits;
-    Py_buffer leaf_buf, tree_buf, path_buf;
-    long long *leaf_table, *tree;
+    Py_buffer leaf_buf, tree_buf, path_buf, set_buf;
+    long long *leaf_table, *tree, *set_index;
     const long long *path_table;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
+    Py_ssize_t set_index_len;
     long long leaf, leaves, levels, top, empty, ways, leaf_bits;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
+    int use_grb;  /* draw leaves through getrandbits */
     DramTiming dram;
     long long row_blocks, channels, banks_per_channel;
     long long path_blocks;  /* memory-backed slots on every path */
@@ -407,23 +413,29 @@ check_path_table(KernelCtx *c, Py_ssize_t len)
     return 0;
 }
 
+/* Release every buffer parse_ctx acquired; views it never filled hold
+ * no object, and PyBuffer_Release skips them.
+ */
 static void
 release_ctx(KernelCtx *c)
 {
     PyBuffer_Release(&c->tree_buf);
     PyBuffer_Release(&c->leaf_buf);
     PyBuffer_Release(&c->path_buf);
+    PyBuffer_Release(&c->set_buf);
 }
 
 /* Unpack and validate ``ctx`` into ``c``, and parse ``leaf_obj`` into
- * ``c->leaf`` unless it is NULL.  Returns 0 with all three arrays held
- * (pair with release_ctx), or -1 with an exception set and nothing held.
+ * ``c->leaf`` unless it is NULL.  Returns 0 with the arrays held (pair
+ * with release_ctx), or -1 with an exception set and nothing held.
  */
 static int
 parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
 {
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 22) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 22 slots");
+    c->leaf_buf.obj = c->tree_buf.obj = c->path_buf.obj = NULL;
+    c->set_buf.obj = NULL;
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 23) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 23 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
@@ -442,17 +454,19 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     c->resident = CTX(16);
     c->set_count = CTX(17);
     c->set_of = CTX(18);
-    c->getrandbits = CTX(20);
+    PyObject *set_index = CTX(19);
+    c->getrandbits = CTX(21);
     c->leaves = PyLong_AsLongLong(c->leaves_obj);
     c->levels = PyLong_AsLongLong(CTX(8));
     c->top = PyLong_AsLongLong(CTX(9));
     c->empty = PyLong_AsLongLong(CTX(10));
     long long mode = PyLong_AsLongLong(CTX(15));
-    c->ways = PyLong_AsLongLong(CTX(19));
-    c->leaf_bits = PyLong_AsLongLong(CTX(21));
+    c->ways = PyLong_AsLongLong(CTX(20));
+    c->leaf_bits = PyLong_AsLongLong(CTX(22));
 #undef CTX
     if (PyErr_Occurred())
         return -1;
+    c->use_grb = c->getrandbits != Py_None && c->leaf_bits > 0;
     if (!PyDict_Check(c->entries) ||
         !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
         !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
@@ -483,6 +497,10 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
 #undef PARAM
     if (PyErr_Occurred())
         return -1;
+    if (c->dram.ratio <= 0) {
+        PyErr_SetString(PyExc_ValueError, "DRAM clock ratio must be positive");
+        return -1;
+    }
     if (c->levels < 1 || c->levels >= FASTPATH_MAX_LEVELS ||
         PyList_GET_SIZE(z_list) < (Py_ssize_t)c->levels ||
         PyList_GET_SIZE(c->level_used) < (Py_ssize_t)c->levels) {
@@ -526,34 +544,36 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     Py_ssize_t path_len =
         get_q_buffer(path_table, &c->path_buf, "path_table");
     if (path_len < 0)
-        return -1;
+        goto fail;
     c->path_table = c->path_buf.buf;
-    if (check_path_table(c, path_len) < 0) {
-        PyBuffer_Release(&c->path_buf);
-        return -1;
-    }
-    c->leaf_count =
-        get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
-    if (c->leaf_count < 0) {
-        PyBuffer_Release(&c->path_buf);
-        return -1;
-    }
-    Py_ssize_t tree_len =
-        get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
-    if (tree_len < 0) {
-        PyBuffer_Release(&c->leaf_buf);
-        PyBuffer_Release(&c->path_buf);
-        return -1;
-    }
+    if (check_path_table(c, path_len) < 0)
+        goto fail;
+    c->leaf_count = get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
+    if (c->leaf_count < 0)
+        goto fail;
+    c->leaf_table = c->leaf_buf.buf;
+    Py_ssize_t tree_len = get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
+    if (tree_len < 0)
+        goto fail;
+    c->tree = c->tree_buf.buf;
     if (tree_len != total) {
-        release_ctx(c);
         PyErr_SetString(PyExc_ValueError,
                         "tree_slots length does not match z per level");
-        return -1;
+        goto fail;
     }
-    c->leaf_table = c->leaf_buf.buf;
-    c->tree = c->tree_buf.buf;
+    c->set_index = NULL;
+    c->set_index_len = 0;
+    if (c->gated) {
+        c->set_index_len = get_q_buffer(set_index, &c->set_buf, "set_index");
+        if (c->set_index_len < 0)
+            goto fail;
+        c->set_index = c->set_buf.buf;
+    }
     return 0;
+
+fail:
+    release_ctx(c);
+    return -1;
 }
 
 
@@ -638,7 +658,7 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
     return rc;
 }
 
-/* run_batch's empty-stash fastpath buffer: blocks read off the path
+/* path_access's empty-stash array-mode buffer: blocks read off the path
  * bypass the stash dict and are kept here in read order, with their
  * leaves and path depths.  ``items`` has room for 4 * cap entries — the
  * upper three quarters are place_pools scratch.
@@ -652,8 +672,8 @@ typedef struct {
     Py_ssize_t n, cap;
 } ReadBuf;
 
-/* The read phase of one path access, the one loop behind read_path and
- * run_batch: clear every real block off the path to ``leaf``, release
+/* The read phase of one path access, the one read loop behind
+ * path_access: clear every real block off the path to ``leaf``, release
  * its tree-top entry when it sat in a cached level (S-Stash removal in
  * mode 1, a bare count in mode 0), and move it into the stash — the end
  * of the entries dict, or ``rb`` when it is non-NULL.  The level
@@ -770,14 +790,15 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
     return 0;
 }
 
-/* The shared placement engine behind write_path_place and run_batch:
+/* The one placement engine, behind path_access's dict and array modes:
  * greedy bottom-up placement onto the path to ``leaf`` of ``items``
  * already segmented by depth (counts/offsets, each segment in stash
  * order).  ``items`` must have capacity 3*total — the upper two thirds
  * are scratch for the pool stack and the per-level rejection list.
  *
  * In S-Stash mode, placements into the cached top levels consult the
- * set-associativity constraint (``set_of``, ``set_count``, ``ways``) and
+ * set-associativity constraint (the set-index array, falling back to
+ * ``set_of`` for a block not hashed yet; ``set_count``, ``ways``) and
  * maintain the block-address index (``resident``), mirroring the Python
  * placement loop with SStash.may_place/on_place; rejected blocks are
  * retried at shallower levels exactly like the Python
@@ -823,7 +844,16 @@ place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
                                            : PyLong_FromLongLong(item.value);
                 if (block == NULL)
                     return -1;
-                idx_obj = PyObject_CallOneArg(c->set_of, block);
+                long long set = item.value >= 0 &&
+                                item.value < c->set_index_len
+                    ? c->set_index[item.value] : -1;
+                if (set >= 0) {
+                    idx_obj = PyLong_FromLongLong(set);
+                } else {
+                    /* Not hashed yet: set_of hashes the block and
+                     * records its set in the set-index array. */
+                    idx_obj = PyObject_CallOneArg(c->set_of, block);
+                }
                 if (idx_obj == NULL)
                     goto item_fail;
                 PyObject *cnt_obj =
@@ -915,66 +945,6 @@ write_place_core(KernelCtx *c, long long leaf)
     return rc;
 }
 
-/* ---------------------------------------------------------------- */
-/* Per-access entry points                                           */
-/* ---------------------------------------------------------------- */
-
-/* read_path(ctx, leaf, served)
- *   -> (removed_top, sstash_removed, served_level)
- *
- * The read phase of one path access through read_path_core: every real
- * block on the path to ``leaf`` moves into the stash dict, and
- * cached-top blocks leave the tree-top structure.  ``served_level`` is
- * the level ``served`` (a block, or None) was read from, -1 when it was
- * not on the path.
- */
-static PyObject *
-read_path(PyObject *self, PyObject *args)
-{
-    PyObject *ctx, *leaf_obj, *served_obj;
-    if (!PyArg_ParseTuple(args, "OO!O", &ctx, &PyLong_Type, &leaf_obj,
-                          &served_obj))
-        return NULL;
-    KernelCtx c;
-    if (parse_ctx(ctx, leaf_obj, &c) < 0)
-        return NULL;
-    long long served =
-        served_obj == Py_None ? c.empty : PyLong_AsLongLong(served_obj);
-    long long served_level = -1;
-    int rc = PyErr_Occurred()
-        ? -1
-        : read_path_core(&c, c.leaf, NULL, served, &served_level);
-    release_ctx(&c);
-    if (rc < 0 || store_used(&c) < 0)
-        return NULL;
-    return Py_BuildValue("LLL", c.removed_top, c.ss_removed, served_level);
-}
-
-/* write_path_place(ctx, leaf) -> (placed_top, sstash_placed, sstash_skips)
- *
- * The full greedy bottom-up write phase of one path access: group every
- * stash block by deepest eligible level, then fill bucket slots
- * deepest-first through place_pools, removing placed blocks from the
- * stash.  In S-Stash mode placements into the cached
- * top are gated on the block's set having a free way.  Mirrors the
- * Python placement loop in PathORAMController._place_path.
- */
-static PyObject *
-write_path_place(PyObject *self, PyObject *args)
-{
-    PyObject *ctx, *leaf_obj;
-    if (!PyArg_ParseTuple(args, "OO!", &ctx, &PyLong_Type, &leaf_obj))
-        return NULL;
-    KernelCtx c;
-    if (parse_ctx(ctx, leaf_obj, &c) < 0)
-        return NULL;
-    int rc = write_place_core(&c, c.leaf);
-    release_ctx(&c);
-    if (rc < 0 || store_used(&c) < 0)
-        return NULL;
-    return Py_BuildValue("LLL", c.placed_top, c.ss_placed, c.ss_skips);
-}
-
 /* The DRAM (bank, channel, row) triples of the path to ``leaf``, written
  * to ``out`` (room for 3 * path_blocks): TreeLayout.path_addresses
  * followed by DRAMModel.decompose_batch, computed from the path table.
@@ -1016,7 +986,8 @@ fill_triples(const KernelCtx *c, long long leaf, long long *out)
 /* dram_triples(ctx, leaf) -> array('q') of [bank, channel, row, ...]
  *
  * The DRAM triples of the path to ``leaf`` through fill_triples, for
- * the per-access read and write phases to hand to dram_service.
+ * bursts issued apart from their access_path call (deferred writes, the
+ * Python phases) to hand to dram_service.
  */
 static PyObject *
 dram_triples(PyObject *self, PyObject *args)
@@ -1040,6 +1011,273 @@ dram_triples(PyObject *self, PyObject *args)
 }
 
 /* ---------------------------------------------------------------- */
+/* One path access                                                   */
+/* ---------------------------------------------------------------- */
+
+/* What access_path does with the served block between the read and the
+ * write phase. */
+enum { SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT };
+
+/* One leaf draw, as ``randrange(leaves)``.  With the RNG's bound
+ * ``getrandbits`` present, Random._randbelow_with_getrandbits inlined:
+ * draw bit_length(leaves) bits, rejecting draws >= leaves, so the RNG
+ * bit stream matches randrange(leaves) exactly while skipping the
+ * interpreted wrapper.
+ */
+static int
+draw_leaf(const KernelCtx *c, long long *leaf_out)
+{
+    long long leaf;
+    do {
+        PyObject *draw;
+        if (c->use_grb) {
+            PyObject *bits = PyLong_FromLongLong(c->leaf_bits);
+            draw = bits != NULL ? PyObject_CallOneArg(c->getrandbits, bits)
+                                : NULL;
+            Py_XDECREF(bits);
+        } else {
+            draw = PyObject_CallOneArg(c->randrange, c->leaves_obj);
+        }
+        if (draw == NULL)
+            return -1;
+        leaf = PyLong_AsLongLong(draw);
+        Py_DECREF(draw);
+        if (leaf == -1 && PyErr_Occurred())
+            return -1;
+    } while (c->use_grb && leaf >= c->leaves);
+    if (leaf < 0 || leaf >= c->leaves) {
+        PyErr_SetString(PyExc_IndexError, "leaf out of range");
+        return -1;
+    }
+    *leaf_out = leaf;
+    return 0;
+}
+
+/* The served block's step after the read phase.  It must be in the
+ * stash.  Remap: draw its new leaf, record it in the position map and
+ * update its stash entry in place (PositionMap.remap plus
+ * Stash.update_leaf).  Extract: drop it from the stash and unmap it
+ * (Stash.remove plus PositionMap.discard).  Returns 0, or -1 with an
+ * exception set; a block absent from the path and the stash is a
+ * RuntimeError, which the controller raises as a ProtocolError.
+ */
+static int
+served_step(KernelCtx *c, long long leaf, long long served, int mode)
+{
+    PyObject *key = PyLong_FromLongLong(served);
+    if (key == NULL)
+        return -1;
+    int rc = PyDict_Contains(c->entries, key);
+    if (rc == 0) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "block %lld absent from path %lld and stash",
+                     served, leaf);
+        rc = -1;
+    } else if (rc == 1 && mode == SERVED_EXTRACT) {
+        rc = PyDict_DelItem(c->entries, key);
+        if (rc == 0)
+            c->leaf_table[served] = -1;  /* posmap.UNMAPPED */
+    } else if (rc == 1) {
+        long long new_leaf;
+        rc = draw_leaf(c, &new_leaf);
+        if (rc == 0) {
+            c->leaf_table[served] = new_leaf;
+            PyObject *value = PyLong_FromLongLong(new_leaf);
+            rc = value != NULL ? PyDict_SetItem(c->entries, key, value) : -1;
+            Py_XDECREF(value);
+        }
+    }
+    Py_DECREF(key);
+    return rc;
+}
+
+/* Array-mode placement: segment the blocks ``rb`` read off the path by
+ * depth (each segment keeps read order), place them through the shared
+ * engine, and let the rare survivors enter the stash dict in read order.
+ */
+static int
+place_read_buf(KernelCtx *c, long long leaf, ReadBuf *rb)
+{
+    if (rb->n == 0)
+        return 0;
+    Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
+    Py_ssize_t fill[FASTPATH_MAX_LEVELS];
+    offsets[0] = 0;
+    for (long long d = 1; d < c->levels; d++)
+        offsets[d] = offsets[d - 1] + rb->counts[d - 1];
+    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c->levels);
+    PoolItem *seg = rb->items + rb->cap;
+    for (Py_ssize_t i = 0; i < rb->n; i++)
+        seg[fill[rb->depth[i]]++] = rb->items[i];
+    memset(rb->placed, 0, (size_t)rb->n);
+    if (place_pools(c, leaf, seg, rb->n, rb->counts, offsets,
+                    rb->placed) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < rb->n; i++) {
+        if (!rb->placed[i] &&
+            stash_insert(c->entries, rb->items[i].value, rb->leaf[i]) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* One path access's outputs.  The row hit and conflict counts add to
+ * what the fields already hold, so run_batch sums them over a batch. */
+typedef struct {
+    long long finish_read, finish_write, served_level, occupancy;
+    long long read_hits, read_conflicts, write_hits, write_conflicts;
+} PathOut;
+
+/* One whole path access over the live controller state, the one
+ * per-path function behind access_path and run_batch's loop:
+ *
+ *   the read burst (fill_triples into ``triples``, then dram_run_arr at
+ *   ``now``); the read phase (read_path_core); the served block's step
+ *   (served_step, unless ``mode`` is SERVED_NONE); greedy bottom-up
+ *   placement; and the write burst at the read phase's finish, unless
+ *   ``write_burst`` is 0 (the caller then issues it later, and
+ *   ``finish_write`` is the read phase's finish).
+ *
+ * The read phase bypasses the stash dict (``rb``'s array mode) when
+ * ``rb`` is non-NULL, nothing is served and the stash is empty: blocks
+ * read off the path are collected in read order, placed through the same
+ * engine, and only the survivors enter the dict, in read order.  In dict
+ * mode the same blocks would enter an empty dict in read order too, so
+ * both modes see the same pools and leave the same stash.
+ *
+ * ``clock`` (NULL, or 4 accumulators) collects the nanoseconds of the
+ * read burst, the read phase and served step, placement, and the write
+ * burst.  Mirrors PathORAMController's Python phases.  Returns 0, or -1
+ * with an exception set.
+ */
+static int
+path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
+            long long leaf, long long now, long long served, int mode,
+            int write_burst, PathOut *out, unsigned long long *clock)
+{
+    const DramTiming *d = &c->dram;
+    unsigned long long t0 = clock != NULL ? now_ns() : 0;
+#define LAP(i)                                                          \
+    if (clock != NULL) {                                                \
+        unsigned long long t1 = now_ns();                               \
+        clock[i] += t1 - t0;                                            \
+        t0 = t1;                                                        \
+    }
+    long long finish;
+    fill_triples(c, leaf, triples);
+    dram_run_arr(triples, c->path_blocks, banks,
+                 (now + d->ratio - 1) / d->ratio, d, &finish,
+                 &out->read_hits, &out->read_conflicts);
+    out->finish_read = out->finish_write = finish * d->ratio;
+    LAP(0)
+
+    ReadBuf *arr = NULL;
+    if (rb != NULL && mode == SERVED_NONE &&
+        PyDict_GET_SIZE(c->entries) == 0) {
+        arr = rb;
+        rb->n = 0;
+        memset(rb->counts, 0, sizeof(Py_ssize_t) * (size_t)c->levels);
+    }
+    out->served_level = -1;
+    if (read_path_core(c, leaf, arr, served, &out->served_level) < 0)
+        return -1;
+    out->occupancy = arr != NULL ? (long long)rb->n
+                                 : (long long)PyDict_GET_SIZE(c->entries);
+    if (mode != SERVED_NONE && served_step(c, leaf, served, mode) < 0)
+        return -1;
+    LAP(1)
+
+    if ((arr != NULL ? place_read_buf(c, leaf, rb)
+                     : write_place_core(c, leaf)) < 0)
+        return -1;
+    LAP(2)
+
+    if (write_burst) {
+        dram_run_arr(triples, c->path_blocks, banks,
+                     (out->finish_read + d->ratio - 1) / d->ratio, d,
+                     &finish, &out->write_hits, &out->write_conflicts);
+        out->finish_write = finish * d->ratio;
+    }
+    LAP(3)
+#undef LAP
+    return 0;
+}
+
+/* access_path(ctx, leaf, now, served, mode, write_burst)
+ *   -> (finish_read, finish_write, served_level, occupancy, blocks,
+ *       (read_hits, read_conflicts), (write_hits, write_conflicts),
+ *       (placed_top, removed_top, sstash_placed, sstash_removed,
+ *        sstash_skips))
+ *
+ * One whole path access of the path to ``leaf`` issued at ``now``,
+ * through path_access.  ``served`` is the block the access serves
+ * (``mode`` SERVED_REMAP or SERVED_EXTRACT), or None for an eviction or
+ * dummy path (SERVED_NONE).  ``occupancy`` is the stash occupancy right
+ * after the read phase, ``blocks`` the memory blocks each burst moves.
+ * The served block and the leaf are range-checked before anything is
+ * touched.
+ */
+static PyObject *
+access_path(PyObject *self, PyObject *args)
+{
+    PyObject *ctx, *leaf_obj, *served_obj;
+    long long now;
+    int mode, write_burst;
+    if (!PyArg_ParseTuple(args, "OO!LOip", &ctx, &PyLong_Type, &leaf_obj,
+                          &now, &served_obj, &mode, &write_burst))
+        return NULL;
+    KernelCtx c;
+    if (parse_ctx(ctx, leaf_obj, &c) < 0)
+        return NULL;
+    BankState banks = {NULL, NULL, NULL, 0, 0};
+    long long *triples = NULL;
+    long long served = c.empty;
+    PathOut out;
+    memset(&out, 0, sizeof out);
+    if (mode < SERVED_NONE || mode > SERVED_EXTRACT ||
+        (mode == SERVED_NONE) != (served_obj == Py_None) || now < 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed access_path call");
+        goto fail;
+    }
+    if (served_obj != Py_None) {
+        served = PyLong_AsLongLong(served_obj);
+        if (served == -1 && PyErr_Occurred())
+            goto fail;
+        if (served < 0 || served >= c.leaf_count) {
+            PyErr_SetString(PyExc_IndexError,
+                            "served block outside position map");
+            goto fail;
+        }
+    }
+    triples = PyMem_Malloc(sizeof(long long) * 3 * (size_t)c.path_blocks);
+    if (triples == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (load_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
+        goto fail;
+    if (path_access(&c, &banks, triples, NULL, c.leaf, now, served, mode,
+                    write_burst, &out, NULL) < 0 ||
+        store_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0 ||
+        store_used(&c) < 0)
+        goto fail;
+    free_banks(&banks);
+    PyMem_Free(triples);
+    release_ctx(&c);
+    return Py_BuildValue(
+        "LLLLL(LL)(LL)(LLLLL)", out.finish_read, out.finish_write,
+        out.served_level, out.occupancy, c.path_blocks, out.read_hits,
+        out.read_conflicts, out.write_hits, out.write_conflicts,
+        c.placed_top, c.removed_top, c.ss_placed, c.ss_removed, c.ss_skips);
+
+fail:
+    free_banks(&banks);
+    PyMem_Free(triples);
+    release_ctx(&c);
+    return NULL;
+}
+
+/* ---------------------------------------------------------------- */
 /* Whole-run batch stepping                                          */
 /* ---------------------------------------------------------------- */
 
@@ -1047,26 +1285,20 @@ dram_triples(PyObject *self, PyObject *args)
  *           trigger_threshold, want_bounds, collect_timing)
  *   -> (n, now, max_occupancy, bounds | None, agg, timings | None)
  *
- * Execute up to ``max_paths`` whole dummy-path accesses — RNG leaf draw,
- * read-phase DRAM timing, the read phase through read_path_core, greedy
- * bottom-up write placement, write-phase DRAM timing — without returning
- * to the interpreter between paths.  Each iteration is bit-identical to
+ * Execute up to ``max_paths`` whole dummy-path accesses — an RNG leaf
+ * draw (draw_leaf) and path_access — without returning to the
+ * interpreter between paths.  Each iteration is bit-identical to
  * PathORAMController.dummy_path followed by ``now = max(now + interval,
- * finish_write)``.
+ * finish_write)``.  The batch stops early at ``horizon`` (next real work
+ * item, -1 = none), or as soon as the stash is over ``stop_threshold``
+ * (-1 = never), so every slot-boundary decision the per-access loop
+ * would have made stays identical.  Stash occupancy is compared against
+ * ``trigger_threshold`` after every write phase to accumulate
+ * eviction-trigger counts.
  *
- * ``ctx`` is the kernel context (see KernelCtx).  With the RNG's bound
- * ``getrandbits`` present the kernel draws leaves with rejection
- * sampling exactly as ``Random._randbelow_with_getrandbits`` does,
- * skipping the interpreted ``randrange`` wrapper while consuming the
- * identical bit stream.  The batch stops early at ``horizon`` (next real
- * work item, -1 = none), or as soon as the stash is over
- * ``stop_threshold`` (-1 = never), so every slot-boundary decision the
- * per-access loop would have made stays identical.  Stash occupancy is
- * compared against ``trigger_threshold`` after every write phase to
- * accumulate eviction-trigger counts.
- *
- * ``agg`` is (blocks, row_hits, row_conflicts, placed_top, removed_top,
- * eviction_triggers, sstash_placed, sstash_removed, sstash_skips);
+ * ``agg`` is (blocks, row_hits, row_conflicts, eviction_triggers,
+ * (placed_top, removed_top, sstash_placed, sstash_removed,
+ * sstash_skips)), the hook counts shaped as access_path returns them;
  * ``bounds`` is a flat [start, finish_read, finish_write, ...] list when
  * requested; ``timings`` is (rng_ns, read_dram_ns, stash_ns, place_ns,
  * write_dram_ns) when ``collect_timing`` is set.
@@ -1086,19 +1318,15 @@ run_batch(PyObject *self, PyObject *args)
     KernelCtx c;
     if (parse_ctx(ctx, NULL, &c) < 0)
         return NULL;
-    const DramTiming *dcfg = &c.dram;
-    PyObject *bits_obj = NULL, *bounds = NULL;
+    PyObject *bounds = NULL;
     BankState banks = {NULL, NULL, NULL, 0, 0};
     long long *triples = NULL;
     ReadBuf rb;
     memset(&rb, 0, sizeof rb);
-    int use_grb = (c.getrandbits != Py_None && c.leaf_bits > 0);
-    if (dcfg->ratio <= 0 || max_paths < 0 || now < 0) {
+    if (max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
         goto fail;
     }
-    if (use_grb && (bits_obj = PyLong_FromLongLong(c.leaf_bits)) == NULL)
-        goto fail;
 
     triples = PyMem_Malloc(sizeof(long long) * 3 * (size_t)c.path_blocks);
     if (triples == NULL) {
@@ -1114,15 +1342,8 @@ run_batch(PyObject *self, PyObject *args)
     if (want_bounds && (bounds = PyList_New(0)) == NULL)
         goto fail;
 
-    /* Empty-stash array fastpath: when a path begins with an empty stash
-     * (the steady state for dummy-path batches), read blocks skip the
-     * stash dict entirely — they are collected in read order into a
-     * ReadBuf, depth-bucketed with group_by_depth's XOR/bit-length rule,
-     * placed through the shared engine, and only the rare survivors
-     * enter the dict afterwards, in read order.  In dict mode the same
-     * blocks would enter an empty dict in read order too, so both modes
-     * see the same pools and leave the same stash.
-     */
+    /* The array-mode buffer path_access reads into when a path begins
+     * with an empty stash, the steady state for dummy-path batches. */
     long long max_slots = 0;
     for (long long d = 0; d < c.levels; d++)
         max_slots += c.z_arr[d];
@@ -1142,10 +1363,11 @@ run_batch(PyObject *self, PyObject *args)
 
     long long n = 0;
     long long max_occ = 0;
-    long long blocks_total = 0, row_hits = 0, row_conflicts = 0;
     long long ev_triggers = 0;
-    unsigned long long t_rng = 0, t_read_dram = 0, t_stash = 0,
-        t_place = 0, t_write_dram = 0;
+    PathOut out;
+    memset(&out, 0, sizeof out);
+    unsigned long long t_rng = 0;
+    unsigned long long clock[4] = {0, 0, 0, 0};
 
     while (n < max_paths) {
         if (horizon >= 0 && now >= horizon)
@@ -1153,120 +1375,22 @@ run_batch(PyObject *self, PyObject *args)
         if (stop_threshold >= 0 &&
             (long long)PyDict_GET_SIZE(c.entries) > stop_threshold)
             break;
-        ReadBuf *arr = NULL;
-        if (rb.items != NULL && PyDict_GET_SIZE(c.entries) == 0) {
-            arr = &rb;
-            rb.n = 0;
-            memset(rb.counts, 0, sizeof(Py_ssize_t) * (size_t)c.levels);
-        }
         unsigned long long t0 = collect_timing ? now_ns() : 0;
-
-        /* With getrandbits, Random._randbelow_with_getrandbits inlined:
-         * draw bit_length(leaves) bits, rejecting draws >= leaves, so the
-         * RNG bit stream matches randrange(leaves) exactly.
-         */
         long long leaf;
-        do {
-            PyObject *draw = use_grb
-                ? PyObject_CallOneArg(c.getrandbits, bits_obj)
-                : PyObject_CallOneArg(c.randrange, c.leaves_obj);
-            if (draw == NULL)
-                goto fail;
-            leaf = PyLong_AsLongLong(draw);
-            Py_DECREF(draw);
-            if (leaf == -1 && PyErr_Occurred())
-                goto fail;
-        } while (use_grb && leaf >= c.leaves);
-        if (leaf < 0 || leaf >= c.leaves) {
-            PyErr_SetString(PyExc_IndexError, "leaf out of range");
+        if (draw_leaf(&c, &leaf) < 0)
             goto fail;
-        }
-        if (collect_timing) {
-            unsigned long long t1 = now_ns();
-            t_rng += t1 - t0;
-            t0 = t1;
-        }
-
-        fill_triples(&c, leaf, triples);
-
-        /* Read phase through the DRAM model. */
-        long long now_dram = (now + dcfg->ratio - 1) / dcfg->ratio;
-        long long fr_dram = 0;
-        dram_run_arr(triples, c.path_blocks, &banks, now_dram, dcfg,
-                     &fr_dram, &row_hits, &row_conflicts);
-        long long finish_read = fr_dram * dcfg->ratio;
-        if (collect_timing) {
-            unsigned long long t1 = now_ns();
-            t_read_dram += t1 - t0;
-            t0 = t1;
-        }
-
-        /* Path read into the stash (or the array buffer). */
-        long long served_level;
-        if (read_path_core(&c, leaf, arr, c.empty, &served_level) < 0)
-            goto fail;
-        {
-            long long occ = arr != NULL
-                ? (long long)rb.n
-                : (long long)PyDict_GET_SIZE(c.entries);
-            if (occ > max_occ)
-                max_occ = occ;
-        }
-        if (collect_timing) {
-            unsigned long long t1 = now_ns();
-            t_stash += t1 - t0;
-            t0 = t1;
-        }
-
-        /* Greedy bottom-up write placement. */
-        if (arr == NULL) {
-            if (write_place_core(&c, leaf) < 0)
-                goto fail;
-        } else if (rb.n > 0) {
-            /* Segment the read-order items by depth; each segment keeps
-             * read order. */
-            Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
-            Py_ssize_t fill[FASTPATH_MAX_LEVELS];
-            offsets[0] = 0;
-            for (long long d = 1; d < c.levels; d++)
-                offsets[d] = offsets[d - 1] + rb.counts[d - 1];
-            memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c.levels);
-            PoolItem *seg = rb.items + max_slots;
-            for (Py_ssize_t i = 0; i < rb.n; i++)
-                seg[fill[rb.depth[i]]++] = rb.items[i];
-            memset(rb.placed, 0, (size_t)rb.n);
-            if (place_pools(&c, leaf, seg, rb.n, rb.counts, offsets,
-                            rb.placed) < 0)
-                goto fail;
-            /* Survivors enter the stash dict in read order. */
-            for (Py_ssize_t i = 0; i < rb.n; i++) {
-                if (!rb.placed[i] &&
-                    stash_insert(c.entries, rb.items[i].value,
-                                 rb.leaf[i]) < 0)
-                    goto fail;
-            }
-        }
-        if (collect_timing) {
-            unsigned long long t1 = now_ns();
-            t_place += t1 - t0;
-            t0 = t1;
-        }
-
-        /* Write phase through the DRAM model. */
-        now_dram = (finish_read + dcfg->ratio - 1) / dcfg->ratio;
-        long long fw_dram = 0;
-        dram_run_arr(triples, c.path_blocks, &banks, now_dram, dcfg,
-                     &fw_dram, &row_hits, &row_conflicts);
-        long long finish_write = fw_dram * dcfg->ratio;
         if (collect_timing)
-            t_write_dram += now_ns() - t0;
-
+            t_rng += now_ns() - t0;
+        if (path_access(&c, &banks, triples, rb.items != NULL ? &rb : NULL,
+                        leaf, now, c.empty, SERVED_NONE, 1, &out,
+                        collect_timing ? clock : NULL) < 0)
+            goto fail;
+        if (out.occupancy > max_occ)
+            max_occ = out.occupancy;
         if ((long long)PyDict_GET_SIZE(c.entries) > trigger_threshold)
             ev_triggers++;
-        blocks_total += c.path_blocks;
-
         if (want_bounds) {
-            long long triple[3] = {now, finish_read, finish_write};
+            long long triple[3] = {now, out.finish_read, out.finish_write};
             for (int b = 0; b < 3; b++) {
                 PyObject *value = PyLong_FromLongLong(triple[b]);
                 if (value == NULL || PyList_Append(bounds, value) < 0) {
@@ -1277,7 +1401,7 @@ run_batch(PyObject *self, PyObject *args)
             }
         }
         long long next_now = now + interval;
-        now = finish_write > next_now ? finish_write : next_now;
+        now = out.finish_write > next_now ? out.finish_write : next_now;
         n++;
     }
 
@@ -1290,37 +1414,28 @@ run_batch(PyObject *self, PyObject *args)
     free_banks(&banks);
     PyMem_Free(triples);
     PyMem_Free(rb.items);
-    Py_XDECREF(bits_obj);
     release_ctx(&c);
-    {
-        PyObject *agg = Py_BuildValue(
-            "(LLLLLLLLL)", blocks_total, row_hits, row_conflicts,
-            c.placed_top, c.removed_top, ev_triggers, c.ss_placed,
-            c.ss_removed, c.ss_skips);
-        if (agg == NULL) {
-            Py_XDECREF(bounds);
-            return NULL;
-        }
-        PyObject *timings = collect_timing
-            ? Py_BuildValue("(KKKKK)", t_rng, t_read_dram, t_stash,
-                            t_place, t_write_dram)
-            : Py_NewRef(Py_None);
-        if (timings == NULL) {
-            Py_DECREF(agg);
-            Py_XDECREF(bounds);
-            return NULL;
-        }
-        if (bounds == NULL)
-            bounds = Py_NewRef(Py_None);
-        return Py_BuildValue(
-            "(LLLNNN)", n, now, max_occ, bounds, agg, timings);
+    if (bounds == NULL)
+        bounds = Py_NewRef(Py_None);
+    PyObject *timings = collect_timing
+        ? Py_BuildValue("(KKKKK)", t_rng, clock[0], clock[1], clock[2],
+                        clock[3])
+        : Py_NewRef(Py_None);
+    if (timings == NULL) {
+        Py_DECREF(bounds);
+        return NULL;
     }
+    return Py_BuildValue(
+        "(LLLN(LLLL(LLLLL))N)", n, now, max_occ, bounds,
+        n * c.path_blocks, out.read_hits + out.write_hits,
+        out.read_conflicts + out.write_conflicts, ev_triggers,
+        c.placed_top, c.removed_top, c.ss_placed, c.ss_removed, c.ss_skips,
+        timings);
 
 fail:
     free_banks(&banks);
     PyMem_Free(triples);
     PyMem_Free(rb.items);
-    Py_XDECREF(bits_obj);
     Py_XDECREF(bounds);
     release_ctx(&c);
     return NULL;
@@ -1329,12 +1444,10 @@ fail:
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
      "Batch DRAM timing over an array('q') of (bank, channel, row) triples."},
-    {"read_path", read_path, METH_VARARGS,
-     "Read phase of one path access into the stash, tree-top included."},
-    {"write_path_place", write_path_place, METH_VARARGS,
-     "Greedy bottom-up write-phase placement of one path access."},
     {"dram_triples", dram_triples, METH_VARARGS,
      "DRAM (bank, channel, row) triples of one path, as an array('q')."},
+    {"access_path", access_path, METH_VARARGS,
+     "One whole path access: read, served-block step, placement, bursts."},
     {"run_batch", run_batch, METH_VARARGS,
      "Whole-batch dummy-path execution over live controller state."},
     {NULL, NULL, 0, NULL},

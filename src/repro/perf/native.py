@@ -3,29 +3,34 @@
 The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
-* ``dram_service`` — DRAM bank timing over an ``array('q')`` of
-  (bank, channel, row) triples;
-* ``dram_triples`` — one path's DRAM triples, as such an array;
-* ``read_path`` — one path's read phase into the stash;
-* ``write_path_place`` — one path's greedy bottom-up write placement;
-* ``run_batch`` — whole stretches of dummy paths in one call.
+* ``access_path`` — one whole path access, the one call a real, eviction
+  or dummy path makes: read burst, read phase, the served block's remap
+  or extraction, greedy bottom-up placement and write burst;
+* ``run_batch`` — whole stretches of dummy paths in one call, through the
+  same per-path function;
+* ``dram_triples`` — one path's DRAM (bank, channel, row) triples, as an
+  ``array('q')``;
+* ``dram_service`` — DRAM bank timing over such an array.  The last two
+  serve bursts issued apart from their path access (Palermo-style
+  deferred writes) and the Rho and Ring small trees.
 
-``dram_triples``, ``read_path``, ``write_path_place`` and ``run_batch``
-take one context tuple (:func:`kernel_ctx`) and share one read loop and
-one placement engine, for both tree-top modes: the dedicated cache and
-IR-Stash's S-Stash, whose entries the read loop releases and whose
-set-occupancy gate the placement engine applies.  The stash is its
-``block -> leaf`` dict alone: the kernels append read blocks to it,
-delete placed ones, and group write-phase candidates by scanning it in
-insertion order.  The tree's slots and the position map's leaves are two
-``array('q')`` buffers the kernels index directly, computing each path's
-slot indexes from ``z_per_level``.  A path's DRAM addresses are computed
-per access from the layout's ``path_table`` (a third ``array('q')``) and
-the DRAM geometry; ``dram_service`` and ``run_batch`` share one timing
-loop.  This module compiles the kernels with the system C
-compiler on first use, caches the shared object under
-``~/.cache/repro-fastpath/`` keyed by source hash and Python ABI, and
-exposes the loaded module as :data:`fastpath`.
+``access_path``, ``run_batch`` and ``dram_triples`` take one context
+tuple (:func:`kernel_ctx`) and share one read loop and one placement
+engine, for both tree-top modes: the dedicated cache and IR-Stash's
+S-Stash, whose entries the read loop releases and whose set-occupancy
+gate the placement engine applies, reading each block's set from the
+S-Stash's set-index array (filled by ``set_of`` once per block).  The
+stash is its ``block -> leaf`` dict alone: the kernels append read blocks
+to it, delete placed ones, and group write-phase candidates by scanning
+it in insertion order.  The tree's slots and the position map's leaves
+are two ``array('q')`` buffers the kernels index directly, computing
+each path's slot indexes from ``z_per_level``.  A path's DRAM addresses
+are computed per access from the layout's ``path_table`` (a third
+``array('q')``) and the DRAM geometry, and one timing loop serves every
+burst.  This module compiles the kernels with the system C compiler on
+first use, caches the shared object under ``~/.cache/repro-fastpath/``
+keyed by source hash and Python ABI, and exposes the loaded module as
+:data:`fastpath`.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-test, or ``REPRO_FASTPATH=0`` in the environment all yield
@@ -65,15 +70,18 @@ CTX_SLOTS = (
     "randrange", "leaves", "path_table", "entries", "leaf_table",
     "tree_slots", "z_per_level", "level_used", "levels", "top", "empty",
     "bank_ready", "bank_open_row", "bus_free", "dram_params",
-    "treetop_mode", "resident", "set_count", "set_of", "ways",
+    "treetop_mode", "resident", "set_count", "set_of", "set_index", "ways",
     "getrandbits", "leaf_bits",
 )
 
+#: ``access_path`` modes: what happens to the served block between the
+#: read and the write phase.
+SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
+
 
 def kernel_ctx(**slots) -> tuple:
-    """The context tuple ``dram_triples``, ``read_path``,
-    ``write_path_place`` and ``run_batch`` take, from one keyword per
-    :data:`CTX_SLOTS` name."""
+    """The context tuple ``access_path``, ``run_batch`` and
+    ``dram_triples`` take, from one keyword per :data:`CTX_SLOTS` name."""
     return tuple(slots[name] for name in CTX_SLOTS)
 
 
@@ -97,113 +105,82 @@ def _self_test(module) -> bool:
         return False
 
     def ctx(**slots):
-        # A 3-level tree with Z=1 (slots: root, level 1 at 1-2, leaves at
-        # 3-6), no memory-backed level in the path table, one DRAM bank
-        # with 4-block rows, no tree-top cache; each case overrides what
-        # it exercises.
+        # A 3-level tree with Z=2 at the root and Z=1 below (slots: root
+        # 0-1, level 1 at 2-3, leaves at 4-7), no memory-backed level in
+        # the path table, one DRAM bank with 4-block rows, no tree-top
+        # cache; each case overrides what it exercises.
         base = dict(
             randrange=None, leaves=4, path_table=q([0]), entries={},
-            leaf_table=q([]), tree_slots=q([-1] * 7),
-            z_per_level=[1, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
+            leaf_table=q([-1] * 10), tree_slots=q([-1] * 8),
+            z_per_level=[2, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
             dram_params=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0,
-            resident=None, set_count=None, set_of=None, ways=0,
-            getrandbits=None, leaf_bits=0,
+            resident=None, set_count=None, set_of=None, set_index=None,
+            ways=0, getrandbits=None, leaf_bits=0,
         )
         base.update(slots)
         return kernel_ctx(**base)
 
-    # S-Stash read phase: level 0 is cached and block 3 (leaf 2) sits
-    # there, resident in set 1; block 5 (leaf 1) sits at the bottom of
-    # leaf 1's path and is the served block.  Both enter the stash in
-    # read order; block 3 releases its S-Stash entry.
-    tree = q([3, -1, -1, -1, 5, -1, -1])
+    # Remap: blocks 5 (leaf 1, served) and 9 (leaf 3) share the root and
+    # enter the stash in read order.  The remap draws 3 bits per leaf
+    # (4 leaves): 7 and 4 are rejected, 2 is block 5's new leaf, and its
+    # stash entry keeps its place.  On leaf 1's path both belong at the
+    # root; the pool is a stack, so 9 takes slot 0 and 5 slot 1.  A
+    # kernel that re-inserted block 5 would place it first.
+    draws = iter([7, 4, 2])
+    tree = q([5, 9, -1, -1, -1, -1, -1, -1])
     entries = {}
+    level_used = [2, 0, 0]
+    leaf_table = q([-1] * 10)
+    leaf_table[5], leaf_table[9] = 1, 3
+    result = module.access_path(ctx(
+        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        level_used=level_used, getrandbits=lambda bits: next(draws),
+        leaf_bits=3,
+    ), 1, 0, 5, SERVED_REMAP, True)
+    if result != (0, 0, 0, 2, 0, (0, 0), (0, 0), (0, 0, 0, 0, 0)):
+        return False
+    if not (
+        entries == {} and leaf_table[5] == 2 and leaf_table[9] == 3
+        and tree == q([9, 5, -1, -1, -1, -1, -1, -1])
+        and level_used == [2, 0, 0]
+    ):
+        return False
+
+    # Extract under the S-Stash (root cached, one way per set): block 3
+    # (leaf 2, set 1) leaves the root and its set; served block 6 (leaf
+    # 0) is read from the bottom of leaf 0's path and extracted.  Block
+    # 4 (leaf 3), already stashed, has no recorded set, so set_of runs
+    # once for it.  Both diverge from leaf 0 at the root: block 3 takes
+    # set 1 back, block 4 (set 1 too) is skipped and stays.
+    tree = q([3, -1, -1, -1, 6, -1, -1, -1])
+    entries = {4: 3}
     level_used = [1, 0, 1]
-    resident = {3: 1, 8: 0}
-    set_count = {1: 1, 0: 1}
-    leaf_table = q([0] * 10)
-    leaf_table[3] = 2
-    leaf_table[5] = 1
-    read_ctx = ctx(
+    leaf_table = q([-1] * 10)
+    leaf_table[3], leaf_table[4], leaf_table[6] = 2, 3, 0
+    resident = {3: 1}
+    set_count = {1: 1}
+    set_index = q([-1] * 10)
+    set_index[3] = 1
+    hashed = []
+
+    def set_of(block):
+        hashed.append(block)
+        set_index[block] = 1
+        return 1
+
+    result = module.access_path(ctx(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, resident=resident,
-        set_count=set_count, set_of=lambda block: block & 1, ways=2,
-    )
-    if module.read_path(read_ctx, 1, 5) != (0, 1, 2):
+        set_count=set_count, set_of=set_of, set_index=set_index, ways=1,
+    ), 0, 0, 6, SERVED_EXTRACT, True)
+    if result != (0, 0, 2, 3, 0, (0, 0), (0, 0), (0, 0, 1, 1, 1)):
         return False
     if not (
-        list(entries.items()) == [(3, 2), (5, 1)]
-        and resident == {8: 0}
-        and set_count == {0: 1}
-        and tree == q([-1] * 7)
-        and level_used == [0, 0, 0]
-    ):
-        return False
-    # The path is empty now: nothing moves and block 7 is not found.
-    if module.read_path(read_ctx, 1, 7) != (0, 0, -1):
-        return False
-
-    # Write-phase placement, dedicated tree-top mode, target leaf 1.
-    # Block 5 (leaf 1) belongs at the bottom, block 9 (leaf 3) diverges
-    # at the root; both place and leave the stash empty.
-    entries = {5: 1, 9: 3}
-    tree = q([-1] * 7)
-    level_used = [0, 0, 0]
-    counts = module.write_path_place(ctx(
-        tree_slots=tree, entries=entries, level_used=level_used,
-    ), 1)
-    if not (
-        counts == (0, 0, 0)
-        and entries == {}
-        and tree == q([9, -1, -1, -1, 5, -1, -1])
-        and level_used == [1, 0, 1]
-    ):
-        return False
-
-    # Pool order is stash order: blocks 9 and then 4 (both leaf 3)
-    # diverge from leaf 0's path at the root, its one free slot.  The
-    # pool is a stack, so the last-inserted block 4 places and block 9
-    # stays; a kernel that orders the pool any other way places 9.
-    entries = {9: 3, 4: 3}
-    tree = q([-1, 6, -1, 7, -1, -1, -1])
-    level_used = [0, 1, 1]
-    counts = module.write_path_place(ctx(
-        tree_slots=tree, entries=entries, level_used=level_used,
-    ), 0)
-    if not (
-        counts == (0, 0, 0)
-        and entries == {9: 3}
-        and tree == q([4, 6, -1, 7, -1, -1, -1])
-        and level_used == [1, 1, 1]
-    ):
-        return False
-
-    # Gated placement: levels 0-1 are S-Stash (one way per set, set =
-    # block parity) and set 0 is already full with block 8.  Z is 2 at
-    # the root (slots 0-1; level 1 at 2-3, leaves at 4-7).  Target leaf
-    # 0: block 5 (leaf 0) places at the ungated bottom; even block 2
-    # (leaf 1) is skipped at level 1 and carried up to the root, where
-    # block 3 (leaf 2, odd set) takes the first slot and block 2 is
-    # skipped again, so it stays in the stash.
-    entries = {2: 1, 3: 2, 5: 0}
-    tree = q([-1] * 8)
-    level_used = [0, 0, 0]
-    resident = {8: 0}
-    set_count = {0: 1}
-    counts = module.write_path_place(ctx(
-        tree_slots=tree, entries=entries,
-        z_per_level=[2, 1, 1], level_used=level_used, top=2,
-        treetop_mode=1, resident=resident, set_count=set_count,
-        set_of=lambda block: block & 1, ways=1,
-    ), 0)
-    if not (
-        counts == (0, 1, 2)
-        and entries == {2: 1}
-        and tree == q([3, -1, -1, -1, 5, -1, -1, -1])
-        and level_used == [1, 0, 1]
-        and resident == {8: 0, 3: 1}
-        and set_count == {0: 1, 1: 1}
+        entries == {4: 3} and leaf_table[6] == -1 and hashed == [4]
+        and tree == q([3, -1, -1, -1, -1, -1, -1, -1])
+        and level_used == [1, 0, 0]
+        and resident == {3: 1} and set_count == {1: 1}
     ):
         return False
 
@@ -252,8 +229,8 @@ def _self_test(module) -> bool:
         bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
     )
     result = module.run_batch(batch_ctx, 0, 0, 1, -1, -1, 10, 1, 0)
-    if result != (1, 17, 1, [0, 10, 17],
-                  (2, 3, 0, 0, 0, 0, 0, 0, 0), None):
+    if result != (1, 17, 1, [0, 10, 17], (2, 3, 0, 0, (0, 0, 0, 0, 0)),
+                  None):
         return False
     return (
         entries == {}

@@ -238,6 +238,15 @@ ENGINE_BATCH_STASH_NS = "engine.batch.stash_ns"
 ENGINE_BATCH_PLACE_NS = "engine.batch.place_ns"
 ENGINE_BATCH_WRITE_DRAM_NS = "engine.batch.write_dram_ns"
 
+# -- engine.tier: which execution tier served each path -----------------------
+# Kernel paths are whole accesses through ``access_path``; batch paths ran
+# inside ``run_batch``; Python paths ran the pure-Python phases (or a
+# scheme's own small-tree code).  Recorded beside ``engine.batch.*``, after
+# the result snapshot.
+ENGINE_TIER_KERNEL_PATHS = "engine.tier.kernel_paths"
+ENGINE_TIER_BATCH_PATHS = "engine.tier.batch_paths"
+ENGINE_TIER_PYTHON_PATHS = "engine.tier.python_paths"
+
 # -- decouple: Palermo-style read/write phase decoupling ----------------------
 # deferred_writes counts write phases queued behind later read phases by
 # the Decoupled scheme's controller (repro.oram.decoupled).

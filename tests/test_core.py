@@ -13,7 +13,7 @@ from repro.core.ir_alloc import (
     scale_plan,
 )
 from repro.core.ir_dwb import DWBEngine
-from repro.core.ir_stash import SStash, _md5_index
+from repro.core.ir_stash import SStash, md5_set_index
 from repro.core.schemes import SCHEMES, build_scheme
 from repro.errors import ConfigError, ProtocolError
 from repro.oram.rho import RhoController
@@ -111,9 +111,26 @@ class TestSStash:
         return SStash(make_oram(levels=9, top=3), ways=2)
 
     def test_md5_index_deterministic_and_bounded(self):
-        values = {_md5_index(block, 16) for block in range(200)}
+        values = {md5_set_index(block, 16) for block in range(200)}
         assert values <= set(range(16))
-        assert _md5_index(7, 16) == _md5_index(7, 16)
+        assert md5_set_index(7, 16) == md5_set_index(7, 16)
+
+    def test_set_of_hashes_each_block_once(self, sstash, monkeypatch):
+        import repro.core.ir_stash as ir_stash
+
+        hashed = []
+
+        def counted(block, sets):
+            hashed.append(block)
+            return md5_set_index(block, sets)
+
+        monkeypatch.setattr(ir_stash, "md5_set_index", counted)
+        assert sstash._set_index[7] == -1
+        assert sstash.set_of(7) == sstash.set_of(7) == md5_set_index(
+            7, sstash.sets
+        )
+        assert sstash._set_index[7] == md5_set_index(7, sstash.sets)
+        assert hashed == [7]
 
     def test_addressable(self, sstash):
         assert sstash.addressable_by_block
@@ -134,9 +151,9 @@ class TestSStash:
             sstash.on_remove(5)
 
     def test_set_conflict_constraint(self, sstash):
-        target = _md5_index(0, sstash.sets)
+        target = md5_set_index(0, sstash.sets)
         conflicting = [
-            b for b in range(3000) if _md5_index(b, sstash.sets) == target
+            b for b in range(3000) if md5_set_index(b, sstash.sets) == target
         ]
         sstash.on_place(conflicting[0])
         sstash.on_place(conflicting[1])

@@ -3,8 +3,9 @@
 Two bounds make the harness meaningful (see ``docs/security.md``):
 
 - **false positives**: two arms running the *same* program on the same
-  scheme differ only by seed, so the distinguisher must never flag them
-  — a hypothesis property across schemes, programs, and base seeds;
+  scheme differ only by seed, so the distinguisher may flag them only at
+  its designed false-positive rate — checked over a fixed sweep of
+  schemes, programs and base seeds against a binomial bound;
 - **false negatives**: every registered leaky mutant must flag within
   the default small budget, or the clean verdicts are vacuous.
 """
@@ -12,9 +13,6 @@ Two bounds make the harness meaningful (see ``docs/security.md``):
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.security.mutants import MUTANTS, build_mutant
 from repro.traces.adversarial import ADVERSARY_PROGRAMS, DEFAULT_PROGRAM_PAIR
 from repro.validate.distinguish import (
@@ -32,10 +30,14 @@ from repro.validate.distinguish import (
 
 SMALL = BUDGETS["small"]
 
-#: Reduced-record spec for the hypothesis sweep: 6 seeds per arm keeps
-#: the permutation test exact (and capable of flagging), fewer records
-#: keep each example fast.
+#: Reduced-record spec for the false-positive sweep: 6 seeds per arm
+#: keeps the permutation test exact (and capable of flagging), fewer
+#: records keep each game fast.
 FP_RECORDS = 120
+
+#: The false-positive sweep's schemes; every adversary program runs on
+#: each, the i-th (scheme, program) game at base seed i.
+FP_SCHEMES = ("Baseline", "IR-ORAM", "Pyramid", "Rho", "Ring")
 
 
 def _spec(scheme, program_a, program_b, base_seed, records=None):
@@ -50,21 +52,45 @@ def _spec(scheme, program_a, program_b, base_seed, records=None):
     )
 
 
+def _binomial_bound(n, p, tail):
+    """The smallest k with P(Binomial(n, p) > k) < ``tail``."""
+    exceed = 1.0
+    for k in range(n + 1):
+        exceed -= math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        if exceed < tail:
+            return k
+    return n
+
+
 class TestFalsePositiveBound:
-    @settings(max_examples=4, deadline=None)
-    @given(
-        scheme=st.sampled_from(["Baseline", "Rho", "Pyramid", "Ring", "IR-ORAM"]),
-        program=st.sampled_from(sorted(ADVERSARY_PROGRAMS)),
-        base_seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_same_program_never_flags(self, scheme, program, base_seed):
-        """Arms that differ only by seed must be indistinguishable."""
-        report = run_game(
-            _spec(scheme, program, program, base_seed, records=FP_RECORDS)
-        )
-        flagged = [f.name for f in report.features if f.flagged]
-        assert not report.distinguishable, (
-            f"{scheme} flagged on identical programs via {flagged}"
+    def test_same_program_flags_within_false_positive_bound(self):
+        """Arms that differ only by seed flag at most at the designed rate.
+
+        Each game's Holm correction holds its family-wise false-positive
+        rate at ``alpha`` (the effect floor only lowers it), so over
+        independent games the flag count is at most Binomial(n, alpha):
+        exceeding the bound below has probability under 1e-3 for a sound
+        harness, while one that flags same-program arms at even a few
+        times ``alpha`` fails it.
+        """
+        games = [
+            (scheme, program)
+            for scheme in FP_SCHEMES
+            for program in sorted(ADVERSARY_PROGRAMS)
+        ]
+        flagged = []
+        for base_seed, (scheme, program) in enumerate(games):
+            spec = _spec(scheme, program, program, base_seed,
+                         records=FP_RECORDS)
+            report = run_game(spec)
+            if report.distinguishable:
+                flagged.append((scheme, program, base_seed, [
+                    f.name for f in report.features if f.flagged
+                ]))
+        bound = _binomial_bound(len(games), spec.alpha, 1e-3)
+        assert len(flagged) <= bound, (
+            f"{len(flagged)} of {len(games)} same-program games flagged "
+            f"(bound {bound}): {flagged}"
         )
 
 

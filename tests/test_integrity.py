@@ -147,6 +147,20 @@ class TestControllerIntegration:
         assert stats.get("integrity.path_updates") > 0
         assert stats.get("integrity.violations") == 0
 
+    def test_batched_dummy_paths_stay_verified(self):
+        """A sparse trace drains dummy slots through run_dummy_batch; the
+        Merkle hooks must see every one of those paths too."""
+        config = SystemConfig.tiny()
+        components = build_scheme("Baseline", config)
+        attach_integrity(components.controller)
+        trace = make_workload("xal", config, 400, seed=6)
+        Simulator(components, trace).run()
+        stats = components.stats
+        assert stats.get("integrity.path_verifications") == stats.get(
+            "paths.total"
+        )
+        assert stats.get("integrity.violations") == 0
+
     def test_mid_run_tampering_detected(self):
         config = SystemConfig.tiny()
         components = build_scheme("Baseline", config)

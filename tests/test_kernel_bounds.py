@@ -1,14 +1,14 @@
 """Range checks of the C kernels that index raw arrays.
 
-``read_path``, ``write_path_place`` and ``dram_triples`` index the
-tree's ``array('q')``, the position map's ``array('q')`` and the
-layout's path table directly through the buffer protocol, and
-``dram_triples`` and ``run_batch`` index the DRAM bank lists with banks
-and channels computed from that table.  A leaf outside ``[0, leaves)``
-must raise before any slot is touched, a malformed path table or DRAM
-geometry must raise before anything is indexed, and every exit must
-release all three buffers: a leaked export makes ``array`` refuse to
-resize with ``BufferError``.
+``access_path``, ``run_batch`` and ``dram_triples`` index the tree's
+``array('q')``, the position map's ``array('q')``, the layout's path
+table and the S-Stash set-index array directly through the buffer
+protocol, and index the DRAM bank lists with banks and channels computed
+from that table.  A leaf outside ``[0, leaves)`` or a served block
+outside the position map must raise before any slot is touched, a
+malformed path table or DRAM geometry must raise before anything is
+indexed, and every exit must release every buffer: a leaked export makes
+``array`` refuse to resize with ``BufferError``.
 """
 
 from array import array
@@ -16,9 +16,11 @@ from array import array
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.ir_stash import SStash
 from repro.oram.controller import PathORAMController
 from repro.oram.tree import EMPTY
 from repro.perf import native
+from repro.perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
@@ -29,8 +31,8 @@ pytestmark = pytest.mark.skipif(
 def controller():
     controller = PathORAMController(SystemConfig.tiny())
     assert controller._native is not None
-    # Move one leaf-level block into the stash, so write_path_place has
-    # a candidate to place.
+    # Move one leaf-level block into the stash, so placement has a
+    # candidate to place.
     tree = controller.tree
     level = tree.levels - 1
     for position in range(1 << level):
@@ -63,17 +65,30 @@ def _assert_no_export(*arrays):
         held.pop()
 
 
+#: ``access_path`` call shapes, as ``(served, mode, write_burst)``: a
+#: dummy path; a real access that reads block 0 as the served block and
+#: remaps it; and an access that ends at placement, its write burst
+#: deferred.  The last two keep the names of the separate read-phase and
+#: placement entries that ``access_path`` absorbed.
+_ACCESS_SHAPES = {
+    "access_path": (None, SERVED_NONE, True),
+    "read_path": (0, SERVED_REMAP, True),
+    "write_path_place": (None, SERVED_NONE, False),
+}
+
+
 def _call(controller, kernel, ctx, leaf):
     native = controller._native
-    if kernel == "read_path":
-        return native.read_path(ctx, leaf, None)
+    if kernel in _ACCESS_SHAPES:
+        served, mode, write_burst = _ACCESS_SHAPES[kernel]
+        return native.access_path(ctx, leaf, 0, served, mode, write_burst)
     if kernel == "run_batch":
         return native.run_batch(ctx, 0, 0, 4, -1, -1, 90, False, False)
     return getattr(native, kernel)(ctx, leaf)
 
 
 @pytest.mark.parametrize(
-    "kernel", ["read_path", "write_path_place", "dram_triples"]
+    "kernel", ["read_path", "write_path_place", "access_path", "dram_triples"]
 )
 def test_out_of_range_leaf_raises_and_touches_nothing(controller, kernel):
     ctx = controller._kernel_ctx()
@@ -105,7 +120,8 @@ def _malformed_ctx(controller, case):
 
 
 @pytest.mark.parametrize(
-    "kernel", ["read_path", "write_path_place", "dram_triples", "run_batch"]
+    "kernel", ["read_path", "write_path_place", "access_path",
+               "dram_triples", "run_batch"]
 )
 @pytest.mark.parametrize("case", [
     "offset index past its table",
@@ -122,3 +138,47 @@ def test_malformed_path_table_raises_before_indexing(
     assert _state(controller) == before
     _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
                       table)
+
+
+@pytest.fixture
+def sstash_controller():
+    config = SystemConfig.tiny()
+    controller = PathORAMController(
+        config, treetop=SStash(config.oram)
+    )
+    assert controller._native is not None
+    return controller
+
+
+@pytest.mark.parametrize(
+    "mode", [SERVED_REMAP, SERVED_EXTRACT], ids=["remap", "extract"]
+)
+def test_served_block_outside_position_map_raises(sstash_controller, mode):
+    controller = sstash_controller
+    ctx = controller._kernel_ctx()
+    before = _state(controller)
+    for served in (len(controller.posmap._leaf_of), -1):
+        with pytest.raises(IndexError):
+            controller._native.access_path(ctx, 0, 0, served, mode, True)
+        assert _state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      controller.layout.path_table,
+                      controller.treetop._set_index)
+
+
+@pytest.mark.parametrize("served, mode", [
+    (None, SERVED_REMAP),   # a served step needs a served block
+    (0, SERVED_NONE),       # and a served block needs a step
+    (0, 3),                 # unknown mode
+], ids=["step-without-block", "block-without-step", "unknown-mode"])
+def test_malformed_access_path_call_raises(sstash_controller, served, mode):
+    controller = sstash_controller
+    before = _state(controller)
+    with pytest.raises(ValueError):
+        controller._native.access_path(
+            controller._kernel_ctx(), 0, 0, served, mode, True
+        )
+    assert _state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      controller.layout.path_table,
+                      controller.treetop._set_index)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssocCache
 from repro.config import CacheConfig, DRAMConfig, ORAMConfig
-from repro.core.ir_stash import _md5_index
+from repro.core.ir_stash import md5_set_index
 from repro.mem.dram import DRAMModel
 from repro.mem.layout import TreeLayout
 from repro.oram.stash import Stash
@@ -248,12 +248,12 @@ class TestMD5IndexProperties:
     @common_settings
     @given(block=st.integers(0, 2**40), sets=st.sampled_from([1, 8, 64, 1024]))
     def test_in_range_and_stable(self, block, sets):
-        index = _md5_index(block, sets)
+        index = md5_set_index(block, sets)
         assert 0 <= index < sets
-        assert index == _md5_index(block, sets)
+        assert index == md5_set_index(block, sets)
 
     def test_distributes_evenly(self):
         counts = [0] * 16
         for block in range(4096):
-            counts[_md5_index(block, 16)] += 1
+            counts[md5_set_index(block, 16)] += 1
         assert max(counts) < 2 * min(counts)
