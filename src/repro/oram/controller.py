@@ -126,10 +126,13 @@ class PathORAMController:
         self.stats = stats if stats is not None else Stats()
         self.rng = rng if rng is not None else random.Random(config.seed)
 
+        self._rebind_native()
         self.namespace = Namespace(self.oram)
         self.tree = ORAMTree(self.oram)
         self.stash = Stash(self.oram.stash_capacity, self.stats)
-        self.posmap = PositionMap(self.namespace, self.oram.leaves, self.rng)
+        self.posmap = PositionMap(
+            self.namespace, self.oram.leaves, self.rng, self._native
+        )
         self.plb = PLB(self.oram, self.stats)
         self.layout = TreeLayout(self.oram, config.dram)
         self.dram = DRAMModel(config.dram, self.stats)
@@ -149,7 +152,6 @@ class PathORAMController:
         #: when True, classify write-phase placements for Fig. 5
         self.track_migration = False
 
-        self._rebind_native()
         self._z_list = list(self.oram.z_per_level)
 
         #: ``engine.batch.*`` bookkeeping for :meth:`run_dummy_batch`
@@ -173,15 +175,20 @@ class PathORAMController:
     def _rebind_native(self) -> None:
         """(Re)derive the optional C-kernel binding from current state.
 
-        One binding serves whole path accesses and whole-batch dummy
-        paths for every tree-top type.  Called from
+        One binding serves setup (the position map's draws and the tree
+        fill), whole path accesses and whole-batch dummy paths for every
+        tree-top type.  The kernels draw leaves by inlining
+        ``random.Random``'s own rejection loop over ``getrandbits``, so a
+        subclass of it runs the Python code throughout.  Called from
         ``__init__`` and again after unpickling: the kernel module is
         process-local state that cannot cross a checkpoint, so
         :meth:`__setstate__` rebinds it here.
         """
         self._native = (
             _fastpath
-            if _fastpath is not None and self.oram.levels < 64
+            if _fastpath is not None
+            and self.oram.levels < 64
+            and type(self.rng) is random.Random
             else None
         )
 
@@ -212,8 +219,10 @@ class PathORAMController:
     # ------------------------------------------------------------------
     def _initialize_tree(self) -> None:
         """Place every namespace block into the tree along its random path."""
+        #: whether ``init_tree`` built the tree (``engine.tier.kernel_setup``)
+        self._kernel_setup = self._native is not None
         overflow = self.tree.initialize(
-            range(self.namespace.total_blocks), self.posmap.leaf_of, self.rng
+            self.posmap._leaf_of, self.rng, self._native
         )
         for block in overflow:
             self.stash.add(block, self.posmap.leaf_of(block))
@@ -1044,10 +1053,6 @@ class PathORAMController:
             return ctx
         dram_cfg = self.config.dram
         treetop = self.treetop
-        # Direct getrandbits leaf draws are only valid for plain
-        # random.Random (the kernel inlines exactly its _randbelow
-        # rejection loop); any subclass falls back to randrange.
-        plain_rng = type(self.rng) is random.Random
         if treetop.addressable_by_block:
             # IR-Stash's S-Stash: the kernels release its entries and gate
             # placement on its set-occupancy dicts and set-index array.
@@ -1063,7 +1068,6 @@ class PathORAMController:
                 set_index=None, ways=0,
             )
         ctx = self._ctx = kernel_ctx(
-            randrange=self.rng.randrange,
             leaves=self.oram.leaves,
             path_table=self.layout.path_table,
             entries=self.stash._entries,
@@ -1088,8 +1092,8 @@ class PathORAMController:
                 dram_cfg.banks_per_channel,
             ),
             **sstash,
-            getrandbits=self.rng.getrandbits if plain_rng else None,
-            leaf_bits=self.oram.leaves.bit_length() if plain_rng else 0,
+            getrandbits=self.rng.getrandbits,
+            leaf_bits=self.oram.leaves.bit_length(),
         )
         return ctx
 
@@ -1220,13 +1224,15 @@ class PathORAMController:
         return self.oram.blocks_per_path()
 
     def tier_counters(self) -> dict:
-        """``engine.tier.*``: the paths each execution tier has run."""
+        """``engine.tier.*``: the paths each execution tier has run, and
+        whether the setup kernel built the tree."""
         kernel = self.batch_counters.get(sk.ENGINE_TIER_KERNEL_PATHS, 0)
         batched = self.batch_counters.get(sk.ENGINE_BATCH_PATHS, 0)
         return {
             sk.ENGINE_TIER_KERNEL_PATHS: kernel,
             sk.ENGINE_TIER_BATCH_PATHS: batched,
             sk.ENGINE_TIER_PYTHON_PATHS: self.path_count - kernel - batched,
+            sk.ENGINE_TIER_KERNEL_SETUP: int(self._kernel_setup),
         }
 
     def path_type_counts(self) -> dict:

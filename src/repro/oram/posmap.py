@@ -27,13 +27,23 @@ UNMAPPED = -1
 class PositionMap:
     """Leaf assignments plus remap bookkeeping."""
 
-    def __init__(self, namespace: Namespace, leaves: int, rng: random.Random) -> None:
+    def __init__(
+        self, namespace: Namespace, leaves: int, rng: random.Random,
+        native=None,
+    ) -> None:
+        """Draw every block's leaf, block 0 first.  ``native`` (the C
+        kernel module, for a plain ``random.Random`` only) draws the same
+        leaves with the same RNG calls in ``draw_leaves``."""
         self.namespace = namespace
         self.leaves = leaves
         self._rng = rng
-        self._leaf_of = array(
-            "q", (rng.randrange(leaves) for _ in range(namespace.total_blocks))
-        )
+        n = namespace.total_blocks
+        if native is not None:
+            self._leaf_of = native.draw_leaves(n, leaves, rng.getrandbits)
+        else:
+            self._leaf_of = array(
+                "q", (rng.randrange(leaves) for _ in range(n))
+            )
         self.remap_count = 0
 
     def leaf_of(self, block: int) -> int:

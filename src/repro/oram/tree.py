@@ -165,17 +165,36 @@ class ORAMTree:
     def total_used(self) -> int:
         return sum(self.level_used)
 
-    def initialize(self, blocks: Iterable[int], leaf_of, rng: random.Random):
-        """Place blocks into an empty tree bottom-up along their paths.
+    def initialize(
+        self, leaf_table: "array[int]", rng: random.Random, native=None
+    ) -> List[int]:
+        """Place blocks ``0 .. len(leaf_table) - 1`` into an empty tree
+        bottom-up along their paths; ``leaf_table[block]`` is the block's
+        leaf.
 
-        ``leaf_of`` maps block -> leaf.  Blocks whose entire path is full are
-        returned to the caller (they start life in the stash).  A shuffled
-        placement order avoids systematic bias.
+        Blocks whose entire path is full are returned to the caller, in
+        placement order (they start life in the stash).  A shuffled
+        placement order avoids systematic bias.  ``native`` (the C kernel
+        module, for a plain ``random.Random`` only) runs the same shuffle
+        and placement in ``init_tree``; this loop is its oracle.
         """
         if self.total_used():
             raise ProtocolError("initialize needs an empty tree")
+        if native is not None:
+            try:
+                return native.init_tree(
+                    self._slots, leaf_table, self.z_per_level,
+                    self.level_used, rng.getrandbits,
+                )
+            except IndexError as exc:
+                raise ProtocolError(str(exc)) from None
+        leaves = self.config.leaves
+        if leaf_table and not (
+            0 <= min(leaf_table) and max(leaf_table) < leaves
+        ):
+            raise ProtocolError("leaf out of range")
         overflow: List[int] = []
-        block_list = list(blocks)
+        block_list = list(range(len(leaf_table)))
         rng.shuffle(block_list)
         # Placement into an empty tree only ever fills the first empty slot
         # of each bucket, so per-bucket fill counts (heap order) stand in
@@ -194,7 +213,7 @@ class ORAMTree:
             if z != 0
         ]
         for block in block_list:
-            leaf = leaf_of(block)
+            leaf = leaf_table[block]
             for level, z, start, first, level_shift in active:
                 position = leaf >> level_shift
                 count = fill[first + position]

@@ -14,6 +14,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 #include <time.h>
 
@@ -279,33 +280,104 @@ typedef struct {
 
 #define FASTPATH_MAX_LEVELS 64
 
+/* Per-level slot offsets of a tree whose level-d buckets hold
+ * ``z_items[d]`` slots each, laid out level by level (ORAMTree.offset),
+ * overflow-checked: z << d never exceeds what is left below LLONG_MAX.
+ * Returns the total slot count, or -1 with an exception set.
+ */
+static long long
+level_offsets(PyObject **z_items, long long levels, long long *z_arr,
+              long long *offset)
+{
+    long long total = 0;
+    for (long long d = 0; d < levels; d++) {
+        long long z = PyLong_AsLongLong(z_items[d]);
+        if (z == -1 && PyErr_Occurred())
+            return -1;
+        if (z < 0 || z > (LLONG_MAX - total) >> d) {
+            PyErr_SetString(PyExc_ValueError, "z per level out of range");
+            return -1;
+        }
+        z_arr[d] = z;
+        offset[d] = total;
+        total += z << d;
+    }
+    return total;
+}
+
+/* ---------------------------------------------------------------- */
+/* RNG draws                                                         */
+/* ---------------------------------------------------------------- */
+
+/* A plain random.Random's bound ``getrandbits`` (borrowed) and the
+ * bit-width PyLong of its last draw (owned, or NULL), cached across draws
+ * of the same width. */
+typedef struct {
+    PyObject *getrandbits;
+    PyObject *bits;
+    long long k;
+} Draws;
+
+/* Random._randbelow_with_getrandbits inlined, the one RNG draw of every
+ * kernel: a uniform integer in [0, n) for n >= 1, drawn as
+ * getrandbits(n.bit_length()) with draws >= n rejected, so the RNG
+ * consumes exactly the bits randrange(n) and Random.shuffle consume.
+ * Returns 0, or -1 with an exception set.
+ */
+static int
+randbelow(Draws *r, long long n, long long *out)
+{
+    long long k = bit_length((unsigned long long)n);
+    if (k != r->k) {
+        Py_XSETREF(r->bits, PyLong_FromLongLong(k));
+        r->k = r->bits != NULL ? k : -1;
+        if (r->bits == NULL)
+            return -1;
+    }
+    long long value;
+    do {
+        PyObject *draw = PyObject_CallOneArg(r->getrandbits, r->bits);
+        if (draw == NULL)
+            return -1;
+        value = PyLong_AsLongLong(draw);
+        Py_DECREF(draw);
+        if (value == -1 && PyErr_Occurred())
+            return -1;
+    } while (value >= n);
+    if (value < 0) {
+        PyErr_SetString(PyExc_ValueError, "getrandbits returned a negative");
+        return -1;
+    }
+    *out = value;
+    return 0;
+}
+
 /* ---------------------------------------------------------------- */
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 23-slot
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 22-slot
  * tuple PathORAMController._kernel_ctx freezes; access_path, dram_triples
  * and run_batch all take it:
  *
- *    0 randrange        leaf draw when the RNG is not a plain Random
- *    1 leaves           leaf count
- *    2 path_table       TreeLayout.path_table, array('q')
- *    3 entries          the stash's block -> leaf dict, in stash order
- *    4 leaf_table       position-map leaves by block, array('q')
- *    5 tree_slots       every tree slot, level by level, array('q')
- *    6-10               z per level, level occupancy, levels, cached
+ *    0 leaves           leaf count
+ *    1 path_table       TreeLayout.path_table, array('q')
+ *    2 entries          the stash's block -> leaf dict, in stash order
+ *    3 leaf_table       position-map leaves by block, array('q')
+ *    4 tree_slots       every tree slot, level by level, array('q')
+ *    5-9                z per level, level occupancy, levels, cached
  *                       top levels, empty-slot marker
- *   11-13               DRAM bank ready / open row / bus free lists
- *   14 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst,
+ *   10-12               DRAM bank ready / open row / bus free lists
+ *   13 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst,
  *                       row_blocks, channels, banks_per_channel)
- *   15 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   16-18               S-Stash resident, set_count, set_of
- *   19 set_index        S-Stash set index by block, array('q'), -1 where
+ *   14 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
+ *   15-17               S-Stash resident, set_count, set_of
+ *   18 set_index        S-Stash set index by block, array('q'), -1 where
  *                       set_of has not hashed the block yet
- *   20 ways             S-Stash ways per set
- *   21-22               the RNG's getrandbits and the leaf-count bit
- *                       width when it is a plain random.Random, else
- *                       None, 0
+ *   19 ways             S-Stash ways per set
+ *   20-21               the plain random.Random's getrandbits and the
+ *                       leaf count's bit width, which seeds the leaf
+ *                       draw's cached width
  *
  * Object fields are borrowed from the tuple.  The arrays are held as
  * buffers from parse_ctx to release_ctx, so nothing can resize them in
@@ -317,17 +389,16 @@ typedef struct {
  * apply.
  */
 typedef struct {
-    PyObject *randrange, *leaves_obj, *entries, *level_used, *bank_ready,
-        *bank_open_row, *bus_free, *resident, *set_count, *set_of,
-        *getrandbits;
+    PyObject *entries, *level_used, *bank_ready, *bank_open_row, *bus_free,
+        *resident, *set_count, *set_of;
     Py_buffer leaf_buf, tree_buf, path_buf, set_buf;
     long long *leaf_table, *tree, *set_index;
     const long long *path_table;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
     Py_ssize_t set_index_len;
-    long long leaf, leaves, levels, top, empty, ways, leaf_bits;
+    long long leaf, leaves, levels, top, empty, ways;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
-    int use_grb;  /* draw leaves through getrandbits */
+    Draws rng;  /* leaf draws */
     DramTiming dram;
     long long row_blocks, channels, banks_per_channel;
     long long path_blocks;  /* memory-backed slots on every path */
@@ -413,8 +484,8 @@ check_path_table(KernelCtx *c, Py_ssize_t len)
     return 0;
 }
 
-/* Release every buffer parse_ctx acquired; views it never filled hold
- * no object, and PyBuffer_Release skips them.
+/* Release every buffer and reference parse_ctx acquired; views it never
+ * filled hold no object, and PyBuffer_Release skips them.
  */
 static void
 release_ctx(KernelCtx *c)
@@ -423,6 +494,7 @@ release_ctx(KernelCtx *c)
     PyBuffer_Release(&c->leaf_buf);
     PyBuffer_Release(&c->path_buf);
     PyBuffer_Release(&c->set_buf);
+    Py_CLEAR(c->rng.bits);
 }
 
 /* Unpack and validate ``ctx`` into ``c``, and parse ``leaf_obj`` into
@@ -434,39 +506,38 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
 {
     c->leaf_buf.obj = c->tree_buf.obj = c->path_buf.obj = NULL;
     c->set_buf.obj = NULL;
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 23) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 23 slots");
+    c->rng.bits = NULL;
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 22) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 22 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
-    c->randrange = CTX(0);
-    c->leaves_obj = CTX(1);
-    PyObject *path_table = CTX(2);
-    c->entries = CTX(3);
-    PyObject *leaf_table = CTX(4);
-    PyObject *tree_slots = CTX(5);
-    PyObject *z_list = CTX(6);
-    c->level_used = CTX(7);
-    c->bank_ready = CTX(11);
-    c->bank_open_row = CTX(12);
-    c->bus_free = CTX(13);
-    PyObject *dram_params = CTX(14);
-    c->resident = CTX(16);
-    c->set_count = CTX(17);
-    c->set_of = CTX(18);
-    PyObject *set_index = CTX(19);
-    c->getrandbits = CTX(21);
-    c->leaves = PyLong_AsLongLong(c->leaves_obj);
-    c->levels = PyLong_AsLongLong(CTX(8));
-    c->top = PyLong_AsLongLong(CTX(9));
-    c->empty = PyLong_AsLongLong(CTX(10));
-    long long mode = PyLong_AsLongLong(CTX(15));
-    c->ways = PyLong_AsLongLong(CTX(20));
-    c->leaf_bits = PyLong_AsLongLong(CTX(22));
+    PyObject *path_table = CTX(1);
+    c->entries = CTX(2);
+    PyObject *leaf_table = CTX(3);
+    PyObject *tree_slots = CTX(4);
+    PyObject *z_list = CTX(5);
+    c->level_used = CTX(6);
+    c->bank_ready = CTX(10);
+    c->bank_open_row = CTX(11);
+    c->bus_free = CTX(12);
+    PyObject *dram_params = CTX(13);
+    c->resident = CTX(15);
+    c->set_count = CTX(16);
+    c->set_of = CTX(17);
+    PyObject *set_index = CTX(18);
+    c->rng.getrandbits = CTX(20);
+    PyObject *leaf_bits = CTX(21);
+    c->leaves = PyLong_AsLongLong(CTX(0));
+    c->levels = PyLong_AsLongLong(CTX(7));
+    c->top = PyLong_AsLongLong(CTX(8));
+    c->empty = PyLong_AsLongLong(CTX(9));
+    long long mode = PyLong_AsLongLong(CTX(14));
+    c->ways = PyLong_AsLongLong(CTX(19));
+    c->rng.k = PyLong_AsLongLong(leaf_bits);
 #undef CTX
     if (PyErr_Occurred())
         return -1;
-    c->use_grb = c->getrandbits != Py_None && c->leaf_bits > 0;
     if (!PyDict_Check(c->entries) ||
         !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
         !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
@@ -511,22 +582,12 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
         PyErr_SetString(PyExc_ValueError, "leaf count does not fit the tree");
         return -1;
     }
-    /* Level offsets, overflow-checked: z << d never exceeds what is left
-     * below LLONG_MAX. */
-    long long total = 0;
-    for (long long d = 0; d < c->levels; d++) {
-        long long z = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
-        if (z == -1 && PyErr_Occurred())
-            return -1;
-        if (z < 0 || z > (LLONG_MAX - total) >> d) {
-            PyErr_SetString(PyExc_ValueError, "z per level out of range");
-            return -1;
-        }
-        c->z_arr[d] = z;
-        c->offset[d] = total;
-        total += z << d;
+    long long total = level_offsets(PySequence_Fast_ITEMS(z_list), c->levels,
+                                    c->z_arr, c->offset);
+    if (total < 0)
+        return -1;
+    for (long long d = 0; d < c->levels; d++)
         c->used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d));
-    }
     if (PyErr_Occurred())
         return -1;
     if (leaf_obj != NULL) {
@@ -541,6 +602,7 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     c->placed_top = c->removed_top = 0;
     c->ss_placed = c->ss_removed = c->ss_skips = 0;
 
+    c->rng.bits = Py_NewRef(leaf_bits);
     Py_ssize_t path_len =
         get_q_buffer(path_table, &c->path_buf, "path_table");
     if (path_len < 0)
@@ -1018,41 +1080,6 @@ dram_triples(PyObject *self, PyObject *args)
  * write phase. */
 enum { SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT };
 
-/* One leaf draw, as ``randrange(leaves)``.  With the RNG's bound
- * ``getrandbits`` present, Random._randbelow_with_getrandbits inlined:
- * draw bit_length(leaves) bits, rejecting draws >= leaves, so the RNG
- * bit stream matches randrange(leaves) exactly while skipping the
- * interpreted wrapper.
- */
-static int
-draw_leaf(const KernelCtx *c, long long *leaf_out)
-{
-    long long leaf;
-    do {
-        PyObject *draw;
-        if (c->use_grb) {
-            PyObject *bits = PyLong_FromLongLong(c->leaf_bits);
-            draw = bits != NULL ? PyObject_CallOneArg(c->getrandbits, bits)
-                                : NULL;
-            Py_XDECREF(bits);
-        } else {
-            draw = PyObject_CallOneArg(c->randrange, c->leaves_obj);
-        }
-        if (draw == NULL)
-            return -1;
-        leaf = PyLong_AsLongLong(draw);
-        Py_DECREF(draw);
-        if (leaf == -1 && PyErr_Occurred())
-            return -1;
-    } while (c->use_grb && leaf >= c->leaves);
-    if (leaf < 0 || leaf >= c->leaves) {
-        PyErr_SetString(PyExc_IndexError, "leaf out of range");
-        return -1;
-    }
-    *leaf_out = leaf;
-    return 0;
-}
-
 /* The served block's step after the read phase.  It must be in the
  * stash.  Remap: draw its new leaf, record it in the position map and
  * update its stash entry in place (PositionMap.remap plus
@@ -1079,7 +1106,7 @@ served_step(KernelCtx *c, long long leaf, long long served, int mode)
             c->leaf_table[served] = -1;  /* posmap.UNMAPPED */
     } else if (rc == 1) {
         long long new_leaf;
-        rc = draw_leaf(c, &new_leaf);
+        rc = randbelow(&c->rng, c->leaves, &new_leaf);
         if (rc == 0) {
             c->leaf_table[served] = new_leaf;
             PyObject *value = PyLong_FromLongLong(new_leaf);
@@ -1286,7 +1313,7 @@ fail:
  *   -> (n, now, max_occupancy, bounds | None, agg, timings | None)
  *
  * Execute up to ``max_paths`` whole dummy-path accesses — an RNG leaf
- * draw (draw_leaf) and path_access — without returning to the
+ * draw (randbelow) and path_access — without returning to the
  * interpreter between paths.  Each iteration is bit-identical to
  * PathORAMController.dummy_path followed by ``now = max(now + interval,
  * finish_write)``.  The batch stops early at ``horizon`` (next real work
@@ -1377,7 +1404,7 @@ run_batch(PyObject *self, PyObject *args)
             break;
         unsigned long long t0 = collect_timing ? now_ns() : 0;
         long long leaf;
-        if (draw_leaf(&c, &leaf) < 0)
+        if (randbelow(&c.rng, c.leaves, &leaf) < 0)
             goto fail;
         if (collect_timing)
             t_rng += now_ns() - t0;
@@ -1441,6 +1468,197 @@ fail:
     return NULL;
 }
 
+/* ---------------------------------------------------------------- */
+/* Setup: position-map draws and the initial tree                    */
+/* ---------------------------------------------------------------- */
+
+/* draw_leaves(n, leaves, getrandbits) -> array('q')
+ *
+ * The position map's initial leaf table: ``n`` draws of randrange(leaves)
+ * through randbelow, block 0 first.  Mirrors PositionMap.__init__.
+ */
+static PyObject *
+draw_leaves(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    long long leaves;
+    PyObject *getrandbits;
+    if (!PyArg_ParseTuple(args, "nLO", &n, &leaves, &getrandbits))
+        return NULL;
+    if (n < 0 || leaves < 1) {
+        PyErr_SetString(PyExc_ValueError, "malformed draw_leaves call");
+        return NULL;
+    }
+    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
+    PyObject *table = zero != NULL ? PySequence_Repeat(zero, n) : NULL;
+    Py_XDECREF(zero);
+    if (table == NULL)
+        return NULL;
+    Py_buffer view;
+    if (get_q_buffer(table, &view, "leaf table") < 0) {
+        Py_DECREF(table);
+        return NULL;
+    }
+    long long *leaf = view.buf;
+    Draws rng = {getrandbits, NULL, -1};
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++)
+        rc = randbelow(&rng, leaves, &leaf[i]);
+    Py_XDECREF(rng.bits);
+    PyBuffer_Release(&view);
+    if (rc < 0)
+        Py_CLEAR(table);
+    return table;
+}
+
+/* init_tree(tree_slots, leaf_table, z_per_level, level_used, getrandbits)
+ *   -> overflow blocks, a list in shuffled order
+ *
+ * Fill an empty tree with blocks 0 .. len(leaf_table) - 1: shuffle them
+ * as Random.shuffle does (Fisher-Yates, j = randbelow(i + 1) for i = n - 1
+ * down to 1), then put each, in shuffled order, into the deepest bucket
+ * on the path to its leaf that has a free slot, with per-bucket fill
+ * counts.  Blocks whose whole path is full are returned.  Mirrors
+ * ORAMTree.initialize.  The slot array's length, empty occupancy and
+ * every leaf are checked before any draw or write.
+ */
+static PyObject *
+init_tree(PyObject *self, PyObject *args)
+{
+    PyObject *tree_obj, *table_obj, *z_obj, *level_used, *getrandbits;
+    if (!PyArg_ParseTuple(args, "OOOO!O", &tree_obj, &table_obj, &z_obj,
+                          &PyList_Type, &level_used, &getrandbits))
+        return NULL;
+    PyObject *z_seq = PySequence_Fast(z_obj, "z_per_level must be a sequence");
+    if (z_seq == NULL)
+        return NULL;
+    Py_buffer tree_buf, table_buf;
+    tree_buf.obj = table_buf.obj = NULL;
+    Py_ssize_t *order = NULL;
+    uint32_t *fill = NULL;
+    PyObject *overflow = NULL;
+    Py_ssize_t levels = PySequence_Fast_GET_SIZE(z_seq);
+    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS ||
+        PyList_GET_SIZE(level_used) != levels) {
+        PyErr_SetString(PyExc_ValueError, "unsupported level count");
+        goto done;
+    }
+    long long z_arr[FASTPATH_MAX_LEVELS], offset[FASTPATH_MAX_LEVELS];
+    long long total = level_offsets(PySequence_Fast_ITEMS(z_seq), levels,
+                                    z_arr, offset);
+    if (total < 0)
+        goto done;
+    /* Fill counts are uint32_t; their offsets and the deepest-first
+     * placement order cover the levels that hold slots. */
+    long long fill_at[FASTPATH_MAX_LEVELS], used[FASTPATH_MAX_LEVELS];
+    Py_ssize_t active[FASTPATH_MAX_LEVELS], n_active = 0;
+    long long buckets = 0;
+    for (Py_ssize_t d = 0; d < levels; d++) {
+        long long held = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
+        if (held == -1 && PyErr_Occurred())
+            goto done;
+        if (held != 0) {
+            PyErr_SetString(PyExc_ValueError, "init_tree needs an empty tree");
+            goto done;
+        }
+        if (z_arr[d] > UINT32_MAX) {
+            PyErr_SetString(PyExc_ValueError, "z per level out of range");
+            goto done;
+        }
+        fill_at[d] = buckets;
+        used[d] = 0;
+        if (z_arr[d] != 0) {
+            buckets += 1LL << d;
+            active[n_active++] = d;
+        }
+    }
+    Py_ssize_t tree_len = get_q_buffer(tree_obj, &tree_buf, "tree_slots");
+    if (tree_len < 0)
+        goto done;
+    if (tree_len != total) {
+        PyErr_SetString(PyExc_ValueError,
+                        "tree_slots length does not match z per level");
+        goto done;
+    }
+    Py_ssize_t n = get_q_buffer(table_obj, &table_buf, "leaf_table");
+    if (n < 0)
+        goto done;
+    const long long *table = table_buf.buf;
+    long long leaves = 1LL << (levels - 1);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (table[i] < 0 || table[i] >= leaves) {
+            PyErr_SetString(PyExc_IndexError, "leaf out of range");
+            goto done;
+        }
+    }
+    order = PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)(n ? n : 1));
+    fill = PyMem_Calloc((size_t)(buckets ? buckets : 1), sizeof(uint32_t));
+    if (order == NULL || fill == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        order[i] = i;
+    Draws rng = {getrandbits, NULL, -1};
+    for (Py_ssize_t i = n - 1; i > 0; i--) {
+        long long j;
+        if (randbelow(&rng, i + 1, &j) < 0) {
+            Py_XDECREF(rng.bits);
+            goto done;
+        }
+        Py_ssize_t swap = order[i];
+        order[i] = order[j];
+        order[j] = swap;
+    }
+    Py_XDECREF(rng.bits);
+
+    /* Bottom-up placement; overflow blocks gather at the front of
+     * ``order``, in shuffled order (never past the block being placed). */
+    long long *tree = tree_buf.buf;
+    Py_ssize_t n_over = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t block = order[i];
+        long long leaf = table[block];
+        Py_ssize_t a = n_active - 1;
+        for (; a >= 0; a--) {
+            Py_ssize_t d = active[a];
+            long long z = z_arr[d];
+            long long position = leaf >> (levels - 1 - d);
+            uint32_t *count = &fill[fill_at[d] + position];
+            if (*count == z)
+                continue;
+            tree[offset[d] + position * z + *count] = block;
+            (*count)++;
+            used[d]++;
+            break;
+        }
+        if (a < 0)
+            order[n_over++] = block;
+    }
+    for (Py_ssize_t d = 0; d < levels; d++) {
+        PyObject *value = PyLong_FromLongLong(used[d]);
+        if (value == NULL)
+            goto done;
+        PyList_SetItem(level_used, d, value);
+    }
+    overflow = PyList_New(n_over);
+    for (Py_ssize_t i = 0; overflow != NULL && i < n_over; i++) {
+        PyObject *block = PyLong_FromSsize_t(order[i]);
+        if (block == NULL)
+            Py_CLEAR(overflow);
+        else
+            PyList_SET_ITEM(overflow, i, block);
+    }
+
+done:
+    PyMem_Free(order);
+    PyMem_Free(fill);
+    PyBuffer_Release(&tree_buf);
+    PyBuffer_Release(&table_buf);
+    Py_DECREF(z_seq);
+    return overflow;
+}
+
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
      "Batch DRAM timing over an array('q') of (bank, channel, row) triples."},
@@ -1450,6 +1668,10 @@ static PyMethodDef fastpath_methods[] = {
      "One whole path access: read, served-block step, placement, bursts."},
     {"run_batch", run_batch, METH_VARARGS,
      "Whole-batch dummy-path execution over live controller state."},
+    {"draw_leaves", draw_leaves, METH_VARARGS,
+     "The position map's initial leaf table, as an array('q')."},
+    {"init_tree", init_tree, METH_VARARGS,
+     "Shuffle every block and place it bottom-up into an empty tree."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,7 +8,7 @@ Two sections, both deterministic for a fixed seed:
   hot-path layer alone (read phase + stash + write phase + DRAM model)
   in paths per second, with no trace/LLC machinery around it.
 
-Reports are machine-readable JSON (``BENCH_PR1.json`` at the repo root is
+Reports are machine-readable JSON (``BENCH_PR8.json`` at the repo root is
 the committed reference).  ``--check`` compares the *normalized*
 throughputs (paths per second, which are records-count independent) of a
 fresh run against a reference report and fails on regressions beyond

@@ -12,14 +12,24 @@ The simulator's innermost loops have bit-identical C implementations in
   ``array('q')``;
 * ``dram_service`` — DRAM bank timing over such an array.  The last two
   serve bursts issued apart from their path access (Palermo-style
-  deferred writes) and the Rho and Ring small trees.
+  deferred writes) and the Rho and Ring small trees;
+* ``draw_leaves`` — the position map's initial leaf table;
+* ``init_tree`` — the initial tree: a ``Random.shuffle`` of every block
+  id, then bottom-up placement into the empty tree array, returning the
+  blocks that overflow into the stash.
 
-``access_path``, ``run_batch`` and ``dram_triples`` take one context
-tuple (:func:`kernel_ctx`) and share one read loop and one placement
-engine, for both tree-top modes: the dedicated cache and IR-Stash's
-S-Stash, whose entries the read loop releases and whose set-occupancy
-gate the placement engine applies, reading each block's set from the
-S-Stash's set-index array (filled by ``set_of`` once per block).  The
+Every RNG draw — a leaf, a remap, a shuffle step — goes through one C
+helper, ``randbelow``: ``Random._randbelow_with_getrandbits`` inlined
+over the RNG's bound ``getrandbits``, so the kernels consume exactly the
+bits the Python code consumes, and only for a plain ``random.Random``.
+
+``access_path``, ``run_batch`` and ``dram_triples`` take one 22-slot
+context tuple (:func:`kernel_ctx`) and share one read loop and one
+placement engine, for both tree-top modes: the dedicated cache and
+IR-Stash's S-Stash, whose entries the read loop releases and whose
+set-occupancy gate the placement engine applies, reading each block's
+set from the S-Stash's set-index array (filled by ``set_of`` once per
+block).  The
 stash is its ``block -> leaf`` dict alone: the kernels append read blocks
 to it, delete placed ones, and group write-phase candidates by scanning
 it in insertion order.  The tree's slots and the position map's leaves
@@ -67,11 +77,10 @@ def _cache_dir() -> str:
 #: Slot names of the kernel context tuple, in order; mirrors ``KernelCtx``
 #: in ``_fastpath.c``, which documents each slot.
 CTX_SLOTS = (
-    "randrange", "leaves", "path_table", "entries", "leaf_table",
-    "tree_slots", "z_per_level", "level_used", "levels", "top", "empty",
-    "bank_ready", "bank_open_row", "bus_free", "dram_params",
-    "treetop_mode", "resident", "set_count", "set_of", "set_index", "ways",
-    "getrandbits", "leaf_bits",
+    "leaves", "path_table", "entries", "leaf_table", "tree_slots",
+    "z_per_level", "level_used", "levels", "top", "empty", "bank_ready",
+    "bank_open_row", "bus_free", "dram_params", "treetop_mode", "resident",
+    "set_count", "set_of", "set_index", "ways", "getrandbits", "leaf_bits",
 )
 
 #: ``access_path`` modes: what happens to the served block between the
@@ -110,13 +119,13 @@ def _self_test(module) -> bool:
         # the path table, one DRAM bank with 4-block rows, no tree-top
         # cache; each case overrides what it exercises.
         base = dict(
-            randrange=None, leaves=4, path_table=q([0]), entries={},
+            leaves=4, path_table=q([0]), entries={},
             leaf_table=q([-1] * 10), tree_slots=q([-1] * 8),
             z_per_level=[2, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
             dram_params=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0,
             resident=None, set_count=None, set_of=None, set_index=None,
-            ways=0, getrandbits=None, leaf_bits=0,
+            ways=0, getrandbits=None, leaf_bits=3,
         )
         base.update(slots)
         return kernel_ctx(**base)
@@ -136,7 +145,6 @@ def _self_test(module) -> bool:
     result = module.access_path(ctx(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, getrandbits=lambda bits: next(draws),
-        leaf_bits=3,
     ), 1, 0, 5, SERVED_REMAP, True)
     if result != (0, 0, 0, 2, 0, (0, 0), (0, 0), (0, 0, 0, 0, 0)):
         return False
@@ -208,6 +216,34 @@ def _self_test(module) -> bool:
     ):
         return False
 
+    # Setup: draw_leaves draws 2 bits per leaf of 3 (3 is rejected).
+    # init_tree shuffles blocks 0-3 (leaves 0, 0, 1, 0) into a 2-level
+    # tree with Z=1: i=3 draws 3 bits (5 rejected, then 1: swap slots 3
+    # and 1), i=2 draws 2 bits (2: no swap), i=1 draws 2 bits (0: swap
+    # slots 1 and 0), giving order 3, 0, 2, 1.  Block 3 takes leaf 0's
+    # bucket, 0 the root, 2 leaf 1's bucket, and 1 overflows.
+    draws = iter([3, 2, 0, 1])
+    leaves = module.draw_leaves(3, 3, lambda bits: next(draws))
+    if leaves != q([2, 0, 1]):
+        return False
+    script = iter([5, 1, 2, 0])
+    widths = []
+
+    def getrandbits(bits):
+        widths.append(bits)
+        return next(script)
+
+    tree = q([-1, -1, -1])
+    level_used = [0, 0]
+    overflow = module.init_tree(
+        tree, q([0, 0, 1, 0]), [1, 1], level_used, getrandbits
+    )
+    if not (
+        overflow == [1] and widths == [3, 3, 2, 2]
+        and tree == q([0, 3, 2]) and level_used == [1, 2]
+    ):
+        return False
+
     # Whole-path batch: 2 leaves, 2 levels, block 3 sits at the root of
     # leaf 1's path mapped to leaf 0 -> read at t=0 finishes at 10
     # (activate 3 + two row-hit bursts), write finishes at 17, and the
@@ -222,7 +258,7 @@ def _self_test(module) -> bool:
     # One supernode at row 7 holds both levels (local offsets 0, 1, 2),
     # so leaf 1's path is two blocks in row 7 of the one bank.
     batch_ctx = ctx(
-        randrange=lambda n: 1, leaves=2,
+        getrandbits=lambda bits: 1, leaves=2, leaf_bits=2,
         path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
         tree_slots=tree, entries=entries, leaf_table=q([-1, -1, -1, 0]),
         z_per_level=[1, 1], level_used=level_used, levels=2,

@@ -241,11 +241,13 @@ ENGINE_BATCH_WRITE_DRAM_NS = "engine.batch.write_dram_ns"
 # -- engine.tier: which execution tier served each path -----------------------
 # Kernel paths are whole accesses through ``access_path``; batch paths ran
 # inside ``run_batch``; Python paths ran the pure-Python phases (or a
-# scheme's own small-tree code).  Recorded beside ``engine.batch.*``, after
-# the result snapshot.
+# scheme's own small-tree code).  kernel_setup is 1 when ``init_tree``
+# built the tree, else 0.  Recorded beside ``engine.batch.*``, after the
+# result snapshot.
 ENGINE_TIER_KERNEL_PATHS = "engine.tier.kernel_paths"
 ENGINE_TIER_BATCH_PATHS = "engine.tier.batch_paths"
 ENGINE_TIER_PYTHON_PATHS = "engine.tier.python_paths"
+ENGINE_TIER_KERNEL_SETUP = "engine.tier.kernel_setup"
 
 # -- decouple: Palermo-style read/write phase decoupling ----------------------
 # deferred_writes counts write phases queued behind later read phases by

@@ -2,7 +2,8 @@
 
 ``engine.tier.*`` counts the paths the whole-access kernel
 (``access_path``), the batch kernel (``run_batch``) and the pure-Python
-phases ran.  Traced and observed runs go through the kernel too, so the
+phases ran, and records whether the setup kernel (``init_tree``) built
+the tree.  Traced and observed runs go through the kernel too, so the
 event stream and the observer's records of a native run must equal those
 of a kernel-less run, event for event.
 """
@@ -28,6 +29,7 @@ from repro.stats import Stats
 KERNEL = "engine.tier.kernel_paths"
 BATCH = "engine.tier.batch_paths"
 PYTHON = "engine.tier.python_paths"
+SETUP = "engine.tier.kernel_setup"
 
 needs_native = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
@@ -73,7 +75,9 @@ class TestTierCounters:
         assert out.stats.get(KERNEL) + out.stats.get(BATCH) == (
             out.result.counters["paths.total"]
         )
+        assert out.stats.get(SETUP) == 1
         assert KERNEL not in out.result.counters
+        assert SETUP not in out.result.counters
 
     def test_traced_native_run_runs_no_python_paths(self):
         out = self._run(ring_size=100)
@@ -93,6 +97,7 @@ class TestTierCounters:
         assert out.stats.get(KERNEL) == 0
         assert out.stats.get(BATCH) == 0
         assert out.stats.get(PYTHON) == out.result.counters["paths.total"]
+        assert out.stats.get(SETUP) == 0
 
     def test_write_phase_reference_runs_python_paths(self, monkeypatch):
         """The reference monkeypatch takes the run off the kernel."""
@@ -103,6 +108,40 @@ class TestTierCounters:
         out = self._run()
         assert out.stats.get(PYTHON) == out.result.counters["paths.total"]
         assert out.stats.get(PYTHON) > 0
+
+
+class _SubclassedRandom(random.Random):
+    """Draws exactly what ``random.Random`` draws, but is not one."""
+
+
+def _run_on(rng):
+    components = build_scheme(
+        "IR-ORAM", SystemConfig.tiny(), Stats(), rng
+    )
+    trace = make_workload("xal", components.config, 400, 6)
+    result = Simulator(components, trace).run()
+    controller = components.controller
+    return result, controller, (
+        controller.tree._slots.tobytes(),
+        list(controller.stash._entries.items()),
+        controller.posmap._leaf_of.tobytes(),
+        rng.getstate(),
+    )
+
+
+@needs_native
+def test_random_subclass_runs_the_python_tier():
+    """The kernels inline ``random.Random``'s own draws, so a subclass
+    runs setup and every path in Python, with the same outcome."""
+    plain, plain_controller, plain_state = _run_on(random.Random(6))
+    sub, sub_controller, sub_state = _run_on(_SubclassedRandom(6))
+    assert plain_controller.tier_counters()[SETUP] == 1
+    tiers = sub_controller.tier_counters()
+    assert tiers[SETUP] == 0
+    assert tiers[PYTHON] == sub.counters["paths.total"] > 0
+    assert sub.cycles == plain.cycles
+    assert sub.counters == plain.counters
+    assert sub_state == plain_state
 
 
 @needs_native

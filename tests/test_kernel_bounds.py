@@ -4,13 +4,15 @@
 ``array('q')``, the position map's ``array('q')``, the layout's path
 table and the S-Stash set-index array directly through the buffer
 protocol, and index the DRAM bank lists with banks and channels computed
-from that table.  A leaf outside ``[0, leaves)`` or a served block
-outside the position map must raise before any slot is touched, a
-malformed path table or DRAM geometry must raise before anything is
+from that table; ``init_tree`` fills the tree array from the position
+map's.  A leaf outside ``[0, leaves)`` or a served block outside the
+position map must raise before any slot is touched, a malformed path
+table, DRAM geometry or tree array must raise before anything is
 indexed, and every exit must release every buffer: a leaked export makes
 ``array`` refuse to resize with ``BufferError``.
 """
 
+import random
 from array import array
 
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.ir_stash import SStash
 from repro.oram.controller import PathORAMController
-from repro.oram.tree import EMPTY
+from repro.oram.tree import EMPTY, ORAMTree
 from repro.perf import native
 from repro.perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 
@@ -182,3 +184,44 @@ def test_malformed_access_path_call_raises(sstash_controller, served, mode):
     _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
                       controller.layout.path_table,
                       controller.treetop._set_index)
+
+
+def _init_tree_case(controller, case):
+    """``init_tree`` arguments with one thing wrong: the controller's own
+    (built) tree, or an empty tree with a bad leaf, a short slot array or
+    a wrong typecode."""
+    tree = ORAMTree(controller.oram)
+    table = array("q", controller.posmap._leaf_of)
+    if case == "non-empty tree":
+        tree = controller.tree
+    elif case == "leaf -1":
+        table[len(table) // 2] = -1
+    elif case == "leaf == leaves":
+        table[len(table) // 2] = tree.config.leaves
+    elif case == "short slot array":
+        tree._slots.pop()
+    elif case == "wrong typecode":
+        table = array("i", [0]) * len(table)
+    return tree, table
+
+
+@pytest.mark.parametrize("case, error", [
+    ("non-empty tree", ValueError),
+    ("leaf -1", IndexError),
+    ("leaf == leaves", IndexError),
+    ("short slot array", ValueError),
+    ("wrong typecode", TypeError),
+])
+def test_init_tree_rejects_before_writing(controller, case, error):
+    tree, table = _init_tree_case(controller, case)
+    before = (tree._slots.tobytes(), list(tree.level_used))
+    rng = random.Random(2)
+    state = rng.getstate()
+    with pytest.raises(error):
+        controller._native.init_tree(
+            tree._slots, table, tree.z_per_level, tree.level_used,
+            rng.getrandbits,
+        )
+    assert (tree._slots.tobytes(), list(tree.level_used)) == before
+    assert rng.getstate() == state
+    _assert_no_export(tree._slots, table)

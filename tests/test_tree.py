@@ -1,6 +1,7 @@
 """Unit tests for the ORAM tree."""
 
 import random
+from array import array
 
 import pytest
 
@@ -107,13 +108,10 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(7)
-        leaves = {
-            block: rng.randrange(oram.leaves)
-            for block in range(oram.user_blocks)
-        }
-        overflow = tree.initialize(
-            range(oram.user_blocks), leaves.__getitem__, rng
+        leaves = array(
+            "q", (rng.randrange(oram.leaves) for _ in range(oram.user_blocks))
         )
+        overflow = tree.initialize(leaves, rng)
         assert tree.total_used() + len(overflow) == oram.user_blocks
         # at ~50% provisioning, overflow should be rare
         assert len(overflow) < oram.user_blocks * 0.02
@@ -122,10 +120,8 @@ class TestInitialize:
         oram = make_oram(levels=7, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(3)
-        leaves = {
-            block: rng.randrange(oram.leaves) for block in range(200)
-        }
-        tree.initialize(range(200), leaves.__getitem__, rng)
+        leaves = array("q", (rng.randrange(oram.leaves) for _ in range(200)))
+        tree.initialize(leaves, rng)
         for level in range(7):
             for position in range(1 << level):
                 for block in tree.bucket(level, position):
@@ -136,7 +132,7 @@ class TestInitialize:
     def test_occupied_tree_rejected(self, tree):
         tree.place(3, 2, 77)
         with pytest.raises(ProtocolError):
-            tree.initialize([1, 2], lambda block: 0, random.Random(1))
+            tree.initialize(array("q", [0, 0]), random.Random(1))
         assert tree.bucket(3, 2) == [77, EMPTY, EMPTY, EMPTY]
         assert tree.total_used() == 1
 
@@ -144,10 +140,9 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(5)
-        leaves = {
-            block: rng.randrange(oram.leaves)
-            for block in range(oram.user_blocks)
-        }
-        tree.initialize(range(oram.user_blocks), leaves.__getitem__, rng)
+        leaves = array(
+            "q", (rng.randrange(oram.leaves) for _ in range(oram.user_blocks))
+        )
+        tree.initialize(leaves, rng)
         util = tree.level_utilization()
         assert util[7] > util[3]
