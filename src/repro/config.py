@@ -86,6 +86,10 @@ class ORAMConfig:
             raise ConfigError("user_blocks must be positive")
         if self.eviction_threshold > self.stash_capacity:
             raise ConfigError("eviction threshold exceeds stash capacity")
+        if self.plb_sets < 1 or self.plb_sets & (self.plb_sets - 1):
+            raise ConfigError("PLB set count must be a power of two")
+        if self.plb_ways < 1:
+            raise ConfigError("the PLB needs at least one way")
         if self.total_blocks() > self.tree_slots():
             raise ConfigError(
                 f"tree with {self.tree_slots()} slots cannot hold "

@@ -41,7 +41,7 @@ from ..mem.layout import TreeLayout
 from ..obs import events as ev
 from ..perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 from ..perf.native import fastpath as _fastpath
-from ..perf.native import kernel_ctx
+from ..perf.native import TRANSLATE_KEYS, kernel_ctx
 from ..stats import Stats
 from .plb import PLB
 from .posmap import PositionMap
@@ -162,6 +162,9 @@ class PathORAMController:
         #: :meth:`_kernel_ctx`, invalidated whenever a referenced container
         #: is replaced (artifact adoption, unpickling).
         self._ctx = None
+        #: the tier verdict of the last path access (:meth:`_kernel_tier`),
+        #: which translation follows; None until first needed
+        self._tier: Optional[bool] = None
 
         self.queue: Deque[Request] = deque()
         #: PosMap blocks evicted from the PLB whose re-insertion into the
@@ -206,6 +209,7 @@ class PathORAMController:
         state = self.__dict__.copy()
         state["_native"] = None
         state["_ctx"] = None
+        state["_tier"] = None
         state["observer"] = None
         state["slot_observer"] = None
         return state
@@ -403,7 +407,17 @@ class PathORAMController:
             self.posmap.discard(request.block)
 
     def _find_in_treetop(self, block: int, leaf: int) -> Optional[Tuple[int, int]]:
-        """Locate ``block`` in the cached-top portion of its path."""
+        """Locate ``block`` in the cached-top portion of its path.
+
+        On the kernel tier ``find_in_treetop`` scans the flat slot array.
+        """
+        if self._kernel_translation():
+            try:
+                return self._native.find_in_treetop(
+                    self._ctx or self._kernel_ctx(), block, leaf
+                )
+            except RuntimeError as exc:
+                raise ProtocolError(str(exc)) from None
         tree = self.tree
         for level in range(self.oram.top_cached_levels):
             position = tree.path_position(leaf, level)
@@ -442,6 +456,21 @@ class PathORAMController:
         """
         return self.plb.contains(pm_block) or pm_block in self._limbo
 
+    def _kernel_translation(self) -> bool:
+        """Whether translation (the chain walk, the PLB install and the
+        tree-top scan) runs in the kernel.
+
+        It follows the verdict of the latest path access's gate
+        (:meth:`_kernel_tier`, evaluated here until the first access), so
+        the common translation call does not re-run the gate.  Both tiers
+        leave identical state, so a hook attached mid-run takes effect
+        for translation from the next path access on.
+        """
+        tier = self._tier
+        if tier is None:
+            tier = self._tier = self._kernel_tier()
+        return tier and self._native is not None
+
     def _translation_chain(self, block: int) -> List[int]:
         """PosMap blocks that must be fetched before ``block``'s leaf is known.
 
@@ -454,7 +483,19 @@ class PathORAMController:
         baseline a tree-top resident is only reachable once its parent
         mapping is known; with IR-Stash's S-Stash it is found directly by
         block address.
+
+        On the kernel tier one ``translate`` call walks the chain with
+        every promotion, PLB fill and victim re-insert; the Python walk
+        below (:meth:`_try_promote`, :meth:`_fill_plb`,
+        :meth:`_reinsert_posmap_block`) is its oracle.
         """
+        if self._kernel_translation():
+            try:
+                return self._native.translate(
+                    self._ctx or self._kernel_ctx(), block
+                )
+            except RuntimeError as exc:
+                raise ProtocolError(str(exc)) from None
         kind = self.namespace.kind_of(block)
         if kind is BlockKind.POSMAP2:
             return []
@@ -484,6 +525,9 @@ class PathORAMController:
         position-indexed and never consulted for PosMap lookups — a PLB
         miss costs a full path access even when the block's bits happen to
         sit on chip, which is exactly the waste Section IV-C describes.
+
+        Part of the Python chain walk; on the kernel tier ``translate``
+        runs its C counterpart.
         """
         if self._posmap_on_chip(pm_block):
             return
@@ -512,9 +556,23 @@ class PathORAMController:
         self.stats.inc(sk.PLB_TREETOP_PROMOTIONS)
 
     def _fill_plb(self, pm_block: int) -> None:
+        """Install a promoted PosMap block, dirty, and re-insert the
+        victim (``plb_install`` on the kernel tier)."""
+        if self._kernel_translation():
+            self._install_plb(pm_block, True, False)
+            return
         victim = self.plb.fill(pm_block, dirty=True)
         if victim is not None:
             self._reinsert_posmap_block(victim.block)
+
+    def _install_plb(self, pm_block: int, dirty: bool, fetch: bool) -> None:
+        """``plb_install``: the PLB fill and its victim's re-insert in C."""
+        try:
+            self._native.plb_install(
+                self._ctx or self._kernel_ctx(), pm_block, dirty, fetch
+            )
+        except RuntimeError as exc:
+            raise ProtocolError(str(exc)) from None
 
     def _count_translation(self, request: Request) -> None:
         if getattr(request, "_translation_counted", False):
@@ -560,7 +618,8 @@ class PathORAMController:
         served_level)``.  On the kernel tier one ``access_path`` call does
         all of it; otherwise the Python phases run.
         """
-        if self._kernel_tier():
+        self._tier = self._kernel_tier()
+        if self._tier:
             return self._kernel_access(leaf, path_type, now, served, mode)
         preexisting = (
             set(self.stash.blocks())
@@ -928,15 +987,25 @@ class PathORAMController:
                 path_type=path_type.value,
                 finish=result.finish_write,
             )
+        if self._kernel_translation():
+            # The fill, the victim's dirty counts and its re-insert.
+            self._install_plb(pm_block, False, True)
+            return result
         victim = self.plb.fill(pm_block, dirty=False)
         if victim is not None:
             if victim.dirty:
+                # Counted a second time: the PLB's fill already counted
+                # this dirty victim under the same key.
                 self.stats.inc(sk.PLB_DIRTY_EVICTIONS)
             self._reinsert_posmap_block(victim.block)
         return result
 
     def _reinsert_posmap_block(self, pm_block: int) -> None:
-        """Return an evicted PosMap block to the ORAM via the stash."""
+        """Return an evicted PosMap block to the ORAM via the stash.
+
+        Reached from the Python tier's PLB fills; on the kernel tier
+        ``translate`` and ``plb_install`` re-insert their victims in C.
+        """
         if self._translation_chain(pm_block):
             self.internal_queue.append(pm_block)
             self._limbo.add(pm_block)
@@ -1094,6 +1163,22 @@ class PathORAMController:
             **sstash,
             getrandbits=self.rng.getrandbits,
             leaf_bits=self.oram.leaves.bit_length(),
+            plb_blocks=self.plb._blocks,
+            plb_dirty=self.plb._dirty,
+            plb_fills=self.plb._fills,
+            plb_ways=self.plb.ways,
+            namespace=(
+                self.namespace.posmap1_base,
+                self.namespace.posmap2_base,
+                self.namespace.total_blocks,
+                self.namespace.fanout,
+            ),
+            limbo=self._limbo,
+            internal_queue=self.internal_queue,
+            counters=self.stats.counters,
+            counter_keys=TRANSLATE_KEYS,
+            stash=self.stash,
+            posmap=self.posmap,
         )
         return ctx
 

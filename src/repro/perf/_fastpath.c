@@ -356,9 +356,11 @@ randbelow(Draws *r, long long n, long long *out)
 /* The kernel context                                                */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 22-slot
+/* The controller's one kernel context, unpacked.  ``ctx`` is the 33-slot
  * tuple PathORAMController._kernel_ctx freezes; access_path, dram_triples
- * and run_batch all take it:
+ * and run_batch all take it and read slots 0-21; the translation entries
+ * (translate, plb_install, find_in_treetop) read what they need of it,
+ * slots 22-32 included:
  *
  *    0 leaves           leaf count
  *    1 path_table       TreeLayout.path_table, array('q')
@@ -378,6 +380,16 @@ randbelow(Draws *r, long long n, long long *out)
  *   20-21               the plain random.Random's getrandbits and the
  *                       leaf count's bit width, which seeds the leaf
  *                       draw's cached width
+ *   22-24               the PLB's block ids (set by set, LRU first),
+ *                       dirty flags and per-set fill counts, array('q')
+ *   25 plb ways         slots per PLB set
+ *   26 namespace        (posmap1_base, posmap2_base, total_blocks, fanout)
+ *   27-28               the victim buffer: the _limbo set and the
+ *                       internal_queue deque
+ *   29-30               the stats counters dict and the counter keys the
+ *                       translation entries bump (enum TranslateKey order)
+ *   31-32               the Stash (peak tracking) and the PositionMap
+ *                       (remap_count)
  *
  * Object fields are borrowed from the tuple.  The arrays are held as
  * buffers from parse_ctx to release_ctx, so nothing can resize them in
@@ -407,6 +419,9 @@ typedef struct {
     long long used_arr[FASTPATH_MAX_LEVELS];
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
 } KernelCtx;
+
+/* Slots of the kernel context tuple. */
+#define CTX_LEN 33
 
 /* Fields of one level record in TreeLayout.path_table. */
 enum { PT_SHIFT, PT_Z, PT_R, PT_ROW_BASE, PT_ROWS, PT_FIRST, PT_FIELDS };
@@ -507,8 +522,8 @@ parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
     c->leaf_buf.obj = c->tree_buf.obj = c->path_buf.obj = NULL;
     c->set_buf.obj = NULL;
     c->rng.bits = NULL;
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != 22) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 22 slots");
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != CTX_LEN) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
         return -1;
     }
 #define CTX(i) PyTuple_GET_ITEM(ctx, i)
@@ -1469,6 +1484,720 @@ fail:
 }
 
 /* ---------------------------------------------------------------- */
+/* Translation: the PosMap chain, free promotions and the PLB        */
+/* ---------------------------------------------------------------- */
+
+/* The counters the translation entries bump, in the order of the ctx's
+ * counter-key tuple (slot 30).  The PLB's cache-level dirty-eviction count
+ * and fetch_posmap_block's own count share one key. */
+enum TranslateKey {
+    TK_PLB_HITS, TK_PLB_EVICTIONS, TK_PLB_DIRTY_EVICTIONS,
+    TK_STASH_PROMOTIONS, TK_TREETOP_PROMOTIONS, TK_PROBE_HITS,
+    TK_PROBE_MISSES, TK_SSTASH_REMOVED, TK_REINSERTS, TK_DEFERRED_REINSERTS,
+    TK_COUNT
+};
+
+/* Victim re-inserts nest (a victim's own translation can promote and
+ * displace another victim); deeper than this is reported as the
+ * RecursionError the Python chain would hit. */
+#define TRANSLATE_MAX_DEPTH 200
+
+/* Interned attribute and method names and the int 1, set at module
+ * init. */
+static PyObject *str_append, *str_note_peak, *str_peak_occupancy,
+    *str_remap_count, *int_one;
+
+/* The tree array and the geometry of its cached top, held for a scan:
+ * ctx slots 4, 5, 7 and 8, with the array's length checked against the
+ * bucket sizes. */
+typedef struct {
+    Py_buffer buf;
+    long long *slots;
+    long long levels, top;
+    long long z_arr[FASTPATH_MAX_LEVELS], offset[FASTPATH_MAX_LEVELS];
+} TreeView;
+
+/* Hold ``ctx``'s tree as ``v``.  Returns 0 with the buffer held (release
+ * ``v->buf``), or -1 with an exception set and nothing held. */
+static int
+hold_tree(PyObject *ctx, TreeView *v)
+{
+    PyObject *z_list = PyTuple_GET_ITEM(ctx, 5);
+    v->buf.obj = NULL;
+    v->levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 7));
+    v->top = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 8));
+    if (PyErr_Occurred())
+        return -1;
+    if (!PyList_Check(z_list) || v->levels < 1 ||
+        v->levels >= FASTPATH_MAX_LEVELS || v->top < 0 ||
+        v->top > v->levels ||
+        PyList_GET_SIZE(z_list) < (Py_ssize_t)v->levels) {
+        PyErr_SetString(PyExc_ValueError, "unsupported tree geometry");
+        return -1;
+    }
+    long long total = level_offsets(PySequence_Fast_ITEMS(z_list), v->levels,
+                                    v->z_arr, v->offset);
+    if (total < 0)
+        return -1;
+    Py_ssize_t len = get_q_buffer(PyTuple_GET_ITEM(ctx, 4), &v->buf,
+                                  "tree_slots");
+    if (len < 0)
+        return -1;
+    if (len != total) {
+        PyBuffer_Release(&v->buf);
+        PyErr_SetString(PyExc_ValueError,
+                        "tree_slots length does not match z per level");
+        return -1;
+    }
+    v->slots = v->buf.buf;
+    return 0;
+}
+
+/* What one translation call reads of the kernel context.  The PLB
+ * buffers, the namespace, the victim buffer, the counters and the stash
+ * dict are unpacked for every call (parse_translate); the tree, the
+ * position map, the RNG and the rest of the tree geometry only once a
+ * promotion or a re-insert needs them (need_deep).  Object fields are
+ * borrowed from the tuple.
+ */
+typedef struct {
+    PyObject *ctx;
+    long long p1_base, p2_base, total, fanout;
+    Py_buffer blocks_buf, dirty_buf, fills_buf;
+    long long *blocks, *dirty, *fills;
+    long long sets, ways;
+    PyObject *limbo, *queue, *counters, *keys, *entries, *resident;
+    long long top;
+    int sstash;  /* tree-top mode 1: the S-Stash is searched by address */
+    int deep;    /* the fields below are held */
+    TreeView tree;
+    Py_buffer leaf_buf;
+    long long *leaf_table;
+    Py_ssize_t leaf_count;
+    PyObject *level_used, *set_count, *stash, *posmap;
+    long long leaves, empty;
+    Draws rng;
+    int depth;   /* nested victim re-inserts */
+} Translator;
+
+static void
+release_translate(Translator *t)
+{
+    PyBuffer_Release(&t->blocks_buf);
+    PyBuffer_Release(&t->dirty_buf);
+    PyBuffer_Release(&t->fills_buf);
+    PyBuffer_Release(&t->leaf_buf);
+    PyBuffer_Release(&t->tree.buf);
+    Py_CLEAR(t->rng.bits);
+}
+
+/* Unpack the per-call part of ``ctx`` into ``t`` and validate it: the
+ * namespace tuple, the PLB buffers (typecode, and lengths against the
+ * set count and ``ways``; the set count a power of two), the victim
+ * buffer's types and the counter-key tuple.  Returns 0 with the PLB
+ * buffers held (pair with release_translate), or -1 with an exception
+ * set and nothing held.
+ */
+static int
+parse_translate(PyObject *ctx, Translator *t)
+{
+    t->blocks_buf.obj = t->dirty_buf.obj = t->fills_buf.obj = NULL;
+    t->leaf_buf.obj = t->tree.buf.obj = NULL;
+    t->rng.bits = NULL;
+    t->deep = 0;
+    t->depth = 0;
+    t->ctx = ctx;
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != CTX_LEN) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
+        return -1;
+    }
+#define CTX(i) PyTuple_GET_ITEM(ctx, i)
+    PyObject *ns = CTX(26);
+    t->entries = CTX(2);
+    t->resident = CTX(15);
+    t->limbo = CTX(27);
+    t->queue = CTX(28);
+    t->counters = CTX(29);
+    t->keys = CTX(30);
+    t->top = PyLong_AsLongLong(CTX(8));
+    long long mode = PyLong_AsLongLong(CTX(14));
+    t->ways = PyLong_AsLongLong(CTX(25));
+    if (PyErr_Occurred())
+        return -1;
+    if (!PyTuple_Check(ns) || PyTuple_GET_SIZE(ns) != 4 ||
+        !PyDict_Check(t->entries) || !PyAnySet_Check(t->limbo) ||
+        !PyDict_Check(t->counters) || !PyTuple_Check(t->keys) ||
+        PyTuple_GET_SIZE(t->keys) != TK_COUNT ||
+        (mode == 1 && !PyDict_Check(t->resident))) {
+        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
+        return -1;
+    }
+    t->sstash = (mode == 1);
+    t->p1_base = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 0));
+    t->p2_base = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 1));
+    t->total = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 2));
+    t->fanout = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 3));
+    if (PyErr_Occurred())
+        return -1;
+    if (t->p1_base < 0 || t->p2_base < t->p1_base ||
+        t->total < t->p2_base || t->fanout < 1 || t->top < 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed namespace");
+        return -1;
+    }
+    Py_ssize_t n_blocks = get_q_buffer(CTX(22), &t->blocks_buf, "plb_blocks");
+    if (n_blocks < 0)
+        goto fail;
+    Py_ssize_t n_dirty = get_q_buffer(CTX(23), &t->dirty_buf, "plb_dirty");
+    if (n_dirty < 0)
+        goto fail;
+    t->sets = get_q_buffer(CTX(24), &t->fills_buf, "plb_fills");
+    if (t->sets < 0)
+        goto fail;
+#undef CTX
+    t->blocks = t->blocks_buf.buf;
+    t->dirty = t->dirty_buf.buf;
+    t->fills = t->fills_buf.buf;
+    if (t->sets < 1 || (t->sets & (t->sets - 1)) || t->ways < 1 ||
+        t->ways > PY_SSIZE_T_MAX / t->sets ||
+        n_blocks != t->sets * t->ways || n_dirty != n_blocks) {
+        PyErr_SetString(PyExc_ValueError,
+                        "PLB buffers do not match its geometry");
+        goto fail;
+    }
+    return 0;
+
+fail:
+    release_translate(t);
+    return -1;
+}
+
+/* Unpack and hold what promotions and re-inserts touch: the position
+ * map and tree arrays, the tree geometry and the RNG.  Idempotent.
+ * Returns 0, or -1 with an exception set.
+ */
+static int
+need_deep(Translator *t)
+{
+    if (t->deep)
+        return 0;
+#define CTX(i) PyTuple_GET_ITEM(t->ctx, i)
+    PyObject *leaf_bits = CTX(21);
+    t->level_used = CTX(6);
+    t->set_count = CTX(16);
+    t->stash = CTX(31);
+    t->posmap = CTX(32);
+    t->rng.getrandbits = CTX(20);
+    t->leaves = PyLong_AsLongLong(CTX(0));
+    t->empty = PyLong_AsLongLong(CTX(9));
+    t->rng.k = PyLong_AsLongLong(leaf_bits);
+    PyObject *leaf_table = CTX(3);
+#undef CTX
+    if (PyErr_Occurred())
+        return -1;
+    if (!PyList_Check(t->level_used) ||
+        (t->sstash && !PyDict_Check(t->set_count))) {
+        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
+        return -1;
+    }
+    if (hold_tree(t->ctx, &t->tree) < 0)
+        return -1;
+    if (PyList_GET_SIZE(t->level_used) < (Py_ssize_t)t->tree.levels ||
+        t->leaves < 1 || t->leaves > (1LL << (t->tree.levels - 1))) {
+        PyErr_SetString(PyExc_ValueError, "unsupported tree geometry");
+        return -1;  /* release_translate drops the tree */
+    }
+    t->leaf_count = get_q_buffer(leaf_table, &t->leaf_buf, "leaf_table");
+    if (t->leaf_count < 0)
+        return -1;
+    t->leaf_table = t->leaf_buf.buf;
+    t->rng.bits = Py_NewRef(leaf_bits);
+    t->deep = 1;
+    return 0;
+}
+
+/* counters[TranslateKey k] += 1, as Stats.inc does on its defaultdict:
+ * a missing key starts at 0.0. */
+static int
+bump(Translator *t, int k)
+{
+    PyObject *key = PyTuple_GET_ITEM(t->keys, k);
+    PyObject *held = PyDict_GetItemWithError(t->counters, key);
+    PyObject *value;
+    if (held == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        value = PyFloat_FromDouble(1.0);
+    } else {
+        value = PyNumber_Add(held, int_one);
+    }
+    if (value == NULL)
+        return -1;
+    int rc = PyDict_SetItem(t->counters, key, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* The PLB slot holding ``block``, -1 when it is not resident, or -2 with
+ * ValueError set when its set's fill count is out of range. */
+static Py_ssize_t
+plb_slot(const Translator *t, long long block)
+{
+    long long set = block & (t->sets - 1);
+    long long fill = t->fills[set];
+    if (fill < 0 || fill > t->ways) {
+        PyErr_SetString(PyExc_ValueError, "PLB fill count out of range");
+        return -2;
+    }
+    Py_ssize_t base = (Py_ssize_t)(set * t->ways);
+    for (Py_ssize_t slot = base; slot < base + fill; slot++) {
+        if (t->blocks[slot] == block)
+            return slot;
+    }
+    return -1;
+}
+
+/* Move the block in ``slot`` (or, when it is its full set's LRU slot, the
+ * new ``block`` replacing it) to the set's most recently used end with
+ * dirty flag ``dirty``.  Mirrors PLB._touch. */
+static void
+plb_touch(Translator *t, long long block, Py_ssize_t slot, long long dirty)
+{
+    long long set = block & (t->sets - 1);
+    Py_ssize_t last = (Py_ssize_t)(set * t->ways + t->fills[set] - 1);
+    size_t bytes = sizeof(long long) * (size_t)(last - slot);
+    memmove(&t->blocks[slot], &t->blocks[slot + 1], bytes);
+    memmove(&t->dirty[slot], &t->dirty[slot + 1], bytes);
+    t->blocks[last] = block;
+    t->dirty[last] = dirty;
+}
+
+/* Controller._posmap_on_chip: in the PLB or in the victim buffer.
+ * Returns 1, 0, or -1 with an exception set. */
+static int
+on_chip(Translator *t, long long block)
+{
+    Py_ssize_t slot = plb_slot(t, block);
+    if (slot != -1)
+        return slot >= 0 ? 1 : -1;
+    PyObject *key = PyLong_FromLongLong(block);
+    if (key == NULL)
+        return -1;
+    int rc = PySet_Contains(t->limbo, key);
+    Py_DECREF(key);
+    return rc;
+}
+
+/* A block about to index the position map must lie inside it. */
+static int
+check_mapped_index(const Translator *t, long long block)
+{
+    if (block < 0 || block >= t->leaf_count) {
+        PyErr_SetString(PyExc_IndexError, "block outside position map");
+        return -1;
+    }
+    return 0;
+}
+
+/* PLB.mark_dirty: a resident block becomes its set's MRU line, dirty,
+ * counted as a cache hit. */
+static int
+plb_mark_dirty(Translator *t, long long block)
+{
+    Py_ssize_t slot = plb_slot(t, block);
+    if (slot < 0)
+        return slot == -1 ? 0 : -1;
+    plb_touch(t, block, slot, 1);
+    return bump(t, TK_PLB_HITS);
+}
+
+static int walk(Translator *t, long long block, long long *chain, int *n);
+
+/* PositionMap.restore: draw a leaf for an unmapped block through
+ * randbelow, record it and count the remap.  A block that is still mapped
+ * is a RuntimeError. */
+static int
+restore_leaf(Translator *t, long long block, long long *leaf)
+{
+    if (need_deep(t) < 0 || check_mapped_index(t, block) < 0)
+        return -1;
+    if (t->leaf_table[block] != -1) {
+        PyErr_Format(PyExc_RuntimeError, "block %lld is already mapped",
+                     block);
+        return -1;
+    }
+    if (randbelow(&t->rng, t->leaves, leaf) < 0)
+        return -1;
+    t->leaf_table[block] = *leaf;
+    PyObject *count = PyObject_GetAttr(t->posmap, str_remap_count);
+    PyObject *next = count != NULL ? PyNumber_Add(count, int_one) : NULL;
+    int rc = next != NULL
+        ? PyObject_SetAttr(t->posmap, str_remap_count, next) : -1;
+    Py_XDECREF(count);
+    Py_XDECREF(next);
+    return rc;
+}
+
+/* Stash.add: the entry, then Stash.note_peak (which emits stash.hwm)
+ * when the occupancy passes the recorded peak. */
+static int
+stash_add(Translator *t, long long block, long long leaf)
+{
+    if (stash_insert(t->entries, block, leaf) < 0)
+        return -1;
+    PyObject *peak = PyObject_GetAttr(t->stash, str_peak_occupancy);
+    long long held = peak != NULL ? PyLong_AsLongLong(peak) : -1;
+    Py_XDECREF(peak);
+    if (held == -1 && PyErr_Occurred())
+        return -1;
+    if ((long long)PyDict_GET_SIZE(t->entries) <= held)
+        return 0;
+    PyObject *ok = PyObject_CallMethodNoArgs(t->stash, str_note_peak);
+    Py_XDECREF(ok);
+    return ok != NULL ? 0 : -1;
+}
+
+/* Controller._reinsert_posmap_block for a PLB victim: when its own
+ * translation is not free it waits in the victim buffer (internal_queue
+ * and _limbo); otherwise its leaf is restored, its parent PosMap block
+ * (Namespace.parent_block; a PosMap2 block's parent is the on-chip
+ * PosMap3) is dirtied in the PLB, and it enters the stash.
+ */
+static int
+reinsert(Translator *t, long long block)
+{
+    if (t->depth >= TRANSLATE_MAX_DEPTH) {
+        PyErr_SetString(PyExc_RecursionError,
+                        "PLB victim re-inserts nested too deep");
+        return -1;
+    }
+    t->depth++;
+    long long chain[2], leaf = 0;
+    int n, rc = walk(t, block, chain, &n);
+    if (rc == 0 && n) {
+        PyObject *key = PyLong_FromLongLong(block);
+        PyObject *ok = key != NULL
+            ? PyObject_CallMethodOneArg(t->queue, str_append, key) : NULL;
+        rc = ok != NULL && PySet_Add(t->limbo, key) == 0
+            ? bump(t, TK_DEFERRED_REINSERTS) : -1;
+        Py_XDECREF(ok);
+        Py_XDECREF(key);
+    } else if (rc == 0) {
+        long long parent = -1;
+        if (block < t->p1_base)
+            parent = t->p1_base + block / t->fanout;
+        else if (block < t->p2_base)
+            parent = t->p2_base + (block - t->p1_base) / t->fanout;
+        rc = restore_leaf(t, block, &leaf) < 0 ||
+             (parent >= 0 && plb_mark_dirty(t, parent) < 0) ||
+             stash_add(t, block, leaf) < 0 ||
+             bump(t, TK_REINSERTS) < 0 ? -1 : 0;
+    }
+    t->depth--;
+    return rc;
+}
+
+/* PLB.fill plus the victim handling that follows it: a resident block is
+ * touched (dirty flags OR together); otherwise a full set evicts its LRU
+ * line (plb.evictions, plb.dirty_evictions when dirty, and with ``fetch``
+ * fetch_posmap_block's second dirty count of the same line), the block
+ * becomes the MRU line, and the victim is re-inserted.
+ */
+static int
+plb_fill(Translator *t, long long block, long long dirty, int fetch)
+{
+    Py_ssize_t slot = plb_slot(t, block);
+    if (slot == -2)
+        return -1;
+    if (slot >= 0) {
+        plb_touch(t, block, slot, t->dirty[slot] || dirty);
+        return 0;
+    }
+    long long set = block & (t->sets - 1);
+    Py_ssize_t base = (Py_ssize_t)(set * t->ways);
+    long long fill = t->fills[set];
+    if (fill < t->ways) {
+        t->blocks[base + fill] = block;
+        t->dirty[base + fill] = dirty;
+        t->fills[set] = fill + 1;
+        return 0;
+    }
+    long long victim = t->blocks[base], victim_dirty = t->dirty[base];
+    plb_touch(t, block, base, dirty);
+    if (bump(t, TK_PLB_EVICTIONS) < 0 ||
+        (victim_dirty && bump(t, TK_PLB_DIRTY_EVICTIONS) < 0) ||
+        (victim_dirty && fetch && bump(t, TK_PLB_DIRTY_EVICTIONS) < 0))
+        return -1;
+    return reinsert(t, victim);
+}
+
+/* Controller._find_in_treetop over the flat slot array: the first slot
+ * holding ``block`` in the cached top of the path to ``leaf``, or NULL.
+ * The level goes to ``*level_out``.  Returns 0, or -1 with an exception
+ * set for a leaf outside the tree.
+ */
+static int
+find_top(const TreeView *v, long long block, long long leaf,
+         long long *level_out, long long **slot_out)
+{
+    *slot_out = NULL;
+    if (v->top > 0 && (leaf < 0 || leaf >= (1LL << (v->levels - 1)))) {
+        PyErr_Format(PyExc_RuntimeError, "leaf %lld outside the tree", leaf);
+        return -1;
+    }
+    for (long long level = 0; level < v->top; level++) {
+        long long z = v->z_arr[level];
+        long long *slots = v->slots + v->offset[level] +
+                           (leaf >> (v->levels - 1 - level)) * z;
+        for (long long s = 0; s < z; s++) {
+            if (slots[s] == block) {
+                *level_out = level;
+                *slot_out = &slots[s];
+                return 0;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Controller._try_promote: move a PosMap block that is on chip but not in
+ * the PLB into the PLB for free.  A stash resident always promotes; a
+ * tree-top resident only under the S-Stash, found by its block address
+ * (the probe is counted), still mapped, and in the cached top of its
+ * path: its slot is blanked, its S-Stash entry released and its mapping
+ * dropped.  Either way the PLB fill dirties the block and re-inserts any
+ * victim.
+ */
+static int
+try_promote(Translator *t, long long block)
+{
+    int rc = on_chip(t, block);
+    if (rc != 0)
+        return rc < 0 ? -1 : 0;
+    PyObject *key = PyLong_FromLongLong(block);
+    if (key == NULL)
+        return -1;
+    rc = PyDict_Contains(t->entries, key);
+    if (rc == 1) {
+        rc = need_deep(t) < 0 || check_mapped_index(t, block) < 0 ||
+             PyDict_DelItem(t->entries, key) < 0 ? -1 : 0;
+        if (rc == 0) {
+            t->leaf_table[block] = -1;
+            rc = plb_fill(t, block, 1, 0) < 0 ||
+                 bump(t, TK_STASH_PROMOTIONS) < 0 ? -1 : 0;
+        }
+        goto done;
+    }
+    if (rc < 0 || t->top == 0 || !t->sstash)
+        goto done;
+    int hit = PyDict_Contains(t->resident, key);
+    if (hit < 0 || bump(t, hit ? TK_PROBE_HITS : TK_PROBE_MISSES) < 0) {
+        rc = -1;
+        goto done;
+    }
+    if (!hit)
+        goto done;
+    if (need_deep(t) < 0 || check_mapped_index(t, block) < 0) {
+        rc = -1;
+        goto done;
+    }
+    long long leaf = t->leaf_table[block];
+    if (leaf == -1)
+        goto done;
+    long long level, *slot;
+    if (find_top(&t->tree, block, leaf, &level, &slot) < 0) {
+        rc = -1;
+        goto done;
+    }
+    if (slot == NULL)
+        goto done;
+    /* ORAMTree.remove, SStash.on_remove, PositionMap.discard. */
+    *slot = t->empty;
+    PyObject *less =
+        PyNumber_Subtract(PyList_GET_ITEM(t->level_used, level), int_one);
+    if (less == NULL) {
+        rc = -1;
+        goto done;
+    }
+    PyList_SetItem(t->level_used, level, less);
+    rc = sstash_remove(t->resident, t->set_count, key) < 0 ||
+         bump(t, TK_SSTASH_REMOVED) < 0 ? -1 : 0;
+    if (rc == 0) {
+        t->leaf_table[block] = -1;
+        rc = plb_fill(t, block, 1, 0) < 0 ||
+             bump(t, TK_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
+    }
+done:
+    Py_DECREF(key);
+    return rc;
+}
+
+/* Controller._translation_chain: the PosMap blocks to fetch before
+ * ``block``'s leaf is known, deepest first, into ``chain`` (``*n`` of
+ * them: pm2 then pm1, pm1, or none), promoting on-chip PosMap blocks on
+ * the way.  PosMap2 blocks translate through the on-chip PosMap3.
+ */
+static int
+walk(Translator *t, long long block, long long *chain, int *n)
+{
+    *n = 0;
+    if (block < 0 || block >= t->total) {
+        PyErr_Format(PyExc_ValueError, "block %lld outside namespace", block);
+        return -1;
+    }
+    if (block >= t->p2_base)
+        return 0;
+    long long pm1 = -1, pm2;
+    if (block < t->p1_base) {
+        pm1 = t->p1_base + block / t->fanout;
+        pm2 = t->p2_base + (pm1 - t->p1_base) / t->fanout;
+    } else {
+        pm2 = t->p2_base + (block - t->p1_base) / t->fanout;
+    }
+    if (try_promote(t, pm2) < 0)
+        return -1;
+    int pm2_ready = on_chip(t, pm2);
+    if (pm2_ready < 0)
+        return -1;
+    if (pm1 >= 0) {
+        if (try_promote(t, pm1) < 0)
+            return -1;
+        int pm1_ready = on_chip(t, pm1);
+        if (pm1_ready != 0)
+            return pm1_ready < 0 ? -1 : 0;
+    }
+    if (!pm2_ready)
+        chain[(*n)++] = pm2;
+    if (pm1 >= 0)
+        chain[(*n)++] = pm1;
+    return 0;
+}
+
+/* A block argument, as a C integer. */
+static int
+block_arg(PyObject *obj, long long *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_SetString(PyExc_TypeError, "block must be an int");
+        return -1;
+    }
+    *out = PyLong_AsLongLong(obj);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* translate(ctx, block) -> list of PosMap blocks to fetch
+ *
+ * Controller._translation_chain through walk: ``[pm2, pm1]``, ``[pm1]``,
+ * ``[pm2]`` or ``[]``, with every free promotion, PLB fill and victim
+ * re-insert it causes applied to the live state and counted.  A block
+ * outside the namespace raises ValueError, as Namespace.kind_of does,
+ * before anything is touched; a protocol violation (a victim still
+ * mapped) is a RuntimeError.
+ */
+static PyObject *
+translate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long block;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "translate(ctx, block)");
+        return NULL;
+    }
+    if (block_arg(args[1], &block) < 0)
+        return NULL;
+    Translator t;
+    if (parse_translate(args[0], &t) < 0)
+        return NULL;
+    long long chain[2];
+    int n;
+    PyObject *result = NULL;
+    if (walk(&t, block, chain, &n) == 0 && (result = PyList_New(n)) != NULL) {
+        for (int i = 0; i < n; i++) {
+            PyObject *item = PyLong_FromLongLong(chain[i]);
+            if (item == NULL) {
+                Py_CLEAR(result);
+                break;
+            }
+            PyList_SET_ITEM(result, i, item);
+        }
+    }
+    release_translate(&t);
+    return result;
+}
+
+/* plb_install(ctx, block, dirty, fetch) -> None
+ *
+ * Install a PosMap block that has left the tree into the PLB through
+ * plb_fill: a promotion's fill (``dirty`` set) or fetch_posmap_block's
+ * (``dirty`` clear, ``fetch`` set, which counts a dirty victim a second
+ * time).  The block must be a PosMap block of the namespace (ValueError)
+ * whose mapping is gone (RuntimeError); both are checked before anything
+ * is touched.
+ */
+static PyObject *
+plb_install(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long block;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "plb_install(ctx, block, dirty, fetch)");
+        return NULL;
+    }
+    int dirty = PyObject_IsTrue(args[2]);
+    int fetch = PyObject_IsTrue(args[3]);
+    if (dirty < 0 || fetch < 0 || block_arg(args[1], &block) < 0)
+        return NULL;
+    Translator t;
+    if (parse_translate(args[0], &t) < 0)
+        return NULL;
+    int rc = -1;
+    if (block < t.p1_base || block >= t.total) {
+        PyErr_Format(PyExc_ValueError, "block %lld is not a PosMap block",
+                     block);
+    } else if (need_deep(&t) == 0 && check_mapped_index(&t, block) == 0) {
+        if (t.leaf_table[block] != -1)
+            PyErr_Format(PyExc_RuntimeError,
+                         "PosMap block %lld is still mapped", block);
+        else
+            rc = plb_fill(&t, block, dirty, fetch);
+    }
+    release_translate(&t);
+    return rc < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+/* find_in_treetop(ctx, block, leaf) -> (level, position) or None
+ *
+ * Controller._find_in_treetop through find_top: where ``block`` sits in
+ * the cached top of the path to ``leaf``.  Reads the tree array and its
+ * geometry only.
+ */
+static PyObject *
+find_in_treetop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long block, leaf;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "find_in_treetop(ctx, block, leaf)");
+        return NULL;
+    }
+    if (block_arg(args[1], &block) < 0 || block_arg(args[2], &leaf) < 0)
+        return NULL;
+    if (!PyTuple_Check(args[0]) || PyTuple_GET_SIZE(args[0]) != CTX_LEN) {
+        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
+        return NULL;
+    }
+    TreeView v;
+    if (hold_tree(args[0], &v) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    long long level, *slot;
+    if (find_top(&v, block, leaf, &level, &slot) == 0) {
+        result = slot == NULL
+            ? Py_NewRef(Py_None)
+            : Py_BuildValue("(LL)", level, leaf >> (v.levels - 1 - level));
+    }
+    PyBuffer_Release(&v.buf);
+    return result;
+}
+
+/* ---------------------------------------------------------------- */
 /* Setup: position-map draws and the initial tree                    */
 /* ---------------------------------------------------------------- */
 
@@ -1668,6 +2397,12 @@ static PyMethodDef fastpath_methods[] = {
      "One whole path access: read, served-block step, placement, bursts."},
     {"run_batch", run_batch, METH_VARARGS,
      "Whole-batch dummy-path execution over live controller state."},
+    {"translate", (PyCFunction)(void (*)(void))translate, METH_FASTCALL,
+     "The PosMap blocks to fetch before a block's leaf is known."},
+    {"plb_install", (PyCFunction)(void (*)(void))plb_install, METH_FASTCALL,
+     "Install a PosMap block in the PLB and re-insert its victim."},
+    {"find_in_treetop", (PyCFunction)(void (*)(void))find_in_treetop,
+     METH_FASTCALL, "Where a block sits in the cached top of a path."},
     {"draw_leaves", draw_leaves, METH_VARARGS,
      "The position map's initial leaf table, as an array('q')."},
     {"init_tree", init_tree, METH_VARARGS,
@@ -1692,6 +2427,15 @@ PyInit__repro_fastpath(void)
     Py_XSETREF(array_type, PyObject_GetAttrString(array_module, "array"));
     Py_DECREF(array_module);
     if (array_type == NULL)
+        return NULL;
+    str_append = PyUnicode_InternFromString("append");
+    str_note_peak = PyUnicode_InternFromString("note_peak");
+    str_peak_occupancy = PyUnicode_InternFromString("peak_occupancy");
+    str_remap_count = PyUnicode_InternFromString("remap_count");
+    int_one = PyLong_FromLong(1);
+    if (str_append == NULL || str_note_peak == NULL ||
+        str_peak_occupancy == NULL || str_remap_count == NULL ||
+        int_one == NULL)
         return NULL;
     return PyModule_Create(&fastpath_module);
 }

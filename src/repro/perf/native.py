@@ -13,6 +13,13 @@ The simulator's innermost loops have bit-identical C implementations in
 * ``dram_service`` — DRAM bank timing over such an array.  The last two
   serve bursts issued apart from their path access (Palermo-style
   deferred writes) and the Rho and Ring small trees;
+* ``translate`` — one request's PosMap chain walk: the PLB and
+  victim-buffer probes, free promotions of stash and S-Stash resident
+  PosMap blocks into the PLB, and the re-insert of every PLB victim those
+  fills displace, returning the PosMap blocks still to fetch;
+* ``plb_install`` — a PLB fill and its victim's re-insert, for a fetched
+  or promoted PosMap block;
+* ``find_in_treetop`` — where a block sits in the cached top of a path;
 * ``draw_leaves`` — the position map's initial leaf table;
 * ``init_tree`` — the initial tree: a ``Random.shuffle`` of every block
   id, then bottom-up placement into the empty tree array, returning the
@@ -23,8 +30,9 @@ helper, ``randbelow``: ``Random._randbelow_with_getrandbits`` inlined
 over the RNG's bound ``getrandbits``, so the kernels consume exactly the
 bits the Python code consumes, and only for a plain ``random.Random``.
 
-``access_path``, ``run_batch`` and ``dram_triples`` take one 22-slot
-context tuple (:func:`kernel_ctx`) and share one read loop and one
+All but ``dram_service`` and the setup entries take one 33-slot context
+tuple (:func:`kernel_ctx`); ``access_path``, ``run_batch`` and
+``dram_triples`` read slots 0-21 and share one read loop and one
 placement engine, for both tree-top modes: the dedicated cache and
 IR-Stash's S-Stash, whose entries the read loop releases and whose
 set-occupancy gate the placement engine applies, reading each block's
@@ -34,10 +42,14 @@ stash is its ``block -> leaf`` dict alone: the kernels append read blocks
 to it, delete placed ones, and group write-phase candidates by scanning
 it in insertion order.  The tree's slots and the position map's leaves
 are two ``array('q')`` buffers the kernels index directly, computing
-each path's slot indexes from ``z_per_level``.  A path's DRAM addresses
-are computed per access from the layout's ``path_table`` (a third
-``array('q')``) and the DRAM geometry, and one timing loop serves every
-burst.  This module compiles the kernels with the system C compiler on
+each path's slot indexes from ``z_per_level``.  The PLB is three more
+(block ids per set in LRU-to-MRU order, dirty flags, per-set fill
+counts); the translation entries read those, the namespace bounds, the
+victim buffer and the counters from slots 22-32, and the tree and the
+position map only when a promotion or a re-insert needs them.  A path's
+DRAM addresses are computed per access from the layout's ``path_table``
+(one more ``array('q')``) and the DRAM geometry, and one timing loop
+serves every burst.  This module compiles the kernels with the system C compiler on
 first use, caches the shared object under ``~/.cache/repro-fastpath/``
 keyed by source hash and Python ABI, and exposes the loaded module as
 :data:`fastpath`.
@@ -60,6 +72,8 @@ import sysconfig
 from array import array
 from typing import Optional
 
+from .. import stats_keys as sk
+
 _MODULE_NAME = "_repro_fastpath"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_fastpath.c")
 
@@ -81,6 +95,17 @@ CTX_SLOTS = (
     "z_per_level", "level_used", "levels", "top", "empty", "bank_ready",
     "bank_open_row", "bus_free", "dram_params", "treetop_mode", "resident",
     "set_count", "set_of", "set_index", "ways", "getrandbits", "leaf_bits",
+    "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
+    "limbo", "internal_queue", "counters", "counter_keys", "stash", "posmap",
+)
+
+#: The counters ``translate`` and ``plb_install`` bump, in the order of
+#: ``enum TranslateKey`` in ``_fastpath.c``; the ``counter_keys`` slot.
+TRANSLATE_KEYS = (
+    sk.PLB_HITS, sk.PLB_EVICTIONS, sk.PLB_DIRTY_EVICTIONS,
+    sk.PLB_STASH_PROMOTIONS, sk.PLB_TREETOP_PROMOTIONS,
+    sk.SSTASH_PROBE_HITS, sk.SSTASH_PROBE_MISSES, sk.SSTASH_REMOVED,
+    sk.PLB_REINSERTS, sk.PLB_DEFERRED_REINSERTS,
 )
 
 #: ``access_path`` modes: what happens to the served block between the
@@ -89,8 +114,8 @@ SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
 
 
 def kernel_ctx(**slots) -> tuple:
-    """The context tuple ``access_path``, ``run_batch`` and
-    ``dram_triples`` take, from one keyword per :data:`CTX_SLOTS` name."""
+    """The context tuple every kernel entry but ``dram_service`` and the
+    setup entries takes, from one keyword per :data:`CTX_SLOTS` name."""
     return tuple(slots[name] for name in CTX_SLOTS)
 
 
@@ -125,7 +150,11 @@ def _self_test(module) -> bool:
             empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
             dram_params=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0,
             resident=None, set_count=None, set_of=None, set_index=None,
-            ways=0, getrandbits=None, leaf_bits=3,
+            ways=0, getrandbits=None, leaf_bits=3, plb_blocks=q([-1] * 2),
+            plb_dirty=q([0] * 2), plb_fills=q([0, 0]), plb_ways=1,
+            namespace=(4, 8, 10, 4), limbo=set(), internal_queue=[],
+            counters={}, counter_keys=TRANSLATE_KEYS, stash=None,
+            posmap=None,
         )
         base.update(slots)
         return kernel_ctx(**base)
@@ -213,6 +242,57 @@ def _self_test(module) -> bool:
         return False
     if module.dram_triples(triples_ctx, 1) != q(
         [2, 1, 5, 2, 1, 5, 1, 0, 6, 1, 0, 6]
+    ):
+        return False
+
+    # Translation under the S-Stash (root cached): user block 1's chain is
+    # PosMap1 block 4 then PosMap2 block 8 (namespace 4, 8, 10, fanout 4).
+    # Block 8 sits in the root, so it is promoted: its slot and S-Stash
+    # entry go, and it fills PLB set 0 (one way), evicting dirty block 6.
+    # Block 6's parent (8) is now in the PLB, so it re-inserts at once:
+    # restore draws 3 bits, 5 is rejected and 2 becomes its leaf; 8 is
+    # dirtied again (a PLB hit) and 6 enters the stash as a new peak.
+    # Block 4 is neither in the PLB, the stash nor the S-Stash.
+    class Stash:
+        peak_occupancy = 0
+
+        def note_peak(self):
+            self.peak_occupancy = len(entries)
+
+    class PosMap:
+        remap_count = 0
+
+    draws = iter([5, 2])
+    entries = {}
+    leaf_table = q([-1] * 10)
+    leaf_table[8] = 3
+    plb_blocks, plb_dirty, plb_fills = q([6, -1]), q([1, 0]), q([1, 0])
+    tree = q([-1, 8, -1, -1, -1, -1, -1, -1])
+    level_used = [1, 0, 0]
+    resident, set_count = {8: 0}, {0: 1}
+    counters = {}
+    stash, posmap = Stash(), PosMap()
+    chain = module.translate(ctx(
+        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        level_used=level_used, top=1, treetop_mode=1, resident=resident,
+        set_count=set_count, ways=1, getrandbits=lambda bits: next(draws),
+        plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
+        counters=counters, stash=stash, posmap=posmap,
+    ), 1)
+    if chain != [4]:
+        return False
+    if not (
+        entries == {6: 2} and leaf_table[6] == 2 and leaf_table[8] == -1
+        and plb_blocks == q([8, -1]) and plb_dirty == q([1, 0])
+        and plb_fills == q([1, 0]) and tree == q([-1] * 8)
+        and level_used == [0, 0, 0] and resident == {} and set_count == {}
+        and stash.peak_occupancy == 1 and posmap.remap_count == 1
+        and counters == {
+            sk.SSTASH_PROBE_HITS: 1, sk.SSTASH_REMOVED: 1,
+            sk.PLB_EVICTIONS: 1, sk.PLB_DIRTY_EVICTIONS: 1, sk.PLB_HITS: 1,
+            sk.PLB_REINSERTS: 1, sk.PLB_TREETOP_PROMOTIONS: 1,
+            sk.SSTASH_PROBE_MISSES: 1,
+        }
     ):
         return False
 

@@ -63,6 +63,23 @@ class TestORAMConfig:
                 eviction_threshold=200,
             )
 
+    @pytest.mark.parametrize(
+        "sets, ways", [(0, 4), (3, 4), (12, 4), (-8, 4), (8, 0), (8, -1)]
+    )
+    def test_plb_geometry_rejected(self, sets, ways):
+        """The PLB needs a power-of-two set count and at least one way,
+        checked when the config is built rather than by a controller."""
+        with pytest.raises(ConfigError):
+            ORAMConfig.uniform(
+                levels=5, user_blocks=8, plb_sets=sets, plb_ways=ways
+            )
+
+    def test_plb_geometry_accepted(self):
+        oram = ORAMConfig.uniform(
+            levels=5, user_blocks=8, plb_sets=1, plb_ways=1
+        )
+        assert (oram.plb_sets, oram.plb_ways) == (1, 1)
+
     def test_capacity_check(self):
         slots = 4 * ((1 << 5) - 1)  # 124
         with pytest.raises(ConfigError):

@@ -29,7 +29,7 @@ def audit_block_locations(controller, extra_holders=()):
                     locations[block].append(f"tree@L{level}")
     for block, _ in controller.stash.items():
         locations[block].append("stash")
-    for block in controller.plb._cache.contents():
+    for block in controller.plb.contents():
         locations[block].append("plb")
     for block in controller._limbo:
         locations[block].append("limbo")

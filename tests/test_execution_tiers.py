@@ -144,8 +144,29 @@ def test_random_subclass_runs_the_python_tier():
     assert sub_state == plain_state
 
 
+class _CountingKernels:
+    """The kernel module, counting the calls into each entry."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = {}
+
+    def __getattr__(self, name):
+        entry = getattr(self._module, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return entry(*args)
+
+        return counted
+
+
+#: Rho walks the translation chain from its own main-tree slots and
+#: IR-DWB from the dummy slot it converts; both must translate in C.
 @needs_native
-@pytest.mark.parametrize("scheme", ["Baseline", "IR-ORAM", "LLC-D"])
+@pytest.mark.parametrize(
+    "scheme", ["Baseline", "IR-ORAM", "LLC-D", "Rho", "IR-DWB"]
+)
 def test_native_event_stream_matches_kernel_less_run(scheme, monkeypatch):
     native_run = _observed_run(scheme, "mix")
     assert native_run[3].tier_counters()[KERNEL] > 0
@@ -186,3 +207,54 @@ def test_phase_hooks_select_the_python_tier(monkeypatch):
 
     monkeypatch.setattr(PositionMap, "remap", timed)
     assert PathORAMController(config)._kernel_tier()
+
+
+def _count_kernel_calls(controller):
+    """Route ``controller``'s kernel calls through a counter."""
+    kernels = _CountingKernels(controller._native)
+    controller._native = kernels
+    return kernels
+
+
+@needs_native
+@pytest.mark.parametrize("scheme", ["IR-ORAM", "Rho", "IR-DWB"])
+def test_translation_runs_in_the_kernel(scheme):
+    """Untraced and traced alike, every chain walk is a ``translate``
+    call and every PosMap fetch installs through ``plb_install``."""
+    config = SystemConfig.tiny()
+    stats = Stats()
+    components = build_scheme(scheme, config, stats, random.Random(5))
+    controller = components.controller
+    kernels = _count_kernel_calls(controller)
+    trace = make_workload("mix", config, 300, 5)
+    result = Simulator(components, trace).run()
+    assert kernels.calls.get("translate", 0) > 0
+    assert kernels.calls.get("plb_install", 0) == result.counters.get(
+        "posmap.accesses", 0
+    ) > 0
+
+
+@needs_native
+@pytest.mark.parametrize("hook", ["integrity", "biased-remap"])
+def test_hooked_controllers_translate_in_python(hook):
+    """The Merkle layer and the biased-remap mutant take translation off
+    the kernel along with their path accesses."""
+    from repro.oram.integrity import attach_integrity
+    from repro.security.mutants import build_mutant
+
+    config = SystemConfig.tiny()
+    stats = Stats()
+    if hook == "integrity":
+        components = build_scheme("Baseline", config, stats, random.Random(5))
+        attach_integrity(components.controller)
+    else:
+        components = build_mutant("biased-remap", config, stats,
+                                  random.Random(5))
+    controller = components.controller
+    assert not controller._kernel_translation()
+    kernels = _count_kernel_calls(controller)
+    trace = make_workload("mix", config, 300, 5)
+    result = Simulator(components, trace).run()
+    assert result.counters.get("posmap.accesses", 0) > 0
+    assert not {"translate", "plb_install", "find_in_treetop",
+                "access_path"} & set(kernels.calls)

@@ -10,6 +10,13 @@ position map must raise before any slot is touched, a malformed path
 table, DRAM geometry or tree array must raise before anything is
 indexed, and every exit must release every buffer: a leaked export makes
 ``array`` refuse to resize with ``BufferError``.
+
+The translation entries (``translate``, ``plb_install``,
+``find_in_treetop``) index the PLB's three arrays, the position map and
+the tree the same way: a block outside the namespace, PLB buffers of the
+wrong length or typecode, an install of a block whose mapping is still
+live and a lookup on an unmapped block's leaf (-1) raise with nothing
+mutated and the RNG untouched.
 """
 
 import random
@@ -225,3 +232,142 @@ def test_init_tree_rejects_before_writing(controller, case, error):
     assert (tree._slots.tobytes(), list(tree.level_used)) == before
     assert rng.getstate() == state
     _assert_no_export(tree._slots, table)
+
+
+def _translation_state(controller):
+    plb = controller.plb
+    treetop = controller.treetop
+    return _state(controller) + (
+        plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
+        sorted(controller._limbo), list(controller.internal_queue),
+        sorted(treetop._resident.items()), sorted(treetop._set_count.items()),
+        sorted(controller.stats.counters.items()),
+        controller.rng.getstate(),
+    )
+
+
+def _plb_arrays(controller):
+    plb = controller.plb
+    return plb._blocks, plb._dirty, plb._fills
+
+
+@pytest.fixture
+def translating(sstash_controller):
+    """An S-Stash controller whose PLB holds a dirty PosMap2 block, so a
+    translation that ran would promote, fill and re-insert."""
+    controller = sstash_controller
+    pm2 = controller.namespace.posmap2_base
+    controller.posmap.discard(pm2)
+    for level, position, slots in controller.tree.iter_buckets():
+        if pm2 in slots:
+            controller.tree.remove(level, position, pm2)
+            if level < controller.oram.top_cached_levels:
+                controller.treetop.on_remove(pm2)
+            break
+    else:
+        controller.stash.remove(pm2)
+    controller.plb.fill(pm2, dirty=True)
+    return controller
+
+
+@pytest.mark.parametrize("entry", ["translate", "plb_install"])
+def test_block_outside_namespace_raises(translating, entry):
+    """``translate`` raises ``Namespace.kind_of``'s error; ``plb_install``
+    also refuses a user block."""
+    controller = translating
+    ctx = controller._kernel_ctx()
+    before = _translation_state(controller)
+    total = controller.namespace.total_blocks
+    blocks = (total, -1) if entry == "translate" else (total, -1, 0)
+    for block in blocks:
+        with pytest.raises(ValueError) as raised:
+            if entry == "translate":
+                controller._native.translate(ctx, block)
+            else:
+                controller._native.plb_install(ctx, block, True, False)
+        if entry == "translate":
+            with pytest.raises(ValueError) as expected:
+                controller.namespace.kind_of(block)
+            assert str(raised.value) == str(expected.value)
+        else:
+            assert "not a PosMap block" in str(raised.value)
+        assert _translation_state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      *_plb_arrays(controller))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("short blocks", ValueError),
+    ("long dirty", ValueError),
+    ("fills not a power of two", ValueError),
+    ("dirty typecode", TypeError),
+    ("fills typecode", TypeError),
+    ("zero ways", ValueError),
+    ("fill count past ways", ValueError),
+])
+@pytest.mark.parametrize("entry", ["translate", "plb_install"])
+def test_malformed_plb_buffers_raise(translating, entry, case, error):
+    controller = translating
+    slots = dict(zip(native.CTX_SLOTS, controller._kernel_ctx()))
+    blocks = array("q", slots["plb_blocks"])
+    dirty = array("q", slots["plb_dirty"])
+    fills = array("q", slots["plb_fills"])
+    if case == "short blocks":
+        blocks.pop()
+    elif case == "long dirty":
+        dirty.append(0)
+    elif case == "fills not a power of two":
+        fills.append(0)
+    elif case == "dirty typecode":
+        dirty = array("i", dirty)
+    elif case == "fills typecode":
+        fills = array("i", fills)
+    elif case == "zero ways":
+        slots["plb_ways"] = 0
+    elif case == "fill count past ways":
+        fills[:] = array("q", [slots["plb_ways"] + 1]) * len(fills)
+    slots.update(plb_blocks=blocks, plb_dirty=dirty, plb_fills=fills)
+    ctx = native.kernel_ctx(**slots)
+    # A user block whose chain starts at the cached PosMap2 block.
+    pm1 = controller.namespace.posmap1_base
+    block = 0 if entry == "translate" else pm1
+    controller.posmap.discard(pm1)  # installable, were the buffers sound
+    before = _translation_state(controller)
+    with pytest.raises(error):
+        if entry == "translate":
+            controller._native.translate(ctx, block)
+        else:
+            controller._native.plb_install(ctx, block, False, True)
+    assert _translation_state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      blocks, dirty, fills)
+
+
+def test_install_of_a_mapped_block_raises(translating):
+    """The block an install takes has left the tree (fetched or promoted),
+    so its mapping is gone; a still-mapped one is refused before the PLB
+    or the RNG is touched."""
+    controller = translating
+    pm1 = controller.namespace.posmap1_base
+    assert controller.posmap.is_mapped(pm1)
+    before = _translation_state(controller)
+    with pytest.raises(RuntimeError, match="still mapped"):
+        controller._native.plb_install(
+            controller._kernel_ctx(), pm1, False, True
+        )
+    assert _translation_state(controller) == before
+    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
+                      *_plb_arrays(controller))
+
+
+def test_find_in_treetop_rejects_a_leaf_outside_the_tree(translating):
+    """Past the last leaf, or -1: the leaf an unmapped block has."""
+    controller = translating
+    before = _translation_state(controller)
+    for leaf in (controller.oram.leaves, -1):
+        with pytest.raises(RuntimeError, match="outside the tree"):
+            controller._native.find_in_treetop(
+                controller._kernel_ctx(), 0, leaf
+            )
+    assert _translation_state(controller) == before
+    _assert_no_export(controller.tree._slots)

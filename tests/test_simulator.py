@@ -159,7 +159,7 @@ class TestSchemeBehaviour:
         for holder in (
             controller.stash.blocks(),
             controller.small_stash.blocks(),
-            list(controller.plb._cache.contents()),
+            list(controller.plb.contents()),
             list(controller._limbo),
             list(controller.main_insert_queue),
         ):

@@ -86,8 +86,9 @@ class TestNativeFallbackEquivalence:
 class TestSStashPlacesInKernel:
     """With the kernel loaded, S-Stash schemes place and release in C.
 
-    ``SStash.on_remove`` then runs only for PLB tree-top promotions; the
-    read phase releases S-Stash entries inside the kernel.
+    No Python S-Stash hook runs: the read phase releases S-Stash entries
+    inside ``access_path`` and PLB tree-top promotions release theirs
+    inside ``translate``.
     """
 
     @pytest.mark.parametrize("scheme", ["IR-Stash", "IR-ORAM"])
@@ -114,9 +115,7 @@ class TestSStashPlacesInKernel:
         kernel = Simulator(components, trace).run()
         monkeypatch.undo()
         assert calls.count("may_place") == calls.count("on_place") == 0
-        assert calls.count("on_remove") == kernel.counters.get(
-            "plb.treetop_promotions", 0
-        )
+        assert calls.count("on_remove") == 0
         assert kernel.counters.get("sstash.removed", 0) > 0
         reference = _run(scheme, seed, reference=True, monkeypatch=monkeypatch)
         # Rejections on a full set really happen, and the kernel counts
