@@ -14,12 +14,14 @@ accesses of one path phase at once and receives the cycle at which the
 phase completes.  All public times are in CPU cycles (3.2 GHz); internal
 state is kept in DRAM cycles (800 MHz).
 
-Bank state is held in flat integer lists (``bank_ready``,
-``bank_open_row`` with ``-1`` meaning closed, ``bus_free``) indexed by
-``channel * banks_per_channel + bank``.  The batch-service inner loop runs
-in the optional :mod:`repro.perf.native` C kernel when available, with a
-bit-identical pure-Python fallback; a kernel path access times both of
-its bursts in C and books them through :meth:`DRAMModel.book`.
+Bank state is held in three flat ``array('q')`` buffers (``bank_ready``,
+``bank_open_row`` with ``-1`` meaning closed, ``bus_free``), banks indexed
+by ``channel * banks_per_channel + bank``.  The batch-service inner loop
+runs in the optional :mod:`repro.perf.native` C kernel when available,
+with a bit-identical pure-Python fallback.  A controller's kernel state
+holds the same three arrays, so a kernel path access times both of its
+bursts in C on them directly and books them through
+:meth:`DRAMModel.book`; the arrays never resize.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ class DRAMModel:
         self.config = config
         self.stats = stats if stats is not None else Stats()
         n_banks = config.channels * config.banks_per_channel
-        self.bank_ready: List[int] = [0] * n_banks
-        self.bank_open_row: List[int] = [_CLOSED] * n_banks
-        self.bus_free: List[int] = [0] * config.channels
+        self.bank_ready = array("q", [0]) * n_banks
+        self.bank_open_row = array("q", [_CLOSED]) * n_banks
+        self.bus_free = array("q", [0]) * config.channels
 
     # -- address decomposition ----------------------------------------------
     def decompose(self, phys_block: int) -> Tuple[int, int, int]:
@@ -227,13 +229,6 @@ class DRAMModel:
         hits = self.stats.get(sk.DRAM_ROW_HITS)
         total = self.stats.get(sk.DRAM_ACCESSES)
         return hits / total if total else 0.0
-
-    def reset_state(self) -> None:
-        """Close all rows and idle all buses; counters are preserved."""
-        n_banks = len(self.bank_ready)
-        self.bank_ready[:] = [0] * n_banks
-        self.bank_open_row[:] = [_CLOSED] * n_banks
-        self.bus_free[:] = [0] * self.config.channels
 
 
 def batch_from_addresses(

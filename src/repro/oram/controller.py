@@ -41,7 +41,7 @@ from ..mem.layout import TreeLayout
 from ..obs import events as ev
 from ..perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 from ..perf.native import fastpath as _fastpath
-from ..perf.native import TRANSLATE_KEYS, kernel_ctx
+from ..perf.native import TRANSLATE_KEYS
 from ..stats import Stats
 from .plb import PLB
 from .posmap import PositionMap
@@ -152,16 +152,10 @@ class PathORAMController:
         #: when True, classify write-phase placements for Fig. 5
         self.track_migration = False
 
-        self._z_list = list(self.oram.z_per_level)
-
         #: ``engine.batch.*`` bookkeeping for :meth:`run_dummy_batch`
         #: (calls, paths, per-phase nanoseconds); surfaced through the
         #: stats snapshot by the API layer after the run completes.
         self.batch_counters: dict = {}
-        #: the context tuple every C kernel call takes; built lazily by
-        #: :meth:`_kernel_ctx`, invalidated whenever a referenced container
-        #: is replaced (artifact adoption, unpickling).
-        self._ctx = None
         #: the tier verdict of the last path access (:meth:`_kernel_tier`),
         #: which translation follows; None until first needed
         self._tier: Optional[bool] = None
@@ -174,6 +168,7 @@ class PathORAMController:
         self.path_count = 0
         self._consecutive_evictions = 0
         self._initialize_tree()
+        self._bind_kernel_state()
 
     def _rebind_native(self) -> None:
         """(Re)derive the optional C-kernel binding from current state.
@@ -195,20 +190,95 @@ class PathORAMController:
             else None
         )
 
+    def _bind_kernel_state(self) -> None:
+        """(Re)build the ``KernelState`` every C kernel call takes.
+
+        It holds live references into controller state — the kernels
+        mutate the same arrays, dicts and sets the Python loops would, so
+        execution tiers can be mixed freely within one run — and
+        validates them once, here.  Rebuilt whenever a referenced
+        container is replaced: artifact adoption and unpickling.
+        """
+        self._kstate = (
+            self._native.KernelState(**self._kernel_state_fields())
+            if self._native is not None else None
+        )
+
+    def _kernel_state_fields(self) -> dict:
+        """The ``KernelState`` constructor's arguments, from live state."""
+        dram_cfg = self.config.dram
+        treetop = self.treetop
+        if treetop.addressable_by_block:
+            # IR-Stash's S-Stash: the kernels release its entries and gate
+            # placement on its set-occupancy dicts and set-index array.
+            sstash = dict(
+                treetop_mode=1, resident=treetop._resident,
+                set_count=treetop._set_count, set_of=treetop.set_of,
+                set_index=treetop._set_index, ways=treetop.ways,
+            )
+        else:
+            # The dedicated cache, whose hooks are bare counters.
+            sstash = dict(
+                treetop_mode=0, resident=None, set_count=None, set_of=None,
+                set_index=None, ways=0,
+            )
+        namespace = self.namespace
+        return dict(
+            leaves=self.oram.leaves,
+            z_per_level=self.oram.z_per_level,
+            top=self.oram.top_cached_levels,
+            tree_slots=self.tree._slots,
+            level_used=self.tree.level_used,
+            leaf_table=self.posmap._leaf_of,
+            entries=self.stash._entries,
+            path_table=self.layout.path_table,
+            bank_ready=self.dram.bank_ready,
+            bank_open_row=self.dram.bank_open_row,
+            bus_free=self.dram.bus_free,
+            dram=(
+                dram_cfg.cpu_cycles_per_dram_cycle,
+                dram_cfg.t_rp,
+                dram_cfg.t_rcd,
+                dram_cfg.t_burst,
+                dram_cfg.t_cas + dram_cfg.t_burst,
+                dram_cfg.row_blocks,
+                dram_cfg.channels,
+                dram_cfg.banks_per_channel,
+            ),
+            **sstash,
+            getrandbits=self.rng.getrandbits,
+            plb_blocks=self.plb._blocks,
+            plb_dirty=self.plb._dirty,
+            plb_fills=self.plb._fills,
+            plb_ways=self.plb.ways,
+            namespace=(
+                namespace.posmap1_base,
+                namespace.posmap2_base,
+                namespace.total_blocks,
+                namespace.fanout,
+            ),
+            limbo=self._limbo,
+            internal_queue=self.internal_queue,
+            counters=self.stats.counters,
+            counter_keys=TRANSLATE_KEYS,
+            stash=self.stash,
+            posmap=self.posmap,
+        )
+
     # ------------------------------------------------------------------
     # pickling (mid-run checkpoints)
     # ------------------------------------------------------------------
     # Controllers are snapshotted mid-run by repro.sim.checkpoint.  Three
     # kinds of attribute cannot (or must not) cross the pickle boundary:
     # the C kernel binding (a process-local module object), the kernel
-    # context derived for it, and the two observer hooks (arbitrary
+    # state built for it, and the two observer hooks (arbitrary
     # callables — auditors and checkpoint managers re-attach themselves
     # on resume).  Everything else is plain Python state and round-trips
     # exactly, so a resumed run is bit-identical to an uninterrupted one.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_native"] = None
-        state["_ctx"] = None
+        state["_kstate"] = None
         state["_tier"] = None
         state["observer"] = None
         state["slot_observer"] = None
@@ -217,6 +287,7 @@ class PathORAMController:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._rebind_native()
+        self._bind_kernel_state()
 
     # ------------------------------------------------------------------
     # initialization
@@ -413,9 +484,7 @@ class PathORAMController:
         """
         if self._kernel_translation():
             try:
-                return self._native.find_in_treetop(
-                    self._ctx or self._kernel_ctx(), block, leaf
-                )
+                return self._native.find_in_treetop(self._kstate, block, leaf)
             except RuntimeError as exc:
                 raise ProtocolError(str(exc)) from None
         tree = self.tree
@@ -491,9 +560,7 @@ class PathORAMController:
         """
         if self._kernel_translation():
             try:
-                return self._native.translate(
-                    self._ctx or self._kernel_ctx(), block
-                )
+                return self._native.translate(self._kstate, block)
             except RuntimeError as exc:
                 raise ProtocolError(str(exc)) from None
         kind = self.namespace.kind_of(block)
@@ -568,9 +635,7 @@ class PathORAMController:
     def _install_plb(self, pm_block: int, dirty: bool, fetch: bool) -> None:
         """``plb_install``: the PLB fill and its victim's re-insert in C."""
         try:
-            self._native.plb_install(
-                self._ctx or self._kernel_ctx(), pm_block, dirty, fetch
-            )
+            self._native.plb_install(self._kstate, pm_block, dirty, fetch)
         except RuntimeError as exc:
             raise ProtocolError(str(exc)) from None
 
@@ -663,7 +728,7 @@ class PathORAMController:
         try:
             (finish_read, finish_write, served_level, occupancy, blocks,
              read_dram, write_dram, hooks) = self._native.access_path(
-                self._kernel_ctx(), leaf, now, served, mode, write_burst
+                self._kstate, leaf, now, served, mode, write_burst
             )
         except RuntimeError as exc:
             raise ProtocolError(str(exc)) from None
@@ -752,8 +817,8 @@ class PathORAMController:
         trees at shifted base rows and keep private state).
         """
         self.layout = layout
-        # The kernel context holds the replaced layout's path table.
-        self._ctx = None
+        # The kernel state holds the replaced layout's path table.
+        self._bind_kernel_state()
 
     def _dram_triples(self, leaf: int) -> "array[int]":
         """The DRAM (bank, channel, row) triples of one path, computed
@@ -761,7 +826,7 @@ class PathORAMController:
         when loaded, else :meth:`TreeLayout.path_addresses` through
         :meth:`DRAMModel.decompose_batch`."""
         if self._native is not None:
-            return self._native.dram_triples(self._kernel_ctx(), leaf)
+            return self._native.dram_triples(self._kstate, leaf)
         return self.dram.decompose_batch(self.layout.path_addresses(leaf))
 
     def _write_path(self, leaf: int, finish_read: int, path_type: PathType,
@@ -1108,80 +1173,8 @@ class PathORAMController:
         return SlotResult(True, PathType.DUMMY, now, finish_read, finish_write)
 
     # ------------------------------------------------------------------
-    # native kernel context and whole-batch dummy stepping
+    # whole-batch dummy stepping
     # ------------------------------------------------------------------
-    def _kernel_ctx(self) -> tuple:
-        """The context tuple every C kernel call takes, built once.
-
-        All slots are live references into controller state: the kernels
-        mutate the same dicts/lists the Python loops would, so execution
-        tiers can be mixed freely within one run.
-        """
-        ctx = self._ctx
-        if ctx is not None:
-            return ctx
-        dram_cfg = self.config.dram
-        treetop = self.treetop
-        if treetop.addressable_by_block:
-            # IR-Stash's S-Stash: the kernels release its entries and gate
-            # placement on its set-occupancy dicts and set-index array.
-            sstash = dict(
-                treetop_mode=1, resident=treetop._resident,
-                set_count=treetop._set_count, set_of=treetop.set_of,
-                set_index=treetop._set_index, ways=treetop.ways,
-            )
-        else:
-            # The dedicated cache, whose hooks are bare counters.
-            sstash = dict(
-                treetop_mode=0, resident=None, set_count=None, set_of=None,
-                set_index=None, ways=0,
-            )
-        ctx = self._ctx = kernel_ctx(
-            leaves=self.oram.leaves,
-            path_table=self.layout.path_table,
-            entries=self.stash._entries,
-            leaf_table=self.posmap._leaf_of,
-            tree_slots=self.tree._slots,
-            z_per_level=self._z_list,
-            level_used=self.tree.level_used,
-            levels=self.oram.levels,
-            top=self.oram.top_cached_levels,
-            empty=EMPTY,
-            bank_ready=self.dram.bank_ready,
-            bank_open_row=self.dram.bank_open_row,
-            bus_free=self.dram.bus_free,
-            dram_params=(
-                dram_cfg.cpu_cycles_per_dram_cycle,
-                dram_cfg.t_rp,
-                dram_cfg.t_rcd,
-                dram_cfg.t_burst,
-                dram_cfg.t_cas + dram_cfg.t_burst,
-                dram_cfg.row_blocks,
-                dram_cfg.channels,
-                dram_cfg.banks_per_channel,
-            ),
-            **sstash,
-            getrandbits=self.rng.getrandbits,
-            leaf_bits=self.oram.leaves.bit_length(),
-            plb_blocks=self.plb._blocks,
-            plb_dirty=self.plb._dirty,
-            plb_fills=self.plb._fills,
-            plb_ways=self.plb.ways,
-            namespace=(
-                self.namespace.posmap1_base,
-                self.namespace.posmap2_base,
-                self.namespace.total_blocks,
-                self.namespace.fanout,
-            ),
-            limbo=self._limbo,
-            internal_queue=self.internal_queue,
-            counters=self.stats.counters,
-            counter_keys=TRANSLATE_KEYS,
-            stash=self.stash,
-            posmap=self.posmap,
-        )
-        return ctx
-
     def _apply_path_counters(
         self, n: int, path_type: PathType, blocks: int, hooks: tuple = (),
     ) -> None:
@@ -1240,7 +1233,7 @@ class PathORAMController:
             stash = self.stash
             n, new_now, max_occ, bounds, agg, timings = (
                 self._native.run_batch(
-                    self._kernel_ctx(),
+                    self._kstate,
                     now,
                     interval,
                     max_paths,

@@ -60,13 +60,18 @@ class PLB:
 
     def _touch(self, block: int, slot: int, dirty: int) -> None:
         """Move the block in ``slot`` to its set's most recently used end
-        with dirty flag ``dirty``."""
+        with dirty flag ``dirty``.
+
+        The kernel state holds these arrays, and ``array`` refuses even
+        an empty slice assignment while exporting, so an MRU block is not
+        shifted."""
         index = block & self._mask
         last = index * self.ways + self._fills[index] - 1
         blocks = self._blocks
         flags = self._dirty
-        blocks[slot:last] = blocks[slot + 1:last + 1]
-        flags[slot:last] = flags[slot + 1:last + 1]
+        if slot < last:
+            blocks[slot:last] = blocks[slot + 1:last + 1]
+            flags[slot:last] = flags[slot + 1:last + 1]
         blocks[last] = block
         flags[last] = dirty
 

@@ -38,7 +38,8 @@ class ORAMTree:
         self.config = config
         self.levels = config.levels
         self.z_per_level = config.z_per_level
-        self.level_used: List[int] = [0] * self.levels
+        #: real blocks per level, an ``array('q')`` the kernels update too
+        self.level_used = array("q", [0]) * self.levels
         self.level_slots: List[int] = [
             z << level for level, z in enumerate(self.z_per_level)
         ]

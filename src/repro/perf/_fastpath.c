@@ -6,10 +6,12 @@
  * stay in the tree as both fallback and behavioural oracle, and the
  * equivalence tests compare whole simulations across the two.
  *
- * The kernels operate directly on the simulator's live Python objects
- * (dicts and lists of ints, and the tree, position-map and layout
- * path-table arrays through the buffer protocol), so there is a single
- * source of truth for all state; no separate C-side state is kept.
+ * The kernels operate directly on the simulator's live Python objects, so
+ * there is a single source of truth for all state and no C-side copy of
+ * it.  A KernelState, built once per controller, holds the controller's
+ * array('q') state through the buffer protocol and references to the
+ * dicts, sets and objects the kernels mutate or call; everything it holds
+ * is validated once, when it is built.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,7 +20,8 @@
 #include <string.h>
 #include <time.h>
 
-/* array.array, imported at module init: dram_triples returns one. */
+/* array.array, imported at module init: dram_triples and draw_leaves
+ * return one. */
 static PyObject *array_type;
 
 static inline unsigned long long
@@ -29,6 +32,11 @@ now_ns(void)
     return (unsigned long long)ts.tv_sec * 1000000000ull +
            (unsigned long long)ts.tv_nsec;
 }
+
+/* Marker of an empty tree slot (tree.EMPTY) and of an unmapped block's
+ * leaf (posmap.UNMAPPED). */
+#define EMPTY -1
+#define UNMAPPED -1
 
 /* ---------------------------------------------------------------- */
 /* DRAM timing                                                       */
@@ -42,22 +50,22 @@ typedef struct {
     long long cas_burst;  /* t_cas + t_burst */
 } DramTiming;
 
-/* The DRAM model's bank state, hoisted from its three lists into one C
- * allocation: ``ready`` and ``open_row`` (-1 = closed) per flat bank,
- * ``bus_free`` per channel.
+/* The DRAM model's bank state, its three array('q') buffers: ``ready``
+ * and ``open_row`` (-1 = closed) per flat bank, ``bus_free`` per
+ * channel.
  */
 typedef struct {
     long long *ready, *open_row, *bus_free;
     Py_ssize_t n_banks, n_channels;
 } BankState;
 
-/* DRAMModel._service_py over hoisted bank state, the one DRAM timing
- * loop: ``triples`` holds ``n3`` (bank, channel, row) groups whose
- * bank/channel indices the caller has range-checked.  Row hit/conflict
- * counts accumulate into the caller's running totals.
+/* DRAMModel._service_py over the bank state, the one DRAM timing loop:
+ * ``triples`` holds ``n3`` (bank, channel, row) groups whose bank/channel
+ * indices the caller has range-checked.  Row hit/conflict counts
+ * accumulate into the caller's running totals.
  */
 static void
-dram_run_arr(const long long *triples, Py_ssize_t n3, BankState *b,
+dram_run_arr(const long long *triples, Py_ssize_t n3, const BankState *b,
              long long now_dram, const DramTiming *cfg,
              long long *finish_out, long long *hits_out,
              long long *conflicts_out)
@@ -94,85 +102,6 @@ dram_run_arr(const long long *triples, Py_ssize_t n3, BankState *b,
     *finish_out = finish;
 }
 
-/* Hoist the bank-state lists into ``b``.  Returns 0 with the arrays
- * allocated (pair with free_banks), or -1 with an exception set and
- * nothing held.
- */
-static int
-load_banks(BankState *b, PyObject *ready, PyObject *open_row,
-           PyObject *bus_free)
-{
-    b->n_banks = PyList_GET_SIZE(ready);
-    b->n_channels = PyList_GET_SIZE(bus_free);
-    if (PyList_GET_SIZE(open_row) != b->n_banks) {
-        PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
-        return -1;
-    }
-    b->ready = PyMem_Malloc(
-        sizeof(long long) * (size_t)(2 * b->n_banks + b->n_channels));
-    if (b->ready == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    b->open_row = b->ready + b->n_banks;
-    b->bus_free = b->open_row + b->n_banks;
-    for (Py_ssize_t i = 0; i < b->n_banks; i++) {
-        b->ready[i] = PyLong_AsLongLong(PyList_GET_ITEM(ready, i));
-        b->open_row[i] = PyLong_AsLongLong(PyList_GET_ITEM(open_row, i));
-    }
-    for (Py_ssize_t i = 0; i < b->n_channels; i++)
-        b->bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(bus_free, i));
-    if (PyErr_Occurred()) {
-        PyMem_Free(b->ready);
-        return -1;
-    }
-    return 0;
-}
-
-static void
-free_banks(BankState *b)
-{
-    PyMem_Free(b->ready);
-}
-
-/* list[i] = value unless it already holds that value.  Bounds-checked:
- * a callback may have resized the list since load_banks.
- */
-static int
-store_item(PyObject *list, Py_ssize_t i, long long value)
-{
-    PyObject *current = PyList_GetItem(list, i);
-    if (current == NULL)
-        return -1;
-    long long held = PyLong_AsLongLong(current);
-    if (held == -1 && PyErr_Occurred())
-        PyErr_Clear();
-    else if (held == value)
-        return 0;
-    PyObject *obj = PyLong_FromLongLong(value);
-    if (obj == NULL)
-        return -1;
-    PyList_SetItem(list, i, obj);
-    return 0;
-}
-
-/* Write hoisted bank state back to the lists load_banks read. */
-static int
-store_banks(const BankState *b, PyObject *ready, PyObject *open_row,
-            PyObject *bus_free)
-{
-    for (Py_ssize_t i = 0; i < b->n_banks; i++) {
-        if (store_item(ready, i, b->ready[i]) < 0 ||
-            store_item(open_row, i, b->open_row[i]) < 0)
-            return -1;
-    }
-    for (Py_ssize_t i = 0; i < b->n_channels; i++) {
-        if (store_item(bus_free, i, b->bus_free[i]) < 0)
-            return -1;
-    }
-    return 0;
-}
-
 /* Acquire ``obj`` as a writable buffer of ``long long`` (an array('q')).
  * Returns its item count, or -1 with an exception set and nothing held.
  */
@@ -197,59 +126,55 @@ get_q_buffer(PyObject *obj, Py_buffer *view, const char *what)
  * `triples` is the flat array('q') of (bank, channel, row) groups that
  * DRAMModel.decompose_batch or dram_triples produce; `ready`, `open_row`
  * (row id or -1 = closed) and `bus_free` are the model's bank-state
- * lists, updated in place.  Every bank and channel is range-checked
+ * arrays, updated in place.  Every bank and channel is range-checked
  * before the timing loop runs.  Mirrors DRAMModel._service_py.
  */
 static PyObject *
 dram_service(PyObject *self, PyObject *args)
 {
-    PyObject *triples, *ready, *open_row, *bus_free;
+    static const char *names[4] = {"triples", "ready", "open_row",
+                                   "bus_free"};
+    PyObject *objs[4];
     DramTiming cfg = {1, 0, 0, 0, 0};
     long long now_dram;
     if (!PyArg_ParseTuple(
-            args, "OO!O!O!LLLLL", &triples,
-            &PyList_Type, &ready, &PyList_Type, &open_row,
-            &PyList_Type, &bus_free, &now_dram,
-            &cfg.t_rp, &cfg.t_rcd, &cfg.t_burst, &cfg.cas_burst))
+            args, "OOOOLLLLL", &objs[0], &objs[1], &objs[2], &objs[3],
+            &now_dram, &cfg.t_rp, &cfg.t_rcd, &cfg.t_burst, &cfg.cas_burst))
         return NULL;
-    Py_buffer view;
-    Py_ssize_t n = get_q_buffer(triples, &view, "triples");
-    if (n < 0)
-        return NULL;
-    const long long *arr = view.buf;
-    BankState b;
-    long long finish = now_dram, row_hits = 0, conflicts = 0;
-    if (n % 3 != 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "triples length not a multiple of 3");
-        goto fail;
+    Py_buffer views[4];
+    Py_ssize_t len[4];
+    int held = 0;
+    PyObject *result = NULL;
+    for (; held < 4; held++) {
+        len[held] = get_q_buffer(objs[held], &views[held], names[held]);
+        if (len[held] < 0)
+            goto done;
     }
-    if (load_banks(&b, ready, open_row, bus_free) < 0)
-        goto fail;
-    for (Py_ssize_t i = 0; i < n; i += 3) {
+    const long long *arr = views[0].buf;
+    BankState b = {views[1].buf, views[2].buf, views[3].buf, len[1], len[3]};
+    if (len[0] % 3 != 0 || len[2] != len[1]) {
+        PyErr_SetString(PyExc_ValueError, "malformed dram_service call");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < len[0]; i += 3) {
         if (arr[i] < 0 || arr[i] >= b.n_banks ||
             arr[i + 1] < 0 || arr[i + 1] >= b.n_channels) {
             PyErr_SetString(PyExc_IndexError, "bank/channel out of range");
-            free_banks(&b);
-            goto fail;
+            goto done;
         }
     }
-    dram_run_arr(arr, n / 3, &b, now_dram, &cfg, &finish, &row_hits,
+    long long finish, row_hits = 0, conflicts = 0;
+    dram_run_arr(arr, len[0] / 3, &b, now_dram, &cfg, &finish, &row_hits,
                  &conflicts);
-    int rc = store_banks(&b, ready, open_row, bus_free);
-    free_banks(&b);
-    PyBuffer_Release(&view);
-    if (rc < 0)
-        return NULL;
-    return Py_BuildValue("LLL", finish, row_hits, conflicts);
-
-fail:
-    PyBuffer_Release(&view);
-    return NULL;
+    result = Py_BuildValue("LLL", finish, row_hits, conflicts);
+done:
+    while (held-- > 0)
+        PyBuffer_Release(&views[held]);
+    return result;
 }
 
 /* ---------------------------------------------------------------- */
-/* Stash grouping shared by the read and write phases                */
+/* Tree geometry and RNG draws                                       */
 /* ---------------------------------------------------------------- */
 
 static inline long long
@@ -267,16 +192,6 @@ deepest_level(long long levels, long long leaf, long long block_leaf)
 {
     return (levels - 1) - bit_length((unsigned long long)(leaf ^ block_leaf));
 }
-
-/* Pool entry of the placement engine: a stash block, in stash order.
- * ``block`` is borrowed from the stash dict, or NULL for a block that
- * run_batch's array mode read off the path without making an object.
- */
-typedef struct {
-    PyObject *block;
-    long long value;
-    Py_ssize_t idx;   /* read-order index (array-mode placement only) */
-} PoolItem;
 
 #define FASTPATH_MAX_LEVELS 64
 
@@ -305,13 +220,9 @@ level_offsets(PyObject **z_items, long long levels, long long *z_arr,
     return total;
 }
 
-/* ---------------------------------------------------------------- */
-/* RNG draws                                                         */
-/* ---------------------------------------------------------------- */
-
-/* A plain random.Random's bound ``getrandbits`` (borrowed) and the
- * bit-width PyLong of its last draw (owned, or NULL), cached across draws
- * of the same width. */
+/* A plain random.Random's bound ``getrandbits`` and the bit-width PyLong
+ * of its last draw (owned, or NULL), cached across draws of the same
+ * width. */
 typedef struct {
     PyObject *getrandbits;
     PyObject *bits;
@@ -353,75 +264,126 @@ randbelow(Draws *r, long long n, long long *out)
 }
 
 /* ---------------------------------------------------------------- */
-/* The kernel context                                                */
+/* The kernel state                                                  */
 /* ---------------------------------------------------------------- */
 
-/* The controller's one kernel context, unpacked.  ``ctx`` is the 33-slot
- * tuple PathORAMController._kernel_ctx freezes; access_path, dram_triples
- * and run_batch all take it and read slots 0-21; the translation entries
- * (translate, plb_install, find_in_treetop) read what they need of it,
- * slots 22-32 included:
- *
- *    0 leaves           leaf count
- *    1 path_table       TreeLayout.path_table, array('q')
- *    2 entries          the stash's block -> leaf dict, in stash order
- *    3 leaf_table       position-map leaves by block, array('q')
- *    4 tree_slots       every tree slot, level by level, array('q')
- *    5-9                z per level, level occupancy, levels, cached
- *                       top levels, empty-slot marker
- *   10-12               DRAM bank ready / open row / bus free lists
- *   13 dram params      (ratio, t_rp, t_rcd, t_burst, t_cas + t_burst,
- *                       row_blocks, channels, banks_per_channel)
- *   14 tree-top mode    0 = dedicated counter-only cache, 1 = S-Stash
- *   15-17               S-Stash resident, set_count, set_of
- *   18 set_index        S-Stash set index by block, array('q'), -1 where
- *                       set_of has not hashed the block yet
- *   19 ways             S-Stash ways per set
- *   20-21               the plain random.Random's getrandbits and the
- *                       leaf count's bit width, which seeds the leaf
- *                       draw's cached width
- *   22-24               the PLB's block ids (set by set, LRU first),
- *                       dirty flags and per-set fill counts, array('q')
- *   25 plb ways         slots per PLB set
- *   26 namespace        (posmap1_base, posmap2_base, total_blocks, fanout)
- *   27-28               the victim buffer: the _limbo set and the
- *                       internal_queue deque
- *   29-30               the stats counters dict and the counter keys the
- *                       translation entries bump (enum TranslateKey order)
- *   31-32               the Stash (peak tracking) and the PositionMap
- *                       (remap_count)
- *
- * Object fields are borrowed from the tuple.  The arrays are held as
- * buffers from parse_ctx to release_ctx, so nothing can resize them in
- * between (set_of still writes set_index items); level ``l``'s buckets
- * start at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
- * ORAMTree lays them out.  Bucket sizes and level occupancy are hoisted
- * into C arrays (occupancy goes back through store_used), and the
- * tree-top counters gather one call's hook effects for the caller to
- * apply.
+/* Pool entry of the placement engine: a stash block, in stash order.
+ * ``block`` is borrowed from the stash dict, or NULL for a block that
+ * run_batch's array mode read off the path without making an object.
  */
 typedef struct {
-    PyObject *entries, *level_used, *bank_ready, *bank_open_row, *bus_free,
-        *resident, *set_count, *set_of;
-    Py_buffer leaf_buf, tree_buf, path_buf, set_buf;
-    long long *leaf_table, *tree, *set_index;
+    PyObject *block;
+    long long value;
+    Py_ssize_t idx;   /* read-order index (array-mode placement only) */
+} PoolItem;
+
+/* path_access's empty-stash array-mode buffer: blocks read off the path
+ * bypass the stash dict and are kept here in read order, with their
+ * leaves and path depths.  ``items`` has room for 4 * cap entries — the
+ * upper three quarters are place_pools scratch.
+ */
+typedef struct {
+    PoolItem *items;
+    long long *leaf;
+    long long *depth;
+    unsigned char *placed;
+    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
+    Py_ssize_t n, cap;
+} ReadBuf;
+
+/* The counters the translation entries bump, in the order of the
+ * ``counter_keys`` tuple (native.TRANSLATE_KEYS).  The PLB's cache-level
+ * dirty-eviction count and fetch_posmap_block's own count share one key.
+ */
+enum TranslateKey {
+    TK_PLB_HITS, TK_PLB_EVICTIONS, TK_PLB_DIRTY_EVICTIONS,
+    TK_STASH_PROMOTIONS, TK_TREETOP_PROMOTIONS, TK_PROBE_HITS,
+    TK_PROBE_MISSES, TK_SSTASH_REMOVED, TK_REINSERTS, TK_DEFERRED_REINSERTS,
+    TK_COUNT
+};
+
+/* The array('q') buffers a KernelState holds, in constructor order. */
+enum {
+    BUF_TREE,        /* every tree slot, level by level (ORAMTree._slots) */
+    BUF_USED,        /* real blocks per level (ORAMTree.level_used) */
+    BUF_LEAF,        /* position-map leaves by block */
+    BUF_PATH,        /* TreeLayout.path_table */
+    BUF_READY, BUF_OPEN_ROW, BUF_BUS_FREE,  /* DRAMModel's bank state */
+    BUF_PLB_BLOCKS,  /* the PLB's block ids, set by set, LRU first */
+    BUF_PLB_DIRTY,   /* one dirty flag per PLB slot */
+    BUF_PLB_FILLS,   /* resident blocks per PLB set */
+    BUF_SET_INDEX,   /* S-Stash set by block, -1 until set_of hashes it;
+                      * held in tree-top mode 1 only */
+    N_BUFS
+};
+
+/* KernelState(leaves, z_per_level, top, tree_slots, level_used,
+ *             leaf_table, entries, path_table, bank_ready, bank_open_row,
+ *             bus_free, dram, treetop_mode, resident, set_count, set_of,
+ *             set_index, ways, getrandbits, plb_blocks, plb_dirty,
+ *             plb_fills, plb_ways, namespace, limbo, internal_queue,
+ *             counters, counter_keys, stash, posmap)
+ *
+ * One controller's state as every kernel entry but dram_service and the
+ * setup entries reads it, built once per controller:
+ *
+ *   leaves, z_per_level, top    leaf count, slots per bucket by level,
+ *                               cached top levels
+ *   tree_slots .. path_table    the BUF_* arrays above, and the stash's
+ *                               block -> leaf dict, in stash order
+ *   bank_ready .. bus_free      DRAMModel's bank state
+ *   dram                        (ratio, t_rp, t_rcd, t_burst,
+ *                               t_cas + t_burst, row_blocks, channels,
+ *                               banks_per_channel)
+ *   treetop_mode                0 = dedicated counter-only cache, 1 =
+ *                               S-Stash; then resident, set_count (dicts),
+ *                               set_of, set_index and ways per set
+ *   getrandbits                 the plain random.Random's bound method
+ *   plb_*                       the PLB's three arrays and its ways
+ *   namespace                   (posmap1_base, posmap2_base,
+ *                               total_blocks, fanout)
+ *   limbo, internal_queue       the victim buffer: a set and a deque
+ *   counters, counter_keys      the stats counters dict and the keys the
+ *                               translation entries bump (TranslateKey)
+ *   stash, posmap               the Stash (peak tracking) and the
+ *                               PositionMap (remap_count)
+ *
+ * The arrays stay exported for the state's lifetime, so nothing can
+ * resize them under the kernels (their items stay writable: set_of and
+ * the Python tier write the same arrays).  Level ``l``'s buckets start
+ * at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
+ * ORAMTree lays them out.  The state also keeps the scratch of one path
+ * (its DRAM triples and run_batch's read buffer) and the tree-top hook
+ * counts of the current path-entry call.
+ */
+typedef struct {
+    PyObject_HEAD
+    PyObject *entries, *resident, *set_count, *set_of, *limbo, *queue,
+        *counters, *keys, *stash, *posmap;
+    Draws rng;  /* getrandbits owned */
+    Py_buffer bufs[N_BUFS];
+    long long *tree, *level_used, *leaf_table, *set_index;
+    long long *plb_blocks, *plb_dirty, *plb_fills;
     const long long *path_table;
+    BankState banks;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
     Py_ssize_t set_index_len;
-    long long leaf, leaves, levels, top, empty, ways;
+    long long leaves, levels, top, ways;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
-    Draws rng;  /* leaf draws */
     DramTiming dram;
     long long row_blocks, channels, banks_per_channel;
     long long path_blocks;  /* memory-backed slots on every path */
     long long z_arr[FASTPATH_MAX_LEVELS];
     long long offset[FASTPATH_MAX_LEVELS];
-    long long used_arr[FASTPATH_MAX_LEVELS];
+    long long p1_base, p2_base, total, fanout;  /* the namespace */
+    long long plb_sets, plb_ways;
+    long long *triples;  /* one path's DRAM triples */
+    ReadBuf rb;
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
-} KernelCtx;
+    int depth;  /* nested PLB victim re-inserts */
+} KernelState;
 
-/* Slots of the kernel context tuple. */
-#define CTX_LEN 33
+static PyTypeObject KernelStateType;
 
 /* Fields of one level record in TreeLayout.path_table. */
 enum { PT_SHIFT, PT_Z, PT_R, PT_ROW_BASE, PT_ROWS, PT_FIRST, PT_FIELDS };
@@ -431,25 +393,13 @@ enum { PT_SHIFT, PT_Z, PT_R, PT_ROW_BASE, PT_ROWS, PT_FIRST, PT_FIELDS };
  * root-first order, each with the tree's Z for its level; every offset
  * index a leaf can reach lies inside the table; no row computation
  * overflows or goes negative, so every bank and channel lands inside
- * the bank-state lists.  Sets ``path_blocks``.  Returns 0, or -1 with
+ * the bank-state arrays.  Sets ``path_blocks``.  Returns 0, or -1 with
  * ValueError set.
  */
 static int
-check_path_table(KernelCtx *c, Py_ssize_t len)
+check_path_table(KernelState *c, Py_ssize_t len)
 {
     const long long *t = c->path_table;
-    long long n_banks;
-    if (c->row_blocks <= 0 || c->channels <= 0 ||
-        c->banks_per_channel <= 0 ||
-        __builtin_mul_overflow(c->channels, c->banks_per_channel,
-                               &n_banks) ||
-        n_banks != (long long)PyList_GET_SIZE(c->bank_ready) ||
-        n_banks != (long long)PyList_GET_SIZE(c->bank_open_row) ||
-        c->channels != (long long)PyList_GET_SIZE(c->bus_free)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "DRAM geometry does not match the bank lists");
-        return -1;
-    }
     if (len < 1 || t[0] < 0 || t[0] > c->levels ||
         len < 1 + PT_FIELDS * t[0]) {
         PyErr_SetString(PyExc_ValueError, "malformed path table");
@@ -499,180 +449,246 @@ check_path_table(KernelCtx *c, Py_ssize_t len)
     return 0;
 }
 
-/* Release every buffer and reference parse_ctx acquired; views it never
- * filled hold no object, and PyBuffer_Release skips them.
- */
 static void
-release_ctx(KernelCtx *c)
+state_dealloc(KernelState *s)
 {
-    PyBuffer_Release(&c->tree_buf);
-    PyBuffer_Release(&c->leaf_buf);
-    PyBuffer_Release(&c->path_buf);
-    PyBuffer_Release(&c->set_buf);
-    Py_CLEAR(c->rng.bits);
+    PyObject_GC_UnTrack(s);
+    for (int i = 0; i < N_BUFS; i++)
+        PyBuffer_Release(&s->bufs[i]);
+    Py_XDECREF(s->entries);
+    Py_XDECREF(s->resident);
+    Py_XDECREF(s->set_count);
+    Py_XDECREF(s->set_of);
+    Py_XDECREF(s->limbo);
+    Py_XDECREF(s->queue);
+    Py_XDECREF(s->counters);
+    Py_XDECREF(s->keys);
+    Py_XDECREF(s->stash);
+    Py_XDECREF(s->posmap);
+    Py_XDECREF(s->rng.getrandbits);
+    Py_XDECREF(s->rng.bits);
+    PyMem_Free(s->triples);
+    PyMem_Free(s->rb.items);
+    Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
-/* Unpack and validate ``ctx`` into ``c``, and parse ``leaf_obj`` into
- * ``c->leaf`` unless it is NULL.  Returns 0 with the arrays held (pair
- * with release_ctx), or -1 with an exception set and nothing held.
- */
 static int
-parse_ctx(PyObject *ctx, PyObject *leaf_obj, KernelCtx *c)
+state_traverse(KernelState *s, visitproc visit, void *arg)
 {
-    c->leaf_buf.obj = c->tree_buf.obj = c->path_buf.obj = NULL;
-    c->set_buf.obj = NULL;
-    c->rng.bits = NULL;
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != CTX_LEN) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
-        return -1;
-    }
-#define CTX(i) PyTuple_GET_ITEM(ctx, i)
-    PyObject *path_table = CTX(1);
-    c->entries = CTX(2);
-    PyObject *leaf_table = CTX(3);
-    PyObject *tree_slots = CTX(4);
-    PyObject *z_list = CTX(5);
-    c->level_used = CTX(6);
-    c->bank_ready = CTX(10);
-    c->bank_open_row = CTX(11);
-    c->bus_free = CTX(12);
-    PyObject *dram_params = CTX(13);
-    c->resident = CTX(15);
-    c->set_count = CTX(16);
-    c->set_of = CTX(17);
-    PyObject *set_index = CTX(18);
-    c->rng.getrandbits = CTX(20);
-    PyObject *leaf_bits = CTX(21);
-    c->leaves = PyLong_AsLongLong(CTX(0));
-    c->levels = PyLong_AsLongLong(CTX(7));
-    c->top = PyLong_AsLongLong(CTX(8));
-    c->empty = PyLong_AsLongLong(CTX(9));
-    long long mode = PyLong_AsLongLong(CTX(14));
-    c->ways = PyLong_AsLongLong(CTX(19));
-    c->rng.k = PyLong_AsLongLong(leaf_bits);
-#undef CTX
-    if (PyErr_Occurred())
-        return -1;
-    if (!PyDict_Check(c->entries) ||
-        !PyList_Check(z_list) || !PyList_Check(c->level_used) ||
-        !PyList_Check(c->bank_ready) || !PyList_Check(c->bank_open_row) ||
-        !PyList_Check(c->bus_free) ||
-        !PyTuple_Check(dram_params) || PyTuple_GET_SIZE(dram_params) != 8) {
-        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
-        return -1;
-    }
+    for (int i = 0; i < N_BUFS; i++)
+        Py_VISIT(s->bufs[i].obj);
+    Py_VISIT(s->entries);
+    Py_VISIT(s->resident);
+    Py_VISIT(s->set_count);
+    Py_VISIT(s->set_of);
+    Py_VISIT(s->limbo);
+    Py_VISIT(s->queue);
+    Py_VISIT(s->counters);
+    Py_VISIT(s->keys);
+    Py_VISIT(s->stash);
+    Py_VISIT(s->posmap);
+    Py_VISIT(s->rng.getrandbits);
+    return 0;
+}
+
+/* The one place the state is validated: object types, the tree-top
+ * mode, the tree geometry against the slot and occupancy arrays, the DRAM
+ * geometry against the bank arrays, the path table, the PLB geometry
+ * against its arrays and the namespace.  A failed construction holds
+ * nothing.
+ */
+static PyObject *
+state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {
+        "leaves", "z_per_level", "top", "tree_slots", "level_used",
+        "leaf_table", "entries", "path_table", "bank_ready",
+        "bank_open_row", "bus_free", "dram", "treetop_mode", "resident",
+        "set_count", "set_of", "set_index", "ways", "getrandbits",
+        "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
+        "limbo", "internal_queue", "counters", "counter_keys", "stash",
+        "posmap", NULL,
+    };
+    static const char *names[N_BUFS] = {
+        "tree_slots", "level_used", "leaf_table", "path_table",
+        "bank_ready", "bank_open_row", "bus_free", "plb_blocks",
+        "plb_dirty", "plb_fills", "set_index",
+    };
+    KernelState *s = (KernelState *)type->tp_alloc(type, 0);
+    if (s == NULL)
+        return NULL;
+    PyObject *z_obj, *arrays[N_BUFS], *entries, *resident, *set_count,
+        *set_of, *getrandbits, *limbo, *queue, *counters, *keys, *stash,
+        *posmap;
+    long long mode;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds,
+            "LOLOOOO!OOOO(LLLLLLLL)LOOOOLOOOOL(LLLL)O!OO!O!OO:KernelState",
+            kwlist, &s->leaves, &z_obj, &s->top, &arrays[BUF_TREE],
+            &arrays[BUF_USED], &arrays[BUF_LEAF], &PyDict_Type, &entries,
+            &arrays[BUF_PATH], &arrays[BUF_READY], &arrays[BUF_OPEN_ROW],
+            &arrays[BUF_BUS_FREE], &s->dram.ratio, &s->dram.t_rp,
+            &s->dram.t_rcd, &s->dram.t_burst, &s->dram.cas_burst,
+            &s->row_blocks, &s->channels, &s->banks_per_channel, &mode,
+            &resident, &set_count, &set_of, &arrays[BUF_SET_INDEX],
+            &s->ways, &getrandbits, &arrays[BUF_PLB_BLOCKS],
+            &arrays[BUF_PLB_DIRTY], &arrays[BUF_PLB_FILLS], &s->plb_ways,
+            &s->p1_base, &s->p2_base, &s->total, &s->fanout, &PySet_Type,
+            &limbo, &queue, &PyDict_Type, &counters, &PyTuple_Type, &keys,
+            &stash, &posmap))
+        goto fail;
+    s->entries = Py_NewRef(entries);
+    s->resident = Py_NewRef(resident);
+    s->set_count = Py_NewRef(set_count);
+    s->set_of = Py_NewRef(set_of);
+    s->limbo = Py_NewRef(limbo);
+    s->queue = Py_NewRef(queue);
+    s->counters = Py_NewRef(counters);
+    s->keys = Py_NewRef(keys);
+    s->stash = Py_NewRef(stash);
+    s->posmap = Py_NewRef(posmap);
+    s->rng.getrandbits = Py_NewRef(getrandbits);
+    s->rng.k = -1;
+    s->gated = (mode == 1);
+
     if (mode != 0 && mode != 1) {
         PyErr_SetString(PyExc_ValueError, "unknown tree-top mode");
-        return -1;
+        goto fail;
     }
-    if (mode == 1 &&
-        (!PyDict_Check(c->resident) || !PyDict_Check(c->set_count))) {
+    if (s->gated && (!PyDict_Check(resident) || !PyDict_Check(set_count))) {
         PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
-        return -1;
+        goto fail;
     }
-    c->gated = (mode == 1);
-#define PARAM(i) PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, i))
-    c->dram.ratio = PARAM(0);
-    c->dram.t_rp = PARAM(1);
-    c->dram.t_rcd = PARAM(2);
-    c->dram.t_burst = PARAM(3);
-    c->dram.cas_burst = PARAM(4);
-    c->row_blocks = PARAM(5);
-    c->channels = PARAM(6);
-    c->banks_per_channel = PARAM(7);
-#undef PARAM
-    if (PyErr_Occurred())
-        return -1;
-    if (c->dram.ratio <= 0) {
-        PyErr_SetString(PyExc_ValueError, "DRAM clock ratio must be positive");
-        return -1;
+    if (PyTuple_GET_SIZE(keys) != TK_COUNT) {
+        PyErr_SetString(PyExc_TypeError,
+                        "counter_keys must name every translation counter");
+        goto fail;
     }
-    if (c->levels < 1 || c->levels >= FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)c->levels ||
-        PyList_GET_SIZE(c->level_used) < (Py_ssize_t)c->levels) {
+    PyObject *z_seq = PySequence_Fast(z_obj, "z_per_level must be a sequence");
+    if (z_seq == NULL)
+        goto fail;
+    s->levels = PySequence_Fast_GET_SIZE(z_seq);
+    long long total = -1;
+    if (s->levels < 1 || s->levels >= FASTPATH_MAX_LEVELS)
         PyErr_SetString(PyExc_ValueError, "unsupported level count");
-        return -1;
-    }
-    if (c->leaves < 1 || c->leaves > (1LL << (c->levels - 1))) {
-        PyErr_SetString(PyExc_ValueError, "leaf count does not fit the tree");
-        return -1;
-    }
-    long long total = level_offsets(PySequence_Fast_ITEMS(z_list), c->levels,
-                                    c->z_arr, c->offset);
+    else
+        total = level_offsets(PySequence_Fast_ITEMS(z_seq), s->levels,
+                              s->z_arr, s->offset);
+    Py_DECREF(z_seq);
     if (total < 0)
-        return -1;
-    for (long long d = 0; d < c->levels; d++)
-        c->used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d));
-    if (PyErr_Occurred())
-        return -1;
-    if (leaf_obj != NULL) {
-        c->leaf = PyLong_AsLongLong(leaf_obj);
-        if (c->leaf == -1 && PyErr_Occurred())
-            return -1;
-        if (c->leaf < 0 || c->leaf >= c->leaves) {
-            PyErr_SetString(PyExc_IndexError, "leaf out of range");
-            return -1;
-        }
+        goto fail;
+    if (s->leaves < 1 || s->leaves > (1LL << (s->levels - 1)) ||
+        s->top < 0 || s->top > s->levels) {
+        PyErr_SetString(PyExc_ValueError, "tree geometry out of range");
+        goto fail;
     }
-    c->placed_top = c->removed_top = 0;
-    c->ss_placed = c->ss_removed = c->ss_skips = 0;
 
-    c->rng.bits = Py_NewRef(leaf_bits);
-    Py_ssize_t path_len =
-        get_q_buffer(path_table, &c->path_buf, "path_table");
-    if (path_len < 0)
-        goto fail;
-    c->path_table = c->path_buf.buf;
-    if (check_path_table(c, path_len) < 0)
-        goto fail;
-    c->leaf_count = get_q_buffer(leaf_table, &c->leaf_buf, "leaf_table");
-    if (c->leaf_count < 0)
-        goto fail;
-    c->leaf_table = c->leaf_buf.buf;
-    Py_ssize_t tree_len = get_q_buffer(tree_slots, &c->tree_buf, "tree_slots");
-    if (tree_len < 0)
-        goto fail;
-    c->tree = c->tree_buf.buf;
-    if (tree_len != total) {
-        PyErr_SetString(PyExc_ValueError,
-                        "tree_slots length does not match z per level");
-        goto fail;
-    }
-    c->set_index = NULL;
-    c->set_index_len = 0;
-    if (c->gated) {
-        c->set_index_len = get_q_buffer(set_index, &c->set_buf, "set_index");
-        if (c->set_index_len < 0)
+    Py_ssize_t len[N_BUFS];
+    for (int i = 0; i < (s->gated ? N_BUFS : BUF_SET_INDEX); i++) {
+        len[i] = get_q_buffer(arrays[i], &s->bufs[i], names[i]);
+        if (len[i] < 0)
             goto fail;
-        c->set_index = c->set_buf.buf;
     }
-    return 0;
+    s->tree = s->bufs[BUF_TREE].buf;
+    s->level_used = s->bufs[BUF_USED].buf;
+    s->leaf_table = s->bufs[BUF_LEAF].buf;
+    s->leaf_count = len[BUF_LEAF];
+    s->path_table = s->bufs[BUF_PATH].buf;
+    s->banks.ready = s->bufs[BUF_READY].buf;
+    s->banks.open_row = s->bufs[BUF_OPEN_ROW].buf;
+    s->banks.bus_free = s->bufs[BUF_BUS_FREE].buf;
+    s->banks.n_banks = len[BUF_READY];
+    s->banks.n_channels = len[BUF_BUS_FREE];
+    s->plb_blocks = s->bufs[BUF_PLB_BLOCKS].buf;
+    s->plb_dirty = s->bufs[BUF_PLB_DIRTY].buf;
+    s->plb_fills = s->bufs[BUF_PLB_FILLS].buf;
+    s->plb_sets = len[BUF_PLB_FILLS];
+    if (s->gated) {
+        s->set_index = s->bufs[BUF_SET_INDEX].buf;
+        s->set_index_len = len[BUF_SET_INDEX];
+    }
+    if (len[BUF_TREE] != total || len[BUF_USED] != s->levels) {
+        PyErr_SetString(PyExc_ValueError,
+                        "tree arrays do not match z per level");
+        goto fail;
+    }
+    long long n_banks;
+    if (s->dram.ratio <= 0 || s->row_blocks <= 0 || s->channels <= 0 ||
+        s->banks_per_channel <= 0 ||
+        __builtin_mul_overflow(s->channels, s->banks_per_channel,
+                               &n_banks) ||
+        n_banks != len[BUF_READY] || n_banks != len[BUF_OPEN_ROW] ||
+        s->channels != len[BUF_BUS_FREE]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "DRAM geometry does not match the bank arrays");
+        goto fail;
+    }
+    if (check_path_table(s, len[BUF_PATH]) < 0)
+        goto fail;
+    if (s->plb_sets < 1 || (s->plb_sets & (s->plb_sets - 1)) ||
+        s->plb_ways < 1 || s->plb_ways > PY_SSIZE_T_MAX / s->plb_sets ||
+        len[BUF_PLB_BLOCKS] != s->plb_sets * s->plb_ways ||
+        len[BUF_PLB_DIRTY] != len[BUF_PLB_BLOCKS]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "PLB buffers do not match its geometry");
+        goto fail;
+    }
+    if (s->p1_base < 0 || s->p2_base < s->p1_base ||
+        s->total < s->p2_base || s->fanout < 1) {
+        PyErr_SetString(PyExc_ValueError, "malformed namespace");
+        goto fail;
+    }
+
+    /* Scratch: one path's triples, and the read buffer of run_batch's
+     * array mode (one entry per slot of a path). */
+    long long max_slots = 0;
+    for (long long d = 0; d < s->levels; d++)
+        max_slots += s->z_arr[d];
+    s->triples = PyMem_Malloc(sizeof(long long) *
+                              (size_t)(3 * s->path_blocks + 1));
+    s->rb.items = PyMem_Malloc(
+        (sizeof(PoolItem) * 4 + sizeof(long long) * 2 + 1) *
+        (size_t)(max_slots + 1));
+    if (s->triples == NULL || s->rb.items == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    s->rb.leaf = (long long *)(s->rb.items + 4 * (max_slots + 1));
+    s->rb.depth = s->rb.leaf + max_slots + 1;
+    s->rb.placed = (unsigned char *)(s->rb.depth + max_slots + 1);
+    s->rb.cap = max_slots;
+    return (PyObject *)s;
 
 fail:
-    release_ctx(c);
-    return -1;
+    Py_DECREF(s);
+    return NULL;
 }
 
+static PyTypeObject KernelStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_fastpath.KernelState",
+    .tp_basicsize = sizeof(KernelState),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One controller's state, as the kernel entries read it.",
+    .tp_new = state_new,
+    .tp_dealloc = (destructor)state_dealloc,
+    .tp_traverse = (traverseproc)state_traverse,
+};
 
-/* Write the hoisted level occupancy back to the ctx's ``level_used``. */
-static int
-store_used(const KernelCtx *c)
+/* The state argument of a METH_FASTCALL entry. */
+static KernelState *
+state_arg(PyObject *obj)
 {
-    for (long long d = 0; d < c->levels; d++) {
-        if (PyLong_AsLongLong(PyList_GET_ITEM(c->level_used, d)) ==
-            c->used_arr[d])
-            continue;
-        PyObject *value = PyLong_FromLongLong(c->used_arr[d]);
-        if (value == NULL)
-            return -1;
-        PyList_SetItem(c->level_used, d, value);
+    if (!PyObject_TypeCheck(obj, &KernelStateType)) {
+        PyErr_SetString(PyExc_TypeError, "expected a KernelState");
+        return NULL;
     }
-    return 0;
+    return (KernelState *)obj;
 }
 
 /* The first tree slot of the bucket on the path to ``leaf`` at ``level``. */
 static inline long long *
-path_bucket(const KernelCtx *c, long long leaf, long long level)
+path_bucket(const KernelState *c, long long leaf, long long level)
 {
     return c->tree + c->offset[level] +
            (leaf >> (c->levels - 1 - level)) * c->z_arr[level];
@@ -735,20 +751,6 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
     return rc;
 }
 
-/* path_access's empty-stash array-mode buffer: blocks read off the path
- * bypass the stash dict and are kept here in read order, with their
- * leaves and path depths.  ``items`` has room for 4 * cap entries — the
- * upper three quarters are place_pools scratch.
- */
-typedef struct {
-    PoolItem *items;
-    long long *leaf;
-    long long *depth;
-    unsigned char *placed;
-    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
-    Py_ssize_t n, cap;
-} ReadBuf;
-
 /* The read phase of one path access, the one read loop behind
  * path_access: clear every real block off the path to ``leaf``, release
  * its tree-top entry when it sat in a cached level (S-Stash removal in
@@ -760,14 +762,14 @@ typedef struct {
  * set.
  */
 static int
-read_path_core(KernelCtx *c, long long leaf, ReadBuf *rb, long long served,
+read_path_core(KernelState *c, long long leaf, ReadBuf *rb, long long served,
                long long *served_level)
 {
     for (long long level = 0; level < c->levels; level++) {
         long long *slots = path_bucket(c, leaf, level);
         for (long long s = 0; s < c->z_arr[level]; s++) {
             long long value = slots[s];
-            if (value == c->empty)
+            if (value == EMPTY)
                 continue;
             if (value < 0 || value >= c->leaf_count) {
                 PyErr_SetString(PyExc_IndexError,
@@ -775,12 +777,12 @@ read_path_core(KernelCtx *c, long long leaf, ReadBuf *rb, long long served,
                 return -1;
             }
             long long bleaf = c->leaf_table[value];
-            if (bleaf == -1) {
+            if (bleaf == UNMAPPED) {
                 PyErr_SetString(PyExc_ValueError, "block has no mapping");
                 return -1;
             }
-            slots[s] = c->empty;
-            c->used_arr[level]--;
+            slots[s] = EMPTY;
+            c->level_used[level]--;
             if (value == served)
                 *served_level = level;
             if (level < c->top) {
@@ -831,7 +833,7 @@ read_path_core(KernelCtx *c, long long leaf, ReadBuf *rb, long long served,
  * set.
  */
 static int
-group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
+group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
                Py_ssize_t *counts, Py_ssize_t *offsets)
 {
     Py_ssize_t fill[FASTPATH_MAX_LEVELS];
@@ -879,7 +881,7 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
  * maintain the block-address index (``resident``), mirroring the Python
  * placement loop with SStash.may_place/on_place; rejected blocks are
  * retried at shallower levels exactly like the Python
- * ``pool.extend(rejected)``.  Counter deltas accumulate into the ctx.
+ * ``pool.extend(rejected)``.  Hook counts accumulate into the state.
  *
  * With ``placed_out`` NULL each placed block is removed from the stash
  * dict as it lands; the array-mode caller (whose blocks never entered
@@ -887,7 +889,7 @@ group_by_depth(const KernelCtx *c, long long leaf, PoolItem *items,
  * marked so survivors can be written back afterwards.
  */
 static int
-place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
+place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             const Py_ssize_t *counts, const Py_ssize_t *offsets,
             unsigned char *placed_out)
 {
@@ -952,7 +954,7 @@ place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
                 }
             }
             /* first EMPTY slot (earlier ones were just filled) */
-            while (scan < z && slots[scan] != c->empty)
+            while (scan < z && slots[scan] != EMPTY)
                 scan++;
             if (scan == z) {
                 PyErr_SetString(PyExc_RuntimeError,
@@ -960,7 +962,7 @@ place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
                 goto item_fail;
             }
             slots[scan++] = item.value;
-            c->used_arr[level]++;
+            c->level_used[level]++;
             placed++;
             if (level_gated) {
                 PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
@@ -1002,7 +1004,7 @@ place_pools(KernelCtx *c, long long leaf, PoolItem *items, Py_ssize_t total,
  * land.
  */
 static int
-write_place_core(KernelCtx *c, long long leaf)
+write_place_core(KernelState *c, long long leaf)
 {
     Py_ssize_t total = PyDict_GET_SIZE(c->entries);
     if (total == 0)
@@ -1030,7 +1032,7 @@ write_place_core(KernelCtx *c, long long leaf)
  * check_path_table has bounded every index and row this reaches.
  */
 static void
-fill_triples(const KernelCtx *c, long long leaf, long long *out)
+fill_triples(const KernelState *c, long long leaf, long long *out)
 {
     const long long *t = c->path_table;
     for (long long i = 0; i < t[0]; i++) {
@@ -1060,7 +1062,18 @@ fill_triples(const KernelCtx *c, long long leaf, long long *out)
     }
 }
 
-/* dram_triples(ctx, leaf) -> array('q') of [bank, channel, row, ...]
+/* A leaf argument outside [0, leaves) is an IndexError. */
+static int
+check_leaf(const KernelState *c, long long leaf)
+{
+    if (leaf < 0 || leaf >= c->leaves) {
+        PyErr_SetString(PyExc_IndexError, "leaf out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* dram_triples(state, leaf) -> array('q') of [bank, channel, row, ...]
  *
  * The DRAM triples of the path to ``leaf`` through fill_triples, for
  * bursts issued apart from their access_path call (deferred writes, the
@@ -1069,19 +1082,16 @@ fill_triples(const KernelCtx *c, long long leaf, long long *out)
 static PyObject *
 dram_triples(PyObject *self, PyObject *args)
 {
-    PyObject *ctx, *leaf_obj;
-    if (!PyArg_ParseTuple(args, "OO!", &ctx, &PyLong_Type, &leaf_obj))
-        return NULL;
-    KernelCtx c;
-    if (parse_ctx(ctx, leaf_obj, &c) < 0)
+    KernelState *c;
+    long long leaf;
+    if (!PyArg_ParseTuple(args, "O!L", &KernelStateType, &c, &leaf) ||
+        check_leaf(c, leaf) < 0)
         return NULL;
     PyObject *raw = PyBytes_FromStringAndSize(
-        NULL, (Py_ssize_t)sizeof(long long) * 3 * c.path_blocks);
-    if (raw != NULL)
-        fill_triples(&c, c.leaf, (long long *)PyBytes_AS_STRING(raw));
-    release_ctx(&c);
+        NULL, (Py_ssize_t)sizeof(long long) * 3 * c->path_blocks);
     if (raw == NULL)
         return NULL;
+    fill_triples(c, leaf, (long long *)PyBytes_AS_STRING(raw));
     PyObject *result = PyObject_CallFunction(array_type, "sO", "q", raw);
     Py_DECREF(raw);
     return result;
@@ -1104,7 +1114,7 @@ enum { SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT };
  * RuntimeError, which the controller raises as a ProtocolError.
  */
 static int
-served_step(KernelCtx *c, long long leaf, long long served, int mode)
+served_step(KernelState *c, long long leaf, long long served, int mode)
 {
     PyObject *key = PyLong_FromLongLong(served);
     if (key == NULL)
@@ -1118,7 +1128,7 @@ served_step(KernelCtx *c, long long leaf, long long served, int mode)
     } else if (rc == 1 && mode == SERVED_EXTRACT) {
         rc = PyDict_DelItem(c->entries, key);
         if (rc == 0)
-            c->leaf_table[served] = -1;  /* posmap.UNMAPPED */
+            c->leaf_table[served] = UNMAPPED;
     } else if (rc == 1) {
         long long new_leaf;
         rc = randbelow(&c->rng, c->leaves, &new_leaf);
@@ -1138,7 +1148,7 @@ served_step(KernelCtx *c, long long leaf, long long served, int mode)
  * engine, and let the rare survivors enter the stash dict in read order.
  */
 static int
-place_read_buf(KernelCtx *c, long long leaf, ReadBuf *rb)
+place_read_buf(KernelState *c, long long leaf, ReadBuf *rb)
 {
     if (rb->n == 0)
         return 0;
@@ -1173,12 +1183,12 @@ typedef struct {
 /* One whole path access over the live controller state, the one
  * per-path function behind access_path and run_batch's loop:
  *
- *   the read burst (fill_triples into ``triples``, then dram_run_arr at
- *   ``now``); the read phase (read_path_core); the served block's step
- *   (served_step, unless ``mode`` is SERVED_NONE); greedy bottom-up
- *   placement; and the write burst at the read phase's finish, unless
- *   ``write_burst`` is 0 (the caller then issues it later, and
- *   ``finish_write`` is the read phase's finish).
+ *   the read burst (fill_triples, then dram_run_arr at ``now``); the
+ *   read phase (read_path_core); the served block's step (served_step,
+ *   unless ``mode`` is SERVED_NONE); greedy bottom-up placement; and the
+ *   write burst at the read phase's finish, unless ``write_burst`` is 0
+ *   (the caller then issues it later, and ``finish_write`` is the read
+ *   phase's finish).
  *
  * The read phase bypasses the stash dict (``rb``'s array mode) when
  * ``rb`` is non-NULL, nothing is served and the stash is empty: blocks
@@ -1193,9 +1203,9 @@ typedef struct {
  * with an exception set.
  */
 static int
-path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
-            long long leaf, long long now, long long served, int mode,
-            int write_burst, PathOut *out, unsigned long long *clock)
+path_access(KernelState *c, ReadBuf *rb, long long leaf, long long now,
+            long long served, int mode, int write_burst, PathOut *out,
+            unsigned long long *clock)
 {
     const DramTiming *d = &c->dram;
     unsigned long long t0 = clock != NULL ? now_ns() : 0;
@@ -1206,8 +1216,8 @@ path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
         t0 = t1;                                                        \
     }
     long long finish;
-    fill_triples(c, leaf, triples);
-    dram_run_arr(triples, c->path_blocks, banks,
+    fill_triples(c, leaf, c->triples);
+    dram_run_arr(c->triples, c->path_blocks, &c->banks,
                  (now + d->ratio - 1) / d->ratio, d, &finish,
                  &out->read_hits, &out->read_conflicts);
     out->finish_read = out->finish_write = finish * d->ratio;
@@ -1235,7 +1245,7 @@ path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
     LAP(2)
 
     if (write_burst) {
-        dram_run_arr(triples, c->path_blocks, banks,
+        dram_run_arr(c->triples, c->path_blocks, &c->banks,
                      (out->finish_read + d->ratio - 1) / d->ratio, d,
                      &finish, &out->write_hits, &out->write_conflicts);
         out->finish_write = finish * d->ratio;
@@ -1245,7 +1255,15 @@ path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
     return 0;
 }
 
-/* access_path(ctx, leaf, now, served, mode, write_burst)
+/* Zero the tree-top hook counts at the start of a path-entry call. */
+static void
+reset_hooks(KernelState *c)
+{
+    c->placed_top = c->removed_top = 0;
+    c->ss_placed = c->ss_removed = c->ss_skips = 0;
+}
+
+/* access_path(state, leaf, now, served, mode, write_burst)
  *   -> (finish_read, finish_write, served_level, occupancy, blocks,
  *       (read_hits, read_conflicts), (write_hits, write_conflicts),
  *       (placed_top, removed_top, sstash_placed, sstash_removed,
@@ -1256,74 +1274,54 @@ path_access(KernelCtx *c, BankState *banks, long long *triples, ReadBuf *rb,
  * (``mode`` SERVED_REMAP or SERVED_EXTRACT), or None for an eviction or
  * dummy path (SERVED_NONE).  ``occupancy`` is the stash occupancy right
  * after the read phase, ``blocks`` the memory blocks each burst moves.
- * The served block and the leaf are range-checked before anything is
- * touched.
+ * The leaf, the mode and the served block are checked before anything
+ * is touched.
  */
 static PyObject *
 access_path(PyObject *self, PyObject *args)
 {
-    PyObject *ctx, *leaf_obj, *served_obj;
-    long long now;
+    KernelState *c;
+    PyObject *served_obj;
+    long long leaf, now, served = EMPTY;
     int mode, write_burst;
-    if (!PyArg_ParseTuple(args, "OO!LOip", &ctx, &PyLong_Type, &leaf_obj,
-                          &now, &served_obj, &mode, &write_burst))
+    if (!PyArg_ParseTuple(args, "O!LLOip", &KernelStateType, &c, &leaf,
+                          &now, &served_obj, &mode, &write_burst) ||
+        check_leaf(c, leaf) < 0)
         return NULL;
-    KernelCtx c;
-    if (parse_ctx(ctx, leaf_obj, &c) < 0)
-        return NULL;
-    BankState banks = {NULL, NULL, NULL, 0, 0};
-    long long *triples = NULL;
-    long long served = c.empty;
-    PathOut out;
-    memset(&out, 0, sizeof out);
     if (mode < SERVED_NONE || mode > SERVED_EXTRACT ||
         (mode == SERVED_NONE) != (served_obj == Py_None) || now < 0) {
         PyErr_SetString(PyExc_ValueError, "malformed access_path call");
-        goto fail;
+        return NULL;
     }
     if (served_obj != Py_None) {
         served = PyLong_AsLongLong(served_obj);
         if (served == -1 && PyErr_Occurred())
-            goto fail;
-        if (served < 0 || served >= c.leaf_count) {
+            return NULL;
+        if (served < 0 || served >= c->leaf_count) {
             PyErr_SetString(PyExc_IndexError,
                             "served block outside position map");
-            goto fail;
+            return NULL;
         }
     }
-    triples = PyMem_Malloc(sizeof(long long) * 3 * (size_t)c.path_blocks);
-    if (triples == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    if (load_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
-        goto fail;
-    if (path_access(&c, &banks, triples, NULL, c.leaf, now, served, mode,
-                    write_burst, &out, NULL) < 0 ||
-        store_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0 ||
-        store_used(&c) < 0)
-        goto fail;
-    free_banks(&banks);
-    PyMem_Free(triples);
-    release_ctx(&c);
+    PathOut out;
+    memset(&out, 0, sizeof out);
+    reset_hooks(c);
+    if (path_access(c, NULL, leaf, now, served, mode, write_burst, &out,
+                    NULL) < 0)
+        return NULL;
     return Py_BuildValue(
         "LLLLL(LL)(LL)(LLLLL)", out.finish_read, out.finish_write,
-        out.served_level, out.occupancy, c.path_blocks, out.read_hits,
+        out.served_level, out.occupancy, c->path_blocks, out.read_hits,
         out.read_conflicts, out.write_hits, out.write_conflicts,
-        c.placed_top, c.removed_top, c.ss_placed, c.ss_removed, c.ss_skips);
-
-fail:
-    free_banks(&banks);
-    PyMem_Free(triples);
-    release_ctx(&c);
-    return NULL;
+        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
+        c->ss_skips);
 }
 
 /* ---------------------------------------------------------------- */
 /* Whole-run batch stepping                                          */
 /* ---------------------------------------------------------------- */
 
-/* run_batch(ctx, now, interval, max_paths, horizon, stop_threshold,
+/* run_batch(state, now, interval, max_paths, horizon, stop_threshold,
  *           trigger_threshold, want_bounds, collect_timing)
  *   -> (n, now, max_occupancy, bounds | None, agg, timings | None)
  *
@@ -1348,60 +1346,23 @@ fail:
 static PyObject *
 run_batch(PyObject *self, PyObject *args)
 {
-    PyObject *ctx;
+    KernelState *c;
     long long now, interval, max_paths, horizon, stop_threshold,
         trigger_threshold;
     int want_bounds, collect_timing;
-    if (!PyArg_ParseTuple(args, "OLLLLLLpp",
-                          &ctx, &now, &interval, &max_paths, &horizon,
+    if (!PyArg_ParseTuple(args, "O!LLLLLLpp", &KernelStateType, &c,
+                          &now, &interval, &max_paths, &horizon,
                           &stop_threshold, &trigger_threshold,
                           &want_bounds, &collect_timing))
         return NULL;
-    KernelCtx c;
-    if (parse_ctx(ctx, NULL, &c) < 0)
-        return NULL;
-    PyObject *bounds = NULL;
-    BankState banks = {NULL, NULL, NULL, 0, 0};
-    long long *triples = NULL;
-    ReadBuf rb;
-    memset(&rb, 0, sizeof rb);
     if (max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
-        goto fail;
+        return NULL;
     }
-
-    triples = PyMem_Malloc(sizeof(long long) * 3 * (size_t)c.path_blocks);
-    if (triples == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    /* Hoist bank state into C arrays; written back only on success.
-     * Nothing the kernel calls back into (the RNG, S-Stash ``set_of``)
-     * reads the bank lists or level occupancy mid-batch.
-     */
-    if (load_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
-        goto fail;
+    PyObject *bounds = NULL;
     if (want_bounds && (bounds = PyList_New(0)) == NULL)
-        goto fail;
-
-    /* The array-mode buffer path_access reads into when a path begins
-     * with an empty stash, the steady state for dummy-path batches. */
-    long long max_slots = 0;
-    for (long long d = 0; d < c.levels; d++)
-        max_slots += c.z_arr[d];
-    if (max_slots > 0) {
-        size_t bytes = (sizeof(PoolItem) * 4 + sizeof(long long) * 2 + 1) *
-                       (size_t)max_slots;
-        rb.items = PyMem_Malloc(bytes);
-        if (rb.items == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        rb.leaf = (long long *)(rb.items + 4 * max_slots);
-        rb.depth = rb.leaf + max_slots;
-        rb.placed = (unsigned char *)(rb.depth + max_slots);
-        rb.cap = max_slots;
-    }
+        return NULL;
+    reset_hooks(c);
 
     long long n = 0;
     long long max_occ = 0;
@@ -1415,21 +1376,23 @@ run_batch(PyObject *self, PyObject *args)
         if (horizon >= 0 && now >= horizon)
             break;
         if (stop_threshold >= 0 &&
-            (long long)PyDict_GET_SIZE(c.entries) > stop_threshold)
+            (long long)PyDict_GET_SIZE(c->entries) > stop_threshold)
             break;
         unsigned long long t0 = collect_timing ? now_ns() : 0;
         long long leaf;
-        if (randbelow(&c.rng, c.leaves, &leaf) < 0)
+        if (randbelow(&c->rng, c->leaves, &leaf) < 0)
             goto fail;
         if (collect_timing)
             t_rng += now_ns() - t0;
-        if (path_access(&c, &banks, triples, rb.items != NULL ? &rb : NULL,
-                        leaf, now, c.empty, SERVED_NONE, 1, &out,
+        /* The array-mode buffer is used when a path begins with an
+         * empty stash, the steady state for dummy-path batches. */
+        if (path_access(c, c->rb.cap > 0 ? &c->rb : NULL, leaf, now, EMPTY,
+                        SERVED_NONE, 1, &out,
                         collect_timing ? clock : NULL) < 0)
             goto fail;
         if (out.occupancy > max_occ)
             max_occ = out.occupancy;
-        if ((long long)PyDict_GET_SIZE(c.entries) > trigger_threshold)
+        if ((long long)PyDict_GET_SIZE(c->entries) > trigger_threshold)
             ev_triggers++;
         if (want_bounds) {
             long long triple[3] = {now, out.finish_read, out.finish_write};
@@ -1447,16 +1410,6 @@ run_batch(PyObject *self, PyObject *args)
         n++;
     }
 
-    /* Write the bank state and level occupancy back to the model's
-     * lists. */
-    if (store_banks(&banks, c.bank_ready, c.bank_open_row, c.bus_free) < 0)
-        goto fail;
-    if (store_used(&c) < 0)
-        goto fail;
-    free_banks(&banks);
-    PyMem_Free(triples);
-    PyMem_Free(rb.items);
-    release_ctx(&c);
     if (bounds == NULL)
         bounds = Py_NewRef(Py_None);
     PyObject *timings = collect_timing
@@ -1469,33 +1422,19 @@ run_batch(PyObject *self, PyObject *args)
     }
     return Py_BuildValue(
         "(LLLN(LLLL(LLLLL))N)", n, now, max_occ, bounds,
-        n * c.path_blocks, out.read_hits + out.write_hits,
+        n * c->path_blocks, out.read_hits + out.write_hits,
         out.read_conflicts + out.write_conflicts, ev_triggers,
-        c.placed_top, c.removed_top, c.ss_placed, c.ss_removed, c.ss_skips,
-        timings);
+        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
+        c->ss_skips, timings);
 
 fail:
-    free_banks(&banks);
-    PyMem_Free(triples);
-    PyMem_Free(rb.items);
     Py_XDECREF(bounds);
-    release_ctx(&c);
     return NULL;
 }
 
 /* ---------------------------------------------------------------- */
 /* Translation: the PosMap chain, free promotions and the PLB        */
 /* ---------------------------------------------------------------- */
-
-/* The counters the translation entries bump, in the order of the ctx's
- * counter-key tuple (slot 30).  The PLB's cache-level dirty-eviction count
- * and fetch_posmap_block's own count share one key. */
-enum TranslateKey {
-    TK_PLB_HITS, TK_PLB_EVICTIONS, TK_PLB_DIRTY_EVICTIONS,
-    TK_STASH_PROMOTIONS, TK_TREETOP_PROMOTIONS, TK_PROBE_HITS,
-    TK_PROBE_MISSES, TK_SSTASH_REMOVED, TK_REINSERTS, TK_DEFERRED_REINSERTS,
-    TK_COUNT
-};
 
 /* Victim re-inserts nest (a victim's own translation can promote and
  * displace another victim); deeper than this is reported as the
@@ -1507,221 +1446,13 @@ enum TranslateKey {
 static PyObject *str_append, *str_note_peak, *str_peak_occupancy,
     *str_remap_count, *int_one;
 
-/* The tree array and the geometry of its cached top, held for a scan:
- * ctx slots 4, 5, 7 and 8, with the array's length checked against the
- * bucket sizes. */
-typedef struct {
-    Py_buffer buf;
-    long long *slots;
-    long long levels, top;
-    long long z_arr[FASTPATH_MAX_LEVELS], offset[FASTPATH_MAX_LEVELS];
-} TreeView;
-
-/* Hold ``ctx``'s tree as ``v``.  Returns 0 with the buffer held (release
- * ``v->buf``), or -1 with an exception set and nothing held. */
-static int
-hold_tree(PyObject *ctx, TreeView *v)
-{
-    PyObject *z_list = PyTuple_GET_ITEM(ctx, 5);
-    v->buf.obj = NULL;
-    v->levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 7));
-    v->top = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 8));
-    if (PyErr_Occurred())
-        return -1;
-    if (!PyList_Check(z_list) || v->levels < 1 ||
-        v->levels >= FASTPATH_MAX_LEVELS || v->top < 0 ||
-        v->top > v->levels ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)v->levels) {
-        PyErr_SetString(PyExc_ValueError, "unsupported tree geometry");
-        return -1;
-    }
-    long long total = level_offsets(PySequence_Fast_ITEMS(z_list), v->levels,
-                                    v->z_arr, v->offset);
-    if (total < 0)
-        return -1;
-    Py_ssize_t len = get_q_buffer(PyTuple_GET_ITEM(ctx, 4), &v->buf,
-                                  "tree_slots");
-    if (len < 0)
-        return -1;
-    if (len != total) {
-        PyBuffer_Release(&v->buf);
-        PyErr_SetString(PyExc_ValueError,
-                        "tree_slots length does not match z per level");
-        return -1;
-    }
-    v->slots = v->buf.buf;
-    return 0;
-}
-
-/* What one translation call reads of the kernel context.  The PLB
- * buffers, the namespace, the victim buffer, the counters and the stash
- * dict are unpacked for every call (parse_translate); the tree, the
- * position map, the RNG and the rest of the tree geometry only once a
- * promotion or a re-insert needs them (need_deep).  Object fields are
- * borrowed from the tuple.
- */
-typedef struct {
-    PyObject *ctx;
-    long long p1_base, p2_base, total, fanout;
-    Py_buffer blocks_buf, dirty_buf, fills_buf;
-    long long *blocks, *dirty, *fills;
-    long long sets, ways;
-    PyObject *limbo, *queue, *counters, *keys, *entries, *resident;
-    long long top;
-    int sstash;  /* tree-top mode 1: the S-Stash is searched by address */
-    int deep;    /* the fields below are held */
-    TreeView tree;
-    Py_buffer leaf_buf;
-    long long *leaf_table;
-    Py_ssize_t leaf_count;
-    PyObject *level_used, *set_count, *stash, *posmap;
-    long long leaves, empty;
-    Draws rng;
-    int depth;   /* nested victim re-inserts */
-} Translator;
-
-static void
-release_translate(Translator *t)
-{
-    PyBuffer_Release(&t->blocks_buf);
-    PyBuffer_Release(&t->dirty_buf);
-    PyBuffer_Release(&t->fills_buf);
-    PyBuffer_Release(&t->leaf_buf);
-    PyBuffer_Release(&t->tree.buf);
-    Py_CLEAR(t->rng.bits);
-}
-
-/* Unpack the per-call part of ``ctx`` into ``t`` and validate it: the
- * namespace tuple, the PLB buffers (typecode, and lengths against the
- * set count and ``ways``; the set count a power of two), the victim
- * buffer's types and the counter-key tuple.  Returns 0 with the PLB
- * buffers held (pair with release_translate), or -1 with an exception
- * set and nothing held.
- */
-static int
-parse_translate(PyObject *ctx, Translator *t)
-{
-    t->blocks_buf.obj = t->dirty_buf.obj = t->fills_buf.obj = NULL;
-    t->leaf_buf.obj = t->tree.buf.obj = NULL;
-    t->rng.bits = NULL;
-    t->deep = 0;
-    t->depth = 0;
-    t->ctx = ctx;
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != CTX_LEN) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
-        return -1;
-    }
-#define CTX(i) PyTuple_GET_ITEM(ctx, i)
-    PyObject *ns = CTX(26);
-    t->entries = CTX(2);
-    t->resident = CTX(15);
-    t->limbo = CTX(27);
-    t->queue = CTX(28);
-    t->counters = CTX(29);
-    t->keys = CTX(30);
-    t->top = PyLong_AsLongLong(CTX(8));
-    long long mode = PyLong_AsLongLong(CTX(14));
-    t->ways = PyLong_AsLongLong(CTX(25));
-    if (PyErr_Occurred())
-        return -1;
-    if (!PyTuple_Check(ns) || PyTuple_GET_SIZE(ns) != 4 ||
-        !PyDict_Check(t->entries) || !PyAnySet_Check(t->limbo) ||
-        !PyDict_Check(t->counters) || !PyTuple_Check(t->keys) ||
-        PyTuple_GET_SIZE(t->keys) != TK_COUNT ||
-        (mode == 1 && !PyDict_Check(t->resident))) {
-        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
-        return -1;
-    }
-    t->sstash = (mode == 1);
-    t->p1_base = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 0));
-    t->p2_base = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 1));
-    t->total = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 2));
-    t->fanout = PyLong_AsLongLong(PyTuple_GET_ITEM(ns, 3));
-    if (PyErr_Occurred())
-        return -1;
-    if (t->p1_base < 0 || t->p2_base < t->p1_base ||
-        t->total < t->p2_base || t->fanout < 1 || t->top < 0) {
-        PyErr_SetString(PyExc_ValueError, "malformed namespace");
-        return -1;
-    }
-    Py_ssize_t n_blocks = get_q_buffer(CTX(22), &t->blocks_buf, "plb_blocks");
-    if (n_blocks < 0)
-        goto fail;
-    Py_ssize_t n_dirty = get_q_buffer(CTX(23), &t->dirty_buf, "plb_dirty");
-    if (n_dirty < 0)
-        goto fail;
-    t->sets = get_q_buffer(CTX(24), &t->fills_buf, "plb_fills");
-    if (t->sets < 0)
-        goto fail;
-#undef CTX
-    t->blocks = t->blocks_buf.buf;
-    t->dirty = t->dirty_buf.buf;
-    t->fills = t->fills_buf.buf;
-    if (t->sets < 1 || (t->sets & (t->sets - 1)) || t->ways < 1 ||
-        t->ways > PY_SSIZE_T_MAX / t->sets ||
-        n_blocks != t->sets * t->ways || n_dirty != n_blocks) {
-        PyErr_SetString(PyExc_ValueError,
-                        "PLB buffers do not match its geometry");
-        goto fail;
-    }
-    return 0;
-
-fail:
-    release_translate(t);
-    return -1;
-}
-
-/* Unpack and hold what promotions and re-inserts touch: the position
- * map and tree arrays, the tree geometry and the RNG.  Idempotent.
- * Returns 0, or -1 with an exception set.
- */
-static int
-need_deep(Translator *t)
-{
-    if (t->deep)
-        return 0;
-#define CTX(i) PyTuple_GET_ITEM(t->ctx, i)
-    PyObject *leaf_bits = CTX(21);
-    t->level_used = CTX(6);
-    t->set_count = CTX(16);
-    t->stash = CTX(31);
-    t->posmap = CTX(32);
-    t->rng.getrandbits = CTX(20);
-    t->leaves = PyLong_AsLongLong(CTX(0));
-    t->empty = PyLong_AsLongLong(CTX(9));
-    t->rng.k = PyLong_AsLongLong(leaf_bits);
-    PyObject *leaf_table = CTX(3);
-#undef CTX
-    if (PyErr_Occurred())
-        return -1;
-    if (!PyList_Check(t->level_used) ||
-        (t->sstash && !PyDict_Check(t->set_count))) {
-        PyErr_SetString(PyExc_TypeError, "malformed kernel ctx");
-        return -1;
-    }
-    if (hold_tree(t->ctx, &t->tree) < 0)
-        return -1;
-    if (PyList_GET_SIZE(t->level_used) < (Py_ssize_t)t->tree.levels ||
-        t->leaves < 1 || t->leaves > (1LL << (t->tree.levels - 1))) {
-        PyErr_SetString(PyExc_ValueError, "unsupported tree geometry");
-        return -1;  /* release_translate drops the tree */
-    }
-    t->leaf_count = get_q_buffer(leaf_table, &t->leaf_buf, "leaf_table");
-    if (t->leaf_count < 0)
-        return -1;
-    t->leaf_table = t->leaf_buf.buf;
-    t->rng.bits = Py_NewRef(leaf_bits);
-    t->deep = 1;
-    return 0;
-}
-
 /* counters[TranslateKey k] += 1, as Stats.inc does on its defaultdict:
  * a missing key starts at 0.0. */
 static int
-bump(Translator *t, int k)
+bump(KernelState *c, int k)
 {
-    PyObject *key = PyTuple_GET_ITEM(t->keys, k);
-    PyObject *held = PyDict_GetItemWithError(t->counters, key);
+    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
+    PyObject *held = PyDict_GetItemWithError(c->counters, key);
     PyObject *value;
     if (held == NULL) {
         if (PyErr_Occurred())
@@ -1732,7 +1463,7 @@ bump(Translator *t, int k)
     }
     if (value == NULL)
         return -1;
-    int rc = PyDict_SetItem(t->counters, key, value);
+    int rc = PyDict_SetItem(c->counters, key, value);
     Py_DECREF(value);
     return rc;
 }
@@ -1740,17 +1471,17 @@ bump(Translator *t, int k)
 /* The PLB slot holding ``block``, -1 when it is not resident, or -2 with
  * ValueError set when its set's fill count is out of range. */
 static Py_ssize_t
-plb_slot(const Translator *t, long long block)
+plb_slot(const KernelState *c, long long block)
 {
-    long long set = block & (t->sets - 1);
-    long long fill = t->fills[set];
-    if (fill < 0 || fill > t->ways) {
+    long long set = block & (c->plb_sets - 1);
+    long long fill = c->plb_fills[set];
+    if (fill < 0 || fill > c->plb_ways) {
         PyErr_SetString(PyExc_ValueError, "PLB fill count out of range");
         return -2;
     }
-    Py_ssize_t base = (Py_ssize_t)(set * t->ways);
+    Py_ssize_t base = (Py_ssize_t)(set * c->plb_ways);
     for (Py_ssize_t slot = base; slot < base + fill; slot++) {
-        if (t->blocks[slot] == block)
+        if (c->plb_blocks[slot] == block)
             return slot;
     }
     return -1;
@@ -1760,38 +1491,38 @@ plb_slot(const Translator *t, long long block)
  * new ``block`` replacing it) to the set's most recently used end with
  * dirty flag ``dirty``.  Mirrors PLB._touch. */
 static void
-plb_touch(Translator *t, long long block, Py_ssize_t slot, long long dirty)
+plb_touch(KernelState *c, long long block, Py_ssize_t slot, long long dirty)
 {
-    long long set = block & (t->sets - 1);
-    Py_ssize_t last = (Py_ssize_t)(set * t->ways + t->fills[set] - 1);
+    long long set = block & (c->plb_sets - 1);
+    Py_ssize_t last = (Py_ssize_t)(set * c->plb_ways + c->plb_fills[set] - 1);
     size_t bytes = sizeof(long long) * (size_t)(last - slot);
-    memmove(&t->blocks[slot], &t->blocks[slot + 1], bytes);
-    memmove(&t->dirty[slot], &t->dirty[slot + 1], bytes);
-    t->blocks[last] = block;
-    t->dirty[last] = dirty;
+    memmove(&c->plb_blocks[slot], &c->plb_blocks[slot + 1], bytes);
+    memmove(&c->plb_dirty[slot], &c->plb_dirty[slot + 1], bytes);
+    c->plb_blocks[last] = block;
+    c->plb_dirty[last] = dirty;
 }
 
 /* Controller._posmap_on_chip: in the PLB or in the victim buffer.
  * Returns 1, 0, or -1 with an exception set. */
 static int
-on_chip(Translator *t, long long block)
+on_chip(KernelState *c, long long block)
 {
-    Py_ssize_t slot = plb_slot(t, block);
+    Py_ssize_t slot = plb_slot(c, block);
     if (slot != -1)
         return slot >= 0 ? 1 : -1;
     PyObject *key = PyLong_FromLongLong(block);
     if (key == NULL)
         return -1;
-    int rc = PySet_Contains(t->limbo, key);
+    int rc = PySet_Contains(c->limbo, key);
     Py_DECREF(key);
     return rc;
 }
 
 /* A block about to index the position map must lie inside it. */
 static int
-check_mapped_index(const Translator *t, long long block)
+check_mapped_index(const KernelState *c, long long block)
 {
-    if (block < 0 || block >= t->leaf_count) {
+    if (block < 0 || block >= c->leaf_count) {
         PyErr_SetString(PyExc_IndexError, "block outside position map");
         return -1;
     }
@@ -1801,37 +1532,37 @@ check_mapped_index(const Translator *t, long long block)
 /* PLB.mark_dirty: a resident block becomes its set's MRU line, dirty,
  * counted as a cache hit. */
 static int
-plb_mark_dirty(Translator *t, long long block)
+plb_mark_dirty(KernelState *c, long long block)
 {
-    Py_ssize_t slot = plb_slot(t, block);
+    Py_ssize_t slot = plb_slot(c, block);
     if (slot < 0)
         return slot == -1 ? 0 : -1;
-    plb_touch(t, block, slot, 1);
-    return bump(t, TK_PLB_HITS);
+    plb_touch(c, block, slot, 1);
+    return bump(c, TK_PLB_HITS);
 }
 
-static int walk(Translator *t, long long block, long long *chain, int *n);
+static int walk(KernelState *c, long long block, long long *chain, int *n);
 
 /* PositionMap.restore: draw a leaf for an unmapped block through
  * randbelow, record it and count the remap.  A block that is still mapped
  * is a RuntimeError. */
 static int
-restore_leaf(Translator *t, long long block, long long *leaf)
+restore_leaf(KernelState *c, long long block, long long *leaf)
 {
-    if (need_deep(t) < 0 || check_mapped_index(t, block) < 0)
+    if (check_mapped_index(c, block) < 0)
         return -1;
-    if (t->leaf_table[block] != -1) {
+    if (c->leaf_table[block] != UNMAPPED) {
         PyErr_Format(PyExc_RuntimeError, "block %lld is already mapped",
                      block);
         return -1;
     }
-    if (randbelow(&t->rng, t->leaves, leaf) < 0)
+    if (randbelow(&c->rng, c->leaves, leaf) < 0)
         return -1;
-    t->leaf_table[block] = *leaf;
-    PyObject *count = PyObject_GetAttr(t->posmap, str_remap_count);
+    c->leaf_table[block] = *leaf;
+    PyObject *count = PyObject_GetAttr(c->posmap, str_remap_count);
     PyObject *next = count != NULL ? PyNumber_Add(count, int_one) : NULL;
     int rc = next != NULL
-        ? PyObject_SetAttr(t->posmap, str_remap_count, next) : -1;
+        ? PyObject_SetAttr(c->posmap, str_remap_count, next) : -1;
     Py_XDECREF(count);
     Py_XDECREF(next);
     return rc;
@@ -1840,18 +1571,18 @@ restore_leaf(Translator *t, long long block, long long *leaf)
 /* Stash.add: the entry, then Stash.note_peak (which emits stash.hwm)
  * when the occupancy passes the recorded peak. */
 static int
-stash_add(Translator *t, long long block, long long leaf)
+stash_add(KernelState *c, long long block, long long leaf)
 {
-    if (stash_insert(t->entries, block, leaf) < 0)
+    if (stash_insert(c->entries, block, leaf) < 0)
         return -1;
-    PyObject *peak = PyObject_GetAttr(t->stash, str_peak_occupancy);
+    PyObject *peak = PyObject_GetAttr(c->stash, str_peak_occupancy);
     long long held = peak != NULL ? PyLong_AsLongLong(peak) : -1;
     Py_XDECREF(peak);
     if (held == -1 && PyErr_Occurred())
         return -1;
-    if ((long long)PyDict_GET_SIZE(t->entries) <= held)
+    if ((long long)PyDict_GET_SIZE(c->entries) <= held)
         return 0;
-    PyObject *ok = PyObject_CallMethodNoArgs(t->stash, str_note_peak);
+    PyObject *ok = PyObject_CallMethodNoArgs(c->stash, str_note_peak);
     Py_XDECREF(ok);
     return ok != NULL ? 0 : -1;
 }
@@ -1863,36 +1594,36 @@ stash_add(Translator *t, long long block, long long leaf)
  * PosMap3) is dirtied in the PLB, and it enters the stash.
  */
 static int
-reinsert(Translator *t, long long block)
+reinsert(KernelState *c, long long block)
 {
-    if (t->depth >= TRANSLATE_MAX_DEPTH) {
+    if (c->depth >= TRANSLATE_MAX_DEPTH) {
         PyErr_SetString(PyExc_RecursionError,
                         "PLB victim re-inserts nested too deep");
         return -1;
     }
-    t->depth++;
+    c->depth++;
     long long chain[2], leaf = 0;
-    int n, rc = walk(t, block, chain, &n);
+    int n, rc = walk(c, block, chain, &n);
     if (rc == 0 && n) {
         PyObject *key = PyLong_FromLongLong(block);
         PyObject *ok = key != NULL
-            ? PyObject_CallMethodOneArg(t->queue, str_append, key) : NULL;
-        rc = ok != NULL && PySet_Add(t->limbo, key) == 0
-            ? bump(t, TK_DEFERRED_REINSERTS) : -1;
+            ? PyObject_CallMethodOneArg(c->queue, str_append, key) : NULL;
+        rc = ok != NULL && PySet_Add(c->limbo, key) == 0
+            ? bump(c, TK_DEFERRED_REINSERTS) : -1;
         Py_XDECREF(ok);
         Py_XDECREF(key);
     } else if (rc == 0) {
         long long parent = -1;
-        if (block < t->p1_base)
-            parent = t->p1_base + block / t->fanout;
-        else if (block < t->p2_base)
-            parent = t->p2_base + (block - t->p1_base) / t->fanout;
-        rc = restore_leaf(t, block, &leaf) < 0 ||
-             (parent >= 0 && plb_mark_dirty(t, parent) < 0) ||
-             stash_add(t, block, leaf) < 0 ||
-             bump(t, TK_REINSERTS) < 0 ? -1 : 0;
+        if (block < c->p1_base)
+            parent = c->p1_base + block / c->fanout;
+        else if (block < c->p2_base)
+            parent = c->p2_base + (block - c->p1_base) / c->fanout;
+        rc = restore_leaf(c, block, &leaf) < 0 ||
+             (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
+             stash_add(c, block, leaf) < 0 ||
+             bump(c, TK_REINSERTS) < 0 ? -1 : 0;
     }
-    t->depth--;
+    c->depth--;
     return rc;
 }
 
@@ -1903,31 +1634,31 @@ reinsert(Translator *t, long long block)
  * becomes the MRU line, and the victim is re-inserted.
  */
 static int
-plb_fill(Translator *t, long long block, long long dirty, int fetch)
+plb_fill(KernelState *c, long long block, long long dirty, int fetch)
 {
-    Py_ssize_t slot = plb_slot(t, block);
+    Py_ssize_t slot = plb_slot(c, block);
     if (slot == -2)
         return -1;
     if (slot >= 0) {
-        plb_touch(t, block, slot, t->dirty[slot] || dirty);
+        plb_touch(c, block, slot, c->plb_dirty[slot] || dirty);
         return 0;
     }
-    long long set = block & (t->sets - 1);
-    Py_ssize_t base = (Py_ssize_t)(set * t->ways);
-    long long fill = t->fills[set];
-    if (fill < t->ways) {
-        t->blocks[base + fill] = block;
-        t->dirty[base + fill] = dirty;
-        t->fills[set] = fill + 1;
+    long long set = block & (c->plb_sets - 1);
+    Py_ssize_t base = (Py_ssize_t)(set * c->plb_ways);
+    long long fill = c->plb_fills[set];
+    if (fill < c->plb_ways) {
+        c->plb_blocks[base + fill] = block;
+        c->plb_dirty[base + fill] = dirty;
+        c->plb_fills[set] = fill + 1;
         return 0;
     }
-    long long victim = t->blocks[base], victim_dirty = t->dirty[base];
-    plb_touch(t, block, base, dirty);
-    if (bump(t, TK_PLB_EVICTIONS) < 0 ||
-        (victim_dirty && bump(t, TK_PLB_DIRTY_EVICTIONS) < 0) ||
-        (victim_dirty && fetch && bump(t, TK_PLB_DIRTY_EVICTIONS) < 0))
+    long long victim = c->plb_blocks[base], victim_dirty = c->plb_dirty[base];
+    plb_touch(c, block, base, dirty);
+    if (bump(c, TK_PLB_EVICTIONS) < 0 ||
+        (victim_dirty && bump(c, TK_PLB_DIRTY_EVICTIONS) < 0) ||
+        (victim_dirty && fetch && bump(c, TK_PLB_DIRTY_EVICTIONS) < 0))
         return -1;
-    return reinsert(t, victim);
+    return reinsert(c, victim);
 }
 
 /* Controller._find_in_treetop over the flat slot array: the first slot
@@ -1936,19 +1667,17 @@ plb_fill(Translator *t, long long block, long long dirty, int fetch)
  * set for a leaf outside the tree.
  */
 static int
-find_top(const TreeView *v, long long block, long long leaf,
+find_top(KernelState *c, long long block, long long leaf,
          long long *level_out, long long **slot_out)
 {
     *slot_out = NULL;
-    if (v->top > 0 && (leaf < 0 || leaf >= (1LL << (v->levels - 1)))) {
+    if (c->top > 0 && (leaf < 0 || leaf >= (1LL << (c->levels - 1)))) {
         PyErr_Format(PyExc_RuntimeError, "leaf %lld outside the tree", leaf);
         return -1;
     }
-    for (long long level = 0; level < v->top; level++) {
-        long long z = v->z_arr[level];
-        long long *slots = v->slots + v->offset[level] +
-                           (leaf >> (v->levels - 1 - level)) * z;
-        for (long long s = 0; s < z; s++) {
+    for (long long level = 0; level < c->top; level++) {
+        long long *slots = path_bucket(c, leaf, level);
+        for (long long s = 0; s < c->z_arr[level]; s++) {
             if (slots[s] == block) {
                 *level_out = level;
                 *slot_out = &slots[s];
@@ -1968,63 +1697,57 @@ find_top(const TreeView *v, long long block, long long leaf,
  * victim.
  */
 static int
-try_promote(Translator *t, long long block)
+try_promote(KernelState *c, long long block)
 {
-    int rc = on_chip(t, block);
+    int rc = on_chip(c, block);
     if (rc != 0)
         return rc < 0 ? -1 : 0;
     PyObject *key = PyLong_FromLongLong(block);
     if (key == NULL)
         return -1;
-    rc = PyDict_Contains(t->entries, key);
+    rc = PyDict_Contains(c->entries, key);
     if (rc == 1) {
-        rc = need_deep(t) < 0 || check_mapped_index(t, block) < 0 ||
-             PyDict_DelItem(t->entries, key) < 0 ? -1 : 0;
+        rc = check_mapped_index(c, block) < 0 ||
+             PyDict_DelItem(c->entries, key) < 0 ? -1 : 0;
         if (rc == 0) {
-            t->leaf_table[block] = -1;
-            rc = plb_fill(t, block, 1, 0) < 0 ||
-                 bump(t, TK_STASH_PROMOTIONS) < 0 ? -1 : 0;
+            c->leaf_table[block] = UNMAPPED;
+            rc = plb_fill(c, block, 1, 0) < 0 ||
+                 bump(c, TK_STASH_PROMOTIONS) < 0 ? -1 : 0;
         }
         goto done;
     }
-    if (rc < 0 || t->top == 0 || !t->sstash)
+    if (rc < 0 || c->top == 0 || !c->gated)
         goto done;
-    int hit = PyDict_Contains(t->resident, key);
-    if (hit < 0 || bump(t, hit ? TK_PROBE_HITS : TK_PROBE_MISSES) < 0) {
+    int hit = PyDict_Contains(c->resident, key);
+    if (hit < 0 || bump(c, hit ? TK_PROBE_HITS : TK_PROBE_MISSES) < 0) {
         rc = -1;
         goto done;
     }
     if (!hit)
         goto done;
-    if (need_deep(t) < 0 || check_mapped_index(t, block) < 0) {
+    if (check_mapped_index(c, block) < 0) {
         rc = -1;
         goto done;
     }
-    long long leaf = t->leaf_table[block];
-    if (leaf == -1)
+    long long leaf = c->leaf_table[block];
+    if (leaf == UNMAPPED)
         goto done;
     long long level, *slot;
-    if (find_top(&t->tree, block, leaf, &level, &slot) < 0) {
+    if (find_top(c, block, leaf, &level, &slot) < 0) {
         rc = -1;
         goto done;
     }
     if (slot == NULL)
         goto done;
     /* ORAMTree.remove, SStash.on_remove, PositionMap.discard. */
-    *slot = t->empty;
-    PyObject *less =
-        PyNumber_Subtract(PyList_GET_ITEM(t->level_used, level), int_one);
-    if (less == NULL) {
-        rc = -1;
-        goto done;
-    }
-    PyList_SetItem(t->level_used, level, less);
-    rc = sstash_remove(t->resident, t->set_count, key) < 0 ||
-         bump(t, TK_SSTASH_REMOVED) < 0 ? -1 : 0;
+    *slot = EMPTY;
+    c->level_used[level]--;
+    rc = sstash_remove(c->resident, c->set_count, key) < 0 ||
+         bump(c, TK_SSTASH_REMOVED) < 0 ? -1 : 0;
     if (rc == 0) {
-        t->leaf_table[block] = -1;
-        rc = plb_fill(t, block, 1, 0) < 0 ||
-             bump(t, TK_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
+        c->leaf_table[block] = UNMAPPED;
+        rc = plb_fill(c, block, 1, 0) < 0 ||
+             bump(c, TK_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
     }
 done:
     Py_DECREF(key);
@@ -2037,31 +1760,31 @@ done:
  * the way.  PosMap2 blocks translate through the on-chip PosMap3.
  */
 static int
-walk(Translator *t, long long block, long long *chain, int *n)
+walk(KernelState *c, long long block, long long *chain, int *n)
 {
     *n = 0;
-    if (block < 0 || block >= t->total) {
+    if (block < 0 || block >= c->total) {
         PyErr_Format(PyExc_ValueError, "block %lld outside namespace", block);
         return -1;
     }
-    if (block >= t->p2_base)
+    if (block >= c->p2_base)
         return 0;
     long long pm1 = -1, pm2;
-    if (block < t->p1_base) {
-        pm1 = t->p1_base + block / t->fanout;
-        pm2 = t->p2_base + (pm1 - t->p1_base) / t->fanout;
+    if (block < c->p1_base) {
+        pm1 = c->p1_base + block / c->fanout;
+        pm2 = c->p2_base + (pm1 - c->p1_base) / c->fanout;
     } else {
-        pm2 = t->p2_base + (block - t->p1_base) / t->fanout;
+        pm2 = c->p2_base + (block - c->p1_base) / c->fanout;
     }
-    if (try_promote(t, pm2) < 0)
+    if (try_promote(c, pm2) < 0)
         return -1;
-    int pm2_ready = on_chip(t, pm2);
+    int pm2_ready = on_chip(c, pm2);
     if (pm2_ready < 0)
         return -1;
     if (pm1 >= 0) {
-        if (try_promote(t, pm1) < 0)
+        if (try_promote(c, pm1) < 0)
             return -1;
-        int pm1_ready = on_chip(t, pm1);
+        int pm1_ready = on_chip(c, pm1);
         if (pm1_ready != 0)
             return pm1_ready < 0 ? -1 : 0;
     }
@@ -2084,7 +1807,7 @@ block_arg(PyObject *obj, long long *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* translate(ctx, block) -> list of PosMap blocks to fetch
+/* translate(state, block) -> list of PosMap blocks to fetch
  *
  * Controller._translation_chain through walk: ``[pm2, pm1]``, ``[pm1]``,
  * ``[pm2]`` or ``[]``, with every free promotion, PLB fill and victim
@@ -2098,32 +1821,28 @@ translate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long long block;
     if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "translate(ctx, block)");
+        PyErr_SetString(PyExc_TypeError, "translate(state, block)");
         return NULL;
     }
-    if (block_arg(args[1], &block) < 0)
-        return NULL;
-    Translator t;
-    if (parse_translate(args[0], &t) < 0)
+    KernelState *c = state_arg(args[0]);
+    if (c == NULL || block_arg(args[1], &block) < 0)
         return NULL;
     long long chain[2];
     int n;
-    PyObject *result = NULL;
-    if (walk(&t, block, chain, &n) == 0 && (result = PyList_New(n)) != NULL) {
-        for (int i = 0; i < n; i++) {
-            PyObject *item = PyLong_FromLongLong(chain[i]);
-            if (item == NULL) {
-                Py_CLEAR(result);
-                break;
-            }
+    if (walk(c, block, chain, &n) < 0)
+        return NULL;
+    PyObject *result = PyList_New(n);
+    for (int i = 0; result != NULL && i < n; i++) {
+        PyObject *item = PyLong_FromLongLong(chain[i]);
+        if (item == NULL)
+            Py_CLEAR(result);
+        else
             PyList_SET_ITEM(result, i, item);
-        }
     }
-    release_translate(&t);
     return result;
 }
 
-/* plb_install(ctx, block, dirty, fetch) -> None
+/* plb_install(state, block, dirty, fetch) -> None
  *
  * Install a PosMap block that has left the tree into the PLB through
  * plb_fill: a promotion's fill (``dirty`` set) or fetch_posmap_block's
@@ -2138,63 +1857,53 @@ plb_install(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long long block;
     if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "plb_install(ctx, block, dirty, fetch)");
+                        "plb_install(state, block, dirty, fetch)");
         return NULL;
     }
+    KernelState *c = state_arg(args[0]);
     int dirty = PyObject_IsTrue(args[2]);
     int fetch = PyObject_IsTrue(args[3]);
-    if (dirty < 0 || fetch < 0 || block_arg(args[1], &block) < 0)
+    if (c == NULL || dirty < 0 || fetch < 0 || block_arg(args[1], &block) < 0)
         return NULL;
-    Translator t;
-    if (parse_translate(args[0], &t) < 0)
-        return NULL;
-    int rc = -1;
-    if (block < t.p1_base || block >= t.total) {
+    if (block < c->p1_base || block >= c->total) {
         PyErr_Format(PyExc_ValueError, "block %lld is not a PosMap block",
                      block);
-    } else if (need_deep(&t) == 0 && check_mapped_index(&t, block) == 0) {
-        if (t.leaf_table[block] != -1)
-            PyErr_Format(PyExc_RuntimeError,
-                         "PosMap block %lld is still mapped", block);
-        else
-            rc = plb_fill(&t, block, dirty, fetch);
+        return NULL;
     }
-    release_translate(&t);
-    return rc < 0 ? NULL : Py_NewRef(Py_None);
+    if (check_mapped_index(c, block) < 0)
+        return NULL;
+    if (c->leaf_table[block] != UNMAPPED) {
+        PyErr_Format(PyExc_RuntimeError, "PosMap block %lld is still mapped",
+                     block);
+        return NULL;
+    }
+    return plb_fill(c, block, dirty, fetch) < 0 ? NULL : Py_NewRef(Py_None);
 }
 
-/* find_in_treetop(ctx, block, leaf) -> (level, position) or None
+/* find_in_treetop(state, block, leaf) -> (level, position) or None
  *
  * Controller._find_in_treetop through find_top: where ``block`` sits in
- * the cached top of the path to ``leaf``.  Reads the tree array and its
- * geometry only.
+ * the cached top of the path to ``leaf``.  Reads the tree array only.
  */
 static PyObject *
 find_in_treetop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long long block, leaf;
     if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "find_in_treetop(ctx, block, leaf)");
+        PyErr_SetString(PyExc_TypeError,
+                        "find_in_treetop(state, block, leaf)");
         return NULL;
     }
-    if (block_arg(args[1], &block) < 0 || block_arg(args[2], &leaf) < 0)
+    KernelState *c = state_arg(args[0]);
+    if (c == NULL || block_arg(args[1], &block) < 0 ||
+        block_arg(args[2], &leaf) < 0)
         return NULL;
-    if (!PyTuple_Check(args[0]) || PyTuple_GET_SIZE(args[0]) != CTX_LEN) {
-        PyErr_SetString(PyExc_ValueError, "kernel ctx must have 33 slots");
-        return NULL;
-    }
-    TreeView v;
-    if (hold_tree(args[0], &v) < 0)
-        return NULL;
-    PyObject *result = NULL;
     long long level, *slot;
-    if (find_top(&v, block, leaf, &level, &slot) == 0) {
-        result = slot == NULL
-            ? Py_NewRef(Py_None)
-            : Py_BuildValue("(LL)", level, leaf >> (v.levels - 1 - level));
-    }
-    PyBuffer_Release(&v.buf);
-    return result;
+    if (find_top(c, block, leaf, &level, &slot) < 0)
+        return NULL;
+    if (slot == NULL)
+        return Py_NewRef(Py_None);
+    return Py_BuildValue("(LL)", level, leaf >> (c->levels - 1 - level));
 }
 
 /* ---------------------------------------------------------------- */
@@ -2247,28 +1956,28 @@ draw_leaves(PyObject *self, PyObject *args)
  * as Random.shuffle does (Fisher-Yates, j = randbelow(i + 1) for i = n - 1
  * down to 1), then put each, in shuffled order, into the deepest bucket
  * on the path to its leaf that has a free slot, with per-bucket fill
- * counts.  Blocks whose whole path is full are returned.  Mirrors
- * ORAMTree.initialize.  The slot array's length, empty occupancy and
- * every leaf are checked before any draw or write.
+ * counts, counting each level's blocks into the ``level_used`` array.
+ * Blocks whose whole path is full are returned.  Mirrors
+ * ORAMTree.initialize.  The arrays' lengths and typecodes, the empty
+ * occupancy and every leaf are checked before any draw or write.
  */
 static PyObject *
 init_tree(PyObject *self, PyObject *args)
 {
-    PyObject *tree_obj, *table_obj, *z_obj, *level_used, *getrandbits;
-    if (!PyArg_ParseTuple(args, "OOOO!O", &tree_obj, &table_obj, &z_obj,
-                          &PyList_Type, &level_used, &getrandbits))
+    PyObject *tree_obj, *table_obj, *z_obj, *used_obj, *getrandbits;
+    if (!PyArg_ParseTuple(args, "OOOOO", &tree_obj, &table_obj, &z_obj,
+                          &used_obj, &getrandbits))
         return NULL;
     PyObject *z_seq = PySequence_Fast(z_obj, "z_per_level must be a sequence");
     if (z_seq == NULL)
         return NULL;
-    Py_buffer tree_buf, table_buf;
-    tree_buf.obj = table_buf.obj = NULL;
+    Py_buffer tree_buf, table_buf, used_buf;
+    tree_buf.obj = table_buf.obj = used_buf.obj = NULL;
     Py_ssize_t *order = NULL;
     uint32_t *fill = NULL;
     PyObject *overflow = NULL;
     Py_ssize_t levels = PySequence_Fast_GET_SIZE(z_seq);
-    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(level_used) != levels) {
+    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS) {
         PyErr_SetString(PyExc_ValueError, "unsupported level count");
         goto done;
     }
@@ -2277,16 +1986,21 @@ init_tree(PyObject *self, PyObject *args)
                                     z_arr, offset);
     if (total < 0)
         goto done;
+    Py_ssize_t used_len = get_q_buffer(used_obj, &used_buf, "level_used");
+    if (used_len < 0)
+        goto done;
+    long long *used = used_buf.buf;
+    if (used_len != levels) {
+        PyErr_SetString(PyExc_ValueError, "unsupported level count");
+        goto done;
+    }
     /* Fill counts are uint32_t; their offsets and the deepest-first
      * placement order cover the levels that hold slots. */
-    long long fill_at[FASTPATH_MAX_LEVELS], used[FASTPATH_MAX_LEVELS];
+    long long fill_at[FASTPATH_MAX_LEVELS];
     Py_ssize_t active[FASTPATH_MAX_LEVELS], n_active = 0;
     long long buckets = 0;
     for (Py_ssize_t d = 0; d < levels; d++) {
-        long long held = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-        if (held == -1 && PyErr_Occurred())
-            goto done;
-        if (held != 0) {
+        if (used[d] != 0) {
             PyErr_SetString(PyExc_ValueError, "init_tree needs an empty tree");
             goto done;
         }
@@ -2295,7 +2009,6 @@ init_tree(PyObject *self, PyObject *args)
             goto done;
         }
         fill_at[d] = buckets;
-        used[d] = 0;
         if (z_arr[d] != 0) {
             buckets += 1LL << d;
             active[n_active++] = d;
@@ -2364,12 +2077,6 @@ init_tree(PyObject *self, PyObject *args)
         if (a < 0)
             order[n_over++] = block;
     }
-    for (Py_ssize_t d = 0; d < levels; d++) {
-        PyObject *value = PyLong_FromLongLong(used[d]);
-        if (value == NULL)
-            goto done;
-        PyList_SetItem(level_used, d, value);
-    }
     overflow = PyList_New(n_over);
     for (Py_ssize_t i = 0; overflow != NULL && i < n_over; i++) {
         PyObject *block = PyLong_FromSsize_t(order[i]);
@@ -2384,6 +2091,7 @@ done:
     PyMem_Free(fill);
     PyBuffer_Release(&tree_buf);
     PyBuffer_Release(&table_buf);
+    PyBuffer_Release(&used_buf);
     Py_DECREF(z_seq);
     return overflow;
 }
@@ -2435,7 +2143,12 @@ PyInit__repro_fastpath(void)
     int_one = PyLong_FromLong(1);
     if (str_append == NULL || str_note_peak == NULL ||
         str_peak_occupancy == NULL || str_remap_count == NULL ||
-        int_one == NULL)
+        int_one == NULL || PyType_Ready(&KernelStateType) < 0)
         return NULL;
-    return PyModule_Create(&fastpath_module);
+    PyObject *module = PyModule_Create(&fastpath_module);
+    if (module != NULL &&
+        PyModule_AddObjectRef(module, "KernelState",
+                              (PyObject *)&KernelStateType) < 0)
+        Py_CLEAR(module);
+    return module;
 }

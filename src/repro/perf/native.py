@@ -30,28 +30,28 @@ helper, ``randbelow``: ``Random._randbelow_with_getrandbits`` inlined
 over the RNG's bound ``getrandbits``, so the kernels consume exactly the
 bits the Python code consumes, and only for a plain ``random.Random``.
 
-All but ``dram_service`` and the setup entries take one 33-slot context
-tuple (:func:`kernel_ctx`); ``access_path``, ``run_batch`` and
-``dram_triples`` read slots 0-21 and share one read loop and one
-placement engine, for both tree-top modes: the dedicated cache and
-IR-Stash's S-Stash, whose entries the read loop releases and whose
-set-occupancy gate the placement engine applies, reading each block's
-set from the S-Stash's set-index array (filled by ``set_of`` once per
-block).  The
-stash is its ``block -> leaf`` dict alone: the kernels append read blocks
-to it, delete placed ones, and group write-phase candidates by scanning
-it in insertion order.  The tree's slots and the position map's leaves
-are two ``array('q')`` buffers the kernels index directly, computing
-each path's slot indexes from ``z_per_level``.  The PLB is three more
-(block ids per set in LRU-to-MRU order, dirty flags, per-set fill
-counts); the translation entries read those, the namespace bounds, the
-victim buffer and the counters from slots 22-32, and the tree and the
-position map only when a promotion or a re-insert needs them.  A path's
-DRAM addresses are computed per access from the layout's ``path_table``
-(one more ``array('q')``) and the DRAM geometry, and one timing loop
-serves every burst.  This module compiles the kernels with the system C compiler on
-first use, caches the shared object under ``~/.cache/repro-fastpath/``
-keyed by source hash and Python ABI, and exposes the loaded module as
+All but ``dram_service`` and the setup entries take one ``KernelState``,
+which the controller builds once from its live state and which holds
+and validates it for its lifetime: the tree's slots, the position map's
+leaves, the level occupancy, the layout's ``path_table``, the DRAM bank
+state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
+dirty flags, per-set fill counts) and the S-Stash's set-index array as
+``array('q')`` buffers the kernels index directly; the stash's
+``block -> leaf`` dict, the S-Stash dicts, the victim buffer, the
+counters, ``getrandbits`` and ``set_of`` as references; and the
+geometry, the namespace and the DRAM timing.  ``access_path``,
+``run_batch`` and ``dram_triples`` share one read loop, one placement
+engine and one DRAM timing loop, for both tree-top modes: the dedicated
+cache and IR-Stash's S-Stash, whose entries the read loop releases and
+whose set-occupancy gate the placement engine applies.  The kernels
+append read blocks to the stash dict, delete placed ones, and group
+write-phase candidates by scanning it in insertion order.  A path's
+DRAM addresses are computed per access from the path table and the DRAM
+geometry.
+
+This module compiles the kernels with the system C compiler on first
+use, caches the shared object under ``~/.cache/repro-fastpath/`` keyed
+by source hash and Python ABI, and exposes the loaded module as
 :data:`fastpath`.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
@@ -88,19 +88,8 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-fastpath")
 
 
-#: Slot names of the kernel context tuple, in order; mirrors ``KernelCtx``
-#: in ``_fastpath.c``, which documents each slot.
-CTX_SLOTS = (
-    "leaves", "path_table", "entries", "leaf_table", "tree_slots",
-    "z_per_level", "level_used", "levels", "top", "empty", "bank_ready",
-    "bank_open_row", "bus_free", "dram_params", "treetop_mode", "resident",
-    "set_count", "set_of", "set_index", "ways", "getrandbits", "leaf_bits",
-    "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
-    "limbo", "internal_queue", "counters", "counter_keys", "stash", "posmap",
-)
-
 #: The counters ``translate`` and ``plb_install`` bump, in the order of
-#: ``enum TranslateKey`` in ``_fastpath.c``; the ``counter_keys`` slot.
+#: ``enum TranslateKey`` in ``_fastpath.c``; the state's ``counter_keys``.
 TRANSLATE_KEYS = (
     sk.PLB_HITS, sk.PLB_EVICTIONS, sk.PLB_DIRTY_EVICTIONS,
     sk.PLB_STASH_PROMOTIONS, sk.PLB_TREETOP_PROMOTIONS,
@@ -113,12 +102,6 @@ TRANSLATE_KEYS = (
 SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
 
 
-def kernel_ctx(**slots) -> tuple:
-    """The context tuple every kernel entry but ``dram_service`` and the
-    setup entries takes, from one keyword per :data:`CTX_SLOTS` name."""
-    return tuple(slots[name] for name in CTX_SLOTS)
-
-
 def _self_test(module) -> bool:
     """Run the kernels on tiny inputs with known-good answers."""
     def q(values):
@@ -127,37 +110,36 @@ def _self_test(module) -> bool:
     # One bank, one channel, two accesses to the same fresh row:
     # activate (t_rcd=3) + 2 bursts of 2, finish = 3 + 2 + 5 = 10 with
     # cas_burst=5; second access is a row hit issuing at t=5, done at 10.
-    ready = [0]
-    open_row = [-1]
-    bus_free = [0]
+    ready = q([0])
+    open_row = q([-1])
+    bus_free = q([0])
     finish, hits, conflicts = module.dram_service(
         q([0, 0, 7, 0, 0, 7]), ready, open_row, bus_free, 0, 4, 3, 2, 5
     )
     if (finish, hits, conflicts) != (10, 1, 0):
         return False
-    if ready != [7] or open_row != [7] or bus_free != [7]:
+    if ready != q([7]) or open_row != q([7]) or bus_free != q([7]):
         return False
 
-    def ctx(**slots):
+    def state(**fields):
         # A 3-level tree with Z=2 at the root and Z=1 below (slots: root
         # 0-1, level 1 at 2-3, leaves at 4-7), no memory-backed level in
         # the path table, one DRAM bank with 4-block rows, no tree-top
         # cache; each case overrides what it exercises.
         base = dict(
-            leaves=4, path_table=q([0]), entries={},
-            leaf_table=q([-1] * 10), tree_slots=q([-1] * 8),
-            z_per_level=[2, 1, 1], level_used=[0, 0, 0], levels=3, top=0,
-            empty=-1, bank_ready=[0], bank_open_row=[-1], bus_free=[0],
-            dram_params=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0,
-            resident=None, set_count=None, set_of=None, set_index=None,
-            ways=0, getrandbits=None, leaf_bits=3, plb_blocks=q([-1] * 2),
-            plb_dirty=q([0] * 2), plb_fills=q([0, 0]), plb_ways=1,
-            namespace=(4, 8, 10, 4), limbo=set(), internal_queue=[],
-            counters={}, counter_keys=TRANSLATE_KEYS, stash=None,
-            posmap=None,
+            leaves=4, z_per_level=[2, 1, 1], top=0,
+            tree_slots=q([-1] * 8), level_used=q([0, 0, 0]),
+            leaf_table=q([-1] * 10), entries={}, path_table=q([0]),
+            bank_ready=q([0]), bank_open_row=q([-1]), bus_free=q([0]),
+            dram=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0, resident=None,
+            set_count=None, set_of=None, set_index=None, ways=0,
+            getrandbits=None, plb_blocks=q([-1] * 2), plb_dirty=q([0] * 2),
+            plb_fills=q([0, 0]), plb_ways=1, namespace=(4, 8, 10, 4),
+            limbo=set(), internal_queue=[], counters={},
+            counter_keys=TRANSLATE_KEYS, stash=None, posmap=None,
         )
-        base.update(slots)
-        return kernel_ctx(**base)
+        base.update(fields)
+        return module.KernelState(**base)
 
     # Remap: blocks 5 (leaf 1, served) and 9 (leaf 3) share the root and
     # enter the stash in read order.  The remap draws 3 bits per leaf
@@ -168,10 +150,10 @@ def _self_test(module) -> bool:
     draws = iter([7, 4, 2])
     tree = q([5, 9, -1, -1, -1, -1, -1, -1])
     entries = {}
-    level_used = [2, 0, 0]
+    level_used = q([2, 0, 0])
     leaf_table = q([-1] * 10)
     leaf_table[5], leaf_table[9] = 1, 3
-    result = module.access_path(ctx(
+    result = module.access_path(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, getrandbits=lambda bits: next(draws),
     ), 1, 0, 5, SERVED_REMAP, True)
@@ -180,7 +162,7 @@ def _self_test(module) -> bool:
     if not (
         entries == {} and leaf_table[5] == 2 and leaf_table[9] == 3
         and tree == q([9, 5, -1, -1, -1, -1, -1, -1])
-        and level_used == [2, 0, 0]
+        and level_used == q([2, 0, 0])
     ):
         return False
 
@@ -192,7 +174,7 @@ def _self_test(module) -> bool:
     # set 1 back, block 4 (set 1 too) is skipped and stays.
     tree = q([3, -1, -1, -1, 6, -1, -1, -1])
     entries = {4: 3}
-    level_used = [1, 0, 1]
+    level_used = q([1, 0, 1])
     leaf_table = q([-1] * 10)
     leaf_table[3], leaf_table[4], leaf_table[6] = 2, 3, 0
     resident = {3: 1}
@@ -206,7 +188,7 @@ def _self_test(module) -> bool:
         set_index[block] = 1
         return 1
 
-    result = module.access_path(ctx(
+    result = module.access_path(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, resident=resident,
         set_count=set_count, set_of=set_of, set_index=set_index, ways=1,
@@ -216,7 +198,7 @@ def _self_test(module) -> bool:
     if not (
         entries == {4: 3} and leaf_table[6] == -1 and hashed == [4]
         and tree == q([3, -1, -1, -1, -1, -1, -1, -1])
-        and level_used == [1, 0, 0]
+        and level_used == q([1, 0, 0])
         and resident == {3: 1} and set_count == {1: 1}
     ):
         return False
@@ -229,18 +211,18 @@ def _self_test(module) -> bool:
     # channel 0, bank (6 // 2) % 2 = 1.  Each table record is (shift, Z,
     # r, row base, rows, index of its first local offset); the offsets
     # sit at indexes 13-15.
-    triples_ctx = ctx(
-        leaves=2, levels=2, z_per_level=[2, 2], level_used=[0, 0],
-        tree_slots=q([-1] * 6), bank_ready=[0] * 4,
-        bank_open_row=[-1] * 4, bus_free=[0] * 2,
-        dram_params=(1, 4, 3, 2, 5, 3, 2, 2),
+    triples_state = state(
+        leaves=2, z_per_level=[2, 2], level_used=q([0, 0]),
+        tree_slots=q([-1] * 6), bank_ready=q([0] * 4),
+        bank_open_row=q([-1] * 4), bus_free=q([0] * 2),
+        dram=(1, 4, 3, 2, 5, 3, 2, 2),
         path_table=q([2, 1, 2, 0, 5, 2, 13, 0, 2, 1, 5, 2, 14, 0, 2, 4]),
     )
-    if module.dram_triples(triples_ctx, 0) != q(
+    if module.dram_triples(triples_state, 0) != q(
         [2, 1, 5, 2, 1, 5, 2, 1, 5, 1, 0, 6]
     ):
         return False
-    if module.dram_triples(triples_ctx, 1) != q(
+    if module.dram_triples(triples_state, 1) != q(
         [2, 1, 5, 2, 1, 5, 1, 0, 6, 1, 0, 6]
     ):
         return False
@@ -268,14 +250,15 @@ def _self_test(module) -> bool:
     leaf_table[8] = 3
     plb_blocks, plb_dirty, plb_fills = q([6, -1]), q([1, 0]), q([1, 0])
     tree = q([-1, 8, -1, -1, -1, -1, -1, -1])
-    level_used = [1, 0, 0]
+    level_used = q([1, 0, 0])
     resident, set_count = {8: 0}, {0: 1}
     counters = {}
     stash, posmap = Stash(), PosMap()
-    chain = module.translate(ctx(
+    chain = module.translate(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, resident=resident,
-        set_count=set_count, ways=1, getrandbits=lambda bits: next(draws),
+        set_count=set_count, set_index=q([-1] * 10), ways=1,
+        getrandbits=lambda bits: next(draws),
         plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
         counters=counters, stash=stash, posmap=posmap,
     ), 1)
@@ -285,7 +268,8 @@ def _self_test(module) -> bool:
         entries == {6: 2} and leaf_table[6] == 2 and leaf_table[8] == -1
         and plb_blocks == q([8, -1]) and plb_dirty == q([1, 0])
         and plb_fills == q([1, 0]) and tree == q([-1] * 8)
-        and level_used == [0, 0, 0] and resident == {} and set_count == {}
+        and level_used == q([0, 0, 0]) and resident == {}
+        and set_count == {}
         and stash.peak_occupancy == 1 and posmap.remap_count == 1
         and counters == {
             sk.SSTASH_PROBE_HITS: 1, sk.SSTASH_REMOVED: 1,
@@ -314,13 +298,13 @@ def _self_test(module) -> bool:
         return next(script)
 
     tree = q([-1, -1, -1])
-    level_used = [0, 0]
+    level_used = q([0, 0])
     overflow = module.init_tree(
         tree, q([0, 0, 1, 0]), [1, 1], level_used, getrandbits
     )
     if not (
         overflow == [1] and widths == [3, 3, 2, 2]
-        and tree == q([0, 3, 2]) and level_used == [1, 2]
+        and tree == q([0, 3, 2]) and level_used == q([1, 2])
     ):
         return False
 
@@ -330,31 +314,31 @@ def _self_test(module) -> bool:
     # block is placed back at the root (diverges from its leaf at level
     # 1), leaving the stash empty again.
     entries = {}
-    level_used = [1, 0]
-    ready = [0]
-    open_row = [-1]
-    bus_free = [0]
+    level_used = q([1, 0])
+    ready = q([0])
+    open_row = q([-1])
+    bus_free = q([0])
     tree = q([3, -1, -1])
     # One supernode at row 7 holds both levels (local offsets 0, 1, 2),
     # so leaf 1's path is two blocks in row 7 of the one bank.
-    batch_ctx = ctx(
-        getrandbits=lambda bits: 1, leaves=2, leaf_bits=2,
+    batch_state = state(
+        getrandbits=lambda bits: 1, leaves=2,
         path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
         tree_slots=tree, entries=entries, leaf_table=q([-1, -1, -1, 0]),
-        z_per_level=[1, 1], level_used=level_used, levels=2,
+        z_per_level=[1, 1], level_used=level_used,
         bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
     )
-    result = module.run_batch(batch_ctx, 0, 0, 1, -1, -1, 10, 1, 0)
+    result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1, 0)
     if result != (1, 17, 1, [0, 10, 17], (2, 3, 0, 0, (0, 0, 0, 0, 0)),
                   None):
         return False
     return (
         entries == {}
         and tree == q([3, -1, -1])
-        and level_used == [1, 0]
-        and ready == [14]
-        and open_row == [7]
-        and bus_free == [14]
+        and level_used == q([1, 0])
+        and ready == q([14])
+        and open_row == q([7])
+        and bus_free == q([14])
     )
 
 

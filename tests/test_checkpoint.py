@@ -8,6 +8,7 @@ scheme, audited or not.  The golden corpus committed at
 also prove resumed runs match what *previous* builds recorded.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -18,9 +19,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import api
+from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES
 from repro.errors import CheckpointError, ProtocolError
-from repro.perf import engine
+from repro.mem.layout import TreeLayout
+from repro.oram.controller import PathORAMController
+from repro.perf import engine, native
 from repro.sim import checkpoint as ckpt_mod
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.persistence import CampaignJournal
@@ -122,6 +126,52 @@ class TestResumeMatchesGolden:
         out = api.run(spec, checkpoint_every=50, checkpoint_path=path)
         assert "checkpoint.saves" not in out.result.counters
         assert out.stats.get("checkpoint.saves") > 0
+
+
+@pytest.mark.skipif(native.fastpath is None,
+                    reason="native kernels unavailable")
+class TestKernelStateRebuild:
+    """The controller's kernel state is process-local: a pickle drops it,
+    unpickling and artifact adoption rebuild it over the live state."""
+
+    def test_pickled_controller_carries_no_kernel_state(self):
+        controller = PathORAMController(SystemConfig.tiny())
+        assert controller.__getstate__()["_kstate"] is None
+        payload = pickle.dumps(controller)
+        assert b"KernelState" not in payload
+        restored = pickle.loads(payload)
+        assert restored._kstate is not None
+        assert restored._kstate is not controller._kstate
+
+    def test_resumed_run_runs_on_the_kernel_tier(self, tmp_path):
+        spec = _golden_spec("IR-ORAM")
+        path = str(tmp_path / "run.ckpt")
+        full = api.run(spec, checkpoint_every=60, checkpoint_path=path)
+        frozen = load_checkpoint(path).sim.controller
+        assert frozen._kstate is not None
+        at_resume = frozen.batch_counters["engine.tier.kernel_paths"]
+        resumed = api.resume_run(path)
+        assert resumed.stats.get("engine.tier.kernel_paths") > at_resume
+        assert resumed.stats.get("engine.tier.python_paths") == 0
+        assert (golden.entry_from(resumed)["digest"]
+                == golden.entry_from(full)["digest"])
+
+    def test_adopted_layout_is_the_one_the_state_holds(self):
+        config = SystemConfig.tiny()
+        controller = PathORAMController(config)
+        replaced = controller.layout.path_table
+        layout = TreeLayout(config.oram, config.dram)
+        controller.adopt_artifacts(layout)
+        gc.collect()
+        # The new state exports the adopted table and released the old.
+        with pytest.raises(BufferError):
+            layout.path_table.append(0)
+        replaced.append(0)
+        replaced.pop()
+        for leaf in range(config.oram.leaves):
+            assert native.fastpath.dram_triples(controller._kstate, leaf) == (
+                controller.dram.decompose_batch(layout.path_addresses(leaf))
+            )
 
 
 class TestCheckpointFormat:

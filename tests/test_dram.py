@@ -159,15 +159,6 @@ class TestTiming:
         reference = DRAMModel(dram.config)
         assert finish == reference.service_addresses([0, 1, 2], False, 0)
 
-    def test_reset_state_preserves_counters(self, dram):
-        dram.service_addresses([0, 1], False, 0)
-        hits = dram.stats.get("dram.row_hits")
-        dram.reset_state()
-        assert dram.stats.get("dram.row_hits") == hits
-        # after reset the row must be re-activated (no hit)
-        dram.service_addresses([0], False, 0)
-        assert dram.stats.get("dram.row_hits") == hits
-
     def test_row_hit_rate(self, dram):
         dram.service_addresses(list(range(8)), False, 0)
         assert dram.row_hit_rate() == pytest.approx(7 / 8)

@@ -1,25 +1,34 @@
 """Range checks of the C kernels that index raw arrays.
 
-``access_path``, ``run_batch`` and ``dram_triples`` index the tree's
-``array('q')``, the position map's ``array('q')``, the layout's path
-table and the S-Stash set-index array directly through the buffer
-protocol, and index the DRAM bank lists with banks and channels computed
-from that table; ``init_tree`` fills the tree array from the position
-map's.  A leaf outside ``[0, leaves)`` or a served block outside the
-position map must raise before any slot is touched, a malformed path
-table, DRAM geometry or tree array must raise before anything is
-indexed, and every exit must release every buffer: a leaked export makes
-``array`` refuse to resize with ``BufferError``.
+Every kernel entry but ``dram_service`` and the setup entries takes one
+``KernelState``.  It holds the tree's ``array('q')``, the level
+occupancy, the position map, the layout's path table, the DRAM bank
+state, the PLB's three arrays and the S-Stash set-index array as
+buffers the kernels index directly, and it validates them once, when it
+is built.  A buffer of the wrong typecode or length, a malformed path
+table, DRAM geometry that does not match the bank arrays, PLB geometry
+that does not match its arrays, a malformed namespace or an unknown
+tree-top mode is refused by the constructor, which then holds nothing:
+a leaked export makes ``array`` refuse to resize with ``BufferError``.
+No entry accepts a tuple of the same fields in its place.
 
-The translation entries (``translate``, ``plb_install``,
-``find_in_treetop``) index the PLB's three arrays, the position map and
-the tree the same way: a block outside the namespace, PLB buffers of the
-wrong length or typecode, an install of a block whose mapping is still
-live and a lookup on an unmapped block's leaf (-1) raise with nothing
-mutated and the RNG untouched.
+What a call brings from outside is still checked on every call: a leaf
+outside ``[0, leaves)``, a served block outside the position map, a
+malformed ``access_path`` mode, a block outside the namespace, an
+install of a block whose mapping is still live, a lookup on an unmapped
+block's leaf (-1) and a PLB fill count past its ways all raise with
+nothing mutated and the RNG untouched, and leave no export behind once
+the state is dropped.  ``init_tree`` fills the tree array from the
+position map's and checks its own arguments the same way.
+
+A state keeps what it holds alive and exported for its own lifetime:
+it serves after its controller is gone, a held array refuses to resize
+while it lives, and resizes again once it is dropped.
 """
 
+import gc
 import random
+import weakref
 from array import array
 
 import pytest
@@ -39,7 +48,7 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture
 def controller():
     controller = PathORAMController(SystemConfig.tiny())
-    assert controller._native is not None
+    assert controller._kstate is not None
     # Move one leaf-level block into the stash, so placement has a
     # candidate to place.
     tree = controller.tree
@@ -57,21 +66,36 @@ def controller():
 def _state(controller):
     return (
         controller.tree._slots.tobytes(),
-        list(controller.tree.level_used),
+        controller.tree.level_used.tobytes(),
         controller.posmap._leaf_of.tobytes(),
         controller.layout.path_table.tobytes(),
         list(controller.stash._entries.items()),
-        list(controller.dram.bank_ready),
-        list(controller.dram.bank_open_row),
-        list(controller.dram.bus_free),
+        controller.dram.bank_ready.tobytes(),
+        controller.dram.bank_open_row.tobytes(),
+        controller.dram.bus_free.tobytes(),
     )
 
 
 def _assert_no_export(*arrays):
-    """No buffer export outlives a failed call: resizing still works."""
+    """Nothing holds an export of ``arrays``: resizing works."""
     for held in arrays:
         held.append(0)
         held.pop()
+
+
+def _held_arrays(controller):
+    """Every array the controller's kernel state holds."""
+    fields = controller._kernel_state_fields()
+    return [value for value in fields.values() if isinstance(value, array)]
+
+
+def _drop_state(controller):
+    """Drop the controller's kernel state, and check that nothing else —
+    a failed call, say — still holds an export of its arrays."""
+    arrays = _held_arrays(controller)
+    controller._kstate = None
+    gc.collect()
+    _assert_no_export(*arrays)
 
 
 #: ``access_path`` call shapes, as ``(served, mode, write_burst)``: a
@@ -86,36 +110,55 @@ _ACCESS_SHAPES = {
 }
 
 
-def _call(controller, kernel, ctx, leaf):
-    native = controller._native
+def _call(kernel, state, arg):
+    """Call one entry with ``state``; ``arg`` is the leaf of a path
+    entry, or the block of a translation entry."""
+    fast = native.fastpath
     if kernel in _ACCESS_SHAPES:
         served, mode, write_burst = _ACCESS_SHAPES[kernel]
-        return native.access_path(ctx, leaf, 0, served, mode, write_burst)
+        return fast.access_path(state, arg, 0, served, mode, write_burst)
     if kernel == "run_batch":
-        return native.run_batch(ctx, 0, 0, 4, -1, -1, 90, False, False)
-    return getattr(native, kernel)(ctx, leaf)
+        return fast.run_batch(state, 0, 0, 4, -1, -1, 90, False, False)
+    if kernel == "plb_install":
+        return fast.plb_install(state, arg, False, True)
+    return getattr(fast, kernel)(state, arg)
+
+
+def _refused(controller, fields, error, kernel=None):
+    """Building a state from ``fields`` raises ``error``, touches nothing
+    and holds nothing; ``kernel``, handed the same fields as a tuple
+    context, refuses it."""
+    controller._kstate = None  # it holds the controller's own arrays
+    gc.collect()
+    before = _state(controller)
+    with pytest.raises(error):
+        native.fastpath.KernelState(**fields)
+    if kernel is not None:
+        with pytest.raises(TypeError):
+            _call(kernel, tuple(fields.values()), 0)
+    assert _state(controller) == before
+    _assert_no_export(*(v for v in fields.values() if isinstance(v, array)))
 
 
 @pytest.mark.parametrize(
     "kernel", ["read_path", "write_path_place", "access_path", "dram_triples"]
 )
 def test_out_of_range_leaf_raises_and_touches_nothing(controller, kernel):
-    ctx = controller._kernel_ctx()
     before = _state(controller)
     for leaf in (controller.oram.leaves, -1):
         with pytest.raises(IndexError):
-            _call(controller, kernel, ctx, leaf)
+            _call(kernel, controller._kstate, leaf)
         assert _state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      controller.layout.path_table)
+    _drop_state(controller)
 
 
-def _malformed_ctx(controller, case):
-    """The controller's context with one path-table or DRAM-geometry
-    field broken; the table is a copy, so the layout stays intact."""
-    slots = dict(zip(native.CTX_SLOTS, controller._kernel_ctx()))
+def _malformed_fields(controller, case):
+    """The controller's state fields with one path-table or
+    DRAM-geometry field broken; the table is a copy, so the layout stays
+    intact."""
+    fields = controller._kernel_state_fields()
     table = array("q", controller.layout.path_table)
-    params = list(slots["dram_params"])
+    params = list(fields["dram"])
     if case == "offset index past its table":
         # The deepest record's offsets start beyond the table's end.
         table[1 + 6 * (table[0] - 1) + 5] = len(table)
@@ -123,9 +166,9 @@ def _malformed_ctx(controller, case):
         params[6] += 1  # channels x banks_per_channel != len(bank_ready)
     elif case == "row_blocks not positive":
         params[5] = 0
-    slots["path_table"] = table
-    slots["dram_params"] = tuple(params)
-    return native.kernel_ctx(**slots), table
+    fields["path_table"] = table
+    fields["dram"] = tuple(params)
+    return fields
 
 
 @pytest.mark.parametrize(
@@ -140,13 +183,9 @@ def _malformed_ctx(controller, case):
 def test_malformed_path_table_raises_before_indexing(
     controller, kernel, case
 ):
-    ctx, table = _malformed_ctx(controller, case)
-    before = _state(controller)
-    with pytest.raises(ValueError):
-        _call(controller, kernel, ctx, 0)
-    assert _state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      table)
+    """The constructor refuses the table, so no entry ever indexes it."""
+    _refused(controller, _malformed_fields(controller, case), ValueError,
+             kernel)
 
 
 @pytest.fixture
@@ -155,8 +194,64 @@ def sstash_controller():
     controller = PathORAMController(
         config, treetop=SStash(config.oram)
     )
-    assert controller._native is not None
+    assert controller._kstate is not None
     return controller
+
+
+def _broken(fields, name, how):
+    """``fields`` with array ``name`` retyped or resized (a copy)."""
+    held = fields[name]
+    if how == "typecode":
+        fields[name] = array("i", [0]) * len(held)
+    elif how == "short":
+        fields[name] = array("q", held[:-1])
+    else:
+        fields[name] = array("q", held) + array("q", [0])
+    return fields
+
+
+_ARRAYS = (
+    "tree_slots", "level_used", "leaf_table", "path_table", "bank_ready",
+    "bank_open_row", "bus_free", "plb_blocks", "plb_dirty", "plb_fills",
+    "set_index",
+)
+
+
+@pytest.mark.parametrize("name", _ARRAYS)
+def test_buffer_of_the_wrong_typecode_is_refused(sstash_controller, name):
+    fields = _broken(sstash_controller._kernel_state_fields(), name,
+                     "typecode")
+    _refused(sstash_controller, fields, TypeError)
+
+
+@pytest.mark.parametrize("name, how", [
+    ("tree_slots", "short"), ("level_used", "long"),
+    ("bank_ready", "short"), ("bank_open_row", "long"),
+    ("bus_free", "long"), ("plb_blocks", "long"), ("plb_dirty", "short"),
+    ("path_table", "short"),
+])
+def test_buffer_of_the_wrong_length_is_refused(sstash_controller, name, how):
+    fields = _broken(sstash_controller._kernel_state_fields(), name, how)
+    _refused(sstash_controller, fields, ValueError)
+
+
+@pytest.mark.parametrize("case, value, error", [
+    ("namespace", (0, 0, 0), TypeError),            # not four fields
+    ("namespace", (8, 4, 16, 4), ValueError),       # posmap2 before posmap1
+    ("namespace", (4, 8, 16, 0), ValueError),       # fanout 0
+    ("treetop_mode", 2, ValueError),
+    ("resident", None, TypeError),                  # mode 1 needs dicts
+    ("counter_keys", (), TypeError),
+    ("top", 99, ValueError),
+    ("leaves", 1 << 20, ValueError),                # more than the tree has
+    ("z_per_level", [1] * 64, ValueError),          # too many levels
+    ("dram", (0, 4, 3, 2, 5, 4, 1, 1), ValueError),  # clock ratio 0
+    ("plb_ways", 0, ValueError),
+])
+def test_malformed_geometry_is_refused(sstash_controller, case, value, error):
+    fields = sstash_controller._kernel_state_fields()
+    fields[case] = value
+    _refused(sstash_controller, fields, error)
 
 
 @pytest.mark.parametrize(
@@ -164,15 +259,14 @@ def sstash_controller():
 )
 def test_served_block_outside_position_map_raises(sstash_controller, mode):
     controller = sstash_controller
-    ctx = controller._kernel_ctx()
     before = _state(controller)
     for served in (len(controller.posmap._leaf_of), -1):
         with pytest.raises(IndexError):
-            controller._native.access_path(ctx, 0, 0, served, mode, True)
+            controller._native.access_path(
+                controller._kstate, 0, 0, served, mode, True
+            )
         assert _state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      controller.layout.path_table,
-                      controller.treetop._set_index)
+    _drop_state(controller)
 
 
 @pytest.mark.parametrize("served, mode", [
@@ -185,12 +279,10 @@ def test_malformed_access_path_call_raises(sstash_controller, served, mode):
     before = _state(controller)
     with pytest.raises(ValueError):
         controller._native.access_path(
-            controller._kernel_ctx(), 0, 0, served, mode, True
+            controller._kstate, 0, 0, served, mode, True
         )
     assert _state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      controller.layout.path_table,
-                      controller.treetop._set_index)
+    _drop_state(controller)
 
 
 def _init_tree_case(controller, case):
@@ -220,8 +312,9 @@ def _init_tree_case(controller, case):
     ("wrong typecode", TypeError),
 ])
 def test_init_tree_rejects_before_writing(controller, case, error):
+    controller._kstate = None  # it holds the controller's tree
     tree, table = _init_tree_case(controller, case)
-    before = (tree._slots.tobytes(), list(tree.level_used))
+    before = (tree._slots.tobytes(), tree.level_used.tobytes())
     rng = random.Random(2)
     state = rng.getstate()
     with pytest.raises(error):
@@ -229,9 +322,9 @@ def test_init_tree_rejects_before_writing(controller, case, error):
             tree._slots, table, tree.z_per_level, tree.level_used,
             rng.getrandbits,
         )
-    assert (tree._slots.tobytes(), list(tree.level_used)) == before
+    assert (tree._slots.tobytes(), tree.level_used.tobytes()) == before
     assert rng.getstate() == state
-    _assert_no_export(tree._slots, table)
+    _assert_no_export(tree._slots, tree.level_used, table)
 
 
 def _translation_state(controller):
@@ -244,11 +337,6 @@ def _translation_state(controller):
         sorted(controller.stats.counters.items()),
         controller.rng.getstate(),
     )
-
-
-def _plb_arrays(controller):
-    plb = controller.plb
-    return plb._blocks, plb._dirty, plb._fills
 
 
 @pytest.fixture
@@ -275,16 +363,12 @@ def test_block_outside_namespace_raises(translating, entry):
     """``translate`` raises ``Namespace.kind_of``'s error; ``plb_install``
     also refuses a user block."""
     controller = translating
-    ctx = controller._kernel_ctx()
     before = _translation_state(controller)
     total = controller.namespace.total_blocks
     blocks = (total, -1) if entry == "translate" else (total, -1, 0)
     for block in blocks:
         with pytest.raises(ValueError) as raised:
-            if entry == "translate":
-                controller._native.translate(ctx, block)
-            else:
-                controller._native.plb_install(ctx, block, True, False)
+            _call(entry, controller._kstate, block)
         if entry == "translate":
             with pytest.raises(ValueError) as expected:
                 controller.namespace.kind_of(block)
@@ -292,8 +376,8 @@ def test_block_outside_namespace_raises(translating, entry):
         else:
             assert "not a PosMap block" in str(raised.value)
         assert _translation_state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      *_plb_arrays(controller))
+    del raised  # its traceback holds the state
+    _drop_state(controller)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -307,40 +391,38 @@ def test_block_outside_namespace_raises(translating, entry):
 ])
 @pytest.mark.parametrize("entry", ["translate", "plb_install"])
 def test_malformed_plb_buffers_raise(translating, entry, case, error):
+    """The constructor refuses PLB arrays that do not match its geometry;
+    a fill count past the ways, which the kernels and the Python tier
+    write as they go, is checked on every call."""
     controller = translating
-    slots = dict(zip(native.CTX_SLOTS, controller._kernel_ctx()))
-    blocks = array("q", slots["plb_blocks"])
-    dirty = array("q", slots["plb_dirty"])
-    fills = array("q", slots["plb_fills"])
-    if case == "short blocks":
-        blocks.pop()
-    elif case == "long dirty":
-        dirty.append(0)
-    elif case == "fills not a power of two":
-        fills.append(0)
-    elif case == "dirty typecode":
-        dirty = array("i", dirty)
-    elif case == "fills typecode":
-        fills = array("i", fills)
-    elif case == "zero ways":
-        slots["plb_ways"] = 0
-    elif case == "fill count past ways":
-        fills[:] = array("q", [slots["plb_ways"] + 1]) * len(fills)
-    slots.update(plb_blocks=blocks, plb_dirty=dirty, plb_fills=fills)
-    ctx = native.kernel_ctx(**slots)
     # A user block whose chain starts at the cached PosMap2 block.
     pm1 = controller.namespace.posmap1_base
     block = 0 if entry == "translate" else pm1
     controller.posmap.discard(pm1)  # installable, were the buffers sound
-    before = _translation_state(controller)
-    with pytest.raises(error):
-        if entry == "translate":
-            controller._native.translate(ctx, block)
-        else:
-            controller._native.plb_install(ctx, block, False, True)
-    assert _translation_state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      blocks, dirty, fills)
+    fields = controller._kernel_state_fields()
+    if case == "fill count past ways":
+        fills = controller.plb._fills
+        for index in range(len(fills)):
+            fills[index] = controller.plb.ways + 1
+        before = _translation_state(controller)
+        with pytest.raises(error):
+            _call(entry, controller._kstate, block)
+        assert _translation_state(controller) == before
+        _drop_state(controller)
+        return
+    if case == "short blocks":
+        _broken(fields, "plb_blocks", "short")
+    elif case == "long dirty":
+        _broken(fields, "plb_dirty", "long")
+    elif case == "fills not a power of two":
+        _broken(fields, "plb_fills", "long")
+    elif case == "dirty typecode":
+        _broken(fields, "plb_dirty", "typecode")
+    elif case == "fills typecode":
+        _broken(fields, "plb_fills", "typecode")
+    elif case == "zero ways":
+        fields["plb_ways"] = 0
+    _refused(controller, fields, error, entry)
 
 
 def test_install_of_a_mapped_block_raises(translating):
@@ -352,12 +434,9 @@ def test_install_of_a_mapped_block_raises(translating):
     assert controller.posmap.is_mapped(pm1)
     before = _translation_state(controller)
     with pytest.raises(RuntimeError, match="still mapped"):
-        controller._native.plb_install(
-            controller._kernel_ctx(), pm1, False, True
-        )
+        _call("plb_install", controller._kstate, pm1)
     assert _translation_state(controller) == before
-    _assert_no_export(controller.tree._slots, controller.posmap._leaf_of,
-                      *_plb_arrays(controller))
+    _drop_state(controller)
 
 
 def test_find_in_treetop_rejects_a_leaf_outside_the_tree(translating):
@@ -366,8 +445,36 @@ def test_find_in_treetop_rejects_a_leaf_outside_the_tree(translating):
     before = _translation_state(controller)
     for leaf in (controller.oram.leaves, -1):
         with pytest.raises(RuntimeError, match="outside the tree"):
-            controller._native.find_in_treetop(
-                controller._kernel_ctx(), 0, leaf
-            )
+            controller._native.find_in_treetop(controller._kstate, 0, leaf)
     assert _translation_state(controller) == before
-    _assert_no_export(controller.tree._slots)
+    _drop_state(controller)
+
+
+def test_state_outlives_its_controller():
+    """The state keeps every object and array it reads alive: with the
+    controller collected it still runs path accesses, a batch and a
+    translation (under the sanitized build, without a report)."""
+    config = SystemConfig.tiny()
+    controller = PathORAMController(config, treetop=SStash(config.oram))
+    state = controller._kstate
+    gone = weakref.ref(controller)
+    del controller
+    gc.collect()
+    assert gone() is None
+    fast = native.fastpath
+    for leaf in range(config.oram.leaves):
+        fast.access_path(state, leaf, 0, None, SERVED_NONE, True)
+    assert fast.run_batch(state, 0, 10, 8, -1, -1, 90, True, False)[0] == 8
+    for block in range(config.oram.user_blocks):
+        assert isinstance(fast.translate(state, block), list)
+    assert len(fast.dram_triples(state, 0)) % 3 == 0
+
+
+def test_held_arrays_refuse_to_resize(sstash_controller):
+    for held in _held_arrays(sstash_controller):
+        with pytest.raises(BufferError):
+            held.append(0)
+
+
+def test_dropped_state_releases_its_arrays(sstash_controller):
+    _drop_state(sstash_controller)

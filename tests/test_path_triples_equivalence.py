@@ -1,7 +1,7 @@
 """The kernel's per-path DRAM triples against the pure-Python oracle.
 
 ``dram_triples`` computes a path's (bank, channel, row) triples in C from
-the layout's ``path_table`` and the DRAM geometry in the kernel context.
+the layout's ``path_table`` and the DRAM geometry in the kernel state.
 On small trees with drawn levels, cached-top depth, IR-Alloc-style Z
 vectors (Z=0 levels included), row sizes, channels and banks, every
 leaf's triples must equal ``decompose_batch(layout.path_addresses(leaf))``,
@@ -57,7 +57,7 @@ def _slot_addresses(layout, oram, leaf):
 def test_kernel_triples_match_python_oracle(config, gaps):
     controller = PathORAMController(config)
     assert controller._native is not None
-    ctx = controller._kernel_ctx()
+    state = controller._kstate
     layout = controller.layout
     oram, dram_cfg = config.oram, config.dram
     kernel_dram = DRAMModel(dram_cfg)
@@ -69,7 +69,7 @@ def test_kernel_triples_match_python_oracle(config, gaps):
         addresses = layout.path_addresses(leaf)
         assert addresses == _slot_addresses(layout, oram, leaf)
         expected = oracle_dram.decompose_batch(addresses)
-        triples = native.fastpath.dram_triples(ctx, leaf)
+        triples = native.fastpath.dram_triples(state, leaf)
         assert triples == expected
 
         kernel_out = native.fastpath.dram_service(
