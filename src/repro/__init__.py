@@ -15,7 +15,7 @@ Quickstart::
     print(out.cycles, out.result.path_type_distribution())
 
 The :mod:`repro.api` facade is the entry point for every kind of run
-(single runs, batches, sweeps, the bench suite); observability — event
+(single runs, batches, sweeps, the benchmark); observability — event
 tracing, metrics export, cycle breakdowns — is switched on per run with
 :class:`repro.api.ObsOptions`.
 """

@@ -5,7 +5,6 @@ Commands
 run         Run one scheme on one workload and print the result summary.
 compare     Run several schemes on one workload, normalized to the first.
 experiments Regenerate the paper's tables/figures (wraps run_all).
-bench       Run the performance suite; write/check BENCH_*.json reports.
 inspect     Summarize a JSONL event trace written by ``--trace-out``.
 schemes     List available schemes.
 workloads   List available workloads.
@@ -153,42 +152,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import bench
-
-    reference = None
-    if args.check:
-        # Load before the (slow) run so a bad path fails fast.
-        try:
-            reference = bench.load_report(args.check)
-        except OSError as exc:
-            print(f"cannot read reference report: {exc}", file=sys.stderr)
-            return 1
-    report = bench.run_bench(
-        smoke=args.smoke, jobs=args.jobs, seed=args.seed,
-        trace_out=args.trace_out, profile=args.profile,
-    )
-    print(bench.format_report(report))
-    if args.trace_out:
-        print(f"\nper-point traces written under {args.trace_out}/")
-    if args.out:
-        bench.save_report(report, args.out)
-        print(f"\nreport written to {args.out}")
-    if args.check:
-        failures = bench.check_report(
-            report, reference, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"\ncheck vs {args.check}: OK "
-            f"(max regression {args.max_regression:.1f}x)"
-        )
-    return 0
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     from .obs.inspect import format_summary, summarize_trace
 
@@ -283,29 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="named platform (REPRO_CONFIG)")
     exp_p.set_defaults(func=cmd_experiments)
-
-    bench_p = sub.add_parser(
-        "bench", help="performance suite (full-system + hot-path kernel)"
-    )
-    bench_p.add_argument("--smoke", action="store_true",
-                         help="small fast variant (used by CI)")
-    bench_p.add_argument("--jobs", type=int, default=1,
-                         help="simulation points run in parallel")
-    bench_p.add_argument("--seed", type=int, default=7,
-                         help="simulation seed for every point")
-    bench_p.add_argument("--out", default=None,
-                         help="write the JSON report here")
-    bench_p.add_argument("--check", default=None,
-                         help="reference BENCH_*.json to compare against")
-    bench_p.add_argument("--max-regression", type=float, default=2.0,
-                         help="allowed throughput regression factor")
-    bench_p.add_argument("--trace-out", default=None, metavar="DIR",
-                         help="write per-point JSONL traces under this "
-                              "directory")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="attach cProfile top-N hotspots per phase "
-                              "(forces --jobs 1; numbers not comparable)")
-    bench_p.set_defaults(func=cmd_bench)
 
     ins_p = sub.add_parser(
         "inspect", help="summarize a JSONL event trace"

@@ -1,8 +1,8 @@
 """The single run facade: build a :class:`RunSpec`, get a :class:`RunResult`.
 
-Every in-repo entry point — the CLI, the experiment harness, the bench
-suite, the sweep engine, and the examples — constructs simulations through
-this module instead of wiring components by hand.
+Every in-repo entry point — the CLI, the experiment harness, the sweep
+engine, the benchmark harness, and the examples — constructs simulations
+through this module instead of wiring components by hand.
 
 Quickstart::
 
@@ -502,22 +502,6 @@ def sweep(
     )
 
 
-def bench(
-    smoke: bool = False,
-    jobs: int = 1,
-    seed: int = 7,
-    trace_out: Optional[str] = None,
-    profile: bool = False,
-) -> Dict[str, object]:
-    """Run the performance suite; see :func:`repro.perf.bench.run_bench`."""
-    from .perf.bench import run_bench
-
-    return run_bench(
-        smoke=smoke, jobs=jobs, seed=seed, trace_out=trace_out,
-        profile=profile,
-    )
-
-
 def summarize_trace(path: str) -> Dict[str, Any]:
     """Aggregate a JSONL trace file (``repro inspect``)."""
     from .obs.inspect import summarize_trace as _summarize
@@ -536,6 +520,5 @@ __all__ = [
     "run_campaign",
     "campaign_key",
     "sweep",
-    "bench",
     "summarize_trace",
 ]

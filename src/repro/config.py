@@ -23,10 +23,33 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from .errors import ConfigError
+
+N = TypeVar("N", int, float)
+
+
+def env_number(name: str, default: N, kind: Callable[[str], N] = int) -> N:
+    """The environment knob ``name`` as a non-negative ``kind`` number.
+
+    Unset or blank gives ``default``.  A malformed or negative value (or a
+    NaN) raises :class:`ConfigError` naming the variable, so a mistyped
+    knob fails the run instead of silently running other code.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"{name}={raw!r} is not a number") from None
+    if not value >= 0:
+        raise ConfigError(f"{name}={raw!r} must be non-negative")
+    return value
+
 
 #: Number of position-map entries packed into one ORAM block.  With 64-byte
 #: blocks and 4-byte entries this is 16, as in Freecursive.

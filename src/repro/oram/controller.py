@@ -78,15 +78,6 @@ _HOOK_KEYS = (
     sk.SSTASH_PLACEMENT_SKIPS,
 )
 
-#: Per-phase wall-time keys, in the order the batch kernel reports them.
-_BATCH_TIMING_KEYS = (
-    sk.ENGINE_BATCH_RNG_NS,
-    sk.ENGINE_BATCH_READ_DRAM_NS,
-    sk.ENGINE_BATCH_STASH_NS,
-    sk.ENGINE_BATCH_PLACE_NS,
-    sk.ENGINE_BATCH_WRITE_DRAM_NS,
-)
-
 
 @dataclass
 class SlotResult:
@@ -980,7 +971,7 @@ class PathORAMController:
 
     def _after_write_phase(self) -> None:
         if self.stash.over_threshold(self.oram.eviction_threshold):
-            self.stats.inc("eviction.triggers")
+            self.stats.inc(sk.EVICTION_TRIGGERS)
 
     # ------------------------------------------------------------------
     # full accesses
@@ -1205,7 +1196,6 @@ class PathORAMController:
         horizon: Optional[int] = None,
         stop_on_threshold: bool = False,
         want_bounds: bool = False,
-        collect_timing: bool = False,
     ) -> Tuple[int, int, Optional[List[int]]]:
         """Issue up to ``max_paths`` dummy paths without per-path overhead.
 
@@ -1231,7 +1221,7 @@ class PathORAMController:
             and self.slot_observer is None
         ):
             stash = self.stash
-            n, new_now, max_occ, bounds, agg, timings = (
+            n, new_now, max_occ, bounds, agg = (
                 self._native.run_batch(
                     self._kstate,
                     now,
@@ -1243,7 +1233,6 @@ class PathORAMController:
                     else -1,
                     self.oram.eviction_threshold,
                     want_bounds,
-                    collect_timing,
                 )
             )
             if max_occ > stash.peak_occupancy:
@@ -1266,9 +1255,6 @@ class PathORAMController:
             batch[sk.ENGINE_BATCH_PATHS] = (
                 batch.get(sk.ENGINE_BATCH_PATHS, 0) + n
             )
-            if timings is not None:
-                for key, value in zip(_BATCH_TIMING_KEYS, timings):
-                    batch[key] = batch.get(key, 0) + value
             return n, new_now, bounds
 
         bounds = [] if want_bounds else None

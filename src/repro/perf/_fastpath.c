@@ -18,20 +18,10 @@
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
-#include <time.h>
 
 /* array.array, imported at module init: dram_triples and draw_leaves
  * return one. */
 static PyObject *array_type;
-
-static inline unsigned long long
-now_ns(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (unsigned long long)ts.tv_sec * 1000000000ull +
-           (unsigned long long)ts.tv_nsec;
-}
 
 /* Marker of an empty tree slot (tree.EMPTY) and of an unmapped block's
  * leaf (posmap.UNMAPPED). */
@@ -267,29 +257,12 @@ randbelow(Draws *r, long long n, long long *out)
 /* The kernel state                                                  */
 /* ---------------------------------------------------------------- */
 
-/* Pool entry of the placement engine: a stash block, in stash order.
- * ``block`` is borrowed from the stash dict, or NULL for a block that
- * run_batch's array mode read off the path without making an object.
- */
+/* Pool entry of the placement engine: a stash block, in stash order,
+ * borrowed from the stash dict, and its id. */
 typedef struct {
     PyObject *block;
     long long value;
-    Py_ssize_t idx;   /* read-order index (array-mode placement only) */
 } PoolItem;
-
-/* path_access's empty-stash array-mode buffer: blocks read off the path
- * bypass the stash dict and are kept here in read order, with their
- * leaves and path depths.  ``items`` has room for 4 * cap entries — the
- * upper three quarters are place_pools scratch.
- */
-typedef struct {
-    PoolItem *items;
-    long long *leaf;
-    long long *depth;
-    unsigned char *placed;
-    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
-    Py_ssize_t n, cap;
-} ReadBuf;
 
 /* The counters the translation entries bump, in the order of the
  * ``counter_keys`` tuple (native.TRANSLATE_KEYS).  The PLB's cache-level
@@ -353,8 +326,8 @@ enum {
  * the Python tier write the same arrays).  Level ``l``'s buckets start
  * at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
  * ORAMTree lays them out.  The state also keeps the scratch of one path
- * (its DRAM triples and run_batch's read buffer) and the tree-top hook
- * counts of the current path-entry call.
+ * (its DRAM triples) and the tree-top hook counts of the current
+ * path-entry call.
  */
 typedef struct {
     PyObject_HEAD
@@ -378,7 +351,6 @@ typedef struct {
     long long p1_base, p2_base, total, fanout;  /* the namespace */
     long long plb_sets, plb_ways;
     long long *triples;  /* one path's DRAM triples */
-    ReadBuf rb;
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
     int depth;  /* nested PLB victim re-inserts */
 } KernelState;
@@ -468,7 +440,6 @@ state_dealloc(KernelState *s)
     Py_XDECREF(s->rng.getrandbits);
     Py_XDECREF(s->rng.bits);
     PyMem_Free(s->triples);
-    PyMem_Free(s->rb.items);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -639,24 +610,13 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     }
 
-    /* Scratch: one path's triples, and the read buffer of run_batch's
-     * array mode (one entry per slot of a path). */
-    long long max_slots = 0;
-    for (long long d = 0; d < s->levels; d++)
-        max_slots += s->z_arr[d];
+    /* Scratch: one path's triples. */
     s->triples = PyMem_Malloc(sizeof(long long) *
                               (size_t)(3 * s->path_blocks + 1));
-    s->rb.items = PyMem_Malloc(
-        (sizeof(PoolItem) * 4 + sizeof(long long) * 2 + 1) *
-        (size_t)(max_slots + 1));
-    if (s->triples == NULL || s->rb.items == NULL) {
+    if (s->triples == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    s->rb.leaf = (long long *)(s->rb.items + 4 * (max_slots + 1));
-    s->rb.depth = s->rb.leaf + max_slots + 1;
-    s->rb.placed = (unsigned char *)(s->rb.depth + max_slots + 1);
-    s->rb.cap = max_slots;
     return (PyObject *)s;
 
 fail:
@@ -754,15 +714,14 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
 /* The read phase of one path access, the one read loop behind
  * path_access: clear every real block off the path to ``leaf``, release
  * its tree-top entry when it sat in a cached level (S-Stash removal in
- * mode 1, a bare count in mode 0), and move it into the stash — the end
- * of the entries dict, or ``rb`` when it is non-NULL.  The level
- * ``served`` was read from goes to ``*served_level``.  Mirrors
- * ORAMTree.read_and_clear plus the per-block loop of
- * PathORAMController._service_path.  Returns 0, or -1 with an exception
- * set.
+ * mode 1, a bare count in mode 0), and move it into the stash, at the
+ * end of the entries dict.  The level ``served`` was read from goes to
+ * ``*served_level``.  Mirrors ORAMTree.read_and_clear plus the per-block
+ * loop of PathORAMController._service_path.  Returns 0, or -1 with an
+ * exception set.
  */
 static int
-read_path_core(KernelState *c, long long leaf, ReadBuf *rb, long long served,
+read_path_core(KernelState *c, long long leaf, long long served,
                long long *served_level)
 {
     for (long long level = 0; level < c->levels; level++) {
@@ -799,23 +758,8 @@ read_path_core(KernelState *c, long long leaf, ReadBuf *rb, long long served,
                     c->removed_top++;
                 }
             }
-            if (rb == NULL) {
-                if (stash_insert(c->entries, value, bleaf) < 0)
-                    return -1;
-                continue;
-            }
-            long long depth = deepest_level(c->levels, leaf, bleaf);
-            if (rb->n >= rb->cap || depth < 0) {
-                PyErr_SetString(PyExc_RuntimeError, "path read overflow");
+            if (stash_insert(c->entries, value, bleaf) < 0)
                 return -1;
-            }
-            Py_ssize_t i = rb->n++;
-            rb->items[i].block = NULL;
-            rb->items[i].value = value;
-            rb->items[i].idx = i;
-            rb->leaf[i] = bleaf;
-            rb->depth[i] = depth;
-            rb->counts[depth]++;
         }
     }
     return 0;
@@ -869,11 +813,11 @@ group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
     return 0;
 }
 
-/* The one placement engine, behind path_access's dict and array modes:
- * greedy bottom-up placement onto the path to ``leaf`` of ``items``
- * already segmented by depth (counts/offsets, each segment in stash
- * order).  ``items`` must have capacity 3*total — the upper two thirds
- * are scratch for the pool stack and the per-level rejection list.
+/* The placement engine behind write_place_core: greedy bottom-up
+ * placement onto the path to ``leaf`` of ``items`` already segmented by
+ * depth (counts/offsets, each segment in stash order).  ``items`` must
+ * have capacity 3*total — the upper two thirds are scratch for the pool
+ * stack and the per-level rejection list.
  *
  * In S-Stash mode, placements into the cached top levels consult the
  * set-associativity constraint (the set-index array, falling back to
@@ -882,16 +826,11 @@ group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
  * placement loop with SStash.may_place/on_place; rejected blocks are
  * retried at shallower levels exactly like the Python
  * ``pool.extend(rejected)``.  Hook counts accumulate into the state.
- *
- * With ``placed_out`` NULL each placed block is removed from the stash
- * dict as it lands; the array-mode caller (whose blocks never entered
- * the dict) passes ``placed_out`` and gets ``placed_out[item.idx]``
- * marked so survivors can be written back afterwards.
+ * Each placed block is removed from the stash dict as it lands.
  */
 static int
 place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
-            const Py_ssize_t *counts, const Py_ssize_t *offsets,
-            unsigned char *placed_out)
+            const Py_ssize_t *counts, const Py_ssize_t *offsets)
 {
     PoolItem *stack = items + total;
     PoolItem *rejected = items + 2 * total;
@@ -919,10 +858,7 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             PyObject *block = NULL, *idx_obj = NULL;
             long long set_cnt = 0;
             if (level_gated) {
-                block = item.block != NULL ? Py_NewRef(item.block)
-                                           : PyLong_FromLongLong(item.value);
-                if (block == NULL)
-                    return -1;
+                block = Py_NewRef(item.block);
                 long long set = item.value >= 0 &&
                                 item.value < c->set_index_len
                     ? c->set_index[item.value] : -1;
@@ -979,9 +915,7 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             } else if (level < c->top) {
                 c->placed_top++;
             }
-            if (placed_out != NULL)
-                placed_out[item.idx] = 1;
-            else if (PyDict_DelItem(c->entries, item.block) < 0)
+            if (PyDict_DelItem(c->entries, item.block) < 0)
                 return -1;
             continue;
 
@@ -999,9 +933,8 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
     return 0;
 }
 
-/* Dict-backed placement: depth-bucket the whole stash, then run the
- * shared engine with placed blocks removed from the stash dict as they
- * land.
+/* The write phase's placement, path_access's one placement step:
+ * depth-bucket the whole stash, then run the placement engine.
  */
 static int
 write_place_core(KernelState *c, long long leaf)
@@ -1019,7 +952,7 @@ write_place_core(KernelState *c, long long leaf)
     Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
     int rc = group_by_depth(c, leaf, items, counts, offsets);
     if (rc == 0)
-        rc = place_pools(c, leaf, items, total, counts, offsets, NULL);
+        rc = place_pools(c, leaf, items, total, counts, offsets);
     PyMem_Free(items);
     return rc;
 }
@@ -1143,36 +1076,6 @@ served_step(KernelState *c, long long leaf, long long served, int mode)
     return rc;
 }
 
-/* Array-mode placement: segment the blocks ``rb`` read off the path by
- * depth (each segment keeps read order), place them through the shared
- * engine, and let the rare survivors enter the stash dict in read order.
- */
-static int
-place_read_buf(KernelState *c, long long leaf, ReadBuf *rb)
-{
-    if (rb->n == 0)
-        return 0;
-    Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
-    Py_ssize_t fill[FASTPATH_MAX_LEVELS];
-    offsets[0] = 0;
-    for (long long d = 1; d < c->levels; d++)
-        offsets[d] = offsets[d - 1] + rb->counts[d - 1];
-    memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c->levels);
-    PoolItem *seg = rb->items + rb->cap;
-    for (Py_ssize_t i = 0; i < rb->n; i++)
-        seg[fill[rb->depth[i]]++] = rb->items[i];
-    memset(rb->placed, 0, (size_t)rb->n);
-    if (place_pools(c, leaf, seg, rb->n, rb->counts, offsets,
-                    rb->placed) < 0)
-        return -1;
-    for (Py_ssize_t i = 0; i < rb->n; i++) {
-        if (!rb->placed[i] &&
-            stash_insert(c->entries, rb->items[i].value, rb->leaf[i]) < 0)
-            return -1;
-    }
-    return 0;
-}
-
 /* One path access's outputs.  The row hit and conflict counts add to
  * what the fields already hold, so run_batch sums them over a batch. */
 typedef struct {
@@ -1185,64 +1088,34 @@ typedef struct {
  *
  *   the read burst (fill_triples, then dram_run_arr at ``now``); the
  *   read phase (read_path_core); the served block's step (served_step,
- *   unless ``mode`` is SERVED_NONE); greedy bottom-up placement; and the
- *   write burst at the read phase's finish, unless ``write_burst`` is 0
- *   (the caller then issues it later, and ``finish_write`` is the read
- *   phase's finish).
+ *   unless ``mode`` is SERVED_NONE); greedy bottom-up placement
+ *   (write_place_core); and the write burst at the read phase's finish,
+ *   unless ``write_burst`` is 0 (the caller then issues it later, and
+ *   ``finish_write`` is the read phase's finish).
  *
- * The read phase bypasses the stash dict (``rb``'s array mode) when
- * ``rb`` is non-NULL, nothing is served and the stash is empty: blocks
- * read off the path are collected in read order, placed through the same
- * engine, and only the survivors enter the dict, in read order.  In dict
- * mode the same blocks would enter an empty dict in read order too, so
- * both modes see the same pools and leave the same stash.
- *
- * ``clock`` (NULL, or 4 accumulators) collects the nanoseconds of the
- * read burst, the read phase and served step, placement, and the write
- * burst.  Mirrors PathORAMController's Python phases.  Returns 0, or -1
- * with an exception set.
+ * Mirrors PathORAMController's Python phases.  Returns 0, or -1 with an
+ * exception set.
  */
 static int
-path_access(KernelState *c, ReadBuf *rb, long long leaf, long long now,
-            long long served, int mode, int write_burst, PathOut *out,
-            unsigned long long *clock)
+path_access(KernelState *c, long long leaf, long long now, long long served,
+            int mode, int write_burst, PathOut *out)
 {
     const DramTiming *d = &c->dram;
-    unsigned long long t0 = clock != NULL ? now_ns() : 0;
-#define LAP(i)                                                          \
-    if (clock != NULL) {                                                \
-        unsigned long long t1 = now_ns();                               \
-        clock[i] += t1 - t0;                                            \
-        t0 = t1;                                                        \
-    }
     long long finish;
     fill_triples(c, leaf, c->triples);
     dram_run_arr(c->triples, c->path_blocks, &c->banks,
                  (now + d->ratio - 1) / d->ratio, d, &finish,
                  &out->read_hits, &out->read_conflicts);
     out->finish_read = out->finish_write = finish * d->ratio;
-    LAP(0)
 
-    ReadBuf *arr = NULL;
-    if (rb != NULL && mode == SERVED_NONE &&
-        PyDict_GET_SIZE(c->entries) == 0) {
-        arr = rb;
-        rb->n = 0;
-        memset(rb->counts, 0, sizeof(Py_ssize_t) * (size_t)c->levels);
-    }
     out->served_level = -1;
-    if (read_path_core(c, leaf, arr, served, &out->served_level) < 0)
+    if (read_path_core(c, leaf, served, &out->served_level) < 0)
         return -1;
-    out->occupancy = arr != NULL ? (long long)rb->n
-                                 : (long long)PyDict_GET_SIZE(c->entries);
+    out->occupancy = (long long)PyDict_GET_SIZE(c->entries);
     if (mode != SERVED_NONE && served_step(c, leaf, served, mode) < 0)
         return -1;
-    LAP(1)
-
-    if ((arr != NULL ? place_read_buf(c, leaf, rb)
-                     : write_place_core(c, leaf)) < 0)
+    if (write_place_core(c, leaf) < 0)
         return -1;
-    LAP(2)
 
     if (write_burst) {
         dram_run_arr(c->triples, c->path_blocks, &c->banks,
@@ -1250,8 +1123,6 @@ path_access(KernelState *c, ReadBuf *rb, long long leaf, long long now,
                      &finish, &out->write_hits, &out->write_conflicts);
         out->finish_write = finish * d->ratio;
     }
-    LAP(3)
-#undef LAP
     return 0;
 }
 
@@ -1306,8 +1177,7 @@ access_path(PyObject *self, PyObject *args)
     PathOut out;
     memset(&out, 0, sizeof out);
     reset_hooks(c);
-    if (path_access(c, NULL, leaf, now, served, mode, write_burst, &out,
-                    NULL) < 0)
+    if (path_access(c, leaf, now, served, mode, write_burst, &out) < 0)
         return NULL;
     return Py_BuildValue(
         "LLLLL(LL)(LL)(LLLLL)", out.finish_read, out.finish_write,
@@ -1322,8 +1192,8 @@ access_path(PyObject *self, PyObject *args)
 /* ---------------------------------------------------------------- */
 
 /* run_batch(state, now, interval, max_paths, horizon, stop_threshold,
- *           trigger_threshold, want_bounds, collect_timing)
- *   -> (n, now, max_occupancy, bounds | None, agg, timings | None)
+ *           trigger_threshold, want_bounds)
+ *   -> (n, now, max_occupancy, bounds | None, agg)
  *
  * Execute up to ``max_paths`` whole dummy-path accesses — an RNG leaf
  * draw (randbelow) and path_access — without returning to the
@@ -1340,8 +1210,7 @@ access_path(PyObject *self, PyObject *args)
  * (placed_top, removed_top, sstash_placed, sstash_removed,
  * sstash_skips)), the hook counts shaped as access_path returns them;
  * ``bounds`` is a flat [start, finish_read, finish_write, ...] list when
- * requested; ``timings`` is (rng_ns, read_dram_ns, stash_ns, place_ns,
- * write_dram_ns) when ``collect_timing`` is set.
+ * requested.
  */
 static PyObject *
 run_batch(PyObject *self, PyObject *args)
@@ -1349,11 +1218,11 @@ run_batch(PyObject *self, PyObject *args)
     KernelState *c;
     long long now, interval, max_paths, horizon, stop_threshold,
         trigger_threshold;
-    int want_bounds, collect_timing;
-    if (!PyArg_ParseTuple(args, "O!LLLLLLpp", &KernelStateType, &c,
+    int want_bounds;
+    if (!PyArg_ParseTuple(args, "O!LLLLLLp", &KernelStateType, &c,
                           &now, &interval, &max_paths, &horizon,
                           &stop_threshold, &trigger_threshold,
-                          &want_bounds, &collect_timing))
+                          &want_bounds))
         return NULL;
     if (max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
@@ -1369,8 +1238,6 @@ run_batch(PyObject *self, PyObject *args)
     long long ev_triggers = 0;
     PathOut out;
     memset(&out, 0, sizeof out);
-    unsigned long long t_rng = 0;
-    unsigned long long clock[4] = {0, 0, 0, 0};
 
     while (n < max_paths) {
         if (horizon >= 0 && now >= horizon)
@@ -1378,17 +1245,9 @@ run_batch(PyObject *self, PyObject *args)
         if (stop_threshold >= 0 &&
             (long long)PyDict_GET_SIZE(c->entries) > stop_threshold)
             break;
-        unsigned long long t0 = collect_timing ? now_ns() : 0;
         long long leaf;
-        if (randbelow(&c->rng, c->leaves, &leaf) < 0)
-            goto fail;
-        if (collect_timing)
-            t_rng += now_ns() - t0;
-        /* The array-mode buffer is used when a path begins with an
-         * empty stash, the steady state for dummy-path batches. */
-        if (path_access(c, c->rb.cap > 0 ? &c->rb : NULL, leaf, now, EMPTY,
-                        SERVED_NONE, 1, &out,
-                        collect_timing ? clock : NULL) < 0)
+        if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
+            path_access(c, leaf, now, EMPTY, SERVED_NONE, 1, &out) < 0)
             goto fail;
         if (out.occupancy > max_occ)
             max_occ = out.occupancy;
@@ -1412,20 +1271,12 @@ run_batch(PyObject *self, PyObject *args)
 
     if (bounds == NULL)
         bounds = Py_NewRef(Py_None);
-    PyObject *timings = collect_timing
-        ? Py_BuildValue("(KKKKK)", t_rng, clock[0], clock[1], clock[2],
-                        clock[3])
-        : Py_NewRef(Py_None);
-    if (timings == NULL) {
-        Py_DECREF(bounds);
-        return NULL;
-    }
     return Py_BuildValue(
-        "(LLLN(LLLL(LLLLL))N)", n, now, max_occ, bounds,
+        "(LLLN(LLLL(LLLLL)))", n, now, max_occ, bounds,
         n * c->path_blocks, out.read_hits + out.write_hits,
         out.read_conflicts + out.write_conflicts, ev_triggers,
         c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
-        c->ss_skips, timings);
+        c->ss_skips);
 
 fail:
     Py_XDECREF(bounds);

@@ -6,7 +6,7 @@ processes through three cooperating pieces:
 * **Warm pool** — one long-lived :class:`~concurrent.futures.\
   ProcessPoolExecutor` per process, created on first use with an
   initializer that imports the scheme zoo, and reused by every subsequent
-  ``run_many``/``sweep``/``bench``/``experiments`` call.  The pool is
+  ``run_many``/``sweep``/``experiments`` call.  The pool is
   recreated only when a caller asks for more workers than it has or when
   the ``REPRO_*`` environment knobs change (forked workers snapshot the
   environment).
@@ -30,8 +30,8 @@ processes through three cooperating pieces:
 
 Cache-hit counters surface through the normal stats/obs layer under the
 ``engine.*`` namespace (recorded per run after the simulation result is
-snapshotted, so simulation counters stay bit-identical) and aggregate in
-the ``python -m repro bench`` report.
+snapshotted, so simulation counters stay bit-identical) and sum across
+points through :func:`aggregate_engine_counters`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import stats_keys as sk
-from ..config import ORAMConfig, SystemConfig
+from ..config import ORAMConfig, SystemConfig, env_number
 from ..errors import EngineFaultError
 from ..obs import events as ev
 from ..sim.results import SimulationResult
@@ -76,8 +76,6 @@ class SimPoint:
     records: int = 2500
     seed: int = 7
     config: Optional[SystemConfig] = None
-    #: optional per-point JSONL event trace destination
-    trace_out: Optional[str] = None
 
     def label(self) -> str:
         return f"{self.scheme}/{self.workload}"
@@ -590,20 +588,6 @@ def _emit(kind: str, **data: Any) -> None:
         _EVENT_HOOK(kind, **data)
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a (possibly hung) pool down without waiting on its workers."""
     global _POOL
@@ -663,9 +647,9 @@ class _Supervisor:
         self.attempts: Dict[int, int] = {}
         self.inflight: Dict[Any, _TaskState] = {}
         self.pool_failures = 0
-        self.retry_budget = _env_int("REPRO_TASK_RETRIES", 2)
-        self.max_respawns = _env_int("REPRO_MAX_RESPAWNS", 3)
-        self.timeout_override = _env_float("REPRO_TASK_TIMEOUT", 0.0)
+        self.retry_budget = env_number("REPRO_TASK_RETRIES", 2)
+        self.max_respawns = env_number("REPRO_MAX_RESPAWNS", 3)
+        self.timeout_override = env_number("REPRO_TASK_TIMEOUT", 0.0, float)
 
     # -- policy -------------------------------------------------------------
     def _deadline_for(self, index: int) -> Optional[float]:
@@ -886,7 +870,6 @@ def run_point_warm(point: SimPoint) -> PointResult:
         records=point.records,
         seed=point.seed,
         config=point.config,
-        obs=api.ObsOptions(trace_out=point.trace_out),
     )
     out = api.run(spec, artifacts=get_cache())
     engine_counts = {

@@ -328,9 +328,8 @@ def _self_test(module) -> bool:
         z_per_level=[1, 1], level_used=level_used,
         bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
     )
-    result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1, 0)
-    if result != (1, 17, 1, [0, 10, 17], (2, 3, 0, 0, (0, 0, 0, 0, 0)),
-                  None):
+    result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1)
+    if result != (1, 17, 1, [0, 10, 17], (2, 3, 0, 0, (0, 0, 0, 0, 0))):
         return False
     return (
         entries == {}

@@ -11,7 +11,6 @@ queueing delay are both workload-dependent, as in the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -19,6 +18,7 @@ from .. import stats_keys as sk
 from ..cache.cache import EvictedLine
 from ..cache.llc import LastLevelCache
 from ..core.schemes import SimComponents
+from ..config import env_number
 from ..cpu.processor import MemoryOp, Processor
 from ..errors import ProtocolError
 from ..obs import events as ev
@@ -220,9 +220,11 @@ class Simulator:
         # slot-boundary hook forces per-slot stepping (a flush at every
         # boundary): observers, tracers, checkpointers, and utilization or
         # progress sampling all see exactly the slots they would have seen,
-        # and cycles/counters are bit-identical either way.
-        batch_slots = 0
-        if (
+        # and cycles/counters are bit-identical either way.  The knob is
+        # parsed on every run, so a malformed value fails even a run that
+        # could not batch.
+        batch_slots = env_number("REPRO_BATCH_SLOTS", 256)
+        if not (
             oram.timing_protection
             and controller.SUPPORTS_NATIVE_BATCH
             and controller.dwb is None
@@ -233,13 +235,7 @@ class Simulator:
             and snapshot_every == 0
             and progress_every == 0
         ):
-            try:
-                batch_slots = int(
-                    os.environ.get("REPRO_BATCH_SLOTS", "256") or "0"
-                )
-            except ValueError:
-                batch_slots = 0
-            batch_slots = max(0, batch_slots)
+            batch_slots = 0
         dummy_value = PathType.DUMMY.value
 
         while True:

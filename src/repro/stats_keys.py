@@ -223,20 +223,11 @@ ENGINE_CACHE_CORRUPT = "engine.cache.corrupt"
 # calls counts run_batch kernel invocations; paths counts paths executed
 # inside the kernel; fallback_paths counts paths executed by the
 # pure-Python batch loop (natives off, unsupported tree-top, observers
-# attached).  The *_ns keys attribute wall time inside the kernel to the
-# protocol phases (RNG leaf draw, read-phase DRAM, stash fill, write
-# placement, write-phase DRAM); they are only collected under
-# ``repro bench --profile``.  All of these describe *execution*, never
-# simulated behaviour: cycles and counters are identical with batching
-# on or off.
+# attached).  All of these describe *execution*, never simulated
+# behaviour: cycles and counters are identical with batching on or off.
 ENGINE_BATCH_CALLS = "engine.batch.calls"
 ENGINE_BATCH_PATHS = "engine.batch.paths"
 ENGINE_BATCH_FALLBACK_PATHS = "engine.batch.fallback_paths"
-ENGINE_BATCH_RNG_NS = "engine.batch.rng_ns"
-ENGINE_BATCH_READ_DRAM_NS = "engine.batch.read_dram_ns"
-ENGINE_BATCH_STASH_NS = "engine.batch.stash_ns"
-ENGINE_BATCH_PLACE_NS = "engine.batch.place_ns"
-ENGINE_BATCH_WRITE_DRAM_NS = "engine.batch.write_dram_ns"
 
 # -- engine.tier: which execution tier served each path -----------------------
 # Kernel paths are whole accesses through ``access_path``; batch paths ran

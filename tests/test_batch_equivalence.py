@@ -103,6 +103,51 @@ class TestKernelLockstep:
             assert now_a == now_b
 
 
+class TestRecordedDummyCycles:
+    """Cross-machine determinism: 1500 dummy paths at L=13, drained in
+    chunks of 512, end at the same recorded cycle on every tier.  The
+    figures are simulated, not measured, so they hold on any host."""
+
+    PATHS = 1500
+    CHUNK = 512
+    CYCLES = {
+        "Baseline": 1252416,
+        "IR-Alloc": 891908,
+        "IR-Stash": 1252416,
+        "IR-ORAM": 974532,
+    }
+
+    def _drain(self, scheme, tier):
+        from repro.perf import native
+
+        controller = build_scheme(
+            scheme, SystemConfig.scaled(levels=13), rng=random.Random(7)
+        ).controller
+        if tier == "per-access":
+            controller.SUPPORTS_NATIVE_BATCH = False
+        now = done = 0
+        while done < self.PATHS:
+            chunk = min(self.CHUNK, self.PATHS - done)
+            issued, now, _ = controller.run_dummy_batch(now, chunk)
+            assert issued == chunk
+            done += issued
+        if native.fastpath is not None:
+            ran = {
+                "batch": "engine.tier.batch_paths",
+                "per-access": "engine.tier.kernel_paths",
+                "python": "engine.tier.python_paths",
+            }[tier]
+            assert controller.tier_counters()[ran] == self.PATHS
+        return now
+
+    @pytest.mark.parametrize("tier", ["batch", "per-access", "python"])
+    @pytest.mark.parametrize("scheme", sorted(CYCLES))
+    def test_final_cycle_matches_record(self, scheme, tier, monkeypatch):
+        if tier == "python":
+            _disable_natives(monkeypatch)
+        assert self._drain(scheme, tier) == self.CYCLES[scheme]
+
+
 class TestFullRunEquivalence:
     """Whole simulations across every scheme and execution strategy."""
 

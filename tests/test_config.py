@@ -10,6 +10,7 @@ from repro.config import (
     DRAMConfig,
     ORAMConfig,
     SystemConfig,
+    env_number,
     posmap_fanout,
     scaled_user_blocks,
 )
@@ -233,3 +234,44 @@ class TestSystemPresets:
 
     def test_scaled_user_blocks_multiple_of_fanout(self):
         assert scaled_user_blocks(10000, 0.5) % 16 == 0
+
+
+BAD_VALUES = ["2x", "-1", "nan"]
+
+
+class TestEnvKnobs:
+    """A malformed or negative knob fails loudly, naming the variable,
+    instead of silently running other code."""
+
+    def test_unset_or_blank_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
+        assert env_number("REPRO_TASK_RETRIES", 2) == 2
+        monkeypatch.setenv("REPRO_TASK_RETRIES", " ")
+        assert env_number("REPRO_TASK_RETRIES", 2) == 2
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
+        assert env_number("REPRO_TASK_TIMEOUT", 0.0, float) == 1.5
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_batch_slots(self, value, monkeypatch):
+        from repro import api
+
+        monkeypatch.setenv("REPRO_BATCH_SLOTS", value)
+        spec = api.RunSpec(scheme="Baseline", workload="random",
+                           records=50, config=SystemConfig.tiny())
+        with pytest.raises(ConfigError, match="REPRO_BATCH_SLOTS"):
+            api.run(spec)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize(
+        "knob", ["REPRO_TASK_RETRIES", "REPRO_MAX_RESPAWNS",
+                 "REPRO_TASK_TIMEOUT"],
+    )
+    def test_engine_knobs(self, knob, value, monkeypatch):
+        from repro.perf import engine
+
+        starts = engine.engine_counters().get("engine.pool_starts")
+        monkeypatch.setenv(knob, value)
+        with pytest.raises(ConfigError, match=knob):
+            engine.engine_map(abs, [1, 2], jobs=2)
+        # Refused before a pool is started.
+        assert engine.engine_counters().get("engine.pool_starts") == starts

@@ -118,7 +118,7 @@ def _call(kernel, state, arg):
         served, mode, write_burst = _ACCESS_SHAPES[kernel]
         return fast.access_path(state, arg, 0, served, mode, write_burst)
     if kernel == "run_batch":
-        return fast.run_batch(state, 0, 0, 4, -1, -1, 90, False, False)
+        return fast.run_batch(state, 0, 0, 4, -1, -1, 90, False)
     if kernel == "plb_install":
         return fast.plb_install(state, arg, False, True)
     return getattr(fast, kernel)(state, arg)
@@ -464,7 +464,7 @@ def test_state_outlives_its_controller():
     fast = native.fastpath
     for leaf in range(config.oram.leaves):
         fast.access_path(state, leaf, 0, None, SERVED_NONE, True)
-    assert fast.run_batch(state, 0, 10, 8, -1, -1, 90, True, False)[0] == 8
+    assert fast.run_batch(state, 0, 10, 8, -1, -1, 90, True)[0] == 8
     for block in range(config.oram.user_blocks):
         assert isinstance(fast.translate(state, block), list)
     assert len(fast.dram_triples(state, 0)) % 3 == 0
