@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import api
-from ..config import SystemConfig
+from ..config import SystemConfig, env_number
 from ..sim.results import SimulationResult
 from ..traces.benchmarks import BENCHMARKS
 
@@ -30,8 +30,9 @@ ALL_WORKLOADS: Tuple[str, ...] = tuple(BENCHMARKS) + ("mix",)
 
 
 def experiment_records(default: int = 5000) -> int:
-    """Trace length used by the experiment harness."""
-    return int(os.environ.get("REPRO_RECORDS", default))
+    """Trace length used by the experiment harness (``REPRO_RECORDS``
+    overrides; a malformed or negative value raises ConfigError)."""
+    return env_number("REPRO_RECORDS", default)
 
 
 def experiment_workloads(
@@ -51,8 +52,9 @@ def experiment_config() -> SystemConfig:
 
 
 def experiment_seed(default: int = 7) -> int:
-    """Base seed of the simulation matrix (``REPRO_SEED`` overrides)."""
-    return int(os.environ.get("REPRO_SEED", default))
+    """Base seed of the simulation matrix (``REPRO_SEED`` overrides; a
+    malformed or negative value raises ConfigError)."""
+    return env_number("REPRO_SEED", default)
 
 
 @dataclass

@@ -20,8 +20,8 @@ by ``channel * banks_per_channel + bank``.  The batch-service inner loop
 runs in the optional :mod:`repro.perf.native` C kernel when available,
 with a bit-identical pure-Python fallback.  A controller's kernel state
 holds the same three arrays, so a kernel path access times both of its
-bursts in C on them directly and books them through
-:meth:`DRAMModel.book`; the arrays never resize.
+bursts in C on them directly and counts them there; the arrays never
+resize.
 """
 
 from __future__ import annotations
@@ -157,13 +157,20 @@ class DRAMModel:
     def book(self, count: int, is_write: bool, start_cycle: int,
              finish_cpu: int, row_hits: int, conflicts: int) -> None:
         """Book one serviced burst of ``count`` accesses: the DRAM
-        counters, and a ``dram.batch`` event when traced.  Serves
-        :meth:`service_decomposed` and the bursts the C kernels time."""
+        counters, and a ``dram.batch`` event when traced.  The C kernels
+        count the bursts they time themselves (the state's counter keys)
+        and leave the event to :meth:`emit_batch`."""
         counters = self.stats.counters
         counters[sk.DRAM_ACCESSES] += count
         counters[sk.DRAM_ROW_HITS] += row_hits
         counters[sk.DRAM_ROW_CONFLICTS] += conflicts
         counters[sk.DRAM_WRITES if is_write else sk.DRAM_READS] += count
+        self.emit_batch(count, is_write, start_cycle, finish_cpu, row_hits,
+                        conflicts)
+
+    def emit_batch(self, count: int, is_write: bool, start_cycle: int,
+                   finish_cpu: int, row_hits: int, conflicts: int) -> None:
+        """The ``dram.batch`` event of one burst, when traced."""
         tracer = self.stats.tracer
         if tracer is not None:
             tracer.emit(

@@ -30,6 +30,7 @@ from typing import Dict, List
 from ..oram.types import PathType
 
 #: path types folded into the "dummy" bucket (timing-defense filler slots)
+_DATA_TYPE = PathType.DATA.value
 _DUMMY_TYPES = (PathType.DUMMY.value, PathType.DWB.value)
 _POSMAP_TYPES = (PathType.POS1.value, PathType.POS2.value)
 
@@ -115,47 +116,62 @@ class CycleAttribution:
         self._bounds.extend((start, finish_read, finish_write, stall_until))
 
     def finalize(self, cycles: int) -> CycleBreakdown:
-        """Clip the recorded timeline to ``[0, cycles]`` and bucket it."""
-        breakdown = CycleBreakdown(total=cycles)
+        """Clip the recorded timeline to ``[0, cycles]`` and bucket it.
+
+        The gap before each path (from the previous write phase's end to
+        this path's start) is a timing stall up to the previous path's
+        ``stall_until`` and idle after it.  One pass with local sums: it
+        runs once per path of the run.
+        """
         bounds = self._bounds
-        cursor = 0
-        stall_until = 0
-        for index, path_type in enumerate(self._types):
-            base = 4 * index
-            start = min(bounds[base], cycles)
-            finish_read = min(bounds[base + 1], cycles)
-            finish_write = min(bounds[base + 2], cycles)
-            cursor = self._account_gap(breakdown, cursor, stall_until, start)
-            read = finish_read - start
-            write = finish_write - finish_read
-            if path_type == PathType.DATA.value:
-                breakdown.data_read += read
-                breakdown.data_write += write
-            elif path_type in _POSMAP_TYPES:
-                breakdown.posmap_read += read
-                breakdown.posmap_write += write
-            elif path_type in _DUMMY_TYPES:
-                breakdown.dummy_read += read
-                breakdown.dummy_write += write
-            else:  # eviction
-                breakdown.eviction_read += read
-                breakdown.eviction_write += write
+        data = posmap = dummy = eviction = (0, 0)
+        sums = {}
+        stall = idle = 0
+        cursor = stall_until = 0
+        base = 0
+        for path_type in self._types:
+            start = bounds[base]
+            if start > cycles:
+                start = cycles
+            finish_read = bounds[base + 1]
+            if finish_read > cycles:
+                finish_read = cycles
+            finish_write = bounds[base + 2]
+            if finish_write > cycles:
+                finish_write = cycles
+            if start > cursor:
+                stall_end = stall_until if stall_until < start else start
+                if stall_end > cursor:
+                    stall += stall_end - cursor
+                    cursor = stall_end
+                idle += start - cursor
+            read, write = sums.get(path_type, (0, 0))
+            sums[path_type] = (
+                read + finish_read - start, write + finish_write - finish_read
+            )
             cursor = finish_write
             stall_until = bounds[base + 3]
-        self._account_gap(breakdown, cursor, stall_until, cycles)
-        return breakdown
-
-    @staticmethod
-    def _account_gap(
-        breakdown: CycleBreakdown, cursor: int, stall_until: int, end: int
-    ) -> int:
-        """Split ``[cursor, end]`` into timing stall then idle."""
-        if end <= cursor:
-            return cursor
-        stall_end = min(stall_until, end)
-        if stall_end > cursor:
-            breakdown.timing_stall += stall_end - cursor
-            cursor = stall_end
-        if end > cursor:
-            breakdown.idle += end - cursor
-        return end
+            base += 4
+        if cycles > cursor:
+            stall_end = stall_until if stall_until < cycles else cycles
+            if stall_end > cursor:
+                stall += stall_end - cursor
+                cursor = stall_end
+            idle += cycles - cursor
+        for path_type, (read, write) in sums.items():
+            if path_type == _DATA_TYPE:
+                data = (data[0] + read, data[1] + write)
+            elif path_type in _POSMAP_TYPES:
+                posmap = (posmap[0] + read, posmap[1] + write)
+            elif path_type in _DUMMY_TYPES:
+                dummy = (dummy[0] + read, dummy[1] + write)
+            else:  # eviction
+                eviction = (eviction[0] + read, eviction[1] + write)
+        return CycleBreakdown(
+            total=cycles,
+            data_read=data[0], data_write=data[1],
+            posmap_read=posmap[0], posmap_write=posmap[1],
+            dummy_read=dummy[0], dummy_write=dummy[1],
+            eviction_read=eviction[0], eviction_write=eviction[1],
+            timing_stall=stall, idle=idle,
+        )

@@ -39,9 +39,16 @@ from ..errors import ProtocolError
 from ..mem.dram import DRAMModel
 from ..mem.layout import TreeLayout
 from ..obs import events as ev
-from ..perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
+from ..perf.native import (
+    SERVE_BLOCKED,
+    SERVE_FETCH,
+    SERVE_INSTANT,
+    SERVED_EXTRACT,
+    SERVED_NONE,
+    SERVED_REMAP,
+    counter_keys,
+)
 from ..perf.native import fastpath as _fastpath
-from ..perf.native import TRANSLATE_KEYS
 from ..stats import Stats
 from .plb import PLB
 from .posmap import PositionMap
@@ -69,13 +76,15 @@ _MEM_BLOCKS_KEY = {pt: sk.mem_blocks_key(pt) for pt in PathType}
 #: through, preventing starvation during eviction storms.
 MAX_CONSECUTIVE_EVICTIONS = 50
 
-#: Tree-top hook counters, in the order the kernels report them.
-_HOOK_KEYS = (
-    sk.TREETOP_PLACED,
-    sk.TREETOP_REMOVED,
-    sk.SSTASH_PLACED,
-    sk.SSTASH_REMOVED,
-    sk.SSTASH_PLACEMENT_SKIPS,
+#: The path types and request kinds as the kernel state lists them
+#: (``native.counter_keys`` follows the same path-type order).
+_KERNEL_PATH_TYPES = (
+    PathType.DATA, PathType.POS1, PathType.POS2, PathType.DUMMY,
+    PathType.EVICTION, PathType.DWB,
+)
+_KERNEL_COUNTER_KEYS = counter_keys(_KERNEL_PATH_TYPES)
+_REQUEST_KINDS = (
+    RequestKind.READ, RequestKind.WRITEBACK, RequestKind.REINSERT,
 )
 
 
@@ -141,22 +150,21 @@ class PathORAMController:
         #: read-only with respect to controller state, counters, and RNG
         self.slot_observer: Optional[Callable[[SlotResult], None]] = None
         #: when True, classify write-phase placements for Fig. 5
-        self.track_migration = False
+        self._track_migration = False
 
-        #: ``engine.batch.*`` bookkeeping for :meth:`run_dummy_batch`
-        #: (calls, paths, per-phase nanoseconds); surfaced through the
+        #: ``engine.tier.kernel_paths`` and ``engine.batch.*`` (calls,
+        #: paths): how the paths ran, booked by the kernels and by
+        #: :meth:`run_dummy_batch`'s fallback loop; surfaced through the
         #: stats snapshot by the API layer after the run completes.
         self.batch_counters: dict = {}
-        #: the tier verdict of the last path access (:meth:`_kernel_tier`),
-        #: which translation follows; None until first needed
-        self._tier: Optional[bool] = None
 
         self.queue: Deque[Request] = deque()
         #: PosMap blocks evicted from the PLB whose re-insertion into the
         #: tree is waiting for their parent mapping (a victim buffer).
         self.internal_queue: Deque[int] = deque()
         self._limbo: set = set()
-        self.path_count = 0
+        #: :attr:`path_count`, in an array the kernels count into
+        self._path_count = array("q", [0])
         self._consecutive_evictions = 0
         self._initialize_tree()
         self._bind_kernel_state()
@@ -182,7 +190,8 @@ class PathORAMController:
         )
 
     def _bind_kernel_state(self) -> None:
-        """(Re)build the ``KernelState`` every C kernel call takes.
+        """(Re)build the ``KernelState`` every C kernel call takes, and
+        decide the tier.
 
         It holds live references into controller state — the kernels
         mutate the same arrays, dicts and sets the Python loops would, so
@@ -194,6 +203,77 @@ class PathORAMController:
             self._native.KernelState(**self._kernel_state_fields())
             if self._native is not None else None
         )
+        self.refresh_tier()
+
+    def refresh_tier(self) -> None:
+        """Run the tier gate (:meth:`_kernel_tier`) and keep its verdict.
+
+        Every path access, translation and slot follows the kept verdict
+        instead of re-running the gate.  It is decided when the kernel
+        state is built and again at each site that hooks a phase after
+        construction: :func:`~repro.oram.integrity.attach_integrity`,
+        setting :attr:`track_migration`, and the mutants' instance
+        ``posmap.remap``.  Besides the tier it keeps whether the write
+        burst is the stock one (Palermo-style deferral replaces it) and
+        whether an untraced slot may run in one ``serve_request`` call:
+        the kernel tier, the stock burst, and none of the slot methods
+        that call replaces overridden by a subclass or an instance.
+        Class-level timing wrappers on this class (perfbench's traced
+        mode) leave both on.
+        """
+        self._tier = self._kernel_tier()
+        self._write_burst = (
+            getattr(self._writeback_path, "__func__", None)
+            is _STOCK_WRITEBACK
+        )
+        self._serve = (
+            self._tier and self._write_burst
+            and not self._overrides(_SERVE_METHODS)
+        )
+
+    def _overrides(self, names: Tuple[str, ...]) -> bool:
+        """Whether an instance attribute or a subclass replaces any of
+        ``names`` (what this class holds now, wrappers included)."""
+        own, cls, stock = vars(self), type(self), vars(PathORAMController)
+        return any(
+            name in own or getattr(cls, name) is not stock[name]
+            for name in names
+        )
+
+    @property
+    def _native(self):
+        """The C kernel module this controller calls, or None.
+
+        Assigning it (a test drops one controller's kernels, or wraps
+        them to count calls) re-runs the tier gate once the tier has been
+        decided."""
+        return self._kernels
+
+    @_native.setter
+    def _native(self, module) -> None:
+        self._kernels = module
+        if "_tier" in vars(self):
+            self.refresh_tier()
+
+    @property
+    def track_migration(self) -> bool:
+        """Whether write-phase placements are classified for Fig. 5;
+        the Python phases do that, so setting it re-runs the tier gate."""
+        return self._track_migration
+
+    @track_migration.setter
+    def track_migration(self, value: bool) -> None:
+        self._track_migration = value
+        self.refresh_tier()
+
+    @property
+    def path_count(self) -> int:
+        """Paths issued so far, on every tier."""
+        return self._path_count[0]
+
+    @path_count.setter
+    def path_count(self, value: int) -> None:
+        self._path_count[0] = value
 
     def _kernel_state_fields(self) -> dict:
         """The ``KernelState`` constructor's arguments, from live state."""
@@ -251,9 +331,18 @@ class PathORAMController:
             limbo=self._limbo,
             internal_queue=self.internal_queue,
             counters=self.stats.counters,
-            counter_keys=TRANSLATE_KEYS,
+            counter_keys=_KERNEL_COUNTER_KEYS,
             stash=self.stash,
             posmap=self.posmap,
+            path_types=_KERNEL_PATH_TYPES,
+            request_kinds=_REQUEST_KINDS,
+            histograms=self.stats.histograms,
+            batch_counters=self.batch_counters,
+            path_count=self._path_count,
+            eviction_threshold=self.oram.eviction_threshold,
+            background_eviction=self.oram.allow_background_eviction,
+            delayed_remap=self.delayed_remap,
+            onchip_latency=ONCHIP_LATENCY,
         )
 
     # ------------------------------------------------------------------
@@ -262,15 +351,15 @@ class PathORAMController:
     # Controllers are snapshotted mid-run by repro.sim.checkpoint.  Three
     # kinds of attribute cannot (or must not) cross the pickle boundary:
     # the C kernel binding (a process-local module object), the kernel
-    # state built for it, and the two observer hooks (arbitrary
-    # callables — auditors and checkpoint managers re-attach themselves
-    # on resume).  Everything else is plain Python state and round-trips
-    # exactly, so a resumed run is bit-identical to an uninterrupted one.
+    # state built for it (and the tier decided with it), and the two
+    # observer hooks (arbitrary callables — auditors and checkpoint
+    # managers re-attach themselves on resume).  Everything else is
+    # plain Python state and round-trips exactly, so a resumed run is
+    # bit-identical to an uninterrupted one.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_native"] = None
+        state["_kernels"] = None
         state["_kstate"] = None
-        state["_tier"] = None
         state["observer"] = None
         state["slot_observer"] = None
         return state
@@ -342,11 +431,23 @@ class PathORAMController:
         background eviction, the head queued request, then (when the timing
         defense is active and ``allow_dummy``) an IR-DWB conversion or a
         plain dummy path.  Returns ``None`` when there is nothing to do.
-        """
-        self._drain_posmap_reinserts()
-        completions = self._drain_instant(now)
 
-        result = self._issue_priority_path(now)
+        Untraced and unobserved, the kernel tier serves the head requests
+        through ``serve_request`` (:meth:`_serve_slot`); the Python
+        methods below it stay the oracle, and run every traced slot with
+        the kernels doing each path access and translation.
+        """
+        if self.internal_queue:
+            self._drain_posmap_reinserts()
+        if (
+            self._serve
+            and self.stats.tracer is None
+            and self.observer is None
+        ):
+            completions, result = self._serve_slot(now)
+        else:
+            completions = self._drain_instant(now)
+            result = self._issue_priority_path(now)
         if result is None and allow_dummy and self.oram.timing_protection:
             result = self._dummy_slot(now)
 
@@ -367,6 +468,46 @@ class PathORAMController:
         if observer is not None:
             observer(result)
         return result
+
+    def _serve_slot(
+        self, now: int
+    ) -> Tuple[List[Request], Optional[SlotResult]]:
+        """:meth:`_drain_instant` then :meth:`_issue_priority_path`, with
+        each arrived head request's share of the slot in one
+        ``serve_request`` call: its on-chip probes and, unless a
+        victim-buffer entry or background eviction comes first, its
+        PosMap fetch or data path.  The call books every counter and
+        updates the request; this builds the slot's result.
+        """
+        queue = self.queue
+        serve = self._native.serve_request
+        state = self._kstate
+        completions: List[Request] = []
+        while queue and queue[0].arrival <= now:
+            request = queue[0]
+            try:
+                status, path_type, finish_read, finish_write = serve(
+                    state, request, now
+                )
+            except RuntimeError as exc:
+                raise ProtocolError(str(exc)) from None
+            if status == SERVE_INSTANT:
+                queue.popleft()
+                completions.append(request)
+                continue
+            if status == SERVE_BLOCKED:
+                break
+            self._consecutive_evictions = 0
+            if status == SERVE_FETCH:
+                return completions, SlotResult(
+                    True, path_type, now, finish_read, finish_write
+                )
+            queue.popleft()
+            return completions, SlotResult(
+                path_type is not None, path_type, now, finish_read,
+                finish_write, [request],
+            )
+        return completions, self._issue_priority_path(now)
 
     def _issue_priority_path(self, now: int) -> Optional[SlotResult]:
         if self.internal_queue:
@@ -518,18 +659,9 @@ class PathORAMController:
 
     def _kernel_translation(self) -> bool:
         """Whether translation (the chain walk, the PLB install and the
-        tree-top scan) runs in the kernel.
-
-        It follows the verdict of the latest path access's gate
-        (:meth:`_kernel_tier`, evaluated here until the first access), so
-        the common translation call does not re-run the gate.  Both tiers
-        leave identical state, so a hook attached mid-run takes effect
-        for translation from the next path access on.
-        """
-        tier = self._tier
-        if tier is None:
-            tier = self._tier = self._kernel_tier()
-        return tier and self._native is not None
+        tree-top scan) runs in the kernel: the kept tier verdict
+        (:meth:`refresh_tier`), like every path access."""
+        return self._tier
 
     def _translation_chain(self, block: int) -> List[int]:
         """PosMap blocks that must be fetched before ``block``'s leaf is known.
@@ -631,9 +763,9 @@ class PathORAMController:
             raise ProtocolError(str(exc)) from None
 
     def _count_translation(self, request: Request) -> None:
-        if getattr(request, "_translation_counted", False):
+        if request.translation_counted:
             return
-        request._translation_counted = True  # type: ignore[attr-defined]
+        request.translation_counted = True
         self.stats.inc(sk.TRANSLATION_COMPLETED)
 
     # ------------------------------------------------------------------
@@ -650,6 +782,7 @@ class PathORAMController:
         monkeypatch) run the Python phases, which stay the oracle.
         Timing wrappers on the position map's class (perfbench's traced
         mode) leave the kernel on, so a traced run times the same code.
+        Evaluated by :meth:`refresh_tier`, not per path.
         """
         if (
             self._native is None
@@ -674,7 +807,6 @@ class PathORAMController:
         served_level)``.  On the kernel tier one ``access_path`` call does
         all of it; otherwise the Python phases run.
         """
-        self._tier = self._kernel_tier()
         if self._tier:
             return self._kernel_access(leaf, path_type, now, served, mode)
         preexisting = (
@@ -705,43 +837,39 @@ class PathORAMController:
         self, leaf: int, path_type: PathType, now: int,
         served: Optional[int], mode: int,
     ) -> Tuple[int, int, int]:
-        """:meth:`_access` in one ``access_path`` call, booked and traced
-        exactly as the Python phases book and trace it.
+        """:meth:`_access` in one ``access_path`` call, which books every
+        counter the Python phases book; this emits what they would emit
+        when traced or observed, from the values the call returns.
 
         A subclass that replaces :meth:`_writeback_path` (Palermo-style
         deferral) keeps its read phase and placement in C and issues the
         burst itself.
         """
-        write_burst = (
-            getattr(self._writeback_path, "__func__", None)
-            is _STOCK_WRITEBACK
-        )
+        write_burst = self._write_burst
         try:
-            (finish_read, finish_write, served_level, occupancy, blocks,
-             read_dram, write_dram, hooks) = self._native.access_path(
-                self._kstate, leaf, now, served, mode, write_burst
+            (finish_read, finish_write, served_level, peak, blocks,
+             read_hits, read_conflicts, write_hits,
+             write_conflicts) = self._native.access_path(
+                self._kstate, leaf, now, served, mode, write_burst,
+                path_type,
             )
         except RuntimeError as exc:
             raise ProtocolError(str(exc)) from None
-        self.dram.book(blocks, False, now, finish_read, *read_dram)
-        self.stash.note_peak(now, occupancy)
-        self._apply_path_counters(1, path_type, blocks, hooks)
-        self._emit_path_read(leaf, path_type, now, finish_read, blocks)
-        if write_burst:
-            self.dram.book(blocks, True, finish_read, finish_write,
-                           *write_dram)
-            self.stats.counters[sk.MEM_BLOCKS_WRITTEN] += blocks
+        tracer = self.stats.tracer
+        if tracer is not None:
+            self.dram.emit_batch(blocks, False, now, finish_read, read_hits,
+                                 read_conflicts)
+            if peak:
+                tracer.emit(ev.STASH_HWM, now, occupancy=peak)
+        if tracer is not None or self.observer is not None:
+            self._emit_path_read(leaf, path_type, now, finish_read, blocks)
+        if not write_burst:
+            finish_write = self._writeback_path(leaf, finish_read, path_type)
+        elif tracer is not None:
+            self.dram.emit_batch(blocks, True, finish_read, finish_write,
+                                 write_hits, write_conflicts)
             self._emit_path_write(leaf, path_type, finish_read, finish_write,
                                   blocks)
-        else:
-            finish_write = self._writeback_path(leaf, finish_read, path_type)
-        self._after_write_phase()
-        if mode == SERVED_REMAP:
-            self.posmap.remap_count += 1
-        batch = self.batch_counters
-        batch[sk.ENGINE_TIER_KERNEL_PATHS] = (
-            batch.get(sk.ENGINE_TIER_KERNEL_PATHS, 0) + 1
-        )
         return finish_read, finish_write, served_level
 
     def _service_path(
@@ -771,7 +899,7 @@ class PathORAMController:
             if block == served:
                 served_level = level
         self.stash.note_peak(now)
-        self._apply_path_counters(1, path_type, blocks)
+        self._apply_path_counters(path_type, blocks)
         self._emit_path_read(leaf, path_type, now, finish_read, blocks)
         return finish_read, now, served_level
 
@@ -1166,27 +1294,15 @@ class PathORAMController:
     # ------------------------------------------------------------------
     # whole-batch dummy stepping
     # ------------------------------------------------------------------
-    def _apply_path_counters(
-        self, n: int, path_type: PathType, blocks: int, hooks: tuple = (),
-    ) -> None:
-        """Count ``n`` paths of ``path_type`` that read ``blocks`` memory
-        blocks in all, plus the tree-top hook effects ``hooks`` —
-        (placed_top, removed_top, sstash_placed, sstash_removed,
-        sstash_skips), as ``access_path`` and ``run_batch`` report them.
-
-        Hook keys are only created when the Python hooks would have
-        created them, so the counter *key set* is bit-identical across
-        tiers too.
-        """
+    def _apply_path_counters(self, path_type: PathType, blocks: int) -> None:
+        """Count one Python-tier path of ``path_type`` that read
+        ``blocks`` memory blocks (the kernels book their own)."""
         counters = self.stats.counters
-        self.path_count += n
-        counters[_PATHS_KEY[path_type]] += n
-        counters[sk.PATHS_TOTAL] += n
+        self._path_count[0] += 1
+        counters[_PATHS_KEY[path_type]] += 1
+        counters[sk.PATHS_TOTAL] += 1
         counters[sk.MEM_BLOCKS_READ] += blocks
         counters[_MEM_BLOCKS_KEY[path_type]] += 2 * blocks
-        for key, value in zip(_HOOK_KEYS, hooks):
-            if value:
-                counters[key] += value
 
     def run_dummy_batch(
         self,
@@ -1208,53 +1324,29 @@ class PathORAMController:
 
         Returns ``(issued, new_now, bounds)`` where ``bounds`` (when
         requested) is a flat ``[start, finish_read, finish_write, ...]``
-        list for cycle attribution.  Uses the native whole-batch kernel
-        when every precondition holds, else a pure-Python loop over
-        :meth:`dummy_path`.
+        list for cycle attribution.  Uses the native whole-batch kernel,
+        which books the batch itself, when every precondition holds, else
+        a pure-Python loop over :meth:`dummy_path`.
         """
-        batch = self.batch_counters
         if (
             self.SUPPORTS_NATIVE_BATCH
-            and self._kernel_tier()
+            and self._tier
             and self.stats.tracer is None
             and self.observer is None
             and self.slot_observer is None
         ):
-            stash = self.stash
-            n, new_now, max_occ, bounds, agg = (
-                self._native.run_batch(
-                    self._kstate,
-                    now,
-                    interval,
-                    max_paths,
-                    -1 if horizon is None else horizon,
-                    self.oram.eviction_threshold
-                    if stop_on_threshold
-                    else -1,
-                    self.oram.eviction_threshold,
-                    want_bounds,
-                )
+            n, new_now, bounds = self._native.run_batch(
+                self._kstate,
+                now,
+                interval,
+                max_paths,
+                -1 if horizon is None else horizon,
+                self.oram.eviction_threshold if stop_on_threshold else -1,
+                self.oram.eviction_threshold,
+                want_bounds,
             )
-            if max_occ > stash.peak_occupancy:
-                stash.peak_occupancy = max_occ
-            if n:
-                blocks, hits, conflicts, ev_triggers, hooks = agg
-                self._apply_path_counters(n, PathType.DUMMY, blocks, hooks)
-                # Batches run untraced: both bursts book in aggregate.
-                self.dram.book(blocks, False, now, new_now, hits, conflicts)
-                self.dram.book(blocks, True, now, new_now, 0, 0)
-                counters = self.stats.counters
-                counters[sk.MEM_BLOCKS_WRITTEN] += blocks
-                if ev_triggers:
-                    counters[sk.EVICTION_TRIGGERS] += ev_triggers
-                if stop_on_threshold:
-                    self._consecutive_evictions = 0
-            batch[sk.ENGINE_BATCH_CALLS] = (
-                batch.get(sk.ENGINE_BATCH_CALLS, 0) + 1
-            )
-            batch[sk.ENGINE_BATCH_PATHS] = (
-                batch.get(sk.ENGINE_BATCH_PATHS, 0) + n
-            )
+            if stop_on_threshold and n:
+                self._consecutive_evictions = 0
             return n, new_now, bounds
 
         bounds = [] if want_bounds else None
@@ -1276,6 +1368,7 @@ class PathORAMController:
             n += 1
         if stop_on_threshold and n:
             self._consecutive_evictions = 0
+        batch = self.batch_counters
         batch[sk.ENGINE_BATCH_FALLBACK_PATHS] = (
             batch.get(sk.ENGINE_BATCH_FALLBACK_PATHS, 0) + n
         )
@@ -1312,3 +1405,14 @@ _STOCK_PHASES = tuple(
     for name in ("_service_path", "_write_path", "_place_path")
 )
 _STOCK_WRITEBACK = vars(PathORAMController)["_writeback_path"]
+
+#: The slot methods one ``serve_request`` call replaces; a subclass or
+#: instance that overrides any of them steps through them instead.
+_SERVE_METHODS = (
+    "_drain_instant", "_try_instant", "_serve_stash_hit",
+    "_serve_treetop_hit_by_address", "_serve_treetop_hit",
+    "_find_in_treetop", "_remove_from_treetop", "_finish_reinsert",
+    "_translation_chain", "_count_translation", "_issue_priority_path",
+    "_step_request", "full_access", "fetch_posmap_block", "_access",
+    "_kernel_access",
+)

@@ -346,4 +346,5 @@ def attach_integrity(controller, stats: Optional[Stats] = None) -> MerkleIntegri
     controller._service_path = service_with_verify
     controller._write_path = write_with_update
     controller.integrity = integrity
+    controller.refresh_tier()
     return integrity

@@ -62,6 +62,8 @@ class Request:
     ``arrival`` is the cycle at which the request became visible to the
     controller; ``completion`` is filled in when the data phase that serves
     it finishes.  ``waiters`` counts merged duplicate demands (MSHR-style).
+    A request pickled before ``translation_counted`` was a field loads
+    with its class default.
     """
 
     block: int
@@ -71,6 +73,8 @@ class Request:
     completion: Optional[int] = None
     waiters: int = 1
     paths_used: int = 0
+    #: whether translation.completed has counted this request (once)
+    translation_counted: bool = False
 
     def merge(self) -> None:
         self.waiters += 1

@@ -264,16 +264,42 @@ typedef struct {
     long long value;
 } PoolItem;
 
-/* The counters the translation entries bump, in the order of the
- * ``counter_keys`` tuple (native.TRANSLATE_KEYS).  The PLB's cache-level
- * dirty-eviction count and fetch_posmap_block's own count share one key.
+/* The keys of a state's ``counter_keys`` tuple, in order
+ * (native.counter_keys): every stats counter, the ``hit.level`` histogram
+ * and the ``engine.*`` tier and batch counts the kernels book, then one
+ * ``paths.<type>`` key per path type and one ``mem.blocks.<type>`` key
+ * per path type.  The PLB's cache-level dirty-eviction count and
+ * fetch_posmap_block's own count share one key.
  */
-enum TranslateKey {
-    TK_PLB_HITS, TK_PLB_EVICTIONS, TK_PLB_DIRTY_EVICTIONS,
-    TK_STASH_PROMOTIONS, TK_TREETOP_PROMOTIONS, TK_PROBE_HITS,
-    TK_PROBE_MISSES, TK_SSTASH_REMOVED, TK_REINSERTS, TK_DEFERRED_REINSERTS,
-    TK_COUNT
+enum CounterKey {
+    /* translation */
+    K_PLB_HITS, K_PLB_EVICTIONS, K_PLB_DIRTY_EVICTIONS,
+    K_STASH_PROMOTIONS, K_TREETOP_PROMOTIONS, K_PROBE_HITS,
+    K_PROBE_MISSES, K_SSTASH_REMOVED, K_REINSERTS, K_DEFERRED_REINSERTS,
+    /* one path access */
+    K_PATHS_TOTAL, K_BLOCKS_READ, K_BLOCKS_WRITTEN,
+    K_DRAM_ACCESSES, K_DRAM_READS, K_DRAM_WRITES, K_DRAM_ROW_HITS,
+    K_DRAM_ROW_CONFLICTS,
+    K_TREETOP_PLACED, K_TREETOP_REMOVED, K_SSTASH_PLACED, K_SSTASH_SKIPS,
+    K_EVICTION_TRIGGERS,
+    /* serving a request */
+    K_SERVE_STASH_HITS, K_SERVE_SSTASH_HITS, K_SERVE_TREETOP_HITS,
+    K_SERVE_REINSERTS, K_TRANSLATIONS, K_MISS_FETCHES, K_POSMAP_ACCESSES,
+    K_WRITEBACK_PATHS,
+    /* the stats histogram keyed by where a read was served */
+    K_HIT_LEVEL,
+    /* the controller's batch_counters (ints) */
+    K_KERNEL_PATHS, K_BATCH_CALLS, K_BATCH_PATHS,
+    K_COUNT
 };
+
+/* What the kernels book a path of the first four path types in a
+ * state's ``path_types`` as. */
+enum { PT_DATA, PT_POS1, PT_POS2, PT_DUMMY, PT_ROLES };
+#define MAX_PATH_TYPES 16
+
+/* A request's kind, by its place in the state's ``request_kinds``. */
+enum { KIND_READ, KIND_WRITEBACK, KIND_REINSERT, N_KINDS };
 
 /* The array('q') buffers a KernelState holds, in constructor order. */
 enum {
@@ -285,6 +311,7 @@ enum {
     BUF_PLB_BLOCKS,  /* the PLB's block ids, set by set, LRU first */
     BUF_PLB_DIRTY,   /* one dirty flag per PLB slot */
     BUF_PLB_FILLS,   /* resident blocks per PLB set */
+    BUF_PATH_COUNT,  /* the controller's path count, one item */
     BUF_SET_INDEX,   /* S-Stash set by block, -1 until set_of hashes it;
                       * held in tree-top mode 1 only */
     N_BUFS
@@ -295,7 +322,10 @@ enum {
  *             bus_free, dram, treetop_mode, resident, set_count, set_of,
  *             set_index, ways, getrandbits, plb_blocks, plb_dirty,
  *             plb_fills, plb_ways, namespace, limbo, internal_queue,
- *             counters, counter_keys, stash, posmap)
+ *             counters, counter_keys, stash, posmap, path_types,
+ *             request_kinds, histograms, batch_counters, path_count,
+ *             eviction_threshold, background_eviction, delayed_remap,
+ *             onchip_latency)
  *
  * One controller's state as every kernel entry but dram_service and the
  * setup entries reads it, built once per controller:
@@ -317,9 +347,20 @@ enum {
  *                               total_blocks, fanout)
  *   limbo, internal_queue       the victim buffer: a set and a deque
  *   counters, counter_keys      the stats counters dict and the keys the
- *                               translation entries bump (TranslateKey)
+ *                               kernels book (CounterKey)
  *   stash, posmap               the Stash (peak tracking) and the
  *                               PositionMap (remap_count)
+ *   path_types                  every PathType, DATA, POS1, POS2 and
+ *                               DUMMY first, in counter_keys' order
+ *   request_kinds               RequestKind READ, WRITEBACK, REINSERT
+ *   histograms, batch_counters  the stats histograms and the
+ *                               controller's engine.* counts
+ *   path_count                  the controller's path count, the one
+ *                               item of an array('q')
+ *   eviction_threshold,         the stash's eviction threshold and the
+ *   background_eviction         background-eviction switch
+ *   delayed_remap               LLC-D: reads leave the ORAM
+ *   onchip_latency              the latency of an on-chip serve
  *
  * The arrays stay exported for the state's lifetime, so nothing can
  * resize them under the kernels (their items stay writable: set_of and
@@ -332,17 +373,22 @@ enum {
 typedef struct {
     PyObject_HEAD
     PyObject *entries, *resident, *set_count, *set_of, *limbo, *queue,
-        *counters, *keys, *stash, *posmap;
+        *counters, *keys, *stash, *posmap, *path_types, *histograms,
+        *batch;
+    PyObject *kinds[N_KINDS];
     Draws rng;  /* getrandbits owned */
     Py_buffer bufs[N_BUFS];
-    long long *tree, *level_used, *leaf_table, *set_index;
+    long long *tree, *level_used, *leaf_table, *set_index, *path_count;
     long long *plb_blocks, *plb_dirty, *plb_fills;
     const long long *path_table;
     BankState banks;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
     Py_ssize_t set_index_len;
+    Py_ssize_t n_types;  /* len(path_types) */
     long long leaves, levels, top, ways;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
+    int background_eviction, delayed_remap;
+    long long eviction_threshold, onchip_latency;
     DramTiming dram;
     long long row_blocks, channels, banks_per_channel;
     long long path_blocks;  /* memory-backed slots on every path */
@@ -437,6 +483,11 @@ state_dealloc(KernelState *s)
     Py_XDECREF(s->keys);
     Py_XDECREF(s->stash);
     Py_XDECREF(s->posmap);
+    Py_XDECREF(s->path_types);
+    Py_XDECREF(s->histograms);
+    Py_XDECREF(s->batch);
+    for (int i = 0; i < N_KINDS; i++)
+        Py_XDECREF(s->kinds[i]);
     Py_XDECREF(s->rng.getrandbits);
     Py_XDECREF(s->rng.bits);
     PyMem_Free(s->triples);
@@ -458,6 +509,11 @@ state_traverse(KernelState *s, visitproc visit, void *arg)
     Py_VISIT(s->keys);
     Py_VISIT(s->stash);
     Py_VISIT(s->posmap);
+    Py_VISIT(s->path_types);
+    Py_VISIT(s->histograms);
+    Py_VISIT(s->batch);
+    for (int i = 0; i < N_KINDS; i++)
+        Py_VISIT(s->kinds[i]);
     Py_VISIT(s->rng.getrandbits);
     return 0;
 }
@@ -478,23 +534,26 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         "set_count", "set_of", "set_index", "ways", "getrandbits",
         "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
         "limbo", "internal_queue", "counters", "counter_keys", "stash",
-        "posmap", NULL,
+        "posmap", "path_types", "request_kinds", "histograms",
+        "batch_counters", "path_count", "eviction_threshold",
+        "background_eviction", "delayed_remap", "onchip_latency", NULL,
     };
     static const char *names[N_BUFS] = {
         "tree_slots", "level_used", "leaf_table", "path_table",
         "bank_ready", "bank_open_row", "bus_free", "plb_blocks",
-        "plb_dirty", "plb_fills", "set_index",
+        "plb_dirty", "plb_fills", "path_count", "set_index",
     };
     KernelState *s = (KernelState *)type->tp_alloc(type, 0);
     if (s == NULL)
         return NULL;
     PyObject *z_obj, *arrays[N_BUFS], *entries, *resident, *set_count,
         *set_of, *getrandbits, *limbo, *queue, *counters, *keys, *stash,
-        *posmap;
+        *posmap, *path_types, *kinds[N_KINDS], *histograms, *batch;
     long long mode;
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds,
-            "LOLOOOO!OOOO(LLLLLLLL)LOOOOLOOOOL(LLLL)O!OO!O!OO:KernelState",
+            "LOLOOOO!OOOO(LLLLLLLL)LOOOOLOOOOL(LLLL)O!OO!O!OO"
+            "O!(OOO)OO!OLppL:KernelState",
             kwlist, &s->leaves, &z_obj, &s->top, &arrays[BUF_TREE],
             &arrays[BUF_USED], &arrays[BUF_LEAF], &PyDict_Type, &entries,
             &arrays[BUF_PATH], &arrays[BUF_READY], &arrays[BUF_OPEN_ROW],
@@ -506,7 +565,11 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &arrays[BUF_PLB_DIRTY], &arrays[BUF_PLB_FILLS], &s->plb_ways,
             &s->p1_base, &s->p2_base, &s->total, &s->fanout, &PySet_Type,
             &limbo, &queue, &PyDict_Type, &counters, &PyTuple_Type, &keys,
-            &stash, &posmap))
+            &stash, &posmap, &PyTuple_Type, &path_types, &kinds[KIND_READ],
+            &kinds[KIND_WRITEBACK], &kinds[KIND_REINSERT], &histograms,
+            &PyDict_Type, &batch, &arrays[BUF_PATH_COUNT],
+            &s->eviction_threshold, &s->background_eviction,
+            &s->delayed_remap, &s->onchip_latency))
         goto fail;
     s->entries = Py_NewRef(entries);
     s->resident = Py_NewRef(resident);
@@ -518,6 +581,11 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->keys = Py_NewRef(keys);
     s->stash = Py_NewRef(stash);
     s->posmap = Py_NewRef(posmap);
+    s->path_types = Py_NewRef(path_types);
+    s->histograms = Py_NewRef(histograms);
+    s->batch = Py_NewRef(batch);
+    for (int i = 0; i < N_KINDS; i++)
+        s->kinds[i] = Py_NewRef(kinds[i]);
     s->rng.getrandbits = Py_NewRef(getrandbits);
     s->rng.k = -1;
     s->gated = (mode == 1);
@@ -530,9 +598,18 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
         goto fail;
     }
-    if (PyTuple_GET_SIZE(keys) != TK_COUNT) {
+    s->n_types = PyTuple_GET_SIZE(path_types);
+    if (s->n_types < PT_ROLES || s->n_types > MAX_PATH_TYPES) {
+        PyErr_SetString(PyExc_ValueError, "path_types out of range");
+        goto fail;
+    }
+    if (PyTuple_GET_SIZE(keys) != K_COUNT + 2 * s->n_types) {
         PyErr_SetString(PyExc_TypeError,
-                        "counter_keys must name every translation counter");
+                        "counter_keys must name every kernel counter");
+        goto fail;
+    }
+    if (s->eviction_threshold < 0 || s->onchip_latency < 0) {
+        PyErr_SetString(PyExc_ValueError, "negative slot parameter");
         goto fail;
     }
     PyObject *z_seq = PySequence_Fast(z_obj, "z_per_level must be a sequence");
@@ -574,6 +651,11 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->plb_dirty = s->bufs[BUF_PLB_DIRTY].buf;
     s->plb_fills = s->bufs[BUF_PLB_FILLS].buf;
     s->plb_sets = len[BUF_PLB_FILLS];
+    s->path_count = s->bufs[BUF_PATH_COUNT].buf;
+    if (len[BUF_PATH_COUNT] != 1) {
+        PyErr_SetString(PyExc_ValueError, "path_count must hold one item");
+        goto fail;
+    }
     if (s->gated) {
         s->set_index = s->bufs[BUF_SET_INDEX].buf;
         s->set_index_len = len[BUF_SET_INDEX];
@@ -663,6 +745,130 @@ stash_insert(PyObject *entries, long long block, long long leaf)
     int rc = value != NULL ? PyDict_SetItem(entries, key, value) : -1;
     Py_XDECREF(key);
     Py_XDECREF(value);
+    return rc;
+}
+
+/* ---------------------------------------------------------------- */
+/* Counters                                                          */
+/* ---------------------------------------------------------------- */
+
+/* Interned attribute and method names, histogram buckets and the int 1,
+ * set at module init. */
+static PyObject *str_append, *str_note_peak, *str_peak_occupancy,
+    *str_remap_count, *str_block, *str_kind, *str_completion,
+    *str_paths_used, *str_translation_counted, *str_stash, *str_sstash,
+    *int_one;
+
+/* counters[key k] += n, as Stats.inc does on its defaultdict(float): a
+ * missing key starts at 0.0, and a float count stays a float. */
+static int
+add_count(KernelState *c, int k, long long n)
+{
+    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
+    PyObject *held = PyDict_GetItemWithError(c->counters, key);
+    PyObject *value;
+    if (held == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        value = PyFloat_FromDouble((double)n);
+    } else if (PyFloat_CheckExact(held)) {
+        value = PyFloat_FromDouble(PyFloat_AS_DOUBLE(held) + (double)n);
+    } else {
+        PyObject *amount = PyLong_FromLongLong(n);
+        value = amount != NULL ? PyNumber_Add(held, amount) : NULL;
+        Py_XDECREF(amount);
+    }
+    if (value == NULL)
+        return -1;
+    int rc = PyDict_SetItem(c->counters, key, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+static int
+bump(KernelState *c, int k)
+{
+    return add_count(c, k, 1);
+}
+
+/* batch_counters[key k] = batch_counters.get(key, 0) + n: the engine's
+ * own counts are ints. */
+static int
+add_engine(KernelState *c, int k, long long n)
+{
+    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
+    PyObject *held = PyDict_GetItemWithError(c->batch, key);
+    if (held == NULL && PyErr_Occurred())
+        return -1;
+    PyObject *amount = PyLong_FromLongLong(n);
+    PyObject *value = amount == NULL ? NULL
+        : held == NULL ? Py_NewRef(amount) : PyNumber_Add(held, amount);
+    Py_XDECREF(amount);
+    if (value == NULL)
+        return -1;
+    int rc = PyDict_SetItem(c->batch, key, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* Stats.bump(HIT_LEVEL, bucket): histograms[key][bucket] += 1 through
+ * the defaultdicts' own item access, so a first bucket starts at 0.0. */
+static int
+hit_level(KernelState *c, PyObject *bucket)
+{
+    PyObject *key = PyTuple_GET_ITEM(c->keys, K_HIT_LEVEL);
+    PyObject *histogram = PyObject_GetItem(c->histograms, key);
+    if (histogram == NULL)
+        return -1;
+    PyObject *held = PyObject_GetItem(histogram, bucket);
+    PyObject *value = held != NULL ? PyNumber_Add(held, int_one) : NULL;
+    int rc = value != NULL ? PyObject_SetItem(histogram, bucket, value) : -1;
+    Py_XDECREF(held);
+    Py_XDECREF(value);
+    Py_DECREF(histogram);
+    return rc;
+}
+
+/* hit_level for a tree level. */
+static int
+hit_tree_level(KernelState *c, long long level)
+{
+    PyObject *bucket = PyLong_FromLongLong(level);
+    int rc = bucket != NULL ? hit_level(c, bucket) : -1;
+    Py_XDECREF(bucket);
+    return rc;
+}
+
+/* Stash.note_peak without its event: raise the stash's recorded peak to
+ * ``occupancy``.  Returns 1 when it rose, 0, or -1 with an exception
+ * set. */
+static int
+raise_peak(KernelState *c, long long occupancy)
+{
+    PyObject *peak = PyObject_GetAttr(c->stash, str_peak_occupancy);
+    long long held = peak != NULL ? PyLong_AsLongLong(peak) : -1;
+    Py_XDECREF(peak);
+    if (held == -1 && PyErr_Occurred())
+        return -1;
+    if (occupancy <= held)
+        return 0;
+    PyObject *value = PyLong_FromLongLong(occupancy);
+    int rc = value != NULL
+        ? PyObject_SetAttr(c->stash, str_peak_occupancy, value) : -1;
+    Py_XDECREF(value);
+    return rc < 0 ? -1 : 1;
+}
+
+/* posmap.remap_count += 1. */
+static int
+count_remap(KernelState *c)
+{
+    PyObject *count = PyObject_GetAttr(c->posmap, str_remap_count);
+    PyObject *next = count != NULL ? PyNumber_Add(count, int_one) : NULL;
+    int rc = next != NULL
+        ? PyObject_SetAttr(c->posmap, str_remap_count, next) : -1;
+    Py_XDECREF(count);
+    Py_XDECREF(next);
     return rc;
 }
 
@@ -1134,29 +1340,118 @@ reset_hooks(KernelState *c)
     c->ss_placed = c->ss_removed = c->ss_skips = 0;
 }
 
-/* access_path(state, leaf, now, served, mode, write_burst)
- *   -> (finish_read, finish_write, served_level, occupancy, blocks,
- *       (read_hits, read_conflicts), (write_hits, write_conflicts),
- *       (placed_top, removed_top, sstash_placed, sstash_removed,
- *        sstash_skips))
+/* One memory burst of ``blocks`` accesses, as DRAMModel.book counts it. */
+static int
+book_burst(KernelState *c, long long blocks, int is_write, long long hits,
+           long long conflicts)
+{
+    return add_count(c, K_DRAM_ACCESSES, blocks) < 0 ||
+           add_count(c, K_DRAM_ROW_HITS, hits) < 0 ||
+           add_count(c, K_DRAM_ROW_CONFLICTS, conflicts) < 0 ||
+           add_count(c, is_write ? K_DRAM_WRITES : K_DRAM_READS, blocks) < 0
+        ? -1 : 0;
+}
+
+/* ``n`` paths of path type ``pt`` that moved ``blocks`` memory blocks per
+ * burst in all, and the tree-top hook counts of the current call: what
+ * PathORAMController._apply_path_counters books.  A hook key is only
+ * touched when its count is nonzero, as the Python hooks only create it
+ * when they run. */
+static int
+book_paths(KernelState *c, Py_ssize_t pt, long long n, long long blocks)
+{
+    static const int hook_keys[5] = {
+        K_TREETOP_PLACED, K_TREETOP_REMOVED, K_SSTASH_PLACED,
+        K_SSTASH_REMOVED, K_SSTASH_SKIPS,
+    };
+    long long hooks[5] = {
+        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
+        c->ss_skips,
+    };
+    c->path_count[0] += n;
+    if (add_count(c, K_COUNT + (int)pt, n) < 0 ||
+        add_count(c, K_PATHS_TOTAL, n) < 0 ||
+        add_count(c, K_BLOCKS_READ, blocks) < 0 ||
+        add_count(c, K_COUNT + (int)(c->n_types + pt), 2 * blocks) < 0)
+        return -1;
+    for (int h = 0; h < 5; h++) {
+        if (hooks[h] && add_count(c, hook_keys[h], hooks[h]) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* One kernel path access of path type ``pt``, through path_access, then
+ * booked as the Python phases book it: the read burst, the stash peak
+ * (``*peak`` is the post-read occupancy when it raised the peak, else
+ * 0), the path and hook counters, the write burst and
+ * mem.blocks_written (``write_burst`` only: a deferred burst books
+ * itself when it issues), the eviction trigger, the served block's
+ * remap and engine.tier.kernel_paths.
+ */
+static int
+kernel_access(KernelState *c, long long leaf, long long now,
+              long long served, int mode, Py_ssize_t pt, int write_burst,
+              PathOut *out, long long *peak)
+{
+    long long blocks = c->path_blocks;
+    reset_hooks(c);
+    if (path_access(c, leaf, now, served, mode, write_burst, out) < 0 ||
+        book_burst(c, blocks, 0, out->read_hits, out->read_conflicts) < 0)
+        return -1;
+    int raised = raise_peak(c, out->occupancy);
+    if (raised < 0 || book_paths(c, pt, 1, blocks) < 0)
+        return -1;
+    *peak = raised ? out->occupancy : 0;
+    if (write_burst &&
+        (book_burst(c, blocks, 1, out->write_hits, out->write_conflicts) < 0
+         || add_count(c, K_BLOCKS_WRITTEN, blocks) < 0))
+        return -1;
+    if ((long long)PyDict_GET_SIZE(c->entries) > c->eviction_threshold &&
+        bump(c, K_EVICTION_TRIGGERS) < 0)
+        return -1;
+    if (mode == SERVED_REMAP && count_remap(c) < 0)
+        return -1;
+    return add_engine(c, K_KERNEL_PATHS, 1);
+}
+
+/* The index of a path type in the state's ``path_types``, by identity,
+ * or -1 with ValueError set. */
+static Py_ssize_t
+path_type_index(const KernelState *c, PyObject *path_type)
+{
+    for (Py_ssize_t i = 0; i < c->n_types; i++) {
+        if (PyTuple_GET_ITEM(c->path_types, i) == path_type)
+            return i;
+    }
+    PyErr_SetString(PyExc_ValueError, "unknown path type");
+    return -1;
+}
+
+/* access_path(state, leaf, now, served, mode, write_burst, path_type)
+ *   -> (finish_read, finish_write, served_level, peak, blocks,
+ *       read_hits, read_conflicts, write_hits, write_conflicts)
  *
  * One whole path access of the path to ``leaf`` issued at ``now``,
- * through path_access.  ``served`` is the block the access serves
+ * through kernel_access, booked as a path of ``path_type`` (one of the
+ * state's ``path_types``).  ``served`` is the block the access serves
  * (``mode`` SERVED_REMAP or SERVED_EXTRACT), or None for an eviction or
- * dummy path (SERVED_NONE).  ``occupancy`` is the stash occupancy right
- * after the read phase, ``blocks`` the memory blocks each burst moves.
- * The leaf, the mode and the served block are checked before anything
- * is touched.
+ * dummy path (SERVED_NONE).  ``peak`` is the stash occupancy right after
+ * the read phase when it raised the stash's peak, else 0; ``blocks`` the
+ * memory blocks each burst moves.  The rest is what a traced run's
+ * events need.  The leaf, the mode, the served block and the path type
+ * are checked before anything is touched.
  */
 static PyObject *
 access_path(PyObject *self, PyObject *args)
 {
     KernelState *c;
-    PyObject *served_obj;
+    PyObject *served_obj, *type_obj;
     long long leaf, now, served = EMPTY;
     int mode, write_burst;
-    if (!PyArg_ParseTuple(args, "O!LLOip", &KernelStateType, &c, &leaf,
-                          &now, &served_obj, &mode, &write_burst) ||
+    if (!PyArg_ParseTuple(args, "O!LLOipO", &KernelStateType, &c, &leaf,
+                          &now, &served_obj, &mode, &write_burst,
+                          &type_obj) ||
         check_leaf(c, leaf) < 0)
         return NULL;
     if (mode < SERVED_NONE || mode > SERVED_EXTRACT ||
@@ -1174,17 +1469,19 @@ access_path(PyObject *self, PyObject *args)
             return NULL;
         }
     }
+    Py_ssize_t pt = path_type_index(c, type_obj);
+    if (pt < 0)
+        return NULL;
     PathOut out;
+    long long peak;
     memset(&out, 0, sizeof out);
-    reset_hooks(c);
-    if (path_access(c, leaf, now, served, mode, write_burst, &out) < 0)
+    if (kernel_access(c, leaf, now, served, mode, pt, write_burst, &out,
+                      &peak) < 0)
         return NULL;
     return Py_BuildValue(
-        "LLLLL(LL)(LL)(LLLLL)", out.finish_read, out.finish_write,
-        out.served_level, out.occupancy, c->path_blocks, out.read_hits,
-        out.read_conflicts, out.write_hits, out.write_conflicts,
-        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
-        c->ss_skips);
+        "LLLLLLLLL", out.finish_read, out.finish_write, out.served_level,
+        peak, c->path_blocks, out.read_hits, out.read_conflicts,
+        out.write_hits, out.write_conflicts);
 }
 
 /* ---------------------------------------------------------------- */
@@ -1193,7 +1490,7 @@ access_path(PyObject *self, PyObject *args)
 
 /* run_batch(state, now, interval, max_paths, horizon, stop_threshold,
  *           trigger_threshold, want_bounds)
- *   -> (n, now, max_occupancy, bounds | None, agg)
+ *   -> (n, now, bounds | None)
  *
  * Execute up to ``max_paths`` whole dummy-path accesses — an RNG leaf
  * draw (randbelow) and path_access — without returning to the
@@ -1203,14 +1500,14 @@ access_path(PyObject *self, PyObject *args)
  * item, -1 = none), or as soon as the stash is over ``stop_threshold``
  * (-1 = never), so every slot-boundary decision the per-access loop
  * would have made stays identical.  Stash occupancy is compared against
- * ``trigger_threshold`` after every write phase to accumulate
- * eviction-trigger counts.
+ * ``trigger_threshold`` after every write phase to count eviction
+ * triggers.
  *
- * ``agg`` is (blocks, row_hits, row_conflicts, eviction_triggers,
- * (placed_top, removed_top, sstash_placed, sstash_removed,
- * sstash_skips)), the hook counts shaped as access_path returns them;
- * ``bounds`` is a flat [start, finish_read, finish_write, ...] list when
- * requested.
+ * A batch that ran paths books them in aggregate, as an untraced batch
+ * always has: the stash peak, the dummy-path and hook counters, both
+ * bursts' DRAM counts and the eviction triggers; every call counts
+ * engine.batch.calls and engine.batch.paths.  ``bounds`` is a flat
+ * [start, finish_read, finish_write, ...] list when requested.
  */
 static PyObject *
 run_batch(PyObject *self, PyObject *args)
@@ -1269,14 +1566,22 @@ run_batch(PyObject *self, PyObject *args)
         n++;
     }
 
+    long long blocks = n * c->path_blocks;
+    if (n && (raise_peak(c, max_occ) < 0 ||
+              book_paths(c, PT_DUMMY, n, blocks) < 0 ||
+              book_burst(c, blocks, 0, out.read_hits + out.write_hits,
+                         out.read_conflicts + out.write_conflicts) < 0 ||
+              book_burst(c, blocks, 1, 0, 0) < 0 ||
+              add_count(c, K_BLOCKS_WRITTEN, blocks) < 0 ||
+              (ev_triggers &&
+               add_count(c, K_EVICTION_TRIGGERS, ev_triggers) < 0)))
+        goto fail;
+    if (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
+        add_engine(c, K_BATCH_PATHS, n) < 0)
+        goto fail;
     if (bounds == NULL)
         bounds = Py_NewRef(Py_None);
-    return Py_BuildValue(
-        "(LLLN(LLLL(LLLLL)))", n, now, max_occ, bounds,
-        n * c->path_blocks, out.read_hits + out.write_hits,
-        out.read_conflicts + out.write_conflicts, ev_triggers,
-        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
-        c->ss_skips);
+    return Py_BuildValue("(LLN)", n, now, bounds);
 
 fail:
     Py_XDECREF(bounds);
@@ -1291,33 +1596,6 @@ fail:
  * displace another victim); deeper than this is reported as the
  * RecursionError the Python chain would hit. */
 #define TRANSLATE_MAX_DEPTH 200
-
-/* Interned attribute and method names and the int 1, set at module
- * init. */
-static PyObject *str_append, *str_note_peak, *str_peak_occupancy,
-    *str_remap_count, *int_one;
-
-/* counters[TranslateKey k] += 1, as Stats.inc does on its defaultdict:
- * a missing key starts at 0.0. */
-static int
-bump(KernelState *c, int k)
-{
-    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
-    PyObject *held = PyDict_GetItemWithError(c->counters, key);
-    PyObject *value;
-    if (held == NULL) {
-        if (PyErr_Occurred())
-            return -1;
-        value = PyFloat_FromDouble(1.0);
-    } else {
-        value = PyNumber_Add(held, int_one);
-    }
-    if (value == NULL)
-        return -1;
-    int rc = PyDict_SetItem(c->counters, key, value);
-    Py_DECREF(value);
-    return rc;
-}
 
 /* The PLB slot holding ``block``, -1 when it is not resident, or -2 with
  * ValueError set when its set's fill count is out of range. */
@@ -1389,10 +1667,22 @@ plb_mark_dirty(KernelState *c, long long block)
     if (slot < 0)
         return slot == -1 ? 0 : -1;
     plb_touch(c, block, slot, 1);
-    return bump(c, TK_PLB_HITS);
+    return bump(c, K_PLB_HITS);
 }
 
 static int walk(KernelState *c, long long block, long long *chain, int *n);
+
+/* Namespace.parent_block: the PosMap block holding ``block``'s mapping,
+ * or -1 for a PosMap2 block (its parent is the on-chip PosMap3). */
+static long long
+parent_of(const KernelState *c, long long block)
+{
+    if (block < c->p1_base)
+        return c->p1_base + block / c->fanout;
+    if (block < c->p2_base)
+        return c->p2_base + (block - c->p1_base) / c->fanout;
+    return -1;
+}
 
 /* PositionMap.restore: draw a leaf for an unmapped block through
  * randbelow, record it and count the remap.  A block that is still mapped
@@ -1410,13 +1700,7 @@ restore_leaf(KernelState *c, long long block, long long *leaf)
     if (randbelow(&c->rng, c->leaves, leaf) < 0)
         return -1;
     c->leaf_table[block] = *leaf;
-    PyObject *count = PyObject_GetAttr(c->posmap, str_remap_count);
-    PyObject *next = count != NULL ? PyNumber_Add(count, int_one) : NULL;
-    int rc = next != NULL
-        ? PyObject_SetAttr(c->posmap, str_remap_count, next) : -1;
-    Py_XDECREF(count);
-    Py_XDECREF(next);
-    return rc;
+    return count_remap(c);
 }
 
 /* Stash.add: the entry, then Stash.note_peak (which emits stash.hwm)
@@ -1460,19 +1744,15 @@ reinsert(KernelState *c, long long block)
         PyObject *ok = key != NULL
             ? PyObject_CallMethodOneArg(c->queue, str_append, key) : NULL;
         rc = ok != NULL && PySet_Add(c->limbo, key) == 0
-            ? bump(c, TK_DEFERRED_REINSERTS) : -1;
+            ? bump(c, K_DEFERRED_REINSERTS) : -1;
         Py_XDECREF(ok);
         Py_XDECREF(key);
     } else if (rc == 0) {
-        long long parent = -1;
-        if (block < c->p1_base)
-            parent = c->p1_base + block / c->fanout;
-        else if (block < c->p2_base)
-            parent = c->p2_base + (block - c->p1_base) / c->fanout;
+        long long parent = parent_of(c, block);
         rc = restore_leaf(c, block, &leaf) < 0 ||
              (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
              stash_add(c, block, leaf) < 0 ||
-             bump(c, TK_REINSERTS) < 0 ? -1 : 0;
+             bump(c, K_REINSERTS) < 0 ? -1 : 0;
     }
     c->depth--;
     return rc;
@@ -1505,9 +1785,9 @@ plb_fill(KernelState *c, long long block, long long dirty, int fetch)
     }
     long long victim = c->plb_blocks[base], victim_dirty = c->plb_dirty[base];
     plb_touch(c, block, base, dirty);
-    if (bump(c, TK_PLB_EVICTIONS) < 0 ||
-        (victim_dirty && bump(c, TK_PLB_DIRTY_EVICTIONS) < 0) ||
-        (victim_dirty && fetch && bump(c, TK_PLB_DIRTY_EVICTIONS) < 0))
+    if (bump(c, K_PLB_EVICTIONS) < 0 ||
+        (victim_dirty && bump(c, K_PLB_DIRTY_EVICTIONS) < 0) ||
+        (victim_dirty && fetch && bump(c, K_PLB_DIRTY_EVICTIONS) < 0))
         return -1;
     return reinsert(c, victim);
 }
@@ -1563,14 +1843,14 @@ try_promote(KernelState *c, long long block)
         if (rc == 0) {
             c->leaf_table[block] = UNMAPPED;
             rc = plb_fill(c, block, 1, 0) < 0 ||
-                 bump(c, TK_STASH_PROMOTIONS) < 0 ? -1 : 0;
+                 bump(c, K_STASH_PROMOTIONS) < 0 ? -1 : 0;
         }
         goto done;
     }
     if (rc < 0 || c->top == 0 || !c->gated)
         goto done;
     int hit = PyDict_Contains(c->resident, key);
-    if (hit < 0 || bump(c, hit ? TK_PROBE_HITS : TK_PROBE_MISSES) < 0) {
+    if (hit < 0 || bump(c, hit ? K_PROBE_HITS : K_PROBE_MISSES) < 0) {
         rc = -1;
         goto done;
     }
@@ -1594,11 +1874,11 @@ try_promote(KernelState *c, long long block)
     *slot = EMPTY;
     c->level_used[level]--;
     rc = sstash_remove(c->resident, c->set_count, key) < 0 ||
-         bump(c, TK_SSTASH_REMOVED) < 0 ? -1 : 0;
+         bump(c, K_SSTASH_REMOVED) < 0 ? -1 : 0;
     if (rc == 0) {
         c->leaf_table[block] = UNMAPPED;
         rc = plb_fill(c, block, 1, 0) < 0 ||
-             bump(c, TK_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
+             bump(c, K_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
     }
 done:
     Py_DECREF(key);
@@ -1755,6 +2035,345 @@ find_in_treetop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (slot == NULL)
         return Py_NewRef(Py_None);
     return Py_BuildValue("(LL)", level, leaf >> (c->levels - 1 - level));
+}
+
+/* ---------------------------------------------------------------- */
+/* Serving one request's slot                                        */
+/* ---------------------------------------------------------------- */
+
+/* What serve_request did with the head request. */
+enum {
+    SERVE_INSTANT,  /* served on chip before the slot's path choice */
+    SERVE_BLOCKED,  /* not on chip; a victim-buffer entry or background
+                     * eviction takes the slot */
+    SERVE_ONCHIP,   /* served on chip by the slot itself */
+    SERVE_FETCH,    /* a PosMap block of its chain was fetched */
+    SERVE_DATA,     /* its data path was accessed */
+};
+
+/* PositionMap.leaf_of for a block inside the position map. */
+static int
+mapped_leaf(const KernelState *c, long long block, long long *leaf)
+{
+    if (check_mapped_index(c, block) < 0)
+        return -1;
+    *leaf = c->leaf_table[block];
+    if (*leaf == UNMAPPED) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "block %lld has no mapping (unmapped)", block);
+        return -1;
+    }
+    return check_leaf(c, *leaf);
+}
+
+/* request.completion = cycle. */
+static int
+complete(PyObject *request, long long cycle)
+{
+    PyObject *value = PyLong_FromLongLong(cycle);
+    int rc = value != NULL
+        ? PyObject_SetAttr(request, str_completion, value) : -1;
+    Py_XDECREF(value);
+    return rc;
+}
+
+/* Controller._count_translation: the first translation of a request
+ * counts, and the request remembers it. */
+static int
+count_translation(KernelState *c, PyObject *request)
+{
+    PyObject *held = PyObject_GetAttr(request, str_translation_counted);
+    int counted = held != NULL ? PyObject_IsTrue(held) : -1;
+    Py_XDECREF(held);
+    if (counted != 0)
+        return counted < 0 ? -1 : 0;
+    if (PyObject_SetAttr(request, str_translation_counted, Py_True) < 0)
+        return -1;
+    return bump(c, K_TRANSLATIONS);
+}
+
+/* Controller._remove_from_treetop plus PositionMap.discard (LLC-D): the
+ * block leaves the cached top of its path, its tree-top entry is
+ * released and its mapping dropped. */
+static int
+leave_treetop(KernelState *c, long long block, PyObject *key)
+{
+    long long leaf, level, *slot;
+    if (mapped_leaf(c, block, &leaf) < 0 ||
+        find_top(c, block, leaf, &level, &slot) < 0)
+        return -1;
+    if (slot == NULL) {
+        PyErr_Format(PyExc_RuntimeError, "block %lld vanished from tree top",
+                     block);
+        return -1;
+    }
+    *slot = EMPTY;
+    c->level_used[level]--;
+    if (c->gated
+        ? sstash_remove(c->resident, c->set_count, key) < 0 ||
+              bump(c, K_SSTASH_REMOVED) < 0
+        : bump(c, K_TREETOP_REMOVED) < 0)
+        return -1;
+    c->leaf_table[block] = UNMAPPED;
+    return 0;
+}
+
+/* An on-chip serve: Controller._serve_stash_hit, _serve_treetop_hit_by_
+ * address and _serve_treetop_hit.  The request completes after the
+ * on-chip latency, counter ``k`` counts it, a read's ``bucket`` goes to
+ * the hit-level histogram, and under LLC-D a read's block leaves the
+ * ORAM: from the stash (``from_stash``) or from the cached tree top.
+ */
+static int
+serve_onchip(KernelState *c, PyObject *request, long long block,
+             PyObject *key, int reading, long long now, int k,
+             PyObject *bucket, int from_stash)
+{
+    if (complete(request, now + c->onchip_latency) < 0 || bump(c, k) < 0 ||
+        (reading && hit_level(c, bucket) < 0))
+        return -1;
+    if (!(c->delayed_remap && reading))
+        return 0;
+    if (!from_stash)
+        return leave_treetop(c, block, key);
+    if (check_mapped_index(c, block) < 0 ||
+        PyDict_DelItem(c->entries, key) < 0)
+        return -1;
+    c->leaf_table[block] = UNMAPPED;
+    return 0;
+}
+
+/* Controller._finish_reinsert: an LLC-D line rejoins the tree through the
+ * stash with a fresh leaf, dirtying its parent PosMap block. */
+static int
+finish_reinsert(KernelState *c, PyObject *request, long long block,
+                long long now)
+{
+    long long leaf, parent = parent_of(c, block);
+    return restore_leaf(c, block, &leaf) < 0 ||
+           (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
+           stash_add(c, block, leaf) < 0 ||
+           complete(request, now + c->onchip_latency) < 0 ||
+           bump(c, K_SERVE_REINSERTS) < 0 ? -1 : 0;
+}
+
+/* A tree-top hit after a free translation: the block sits in the cached
+ * top of its path (Controller._find_in_treetop then _serve_treetop_hit).
+ * Returns 1 when served, 0 when not there, or -1. */
+static int
+treetop_hit(KernelState *c, PyObject *request, long long block,
+            PyObject *key, int reading, long long now)
+{
+    long long leaf, level, *slot;
+    if (mapped_leaf(c, block, &leaf) < 0 ||
+        count_translation(c, request) < 0 ||
+        find_top(c, block, leaf, &level, &slot) < 0)
+        return -1;
+    if (slot == NULL)
+        return 0;
+    PyObject *bucket = PyLong_FromLongLong(level);
+    if (bucket == NULL)
+        return -1;
+    int rc = serve_onchip(c, request, block, key, reading, now,
+                          K_SERVE_TREETOP_HITS, bucket, 0);
+    Py_DECREF(bucket);
+    return rc < 0 ? -1 : 1;
+}
+
+/* Controller.fetch_posmap_block on the kernel tier: the PosMap block's
+ * path access, which extracts it from the ORAM, then its PLB install,
+ * whose victim is re-inserted. */
+static int
+fetch_posmap(KernelState *c, long long pm, long long now, PathOut *out,
+             Py_ssize_t *pt)
+{
+    long long leaf, peak;
+    *pt = pm < c->p2_base ? PT_POS1 : PT_POS2;
+    return mapped_leaf(c, pm, &leaf) < 0 ||
+           kernel_access(c, leaf, now, pm, SERVED_EXTRACT, *pt, 1, out,
+                         &peak) < 0 ||
+           bump(c, K_POSMAP_ACCESSES) < 0 ||
+           plb_fill(c, pm, 0, 1) < 0 ? -1 : 0;
+}
+
+/* Controller.full_access for a served request's data path: the access
+ * remaps the block (or, for an LLC-D read, extracts it), a read's level
+ * goes to the hit-level histogram, a remap dirties the parent PosMap
+ * block, which translation left on chip, and the request completes at
+ * the read phase's finish, one path used. */
+static int
+serve_data(KernelState *c, PyObject *request, long long block, int reading,
+           long long now, PathOut *out)
+{
+    int extract = c->delayed_remap && reading;
+    long long leaf, peak;
+    if (mapped_leaf(c, block, &leaf) < 0 ||
+        kernel_access(c, leaf, now, block,
+                      extract ? SERVED_EXTRACT : SERVED_REMAP, PT_DATA, 1,
+                      out, &peak) < 0)
+        return -1;
+    if (reading && out->served_level >= 0 &&
+        hit_tree_level(c, out->served_level) < 0)
+        return -1;
+    long long parent = extract ? -1 : parent_of(c, block);
+    if (parent >= 0) {
+        int rc = on_chip(c, parent);
+        if (rc == 0)
+            PyErr_Format(PyExc_RuntimeError,
+                         "parent PosMap block %lld not on chip at remap",
+                         parent);
+        if (rc <= 0 || plb_mark_dirty(c, parent) < 0)
+            return -1;
+    }
+    PyObject *used = PyObject_GetAttr(request, str_paths_used);
+    PyObject *next = used != NULL ? PyNumber_Add(used, int_one) : NULL;
+    int rc = next != NULL && complete(request, out->finish_read) == 0
+        ? PyObject_SetAttr(request, str_paths_used, next) : -1;
+    Py_XDECREF(used);
+    Py_XDECREF(next);
+    return rc;
+}
+
+/* The head request's slot (see serve_request), over a checked block and
+ * kind.  Returns a SERVE_* status, or -1 with an exception set; a path
+ * access fills ``out`` and sets ``*pt`` to its path type. */
+static int
+serve_slot(KernelState *c, PyObject *request, long long block,
+           PyObject *key, int kind, long long now, PathOut *out,
+           Py_ssize_t *pt)
+{
+    int reading = kind == KIND_READ;
+    long long chain[2];
+    int n, rc;
+
+    /* Controller._try_instant: the stash and S-Stash probes, then a
+     * free translation that finds the block in the cached tree top. */
+    rc = PyDict_Contains(c->entries, key);
+    if (rc != 0)
+        return rc < 0 || serve_onchip(c, request, block, key, reading, now,
+                                      K_SERVE_STASH_HITS, str_stash, 1) < 0
+            ? -1 : SERVE_INSTANT;
+    if (c->gated) {
+        rc = PyDict_Contains(c->resident, key);
+        if (rc < 0 || bump(c, rc ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
+            return -1;
+        if (rc)
+            return serve_onchip(c, request, block, key, reading, now,
+                                K_SERVE_SSTASH_HITS, str_sstash, 0) < 0
+                ? -1 : SERVE_INSTANT;
+    }
+    if (walk(c, block, chain, &n) < 0)
+        return -1;
+    if (!n) {
+        if (kind == KIND_REINSERT)
+            return finish_reinsert(c, request, block, now) < 0
+                ? -1 : SERVE_INSTANT;
+        rc = treetop_hit(c, request, block, key, reading, now);
+        if (rc != 0)
+            return rc < 0 ? -1 : SERVE_INSTANT;
+    }
+
+    /* Controller._issue_priority_path: a waiting victim-buffer entry or
+     * background eviction goes first. */
+    Py_ssize_t waiting = PyObject_Size(c->queue);
+    if (waiting < 0)
+        return -1;
+    if (waiting > 0 ||
+        (c->background_eviction &&
+         (long long)PyDict_GET_SIZE(c->entries) > c->eviction_threshold))
+        return SERVE_BLOCKED;
+
+    /* Controller._step_request. */
+    if (walk(c, block, chain, &n) < 0)
+        return -1;
+    if (n)
+        return bump(c, K_MISS_FETCHES) < 0 ||
+               fetch_posmap(c, chain[0], now, out, pt) < 0
+            ? -1 : SERVE_FETCH;
+    if (count_translation(c, request) < 0)
+        return -1;
+    if (kind == KIND_REINSERT)
+        return finish_reinsert(c, request, block, now) < 0
+            ? -1 : SERVE_ONCHIP;
+    rc = treetop_hit(c, request, block, key, reading, now);
+    if (rc != 0)
+        return rc < 0 ? -1 : SERVE_ONCHIP;
+    if (kind == KIND_WRITEBACK && bump(c, K_WRITEBACK_PATHS) < 0)
+        return -1;
+    *pt = PT_DATA;
+    return serve_data(c, request, block, reading, now, out) < 0
+        ? -1 : SERVE_DATA;
+}
+
+/* serve_request(state, request, now)
+ *   -> (status, path_type | None, finish_read, finish_write)
+ *
+ * The head queued request's share of one issue slot at ``now``, as the
+ * Python controller runs it: Controller._try_instant (the stash and
+ * S-Stash probes, with the probe counters; a translation walk; an LLC-D
+ * re-insert or a tree-top hit), then, unless a victim-buffer entry or
+ * background eviction takes the slot (SERVE_BLOCKED, nothing more
+ * done), Controller._step_request: the chain walk again, then either the
+ * first missing PosMap block's fetch (its path access, posmap.accesses,
+ * plb.miss_fetches and its PLB install) or the request's own data path
+ * (the block's remap or LLC-D extraction and the parent's mark_dirty) —
+ * or an on-chip serve when the walk made translation free.
+ *
+ * The request is updated in place: ``completion``, ``paths_used`` and
+ * ``translation_counted``; every counter and the hit-level histogram are
+ * booked here.  ``path_type`` and the finishes describe the issued path
+ * (both finishes are ``now`` when none was).  The request's block and
+ * kind and ``now`` are checked before anything is touched.
+ */
+static PyObject *
+serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "serve_request(state, request, now)");
+        return NULL;
+    }
+    KernelState *c = state_arg(args[0]);
+    PyObject *request = args[1];
+    if (c == NULL)
+        return NULL;
+    long long now = PyLong_AsLongLong(args[2]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    long long block;
+    PyObject *key = PyObject_GetAttr(request, str_block);
+    if (key == NULL || block_arg(key, &block) < 0) {
+        Py_XDECREF(key);
+        return NULL;
+    }
+    PyObject *kind_obj = PyObject_GetAttr(request, str_kind);
+    int kind = 0;
+    while (kind_obj != NULL && kind < N_KINDS && c->kinds[kind] != kind_obj)
+        kind++;
+    Py_XDECREF(kind_obj);
+    int status = -1;
+    if (kind_obj == NULL)
+        goto done;
+    if (kind == N_KINDS || now < 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed serve_request call");
+        goto done;
+    }
+    if (block < 0 || block >= c->total) {
+        PyErr_Format(PyExc_ValueError, "block %lld outside namespace", block);
+        goto done;
+    }
+    PathOut out;
+    Py_ssize_t pt = -1;
+    memset(&out, 0, sizeof out);
+    out.finish_read = out.finish_write = now;
+    status = serve_slot(c, request, block, key, kind, now, &out, &pt);
+done:
+    Py_DECREF(key);
+    if (status < 0)
+        return NULL;
+    return Py_BuildValue(
+        "(iOLL)", status,
+        pt >= 0 ? PyTuple_GET_ITEM(c->path_types, pt) : Py_None,
+        out.finish_read, out.finish_write);
 }
 
 /* ---------------------------------------------------------------- */
@@ -1962,6 +2581,8 @@ static PyMethodDef fastpath_methods[] = {
      "Install a PosMap block in the PLB and re-insert its victim."},
     {"find_in_treetop", (PyCFunction)(void (*)(void))find_in_treetop,
      METH_FASTCALL, "Where a block sits in the cached top of a path."},
+    {"serve_request", (PyCFunction)(void (*)(void))serve_request,
+     METH_FASTCALL, "The head request's share of one issue slot."},
     {"draw_leaves", draw_leaves, METH_VARARGS,
      "The position map's initial leaf table, as an array('q')."},
     {"init_tree", init_tree, METH_VARARGS,
@@ -1991,9 +2612,20 @@ PyInit__repro_fastpath(void)
     str_note_peak = PyUnicode_InternFromString("note_peak");
     str_peak_occupancy = PyUnicode_InternFromString("peak_occupancy");
     str_remap_count = PyUnicode_InternFromString("remap_count");
+    str_block = PyUnicode_InternFromString("block");
+    str_kind = PyUnicode_InternFromString("kind");
+    str_completion = PyUnicode_InternFromString("completion");
+    str_paths_used = PyUnicode_InternFromString("paths_used");
+    str_translation_counted =
+        PyUnicode_InternFromString("translation_counted");
+    str_stash = PyUnicode_InternFromString("stash");
+    str_sstash = PyUnicode_InternFromString("sstash");
     int_one = PyLong_FromLong(1);
     if (str_append == NULL || str_note_peak == NULL ||
         str_peak_occupancy == NULL || str_remap_count == NULL ||
+        str_block == NULL || str_kind == NULL || str_completion == NULL ||
+        str_paths_used == NULL || str_translation_counted == NULL ||
+        str_stash == NULL || str_sstash == NULL ||
         int_one == NULL || PyType_Ready(&KernelStateType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&fastpath_module);

@@ -3,9 +3,14 @@
 The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
-* ``access_path`` — one whole path access, the one call a real, eviction
-  or dummy path makes: read burst, read phase, the served block's remap
-  or extraction, greedy bottom-up placement and write burst;
+* ``serve_request`` — the head queued request's share of an untraced
+  issue slot: the stash and S-Stash probes, the translation walk, then
+  either an on-chip serve, or the first missing PosMap block's fetch, or
+  the request's data path, through the same per-path function;
+* ``access_path`` — one whole path access, the one call every other
+  real, eviction or dummy path makes: read burst, read phase, the served
+  block's remap or extraction, greedy bottom-up placement and write
+  burst;
 * ``run_batch`` — whole stretches of dummy paths in one call, through the
   same per-path function;
 * ``dram_triples`` — one path's DRAM (bank, channel, row) triples, as an
@@ -30,16 +35,24 @@ helper, ``randbelow``: ``Random._randbelow_with_getrandbits`` inlined
 over the RNG's bound ``getrandbits``, so the kernels consume exactly the
 bits the Python code consumes, and only for a plain ``random.Random``.
 
+The path entries book their own counters — every stats counter, the
+``hit.level`` histogram, the stash peak, ``remap_count``, the path count
+and the ``engine.*`` tier and batch counts — with the keys of the
+state's ``counter_keys`` (:func:`counter_keys`) and the Python code's
+value types, so the controller only emits trace events around them.
+
 All but ``dram_service`` and the setup entries take one ``KernelState``,
 which the controller builds once from its live state and which holds
 and validates it for its lifetime: the tree's slots, the position map's
 leaves, the level occupancy, the layout's ``path_table``, the DRAM bank
 state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
 dirty flags, per-set fill counts) and the S-Stash's set-index array as
-``array('q')`` buffers the kernels index directly; the stash's
-``block -> leaf`` dict, the S-Stash dicts, the victim buffer, the
-counters, ``getrandbits`` and ``set_of`` as references; and the
-geometry, the namespace and the DRAM timing.  ``access_path``,
+``array('q')`` buffers the kernels index directly, with the
+controller's path count; the stash's ``block -> leaf`` dict, the S-Stash
+dicts, the victim buffer, the counters, the histograms, the engine
+counts, ``getrandbits`` and ``set_of`` as references; the path types and
+request kinds it compares against; and the geometry, the namespace, the
+DRAM timing and the slot parameters.  ``access_path``,
 ``run_batch`` and ``dram_triples`` share one read loop, one placement
 engine and one DRAM timing loop, for both tree-top modes: the dedicated
 cache and IR-Stash's S-Stash, whose entries the read loop releases and
@@ -70,6 +83,7 @@ import subprocess
 import sys
 import sysconfig
 from array import array
+from collections import defaultdict
 from typing import Optional
 
 from .. import stats_keys as sk
@@ -88,18 +102,51 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-fastpath")
 
 
-#: The counters ``translate`` and ``plb_install`` bump, in the order of
-#: ``enum TranslateKey`` in ``_fastpath.c``; the state's ``counter_keys``.
-TRANSLATE_KEYS = (
+#: The keys the kernels book, in the order of ``enum CounterKey`` in
+#: ``_fastpath.c``: stats counters, the ``hit.level`` histogram, then the
+#: controller's own ``engine.*`` counts.
+COUNTER_KEYS = (
+    # translation
     sk.PLB_HITS, sk.PLB_EVICTIONS, sk.PLB_DIRTY_EVICTIONS,
     sk.PLB_STASH_PROMOTIONS, sk.PLB_TREETOP_PROMOTIONS,
     sk.SSTASH_PROBE_HITS, sk.SSTASH_PROBE_MISSES, sk.SSTASH_REMOVED,
     sk.PLB_REINSERTS, sk.PLB_DEFERRED_REINSERTS,
+    # one path access
+    sk.PATHS_TOTAL, sk.MEM_BLOCKS_READ, sk.MEM_BLOCKS_WRITTEN,
+    sk.DRAM_ACCESSES, sk.DRAM_READS, sk.DRAM_WRITES, sk.DRAM_ROW_HITS,
+    sk.DRAM_ROW_CONFLICTS,
+    sk.TREETOP_PLACED, sk.TREETOP_REMOVED, sk.SSTASH_PLACED,
+    sk.SSTASH_PLACEMENT_SKIPS, sk.EVICTION_TRIGGERS,
+    # serving a request
+    sk.SERVE_STASH_HITS, sk.SERVE_SSTASH_HITS, sk.SERVE_TREETOP_HITS,
+    sk.SERVE_REINSERTS, sk.TRANSLATION_COMPLETED, sk.PLB_MISS_FETCHES,
+    sk.POSMAP_ACCESSES, sk.WRITEBACK_PATHS,
+    sk.HIT_LEVEL,
+    sk.ENGINE_TIER_KERNEL_PATHS, sk.ENGINE_BATCH_CALLS,
+    sk.ENGINE_BATCH_PATHS,
 )
+
+
+def counter_keys(path_types) -> tuple:
+    """A state's ``counter_keys``: :data:`COUNTER_KEYS`, then the
+    ``paths.<type>`` and the ``mem.blocks.<type>`` key of each of its
+    ``path_types``, in their order."""
+    return (
+        COUNTER_KEYS
+        + tuple(sk.paths_key(pt) for pt in path_types)
+        + tuple(sk.mem_blocks_key(pt) for pt in path_types)
+    )
+
 
 #: ``access_path`` modes: what happens to the served block between the
 #: read and the write phase.
 SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
+
+#: ``serve_request`` outcomes: served on chip before the slot's path
+#: choice; left waiting behind a victim-buffer entry or background
+#: eviction; served on chip by the slot; a PosMap fetch; the data path.
+(SERVE_INSTANT, SERVE_BLOCKED, SERVE_ONCHIP, SERVE_FETCH,
+ SERVE_DATA) = range(5)
 
 
 def _self_test(module) -> bool:
@@ -121,6 +168,19 @@ def _self_test(module) -> bool:
     if ready != q([7]) or open_row != q([7]) or bus_free != q([7]):
         return False
 
+    class Stash:
+        peak_occupancy = 0
+
+    class PosMap:
+        remap_count = 0
+
+    class PathType:
+        def __init__(self, value):
+            self.value = value
+
+    types = tuple(PathType(value) for value in ("d", "p1", "p2", "m"))
+    kinds = (object(), object(), object())  # read, write-back, re-insert
+
     def state(**fields):
         # A 3-level tree with Z=2 at the root and Z=1 below (slots: root
         # 0-1, level 1 at 2-3, leaves at 4-7), no memory-backed level in
@@ -136,7 +196,12 @@ def _self_test(module) -> bool:
             getrandbits=None, plb_blocks=q([-1] * 2), plb_dirty=q([0] * 2),
             plb_fills=q([0, 0]), plb_ways=1, namespace=(4, 8, 10, 4),
             limbo=set(), internal_queue=[], counters={},
-            counter_keys=TRANSLATE_KEYS, stash=None, posmap=None,
+            counter_keys=counter_keys(types), stash=Stash(), posmap=PosMap(),
+            path_types=types, request_kinds=kinds,
+            histograms=defaultdict(lambda: defaultdict(float)),
+            batch_counters={}, path_count=q([0]), eviction_threshold=10,
+            background_eviction=True, delayed_remap=False,
+            onchip_latency=20,
         )
         base.update(fields)
         return module.KernelState(**base)
@@ -147,22 +212,34 @@ def _self_test(module) -> bool:
     # stash entry keeps its place.  On leaf 1's path both belong at the
     # root; the pool is a stack, so 9 takes slot 0 and 5 slot 1.  A
     # kernel that re-inserted block 5 would place it first.
+    # The access books itself as a path of the first type: the stash
+    # peak rises to 2, the remap is counted, and every counter it
+    # creates is a float, as on the stats' defaultdict(float).
     draws = iter([7, 4, 2])
     tree = q([5, 9, -1, -1, -1, -1, -1, -1])
     entries = {}
     level_used = q([2, 0, 0])
     leaf_table = q([-1] * 10)
     leaf_table[5], leaf_table[9] = 1, 3
+    counters, batch, path_count = {}, {}, q([0])
+    stash, posmap = Stash(), PosMap()
     result = module.access_path(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, getrandbits=lambda bits: next(draws),
-    ), 1, 0, 5, SERVED_REMAP, True)
-    if result != (0, 0, 0, 2, 0, (0, 0), (0, 0), (0, 0, 0, 0, 0)):
+        counters=counters, batch_counters=batch, path_count=path_count,
+        stash=stash, posmap=posmap,
+    ), 1, 0, 5, SERVED_REMAP, True, types[0])
+    if result != (0, 0, 0, 2, 0, 0, 0, 0, 0):
         return False
     if not (
         entries == {} and leaf_table[5] == 2 and leaf_table[9] == 3
         and tree == q([9, 5, -1, -1, -1, -1, -1, -1])
         and level_used == q([2, 0, 0])
+        and stash.peak_occupancy == 2 and posmap.remap_count == 1
+        and path_count == q([1]) and batch == {sk.ENGINE_TIER_KERNEL_PATHS: 1}
+        and counters[sk.PATHS_TOTAL] == 1 and counters["paths.d"] == 1
+        and all(type(value) is float for value in counters.values())
+        and sk.TREETOP_PLACED not in counters
     ):
         return False
 
@@ -188,18 +265,23 @@ def _self_test(module) -> bool:
         set_index[block] = 1
         return 1
 
+    counters = {}
     result = module.access_path(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, resident=resident,
         set_count=set_count, set_of=set_of, set_index=set_index, ways=1,
-    ), 0, 0, 6, SERVED_EXTRACT, True)
-    if result != (0, 0, 2, 3, 0, (0, 0), (0, 0), (0, 0, 1, 1, 1)):
+        counters=counters,
+    ), 0, 0, 6, SERVED_EXTRACT, True, types[1])
+    if result != (0, 0, 2, 3, 0, 0, 0, 0, 0):
         return False
     if not (
         entries == {4: 3} and leaf_table[6] == -1 and hashed == [4]
         and tree == q([3, -1, -1, -1, -1, -1, -1, -1])
         and level_used == q([1, 0, 0])
         and resident == {3: 1} and set_count == {1: 1}
+        and counters[sk.SSTASH_PLACED] == counters[sk.SSTASH_REMOVED]
+        == counters[sk.SSTASH_PLACEMENT_SKIPS] == counters["paths.p1"] == 1
+        and sk.TREETOP_REMOVED not in counters
     ):
         return False
 
@@ -235,14 +317,9 @@ def _self_test(module) -> bool:
     # restore draws 3 bits, 5 is rejected and 2 becomes its leaf; 8 is
     # dirtied again (a PLB hit) and 6 enters the stash as a new peak.
     # Block 4 is neither in the PLB, the stash nor the S-Stash.
-    class Stash:
-        peak_occupancy = 0
-
+    class PeakStash(Stash):
         def note_peak(self):
             self.peak_occupancy = len(entries)
-
-    class PosMap:
-        remap_count = 0
 
     draws = iter([5, 2])
     entries = {}
@@ -253,7 +330,7 @@ def _self_test(module) -> bool:
     level_used = q([1, 0, 0])
     resident, set_count = {8: 0}, {0: 1}
     counters = {}
-    stash, posmap = Stash(), PosMap()
+    stash, posmap = PeakStash(), PosMap()
     chain = module.translate(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, resident=resident,
@@ -312,32 +389,88 @@ def _self_test(module) -> bool:
     # leaf 1's path mapped to leaf 0 -> read at t=0 finishes at 10
     # (activate 3 + two row-hit bursts), write finishes at 17, and the
     # block is placed back at the root (diverges from its leaf at level
-    # 1), leaving the stash empty again.
+    # 1), leaving the stash empty again.  One supernode at row 7 holds
+    # both levels (local offsets 0, 1, 2), so leaf 1's path is two
+    # blocks in row 7 of the one bank.
     entries = {}
     level_used = q([1, 0])
     ready = q([0])
     open_row = q([-1])
     bus_free = q([0])
     tree = q([3, -1, -1])
-    # One supernode at row 7 holds both levels (local offsets 0, 1, 2),
-    # so leaf 1's path is two blocks in row 7 of the one bank.
+    # The batch books its dummy path in aggregate: 2 blocks per burst,
+    # 3 row hits over both bursts, the stash peak of 1.
+    counters, batch, stash = {}, {}, Stash()
     batch_state = state(
         getrandbits=lambda bits: 1, leaves=2,
         path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
         tree_slots=tree, entries=entries, leaf_table=q([-1, -1, -1, 0]),
         z_per_level=[1, 1], level_used=level_used,
         bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
+        counters=counters, batch_counters=batch, stash=stash,
     )
     result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1)
-    if result != (1, 17, 1, [0, 10, 17], (2, 3, 0, 0, (0, 0, 0, 0, 0))):
+    if result != (1, 17, [0, 10, 17]):
         return False
-    return (
+    if not (
         entries == {}
         and tree == q([3, -1, -1])
         and level_used == q([1, 0])
         and ready == q([14])
         and open_row == q([7])
         and bus_free == q([14])
+        and stash.peak_occupancy == 1
+        and batch == {sk.ENGINE_BATCH_CALLS: 1, sk.ENGINE_BATCH_PATHS: 1}
+        and counters[sk.DRAM_ACCESSES] == 4 and counters[sk.DRAM_READS] == 2
+        and counters[sk.DRAM_ROW_HITS] == 3 and counters["paths.m"] == 1
+        and counters["mem.blocks.m"] == 4
+    ):
+        return False
+
+    # Serving a read of user block 1 (leaf 2, at the bottom of its path)
+    # whose PosMap1 block 4 is in the PLB: PosMap2 block 8 is not on
+    # chip, but block 1's chain needs only block 4, so both walks are
+    # free and nothing is on chip.  The data path reads block 1 from
+    # level 2 at t=5, draws 3 bits to remap it (6 rejected, then leaf
+    # 1), places it at the root and dirties block 4, a PLB hit; the
+    # request completes at the read finish, one path used.
+    class Request:
+        block, kind, completion, paths_used = 1, kinds[0], None, 0
+        translation_counted = False
+
+    request = Request()
+    widths = []
+    script = iter([6, 1])
+
+    def getrandbits(bits):
+        widths.append(bits)
+        return next(script)
+
+    entries, counters = {}, {}
+    histograms = defaultdict(lambda: defaultdict(float))
+    tree = q([-1, -1, -1, -1, -1, -1, 1, -1])
+    level_used = q([0, 0, 1])
+    leaf_table = q([-1] * 10)
+    leaf_table[1] = 2
+    plb_blocks, plb_dirty, plb_fills = q([4, -1]), q([0, 0]), q([1, 0])
+    result = module.serve_request(state(
+        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        level_used=level_used, getrandbits=getrandbits,
+        plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
+        counters=counters, histograms=histograms,
+    ), request, 5)
+    return (
+        result == (SERVE_DATA, types[0], 5, 5)
+        and widths == [3, 3] and entries == {}
+        and tree == q([1, -1, -1, -1, -1, -1, -1, -1])
+        and level_used == q([1, 0, 0]) and leaf_table[1] == 1
+        and plb_blocks == q([4, -1]) and plb_dirty == q([1, 0])
+        and request.completion == 5 and request.paths_used == 1
+        and request.translation_counted is True
+        and histograms[sk.HIT_LEVEL] == {2: 1.0}
+        and counters[sk.TRANSLATION_COMPLETED] == 1
+        and counters[sk.PLB_HITS] == 1 and counters["paths.d"] == 1
+        and sk.PLB_MISS_FETCHES not in counters
     )
 
 

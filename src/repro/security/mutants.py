@@ -110,6 +110,7 @@ def _biased_remap(config: SystemConfig, stats: Stats, rng: random.Random):
         return leaf
 
     posmap.remap = biased  # type: ignore[method-assign]
+    controller.refresh_tier()
     return SimComponents(config, controller, llc, stats, rng)
 
 

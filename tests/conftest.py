@@ -113,3 +113,28 @@ def make_oram(levels=9, z=4, top=3, **kwargs) -> ORAMConfig:
     )
     defaults.update(kwargs)
     return ORAMConfig(**defaults)
+
+
+class CountingKernels:
+    """A controller's kernel module, counting the calls into each entry
+    and the PosMap fetches ``serve_request`` makes.  Assign one to a
+    controller's ``_native`` to count its calls."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = {}
+        self.served_fetches = 0
+
+    def __getattr__(self, name):
+        from repro.perf.native import SERVE_FETCH
+
+        entry = getattr(self._module, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            result = entry(*args)
+            if name == "serve_request" and result[0] == SERVE_FETCH:
+                self.served_fetches += 1
+            return result
+
+        return counted

@@ -262,6 +262,22 @@ class TestEnvKnobs:
             api.run(spec)
 
     @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_experiment_records(self, value, monkeypatch):
+        from repro.experiments.common import experiment_records
+
+        monkeypatch.setenv("REPRO_RECORDS", value)
+        with pytest.raises(ConfigError, match="REPRO_RECORDS"):
+            experiment_records()
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_experiment_seed(self, value, monkeypatch):
+        from repro.experiments.common import experiment_seed
+
+        monkeypatch.setenv("REPRO_SEED", value)
+        with pytest.raises(ConfigError, match="REPRO_SEED"):
+            experiment_seed()
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize(
         "knob", ["REPRO_TASK_RETRIES", "REPRO_MAX_RESPAWNS",
                  "REPRO_TASK_TIMEOUT"],

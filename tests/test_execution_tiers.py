@@ -25,6 +25,7 @@ from repro.security.obliviousness import AccessRecorder
 from repro.sim.runner import make_workload
 from repro.sim.simulator import Simulator
 from repro.stats import Stats
+from tests.conftest import CountingKernels
 
 KERNEL = "engine.tier.kernel_paths"
 BATCH = "engine.tier.batch_paths"
@@ -144,23 +145,6 @@ def test_random_subclass_runs_the_python_tier():
     assert sub_state == plain_state
 
 
-class _CountingKernels:
-    """The kernel module, counting the calls into each entry."""
-
-    def __init__(self, module):
-        self._module = module
-        self.calls = {}
-
-    def __getattr__(self, name):
-        entry = getattr(self._module, name)
-
-        def counted(*args):
-            self.calls[name] = self.calls.get(name, 0) + 1
-            return entry(*args)
-
-        return counted
-
-
 #: Rho walks the translation chain from its own main-tree slots and
 #: IR-DWB from the dummy slot it converts; both must translate in C.
 @needs_native
@@ -211,7 +195,7 @@ def test_phase_hooks_select_the_python_tier(monkeypatch):
 
 def _count_kernel_calls(controller):
     """Route ``controller``'s kernel calls through a counter."""
-    kernels = _CountingKernels(controller._native)
+    kernels = CountingKernels(controller._native)
     controller._native = kernels
     return kernels
 
@@ -219,8 +203,9 @@ def _count_kernel_calls(controller):
 @needs_native
 @pytest.mark.parametrize("scheme", ["IR-ORAM", "Rho", "IR-DWB"])
 def test_translation_runs_in_the_kernel(scheme):
-    """Untraced and traced alike, every chain walk is a ``translate``
-    call and every PosMap fetch installs through ``plb_install``."""
+    """Every chain walk runs in the kernel, and every PosMap fetch
+    installs there: through ``plb_install``, or inside the
+    ``serve_request`` call that fetched it."""
     config = SystemConfig.tiny()
     stats = Stats()
     components = build_scheme(scheme, config, stats, random.Random(5))
@@ -229,9 +214,8 @@ def test_translation_runs_in_the_kernel(scheme):
     trace = make_workload("mix", config, 300, 5)
     result = Simulator(components, trace).run()
     assert kernels.calls.get("translate", 0) > 0
-    assert kernels.calls.get("plb_install", 0) == result.counters.get(
-        "posmap.accesses", 0
-    ) > 0
+    installs = kernels.calls.get("plb_install", 0) + kernels.served_fetches
+    assert installs == result.counters.get("posmap.accesses", 0) > 0
 
 
 @needs_native
@@ -258,3 +242,73 @@ def test_hooked_controllers_translate_in_python(hook):
     assert result.counters.get("posmap.accesses", 0) > 0
     assert not {"translate", "plb_install", "find_in_treetop",
                 "access_path"} & set(kernels.calls)
+
+
+def _simulate(components, records=300, seed=5):
+    trace = make_workload("mix", components.config, records, seed)
+    return Simulator(components, trace).run()
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "hook", ["integrity", "track_migration", "biased-remap", "no-kernels"]
+)
+def test_controller_hooked_after_construction_runs_python(hook):
+    """The tier is decided once, when the kernel state is built, and
+    again at each hook site: a controller hooked after construction runs
+    every path in Python."""
+    from repro.oram.integrity import attach_integrity
+    from repro.security.mutants import build_mutant
+
+    config = SystemConfig.tiny()
+    if hook == "biased-remap":
+        components = build_mutant("biased-remap", config, Stats(),
+                                  random.Random(5))
+    else:
+        components = build_scheme("Baseline", config, Stats(),
+                                  random.Random(5))
+        controller = components.controller
+        assert controller._tier and controller._serve
+        if hook == "integrity":
+            attach_integrity(controller)
+        elif hook == "track_migration":
+            controller.track_migration = True
+        else:
+            controller._native = None
+    controller = components.controller
+    assert not controller._tier and not controller._serve
+    result = _simulate(components)
+    tiers = controller.tier_counters()
+    assert tiers[PYTHON] == controller.path_count > 0
+    assert tiers[PYTHON] == result.counters["paths.total"]
+    assert tiers[KERNEL] == tiers[BATCH] == 0
+
+
+@needs_native
+def test_class_level_timing_wrappers_keep_real_slots_on_the_kernel(
+    monkeypatch,
+):
+    """perfbench's traced mode wraps ``step``, ``full_access``,
+    ``fetch_posmap_block`` and ``dummy_path`` on the class; every real
+    slot still goes through ``serve_request`` and every path runs in the
+    kernels."""
+    import functools
+
+    for name in ("step", "full_access", "fetch_posmap_block", "dummy_path"):
+        original = getattr(PathORAMController, name)
+
+        @functools.wraps(original)
+        def timed(*args, _original=original, **kwargs):
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(PathORAMController, name, timed)
+    components = build_scheme("IR-ORAM", SystemConfig.tiny(), Stats(),
+                              random.Random(5))
+    controller = components.controller
+    assert controller._serve
+    kernels = _count_kernel_calls(controller)
+    result = _simulate(components)
+    tiers = controller.tier_counters()
+    assert kernels.calls.get("serve_request", 0) > 0
+    assert tiers[PYTHON] == 0
+    assert tiers[KERNEL] + tiers[BATCH] == result.counters["paths.total"]

@@ -14,11 +14,12 @@ No entry accepts a tuple of the same fields in its place.
 
 What a call brings from outside is still checked on every call: a leaf
 outside ``[0, leaves)``, a served block outside the position map, a
-malformed ``access_path`` mode, a block outside the namespace, an
-install of a block whose mapping is still live, a lookup on an unmapped
-block's leaf (-1) and a PLB fill count past its ways all raise with
-nothing mutated and the RNG untouched, and leave no export behind once
-the state is dropped.  ``init_tree`` fills the tree array from the
+malformed ``access_path`` mode, a block outside the namespace, a
+``serve_request`` whose request has no int block, an unknown kind or a
+negative cycle, an install of a block whose mapping is still live, a
+lookup on an unmapped block's leaf (-1) and a PLB fill count past its
+ways all raise with nothing mutated and the RNG untouched, and leave no
+export behind once the state is dropped.  ``init_tree`` fills the tree array from the
 position map's and checks its own arguments the same way.
 
 A state keeps what it holds alive and exported for its own lifetime:
@@ -37,6 +38,7 @@ from repro.config import SystemConfig
 from repro.core.ir_stash import SStash
 from repro.oram.controller import PathORAMController
 from repro.oram.tree import EMPTY, ORAMTree
+from repro.oram.types import PathType, Request, RequestKind
 from repro.perf import native
 from repro.perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 
@@ -116,7 +118,8 @@ def _call(kernel, state, arg):
     fast = native.fastpath
     if kernel in _ACCESS_SHAPES:
         served, mode, write_burst = _ACCESS_SHAPES[kernel]
-        return fast.access_path(state, arg, 0, served, mode, write_burst)
+        return fast.access_path(state, arg, 0, served, mode, write_burst,
+                                PathType.DUMMY)
     if kernel == "run_batch":
         return fast.run_batch(state, 0, 0, 4, -1, -1, 90, False)
     if kernel == "plb_install":
@@ -263,7 +266,7 @@ def test_served_block_outside_position_map_raises(sstash_controller, mode):
     for served in (len(controller.posmap._leaf_of), -1):
         with pytest.raises(IndexError):
             controller._native.access_path(
-                controller._kstate, 0, 0, served, mode, True
+                controller._kstate, 0, 0, served, mode, True, PathType.DATA
             )
         assert _state(controller) == before
     _drop_state(controller)
@@ -279,7 +282,7 @@ def test_malformed_access_path_call_raises(sstash_controller, served, mode):
     before = _state(controller)
     with pytest.raises(ValueError):
         controller._native.access_path(
-            controller._kstate, 0, 0, served, mode, True
+            controller._kstate, 0, 0, served, mode, True, PathType.DATA
         )
     assert _state(controller) == before
     _drop_state(controller)
@@ -425,6 +428,49 @@ def test_malformed_plb_buffers_raise(translating, entry, case, error):
     _refused(controller, fields, error, entry)
 
 
+@pytest.mark.parametrize("case, error", [
+    ("block past the namespace", ValueError),
+    ("block -1", ValueError),
+    ("block not an int", TypeError),
+    ("unknown kind", ValueError),
+    ("negative now", ValueError),
+    ("not a request", AttributeError),
+])
+def test_malformed_serve_request_raises(translating, case, error):
+    """What a ``serve_request`` call brings — the request's block and
+    kind, and the cycle — is checked before anything is touched: no
+    state, counter, histogram or request field changes, the RNG is
+    untouched, and no export is left behind."""
+    controller = translating
+    request, now = Request(0, RequestKind.READ, 0), 0
+    if case == "block past the namespace":
+        request.block = controller.namespace.total_blocks
+    elif case == "block -1":
+        request.block = -1
+    elif case == "block not an int":
+        request.block = 1.0
+    elif case == "unknown kind":
+        request.kind = "read"
+    elif case == "negative now":
+        now = -1
+    else:
+        request = object()
+
+    def snapshot():
+        fields = dict(vars(request)) if hasattr(request, "__dict__") else {}
+        return _translation_state(controller) + (
+            {key: dict(hist)
+             for key, hist in controller.stats.histograms.items()},
+            fields, controller.path_count, dict(controller.batch_counters),
+        )
+
+    before = snapshot()
+    with pytest.raises(error):
+        controller._native.serve_request(controller._kstate, request, now)
+    assert snapshot() == before
+    _drop_state(controller)
+
+
 def test_install_of_a_mapped_block_raises(translating):
     """The block an install takes has left the tree (fetched or promoted),
     so its mapping is gone; a still-mapped one is refused before the PLB
@@ -463,10 +509,13 @@ def test_state_outlives_its_controller():
     assert gone() is None
     fast = native.fastpath
     for leaf in range(config.oram.leaves):
-        fast.access_path(state, leaf, 0, None, SERVED_NONE, True)
+        fast.access_path(state, leaf, 0, None, SERVED_NONE, True,
+                         PathType.DUMMY)
     assert fast.run_batch(state, 0, 10, 8, -1, -1, 90, True)[0] == 8
     for block in range(config.oram.user_blocks):
         assert isinstance(fast.translate(state, block), list)
+    request = Request(0, RequestKind.READ, 0)
+    assert fast.serve_request(state, request, 0)[0] in range(5)
     assert len(fast.dram_triples(state, 0)) % 3 == 0
 
 

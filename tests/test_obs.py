@@ -6,8 +6,11 @@ observation never changes results (bit-identical cycles/counters), and
 """
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api, stats_keys as sk
 from repro.config import SystemConfig
@@ -15,6 +18,7 @@ from repro.core.schemes import SCHEMES
 from repro.errors import ConfigError, ReproError
 from repro.obs import (
     CallbackSink,
+    CycleAttribution,
     CycleBreakdown,
     JsonlSink,
     MemorySink,
@@ -124,6 +128,66 @@ class TestBreakdown:
             scheme="Baseline", workload="gcc", records=300, config=TINY
         )).result.breakdown
         assert breakdown.data_read + breakdown.data_write > 0
+
+
+#: path type value -> CycleBreakdown bucket
+_BUCKETS = {
+    "PTd": "data", "PTp.pos1": "posmap", "PTp.pos2": "posmap",
+    "PTm": "dummy", "dwb": "dummy", "evict": "eviction",
+}
+
+#: one path: (type, gap before it, read length, write length, how far
+#: its timing stall reaches past its write phase)
+_paths = st.lists(
+    st.tuples(st.sampled_from(sorted(_BUCKETS)), st.integers(0, 6),
+              st.integers(0, 5), st.integers(0, 5), st.integers(0, 8)),
+    max_size=12,
+)
+
+
+def _naive_breakdown(paths, cycles):
+    """Classify every cycle in ``[0, cycles)`` on its own: inside a path's
+    read or write phase, else a timing stall while the last finished
+    path's stall lasts, else idle."""
+    counts = Counter()
+    for t in range(cycles):
+        label, stall_until = None, 0
+        for path_type, start, finish_read, finish_write, until in paths:
+            if start <= t < finish_read:
+                label = _BUCKETS[path_type] + "_read"
+            elif finish_read <= t < finish_write:
+                label = _BUCKETS[path_type] + "_write"
+            elif finish_write <= t:
+                stall_until = until
+        if label is None:
+            label = "timing_stall" if t < stall_until else "idle"
+        counts[label] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_paths, cut=st.integers(0, 120))
+def test_finalize_matches_a_naive_interval_sum(plan, cut):
+    """finalize's one pass equals classifying each cycle separately, for
+    any timeline clipped anywhere."""
+    attribution = CycleAttribution()
+    paths = []
+    now = 0
+    for path_type, gap, read, write, stall in plan:
+        start = now + gap
+        finish_read = start + read
+        finish_write = finish_read + write
+        paths.append((path_type, start, finish_read, finish_write,
+                      finish_write + stall))
+        attribution.on_path(*paths[-1])
+        now = finish_write
+    cycles = min(cut, now + 10)
+    breakdown = attribution.finalize(cycles)
+    expected = _naive_breakdown(paths, cycles)
+    assert breakdown.total == cycles
+    assert breakdown.components() == {
+        key: expected.get(key, 0) for key in breakdown.components()
+    }
 
 
 class TestTraceContents:
