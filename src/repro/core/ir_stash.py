@@ -17,17 +17,19 @@ enforces the set-associativity constraint on placement: a block whose
 target set is full is skipped for this write phase and retried later
 ("we skip picking this block for this round").
 
-A block's set is its MD5 hash, computed once: ``set_of`` records it in a
-per-S-Stash ``array('q')`` with one entry per namespace block (-1 = not
-hashed yet).  The C placement engine reads that array directly and calls
-``set_of`` only for a block it has not seen.
+The S-Stash is two flat arrays.  ``_set_index`` has one entry per
+namespace block: -1 until the block is first hashed (MD5, computed once),
+then its set, plus :data:`RESIDENT` while the block sits in the S-Stash.
+``_set_count`` holds each set's resident blocks.  The C kernels index
+the same two arrays and hash a block themselves when its entry is -1;
+these methods are the Python tier and the kernels' oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Dict, Optional
+from typing import List, Optional
 
 from .. import stats_keys as sk
 from ..config import ORAMConfig
@@ -35,6 +37,11 @@ from ..errors import ProtocolError
 from ..oram.treetop import TreeTopCache
 from ..oram.types import Namespace
 from ..stats import Stats
+
+
+#: added to a block's ``_set_index`` entry while it is resident; the
+#: entry's set is the low 32 bits
+RESIDENT = 1 << 32
 
 
 def md5_set_index(block: int, sets: int) -> int:
@@ -65,48 +72,56 @@ class SStash(TreeTopCache):
         sets = max(1, capacity // ways)
         # round up to a power of two for clean indexing
         self.sets = 1 << (sets - 1).bit_length()
-        self._set_count: Dict[int, int] = {}
-        self._resident: Dict[int, int] = {}
-        #: each namespace block's set, filled as ``set_of`` hashes it
+        #: resident blocks per set
+        self._set_count = array("q", [0]) * self.sets
+        #: each namespace block's set, -1 until hashed, + RESIDENT while
+        #: resident
         self._set_index = array("q", [-1]) * Namespace(config).total_blocks
 
     # -- block-address index -----------------------------------------------------
     def set_of(self, block: int) -> int:
-        index = self._set_index[block]
-        if index < 0:
-            index = self._set_index[block] = md5_set_index(block, self.sets)
-        return index
+        entry = self._set_index[block]
+        if entry < 0:
+            entry = self._set_index[block] = md5_set_index(block, self.sets)
+        return entry & (RESIDENT - 1)
 
     def lookup_by_address(self, block: int) -> bool:
-        hit = block in self._resident
+        hit = self._set_index[block] >= RESIDENT
         self.stats.inc(sk.SSTASH_PROBE_HITS if hit else sk.SSTASH_PROBE_MISSES)
         return hit
 
     def resident_count(self) -> int:
-        return len(self._resident)
+        return sum(self._set_count)
+
+    def resident_blocks(self) -> List[int]:
+        """Every resident block, in block order."""
+        return [
+            block for block, entry in enumerate(self._set_index)
+            if entry >= RESIDENT
+        ]
 
     # -- placement constraint ---------------------------------------------------
     def may_place(self, block: int) -> bool:
-        return self._set_count.get(self.set_of(block), 0) < self.ways
+        return self._set_count[self.set_of(block)] < self.ways
 
     def on_place(self, block: int) -> None:
-        if block in self._resident:
+        if self._set_index[block] >= RESIDENT:
             raise ProtocolError(f"block {block} already in S-Stash")
         index = self.set_of(block)
-        count = self._set_count.get(index, 0)
+        count = self._set_count[index]
         if count >= self.ways:
             raise ProtocolError(f"S-Stash set {index} overfull")
         self._set_count[index] = count + 1
-        self._resident[block] = index
+        self._set_index[block] = index + RESIDENT
         self.stats.inc(sk.SSTASH_PLACED)
 
     def on_remove(self, block: int) -> None:
-        index = self._resident.pop(block, None)
-        if index is None:
+        entry = self._set_index[block]
+        if entry < RESIDENT:
             raise ProtocolError(f"block {block} not in S-Stash")
+        index = entry - RESIDENT
         self._set_count[index] -= 1
-        if self._set_count[index] == 0:
-            del self._set_count[index]
+        self._set_index[block] = index
         self.stats.inc(sk.SSTASH_REMOVED)
 
     # -- overheads (Section VI-F) ------------------------------------------------

@@ -280,18 +280,18 @@ class PathORAMController:
         dram_cfg = self.config.dram
         treetop = self.treetop
         if treetop.addressable_by_block:
-            # IR-Stash's S-Stash: the kernels release its entries and gate
-            # placement on its set-occupancy dicts and set-index array.
+            # IR-Stash's S-Stash: the kernels hash, place and release
+            # blocks in its set-index and set-count arrays.
             sstash = dict(
-                treetop_mode=1, resident=treetop._resident,
-                set_count=treetop._set_count, set_of=treetop.set_of,
-                set_index=treetop._set_index, ways=treetop.ways,
+                treetop_mode=1, set_index=treetop._set_index,
+                set_count=treetop._set_count, sets=treetop.sets,
+                ways=treetop.ways,
             )
         else:
             # The dedicated cache, whose hooks are bare counters.
             sstash = dict(
-                treetop_mode=0, resident=None, set_count=None, set_of=None,
-                set_index=None, ways=0,
+                treetop_mode=0, set_index=None, set_count=None, sets=0,
+                ways=0,
             )
         namespace = self.namespace
         return dict(

@@ -312,15 +312,21 @@ enum {
     BUF_PLB_DIRTY,   /* one dirty flag per PLB slot */
     BUF_PLB_FILLS,   /* resident blocks per PLB set */
     BUF_PATH_COUNT,  /* the controller's path count, one item */
-    BUF_SET_INDEX,   /* S-Stash set by block, -1 until set_of hashes it;
-                      * held in tree-top mode 1 only */
+    BUF_SET_INDEX,   /* S-Stash entry by block (see SS_RESIDENT) and */
+    BUF_SET_COUNT,   /* resident blocks per S-Stash set; both held in
+                      * tree-top mode 1 only */
     N_BUFS
 };
 
+/* An S-Stash set-index entry is -1 until its block is first hashed, then
+ * the block's set, plus SS_RESIDENT while the block is resident
+ * (ir_stash.RESIDENT). */
+#define SS_RESIDENT (1LL << 32)
+
 /* KernelState(leaves, z_per_level, top, tree_slots, level_used,
  *             leaf_table, entries, path_table, bank_ready, bank_open_row,
- *             bus_free, dram, treetop_mode, resident, set_count, set_of,
- *             set_index, ways, getrandbits, plb_blocks, plb_dirty,
+ *             bus_free, dram, treetop_mode, set_index, set_count, sets,
+ *             ways, getrandbits, plb_blocks, plb_dirty,
  *             plb_fills, plb_ways, namespace, limbo, internal_queue,
  *             counters, counter_keys, stash, posmap, path_types,
  *             request_kinds, histograms, batch_counters, path_count,
@@ -339,8 +345,8 @@ enum {
  *                               t_cas + t_burst, row_blocks, channels,
  *                               banks_per_channel)
  *   treetop_mode                0 = dedicated counter-only cache, 1 =
- *                               S-Stash; then resident, set_count (dicts),
- *                               set_of, set_index and ways per set
+ *                               S-Stash; then its two BUF_* arrays, its
+ *                               set count and its ways per set
  *   getrandbits                 the plain random.Random's bound method
  *   plb_*                       the PLB's three arrays and its ways
  *   namespace                   (posmap1_base, posmap2_base,
@@ -363,8 +369,8 @@ enum {
  *   onchip_latency              the latency of an on-chip serve
  *
  * The arrays stay exported for the state's lifetime, so nothing can
- * resize them under the kernels (their items stay writable: set_of and
- * the Python tier write the same arrays).  Level ``l``'s buckets start
+ * resize them under the kernels (their items stay writable: the Python
+ * tier writes the same arrays).  Level ``l``'s buckets start
  * at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
  * ORAMTree lays them out.  The state also keeps the scratch of one path
  * (its DRAM triples) and the tree-top hook counts of the current
@@ -372,20 +378,19 @@ enum {
  */
 typedef struct {
     PyObject_HEAD
-    PyObject *entries, *resident, *set_count, *set_of, *limbo, *queue,
-        *counters, *keys, *stash, *posmap, *path_types, *histograms,
-        *batch;
+    PyObject *entries, *limbo, *queue, *counters, *keys, *stash, *posmap,
+        *path_types, *histograms, *batch;
     PyObject *kinds[N_KINDS];
     Draws rng;  /* getrandbits owned */
     Py_buffer bufs[N_BUFS];
-    long long *tree, *level_used, *leaf_table, *set_index, *path_count;
+    long long *tree, *level_used, *leaf_table, *path_count;
+    long long *set_index, *set_count;  /* the S-Stash, mode 1 */
     long long *plb_blocks, *plb_dirty, *plb_fills;
     const long long *path_table;
     BankState banks;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
-    Py_ssize_t set_index_len;
     Py_ssize_t n_types;  /* len(path_types) */
-    long long leaves, levels, top, ways;
+    long long leaves, levels, top, sets, ways;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
     int background_eviction, delayed_remap;
     long long eviction_threshold, onchip_latency;
@@ -474,9 +479,6 @@ state_dealloc(KernelState *s)
     for (int i = 0; i < N_BUFS; i++)
         PyBuffer_Release(&s->bufs[i]);
     Py_XDECREF(s->entries);
-    Py_XDECREF(s->resident);
-    Py_XDECREF(s->set_count);
-    Py_XDECREF(s->set_of);
     Py_XDECREF(s->limbo);
     Py_XDECREF(s->queue);
     Py_XDECREF(s->counters);
@@ -500,9 +502,6 @@ state_traverse(KernelState *s, visitproc visit, void *arg)
     for (int i = 0; i < N_BUFS; i++)
         Py_VISIT(s->bufs[i].obj);
     Py_VISIT(s->entries);
-    Py_VISIT(s->resident);
-    Py_VISIT(s->set_count);
-    Py_VISIT(s->set_of);
     Py_VISIT(s->limbo);
     Py_VISIT(s->queue);
     Py_VISIT(s->counters);
@@ -521,8 +520,8 @@ state_traverse(KernelState *s, visitproc visit, void *arg)
 /* The one place the state is validated: object types, the tree-top
  * mode, the tree geometry against the slot and occupancy arrays, the DRAM
  * geometry against the bank arrays, the path table, the PLB geometry
- * against its arrays and the namespace.  A failed construction holds
- * nothing.
+ * against its arrays, the namespace, and the S-Stash's arrays against its
+ * sets and the namespace.  A failed construction holds nothing.
  */
 static PyObject *
 state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
@@ -530,8 +529,8 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "leaves", "z_per_level", "top", "tree_slots", "level_used",
         "leaf_table", "entries", "path_table", "bank_ready",
-        "bank_open_row", "bus_free", "dram", "treetop_mode", "resident",
-        "set_count", "set_of", "set_index", "ways", "getrandbits",
+        "bank_open_row", "bus_free", "dram", "treetop_mode", "set_index",
+        "set_count", "sets", "ways", "getrandbits",
         "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
         "limbo", "internal_queue", "counters", "counter_keys", "stash",
         "posmap", "path_types", "request_kinds", "histograms",
@@ -541,18 +540,18 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     static const char *names[N_BUFS] = {
         "tree_slots", "level_used", "leaf_table", "path_table",
         "bank_ready", "bank_open_row", "bus_free", "plb_blocks",
-        "plb_dirty", "plb_fills", "path_count", "set_index",
+        "plb_dirty", "plb_fills", "path_count", "set_index", "set_count",
     };
     KernelState *s = (KernelState *)type->tp_alloc(type, 0);
     if (s == NULL)
         return NULL;
-    PyObject *z_obj, *arrays[N_BUFS], *entries, *resident, *set_count,
-        *set_of, *getrandbits, *limbo, *queue, *counters, *keys, *stash,
-        *posmap, *path_types, *kinds[N_KINDS], *histograms, *batch;
+    PyObject *z_obj, *arrays[N_BUFS], *entries, *getrandbits, *limbo,
+        *queue, *counters, *keys, *stash, *posmap, *path_types,
+        *kinds[N_KINDS], *histograms, *batch;
     long long mode;
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds,
-            "LOLOOOO!OOOO(LLLLLLLL)LOOOOLOOOOL(LLLL)O!OO!O!OO"
+            "LOLOOOO!OOOO(LLLLLLLL)LOOLLOOOOL(LLLL)O!OO!O!OO"
             "O!(OOO)OO!OLppL:KernelState",
             kwlist, &s->leaves, &z_obj, &s->top, &arrays[BUF_TREE],
             &arrays[BUF_USED], &arrays[BUF_LEAF], &PyDict_Type, &entries,
@@ -560,7 +559,7 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &arrays[BUF_BUS_FREE], &s->dram.ratio, &s->dram.t_rp,
             &s->dram.t_rcd, &s->dram.t_burst, &s->dram.cas_burst,
             &s->row_blocks, &s->channels, &s->banks_per_channel, &mode,
-            &resident, &set_count, &set_of, &arrays[BUF_SET_INDEX],
+            &arrays[BUF_SET_INDEX], &arrays[BUF_SET_COUNT], &s->sets,
             &s->ways, &getrandbits, &arrays[BUF_PLB_BLOCKS],
             &arrays[BUF_PLB_DIRTY], &arrays[BUF_PLB_FILLS], &s->plb_ways,
             &s->p1_base, &s->p2_base, &s->total, &s->fanout, &PySet_Type,
@@ -572,9 +571,6 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &s->delayed_remap, &s->onchip_latency))
         goto fail;
     s->entries = Py_NewRef(entries);
-    s->resident = Py_NewRef(resident);
-    s->set_count = Py_NewRef(set_count);
-    s->set_of = Py_NewRef(set_of);
     s->limbo = Py_NewRef(limbo);
     s->queue = Py_NewRef(queue);
     s->counters = Py_NewRef(counters);
@@ -592,10 +588,6 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 
     if (mode != 0 && mode != 1) {
         PyErr_SetString(PyExc_ValueError, "unknown tree-top mode");
-        goto fail;
-    }
-    if (s->gated && (!PyDict_Check(resident) || !PyDict_Check(set_count))) {
-        PyErr_SetString(PyExc_TypeError, "S-Stash fields must be dicts");
         goto fail;
     }
     s->n_types = PyTuple_GET_SIZE(path_types);
@@ -658,7 +650,18 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     }
     if (s->gated) {
         s->set_index = s->bufs[BUF_SET_INDEX].buf;
-        s->set_index_len = len[BUF_SET_INDEX];
+        s->set_count = s->bufs[BUF_SET_COUNT].buf;
+        /* Every block the kernels find in the tree or the stash lies in
+         * the position map, so it indexes the set-index array too; every
+         * set fits below SS_RESIDENT and indexes set_count. */
+        if (len[BUF_SET_INDEX] != s->total ||
+            len[BUF_LEAF] != s->total || s->sets < 1 ||
+            s->sets >= SS_RESIDENT || len[BUF_SET_COUNT] != s->sets ||
+            s->ways < 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "S-Stash buffers do not match its geometry");
+            goto fail;
+        }
     }
     if (len[BUF_TREE] != total || len[BUF_USED] != s->levels) {
         PyErr_SetString(PyExc_ValueError,
@@ -873,49 +876,124 @@ count_remap(KernelState *c)
 }
 
 /* ---------------------------------------------------------------- */
-/* Read phase                                                        */
+/* The S-Stash                                                       */
 /* ---------------------------------------------------------------- */
 
-/* SStash.on_remove without the stats hook: drop ``block`` from the
- * block-address index and release its set slot.
+/* MD5 over one 64-byte block: the round constants and shift amounts. */
+static const uint32_t md5_k[64] = {
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
+    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
+    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
+    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
+    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
+    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
+};
+static const uint8_t md5_shift[16] = {
+    7, 12, 17, 22, 5, 9, 14, 20, 4, 11, 16, 23, 6, 10, 15, 21,
+};
+
+/* ir_stash.md5_set_index: the MD5 digest of ``block``'s 8-byte
+ * little-endian encoding, its first four bytes read as a little-endian
+ * integer, mod ``sets``.  The padded message is one 64-byte block (the 8
+ * bytes, the 0x80 pad byte, the 64-bit length in bits), and the first
+ * four digest bytes are the final A word.
+ */
+static long long
+md5_set(long long block, long long sets)
+{
+    uint32_t m[16] = {0};
+    m[0] = (uint32_t)block;
+    m[1] = (uint32_t)((unsigned long long)block >> 32);
+    m[2] = 0x80;
+    m[14] = 64;
+    uint32_t a = 0x67452301, b = 0xefcdab89, c = 0x98badcfe, d = 0x10325476;
+    for (int i = 0; i < 64; i++) {
+        uint32_t f;
+        int g;
+        if (i < 16) {
+            f = (b & c) | (~b & d);
+            g = i;
+        } else if (i < 32) {
+            f = (d & b) | (~d & c);
+            g = (5 * i + 1) & 15;
+        } else if (i < 48) {
+            f = b ^ c ^ d;
+            g = (3 * i + 5) & 15;
+        } else {
+            f = c ^ (b | ~d);
+            g = (7 * i) & 15;
+        }
+        f += a + md5_k[i] + m[g];
+        int r = md5_shift[(i >> 4) * 4 + (i & 3)];
+        a = d;
+        d = c;
+        c = b;
+        b += (f << r) | (f >> (32 - r));
+    }
+    return (long long)((uint32_t)(a + 0x67452301) % (unsigned long long)sets);
+}
+
+/* ``block``'s S-Stash set-index entry (the block indexes the array),
+ * range-checked: -1, or a set below ``sets``, with or without
+ * SS_RESIDENT.  Anything else is a ValueError, so a set read from the
+ * array always indexes set_count.  Returns 0, or -1 with the error set.
  */
 static int
-sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
+sstash_entry(const KernelState *c, long long block, long long *entry)
 {
-    PyObject *idx_obj = PyDict_GetItemWithError(resident, block);
-    if (idx_obj == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_KeyError, "block not in S-Stash");
+    long long e = c->set_index[block];
+    long long set = e >= SS_RESIDENT ? e - SS_RESIDENT : e;
+    if (e != -1 && (set < 0 || set >= c->sets)) {
+        PyErr_Format(PyExc_ValueError,
+                     "S-Stash set index of block %lld out of range", block);
         return -1;
     }
-    Py_INCREF(idx_obj);
-    if (PyDict_DelItem(resident, block) < 0) {
-        Py_DECREF(idx_obj);
-        return -1;
-    }
-    PyObject *cnt_obj = PyDict_GetItemWithError(set_count, idx_obj);
-    if (cnt_obj == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_KeyError, "S-Stash set count missing");
-        Py_DECREF(idx_obj);
-        return -1;
-    }
-    long long cnt = PyLong_AsLongLong(cnt_obj);
-    if (cnt == -1 && PyErr_Occurred()) {
-        Py_DECREF(idx_obj);
-        return -1;
-    }
-    int rc;
-    if (cnt <= 1) {
-        rc = PyDict_DelItem(set_count, idx_obj);
-    } else {
-        PyObject *new_obj = PyLong_FromLongLong(cnt - 1);
-        rc = new_obj ? PyDict_SetItem(set_count, idx_obj, new_obj) : -1;
-        Py_XDECREF(new_obj);
-    }
-    Py_DECREF(idx_obj);
-    return rc;
+    *entry = e;
+    return 0;
 }
+
+/* SStash.on_remove without the stats hook: ``block`` leaves its set. */
+static int
+sstash_remove(KernelState *c, long long block)
+{
+    long long entry;
+    if (sstash_entry(c, block, &entry) < 0)
+        return -1;
+    if (entry < SS_RESIDENT) {
+        PyErr_Format(PyExc_RuntimeError, "block %lld not in S-Stash", block);
+        return -1;
+    }
+    c->set_count[entry - SS_RESIDENT]--;
+    c->set_index[block] = entry - SS_RESIDENT;
+    return 0;
+}
+
+/* Check the S-Stash entry of every block in the cached levels of the
+ * path to ``leaf``, which the read phase releases: path_access runs this
+ * first, so a corrupt entry raises with nothing touched. */
+static int
+check_top_entries(const KernelState *c, long long leaf)
+{
+    for (long long level = 0; level < c->top; level++) {
+        const long long *slots = path_bucket(c, leaf, level);
+        for (long long s = 0; s < c->z_arr[level]; s++) {
+            long long entry;
+            if (slots[s] >= 0 && slots[s] < c->leaf_count &&
+                sstash_entry(c, slots[s], &entry) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------------- */
+/* Read phase                                                        */
+/* ---------------------------------------------------------------- */
 
 /* The read phase of one path access, the one read loop behind
  * path_access: clear every real block off the path to ``leaf``, release
@@ -952,12 +1030,7 @@ read_path_core(KernelState *c, long long leaf, long long served,
                 *served_level = level;
             if (level < c->top) {
                 if (c->gated) {
-                    PyObject *block = PyLong_FromLongLong(value);
-                    int rc = block != NULL
-                        ? sstash_remove(c->resident, c->set_count, block)
-                        : -1;
-                    Py_XDECREF(block);
-                    if (rc < 0)
+                    if (sstash_remove(c, value) < 0)
                         return -1;
                     c->ss_removed++;
                 } else {
@@ -1026,9 +1099,9 @@ group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
  * stack and the per-level rejection list.
  *
  * In S-Stash mode, placements into the cached top levels consult the
- * set-associativity constraint (the set-index array, falling back to
- * ``set_of`` for a block not hashed yet; ``set_count``, ``ways``) and
- * maintain the block-address index (``resident``), mirroring the Python
+ * set-associativity constraint (the block's set from the set-index array,
+ * hashed by md5_set and recorded there the first time; its set count
+ * against ``ways``) and mark the block resident, mirroring the Python
  * placement loop with SStash.may_place/on_place; rejected blocks are
  * retried at shallower levels exactly like the Python
  * ``pool.extend(rejected)``.  Hook counts accumulate into the state.
@@ -1060,36 +1133,25 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
         long long placed = 0;
         while (stack_size > 0 && placed < z) {
             PoolItem item = stack[--stack_size];
-            /* gated only: the block as an object, and its S-Stash set */
-            PyObject *block = NULL, *idx_obj = NULL;
-            long long set_cnt = 0;
+            long long set = -1;  /* gated only: the block's S-Stash set */
             if (level_gated) {
-                block = Py_NewRef(item.block);
-                long long set = item.value >= 0 &&
-                                item.value < c->set_index_len
-                    ? c->set_index[item.value] : -1;
-                if (set >= 0) {
-                    idx_obj = PyLong_FromLongLong(set);
-                } else {
-                    /* Not hashed yet: set_of hashes the block and
-                     * records its set in the set-index array. */
-                    idx_obj = PyObject_CallOneArg(c->set_of, block);
+                if (item.value < 0 || item.value >= c->leaf_count) {
+                    PyErr_SetString(PyExc_IndexError,
+                                    "stash block outside position map");
+                    return -1;
                 }
-                if (idx_obj == NULL)
-                    goto item_fail;
-                PyObject *cnt_obj =
-                    PyDict_GetItemWithError(c->set_count, idx_obj);
-                if (cnt_obj == NULL && PyErr_Occurred())
-                    goto item_fail;
-                if (cnt_obj != NULL) {
-                    set_cnt = PyLong_AsLongLong(cnt_obj);
-                    if (set_cnt == -1 && PyErr_Occurred())
-                        goto item_fail;
+                if (sstash_entry(c, item.value, &set) < 0)
+                    return -1;
+                if (set >= SS_RESIDENT) {
+                    PyErr_Format(PyExc_RuntimeError,
+                                 "block %lld already in S-Stash", item.value);
+                    return -1;
                 }
-                if (set_cnt >= c->ways) {
+                if (set < 0)
+                    set = c->set_index[item.value] = md5_set(item.value,
+                                                             c->sets);
+                if (c->set_count[set] >= c->ways) {
                     /* Set full: skip this block for this round. */
-                    Py_DECREF(idx_obj);
-                    Py_DECREF(block);
                     rejected[n_rej++] = item;
                     c->ss_skips++;
                     continue;
@@ -1101,34 +1163,20 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             if (scan == z) {
                 PyErr_SetString(PyExc_RuntimeError,
                                 "bucket full during write phase");
-                goto item_fail;
+                return -1;
             }
             slots[scan++] = item.value;
             c->level_used[level]++;
             placed++;
             if (level_gated) {
-                PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
-                int rc = cnt_obj != NULL
-                    ? PyDict_SetItem(c->set_count, idx_obj, cnt_obj)
-                    : -1;
-                Py_XDECREF(cnt_obj);
-                if (rc < 0 ||
-                    PyDict_SetItem(c->resident, block, idx_obj) < 0)
-                    goto item_fail;
-                Py_DECREF(idx_obj);
-                Py_DECREF(block);
+                c->set_count[set]++;
+                c->set_index[item.value] = set + SS_RESIDENT;
                 c->ss_placed++;
             } else if (level < c->top) {
                 c->placed_top++;
             }
             if (PyDict_DelItem(c->entries, item.block) < 0)
                 return -1;
-            continue;
-
-        item_fail:
-            Py_XDECREF(idx_obj);
-            Py_XDECREF(block);
-            return -1;
         }
         /* Re-stack rejected blocks in rejection order: the next pop
          * takes the most recently rejected first, matching
@@ -1292,12 +1340,14 @@ typedef struct {
 /* One whole path access over the live controller state, the one
  * per-path function behind access_path and run_batch's loop:
  *
- *   the read burst (fill_triples, then dram_run_arr at ``now``); the
- *   read phase (read_path_core); the served block's step (served_step,
- *   unless ``mode`` is SERVED_NONE); greedy bottom-up placement
- *   (write_place_core); and the write burst at the read phase's finish,
- *   unless ``write_burst`` is 0 (the caller then issues it later, and
- *   ``finish_write`` is the read phase's finish).
+ *   under the S-Stash, a check of the set-index entries the read phase
+ *   will release (check_top_entries); the read burst (fill_triples, then
+ *   dram_run_arr at ``now``); the read phase (read_path_core); the
+ *   served block's step (served_step, unless ``mode`` is SERVED_NONE);
+ *   greedy bottom-up placement (write_place_core); and the write burst
+ *   at the read phase's finish, unless ``write_burst`` is 0 (the caller
+ *   then issues it later, and ``finish_write`` is the read phase's
+ *   finish).
  *
  * Mirrors PathORAMController's Python phases.  Returns 0, or -1 with an
  * exception set.
@@ -1308,6 +1358,8 @@ path_access(KernelState *c, long long leaf, long long now, long long served,
 {
     const DramTiming *d = &c->dram;
     long long finish;
+    if (c->gated && check_top_entries(c, leaf) < 0)
+        return -1;
     fill_triples(c, leaf, c->triples);
     dram_run_arr(c->triples, c->path_blocks, &c->banks,
                  (now + d->ratio - 1) / d->ratio, d, &finish,
@@ -1849,17 +1901,15 @@ try_promote(KernelState *c, long long block)
     }
     if (rc < 0 || c->top == 0 || !c->gated)
         goto done;
-    int hit = PyDict_Contains(c->resident, key);
-    if (hit < 0 || bump(c, hit ? K_PROBE_HITS : K_PROBE_MISSES) < 0) {
+    long long entry;
+    if (check_mapped_index(c, block) < 0 ||
+        sstash_entry(c, block, &entry) < 0 ||
+        bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0) {
         rc = -1;
         goto done;
     }
-    if (!hit)
+    if (entry < SS_RESIDENT)
         goto done;
-    if (check_mapped_index(c, block) < 0) {
-        rc = -1;
-        goto done;
-    }
     long long leaf = c->leaf_table[block];
     if (leaf == UNMAPPED)
         goto done;
@@ -1873,7 +1923,7 @@ try_promote(KernelState *c, long long block)
     /* ORAMTree.remove, SStash.on_remove, PositionMap.discard. */
     *slot = EMPTY;
     c->level_used[level]--;
-    rc = sstash_remove(c->resident, c->set_count, key) < 0 ||
+    rc = sstash_remove(c, block) < 0 ||
          bump(c, K_SSTASH_REMOVED) < 0 ? -1 : 0;
     if (rc == 0) {
         c->leaf_table[block] = UNMAPPED;
@@ -2096,7 +2146,7 @@ count_translation(KernelState *c, PyObject *request)
  * block leaves the cached top of its path, its tree-top entry is
  * released and its mapping dropped. */
 static int
-leave_treetop(KernelState *c, long long block, PyObject *key)
+leave_treetop(KernelState *c, long long block)
 {
     long long leaf, level, *slot;
     if (mapped_leaf(c, block, &leaf) < 0 ||
@@ -2110,8 +2160,7 @@ leave_treetop(KernelState *c, long long block, PyObject *key)
     *slot = EMPTY;
     c->level_used[level]--;
     if (c->gated
-        ? sstash_remove(c->resident, c->set_count, key) < 0 ||
-              bump(c, K_SSTASH_REMOVED) < 0
+        ? sstash_remove(c, block) < 0 || bump(c, K_SSTASH_REMOVED) < 0
         : bump(c, K_TREETOP_REMOVED) < 0)
         return -1;
     c->leaf_table[block] = UNMAPPED;
@@ -2135,7 +2184,7 @@ serve_onchip(KernelState *c, PyObject *request, long long block,
     if (!(c->delayed_remap && reading))
         return 0;
     if (!from_stash)
-        return leave_treetop(c, block, key);
+        return leave_treetop(c, block);
     if (check_mapped_index(c, block) < 0 ||
         PyDict_DelItem(c->entries, key) < 0)
         return -1;
@@ -2254,10 +2303,11 @@ serve_slot(KernelState *c, PyObject *request, long long block,
                                       K_SERVE_STASH_HITS, str_stash, 1) < 0
             ? -1 : SERVE_INSTANT;
     if (c->gated) {
-        rc = PyDict_Contains(c->resident, key);
-        if (rc < 0 || bump(c, rc ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
+        long long entry;
+        if (sstash_entry(c, block, &entry) < 0 ||
+            bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
             return -1;
-        if (rc)
+        if (entry >= SS_RESIDENT)
             return serve_onchip(c, request, block, key, reading, now,
                                 K_SERVE_SSTASH_HITS, str_sstash, 0) < 0
                 ? -1 : SERVE_INSTANT;

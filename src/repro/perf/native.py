@@ -46,17 +46,19 @@ which the controller builds once from its live state and which holds
 and validates it for its lifetime: the tree's slots, the position map's
 leaves, the level occupancy, the layout's ``path_table``, the DRAM bank
 state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
-dirty flags, per-set fill counts) and the S-Stash's set-index array as
+dirty flags, per-set fill counts) and the S-Stash's two arrays (each
+block's set-index entry with its residency flag, each set's count) as
 ``array('q')`` buffers the kernels index directly, with the
-controller's path count; the stash's ``block -> leaf`` dict, the S-Stash
-dicts, the victim buffer, the counters, the histograms, the engine
-counts, ``getrandbits`` and ``set_of`` as references; the path types and
-request kinds it compares against; and the geometry, the namespace, the
-DRAM timing and the slot parameters.  ``access_path``,
+controller's path count; the stash's ``block -> leaf`` dict, the victim
+buffer, the counters, the histograms, the engine counts and
+``getrandbits`` as references; the path types and request kinds it
+compares against; and the geometry, the namespace, the S-Stash's sets
+and ways, the DRAM timing and the slot parameters.  ``access_path``,
 ``run_batch`` and ``dram_triples`` share one read loop, one placement
 engine and one DRAM timing loop, for both tree-top modes: the dedicated
 cache and IR-Stash's S-Stash, whose entries the read loop releases and
-whose set-occupancy gate the placement engine applies.  The kernels
+whose set-occupancy gate the placement engine applies, hashing a block's
+set with an in-file MD5 the first time it meets it.  The kernels
 append read blocks to the stash dict, delete placed ones, and group
 write-phase candidates by scanning it in insertion order.  A path's
 DRAM addresses are computed per access from the path table and the DRAM
@@ -191,8 +193,8 @@ def _self_test(module) -> bool:
             tree_slots=q([-1] * 8), level_used=q([0, 0, 0]),
             leaf_table=q([-1] * 10), entries={}, path_table=q([0]),
             bank_ready=q([0]), bank_open_row=q([-1]), bus_free=q([0]),
-            dram=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0, resident=None,
-            set_count=None, set_of=None, set_index=None, ways=0,
+            dram=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0, set_index=None,
+            set_count=None, sets=0, ways=0,
             getrandbits=None, plb_blocks=q([-1] * 2), plb_dirty=q([0] * 2),
             plb_fills=q([0, 0]), plb_ways=1, namespace=(4, 8, 10, 4),
             limbo=set(), internal_queue=[], counters={},
@@ -243,42 +245,38 @@ def _self_test(module) -> bool:
     ):
         return False
 
-    # Extract under the S-Stash (root cached, one way per set): block 3
-    # (leaf 2, set 1) leaves the root and its set; served block 6 (leaf
-    # 0) is read from the bottom of leaf 0's path and extracted.  Block
-    # 4 (leaf 3), already stashed, has no recorded set, so set_of runs
-    # once for it.  Both diverge from leaf 0 at the root: block 3 takes
-    # set 1 back, block 4 (set 1 too) is skipped and stays.
+    # Extract under the S-Stash (root cached, 256 sets of one way): block
+    # 3 (leaf 2) leaves the root and its set; served block 6 (leaf 0) is
+    # read from the bottom of leaf 0's path and extracted.  Block 0 (leaf
+    # 3), already stashed, is not hashed yet, so the kernel hashes it:
+    # MD5 of its eight zero bytes begins 7d ea 36 2b, little-endian
+    # 0x2b36ea7d, which is 125 mod 256 -- block 3's set (MD5 7d 2d 5f
+    # ca).  Both diverge from leaf 0 at the root: block 3 takes set 125
+    # back, block 0 is skipped and stays, its set recorded.
+    resident = 1 << 32  # ir_stash.RESIDENT
     tree = q([3, -1, -1, -1, 6, -1, -1, -1])
-    entries = {4: 3}
+    entries = {0: 3}
     level_used = q([1, 0, 1])
     leaf_table = q([-1] * 10)
-    leaf_table[3], leaf_table[4], leaf_table[6] = 2, 3, 0
-    resident = {3: 1}
-    set_count = {1: 1}
+    leaf_table[0], leaf_table[3], leaf_table[6] = 3, 2, 0
+    set_count = q([0] * 256)
+    set_count[125] = 1
     set_index = q([-1] * 10)
-    set_index[3] = 1
-    hashed = []
-
-    def set_of(block):
-        hashed.append(block)
-        set_index[block] = 1
-        return 1
-
+    set_index[3] = 125 + resident
     counters = {}
     result = module.access_path(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
-        level_used=level_used, top=1, treetop_mode=1, resident=resident,
-        set_count=set_count, set_of=set_of, set_index=set_index, ways=1,
-        counters=counters,
+        level_used=level_used, top=1, treetop_mode=1, set_index=set_index,
+        set_count=set_count, sets=256, ways=1, counters=counters,
     ), 0, 0, 6, SERVED_EXTRACT, True, types[1])
     if result != (0, 0, 2, 3, 0, 0, 0, 0, 0):
         return False
     if not (
-        entries == {4: 3} and leaf_table[6] == -1 and hashed == [4]
+        entries == {0: 3} and leaf_table[6] == -1
+        and set_index[0] == 125 and set_index[3] == 125 + resident
+        and sum(set_count) == set_count[125] == 1
         and tree == q([3, -1, -1, -1, -1, -1, -1, -1])
         and level_used == q([1, 0, 0])
-        and resident == {3: 1} and set_count == {1: 1}
         and counters[sk.SSTASH_PLACED] == counters[sk.SSTASH_REMOVED]
         == counters[sk.SSTASH_PLACEMENT_SKIPS] == counters["paths.p1"] == 1
         and sk.TREETOP_REMOVED not in counters
@@ -328,13 +326,14 @@ def _self_test(module) -> bool:
     plb_blocks, plb_dirty, plb_fills = q([6, -1]), q([1, 0]), q([1, 0])
     tree = q([-1, 8, -1, -1, -1, -1, -1, -1])
     level_used = q([1, 0, 0])
-    resident, set_count = {8: 0}, {0: 1}
+    set_index, set_count = q([-1] * 10), q([1])
+    set_index[8] = resident  # set 0 of 1
     counters = {}
     stash, posmap = PeakStash(), PosMap()
     chain = module.translate(state(
         tree_slots=tree, entries=entries, leaf_table=leaf_table,
-        level_used=level_used, top=1, treetop_mode=1, resident=resident,
-        set_count=set_count, set_index=q([-1] * 10), ways=1,
+        level_used=level_used, top=1, treetop_mode=1, set_index=set_index,
+        set_count=set_count, sets=1, ways=1,
         getrandbits=lambda bits: next(draws),
         plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
         counters=counters, stash=stash, posmap=posmap,
@@ -345,8 +344,8 @@ def _self_test(module) -> bool:
         entries == {6: 2} and leaf_table[6] == 2 and leaf_table[8] == -1
         and plb_blocks == q([8, -1]) and plb_dirty == q([1, 0])
         and plb_fills == q([1, 0]) and tree == q([-1] * 8)
-        and level_used == q([0, 0, 0]) and resident == {}
-        and set_count == {}
+        and level_used == q([0, 0, 0]) and set_index[8] == 0
+        and set_count == q([0])
         and stash.peak_occupancy == 1 and posmap.remap_count == 1
         and counters == {
             sk.SSTASH_PROBE_HITS: 1, sk.SSTASH_REMOVED: 1,

@@ -46,8 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api import RunSpec
     from .simulator import Simulator
 
-#: on-disk checkpoint format; bump on any layout change
-CHECKPOINT_VERSION = 1
+#: on-disk checkpoint format; bump on any layout change (2: the S-Stash
+#: pickles as two arrays, not dicts)
+CHECKPOINT_VERSION = 2
 
 #: sources whose behaviour a frozen simulator encodes — editing any of
 #: them may change what an uninterrupted run would have produced, so the

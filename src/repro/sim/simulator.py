@@ -305,8 +305,10 @@ class Simulator:
                 else:
                     stall_until = result.finish_write
                     now = max(now + 1, result.finish_write)
+                # ``_value_`` is the plain attribute behind the
+                # ``Enum.value`` property, read once per issued path.
                 attribution.on_path(
-                    result.path_type.value,
+                    result.path_type._value_,
                     result.start,
                     result.finish_read,
                     result.finish_write,

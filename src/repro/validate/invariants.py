@@ -528,10 +528,11 @@ class InvariantAuditor:
                 )
 
     def _check_treetop_mirror(self) -> None:
-        """IR-Stash: the S-Stash address index mirrors top-level residency."""
+        """IR-Stash: the S-Stash address index mirrors top-level residency,
+        and each set's count is its resident blocks, at most ``ways``."""
         controller = self.controller
-        mirror = getattr(controller.treetop, "_resident", None)
-        if mirror is None:
+        treetop = controller.treetop
+        if not treetop.addressable_by_block:
             return
         top = controller.oram.top_cached_levels
         actual: Set[int] = set()
@@ -541,13 +542,25 @@ class InvariantAuditor:
             for block in slots:
                 if block != EMPTY:
                     actual.add(block)
-        if actual != set(mirror):
-            extra = sorted(set(mirror) - actual)[:5]
-            missing = sorted(actual - set(mirror))[:5]
+        mirror = set(treetop.resident_blocks())
+        if actual != mirror:
+            extra = sorted(mirror - actual)[:5]
+            missing = sorted(actual - mirror)[:5]
             self._fail(
                 f"S-Stash mirror diverged from top-level residency "
                 f"(extra={extra}, missing={missing})"
             )
+        counts = [0] * treetop.sets
+        for block in mirror:
+            counts[treetop.set_of(block)] += 1
+        for index, (held, count) in enumerate(
+            zip(treetop._set_count, counts)
+        ):
+            if held != count or held > treetop.ways:
+                self._fail(
+                    f"S-Stash set {index} counts {held} blocks, holds "
+                    f"{count} of {treetop.ways} ways"
+                )
 
     def _check_merkle(self) -> None:
         integrity = getattr(self.controller, "integrity", None)

@@ -102,8 +102,8 @@ def _state(controller):
         list(controller.dram.bank_ready),
         list(controller.dram.bank_open_row),
         list(controller.dram.bus_free),
-        sorted(getattr(treetop, "_resident", {}).items()),
-        sorted(getattr(treetop, "_set_count", {}).items()),
+        bytes(getattr(treetop, "_set_index", b"")),
+        bytes(getattr(treetop, "_set_count", b"")),
         sorted(controller.stats.counters.items()),
         controller.rng.getstate(),
         [(e.kind, e.cycle, e.data)

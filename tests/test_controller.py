@@ -81,7 +81,7 @@ class TestInitialization:
                 for block in tree.bucket(level, position):
                     if block != EMPTY:
                         resident.add(block)
-        assert resident == set(controller.treetop._resident)
+        assert resident == set(controller.treetop.resident_blocks())
 
 
 class TestFullAccess:

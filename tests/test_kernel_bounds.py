@@ -3,13 +3,14 @@
 Every kernel entry but ``dram_service`` and the setup entries takes one
 ``KernelState``.  It holds the tree's ``array('q')``, the level
 occupancy, the position map, the layout's path table, the DRAM bank
-state, the PLB's three arrays and the S-Stash set-index array as
-buffers the kernels index directly, and it validates them once, when it
-is built.  A buffer of the wrong typecode or length, a malformed path
-table, DRAM geometry that does not match the bank arrays, PLB geometry
-that does not match its arrays, a malformed namespace or an unknown
-tree-top mode is refused by the constructor, which then holds nothing:
-a leaked export makes ``array`` refuse to resize with ``BufferError``.
+state, the PLB's three arrays and the S-Stash's set-index and set-count
+arrays as buffers the kernels index directly, and it validates them
+once, when it is built.  A buffer of the wrong typecode or length, a
+malformed path table, DRAM geometry that does not match the bank
+arrays, PLB or S-Stash geometry that does not match its arrays, a
+malformed namespace or an unknown tree-top mode is refused by the
+constructor, which then holds nothing: a leaked export makes ``array``
+refuse to resize with ``BufferError``.
 No entry accepts a tuple of the same fields in its place.
 
 What a call brings from outside is still checked on every call: a leaf
@@ -17,9 +18,10 @@ outside ``[0, leaves)``, a served block outside the position map, a
 malformed ``access_path`` mode, a block outside the namespace, a
 ``serve_request`` whose request has no int block, an unknown kind or a
 negative cycle, an install of a block whose mapping is still live, a
-lookup on an unmapped block's leaf (-1) and a PLB fill count past its
-ways all raise with nothing mutated and the RNG untouched, and leave no
-export behind once the state is dropped.  ``init_tree`` fills the tree array from the
+lookup on an unmapped block's leaf (-1), a PLB fill count past its
+ways and an S-Stash set-index entry naming no set all raise with nothing
+mutated and the RNG untouched, and leave no export behind once the state
+is dropped.  ``init_tree`` fills the tree array from the
 position map's and checks its own arguments the same way.
 
 A state keeps what it holds alive and exported for its own lifetime:
@@ -35,7 +37,7 @@ from array import array
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.ir_stash import SStash
+from repro.core.ir_stash import RESIDENT, SStash
 from repro.oram.controller import PathORAMController
 from repro.oram.tree import EMPTY, ORAMTree
 from repro.oram.types import PathType, Request, RequestKind
@@ -216,7 +218,7 @@ def _broken(fields, name, how):
 _ARRAYS = (
     "tree_slots", "level_used", "leaf_table", "path_table", "bank_ready",
     "bank_open_row", "bus_free", "plb_blocks", "plb_dirty", "plb_fills",
-    "set_index",
+    "set_index", "set_count",
 )
 
 
@@ -231,7 +233,7 @@ def test_buffer_of_the_wrong_typecode_is_refused(sstash_controller, name):
     ("tree_slots", "short"), ("level_used", "long"),
     ("bank_ready", "short"), ("bank_open_row", "long"),
     ("bus_free", "long"), ("plb_blocks", "long"), ("plb_dirty", "short"),
-    ("path_table", "short"),
+    ("path_table", "short"), ("set_index", "long"), ("set_count", "long"),
 ])
 def test_buffer_of_the_wrong_length_is_refused(sstash_controller, name, how):
     fields = _broken(sstash_controller._kernel_state_fields(), name, how)
@@ -243,13 +245,15 @@ def test_buffer_of_the_wrong_length_is_refused(sstash_controller, name, how):
     ("namespace", (8, 4, 16, 4), ValueError),       # posmap2 before posmap1
     ("namespace", (4, 8, 16, 0), ValueError),       # fanout 0
     ("treetop_mode", 2, ValueError),
-    ("resident", None, TypeError),                  # mode 1 needs dicts
+    ("set_count", None, TypeError),                 # mode 1 needs arrays
     ("counter_keys", (), TypeError),
     ("top", 99, ValueError),
     ("leaves", 1 << 20, ValueError),                # more than the tree has
     ("z_per_level", [1] * 64, ValueError),          # too many levels
     ("dram", (0, 4, 3, 2, 5, 4, 1, 1), ValueError),  # clock ratio 0
     ("plb_ways", 0, ValueError),
+    ("sets", 0, ValueError),
+    ("ways", 0, ValueError),
 ])
 def test_malformed_geometry_is_refused(sstash_controller, case, value, error):
     fields = sstash_controller._kernel_state_fields()
@@ -285,6 +289,54 @@ def test_malformed_access_path_call_raises(sstash_controller, served, mode):
             controller._kstate, 0, 0, served, mode, True, PathType.DATA
         )
     assert _state(controller) == before
+    _drop_state(controller)
+
+
+def test_short_set_count_is_refused(sstash_controller):
+    """A set-count array one short of the S-Stash's sets is refused
+    before any entry can index it, the RNG untouched."""
+    controller = sstash_controller
+    fields = _broken(controller._kernel_state_fields(), "set_count", "short")
+    rng = controller.rng.getstate()
+    _refused(controller, fields, ValueError, "access_path")
+    assert controller.rng.getstate() == rng
+
+
+@pytest.mark.parametrize("entry", ["sets", "resident past sets", "-2"])
+@pytest.mark.parametrize("kernel", ["access_path", "serve_request"])
+def test_corrupt_set_index_entry_raises_and_touches_nothing(
+    sstash_controller, kernel, entry
+):
+    """A set-index entry that names no set, on a block in the cached top
+    of the path read (``access_path``) or probed (``serve_request``), is
+    refused before its set indexes the set counts, with nothing mutated
+    and the RNG untouched."""
+    controller = sstash_controller
+    treetop = controller.treetop
+    # Remap blocks until one lands in the S-Stash.
+    for block in range(controller.oram.user_blocks):
+        if treetop.resident_blocks():
+            break
+        controller._access(controller.posmap.leaf_of(block), PathType.DATA,
+                           0, block, SERVED_REMAP)
+    block = treetop.resident_blocks()[0]
+    treetop._set_index[block] = {
+        "sets": treetop.sets,
+        "resident past sets": RESIDENT + treetop.sets,
+        "-2": -2,
+    }[entry]
+    before = _translation_state(controller)
+    with pytest.raises(ValueError, match="S-Stash set index"):
+        if kernel == "access_path":
+            controller._native.access_path(
+                controller._kstate, controller.posmap.leaf_of(block), 0,
+                None, SERVED_NONE, True, PathType.DUMMY,
+            )
+        else:
+            controller._native.serve_request(
+                controller._kstate, Request(block, RequestKind.READ, 0), 0
+            )
+    assert _translation_state(controller) == before
     _drop_state(controller)
 
 
@@ -336,7 +388,7 @@ def _translation_state(controller):
     return _state(controller) + (
         plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
         sorted(controller._limbo), list(controller.internal_queue),
-        sorted(treetop._resident.items()), sorted(treetop._set_count.items()),
+        treetop._set_index.tobytes(), treetop._set_count.tobytes(),
         sorted(controller.stats.counters.items()),
         controller.rng.getstate(),
     )

@@ -95,7 +95,7 @@ class TestControllerStateMachine:
                 for block in controller.tree.bucket(level, position):
                     if block != EMPTY:
                         resident.add(block)
-        assert resident == set(controller.treetop._resident)
+        assert resident == set(controller.treetop.resident_blocks())
 
     @given(ops=st.lists(operation, min_size=5, max_size=60))
     def test_llcd_invariants(self, ops):

@@ -131,8 +131,8 @@ def _state(controller):
         list(controller.dram.bank_ready),
         list(controller.dram.bank_open_row),
         list(controller.dram.bus_free),
-        sorted(getattr(treetop, "_resident", {}).items()),
-        sorted(getattr(treetop, "_set_count", {}).items()),
+        bytes(getattr(treetop, "_set_index", b"")),
+        bytes(getattr(treetop, "_set_count", b"")),
         plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
         sorted(controller._limbo), list(controller.internal_queue),
         [_request_fields(r) for r in controller.queue],

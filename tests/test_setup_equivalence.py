@@ -134,8 +134,8 @@ def _built_state(name, seed):
         list(controller.tree.level_used),
         controller.posmap._leaf_of.tobytes(),
         list(controller.stash._entries.items()),
-        list(getattr(treetop, "_resident", {}).items()),
-        list(getattr(treetop, "_set_count", {}).items()),
+        bytes(getattr(treetop, "_set_index", b"")),
+        bytes(getattr(treetop, "_set_count", b"")),
         stats.get(sk.INIT_OVERFLOW_BLOCKS),
         sorted(stats.counters.items()),
         components.rng.getstate(),

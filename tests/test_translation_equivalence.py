@@ -97,8 +97,8 @@ def _state(controller):
         controller.posmap.remap_count,
         controller.tree._slots.tobytes(),
         list(controller.tree.level_used),
-        list(getattr(treetop, "_resident", {}).items()),
-        sorted(getattr(treetop, "_set_count", {}).items()),
+        bytes(getattr(treetop, "_set_index", b"")),
+        bytes(getattr(treetop, "_set_count", b"")),
         list(controller.internal_queue),
         sorted(controller._limbo),
         sorted(controller.stats.counters.items()),

@@ -88,6 +88,24 @@ class TestAuditorCatchesCorruption:
         with pytest.raises(AuditError):
             auditor.audit_now()
 
+    @pytest.mark.parametrize("fault", ["residency flag", "set count"])
+    def test_sstash_corruption_detected(self, fault):
+        """A resident block's flag cleared, or a set count one off,
+        breaks the S-Stash mirror of the tree top."""
+        from repro.core.ir_stash import RESIDENT
+
+        controller = warmed_controller("IR-ORAM")
+        auditor = InvariantAuditor(controller, every=1)
+        auditor.audit_now()
+        treetop = controller.treetop
+        block = treetop.resident_blocks()[0]
+        if fault == "residency flag":
+            treetop._set_index[block] ^= RESIDENT
+        else:
+            treetop._set_count[treetop.set_of(block)] += 1
+        with pytest.raises(AuditError, match="S-Stash"):
+            auditor.audit_now()
+
     def test_merkle_corruption_detected(self):
         from repro.oram.integrity import attach_integrity
 
