@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..api import RunSpec, run_many
 from ..config import SystemConfig
 from ..errors import ConfigError
-from ..perf.engine import SimPoint, run_points
+from ..perf.engine import get_priors
 from ..sim.results import SimulationResult
 
 #: knob name -> function(config, value) -> new config
@@ -105,9 +106,11 @@ def sweep_parameter(
 ) -> SweepResult:
     """Run ``scheme`` on ``workload`` across every value of one knob.
 
-    With ``jobs > 1`` the points fan out over worker processes (each point
-    is an independent simulation); results are identical to the serial
-    run and stay in ``values`` order.
+    With ``jobs > 1`` the points fan out over worker processes through
+    :func:`repro.api.run_many` (each point is an independent simulation);
+    results are identical to the serial run and stay in ``values`` order.
+    Each point's wall time updates the ``points`` priors, so the next
+    sweep dispatches its stragglers first.
     """
     if parameter not in KNOBS:
         raise ConfigError(
@@ -115,17 +118,19 @@ def sweep_parameter(
         )
     base = config if config is not None else SystemConfig.scaled()
     sweep = SweepResult(parameter=parameter, scheme=scheme, workload=workload)
-    points = [
-        SimPoint(
-            scheme,
-            workload,
+    specs = [
+        RunSpec(
+            scheme=scheme,
+            workload=workload,
             records=records,
             seed=seed,
             config=KNOBS[parameter](base, value),
         )
         for value in values
     ]
-    results, _ = run_points(points, jobs=jobs)
-    for value, item in zip(values, results):
-        sweep.points.append(SweepPoint(value=value, result=item.result))
+    priors = get_priors()
+    for value, out in zip(values, run_many(specs, jobs=jobs)):
+        priors.observe_point(scheme, workload, records, out.wall_s)
+        sweep.points.append(SweepPoint(value=value, result=out.result))
+    priors.save()
     return sweep

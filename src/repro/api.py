@@ -23,7 +23,6 @@ cycle- and counter-bit-identical to untraced ones (see
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, replace
@@ -39,7 +38,7 @@ from typing import (
 )
 
 from . import stats_keys as sk
-from .config import SystemConfig
+from .config import SystemConfig, env_number
 from .errors import ConfigError
 from .obs import (
     CallbackSink,
@@ -73,8 +72,9 @@ class ObsOptions:
     :class:`~repro.validate.invariants.InvariantAuditor`, sweeping the
     protocol invariants every ``audit_every`` issued paths (0 = the
     auditor's default cadence).  The ``REPRO_AUDIT`` environment knob
-    overrides both for every run in the process: unset/``0`` off, ``1``
-    on at the default cadence, any larger integer on at that cadence.
+    overrides both for every run in the process: unset, blank or ``0``
+    leaves them alone, ``1`` audits at the default cadence, any larger
+    integer at that cadence, and anything else is a ``ConfigError``.
     Audited runs stay cycle- and counter-bit-identical to unaudited
     ones; a violation raises :class:`~repro.errors.AuditError`.
     """
@@ -188,16 +188,13 @@ def _audit_options(obs: ObsOptions):
 
     ``REPRO_AUDIT`` wins over the spec so CI (and the warm-pool workers,
     which re-read the environment) can force auditing on without touching
-    call sites: unset/``"0"``/``""`` defers to the spec, ``"1"`` enables
-    at the default cadence, ``N > 1`` enables at cadence ``N``.
+    call sites: unset, blank or ``0`` defers to the spec, ``1`` enables
+    at the default cadence, ``N > 1`` enables at cadence ``N``, and a
+    malformed or negative value raises :class:`ConfigError`.
     """
-    raw = os.environ.get("REPRO_AUDIT", "").strip()
-    if raw and raw != "0":
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 1
-        return True, (value if value > 1 else None)
+    every = env_number("REPRO_AUDIT", 0)
+    if every:
+        return True, (every if every > 1 else None)
     return obs.audit, (obs.audit_every or None)
 
 
@@ -477,31 +474,6 @@ def run_campaign(
     return [journal.get(key) for key in keys]
 
 
-def sweep(
-    parameter: str,
-    values: Sequence[Any],
-    scheme: str = "Baseline",
-    workload: str = "mix",
-    config: Optional[SystemConfig] = None,
-    records: int = 3000,
-    seed: int = 7,
-    jobs: int = 1,
-):
-    """Sweep one platform knob; see :func:`repro.analysis.sweep.sweep_parameter`."""
-    from .analysis.sweep import sweep_parameter
-
-    return sweep_parameter(
-        parameter,
-        values,
-        scheme=scheme,
-        workload=workload,
-        config=config,
-        records=records,
-        seed=seed,
-        jobs=jobs,
-    )
-
-
 def summarize_trace(path: str) -> Dict[str, Any]:
     """Aggregate a JSONL trace file (``repro inspect``)."""
     from .obs.inspect import summarize_trace as _summarize
@@ -519,6 +491,5 @@ __all__ = [
     "run_many",
     "run_campaign",
     "campaign_key",
-    "sweep",
     "summarize_trace",
 ]

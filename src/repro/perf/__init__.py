@@ -5,8 +5,8 @@
   call per path access and one batch loop, sharing one per-path function
   over one kernel state.
 * :mod:`repro.perf.engine` — supervised warm-pool fan-out over
-  independent (scheme, workload, seed) simulation points
-  (:class:`~repro.perf.engine.SimPoint`), with a cross-run artifact cache.
+  independent simulation points (:class:`~repro.api.RunSpec` through
+  :func:`~repro.api.run_many`), with a per-process artifact cache.
 
 Throughput is measured by the benchmark under ``perfbench/``, not here.
 """

@@ -1,26 +1,27 @@
-"""Persistent warm-pool execution engine with cross-run artifact caching.
+"""Persistent warm-pool execution engine with per-process artifact caching.
 
-Independent simulation points (:class:`SimPoint`) fan out over worker
-processes through three cooperating pieces:
+Independent simulation points (:class:`repro.api.RunSpec`) fan out over
+worker processes through :func:`repro.api.run_many`, which rests on three
+cooperating pieces:
 
 * **Warm pool** — one long-lived :class:`~concurrent.futures.\
   ProcessPoolExecutor` per process, created on first use with an
   initializer that imports the scheme zoo, and reused by every subsequent
-  ``run_many``/``sweep``/``experiments`` call.  The pool is
+  ``run_many``/``sweep_parameter``/``experiments`` call.  The pool is
   recreated only when a caller asks for more workers than it has or when
   the ``REPRO_*`` environment knobs change (forked workers snapshot the
   environment).
 
-* **Artifact cache** — a per-process :class:`ArtifactCache` keyed by
-  :meth:`repro.config.SystemConfig.fingerprint`.  It holds the subtree
-  layout (path table + path-address cache), generated workload traces,
-  and memoized Z-search outcomes.  Everything cached is a pure function
-  of the config (and trace seed), so injection never changes simulation
-  results — the equivalence tests in ``tests/test_engine.py`` assert
-  bit-identical cycles and counters against the serial loop.  Traces and
-  Z-search outcomes additionally persist under ``.repro_cache/`` (see
-  :func:`cache_root`), keyed by a salt over the generating source files
-  so code changes invalidate stale entries automatically.
+* **Artifact cache** — a per-process, in-memory :class:`ArtifactCache`
+  holding the subtree layout (path table + path-address cache) per
+  :meth:`repro.config.SystemConfig.fingerprint` and the generated
+  workload traces.  Everything cached is a pure function of the config
+  (and trace seed), so injection never changes simulation results — the
+  equivalence tests in ``tests/test_engine.py`` assert bit-identical
+  cycles and counters against the serial loop.  Z-search outcomes
+  persist under ``.repro_cache/`` (see :func:`cache_root`), keyed by a
+  salt over every source file of the package, so code changes invalidate
+  stale entries automatically.
 
 * **Straggler-aware scheduling** — points are dispatched *individually*,
   longest-expected-first, with at most ``jobs`` in flight; per-scheme
@@ -29,9 +30,8 @@ processes through three cooperating pieces:
   deterministic for every ``--jobs`` value.
 
 Cache-hit counters surface through the normal stats/obs layer under the
-``engine.*`` namespace (recorded per run after the simulation result is
-snapshotted, so simulation counters stay bit-identical) and sum across
-points through :func:`aggregate_engine_counters`.
+``engine.*`` namespace, recorded per run after the simulation result is
+snapshotted, so simulation counters stay bit-identical.
 """
 
 from __future__ import annotations
@@ -49,52 +49,17 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import stats_keys as sk
 from ..config import ORAMConfig, SystemConfig, env_number
 from ..errors import EngineFaultError
 from ..obs import events as ev
-from ..sim.results import SimulationResult
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-
-@dataclass(frozen=True)
-class SimPoint:
-    """One independent (scheme, workload) simulation.
-
-    Every point derives all randomness from its own seed, so points can
-    run in any process in any order and still produce the exact numbers
-    a serial loop would.
-    """
-
-    scheme: str
-    workload: str
-    records: int = 2500
-    seed: int = 7
-    config: Optional[SystemConfig] = None
-
-    def label(self) -> str:
-        return f"{self.scheme}/{self.workload}"
-
-
-@dataclass
-class PointResult:
-    """A finished point: the simulation result plus its wall-clock cost.
-
-    ``engine_counters`` holds the ``engine.*`` artifact-cache deltas this
-    point observed in its worker; simulation counters live in
-    ``result.counters`` and never include them, keeping results
-    bit-identical to the serial loop.
-    """
-
-    point: SimPoint
-    result: SimulationResult
-    wall_s: float
-    engine_counters: Dict[str, int] = field(default_factory=dict)
 
 #: schema version of the on-disk cache; bump on layout changes
 CACHE_SCHEMA = 1
@@ -140,32 +105,26 @@ def _quarantine(path: str) -> None:
         pass
 
 
-def _code_salt() -> str:
-    """Digest over the sources whose behaviour the cached artifacts encode.
+def _code_salt(root: str) -> str:
+    """Digest over every ``*.py`` and ``*.c`` source under ``root``.
 
-    Editing the layout, trace generators, config, or the Z-search changes
-    the salt and therefore every disk key, so stale entries can never be
-    returned after a code change.
+    A Z-search runs whole simulations, so any source of the package can
+    change its outcome; salting over all of them (in sorted relative-path
+    order) means no edit can ever get a stale entry back.
     """
-    base = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sources = []
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith((".py", ".c")):
+                path = os.path.join(folder, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                sources.append((rel, path))
     digest = hashlib.sha256(str(CACHE_SCHEMA).encode())
-    for rel in (
-        "config.py",
-        "mem/layout.py",
-        "mem/dram.py",
-        "core/ir_alloc.py",
-        "sim/runner.py",
-        "traces/trace.py",
-        "traces/synthetic.py",
-        "traces/benchmarks.py",
-        "traces/mix.py",
-    ):
-        path = os.path.join(base, rel)
-        try:
-            with open(path, "rb") as handle:
-                digest.update(handle.read())
-        except OSError:
-            digest.update(rel.encode())
+    for rel, path in sorted(sources):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
     return digest.hexdigest()[:16]
 
 
@@ -173,9 +132,12 @@ _SALT: Optional[str] = None
 
 
 def code_salt() -> str:
+    """The salt over this package's sources (computed once per process)."""
     global _SALT
     if _SALT is None:
-        _SALT = _code_salt()
+        _SALT = _code_salt(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
     return _SALT
 
 
@@ -183,10 +145,11 @@ def code_salt() -> str:
 # the per-process artifact cache
 # ----------------------------------------------------------------------
 class ArtifactCache:
-    """Config-fingerprint-keyed artifacts shared across runs in a process.
+    """Config-derived artifacts shared across runs in a process.
 
+    Layouts and traces live in memory only; Z-search outcomes go to disk.
     All values are pure functions of their keys, so sharing them between
-    controllers (or loading them from disk) cannot change simulation
+    controllers (or loading a Z vector from disk) cannot change simulation
     behaviour.  Counters use the ``engine.*`` keys from
     :mod:`repro.stats_keys`.
     """
@@ -196,8 +159,6 @@ class ArtifactCache:
         self.counters: Dict[str, int] = {}
         self._layouts: Dict[str, Any] = {}
         self._traces: Dict[Tuple, Any] = {}
-        #: trace entries generated (not disk-loaded) since the last flush
-        self._dirty_traces: set = set()
 
     # -- counters ----------------------------------------------------------
     def _bump(self, key: str, amount: int = 1) -> None:
@@ -262,7 +223,6 @@ class ArtifactCache:
     ):
         """The (deterministic) workload trace for one simulation point."""
         from ..sim.runner import make_workload
-        from ..traces.trace import Trace
 
         key = (
             name,
@@ -272,25 +232,12 @@ class ArtifactCache:
             config.llc.lines,
         )
         trace = self._traces.get(key)
-        if trace is not None:
-            self._bump(sk.ENGINE_TRACE_HITS)
-            return trace
-        digest = hashlib.sha256(
-            f"{code_salt()}:{key}".encode()
-        ).hexdigest()[:24]
-        loaded = self._disk_load("traces", digest)
-        if (
-            isinstance(loaded, tuple)
-            and len(loaded) == 2
-            and loaded[0] == name
-        ):
-            self._bump(sk.ENGINE_TRACE_DISK_HITS)
-            trace = Trace(name, [tuple(rec) for rec in loaded[1]])
-        else:
+        if trace is None:
             self._bump(sk.ENGINE_TRACE_MISSES)
             trace = make_workload(name, config, records, seed)
-            self._dirty_traces.add((key, digest))
-        self._traces[key] = trace
+            self._traces[key] = trace
+        else:
+            self._bump(sk.ENGINE_TRACE_HITS)
         return trace
 
     # -- Z-search outcomes -------------------------------------------------
@@ -321,65 +268,14 @@ class ArtifactCache:
             return
         controller.adopt_artifacts(self.layout_for(controller.config))
 
-    # -- persistence -------------------------------------------------------
-    def flush(self) -> None:
-        """Persist generated traces.
-
-        Runs at process exit in every process that used the cache — in the
-        parent via :mod:`atexit`, in pool workers via
-        ``multiprocessing.util.Finalize`` (worker processes leave through
-        ``os._exit`` and never run ``atexit`` handlers) — so the next
-        *process* starts warm.  Concurrent flushes are safe: the values
-        are deterministic and writes are atomic replaces.
-        """
-        if not disk_cache_enabled():
-            return
-        for key, digest in list(self._dirty_traces):
-            trace = self._traces.get(key)
-            if trace is None:
-                continue
-            self._disk_store("traces", digest, (trace.name, trace.records))
-        self._dirty_traces.clear()
-
-
 _CACHE: Optional[ArtifactCache] = None
-_FLUSH_HOOKED_PID: Optional[int] = None
-
-
-def _flush_current_cache() -> None:
-    if _CACHE is not None:
-        _CACHE.flush()
-
-
-def _hook_flush() -> None:
-    """Register the exit-time flush exactly once per process.
-
-    The hook goes through both exit paths: :mod:`atexit` for normal
-    interpreter shutdown (the parent), and
-    ``multiprocessing.util.Finalize`` for pool workers — multiprocessing
-    children leave through ``util._exit_function`` + ``os._exit`` and
-    never run ``atexit`` handlers.  Keyed by pid, not a plain flag:
-    forked workers inherit the parent's registrations, but ``Finalize``
-    objects are pid-guarded and would silently skip in the child, so
-    each new process registers its own.  The callback reads the
-    *current* ``_CACHE``, so :func:`reset` needs no unregistration.
-    """
-    global _FLUSH_HOOKED_PID
-    if _FLUSH_HOOKED_PID == os.getpid():
-        return
-    _FLUSH_HOOKED_PID = os.getpid()
-    atexit.register(_flush_current_cache)
-    from multiprocessing import util as mp_util
-
-    mp_util.Finalize(None, _flush_current_cache, exitpriority=10)
 
 
 def get_cache() -> ArtifactCache:
-    """The process-wide artifact cache (created and exit-hooked lazily)."""
+    """The process-wide artifact cache (created lazily)."""
     global _CACHE
     if _CACHE is None:
         _CACHE = ArtifactCache()
-        _hook_flush()
     return _CACHE
 
 
@@ -499,13 +395,11 @@ def engine_counters() -> Dict[str, int]:
 
 
 def _worker_init() -> None:
-    """Warm a pool worker: import the heavy modules once, hook the flush."""
+    """Warm a pool worker: import the heavy modules once."""
     import repro.core.schemes  # noqa: F401  (imports the scheme zoo)
     import repro.sim.simulator  # noqa: F401
     import repro.traces.benchmarks  # noqa: F401
     import repro.validate  # noqa: F401  (auditor, for REPRO_AUDIT runs)
-
-    get_cache()  # registers the atexit flush for this worker
 
 
 def _repro_env() -> Dict[str, str]:
@@ -860,26 +754,6 @@ def engine_map(
 # ----------------------------------------------------------------------
 # simulation-point execution (warm workers)
 # ----------------------------------------------------------------------
-def run_point_warm(point: SimPoint) -> PointResult:
-    """Run one point with artifact injection; executed inside workers."""
-    from .. import api
-
-    spec = api.RunSpec(
-        scheme=point.scheme,
-        workload=point.workload,
-        records=point.records,
-        seed=point.seed,
-        config=point.config,
-    )
-    out = api.run(spec, artifacts=get_cache())
-    engine_counts = {
-        key: int(value)
-        for key, value in out.stats.counters.items()
-        if key.startswith("engine.")
-    }
-    return PointResult(point, out.result, out.wall_s, engine_counts)
-
-
 def run_spec_warm(spec) -> Any:
     """Run one :class:`repro.api.RunSpec` with artifact injection."""
     from .. import api
@@ -889,49 +763,6 @@ def run_spec_warm(spec) -> Any:
 
 def spec_cost(spec) -> float:
     return get_priors().point_cost(spec.scheme, spec.workload, spec.records)
-
-
-def run_points(
-    points: Sequence[SimPoint], jobs: int = 1
-) -> Tuple[List[PointResult], float]:
-    """Run simulation points through the engine; results in input order.
-
-    Bit-identical to a serial ``api.run`` loop for every ``jobs`` value
-    (each point carries its own seed and the injected artifacts are pure
-    functions of the config).  Observed wall times update the priors store
-    so the *next* sweep dispatches its stragglers first.
-    """
-    start = time.perf_counter()
-    points = list(points)
-    priors = get_priors()
-    results = engine_map(
-        run_point_warm,
-        points,
-        jobs=jobs,
-        cost=lambda p: priors.point_cost(p.scheme, p.workload, p.records),
-    )
-    for item in results:
-        priors.observe_point(
-            item.point.scheme,
-            item.point.workload,
-            item.point.records,
-            item.wall_s,
-        )
-    priors.save()
-    return results, time.perf_counter() - start
-
-
-def aggregate_engine_counters(
-    results: Sequence[PointResult],
-) -> Dict[str, int]:
-    """Sum the per-point ``engine.*`` counter deltas (across workers)."""
-    totals: Dict[str, int] = {}
-    for item in results:
-        for key, value in item.engine_counters.items():
-            totals[key] = totals.get(key, 0) + value
-    for key, value in engine_counters().items():
-        totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 # ----------------------------------------------------------------------

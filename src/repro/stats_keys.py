@@ -199,7 +199,6 @@ ENGINE_LAYOUT_HITS = "engine.layout_hits"
 ENGINE_LAYOUT_MISSES = "engine.layout_misses"
 ENGINE_TRACE_HITS = "engine.trace_hits"
 ENGINE_TRACE_MISSES = "engine.trace_misses"
-ENGINE_TRACE_DISK_HITS = "engine.trace_disk_hits"
 ENGINE_ZSEARCH_HITS = "engine.zsearch_hits"
 ENGINE_ZSEARCH_MISSES = "engine.zsearch_misses"
 ENGINE_POOL_STARTS = "engine.pool_starts"

@@ -182,9 +182,10 @@ def run_chaos(
     2. **checkpoint round trip** — one scheme runs checkpointed, then the
        checkpoint resumes and must reproduce the uninterrupted cycles and
        counters exactly;
-    3. **torn caches** — on-disk artifacts are corrupted in place; the
-       next run must quarantine them (``engine.cache.corrupt``) and still
-       return bit-identical results.
+    3. **torn caches** — a persisted Z-search outcome and the priors are
+       corrupted in place; reading them back must quarantine both
+       (``engine.cache.corrupt``), and the re-run search must return the
+       same Z vector.
     """
     from .. import api
 
@@ -260,23 +261,16 @@ def run_chaos(
                     if key.startswith("engine.")
                 }
 
-                # Leg 3: persist artifacts, tear them, rerun one point.
-                # Drain the pool FIRST: surviving workers flush their own
-                # caches at exit and would silently heal a torn file
-                # written before they shut down.  (They also never flush
-                # when killed mid-life, so the parent seeds the disk
-                # itself.)
+                # Leg 3: persist a Z-search outcome and the priors, tear
+                # both, and read them back.
                 engine.reset()
-                probe_index = plan.crash_indices[0] if plan.crash_indices else 0
-                probe_spec = specs[probe_index]
-                cache = engine.get_cache()
-                cache.trace_for(
-                    probe_spec.workload,
-                    probe_spec.resolve_config(),
-                    probe_spec.records,
-                    probe_spec.seed,
+                probe_spec = specs[
+                    plan.crash_indices[0] if plan.crash_indices else 0
+                ]
+                probe_config = probe_spec.resolve_config()
+                searched = engine.cached_z_allocation(
+                    probe_config, records=probe_spec.records, seed=seed
                 )
-                cache.flush()
                 priors = engine.get_priors()
                 priors.observe_point(
                     probe_spec.scheme,
@@ -293,19 +287,19 @@ def run_chaos(
                     "nothing persisted to tear; leg 3 proved nothing",
                 )
                 engine.reset()  # drop in-memory copies; force disk loads
-                probe = engine.run_spec_warm(probe_spec)
                 engine.get_priors()  # loads (and quarantines) torn priors
+                again = engine.cached_z_allocation(
+                    probe_config, records=probe_spec.records, seed=seed
+                )
                 _require(
-                    probe.result.counters
-                    == expected[probe_index].result.counters
-                    and probe.cycles == expected[probe_index].cycles,
-                    "post-tear rerun drifted from the serial loop",
+                    again.z_per_level == searched.z_per_level,
+                    "post-tear Z-search drifted from the first search",
                 )
                 corrupt = engine.engine_counters().get(
                     "engine.cache.corrupt", 0
-                ) + engine.get_cache().counters.get("engine.cache.corrupt", 0)
+                )
                 _require(
-                    corrupt > 0,
+                    corrupt >= report["torn_files"],
                     "torn cache files were loaded without quarantine",
                 )
                 report["quarantined"] = corrupt

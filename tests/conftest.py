@@ -6,6 +6,9 @@ the ``rng`` fixture hands out a private generator derived the same way —
 so any stray module-level randomness is reproducible per test, and a
 failure replays by re-running that test alone.
 
+The engine's disk cache lives in a per-session temp dir, never in the
+checkout.
+
 Hypothesis depth is profile-driven: the default ``ci`` profile keeps
 property tests fast; ``HYPOTHESIS_PROFILE=nightly`` (the scheduled
 deep-conformance CI job) explores much further.
@@ -44,6 +47,18 @@ REPRO_TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 def derived_seed(nodeid: str, salt: int = 0) -> int:
     digest = hashlib.sha256(nodeid.encode()).digest()
     return (int.from_bytes(digest[:8], "big") ^ REPRO_TEST_SEED) + salt
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_dir(tmp_path_factory):
+    """Point the engine's disk cache (Z-search memo, priors) at a session
+    temp dir, so no test reads or writes the checkout's ``.repro_cache``.
+    Tests that set their own ``REPRO_CACHE_DIR`` override this one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
+        )
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -272,11 +272,11 @@ class TestSweepBitIdentity:
 class TestCorruptionQuarantine:
     def test_torn_artifact_is_quarantined_not_swallowed(self):
         cache = engine.get_cache()
-        path = cache._disk_path("traces", "deadbeef")
+        path = cache._disk_path("zsearch", "deadbeef")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(b"\x80\x04 torn mid-write")
-        assert cache._disk_load("traces", "deadbeef") is None
+        assert cache._disk_load("zsearch", "deadbeef") is None
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")
         assert cache.counters.get("engine.cache.corrupt") == 1
@@ -284,7 +284,7 @@ class TestCorruptionQuarantine:
 
     def test_missing_artifact_is_silent(self):
         cache = engine.get_cache()
-        assert cache._disk_load("traces", "nothere") is None
+        assert cache._disk_load("zsearch", "nothere") is None
         assert cache.counters.get("engine.cache.corrupt") is None
 
     def test_torn_priors_quarantined_and_ignored(self, tmp_path):
@@ -309,12 +309,12 @@ class TestCorruptionQuarantine:
 
     def test_store_is_atomic_no_tmp_left_behind(self):
         cache = engine.get_cache()
-        cache._disk_store("traces", "abc123", {"some": "value"})
-        directory = os.path.dirname(cache._disk_path("traces", "abc123"))
+        cache._disk_store("zsearch", "abc123", {"some": "value"})
+        directory = os.path.dirname(cache._disk_path("zsearch", "abc123"))
         assert not [
             name for name in os.listdir(directory) if name.endswith(".tmp")
         ]
-        assert cache._disk_load("traces", "abc123") == {"some": "value"}
+        assert cache._disk_load("zsearch", "abc123") == {"some": "value"}
 
     def test_tear_cache_files_is_deterministic(self, tmp_path):
         for name in ("a", "b", "c", "d"):

@@ -262,6 +262,27 @@ class TestEnvKnobs:
             api.run(spec)
 
     @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_audit(self, value, monkeypatch):
+        from repro import api
+
+        monkeypatch.setenv("REPRO_AUDIT", value)
+        spec = api.RunSpec(scheme="Baseline", workload="random",
+                           records=50, config=SystemConfig.tiny())
+        with pytest.raises(ConfigError, match="REPRO_AUDIT"):
+            api.run(spec)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("", (False, None)), (" ", (False, None)), ("0", (False, None)),
+         ("1", (True, None)), ("16", (True, 16))],
+    )
+    def test_audit_cadence(self, value, expected, monkeypatch):
+        from repro import api
+
+        monkeypatch.setenv("REPRO_AUDIT", value)
+        assert api._audit_options(api.ObsOptions()) == expected
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
     def test_experiment_records(self, value, monkeypatch):
         from repro.experiments.common import experiment_records
 

@@ -2,14 +2,15 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 from repro import api
+from repro.analysis.sweep import sweep_parameter
 from repro.config import SystemConfig
 from repro.core.schemes import build_scheme
 from repro.perf import engine
-from repro.perf.engine import SimPoint, run_points
 from repro.stats import Stats
 
 
@@ -20,14 +21,6 @@ def isolated_engine(tmp_path, monkeypatch):
     engine.reset()
     yield
     engine.reset()
-
-
-def _points(schemes, records=200, seed=7):
-    config = SystemConfig.tiny()
-    return [
-        SimPoint(scheme, "mix", records=records, seed=seed, config=config)
-        for scheme in schemes
-    ]
 
 
 class TestFingerprint:
@@ -79,20 +72,20 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_run_points_matches_serial_loop(self, jobs):
-        points = _points(["Baseline", "IR-ORAM", "LLC-D", "Rho"])
-        serial = [
-            api.run(api.RunSpec(
-                scheme=p.scheme, workload=p.workload, records=p.records,
-                seed=p.seed, config=p.config,
-            ))
-            for p in points
+        """``api.run_many`` over warm workers and the shared artifact
+        cache returns what a cold serial ``api.run`` loop returns."""
+        specs = [
+            api.RunSpec(scheme=scheme, workload="mix", records=200,
+                        config=SystemConfig.tiny())
+            for scheme in ("Baseline", "IR-ORAM", "LLC-D", "Rho")
         ]
-        results, wall = run_points(points, jobs=jobs)
-        assert wall > 0
-        assert [item.point for item in results] == points
-        for ref, item in zip(serial, results):
-            assert ref.result.cycles == item.result.cycles
-            assert ref.result.counters == item.result.counters
+        serial = [api.run(spec) for spec in specs]
+        outs = api.run_many(specs, jobs=jobs)
+        assert [out.spec for out in outs] == specs
+        for ref, out in zip(serial, outs):
+            assert out.wall_s > 0
+            assert ref.result.cycles == out.result.cycles
+            assert ref.result.counters == out.result.counters
 
     def test_run_many_engine_backed(self):
         specs = [
@@ -119,52 +112,13 @@ class TestArtifactCache:
         for key in ("engine.trace_hits", "engine.layout_hits"):
             assert cache.counters[key] > before.get(key, 0)
 
-    @staticmethod
-    def _disk_round_trip(jobs):
-        points = _points(["Baseline", "LLC-D"])
-        cold, _ = run_points(points, jobs=jobs)
-        engine.get_cache().flush()
-        # Simulate a brand-new process, same cache dir.  Shutting the pool
-        # down lets its workers flush their caches on the way out.
-        engine.reset()
-        warm, _ = run_points(points, jobs=jobs)
-        agg = engine.aggregate_engine_counters(warm)
-        assert agg.get("engine.trace_disk_hits", 0) > 0
-        for a, b in zip(cold, warm):
-            assert a.result.cycles == b.result.cycles
-            assert a.result.counters == b.result.counters
-
-    def test_disk_round_trip_warm_start(self):
-        self._disk_round_trip(jobs=1)
-
-    def test_disk_round_trip_warm_start_forked_workers(self):
-        """Pool workers leave through ``os._exit``: only the
-        ``multiprocessing.util.Finalize`` hook writes what they cached, so
-        the warm run's disk hits prove that hook ran."""
-        self._disk_round_trip(jobs=2)
-
     def test_disk_cache_can_be_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        points = _points(["Baseline"])
-        run_points(points, jobs=1)
-        engine.get_cache().flush()
-        assert not os.path.exists(
-            os.path.join(engine.cache_root(), "traces")
-        )
-
-    def test_trace_reconstruction_identical(self):
-        from repro.sim.runner import make_workload
-
-        cache = engine.get_cache()
         config = SystemConfig.tiny()
-        first = cache.trace_for("mix", config, 200, 11)
-        cache.flush()
-        engine.reset()
-        reloaded = engine.get_cache().trace_for("mix", config, 200, 11)
-        direct = make_workload("mix", config, 200, 11)
-        assert reloaded.name == first.name == direct.name
-        assert list(reloaded.records) == list(first.records)
-        assert list(reloaded.records) == list(direct.records)
+        engine.cached_z_allocation(config, records=80, seed=5)
+        engine.cached_z_allocation(config, records=80, seed=5)
+        assert engine.get_cache().counters.get("engine.zsearch_hits") is None
+        assert not os.path.exists(os.path.join(engine.cache_root(), "zsearch"))
 
     def test_attach_skips_rho(self):
         cache = engine.get_cache()
@@ -183,6 +137,21 @@ class TestArtifactCache:
         cache.attach(first)
         cache.attach(second)
         assert first.layout is second.layout
+
+
+class TestCodeSalt:
+    def test_salt_covers_every_package_source(self, tmp_path):
+        """Editing a simulator source the old hand-kept list skipped (the
+        controller) must change the salt that keys the Z-search memo."""
+        package = os.path.dirname(os.path.dirname(engine.__file__))
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert engine._code_salt(str(copy)) == engine.code_salt()
+        controller = copy / "oram" / "controller.py"
+        controller.write_bytes(controller.read_bytes() + b"\n# edited\n")
+        assert engine._code_salt(str(copy)) != engine.code_salt()
 
 
 class TestZSearchCache:
@@ -250,11 +219,19 @@ class TestPriors:
         )
 
     def test_run_points_records_priors(self):
-        run_points(_points(["Baseline"]), jobs=1)
+        """A sweep records each point's seconds per record under the
+        ``points`` namespace and saves ``priors.json``."""
+        sweep = sweep_parameter(
+            "issue_interval", [100, 200], config=SystemConfig.tiny(),
+            records=200, jobs=1,
+        )
         priors_path = os.path.join(engine.cache_root(), "priors.json")
         with open(priors_path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        assert "Baseline/mix" in data.get("points", {})
+        assert set(data) == {"points"}
+        assert set(data["points"]) == {"Baseline/mix"}
+        assert data["points"]["Baseline/mix"] > 0
+        assert len(sweep.points) == 2
 
 
 class TestEngineMap:
