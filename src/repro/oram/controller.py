@@ -301,7 +301,6 @@ class PathORAMController:
             tree_slots=self.tree._slots,
             level_used=self.tree.level_used,
             leaf_table=self.posmap._leaf_of,
-            entries=self.stash._entries,
             path_table=self.layout.path_table,
             bank_ready=self.dram.bank_ready,
             bank_open_row=self.dram.bank_open_row,
@@ -888,16 +887,17 @@ class PathORAMController:
         finish_read = self.dram.service_decomposed(triples, False, now)
 
         top = self.oram.top_cached_levels
-        insert = self.stash.insert
-        leaf_of = self.posmap.leaf_of
         treetop_remove = self.treetop.on_remove
         served_level = -1
+        read: List[int] = []
         for block, level in self.tree.read_and_clear(leaf):
             if level < top:
                 treetop_remove(block)
-            insert(block, leaf_of(block))
+            read.append(block)
             if block == served:
                 served_level = level
+        leaf_of = self.posmap.leaf_of
+        self.stash.extend(read, [leaf_of(block) for block in read])
         self.stash.note_peak(now)
         self._apply_path_counters(path_type, blocks)
         self._emit_path_read(leaf, path_type, now, finish_read, blocks)
@@ -984,12 +984,13 @@ class PathORAMController:
         Eviction candidates come grouped by deepest eligible level
         (:meth:`Stash.path_pools`) and land through :meth:`ORAMTree.place`;
         with Fig. 5's ``track_migration`` each placement is classified.
+        The placed blocks leave the stash in one :meth:`Stash.compact`.
         """
         oram = self.oram
         levels = oram.levels
         top = oram.top_cached_levels
         tree = self.tree
-        stash_remove = self.stash.remove
+        landed: List[int] = []
         treetop = self.treetop
         stats = self.stats
         z_per_level = oram.z_per_level
@@ -1020,7 +1021,7 @@ class PathORAMController:
                     raise ProtocolError("bucket full during write phase")
                 if gated:
                     treetop.on_place(block)
-                stash_remove(block)
+                landed.append(block)
                 placed += 1
                 if track:
                     origin = (
@@ -1029,6 +1030,7 @@ class PathORAMController:
                     stats.bump(sk.migration_key(origin), level)
             if rejected:
                 pool.extend(rejected)
+        self.stash.compact(landed)
 
     def _emit_path_write(self, leaf: int, path_type: PathType, start: int,
                          finish: int, blocks: int) -> None:
@@ -1098,6 +1100,7 @@ class PathORAMController:
         return finish_write
 
     def _after_write_phase(self) -> None:
+        self.stash.compact()
         if self.stash.over_threshold(self.oram.eviction_threshold):
             self.stats.inc(sk.EVICTION_TRIGGERS)
 

@@ -258,11 +258,18 @@ randbelow(Draws *r, long long n, long long *out)
 /* ---------------------------------------------------------------- */
 
 /* Pool entry of the placement engine: a stash block, in stash order,
- * borrowed from the stash dict, and its id. */
+ * and its entry's index in the slab. */
 typedef struct {
-    PyObject *block;
+    Py_ssize_t at;
     long long value;
 } PoolItem;
+
+/* The stash slab (oram/stash.py): USED entries in use, LIVE of them live,
+ * the PEAK occupancy, then a block region and a leaf region of ``slots``
+ * items each, in insertion order.  A removed entry's block is TOMBSTONE.
+ */
+enum { SLAB_USED, SLAB_LIVE, SLAB_PEAK, SLAB_HEADER };
+#define TOMBSTONE -1
 
 /* The keys of a state's ``counter_keys`` tuple, in order
  * (native.counter_keys): every stats counter, the ``hit.level`` histogram
@@ -324,7 +331,7 @@ enum {
 #define SS_RESIDENT (1LL << 32)
 
 /* KernelState(leaves, z_per_level, top, tree_slots, level_used,
- *             leaf_table, entries, path_table, bank_ready, bank_open_row,
+ *             leaf_table, path_table, bank_ready, bank_open_row,
  *             bus_free, dram, treetop_mode, set_index, set_count, sets,
  *             ways, getrandbits, plb_blocks, plb_dirty,
  *             plb_fills, plb_ways, namespace, limbo, internal_queue,
@@ -338,8 +345,7 @@ enum {
  *
  *   leaves, z_per_level, top    leaf count, slots per bucket by level,
  *                               cached top levels
- *   tree_slots .. path_table    the BUF_* arrays above, and the stash's
- *                               block -> leaf dict, in stash order
+ *   tree_slots .. path_table    the BUF_* arrays above
  *   bank_ready .. bus_free      DRAMModel's bank state
  *   dram                        (ratio, t_rp, t_rcd, t_burst,
  *                               t_cas + t_burst, row_blocks, channels,
@@ -354,8 +360,8 @@ enum {
  *   limbo, internal_queue       the victim buffer: a set and a deque
  *   counters, counter_keys      the stats counters dict and the keys the
  *                               kernels book (CounterKey)
- *   stash, posmap               the Stash (peak tracking) and the
- *                               PositionMap (remap_count)
+ *   stash, posmap               the Stash, whose slab the kernels index,
+ *                               and the PositionMap (remap_count)
  *   path_types                  every PathType, DATA, POS1, POS2 and
  *                               DUMMY first, in counter_keys' order
  *   request_kinds               RequestKind READ, WRITEBACK, REINSERT
@@ -372,13 +378,23 @@ enum {
  * resize them under the kernels (their items stay writable: the Python
  * tier writes the same arrays).  Level ``l``'s buckets start
  * at ``offset[l]`` in the tree array, ``z_arr[l]`` slots each, as
- * ORAMTree lays them out.  The state also keeps the scratch of one path
- * (its DRAM triples) and the tree-top hook counts of the current
- * path-entry call.
+ * ORAMTree lays them out.
+ *
+ * The stash's slab is the one array the state does not hold exported:
+ * Python code appends to it and grows it between kernel calls, so every
+ * entry that reads or writes the stash takes a view of it for the call
+ * alone (slab_open), checks the header and every entry, and releases it
+ * on return.  The Stash resizes its slab in place only, so the state
+ * keeps the array object itself.  Within a call the slab grows only
+ * before a path's read phase or a single re-insert, when it is too short
+ * for it (slab_room), never in the middle of a path.
+ *
+ * The state also keeps the scratch of one path (its DRAM triples) and
+ * the tree-top hook counts of the current path-entry call.
  */
 typedef struct {
     PyObject_HEAD
-    PyObject *entries, *limbo, *queue, *counters, *keys, *stash, *posmap,
+    PyObject *slab, *limbo, *queue, *counters, *keys, *stash, *posmap,
         *path_types, *histograms, *batch;
     PyObject *kinds[N_KINDS];
     Draws rng;  /* getrandbits owned */
@@ -402,6 +418,11 @@ typedef struct {
     long long p1_base, p2_base, total, fanout;  /* the namespace */
     long long plb_sets, plb_ways;
     long long *triples;  /* one path's DRAM triples */
+    long long path_slots;  /* every slot on a path, cached levels too */
+    Py_buffer slab_view;  /* held from slab_open to slab_close only */
+    int slab_held;
+    long long *hdr, *sblocks, *sleaves;  /* the open slab's regions */
+    Py_ssize_t slab_slots;
     long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
     int depth;  /* nested PLB victim re-inserts */
 } KernelState;
@@ -472,13 +493,157 @@ check_path_table(KernelState *c, Py_ssize_t len)
     return 0;
 }
 
+/* Interned attribute and method names, histogram buckets and the int 1,
+ * set at module init. */
+static PyObject *str_append, *str_note_peak, *str_slab,
+    *str_remap_count, *str_block, *str_kind, *str_completion,
+    *str_paths_used, *str_translation_counted, *str_stash, *str_sstash,
+    *int_one;
+
+/* Take a view of the stash's slab for one kernel call and check it: the
+ * header (USED and LIVE within the slots, LIVE the count of live
+ * entries) and every live block, which must lie in the position map, so
+ * nothing the kernels read from it indexes past an array.  Returns 0, or
+ * -1 with an exception set and nothing held.  A state is never entered
+ * twice at once: the kernels call out to Python only for RNG draws, the
+ * stash's own methods and the counters.
+ */
+static int
+slab_open(KernelState *c)
+{
+    if (c->slab_held) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel state already in use");
+        return -1;
+    }
+    Py_ssize_t n = get_q_buffer(c->slab, &c->slab_view, "stash slab");
+    if (n < 0)
+        return -1;
+    long long *hdr = c->slab_view.buf;
+    Py_ssize_t slots = (n - SLAB_HEADER) / 2;
+    if (n < SLAB_HEADER + 2 || (n - SLAB_HEADER) % 2 != 0 ||
+        hdr[SLAB_USED] < 0 || hdr[SLAB_USED] > slots ||
+        hdr[SLAB_LIVE] < 0 || hdr[SLAB_LIVE] > hdr[SLAB_USED]) {
+        PyErr_SetString(PyExc_ValueError, "stash slab header out of range");
+        goto fail;
+    }
+    long long *blocks = hdr + SLAB_HEADER, live = 0;
+    for (long long i = 0; i < hdr[SLAB_USED]; i++) {
+        if (blocks[i] == TOMBSTONE)
+            continue;
+        if (blocks[i] < 0 || blocks[i] >= c->leaf_count) {
+            PyErr_SetString(PyExc_IndexError,
+                            "stash block outside position map");
+            goto fail;
+        }
+        live++;
+    }
+    if (live != hdr[SLAB_LIVE]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "stash slab header does not match its entries");
+        goto fail;
+    }
+    c->hdr = hdr;
+    c->sblocks = blocks;
+    c->sleaves = blocks + slots;
+    c->slab_slots = slots;
+    c->slab_held = 1;
+    return 0;
+fail:
+    PyBuffer_Release(&c->slab_view);
+    return -1;
+}
+
+/* Release the call's view of the slab, if it still holds one. */
+static void
+slab_close(KernelState *c)
+{
+    if (c->slab_held) {
+        c->slab_held = 0;
+        PyBuffer_Release(&c->slab_view);
+    }
+}
+
+/* Make room for ``n`` more entries past the used part: when the slab is
+ * too short, release the view, let Stash.reserve compact and grow it in
+ * place, and take a checked view again.  Called only before a path's
+ * read phase and before a single re-insert, so no index into the slab is
+ * live across it.  Returns 0, or -1 with an exception set.
+ */
+static int
+slab_room(KernelState *c, long long n)
+{
+    if (c->slab_slots - c->hdr[SLAB_USED] >= n)
+        return 0;
+    slab_close(c);
+    PyObject *ok = PyObject_CallMethod(c->stash, "reserve", "L", n);
+    int rc = ok != NULL ? slab_open(c) : -1;
+    Py_XDECREF(ok);
+    if (rc == 0 && c->slab_slots - c->hdr[SLAB_USED] < n) {
+        PyErr_SetString(PyExc_RuntimeError, "stash slab did not grow");
+        slab_close(c);
+        rc = -1;
+    }
+    return rc;
+}
+
+/* The slab index of ``block``'s entry, or -1: a linear scan over the
+ * used part (a tombstone never matches, as blocks are not negative). */
+static inline Py_ssize_t
+slab_find(const KernelState *c, long long block)
+{
+    const long long *blocks = c->sblocks;
+    Py_ssize_t used = (Py_ssize_t)c->hdr[SLAB_USED];
+    for (Py_ssize_t i = 0; i < used; i++) {
+        if (blocks[i] == block)
+            return i;
+    }
+    return -1;
+}
+
+/* Stash.remove of the entry at ``i``: its block becomes a tombstone. */
+static inline void
+slab_kill(KernelState *c, Py_ssize_t i)
+{
+    c->sblocks[i] = TOMBSTONE;
+    c->hdr[SLAB_LIVE]--;
+}
+
+/* Stash.extend by one entry, which slab_room has made room for. */
+static inline void
+slab_push(KernelState *c, long long block, long long leaf)
+{
+    long long used = c->hdr[SLAB_USED];
+    c->sblocks[used] = block;
+    c->sleaves[used] = leaf;
+    c->hdr[SLAB_USED] = used + 1;
+    c->hdr[SLAB_LIVE]++;
+}
+
+/* Stash.compact: drop the tombstones, keeping the live entries in
+ * order; the count of what is left is the new USED and LIVE. */
+static void
+slab_compact(KernelState *c)
+{
+    long long used = c->hdr[SLAB_USED], kept = 0;
+    long long *blocks = c->sblocks, *leaves = c->sleaves;
+    for (long long i = 0; i < used; i++) {
+        if (blocks[i] == TOMBSTONE)
+            continue;
+        blocks[kept] = blocks[i];
+        leaves[kept++] = leaves[i];
+    }
+    c->hdr[SLAB_USED] = c->hdr[SLAB_LIVE] = kept;
+}
+
 static void
 state_dealloc(KernelState *s)
 {
     PyObject_GC_UnTrack(s);
     for (int i = 0; i < N_BUFS; i++)
         PyBuffer_Release(&s->bufs[i]);
-    Py_XDECREF(s->entries);
+    if (s->slab_held)
+        PyBuffer_Release(&s->slab_view);
+    Py_XDECREF(s->slab);
     Py_XDECREF(s->limbo);
     Py_XDECREF(s->queue);
     Py_XDECREF(s->counters);
@@ -501,7 +666,7 @@ state_traverse(KernelState *s, visitproc visit, void *arg)
 {
     for (int i = 0; i < N_BUFS; i++)
         Py_VISIT(s->bufs[i].obj);
-    Py_VISIT(s->entries);
+    Py_VISIT(s->slab);
     Py_VISIT(s->limbo);
     Py_VISIT(s->queue);
     Py_VISIT(s->counters);
@@ -528,7 +693,7 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "leaves", "z_per_level", "top", "tree_slots", "level_used",
-        "leaf_table", "entries", "path_table", "bank_ready",
+        "leaf_table", "path_table", "bank_ready",
         "bank_open_row", "bus_free", "dram", "treetop_mode", "set_index",
         "set_count", "sets", "ways", "getrandbits",
         "plb_blocks", "plb_dirty", "plb_fills", "plb_ways", "namespace",
@@ -545,18 +710,17 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     KernelState *s = (KernelState *)type->tp_alloc(type, 0);
     if (s == NULL)
         return NULL;
-    PyObject *z_obj, *arrays[N_BUFS], *entries, *getrandbits, *limbo,
+    PyObject *z_obj, *arrays[N_BUFS], *getrandbits, *limbo,
         *queue, *counters, *keys, *stash, *posmap, *path_types,
         *kinds[N_KINDS], *histograms, *batch;
     long long mode;
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds,
-            "LOLOOOO!OOOO(LLLLLLLL)LOOLLOOOOL(LLLL)O!OO!O!OO"
+            "LOLOOOOOOO(LLLLLLLL)LOOLLOOOOL(LLLL)O!OO!O!OO"
             "O!(OOO)OO!OLppL:KernelState",
             kwlist, &s->leaves, &z_obj, &s->top, &arrays[BUF_TREE],
-            &arrays[BUF_USED], &arrays[BUF_LEAF], &PyDict_Type, &entries,
-            &arrays[BUF_PATH], &arrays[BUF_READY], &arrays[BUF_OPEN_ROW],
-            &arrays[BUF_BUS_FREE], &s->dram.ratio, &s->dram.t_rp,
+            &arrays[BUF_USED], &arrays[BUF_LEAF], &arrays[BUF_PATH],
+            &arrays[BUF_READY], &arrays[BUF_OPEN_ROW], &arrays[BUF_BUS_FREE], &s->dram.ratio, &s->dram.t_rp,
             &s->dram.t_rcd, &s->dram.t_burst, &s->dram.cas_burst,
             &s->row_blocks, &s->channels, &s->banks_per_channel, &mode,
             &arrays[BUF_SET_INDEX], &arrays[BUF_SET_COUNT], &s->sets,
@@ -570,7 +734,6 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &s->eviction_threshold, &s->background_eviction,
             &s->delayed_remap, &s->onchip_latency))
         goto fail;
-    s->entries = Py_NewRef(entries);
     s->limbo = Py_NewRef(limbo);
     s->queue = Py_NewRef(queue);
     s->counters = Py_NewRef(counters);
@@ -695,6 +858,14 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     }
 
+    for (long long d = 0; d < s->levels; d++)
+        s->path_slots += s->z_arr[d];
+    /* The stash's slab, checked as every call checks it. */
+    s->slab = PyObject_GetAttr(stash, str_slab);
+    if (s->slab == NULL || slab_open(s) < 0)
+        goto fail;
+    slab_close(s);
+
     /* Scratch: one path's triples. */
     s->triples = PyMem_Malloc(sizeof(long long) *
                               (size_t)(3 * s->path_blocks + 1));
@@ -739,28 +910,9 @@ path_bucket(const KernelState *c, long long leaf, long long level)
            (leaf >> (c->levels - 1 - level)) * c->z_arr[level];
 }
 
-/* entries[block] = leaf, from C integers. */
-static int
-stash_insert(PyObject *entries, long long block, long long leaf)
-{
-    PyObject *key = PyLong_FromLongLong(block);
-    PyObject *value = key != NULL ? PyLong_FromLongLong(leaf) : NULL;
-    int rc = value != NULL ? PyDict_SetItem(entries, key, value) : -1;
-    Py_XDECREF(key);
-    Py_XDECREF(value);
-    return rc;
-}
-
 /* ---------------------------------------------------------------- */
 /* Counters                                                          */
 /* ---------------------------------------------------------------- */
-
-/* Interned attribute and method names, histogram buckets and the int 1,
- * set at module init. */
-static PyObject *str_append, *str_note_peak, *str_peak_occupancy,
-    *str_remap_count, *str_block, *str_kind, *str_completion,
-    *str_paths_used, *str_translation_counted, *str_stash, *str_sstash,
-    *int_one;
 
 /* counters[key k] += n, as Stats.inc does on its defaultdict(float): a
  * missing key starts at 0.0, and a float count stays a float. */
@@ -842,24 +994,15 @@ hit_tree_level(KernelState *c, long long level)
     return rc;
 }
 
-/* Stash.note_peak without its event: raise the stash's recorded peak to
- * ``occupancy``.  Returns 1 when it rose, 0, or -1 with an exception
- * set. */
+/* Stash.note_peak without its event: raise the slab's recorded peak to
+ * ``occupancy``.  Returns 1 when it rose, else 0. */
 static int
 raise_peak(KernelState *c, long long occupancy)
 {
-    PyObject *peak = PyObject_GetAttr(c->stash, str_peak_occupancy);
-    long long held = peak != NULL ? PyLong_AsLongLong(peak) : -1;
-    Py_XDECREF(peak);
-    if (held == -1 && PyErr_Occurred())
-        return -1;
-    if (occupancy <= held)
+    if (occupancy <= c->hdr[SLAB_PEAK])
         return 0;
-    PyObject *value = PyLong_FromLongLong(occupancy);
-    int rc = value != NULL
-        ? PyObject_SetAttr(c->stash, str_peak_occupancy, value) : -1;
-    Py_XDECREF(value);
-    return rc < 0 ? -1 : 1;
+    c->hdr[SLAB_PEAK] = occupancy;
+    return 1;
 }
 
 /* posmap.remap_count += 1. */
@@ -998,11 +1141,12 @@ check_top_entries(const KernelState *c, long long leaf)
 /* The read phase of one path access, the one read loop behind
  * path_access: clear every real block off the path to ``leaf``, release
  * its tree-top entry when it sat in a cached level (S-Stash removal in
- * mode 1, a bare count in mode 0), and move it into the stash, at the
- * end of the entries dict.  The level ``served`` was read from goes to
- * ``*served_level``.  Mirrors ORAMTree.read_and_clear plus the per-block
- * loop of PathORAMController._service_path.  Returns 0, or -1 with an
- * exception set.
+ * mode 1, a bare count in mode 0), and append it to the stash's slab
+ * (Stash.extend: the tree and the stash never hold the same block), for
+ * which path_access has made room.  The level ``served`` was read from
+ * goes to ``*served_level``.  Mirrors ORAMTree.read_and_clear plus the
+ * per-block loop of PathORAMController._service_path.  Returns 0, or -1
+ * with an exception set.
  */
 static int
 read_path_core(KernelState *c, long long leaf, long long served,
@@ -1037,8 +1181,7 @@ read_path_core(KernelState *c, long long leaf, long long served,
                     c->removed_top++;
                 }
             }
-            if (stash_insert(c->entries, value, bleaf) < 0)
-                return -1;
+            slab_push(c, value, bleaf);
         }
     }
     return 0;
@@ -1048,27 +1191,25 @@ read_path_core(KernelState *c, long long leaf, long long served,
 /* Write phase                                                       */
 /* ---------------------------------------------------------------- */
 
-/* Depth-bucket every stash block for the path to ``leaf`` with a
- * two-pass counting sort over the entries dict: count per depth, then
- * scatter.  Fills ``items`` (capacity >= len(entries)) segmented by
- * depth (counts/offsets, length ``levels``); each segment keeps stash
- * order.  Mirrors Stash.path_pools.  Returns 0, or -1 with an exception
- * set.
+/* Depth-bucket every live stash entry for the path to ``leaf`` with a
+ * two-pass counting sort over the slab: count per depth, then scatter.
+ * Fills ``items`` (capacity >= LIVE) segmented by depth (counts/offsets,
+ * length ``levels``); each segment keeps stash order.  Mirrors
+ * Stash.path_pools.  Returns 0, or -1 with an exception set.
  */
 static int
 group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
                Py_ssize_t *counts, Py_ssize_t *offsets)
 {
     Py_ssize_t fill[FASTPATH_MAX_LEVELS];
-    PyObject *block, *leaf_obj;
-    Py_ssize_t pos = 0;
+    const long long *blocks = c->sblocks, *leaves = c->sleaves;
+    Py_ssize_t used = (Py_ssize_t)c->hdr[SLAB_USED];
 
     memset(counts, 0, sizeof(Py_ssize_t) * (size_t)c->levels);
-    while (PyDict_Next(c->entries, &pos, &block, &leaf_obj)) {
-        long long block_leaf = PyLong_AsLongLong(leaf_obj);
-        if (block_leaf == -1 && PyErr_Occurred())
-            return -1;
-        long long depth = deepest_level(c->levels, leaf, block_leaf);
+    for (Py_ssize_t i = 0; i < used; i++) {
+        if (blocks[i] == TOMBSTONE)
+            continue;
+        long long depth = deepest_level(c->levels, leaf, leaves[i]);
         if (depth < 0) {
             PyErr_SetString(PyExc_ValueError, "stash leaf outside the tree");
             return -1;
@@ -1079,15 +1220,13 @@ group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
     for (long long d = 1; d < c->levels; d++)
         offsets[d] = offsets[d - 1] + counts[d - 1];
     memcpy(fill, offsets, sizeof(Py_ssize_t) * (size_t)c->levels);
-    pos = 0;
-    while (PyDict_Next(c->entries, &pos, &block, &leaf_obj)) {
-        long long depth =
-            deepest_level(c->levels, leaf, PyLong_AsLongLong(leaf_obj));
-        PoolItem *item = &items[fill[depth]++];
-        item->block = block;
-        item->value = PyLong_AsLongLong(block);
-        if (item->value == -1 && PyErr_Occurred())
-            return -1;
+    for (Py_ssize_t i = 0; i < used; i++) {
+        if (blocks[i] == TOMBSTONE)
+            continue;
+        PoolItem *item =
+            &items[fill[deepest_level(c->levels, leaf, leaves[i])]++];
+        item->at = i;
+        item->value = blocks[i];
     }
     return 0;
 }
@@ -1105,7 +1244,7 @@ group_by_depth(const KernelState *c, long long leaf, PoolItem *items,
  * placement loop with SStash.may_place/on_place; rejected blocks are
  * retried at shallower levels exactly like the Python
  * ``pool.extend(rejected)``.  Hook counts accumulate into the state.
- * Each placed block is removed from the stash dict as it lands.
+ * Each placed block's entry becomes a tombstone as it lands.
  */
 static int
 place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
@@ -1175,8 +1314,7 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             } else if (level < c->top) {
                 c->placed_top++;
             }
-            if (PyDict_DelItem(c->entries, item.block) < 0)
-                return -1;
+            slab_kill(c, item.at);
         }
         /* Re-stack rejected blocks in rejection order: the next pop
          * takes the most recently rejected first, matching
@@ -1188,27 +1326,30 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
 }
 
 /* The write phase's placement, path_access's one placement step:
- * depth-bucket the whole stash, then run the placement engine.
+ * depth-bucket the whole stash, run the placement engine, then compact
+ * the slab.
  */
 static int
 write_place_core(KernelState *c, long long leaf)
 {
-    Py_ssize_t total = PyDict_GET_SIZE(c->entries);
-    if (total == 0)
-        return 0;
-
-    PoolItem *items = PyMem_Malloc(sizeof(PoolItem) * (size_t)total * 3);
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
+    Py_ssize_t total = (Py_ssize_t)c->hdr[SLAB_LIVE];
+    if (total > 0) {
+        PoolItem *items = PyMem_Malloc(sizeof(PoolItem) * (size_t)total * 3);
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        Py_ssize_t counts[FASTPATH_MAX_LEVELS];
+        Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
+        int rc = group_by_depth(c, leaf, items, counts, offsets);
+        if (rc == 0)
+            rc = place_pools(c, leaf, items, total, counts, offsets);
+        PyMem_Free(items);
+        if (rc < 0)
+            return -1;
     }
-    Py_ssize_t counts[FASTPATH_MAX_LEVELS];
-    Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
-    int rc = group_by_depth(c, leaf, items, counts, offsets);
-    if (rc == 0)
-        rc = place_pools(c, leaf, items, total, counts, offsets);
-    PyMem_Free(items);
-    return rc;
+    slab_compact(c);
+    return 0;
 }
 
 /* The DRAM (bank, channel, row) triples of the path to ``leaf``, written
@@ -1303,31 +1444,24 @@ enum { SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT };
 static int
 served_step(KernelState *c, long long leaf, long long served, int mode)
 {
-    PyObject *key = PyLong_FromLongLong(served);
-    if (key == NULL)
-        return -1;
-    int rc = PyDict_Contains(c->entries, key);
-    if (rc == 0) {
+    Py_ssize_t at = slab_find(c, served);
+    if (at < 0) {
         PyErr_Format(PyExc_RuntimeError,
                      "block %lld absent from path %lld and stash",
                      served, leaf);
-        rc = -1;
-    } else if (rc == 1 && mode == SERVED_EXTRACT) {
-        rc = PyDict_DelItem(c->entries, key);
-        if (rc == 0)
-            c->leaf_table[served] = UNMAPPED;
-    } else if (rc == 1) {
-        long long new_leaf;
-        rc = randbelow(&c->rng, c->leaves, &new_leaf);
-        if (rc == 0) {
-            c->leaf_table[served] = new_leaf;
-            PyObject *value = PyLong_FromLongLong(new_leaf);
-            rc = value != NULL ? PyDict_SetItem(c->entries, key, value) : -1;
-            Py_XDECREF(value);
-        }
+        return -1;
     }
-    Py_DECREF(key);
-    return rc;
+    if (mode == SERVED_EXTRACT) {
+        slab_kill(c, at);
+        c->leaf_table[served] = UNMAPPED;
+        return 0;
+    }
+    long long new_leaf;
+    if (randbelow(&c->rng, c->leaves, &new_leaf) < 0)
+        return -1;
+    c->leaf_table[served] = new_leaf;
+    c->sleaves[at] = new_leaf;
+    return 0;
 }
 
 /* One path access's outputs.  The row hit and conflict counts add to
@@ -1341,10 +1475,12 @@ typedef struct {
  * per-path function behind access_path and run_batch's loop:
  *
  *   under the S-Stash, a check of the set-index entries the read phase
- *   will release (check_top_entries); the read burst (fill_triples, then
+ *   will release (check_top_entries); room in the slab for every slot of
+ *   the path (slab_room); the read burst (fill_triples, then
  *   dram_run_arr at ``now``); the read phase (read_path_core); the
  *   served block's step (served_step, unless ``mode`` is SERVED_NONE);
- *   greedy bottom-up placement (write_place_core); and the write burst
+ *   greedy bottom-up placement and compaction (write_place_core); and
+ *   the write burst
  *   at the read phase's finish, unless ``write_burst`` is 0 (the caller
  *   then issues it later, and ``finish_write`` is the read phase's
  *   finish).
@@ -1358,7 +1494,8 @@ path_access(KernelState *c, long long leaf, long long now, long long served,
 {
     const DramTiming *d = &c->dram;
     long long finish;
-    if (c->gated && check_top_entries(c, leaf) < 0)
+    if ((c->gated && check_top_entries(c, leaf) < 0) ||
+        slab_room(c, c->path_slots) < 0)
         return -1;
     fill_triples(c, leaf, c->triples);
     dram_run_arr(c->triples, c->path_blocks, &c->banks,
@@ -1369,7 +1506,7 @@ path_access(KernelState *c, long long leaf, long long now, long long served,
     out->served_level = -1;
     if (read_path_core(c, leaf, served, &out->served_level) < 0)
         return -1;
-    out->occupancy = (long long)PyDict_GET_SIZE(c->entries);
+    out->occupancy = c->hdr[SLAB_LIVE];
     if (mode != SERVED_NONE && served_step(c, leaf, served, mode) < 0)
         return -1;
     if (write_place_core(c, leaf) < 0)
@@ -1452,14 +1589,14 @@ kernel_access(KernelState *c, long long leaf, long long now,
         book_burst(c, blocks, 0, out->read_hits, out->read_conflicts) < 0)
         return -1;
     int raised = raise_peak(c, out->occupancy);
-    if (raised < 0 || book_paths(c, pt, 1, blocks) < 0)
+    if (book_paths(c, pt, 1, blocks) < 0)
         return -1;
     *peak = raised ? out->occupancy : 0;
     if (write_burst &&
         (book_burst(c, blocks, 1, out->write_hits, out->write_conflicts) < 0
          || add_count(c, K_BLOCKS_WRITTEN, blocks) < 0))
         return -1;
-    if ((long long)PyDict_GET_SIZE(c->entries) > c->eviction_threshold &&
+    if (c->hdr[SLAB_LIVE] > c->eviction_threshold &&
         bump(c, K_EVICTION_TRIGGERS) < 0)
         return -1;
     if (mode == SERVED_REMAP && count_remap(c) < 0)
@@ -1527,8 +1664,12 @@ access_path(PyObject *self, PyObject *args)
     PathOut out;
     long long peak;
     memset(&out, 0, sizeof out);
-    if (kernel_access(c, leaf, now, served, mode, pt, write_burst, &out,
-                      &peak) < 0)
+    if (slab_open(c) < 0)
+        return NULL;
+    int rc = kernel_access(c, leaf, now, served, mode, pt, write_burst, &out,
+                           &peak);
+    slab_close(c);
+    if (rc < 0)
         return NULL;
     return Py_BuildValue(
         "LLLLLLLLL", out.finish_read, out.finish_write, out.served_level,
@@ -1580,6 +1721,8 @@ run_batch(PyObject *self, PyObject *args)
     PyObject *bounds = NULL;
     if (want_bounds && (bounds = PyList_New(0)) == NULL)
         return NULL;
+    if (slab_open(c) < 0)
+        goto fail;
     reset_hooks(c);
 
     long long n = 0;
@@ -1591,8 +1734,7 @@ run_batch(PyObject *self, PyObject *args)
     while (n < max_paths) {
         if (horizon >= 0 && now >= horizon)
             break;
-        if (stop_threshold >= 0 &&
-            (long long)PyDict_GET_SIZE(c->entries) > stop_threshold)
+        if (stop_threshold >= 0 && c->hdr[SLAB_LIVE] > stop_threshold)
             break;
         long long leaf;
         if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
@@ -1600,7 +1742,7 @@ run_batch(PyObject *self, PyObject *args)
             goto fail;
         if (out.occupancy > max_occ)
             max_occ = out.occupancy;
-        if ((long long)PyDict_GET_SIZE(c->entries) > trigger_threshold)
+        if (c->hdr[SLAB_LIVE] > trigger_threshold)
             ev_triggers++;
         if (want_bounds) {
             long long triple[3] = {now, out.finish_read, out.finish_write};
@@ -1619,8 +1761,8 @@ run_batch(PyObject *self, PyObject *args)
     }
 
     long long blocks = n * c->path_blocks;
-    if (n && (raise_peak(c, max_occ) < 0 ||
-              book_paths(c, PT_DUMMY, n, blocks) < 0 ||
+    raise_peak(c, max_occ);
+    if (n && (book_paths(c, PT_DUMMY, n, blocks) < 0 ||
               book_burst(c, blocks, 0, out.read_hits + out.write_hits,
                          out.read_conflicts + out.write_conflicts) < 0 ||
               book_burst(c, blocks, 1, 0, 0) < 0 ||
@@ -1631,11 +1773,13 @@ run_batch(PyObject *self, PyObject *args)
     if (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
         add_engine(c, K_BATCH_PATHS, n) < 0)
         goto fail;
+    slab_close(c);
     if (bounds == NULL)
         bounds = Py_NewRef(Py_None);
     return Py_BuildValue("(LLN)", n, now, bounds);
 
 fail:
+    slab_close(c);
     Py_XDECREF(bounds);
     return NULL;
 }
@@ -1755,19 +1899,21 @@ restore_leaf(KernelState *c, long long block, long long *leaf)
     return count_remap(c);
 }
 
-/* Stash.add: the entry, then Stash.note_peak (which emits stash.hwm)
- * when the occupancy passes the recorded peak. */
+/* Stash.add: the entry (a present block's leaf is updated in place, an
+ * absent one appended after slab_room), then Stash.note_peak (which
+ * emits stash.hwm) when the occupancy passes the recorded peak. */
 static int
 stash_add(KernelState *c, long long block, long long leaf)
 {
-    if (stash_insert(c->entries, block, leaf) < 0)
-        return -1;
-    PyObject *peak = PyObject_GetAttr(c->stash, str_peak_occupancy);
-    long long held = peak != NULL ? PyLong_AsLongLong(peak) : -1;
-    Py_XDECREF(peak);
-    if (held == -1 && PyErr_Occurred())
-        return -1;
-    if ((long long)PyDict_GET_SIZE(c->entries) <= held)
+    Py_ssize_t at = slab_find(c, block);
+    if (at >= 0) {
+        c->sleaves[at] = leaf;
+    } else {
+        if (slab_room(c, 1) < 0)
+            return -1;
+        slab_push(c, block, leaf);
+    }
+    if (c->hdr[SLAB_LIVE] <= c->hdr[SLAB_PEAK])
         return 0;
     PyObject *ok = PyObject_CallMethodNoArgs(c->stash, str_note_peak);
     Py_XDECREF(ok);
@@ -1885,54 +2031,40 @@ try_promote(KernelState *c, long long block)
     int rc = on_chip(c, block);
     if (rc != 0)
         return rc < 0 ? -1 : 0;
-    PyObject *key = PyLong_FromLongLong(block);
-    if (key == NULL)
-        return -1;
-    rc = PyDict_Contains(c->entries, key);
-    if (rc == 1) {
-        rc = check_mapped_index(c, block) < 0 ||
-             PyDict_DelItem(c->entries, key) < 0 ? -1 : 0;
-        if (rc == 0) {
-            c->leaf_table[block] = UNMAPPED;
-            rc = plb_fill(c, block, 1, 0) < 0 ||
-                 bump(c, K_STASH_PROMOTIONS) < 0 ? -1 : 0;
-        }
-        goto done;
+    Py_ssize_t at = slab_find(c, block);
+    if (at >= 0) {
+        if (check_mapped_index(c, block) < 0)
+            return -1;
+        slab_kill(c, at);
+        c->leaf_table[block] = UNMAPPED;
+        return plb_fill(c, block, 1, 0) < 0 ||
+               bump(c, K_STASH_PROMOTIONS) < 0 ? -1 : 0;
     }
-    if (rc < 0 || c->top == 0 || !c->gated)
-        goto done;
+    if (c->top == 0 || !c->gated)
+        return 0;
     long long entry;
     if (check_mapped_index(c, block) < 0 ||
         sstash_entry(c, block, &entry) < 0 ||
-        bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0) {
-        rc = -1;
-        goto done;
-    }
+        bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
+        return -1;
     if (entry < SS_RESIDENT)
-        goto done;
+        return 0;
     long long leaf = c->leaf_table[block];
     if (leaf == UNMAPPED)
-        goto done;
+        return 0;
     long long level, *slot;
-    if (find_top(c, block, leaf, &level, &slot) < 0) {
-        rc = -1;
-        goto done;
-    }
+    if (find_top(c, block, leaf, &level, &slot) < 0)
+        return -1;
     if (slot == NULL)
-        goto done;
+        return 0;
     /* ORAMTree.remove, SStash.on_remove, PositionMap.discard. */
     *slot = EMPTY;
     c->level_used[level]--;
-    rc = sstash_remove(c, block) < 0 ||
-         bump(c, K_SSTASH_REMOVED) < 0 ? -1 : 0;
-    if (rc == 0) {
-        c->leaf_table[block] = UNMAPPED;
-        rc = plb_fill(c, block, 1, 0) < 0 ||
-             bump(c, K_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
-    }
-done:
-    Py_DECREF(key);
-    return rc;
+    if (sstash_remove(c, block) < 0 || bump(c, K_SSTASH_REMOVED) < 0)
+        return -1;
+    c->leaf_table[block] = UNMAPPED;
+    return plb_fill(c, block, 1, 0) < 0 ||
+           bump(c, K_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
 }
 
 /* Controller._translation_chain: the PosMap blocks to fetch before
@@ -2010,7 +2142,11 @@ translate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     long long chain[2];
     int n;
-    if (walk(c, block, chain, &n) < 0)
+    if (slab_open(c) < 0)
+        return NULL;
+    int rc = walk(c, block, chain, &n);
+    slab_close(c);
+    if (rc < 0)
         return NULL;
     PyObject *result = PyList_New(n);
     for (int i = 0; result != NULL && i < n; i++) {
@@ -2058,7 +2194,11 @@ plb_install(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                      block);
         return NULL;
     }
-    return plb_fill(c, block, dirty, fetch) < 0 ? NULL : Py_NewRef(Py_None);
+    if (slab_open(c) < 0)
+        return NULL;
+    int rc = plb_fill(c, block, dirty, fetch);
+    slab_close(c);
+    return rc < 0 ? NULL : Py_NewRef(Py_None);
 }
 
 /* find_in_treetop(state, block, leaf) -> (level, position) or None
@@ -2175,8 +2315,8 @@ leave_treetop(KernelState *c, long long block)
  */
 static int
 serve_onchip(KernelState *c, PyObject *request, long long block,
-             PyObject *key, int reading, long long now, int k,
-             PyObject *bucket, int from_stash)
+             int reading, long long now, int k, PyObject *bucket,
+             int from_stash)
 {
     if (complete(request, now + c->onchip_latency) < 0 || bump(c, k) < 0 ||
         (reading && hit_level(c, bucket) < 0))
@@ -2185,9 +2325,14 @@ serve_onchip(KernelState *c, PyObject *request, long long block,
         return 0;
     if (!from_stash)
         return leave_treetop(c, block);
-    if (check_mapped_index(c, block) < 0 ||
-        PyDict_DelItem(c->entries, key) < 0)
+    Py_ssize_t at = slab_find(c, block);
+    if (at < 0) {
+        PyErr_Format(PyExc_RuntimeError, "block %lld not in stash", block);
         return -1;
+    }
+    if (check_mapped_index(c, block) < 0)
+        return -1;
+    slab_kill(c, at);
     c->leaf_table[block] = UNMAPPED;
     return 0;
 }
@@ -2211,7 +2356,7 @@ finish_reinsert(KernelState *c, PyObject *request, long long block,
  * Returns 1 when served, 0 when not there, or -1. */
 static int
 treetop_hit(KernelState *c, PyObject *request, long long block,
-            PyObject *key, int reading, long long now)
+            int reading, long long now)
 {
     long long leaf, level, *slot;
     if (mapped_leaf(c, block, &leaf) < 0 ||
@@ -2223,7 +2368,7 @@ treetop_hit(KernelState *c, PyObject *request, long long block,
     PyObject *bucket = PyLong_FromLongLong(level);
     if (bucket == NULL)
         return -1;
-    int rc = serve_onchip(c, request, block, key, reading, now,
+    int rc = serve_onchip(c, request, block, reading, now,
                           K_SERVE_TREETOP_HITS, bucket, 0);
     Py_DECREF(bucket);
     return rc < 0 ? -1 : 1;
@@ -2287,9 +2432,8 @@ serve_data(KernelState *c, PyObject *request, long long block, int reading,
  * kind.  Returns a SERVE_* status, or -1 with an exception set; a path
  * access fills ``out`` and sets ``*pt`` to its path type. */
 static int
-serve_slot(KernelState *c, PyObject *request, long long block,
-           PyObject *key, int kind, long long now, PathOut *out,
-           Py_ssize_t *pt)
+serve_slot(KernelState *c, PyObject *request, long long block, int kind,
+           long long now, PathOut *out, Py_ssize_t *pt)
 {
     int reading = kind == KIND_READ;
     long long chain[2];
@@ -2297,10 +2441,9 @@ serve_slot(KernelState *c, PyObject *request, long long block,
 
     /* Controller._try_instant: the stash and S-Stash probes, then a
      * free translation that finds the block in the cached tree top. */
-    rc = PyDict_Contains(c->entries, key);
-    if (rc != 0)
-        return rc < 0 || serve_onchip(c, request, block, key, reading, now,
-                                      K_SERVE_STASH_HITS, str_stash, 1) < 0
+    if (slab_find(c, block) >= 0)
+        return serve_onchip(c, request, block, reading, now,
+                            K_SERVE_STASH_HITS, str_stash, 1) < 0
             ? -1 : SERVE_INSTANT;
     if (c->gated) {
         long long entry;
@@ -2308,7 +2451,7 @@ serve_slot(KernelState *c, PyObject *request, long long block,
             bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
             return -1;
         if (entry >= SS_RESIDENT)
-            return serve_onchip(c, request, block, key, reading, now,
+            return serve_onchip(c, request, block, reading, now,
                                 K_SERVE_SSTASH_HITS, str_sstash, 0) < 0
                 ? -1 : SERVE_INSTANT;
     }
@@ -2318,7 +2461,7 @@ serve_slot(KernelState *c, PyObject *request, long long block,
         if (kind == KIND_REINSERT)
             return finish_reinsert(c, request, block, now) < 0
                 ? -1 : SERVE_INSTANT;
-        rc = treetop_hit(c, request, block, key, reading, now);
+        rc = treetop_hit(c, request, block, reading, now);
         if (rc != 0)
             return rc < 0 ? -1 : SERVE_INSTANT;
     }
@@ -2330,7 +2473,7 @@ serve_slot(KernelState *c, PyObject *request, long long block,
         return -1;
     if (waiting > 0 ||
         (c->background_eviction &&
-         (long long)PyDict_GET_SIZE(c->entries) > c->eviction_threshold))
+         c->hdr[SLAB_LIVE] > c->eviction_threshold))
         return SERVE_BLOCKED;
 
     /* Controller._step_request. */
@@ -2345,7 +2488,7 @@ serve_slot(KernelState *c, PyObject *request, long long block,
     if (kind == KIND_REINSERT)
         return finish_reinsert(c, request, block, now) < 0
             ? -1 : SERVE_ONCHIP;
-    rc = treetop_hit(c, request, block, key, reading, now);
+    rc = treetop_hit(c, request, block, reading, now);
     if (rc != 0)
         return rc < 0 ? -1 : SERVE_ONCHIP;
     if (kind == KIND_WRITEBACK && bump(c, K_WRITEBACK_PATHS) < 0)
@@ -2390,34 +2533,34 @@ serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (now == -1 && PyErr_Occurred())
         return NULL;
     long long block;
-    PyObject *key = PyObject_GetAttr(request, str_block);
-    if (key == NULL || block_arg(key, &block) < 0) {
-        Py_XDECREF(key);
+    PyObject *block_obj = PyObject_GetAttr(request, str_block);
+    int rc = block_obj != NULL ? block_arg(block_obj, &block) : -1;
+    Py_XDECREF(block_obj);
+    if (rc < 0)
         return NULL;
-    }
     PyObject *kind_obj = PyObject_GetAttr(request, str_kind);
     int kind = 0;
     while (kind_obj != NULL && kind < N_KINDS && c->kinds[kind] != kind_obj)
         kind++;
     Py_XDECREF(kind_obj);
-    int status = -1;
     if (kind_obj == NULL)
-        goto done;
+        return NULL;
     if (kind == N_KINDS || now < 0) {
         PyErr_SetString(PyExc_ValueError, "malformed serve_request call");
-        goto done;
+        return NULL;
     }
     if (block < 0 || block >= c->total) {
         PyErr_Format(PyExc_ValueError, "block %lld outside namespace", block);
-        goto done;
+        return NULL;
     }
     PathOut out;
     Py_ssize_t pt = -1;
     memset(&out, 0, sizeof out);
     out.finish_read = out.finish_write = now;
-    status = serve_slot(c, request, block, key, kind, now, &out, &pt);
-done:
-    Py_DECREF(key);
+    if (slab_open(c) < 0)
+        return NULL;
+    int status = serve_slot(c, request, block, kind, now, &out, &pt);
+    slab_close(c);
     if (status < 0)
         return NULL;
     return Py_BuildValue(
@@ -2660,7 +2803,7 @@ PyInit__repro_fastpath(void)
         return NULL;
     str_append = PyUnicode_InternFromString("append");
     str_note_peak = PyUnicode_InternFromString("note_peak");
-    str_peak_occupancy = PyUnicode_InternFromString("peak_occupancy");
+    str_slab = PyUnicode_InternFromString("_slab");
     str_remap_count = PyUnicode_InternFromString("remap_count");
     str_block = PyUnicode_InternFromString("block");
     str_kind = PyUnicode_InternFromString("kind");
@@ -2672,7 +2815,7 @@ PyInit__repro_fastpath(void)
     str_sstash = PyUnicode_InternFromString("sstash");
     int_one = PyLong_FromLong(1);
     if (str_append == NULL || str_note_peak == NULL ||
-        str_peak_occupancy == NULL || str_remap_count == NULL ||
+        str_slab == NULL || str_remap_count == NULL ||
         str_block == NULL || str_kind == NULL || str_completion == NULL ||
         str_paths_used == NULL || str_translation_counted == NULL ||
         str_stash == NULL || str_sstash == NULL ||

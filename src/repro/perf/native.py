@@ -49,18 +49,21 @@ state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
 dirty flags, per-set fill counts) and the S-Stash's two arrays (each
 block's set-index entry with its residency flag, each set's count) as
 ``array('q')`` buffers the kernels index directly, with the
-controller's path count; the stash's ``block -> leaf`` dict, the victim
-buffer, the counters, the histograms, the engine counts and
-``getrandbits`` as references; the path types and request kinds it
+controller's path count; the ``Stash``, the victim buffer, the
+counters, the histograms, the engine counts and ``getrandbits`` as
+references; the path types and request kinds it
 compares against; and the geometry, the namespace, the S-Stash's sets
 and ways, the DRAM timing and the slot parameters.  ``access_path``,
 ``run_batch`` and ``dram_triples`` share one read loop, one placement
 engine and one DRAM timing loop, for both tree-top modes: the dedicated
 cache and IR-Stash's S-Stash, whose entries the read loop releases and
 whose set-occupancy gate the placement engine applies, hashing a block's
-set with an in-file MD5 the first time it meets it.  The kernels
-append read blocks to the stash dict, delete placed ones, and group
-write-phase candidates by scanning it in insertion order.  A path's
+set with an in-file MD5 the first time it meets it.  The kernels index
+the stash's slab (:mod:`repro.oram.stash`) through a buffer view taken
+and checked for each call, since the Python tier grows it between
+calls: they append read blocks to it, tombstone placed ones, group
+write-phase candidates by scanning it in insertion order and compact
+it after each write phase.  A path's
 DRAM addresses are computed per access from the path table and the DRAM
 geometry.
 
@@ -170,8 +173,13 @@ def _self_test(module) -> bool:
     if ready != q([7]) or open_row != q([7]) or bus_free != q([7]):
         return False
 
-    class Stash:
-        peak_occupancy = 0
+    from ..oram.stash import Stash
+
+    def stash(*entries):
+        held = Stash(1)
+        for block, leaf in entries:
+            held.insert(block, leaf)
+        return held
 
     class PosMap:
         remap_count = 0
@@ -191,14 +199,14 @@ def _self_test(module) -> bool:
         base = dict(
             leaves=4, z_per_level=[2, 1, 1], top=0,
             tree_slots=q([-1] * 8), level_used=q([0, 0, 0]),
-            leaf_table=q([-1] * 10), entries={}, path_table=q([0]),
+            leaf_table=q([-1] * 10), path_table=q([0]),
             bank_ready=q([0]), bank_open_row=q([-1]), bus_free=q([0]),
             dram=(1, 4, 3, 2, 5, 4, 1, 1), treetop_mode=0, set_index=None,
             set_count=None, sets=0, ways=0,
             getrandbits=None, plb_blocks=q([-1] * 2), plb_dirty=q([0] * 2),
             plb_fills=q([0, 0]), plb_ways=1, namespace=(4, 8, 10, 4),
             limbo=set(), internal_queue=[], counters={},
-            counter_keys=counter_keys(types), stash=Stash(), posmap=PosMap(),
+            counter_keys=counter_keys(types), stash=stash(), posmap=PosMap(),
             path_types=types, request_kinds=kinds,
             histograms=defaultdict(lambda: defaultdict(float)),
             batch_counters={}, path_count=q([0]), eviction_threshold=10,
@@ -219,25 +227,24 @@ def _self_test(module) -> bool:
     # creates is a float, as on the stats' defaultdict(float).
     draws = iter([7, 4, 2])
     tree = q([5, 9, -1, -1, -1, -1, -1, -1])
-    entries = {}
     level_used = q([2, 0, 0])
     leaf_table = q([-1] * 10)
     leaf_table[5], leaf_table[9] = 1, 3
     counters, batch, path_count = {}, {}, q([0])
-    stash, posmap = Stash(), PosMap()
+    held, posmap = stash(), PosMap()
     result = module.access_path(state(
-        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        tree_slots=tree, leaf_table=leaf_table,
         level_used=level_used, getrandbits=lambda bits: next(draws),
         counters=counters, batch_counters=batch, path_count=path_count,
-        stash=stash, posmap=posmap,
+        stash=held, posmap=posmap,
     ), 1, 0, 5, SERVED_REMAP, True, types[0])
     if result != (0, 0, 0, 2, 0, 0, 0, 0, 0):
         return False
     if not (
-        entries == {} and leaf_table[5] == 2 and leaf_table[9] == 3
+        len(held) == 0 and leaf_table[5] == 2 and leaf_table[9] == 3
         and tree == q([9, 5, -1, -1, -1, -1, -1, -1])
         and level_used == q([2, 0, 0])
-        and stash.peak_occupancy == 2 and posmap.remap_count == 1
+        and held.peak_occupancy == 2 and posmap.remap_count == 1
         and path_count == q([1]) and batch == {sk.ENGINE_TIER_KERNEL_PATHS: 1}
         and counters[sk.PATHS_TOTAL] == 1 and counters["paths.d"] == 1
         and all(type(value) is float for value in counters.values())
@@ -255,7 +262,7 @@ def _self_test(module) -> bool:
     # back, block 0 is skipped and stays, its set recorded.
     resident = 1 << 32  # ir_stash.RESIDENT
     tree = q([3, -1, -1, -1, 6, -1, -1, -1])
-    entries = {0: 3}
+    held = stash((0, 3))
     level_used = q([1, 0, 1])
     leaf_table = q([-1] * 10)
     leaf_table[0], leaf_table[3], leaf_table[6] = 3, 2, 0
@@ -265,14 +272,14 @@ def _self_test(module) -> bool:
     set_index[3] = 125 + resident
     counters = {}
     result = module.access_path(state(
-        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        tree_slots=tree, stash=held, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, set_index=set_index,
         set_count=set_count, sets=256, ways=1, counters=counters,
     ), 0, 0, 6, SERVED_EXTRACT, True, types[1])
     if result != (0, 0, 2, 3, 0, 0, 0, 0, 0):
         return False
     if not (
-        entries == {0: 3} and leaf_table[6] == -1
+        list(held.items()) == [(0, 3)] and leaf_table[6] == -1
         and set_index[0] == 125 and set_index[3] == 125 + resident
         and sum(set_count) == set_count[125] == 1
         and tree == q([3, -1, -1, -1, -1, -1, -1, -1])
@@ -315,12 +322,7 @@ def _self_test(module) -> bool:
     # restore draws 3 bits, 5 is rejected and 2 becomes its leaf; 8 is
     # dirtied again (a PLB hit) and 6 enters the stash as a new peak.
     # Block 4 is neither in the PLB, the stash nor the S-Stash.
-    class PeakStash(Stash):
-        def note_peak(self):
-            self.peak_occupancy = len(entries)
-
     draws = iter([5, 2])
-    entries = {}
     leaf_table = q([-1] * 10)
     leaf_table[8] = 3
     plb_blocks, plb_dirty, plb_fills = q([6, -1]), q([1, 0]), q([1, 0])
@@ -329,24 +331,25 @@ def _self_test(module) -> bool:
     set_index, set_count = q([-1] * 10), q([1])
     set_index[8] = resident  # set 0 of 1
     counters = {}
-    stash, posmap = PeakStash(), PosMap()
+    held, posmap = stash(), PosMap()
     chain = module.translate(state(
-        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        tree_slots=tree, leaf_table=leaf_table,
         level_used=level_used, top=1, treetop_mode=1, set_index=set_index,
         set_count=set_count, sets=1, ways=1,
         getrandbits=lambda bits: next(draws),
         plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
-        counters=counters, stash=stash, posmap=posmap,
+        counters=counters, stash=held, posmap=posmap,
     ), 1)
     if chain != [4]:
         return False
     if not (
-        entries == {6: 2} and leaf_table[6] == 2 and leaf_table[8] == -1
+        list(held.items()) == [(6, 2)] and leaf_table[6] == 2
+        and leaf_table[8] == -1
         and plb_blocks == q([8, -1]) and plb_dirty == q([1, 0])
         and plb_fills == q([1, 0]) and tree == q([-1] * 8)
         and level_used == q([0, 0, 0]) and set_index[8] == 0
         and set_count == q([0])
-        and stash.peak_occupancy == 1 and posmap.remap_count == 1
+        and held.peak_occupancy == 1 and posmap.remap_count == 1
         and counters == {
             sk.SSTASH_PROBE_HITS: 1, sk.SSTASH_REMOVED: 1,
             sk.PLB_EVICTIONS: 1, sk.PLB_DIRTY_EVICTIONS: 1, sk.PLB_HITS: 1,
@@ -391,7 +394,6 @@ def _self_test(module) -> bool:
     # 1), leaving the stash empty again.  One supernode at row 7 holds
     # both levels (local offsets 0, 1, 2), so leaf 1's path is two
     # blocks in row 7 of the one bank.
-    entries = {}
     level_used = q([1, 0])
     ready = q([0])
     open_row = q([-1])
@@ -399,26 +401,26 @@ def _self_test(module) -> bool:
     tree = q([3, -1, -1])
     # The batch books its dummy path in aggregate: 2 blocks per burst,
     # 3 row hits over both bursts, the stash peak of 1.
-    counters, batch, stash = {}, {}, Stash()
+    counters, batch, held = {}, {}, stash()
     batch_state = state(
         getrandbits=lambda bits: 1, leaves=2,
         path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
-        tree_slots=tree, entries=entries, leaf_table=q([-1, -1, -1, 0]),
+        tree_slots=tree, leaf_table=q([-1, -1, -1, 0]),
         z_per_level=[1, 1], level_used=level_used,
         bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
-        counters=counters, batch_counters=batch, stash=stash,
+        counters=counters, batch_counters=batch, stash=held,
     )
     result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1)
     if result != (1, 17, [0, 10, 17]):
         return False
     if not (
-        entries == {}
+        len(held) == 0
         and tree == q([3, -1, -1])
         and level_used == q([1, 0])
         and ready == q([14])
         and open_row == q([7])
         and bus_free == q([14])
-        and stash.peak_occupancy == 1
+        and held.peak_occupancy == 1
         and batch == {sk.ENGINE_BATCH_CALLS: 1, sk.ENGINE_BATCH_PATHS: 1}
         and counters[sk.DRAM_ACCESSES] == 4 and counters[sk.DRAM_READS] == 2
         and counters[sk.DRAM_ROW_HITS] == 3 and counters["paths.m"] == 1
@@ -445,7 +447,7 @@ def _self_test(module) -> bool:
         widths.append(bits)
         return next(script)
 
-    entries, counters = {}, {}
+    held, counters = stash(), {}
     histograms = defaultdict(lambda: defaultdict(float))
     tree = q([-1, -1, -1, -1, -1, -1, 1, -1])
     level_used = q([0, 0, 1])
@@ -453,14 +455,14 @@ def _self_test(module) -> bool:
     leaf_table[1] = 2
     plb_blocks, plb_dirty, plb_fills = q([4, -1]), q([0, 0]), q([1, 0])
     result = module.serve_request(state(
-        tree_slots=tree, entries=entries, leaf_table=leaf_table,
+        tree_slots=tree, stash=held, leaf_table=leaf_table,
         level_used=level_used, getrandbits=getrandbits,
         plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
         counters=counters, histograms=histograms,
     ), request, 5)
     return (
         result == (SERVE_DATA, types[0], 5, 5)
-        and widths == [3, 3] and entries == {}
+        and widths == [3, 3] and len(held) == 0
         and tree == q([1, -1, -1, -1, -1, -1, -1, -1])
         and level_used == q([1, 0, 0]) and leaf_table[1] == 1
         and plb_blocks == q([4, -1]) and plb_dirty == q([1, 0])

@@ -33,7 +33,6 @@ there would tear the state).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
@@ -47,52 +46,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simulator import Simulator
 
 #: on-disk checkpoint format; bump on any layout change (2: the S-Stash
-#: pickles as two arrays, not dicts)
-CHECKPOINT_VERSION = 2
-
-#: sources whose behaviour a frozen simulator encodes — editing any of
-#: them may change what an uninterrupted run would have produced, so the
-#: salt over them gates resume (``repro.perf.engine.code_salt`` covers
-#: only the artifact generators, which is too narrow here)
-_SALT_SOURCES = (
-    "config.py",
-    "stats.py",
-    "cache/cache.py",
-    "cache/llc.py",
-    "core/ir_dwb.py",
-    "core/ir_stash.py",
-    "core/schemes.py",
-    "cpu/processor.py",
-    "mem/dram.py",
-    "mem/layout.py",
-    "oram/controller.py",
-    "oram/plb.py",
-    "oram/posmap.py",
-    "oram/rho.py",
-    "oram/ring.py",
-    "oram/stash.py",
-    "oram/tree.py",
-    "oram/treetop.py",
-    "sim/simulator.py",
-)
+#: pickles as two arrays, not dicts; 3: the stash pickles as one slab)
+CHECKPOINT_VERSION = 3
 
 _SALT: Optional[str] = None
 
 
+def _salt_of(root: str) -> str:
+    """The salt of the package at ``root``: the format version and the
+    engine's digest over every ``*.py`` and ``*.c`` source under it.  A
+    frozen simulator encodes what any of them computed, so an edit to
+    any source, the C kernels included, refuses an older checkpoint."""
+    # Imported here: the engine pulls in the process-pool machinery,
+    # which a run that never checkpoints does not need in memory.
+    from ..perf import engine
+
+    return f"{CHECKPOINT_VERSION}-{engine._code_salt(root)}"
+
+
 def _code_salt() -> str:
+    """This package's salt, computed once per process."""
     global _SALT
     if _SALT is None:
-        base = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256(str(CHECKPOINT_VERSION).encode())
-        for rel in _SALT_SOURCES:
-            path = os.path.join(base, rel)
-            digest.update(rel.encode())
-            try:
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-            except OSError:
-                digest.update(b"<missing>")
-        _SALT = digest.hexdigest()
+        _SALT = _salt_of(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
     return _SALT
 
 

@@ -52,9 +52,10 @@ def add_parser(sub) -> None:
         help=f"golden corpus path (default {golden.DEFAULT_PATH})",
     )
     parser.add_argument(
-        "--artifact-dir", default=fuzz_mod.DEFAULT_ARTIFACT_DIR,
-        metavar="DIR",
-        help="where fuzz failures are persisted",
+        "--artifact-dir", default=None, metavar="DIR",
+        help="where fuzz failures or distinguisher verdicts are persisted "
+             "(default: validate/failures or validate/distinguish under "
+             "the cache directory, REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--distinguish", action="store_true",
@@ -189,15 +190,12 @@ def _do_distinguish(args) -> int:
 
     schemes = args.schemes.split(",") if args.schemes else None
     mutants = args.mutants.split(",") if args.mutants else None
-    artifact_dir = args.artifact_dir
-    if artifact_dir == fuzz_mod.DEFAULT_ARTIFACT_DIR:
-        artifact_dir = distinguish.DEFAULT_ARTIFACT_DIR
     suite = distinguish.run_suite(
         budget=args.budget,
         schemes=schemes,
         mutants=mutants,
         base_seed=args.seed,
-        artifact_dir=artifact_dir,
+        artifact_dir=args.artifact_dir,
     )
     for name in sorted(suite.reports):
         report = suite.reports[name]

@@ -47,13 +47,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import SystemConfig
 from ..core.schemes import SCHEMES, build_scheme
 from ..oram.types import PathAccessRecord
+from ..perf.engine import cache_root
 from ..security.mutants import MUTANTS, build_mutant
 from ..security.obliviousness import AccessRecorder
 from ..sim.simulator import Simulator
 from ..stats import Stats
 from ..traces.adversarial import DEFAULT_PROGRAM_PAIR, build_program
 
-DEFAULT_ARTIFACT_DIR = os.path.join(".repro_cache", "validate", "distinguish")
+
+def default_artifact_dir() -> str:
+    """Where verdicts persist unless told otherwise:
+    ``validate/distinguish`` under the cache root (``REPRO_CACHE_DIR``)."""
+    return os.path.join(cache_root(), "validate", "distinguish")
+
 
 #: Issue interval for the game, overriding the tiny preset's 250.  The
 #: timing defense only closes the intensity channel when the interval
@@ -556,10 +562,16 @@ def run_suite(
     schemes: Optional[Sequence[str]] = None,
     mutants: Optional[Sequence[str]] = None,
     base_seed: int = 1,
-    artifact_dir: str = DEFAULT_ARTIFACT_DIR,
+    artifact_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SuiteReport:
-    """Clean schemes must be indistinguishable; every mutant must flag."""
+    """Clean schemes must be indistinguishable; every mutant must flag.
+
+    Every verdict persists under ``artifact_dir``, by default
+    :func:`default_artifact_dir`.
+    """
+    if artifact_dir is None:
+        artifact_dir = default_artifact_dir()
     sizes = BUDGETS[budget]
     scheme_names = sorted(SCHEMES) if schemes is None else list(schemes)
     mutant_names = sorted(MUTANTS) if mutants is None else list(mutants)

@@ -27,11 +27,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import SystemConfig
 from ..errors import AuditError
 from ..oram.tree import EMPTY
+from ..perf.engine import cache_root
 from . import oracle
 
 ARTIFACT_SCHEMA = 1
-DEFAULT_ARTIFACT_DIR = os.path.join(".repro_cache", "validate", "failures")
 SHRINK_BUDGET = 150
+
+
+def default_artifact_dir() -> str:
+    """Where fuzz failures persist unless told otherwise:
+    ``validate/failures`` under the cache root (``REPRO_CACHE_DIR``)."""
+    return os.path.join(cache_root(), "validate", "failures")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ def fuzz(
     schemes: Optional[Sequence[str]] = None,
     ops_count: int = 60,
     inject_faults: bool = False,
-    artifact_dir: str = DEFAULT_ARTIFACT_DIR,
+    artifact_dir: Optional[str] = None,
     config: Optional[SystemConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzReport:
@@ -257,10 +263,13 @@ def fuzz(
     ``inject_faults`` every case also applies one corruption from
     :data:`FAULTS` mid-run (so a clean fuzz run *proves the auditor still
     catches all of them* — any uncaught fault is reported as a failure of
-    the auditor itself).
+    the auditor itself).  Failures persist under ``artifact_dir``, by
+    default :func:`default_artifact_dir`.
     """
     import random as _random
 
+    if artifact_dir is None:
+        artifact_dir = default_artifact_dir()
     if schemes is None:
         from ..core.schemes import SCHEMES
 

@@ -34,6 +34,8 @@ from repro.perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
 from repro.security.obliviousness import AccessRecorder
 from repro.stats import Stats
 
+from tests.tiers import snapshot
+
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
 )
@@ -90,26 +92,7 @@ def _controller(config, ways, seed):
 
 
 def _state(controller):
-    treetop = controller.treetop
-    return (
-        controller.tree._slots.tobytes(),
-        list(controller.tree.level_used),
-        list(controller.stash._entries.items()),
-        controller.stash.peak_occupancy,
-        controller.posmap._leaf_of.tobytes(),
-        controller.posmap.remap_count,
-        controller.path_count,
-        list(controller.dram.bank_ready),
-        list(controller.dram.bank_open_row),
-        list(controller.dram.bus_free),
-        bytes(getattr(treetop, "_set_index", b"")),
-        bytes(getattr(treetop, "_set_count", b"")),
-        sorted(controller.stats.counters.items()),
-        controller.rng.getstate(),
-        [(e.kind, e.cycle, e.data)
-         for e in controller.stats.tracer.memory_events()],
-        controller.observer.records,
-    )
+    return snapshot(controller) + (controller.observer.records,)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,8 @@ from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
 from repro.validate import golden
 
+from tests.tiers import snapshot
+
 ALL_SCHEMES = sorted(SCHEMES)
 KERNEL_SCHEMES = ["Baseline", "IR-Stash", "IR-Alloc", "IR-ORAM"]
 #: uneven chunk sizes so batch boundaries never line up with anything
@@ -52,19 +54,7 @@ def _run_sim(scheme, seed=11, records=200):
 
 
 def _controller_state(controller):
-    stash = controller.stash
-    return (
-        controller.rng.getstate(),
-        # As a list: dict equality ignores order, and the stash's
-        # insertion order is the write phase's pool order.
-        list(stash._entries.items()),
-        stash.peak_occupancy,
-        list(controller.tree.level_used),
-        list(controller.dram.bank_ready),
-        list(controller.dram.bank_open_row),
-        list(controller.dram.bus_free),
-        dict(controller.stats.counters),
-    )
+    return snapshot(controller, ("rng", "stash", "tree", "dram", "counters"))
 
 
 class TestKernelLockstep:

@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import pickle
+import shutil
 import tempfile
 
 import pytest
@@ -207,6 +208,19 @@ class TestCheckpointFormat:
         monkeypatch.setattr(ckpt_mod, "_SALT", "deadbeef" * 8)
         with pytest.raises(CheckpointError, match="different simulator"):
             load_checkpoint(path)
+
+    def test_salt_covers_the_c_kernels(self, tmp_path):
+        """The salt digests every source of the package, so an edit to
+        the C kernels refuses a checkpoint taken before it."""
+        package = os.path.dirname(os.path.dirname(ckpt_mod.__file__))
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert ckpt_mod._salt_of(str(copy)) == ckpt_mod._code_salt()
+        kernels = copy / "perf" / "_fastpath.c"
+        kernels.write_bytes(kernels.read_bytes() + b"\n/* edited */\n")
+        assert ckpt_mod._salt_of(str(copy)) != ckpt_mod._code_salt()
 
     def test_not_a_checkpoint_raises(self, tmp_path):
         path = str(tmp_path / "junk.ckpt")

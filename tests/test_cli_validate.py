@@ -105,6 +105,34 @@ def test_distinguish_cli_smoke(tmp_path, capsys):
     assert "bit-for-bit" in capsys.readouterr().out
 
 
+def test_artifacts_default_to_the_cache_directory(
+    tmp_path, monkeypatch, capsys
+):
+    """Without ``--artifact-dir``, distinguisher verdicts and fuzz
+    failures land under ``REPRO_CACHE_DIR``, resolved when they are
+    written, not in the working directory."""
+    from repro.validate import fuzz as fuzz_mod
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "validate", "--distinguish",
+        "--schemes", "Baseline", "--mutants", "skip-dummies",
+    ]) == 0
+    capsys.readouterr()
+    assert len(os.listdir(cache / "validate" / "distinguish")) == 2
+
+    monkeypatch.setattr(
+        fuzz_mod, "run_case", lambda case, config: "RuntimeError: boom"
+    )
+    report = fuzz_mod.fuzz(1, schemes=["Baseline"], ops_count=4)
+    path = report.failures[0].artifact_path
+    assert os.path.dirname(path) == str(cache / "validate" / "failures")
+    assert os.path.exists(path)
+    assert not os.path.exists(tmp_path / ".repro_cache")
+
+
 def test_replay_reproduces_persisted_artifact(tmp_path, capsys):
     from repro.config import SystemConfig
     from repro.validate import fuzz as fuzz_mod

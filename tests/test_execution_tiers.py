@@ -26,6 +26,7 @@ from repro.sim.runner import make_workload
 from repro.sim.simulator import Simulator
 from repro.stats import Stats
 from tests.conftest import CountingKernels
+from tests.tiers import snapshot
 
 KERNEL = "engine.tier.kernel_paths"
 BATCH = "engine.tier.batch_paths"
@@ -122,11 +123,8 @@ def _run_on(rng):
     trace = make_workload("xal", components.config, 400, 6)
     result = Simulator(components, trace).run()
     controller = components.controller
-    return result, controller, (
-        controller.tree._slots.tobytes(),
-        list(controller.stash._entries.items()),
-        controller.posmap._leaf_of.tobytes(),
-        rng.getstate(),
+    return result, controller, snapshot(
+        controller, ("tree", "stash", "posmap", "rng")
     )
 
 

@@ -24,6 +24,12 @@ mutated and the RNG untouched, and leave no export behind once the state
 is dropped.  ``init_tree`` fills the tree array from the
 position map's and checks its own arguments the same way.
 
+The stash's slab is the one array a state does not hold exported: the
+Python tier appends to it and grows it between calls.  Every entry that
+reads the stash takes it for the call alone and first checks its header
+and entries: more entries in use than slots, more live entries than in
+use, or a block outside the position map raise with nothing touched.
+
 A state keeps what it holds alive and exported for its own lifetime:
 it serves after its controller is gone, a held array refuses to resize
 while it lives, and resizes again once it is dropped.
@@ -39,10 +45,13 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.ir_stash import RESIDENT, SStash
 from repro.oram.controller import PathORAMController
+from repro.oram.stash import LIVE, USED
 from repro.oram.tree import EMPTY, ORAMTree
 from repro.oram.types import PathType, Request, RequestKind
 from repro.perf import native
 from repro.perf.native import SERVED_EXTRACT, SERVED_NONE, SERVED_REMAP
+
+from tests.tiers import PATH, TRANSLATION, snapshot
 
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
@@ -68,16 +77,7 @@ def controller():
 
 
 def _state(controller):
-    return (
-        controller.tree._slots.tobytes(),
-        controller.tree.level_used.tobytes(),
-        controller.posmap._leaf_of.tobytes(),
-        controller.layout.path_table.tobytes(),
-        list(controller.stash._entries.items()),
-        controller.dram.bank_ready.tobytes(),
-        controller.dram.bank_open_row.tobytes(),
-        controller.dram.bus_free.tobytes(),
-    )
+    return snapshot(controller, PATH + ("path_table",))
 
 
 def _assert_no_export(*arrays):
@@ -383,15 +383,7 @@ def test_init_tree_rejects_before_writing(controller, case, error):
 
 
 def _translation_state(controller):
-    plb = controller.plb
-    treetop = controller.treetop
-    return _state(controller) + (
-        plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
-        sorted(controller._limbo), list(controller.internal_queue),
-        treetop._set_index.tobytes(), treetop._set_count.tobytes(),
-        sorted(controller.stats.counters.items()),
-        controller.rng.getstate(),
-    )
+    return snapshot(controller, TRANSLATION + ("path_table",))
 
 
 @pytest.fixture
@@ -520,6 +512,49 @@ def test_malformed_serve_request_raises(translating, case, error):
     with pytest.raises(error):
         controller._native.serve_request(controller._kstate, request, now)
     assert snapshot() == before
+    _drop_state(controller)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("used past its slots", ValueError),
+    ("live past used", ValueError),
+    ("block outside the position map", IndexError),
+])
+@pytest.mark.parametrize("kernel", [
+    "KernelState", "access_path", "run_batch", "translate", "plb_install",
+    "serve_request",
+])
+def test_corrupt_stash_slab_raises_and_touches_nothing(
+    translating, kernel, case, error
+):
+    """Every entry that reads the stash checks its slab's header and
+    entries when it takes the slab, before anything is touched, and
+    leaves no export behind; a state is not built over such a slab."""
+    controller = translating
+    stash = controller.stash
+    slab = stash._slab
+    pm1 = controller.namespace.posmap1_base
+    controller.posmap.discard(pm1)  # installable, were the slab sound
+    if case == "used past its slots":
+        slab[USED] = stash._slots() + 1
+    elif case == "live past used":
+        slab[LIVE] = slab[USED] + 1
+    else:
+        stash.insert(controller.namespace.total_blocks, 0)
+    if kernel == "KernelState":
+        _refused(controller, controller._kernel_state_fields(), error)
+        return
+    before = _translation_state(controller)
+    with pytest.raises(error, match="stash"):
+        if kernel == "serve_request":
+            controller._native.serve_request(
+                controller._kstate, Request(0, RequestKind.READ, 0), 0
+            )
+        else:
+            _call(kernel, controller._kstate,
+                  pm1 if kernel == "plb_install" else 0)
+    assert _translation_state(controller) == before
+    _assert_no_export(slab)
     _drop_state(controller)
 
 

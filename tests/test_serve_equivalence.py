@@ -33,6 +33,7 @@ from repro.oram.types import Request, RequestKind
 from repro.perf import native
 from repro.stats import Stats
 from tests.conftest import CountingKernels
+from tests.tiers import TRANSLATION, snapshot
 
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
@@ -113,34 +114,9 @@ def _slot(result):
 
 
 def _state(controller):
-    treetop = controller.treetop
-    plb = controller.plb
-    stats = controller.stats
-    events = (
-        [(e.kind, e.cycle, e.data) for e in stats.tracer.memory_events()]
-        if stats.tracer is not None else None
-    )
-    return (
-        controller.tree._slots.tobytes(),
-        list(controller.tree.level_used),
-        list(controller.stash._entries.items()),
-        controller.stash.peak_occupancy,
-        controller.posmap._leaf_of.tobytes(),
-        controller.posmap.remap_count,
-        controller.path_count,
-        list(controller.dram.bank_ready),
-        list(controller.dram.bank_open_row),
-        list(controller.dram.bus_free),
-        bytes(getattr(treetop, "_set_index", b"")),
-        bytes(getattr(treetop, "_set_count", b"")),
-        plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
-        sorted(controller._limbo), list(controller.internal_queue),
+    return snapshot(controller, TRANSLATION + ("histograms",)) + (
         [_request_fields(r) for r in controller.queue],
         controller._consecutive_evictions,
-        sorted((k, type(v).__name__, v) for k, v in stats.counters.items()),
-        {key: dict(hist) for key, hist in stats.histograms.items()},
-        controller.rng.getstate(),
-        events,
     )
 
 

@@ -31,6 +31,8 @@ from repro.oram.tree import ORAMTree
 from repro.perf import native
 from repro.stats import Stats
 
+from tests.tiers import snapshot
+
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
 )
@@ -128,18 +130,9 @@ def _built_state(name, seed):
     stats = Stats()
     components = build_scheme(name, config, stats, random.Random(seed))
     controller = components.controller
-    treetop = controller.treetop
-    return controller, (
-        controller.tree._slots.tobytes(),
-        list(controller.tree.level_used),
-        controller.posmap._leaf_of.tobytes(),
-        list(controller.stash._entries.items()),
-        bytes(getattr(treetop, "_set_index", b"")),
-        bytes(getattr(treetop, "_set_count", b"")),
-        stats.get(sk.INIT_OVERFLOW_BLOCKS),
-        sorted(stats.counters.items()),
-        components.rng.getstate(),
-    )
+    return controller, snapshot(
+        controller, ("tree", "posmap", "stash", "sstash", "counters")
+    ) + (stats.get(sk.INIT_OVERFLOW_BLOCKS), components.rng.getstate())
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))

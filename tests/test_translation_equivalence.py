@@ -35,6 +35,8 @@ from repro.oram.controller import PathORAMController
 from repro.perf import native
 from repro.stats import Stats
 
+from tests.tiers import TRANSLATION, snapshot
+
 pytestmark = pytest.mark.skipif(
     native.fastpath is None, reason="native kernels unavailable"
 )
@@ -86,25 +88,8 @@ def _controller(config, ways, seed):
 
 
 def _state(controller):
-    plb = controller.plb
-    treetop = controller.treetop
-    return (
-        plb._blocks.tobytes(), plb._dirty.tobytes(), plb._fills.tobytes(),
-        list(plb.contents().items()),
-        list(controller.stash._entries.items()),
-        controller.stash.peak_occupancy,
-        controller.posmap._leaf_of.tobytes(),
-        controller.posmap.remap_count,
-        controller.tree._slots.tobytes(),
-        list(controller.tree.level_used),
-        bytes(getattr(treetop, "_set_index", b"")),
-        bytes(getattr(treetop, "_set_count", b"")),
-        list(controller.internal_queue),
-        sorted(controller._limbo),
-        sorted(controller.stats.counters.items()),
-        controller.rng.getstate(),
-        [(e.kind, e.cycle, e.data)
-         for e in controller.stats.tracer.memory_events()],
+    return snapshot(controller, TRANSLATION) + (
+        list(controller.plb.contents().items()),
     )
 
 
