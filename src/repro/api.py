@@ -198,6 +198,17 @@ def _audit_options(obs: ObsOptions):
     return obs.audit, (obs.audit_every or None)
 
 
+def _check_run_knobs() -> None:
+    """Parse the knobs every run reads (``REPRO_AUDIT``,
+    ``REPRO_BATCH_SLOTS``) before a fan-out starts a worker pool, so a
+    malformed one raises :class:`ConfigError` here instead of failing in
+    each worker, where the pool would retry it like a crash."""
+    from .sim.simulator import batch_slots
+
+    env_number("REPRO_AUDIT", 0)
+    batch_slots()
+
+
 def _build_tracer(obs: ObsOptions) -> Optional[Tracer]:
     if not obs.tracing:
         return None
@@ -367,6 +378,7 @@ def run_many(
     specs = list(specs)
     if jobs is None:
         jobs = max((spec.jobs for spec in specs), default=1)
+    _check_run_knobs()
     return engine_map(run_spec_warm, specs, jobs=jobs, cost=spec_cost)
 
 
@@ -466,6 +478,7 @@ def run_campaign(
         for index, (key, spec) in enumerate(zip(keys, specs))
         if not journal.done(key)
     ]
+    _check_run_knobs()
     fresh = engine_map(
         run_spec_warm, [spec for _, spec in todo], jobs=jobs, cost=spec_cost
     )

@@ -84,6 +84,11 @@ class Processor:
     def trace_exhausted(self) -> bool:
         return self._index >= len(self.trace.records)
 
+    def blocked(self) -> bool:
+        """Whether an outstanding queue stops issue: :meth:`advance_to`
+        then only books a block event until a completion arrives."""
+        return self._blocking_queue() is not None
+
     def outstanding_reads(self) -> int:
         return len(self._reads)
 

@@ -24,15 +24,21 @@ holds for every scheme; the test suite asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from array import array
+from dataclasses import dataclass
+from typing import Dict
 
 from ..oram.types import PathType
 
+#: A path type's code in the recorded timeline: its index in
+#: ``PathType``, as the C kernels' slot drain records it too.
+PATH_CODES = {path_type.value: code for code, path_type in enumerate(PathType)}
 #: path types folded into the "dummy" bucket (timing-defense filler slots)
-_DATA_TYPE = PathType.DATA.value
-_DUMMY_TYPES = (PathType.DUMMY.value, PathType.DWB.value)
-_POSMAP_TYPES = (PathType.POS1.value, PathType.POS2.value)
+_DATA_CODE = PATH_CODES[PathType.DATA.value]
+_DUMMY_CODES = (PATH_CODES[PathType.DUMMY.value],
+                PATH_CODES[PathType.DWB.value])
+_POSMAP_CODES = (PATH_CODES[PathType.POS1.value],
+                 PATH_CODES[PathType.POS2.value])
 
 
 @dataclass
@@ -101,8 +107,9 @@ class CycleAttribution:
     """
 
     def __init__(self) -> None:
-        self._types: List[str] = []
-        self._bounds: List[int] = []  # flat [start, fr, fw, stall_until, ...]
+        #: flat [type code, start, finish_read, finish_write, stall_until,
+        #: ...], one group of five per path
+        self._records = array("q")
 
     def on_path(
         self,
@@ -112,8 +119,16 @@ class CycleAttribution:
         finish_write: int,
         stall_until: int,
     ) -> None:
-        self._types.append(path_type)
-        self._bounds.extend((start, finish_read, finish_write, stall_until))
+        """Record one path; ``path_type`` is a ``PathType`` value."""
+        self._records.extend(
+            (PATH_CODES[path_type], start, finish_read, finish_write,
+             stall_until)
+        )
+
+    def on_paths(self, records: "array[int]") -> None:
+        """Record paths already in the flat five-per-path layout, with
+        :data:`PATH_CODES` codes (the slot drain's records)."""
+        self._records.extend(records)
 
     def finalize(self, cycles: int) -> CycleBreakdown:
         """Clip the recorded timeline to ``[0, cycles]`` and bucket it.
@@ -123,20 +138,20 @@ class CycleAttribution:
         ``stall_until`` and idle after it.  One pass with local sums: it
         runs once per path of the run.
         """
-        bounds = self._bounds
+        records = self._records
         data = posmap = dummy = eviction = (0, 0)
         sums = {}
         stall = idle = 0
         cursor = stall_until = 0
-        base = 0
-        for path_type in self._types:
-            start = bounds[base]
+        for base in range(0, len(records), 5):
+            code = records[base]
+            start = records[base + 1]
             if start > cycles:
                 start = cycles
-            finish_read = bounds[base + 1]
+            finish_read = records[base + 2]
             if finish_read > cycles:
                 finish_read = cycles
-            finish_write = bounds[base + 2]
+            finish_write = records[base + 3]
             if finish_write > cycles:
                 finish_write = cycles
             if start > cursor:
@@ -145,25 +160,24 @@ class CycleAttribution:
                     stall += stall_end - cursor
                     cursor = stall_end
                 idle += start - cursor
-            read, write = sums.get(path_type, (0, 0))
-            sums[path_type] = (
+            read, write = sums.get(code, (0, 0))
+            sums[code] = (
                 read + finish_read - start, write + finish_write - finish_read
             )
             cursor = finish_write
-            stall_until = bounds[base + 3]
-            base += 4
+            stall_until = records[base + 4]
         if cycles > cursor:
             stall_end = stall_until if stall_until < cycles else cycles
             if stall_end > cursor:
                 stall += stall_end - cursor
                 cursor = stall_end
             idle += cycles - cursor
-        for path_type, (read, write) in sums.items():
-            if path_type == _DATA_TYPE:
+        for code, (read, write) in sums.items():
+            if code == _DATA_CODE:
                 data = (data[0] + read, data[1] + write)
-            elif path_type in _POSMAP_TYPES:
+            elif code in _POSMAP_CODES:
                 posmap = (posmap[0] + read, posmap[1] + write)
-            elif path_type in _DUMMY_TYPES:
+            elif code in _DUMMY_CODES:
                 dummy = (dummy[0] + read, dummy[1] + write)
             else:  # eviction
                 eviction = (eviction[0] + read, eviction[1] + write)

@@ -40,9 +40,11 @@ from ..mem.dram import DRAMModel
 from ..mem.layout import TreeLayout
 from ..obs import events as ev
 from ..perf.native import (
-    SERVE_BLOCKED,
-    SERVE_FETCH,
-    SERVE_INSTANT,
+    DRAIN_DUMMY,
+    DRAIN_IDLE,
+    DUMMIES_CALLER,
+    DUMMIES_KERNEL,
+    DUMMIES_NONE,
     SERVED_EXTRACT,
     SERVED_NONE,
     SERVED_REMAP,
@@ -77,11 +79,10 @@ _MEM_BLOCKS_KEY = {pt: sk.mem_blocks_key(pt) for pt in PathType}
 MAX_CONSECUTIVE_EVICTIONS = 50
 
 #: The path types and request kinds as the kernel state lists them
-#: (``native.counter_keys`` follows the same path-type order).
-_KERNEL_PATH_TYPES = (
-    PathType.DATA, PathType.POS1, PathType.POS2, PathType.DUMMY,
-    PathType.EVICTION, PathType.DWB,
-)
+#: (``native.counter_keys`` follows the same order).  The kernels take
+#: DATA, POS1, POS2, DUMMY and EVICTION first, as ``PathType`` declares
+#: them; a drained path's type code is its index, as in CycleAttribution.
+_KERNEL_PATH_TYPES = tuple(PathType)
 _KERNEL_COUNTER_KEYS = counter_keys(_KERNEL_PATH_TYPES)
 _REQUEST_KINDS = (
     RequestKind.READ, RequestKind.WRITEBACK, RequestKind.REINSERT,
@@ -99,18 +100,14 @@ class SlotResult:
     finish_write: int
     completions: List[Request] = field(default_factory=list)
 
-    @property
-    def finish(self) -> int:
-        return self.finish_write
-
 
 class PathORAMController:
     """Freecursive Path ORAM controller with pluggable IR-ORAM extensions."""
 
-    #: Whether :meth:`run_dummy_batch` may use the native whole-batch
-    #: kernel.  Subclasses that override the per-path protocol (Rho's
-    #: two-tree scheduling, Palermo-style decoupling) must set this False
-    #: so batches fall back to per-slot stepping through their overrides.
+    #: Whether :meth:`run_dummy_batch` and the slot drain may run dummy
+    #: paths in the kernel.  Subclasses that override the per-path
+    #: protocol (Rho's two-tree scheduling, Palermo-style decoupling) must
+    #: set this False so dummies run through their overrides.
     SUPPORTS_NATIVE_BATCH = True
 
     def __init__(
@@ -215,11 +212,11 @@ class PathORAMController:
         setting :attr:`track_migration`, and the mutants' instance
         ``posmap.remap``.  Besides the tier it keeps whether the write
         burst is the stock one (Palermo-style deferral replaces it) and
-        whether an untraced slot may run in one ``serve_request`` call:
-        the kernel tier, the stock burst, and none of the slot methods
-        that call replaces overridden by a subclass or an instance.
-        Class-level timing wrappers on this class (perfbench's traced
-        mode) leave both on.
+        whether untraced slots may run in the ``drain_slots`` kernel
+        (:meth:`drain_slots`): the kernel tier, the stock burst, and none
+        of the slot methods the drain replaces overridden by a subclass
+        or an instance.  Class-level timing wrappers on this class
+        (perfbench's traced mode) leave both on.
         """
         self._tier = self._kernel_tier()
         self._write_burst = (
@@ -294,8 +291,9 @@ class PathORAMController:
                 ways=0,
             )
         namespace = self.namespace
+        oram = self.oram
         return dict(
-            leaves=self.oram.leaves,
+            leaves=oram.leaves,
             z_per_level=self.oram.z_per_level,
             top=self.oram.top_cached_levels,
             tree_slots=self.tree._slots,
@@ -342,6 +340,10 @@ class PathORAMController:
             background_eviction=self.oram.allow_background_eviction,
             delayed_remap=self.delayed_remap,
             onchip_latency=ONCHIP_LATENCY,
+            requests=self.queue,
+            issue_interval=oram.issue_interval,
+            timing_protection=oram.timing_protection,
+            max_evictions=MAX_CONSECUTIVE_EVICTIONS,
         )
 
     # ------------------------------------------------------------------
@@ -405,14 +407,6 @@ class PathORAMController:
                 write=bool(request.is_write),
             )
 
-    def has_pending_work(self, now: int) -> bool:
-        """Real (non-dummy) work the controller could do at time ``now``."""
-        if self.internal_queue:
-            return True
-        if self.stash.over_threshold(self.oram.eviction_threshold):
-            return True
-        return bool(self.queue) and self.queue[0].arrival <= now
-
     def has_any_real_work(self) -> bool:
         return bool(self.queue) or bool(self.internal_queue)
 
@@ -431,82 +425,79 @@ class PathORAMController:
         defense is active and ``allow_dummy``) an IR-DWB conversion or a
         plain dummy path.  Returns ``None`` when there is nothing to do.
 
-        Untraced and unobserved, the kernel tier serves the head requests
-        through ``serve_request`` (:meth:`_serve_slot`); the Python
-        methods below it stay the oracle, and run every traced slot with
-        the kernels doing each path access and translation.
+        Untraced and unobserved, a serve-tier controller runs the slot as
+        a one-slot :meth:`drain_slots` call; the Python methods below
+        stay the oracle, and run every traced slot with the kernels doing
+        each path access and translation.
         """
-        if self.internal_queue:
-            self._drain_posmap_reinserts()
-        if (
-            self._serve
-            and self.stats.tracer is None
-            and self.observer is None
-        ):
-            completions, result = self._serve_slot(now)
+        if self._serve and self.stats.tracer is None and self.observer is None:
+            completions, records, _, _, idle = self.drain_slots(
+                now, 1, allow_dummy=allow_dummy
+            )
+            if idle:
+                return None
+            result = SlotResult(False, None, now, now, now, completions)
+            if records:
+                result = SlotResult(True, _KERNEL_PATH_TYPES[records[0]],
+                                    *records[1:4], completions)
         else:
+            if self.internal_queue:
+                self._drain_posmap_reinserts()
             completions = self._drain_instant(now)
             result = self._issue_priority_path(now)
-        if result is None and allow_dummy and self.oram.timing_protection:
-            result = self._dummy_slot(now)
-
-        if result is not None:
-            result.completions = completions + result.completions
-        elif completions:
-            result = SlotResult(
-                issued_path=False,
-                path_type=None,
-                start=now,
-                finish_read=now,
-                finish_write=now,
-                completions=completions,
-            )
-        else:
-            return None
+            if result is None and allow_dummy and self.oram.timing_protection:
+                result = self._dummy_slot(now)
+            if result is not None:
+                result.completions = completions + result.completions
+            elif completions:
+                result = SlotResult(False, None, now, now, now, completions)
+            else:
+                return None
         observer = self.slot_observer
         if observer is not None:
             observer(result)
         return result
 
-    def _serve_slot(
-        self, now: int
-    ) -> Tuple[List[Request], Optional[SlotResult]]:
-        """:meth:`_drain_instant` then :meth:`_issue_priority_path`, with
-        each arrived head request's share of the slot in one
-        ``serve_request`` call: its on-chip probes and, unless a
-        victim-buffer entry or background eviction comes first, its
-        PosMap fetch or data path.  The call books every counter and
-        updates the request; this builds the slot's result.
+    def drain_slots(
+        self, now: int, cap: int, horizon: int = -1, allow_dummy: bool = True
+    ) -> Tuple[List[Request], "array[int]", int, int, bool]:
+        """Run up to ``cap`` issue slots from ``now`` in one ``drain_slots``
+        kernel call, as :meth:`step` would run them one by one, the clock
+        advanced between them as the simulator's loop advances it
+        (serve tier only, untraced and unobserved).
+
+        The kernel stops before ``horizon`` (-1: none), after a slot that
+        completes a READ-kind request and after an idle slot.  It runs
+        dummy paths itself unless IR-DWB may convert them: then it stops
+        at the dummy slot, which :meth:`_dummy_slot` fills here.  Returns
+        the completed requests, an ``array('q')`` of (path type code,
+        start, finish_read, finish_write, stall_until) per issued path
+        (:meth:`CycleAttribution.on_paths`), the next slot's cycle, the
+        slots run, and whether the last was idle (``step`` gives None).
         """
-        queue = self.queue
-        serve = self._native.serve_request
-        state = self._kstate
-        completions: List[Request] = []
-        while queue and queue[0].arrival <= now:
-            request = queue[0]
-            try:
-                status, path_type, finish_read, finish_write = serve(
-                    state, request, now
-                )
-            except RuntimeError as exc:
-                raise ProtocolError(str(exc)) from None
-            if status == SERVE_INSTANT:
-                queue.popleft()
-                completions.append(request)
-                continue
-            if status == SERVE_BLOCKED:
-                break
-            self._consecutive_evictions = 0
-            if status == SERVE_FETCH:
-                return completions, SlotResult(
-                    True, path_type, now, finish_read, finish_write
-                )
-            queue.popleft()
-            return completions, SlotResult(
-                path_type is not None, path_type, now, finish_read,
-                finish_write, [request],
+        if not (allow_dummy and self.oram.timing_protection):
+            dummies = DUMMIES_NONE
+        elif self.dwb is None and self.SUPPORTS_NATIVE_BATCH:
+            dummies = DUMMIES_KERNEL
+        else:
+            dummies = DUMMIES_CALLER
+        try:
+            (completions, records, now, slots, stop,
+             self._consecutive_evictions) = self._native.drain_slots(
+                self._kstate, now, cap, horizon, dummies,
+                self._consecutive_evictions,
             )
-        return completions, self._issue_priority_path(now)
+        except RuntimeError as exc:
+            raise ProtocolError(str(exc)) from None
+        if stop == DRAIN_DUMMY:
+            result = self._dummy_slot(now)
+            stall_until = now + self.oram.issue_interval
+            records.extend((
+                _KERNEL_PATH_TYPES.index(result.path_type), result.start,
+                result.finish_read, result.finish_write, stall_until,
+            ))
+            now = max(stall_until, result.finish_write)
+        return completions, records, now, slots, stop == DRAIN_IDLE
 
     def _issue_priority_path(self, now: int) -> Optional[SlotResult]:
         if self.internal_queue:
@@ -636,14 +627,18 @@ class PathORAMController:
 
     def _finish_reinsert(self, request: Request, now: int) -> None:
         """LLC-D: an evicted LLC line rejoins the tree via the stash."""
-        block = request.block
+        self._restore_to_stash(request.block)
+        request.completion = now + ONCHIP_LATENCY
+        self.stats.inc(sk.SERVE_REINSERTS)
+
+    def _restore_to_stash(self, block: int) -> None:
+        """An unmapped block re-enters the ORAM: a fresh leaf, its parent
+        PosMap block dirtied in the PLB, and a stash entry."""
         leaf = self.posmap.restore(block)
         parent = self.namespace.parent_block(block)
         if parent is not None:
             self.plb.mark_dirty(parent)
         self.stash.add(block, leaf)
-        request.completion = now + ONCHIP_LATENCY
-        self.stats.inc(sk.SERVE_REINSERTS)
 
     # ------------------------------------------------------------------
     # translation (PosMap / PLB)
@@ -1198,11 +1193,7 @@ class PathORAMController:
             self._limbo.add(pm_block)
             self.stats.inc(sk.PLB_DEFERRED_REINSERTS)
             return
-        leaf = self.posmap.restore(pm_block)
-        parent = self.namespace.parent_block(pm_block)
-        if parent is not None:
-            self.plb.mark_dirty(parent)
-        self.stash.add(pm_block, leaf)
+        self._restore_to_stash(pm_block)
         self.stats.inc(sk.PLB_REINSERTS)
 
     def _drain_posmap_reinserts(self) -> None:
@@ -1215,11 +1206,7 @@ class PathORAMController:
                 self.internal_queue.append(pm_block)
                 self._limbo.add(pm_block)
             else:
-                leaf = self.posmap.restore(pm_block)
-                parent = self.namespace.parent_block(pm_block)
-                if parent is not None:
-                    self.plb.mark_dirty(parent)
-                self.stash.add(pm_block, leaf)
+                self._restore_to_stash(pm_block)
                 self.stats.inc(sk.PLB_REINSERTS)
 
     # ------------------------------------------------------------------
@@ -1409,13 +1396,14 @@ _STOCK_PHASES = tuple(
 )
 _STOCK_WRITEBACK = vars(PathORAMController)["_writeback_path"]
 
-#: The slot methods one ``serve_request`` call replaces; a subclass or
+#: The slot methods the ``drain_slots`` kernel replaces; a subclass or
 #: instance that overrides any of them steps through them instead.
 _SERVE_METHODS = (
-    "_drain_instant", "_try_instant", "_serve_stash_hit",
-    "_serve_treetop_hit_by_address", "_serve_treetop_hit",
-    "_find_in_treetop", "_remove_from_treetop", "_finish_reinsert",
-    "_translation_chain", "_count_translation", "_issue_priority_path",
+    "step", "_drain_posmap_reinserts", "_drain_instant", "_try_instant",
+    "_serve_stash_hit", "_serve_treetop_hit_by_address",
+    "_serve_treetop_hit", "_find_in_treetop", "_remove_from_treetop",
+    "_finish_reinsert", "_translation_chain", "_count_translation",
+    "_issue_priority_path", "_step_posmap_writeback", "_eviction_path",
     "_step_request", "full_access", "fetch_posmap_block", "_access",
-    "_kernel_access",
+    "_kernel_access", "_dummy_slot", "dummy_path",
 )

@@ -174,11 +174,7 @@ class PyramidController(PathORAMController):
                 break
             self.main_insert_queue.popleft()
             self._pending_main_insert.discard(block)
-            leaf = self.posmap.restore(block)
-            parent = self.namespace.parent_block(block)
-            if parent is not None:
-                self.plb.mark_dirty(parent)
-            self.stash.add(block, leaf)
+            self._restore_to_stash(block)
             self.stats.inc(sk.PYRAMID_MAIN_REINSERTS)
         return []
 

@@ -293,6 +293,9 @@ enum CounterKey {
     K_SERVE_STASH_HITS, K_SERVE_SSTASH_HITS, K_SERVE_TREETOP_HITS,
     K_SERVE_REINSERTS, K_TRANSLATIONS, K_MISS_FETCHES, K_POSMAP_ACCESSES,
     K_WRITEBACK_PATHS,
+    /* a slot's priority paths */
+    K_POSMAP_WRITEBACK_PATHS, K_EVICTION_PATHS, K_EVICTION_CYCLES,
+    K_EVICTION_STORM_YIELDS,
     /* the stats histogram keyed by where a read was served */
     K_HIT_LEVEL,
     /* the controller's batch_counters (ints) */
@@ -300,9 +303,9 @@ enum CounterKey {
     K_COUNT
 };
 
-/* What the kernels book a path of the first four path types in a
+/* What the kernels book a path of the first five path types in a
  * state's ``path_types`` as. */
-enum { PT_DATA, PT_POS1, PT_POS2, PT_DUMMY, PT_ROLES };
+enum { PT_DATA, PT_POS1, PT_POS2, PT_DUMMY, PT_EVICTION, PT_ROLES };
 #define MAX_PATH_TYPES 16
 
 /* A request's kind, by its place in the state's ``request_kinds``. */
@@ -338,7 +341,8 @@ enum {
  *             counters, counter_keys, stash, posmap, path_types,
  *             request_kinds, histograms, batch_counters, path_count,
  *             eviction_threshold, background_eviction, delayed_remap,
- *             onchip_latency)
+ *             onchip_latency, requests, issue_interval,
+ *             timing_protection, max_evictions)
  *
  * One controller's state as every kernel entry but dram_service and the
  * setup entries reads it, built once per controller:
@@ -362,8 +366,9 @@ enum {
  *                               kernels book (CounterKey)
  *   stash, posmap               the Stash, whose slab the kernels index,
  *                               and the PositionMap (remap_count)
- *   path_types                  every PathType, DATA, POS1, POS2 and
- *                               DUMMY first, in counter_keys' order
+ *   path_types                  every PathType, DATA, POS1, POS2, DUMMY
+ *                               and EVICTION first, in counter_keys'
+ *                               order
  *   request_kinds               RequestKind READ, WRITEBACK, REINSERT
  *   histograms, batch_counters  the stats histograms and the
  *                               controller's engine.* counts
@@ -373,6 +378,11 @@ enum {
  *   background_eviction         background-eviction switch
  *   delayed_remap               LLC-D: reads leave the ORAM
  *   onchip_latency              the latency of an on-chip serve
+ *   requests                    the controller's request queue, a deque
+ *   issue_interval,             the slot interval T and whether the
+ *   timing_protection           timing defense is on
+ *   max_evictions               back-to-back eviction slots before a
+ *                               waiting request is let through
  *
  * The arrays stay exported for the state's lifetime, so nothing can
  * resize them under the kernels (their items stay writable: the Python
@@ -395,7 +405,7 @@ enum {
 typedef struct {
     PyObject_HEAD
     PyObject *slab, *limbo, *queue, *counters, *keys, *stash, *posmap,
-        *path_types, *histograms, *batch;
+        *path_types, *histograms, *batch, *requests;
     PyObject *kinds[N_KINDS];
     Draws rng;  /* getrandbits owned */
     Py_buffer bufs[N_BUFS];
@@ -408,8 +418,9 @@ typedef struct {
     Py_ssize_t n_types;  /* len(path_types) */
     long long leaves, levels, top, sets, ways;
     int gated;  /* tree-top mode 1: S-Stash set gating and release */
-    int background_eviction, delayed_remap;
-    long long eviction_threshold, onchip_latency;
+    int background_eviction, delayed_remap, timing_protection;
+    long long eviction_threshold, onchip_latency, issue_interval,
+        max_evictions;
     DramTiming dram;
     long long row_blocks, channels, banks_per_channel;
     long long path_blocks;  /* memory-backed slots on every path */
@@ -495,8 +506,8 @@ check_path_table(KernelState *c, Py_ssize_t len)
 
 /* Interned attribute and method names, histogram buckets and the int 1,
  * set at module init. */
-static PyObject *str_append, *str_note_peak, *str_slab,
-    *str_remap_count, *str_block, *str_kind, *str_completion,
+static PyObject *str_append, *str_popleft, *str_note_peak, *str_slab,
+    *str_remap_count, *str_block, *str_kind, *str_arrival, *str_completion,
     *str_paths_used, *str_translation_counted, *str_stash, *str_sstash,
     *int_one;
 
@@ -653,6 +664,7 @@ state_dealloc(KernelState *s)
     Py_XDECREF(s->path_types);
     Py_XDECREF(s->histograms);
     Py_XDECREF(s->batch);
+    Py_XDECREF(s->requests);
     for (int i = 0; i < N_KINDS; i++)
         Py_XDECREF(s->kinds[i]);
     Py_XDECREF(s->rng.getrandbits);
@@ -676,6 +688,7 @@ state_traverse(KernelState *s, visitproc visit, void *arg)
     Py_VISIT(s->path_types);
     Py_VISIT(s->histograms);
     Py_VISIT(s->batch);
+    Py_VISIT(s->requests);
     for (int i = 0; i < N_KINDS; i++)
         Py_VISIT(s->kinds[i]);
     Py_VISIT(s->rng.getrandbits);
@@ -700,7 +713,9 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         "limbo", "internal_queue", "counters", "counter_keys", "stash",
         "posmap", "path_types", "request_kinds", "histograms",
         "batch_counters", "path_count", "eviction_threshold",
-        "background_eviction", "delayed_remap", "onchip_latency", NULL,
+        "background_eviction", "delayed_remap", "onchip_latency",
+        "requests", "issue_interval", "timing_protection", "max_evictions",
+        NULL,
     };
     static const char *names[N_BUFS] = {
         "tree_slots", "level_used", "leaf_table", "path_table",
@@ -712,12 +727,12 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     PyObject *z_obj, *arrays[N_BUFS], *getrandbits, *limbo,
         *queue, *counters, *keys, *stash, *posmap, *path_types,
-        *kinds[N_KINDS], *histograms, *batch;
+        *kinds[N_KINDS], *histograms, *batch, *requests;
     long long mode;
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds,
             "LOLOOOOOOO(LLLLLLLL)LOOLLOOOOL(LLLL)O!OO!O!OO"
-            "O!(OOO)OO!OLppL:KernelState",
+            "O!(OOO)OO!OLppLOLpL:KernelState",
             kwlist, &s->leaves, &z_obj, &s->top, &arrays[BUF_TREE],
             &arrays[BUF_USED], &arrays[BUF_LEAF], &arrays[BUF_PATH],
             &arrays[BUF_READY], &arrays[BUF_OPEN_ROW], &arrays[BUF_BUS_FREE], &s->dram.ratio, &s->dram.t_rp,
@@ -732,7 +747,8 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &kinds[KIND_WRITEBACK], &kinds[KIND_REINSERT], &histograms,
             &PyDict_Type, &batch, &arrays[BUF_PATH_COUNT],
             &s->eviction_threshold, &s->background_eviction,
-            &s->delayed_remap, &s->onchip_latency))
+            &s->delayed_remap, &s->onchip_latency, &requests,
+            &s->issue_interval, &s->timing_protection, &s->max_evictions))
         goto fail;
     s->limbo = Py_NewRef(limbo);
     s->queue = Py_NewRef(queue);
@@ -743,6 +759,7 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->path_types = Py_NewRef(path_types);
     s->histograms = Py_NewRef(histograms);
     s->batch = Py_NewRef(batch);
+    s->requests = Py_NewRef(requests);
     for (int i = 0; i < N_KINDS; i++)
         s->kinds[i] = Py_NewRef(kinds[i]);
     s->rng.getrandbits = Py_NewRef(getrandbits);
@@ -763,7 +780,8 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                         "counter_keys must name every kernel counter");
         goto fail;
     }
-    if (s->eviction_threshold < 0 || s->onchip_latency < 0) {
+    if (s->eviction_threshold < 0 || s->onchip_latency < 0 ||
+        s->issue_interval < 0 || s->max_evictions < 0) {
         PyErr_SetString(PyExc_ValueError, "negative slot parameter");
         goto fail;
     }
@@ -1681,26 +1699,86 @@ access_path(PyObject *self, PyObject *args)
 /* Whole-run batch stepping                                          */
 /* ---------------------------------------------------------------- */
 
+/* The dummy paths one call ran, booked together when it returns: their
+ * count, the eviction triggers after their write phases, their summed row
+ * hits and conflicts, and their tree-top hook counts (book_paths' order).
+ */
+typedef struct {
+    long long n, triggers, hooks[5];
+    PathOut out;
+} DummyTally;
+
+/* One dummy path at ``now``, the loop body run_batch and drain_slots
+ * share: a leaf draw (randbelow) and path_access, as
+ * PathORAMController.dummy_path, with its stash peak raised and its
+ * counts added to ``t``; stash occupancy over ``trigger_threshold``
+ * after the write phase counts an eviction trigger.  ``t->out`` holds
+ * its finishes.  Returns 0, or -1 with an exception set.
+ */
+static int
+dummy_path(KernelState *c, long long now, long long trigger_threshold,
+           DummyTally *t)
+{
+    long long leaf;
+    reset_hooks(c);
+    if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
+        path_access(c, leaf, now, EMPTY, SERVED_NONE, 1, &t->out) < 0)
+        return -1;
+    raise_peak(c, t->out.occupancy);
+    if (c->hdr[SLAB_LIVE] > trigger_threshold)
+        t->triggers++;
+    long long hooks[5] = {
+        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
+        c->ss_skips,
+    };
+    for (int h = 0; h < 5; h++)
+        t->hooks[h] += hooks[h];
+    t->n++;
+    return 0;
+}
+
+/* Book the tallied dummy paths as an untraced batch always has: the
+ * dummy-path and hook counters, both bursts' DRAM counts, the blocks
+ * written and the eviction triggers.  The engine counts are the
+ * caller's.  Returns 0, or -1 with an exception set.
+ */
+static int
+book_dummies(KernelState *c, const DummyTally *t)
+{
+    long long blocks = t->n * c->path_blocks;
+    if (!t->n)
+        return 0;
+    c->placed_top = t->hooks[0];
+    c->removed_top = t->hooks[1];
+    c->ss_placed = t->hooks[2];
+    c->ss_removed = t->hooks[3];
+    c->ss_skips = t->hooks[4];
+    return book_paths(c, PT_DUMMY, t->n, blocks) < 0 ||
+           book_burst(c, blocks, 0, t->out.read_hits + t->out.write_hits,
+                      t->out.read_conflicts + t->out.write_conflicts) < 0 ||
+           book_burst(c, blocks, 1, 0, 0) < 0 ||
+           add_count(c, K_BLOCKS_WRITTEN, blocks) < 0 ||
+           (t->triggers &&
+            add_count(c, K_EVICTION_TRIGGERS, t->triggers) < 0) ? -1 : 0;
+}
+
 /* run_batch(state, now, interval, max_paths, horizon, stop_threshold,
  *           trigger_threshold, want_bounds)
  *   -> (n, now, bounds | None)
  *
- * Execute up to ``max_paths`` whole dummy-path accesses — an RNG leaf
- * draw (randbelow) and path_access — without returning to the
- * interpreter between paths.  Each iteration is bit-identical to
- * PathORAMController.dummy_path followed by ``now = max(now + interval,
- * finish_write)``.  The batch stops early at ``horizon`` (next real work
- * item, -1 = none), or as soon as the stash is over ``stop_threshold``
- * (-1 = never), so every slot-boundary decision the per-access loop
- * would have made stays identical.  Stash occupancy is compared against
- * ``trigger_threshold`` after every write phase to count eviction
- * triggers.
+ * Execute up to ``max_paths`` whole dummy-path accesses (dummy_path)
+ * without returning to the interpreter between paths.  Each iteration is
+ * bit-identical to PathORAMController.dummy_path followed by ``now =
+ * max(now + interval, finish_write)``.  The batch stops early at
+ * ``horizon`` (next real work item, -1 = none), or as soon as the stash
+ * is over ``stop_threshold`` (-1 = never), so every slot-boundary
+ * decision the per-access loop would have made stays identical.
+ * Stash occupancy is compared against ``trigger_threshold`` after every
+ * write phase to count eviction triggers.
  *
- * A batch that ran paths books them in aggregate, as an untraced batch
- * always has: the stash peak, the dummy-path and hook counters, both
- * bursts' DRAM counts and the eviction triggers; every call counts
- * engine.batch.calls and engine.batch.paths.  ``bounds`` is a flat
- * [start, finish_read, finish_write, ...] list when requested.
+ * A batch that ran paths books them in aggregate (book_dummies); every
+ * call counts engine.batch.calls and engine.batch.paths.  ``bounds`` is a
+ * flat [start, finish_read, finish_write, ...] list when requested.
  */
 static PyObject *
 run_batch(PyObject *self, PyObject *args)
@@ -1723,29 +1801,19 @@ run_batch(PyObject *self, PyObject *args)
         return NULL;
     if (slab_open(c) < 0)
         goto fail;
-    reset_hooks(c);
 
-    long long n = 0;
-    long long max_occ = 0;
-    long long ev_triggers = 0;
-    PathOut out;
-    memset(&out, 0, sizeof out);
-
-    while (n < max_paths) {
+    DummyTally tally;
+    memset(&tally, 0, sizeof tally);
+    while (tally.n < max_paths) {
         if (horizon >= 0 && now >= horizon)
             break;
         if (stop_threshold >= 0 && c->hdr[SLAB_LIVE] > stop_threshold)
             break;
-        long long leaf;
-        if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
-            path_access(c, leaf, now, EMPTY, SERVED_NONE, 1, &out) < 0)
+        if (dummy_path(c, now, trigger_threshold, &tally) < 0)
             goto fail;
-        if (out.occupancy > max_occ)
-            max_occ = out.occupancy;
-        if (c->hdr[SLAB_LIVE] > trigger_threshold)
-            ev_triggers++;
         if (want_bounds) {
-            long long triple[3] = {now, out.finish_read, out.finish_write};
+            long long triple[3] = {now, tally.out.finish_read,
+                                   tally.out.finish_write};
             for (int b = 0; b < 3; b++) {
                 PyObject *value = PyLong_FromLongLong(triple[b]);
                 if (value == NULL || PyList_Append(bounds, value) < 0) {
@@ -1756,27 +1824,17 @@ run_batch(PyObject *self, PyObject *args)
             }
         }
         long long next_now = now + interval;
-        now = out.finish_write > next_now ? out.finish_write : next_now;
-        n++;
+        now = tally.out.finish_write > next_now ? tally.out.finish_write
+                                                : next_now;
     }
-
-    long long blocks = n * c->path_blocks;
-    raise_peak(c, max_occ);
-    if (n && (book_paths(c, PT_DUMMY, n, blocks) < 0 ||
-              book_burst(c, blocks, 0, out.read_hits + out.write_hits,
-                         out.read_conflicts + out.write_conflicts) < 0 ||
-              book_burst(c, blocks, 1, 0, 0) < 0 ||
-              add_count(c, K_BLOCKS_WRITTEN, blocks) < 0 ||
-              (ev_triggers &&
-               add_count(c, K_EVICTION_TRIGGERS, ev_triggers) < 0)))
-        goto fail;
-    if (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
-        add_engine(c, K_BATCH_PATHS, n) < 0)
+    if (book_dummies(c, &tally) < 0 ||
+        add_engine(c, K_BATCH_CALLS, 1) < 0 ||
+        add_engine(c, K_BATCH_PATHS, tally.n) < 0)
         goto fail;
     slab_close(c);
     if (bounds == NULL)
         bounds = Py_NewRef(Py_None);
-    return Py_BuildValue("(LLN)", n, now, bounds);
+    return Py_BuildValue("(LLN)", tally.n, now, bounds);
 
 fail:
     slab_close(c);
@@ -2428,6 +2486,40 @@ serve_data(KernelState *c, PyObject *request, long long block, int reading,
     return rc;
 }
 
+/* Controller._step_request for the head request, over a checked block
+ * and kind: the chain walk, then the first missing PosMap block's fetch
+ * (SERVE_FETCH), an LLC-D re-insert or a tree-top hit when translation
+ * is free (SERVE_ONCHIP), or the request's data path (SERVE_DATA).
+ * Returns the status, or -1 with an exception set; a path access fills
+ * ``out`` and sets ``*pt`` to its path type. */
+static int
+step_request(KernelState *c, PyObject *request, long long block, int kind,
+             long long now, PathOut *out, Py_ssize_t *pt)
+{
+    int reading = kind == KIND_READ;
+    long long chain[2];
+    int n, rc;
+    if (walk(c, block, chain, &n) < 0)
+        return -1;
+    if (n)
+        return bump(c, K_MISS_FETCHES) < 0 ||
+               fetch_posmap(c, chain[0], now, out, pt) < 0
+            ? -1 : SERVE_FETCH;
+    if (count_translation(c, request) < 0)
+        return -1;
+    if (kind == KIND_REINSERT)
+        return finish_reinsert(c, request, block, now) < 0
+            ? -1 : SERVE_ONCHIP;
+    rc = treetop_hit(c, request, block, reading, now);
+    if (rc != 0)
+        return rc < 0 ? -1 : SERVE_ONCHIP;
+    if (kind == KIND_WRITEBACK && bump(c, K_WRITEBACK_PATHS) < 0)
+        return -1;
+    *pt = PT_DATA;
+    return serve_data(c, request, block, reading, now, out) < 0
+        ? -1 : SERVE_DATA;
+}
+
 /* The head request's slot (see serve_request), over a checked block and
  * kind.  Returns a SERVE_* status, or -1 with an exception set; a path
  * access fills ``out`` and sets ``*pt`` to its path type. */
@@ -2475,27 +2567,38 @@ serve_slot(KernelState *c, PyObject *request, long long block, int kind,
         (c->background_eviction &&
          c->hdr[SLAB_LIVE] > c->eviction_threshold))
         return SERVE_BLOCKED;
+    return step_request(c, request, block, kind, now, out, pt);
+}
 
-    /* Controller._step_request. */
-    if (walk(c, block, chain, &n) < 0)
+/* A request's block and kind, checked: an int block inside the
+ * namespace, one of the state's request kinds.  Returns 0, or -1 with an
+ * exception set. */
+static int
+request_fields(KernelState *c, PyObject *request, long long *block,
+               int *kind)
+{
+    PyObject *block_obj = PyObject_GetAttr(request, str_block);
+    int rc = block_obj != NULL ? block_arg(block_obj, block) : -1;
+    Py_XDECREF(block_obj);
+    if (rc < 0)
         return -1;
-    if (n)
-        return bump(c, K_MISS_FETCHES) < 0 ||
-               fetch_posmap(c, chain[0], now, out, pt) < 0
-            ? -1 : SERVE_FETCH;
-    if (count_translation(c, request) < 0)
+    PyObject *kind_obj = PyObject_GetAttr(request, str_kind);
+    if (kind_obj == NULL)
         return -1;
-    if (kind == KIND_REINSERT)
-        return finish_reinsert(c, request, block, now) < 0
-            ? -1 : SERVE_ONCHIP;
-    rc = treetop_hit(c, request, block, reading, now);
-    if (rc != 0)
-        return rc < 0 ? -1 : SERVE_ONCHIP;
-    if (kind == KIND_WRITEBACK && bump(c, K_WRITEBACK_PATHS) < 0)
+    *kind = 0;
+    while (*kind < N_KINDS && c->kinds[*kind] != kind_obj)
+        (*kind)++;
+    Py_DECREF(kind_obj);
+    if (*kind == N_KINDS) {
+        PyErr_SetString(PyExc_ValueError, "unknown request kind");
         return -1;
-    *pt = PT_DATA;
-    return serve_data(c, request, block, reading, now, out) < 0
-        ? -1 : SERVE_DATA;
+    }
+    if (*block < 0 || *block >= c->total) {
+        PyErr_Format(PyExc_ValueError, "block %lld outside namespace",
+                     *block);
+        return -1;
+    }
+    return 0;
 }
 
 /* serve_request(state, request, now)
@@ -2533,24 +2636,11 @@ serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (now == -1 && PyErr_Occurred())
         return NULL;
     long long block;
-    PyObject *block_obj = PyObject_GetAttr(request, str_block);
-    int rc = block_obj != NULL ? block_arg(block_obj, &block) : -1;
-    Py_XDECREF(block_obj);
-    if (rc < 0)
+    int kind;
+    if (request_fields(c, request, &block, &kind) < 0)
         return NULL;
-    PyObject *kind_obj = PyObject_GetAttr(request, str_kind);
-    int kind = 0;
-    while (kind_obj != NULL && kind < N_KINDS && c->kinds[kind] != kind_obj)
-        kind++;
-    Py_XDECREF(kind_obj);
-    if (kind_obj == NULL)
-        return NULL;
-    if (kind == N_KINDS || now < 0) {
+    if (now < 0) {
         PyErr_SetString(PyExc_ValueError, "malformed serve_request call");
-        return NULL;
-    }
-    if (block < 0 || block >= c->total) {
-        PyErr_Format(PyExc_ValueError, "block %lld outside namespace", block);
         return NULL;
     }
     PathOut out;
@@ -2567,6 +2657,375 @@ serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         "(iOLL)", status,
         pt >= 0 ? PyTuple_GET_ITEM(c->path_types, pt) : Py_None,
         out.finish_read, out.finish_write);
+}
+
+/* ---------------------------------------------------------------- */
+/* Draining consecutive issue slots                                  */
+/* ---------------------------------------------------------------- */
+
+/* What a drain does with a slot no real work takes: leave it empty (the
+ * trace is over, or the timing defense is off), run a dummy path, or
+ * hand it back so the controller's _dummy_slot fills it (IR-DWB may
+ * convert it, or a subclass replaces it). */
+enum { DUMMIES_NONE, DUMMIES_KERNEL, DUMMIES_CALLER };
+
+/* Why drain_slots returned: at a slot boundary (its cap, the horizon, or
+ * after a slot that completed a read); after an idle slot, which the
+ * caller treats as step() returning None; or with the last slot's dummy
+ * left to the caller. */
+enum { DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY };
+
+/* One slot's outcome: the issued path's type (-1 for none) and finishes,
+ * whether the caller must fill it with a dummy, and whether it completed
+ * a READ-kind request. */
+typedef struct {
+    Py_ssize_t pt;
+    long long finish_read, finish_write;
+    int dummy_wanted, read_done;
+} SlotOut;
+
+/* Controller._drain_posmap_reinserts: each victim-buffer entry waiting
+ * when the slot starts is taken off the queue and out of the limbo set;
+ * when its translation is free (walk, with its promotions) it re-enters
+ * the stash with a fresh leaf, dirtying its parent PosMap block, else it
+ * goes back to the end of the queue.  Returns 0, or -1 with an exception
+ * set. */
+static int
+drain_reinserts(KernelState *c)
+{
+    Py_ssize_t pending = PyObject_Size(c->queue);
+    if (pending < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < pending; i++) {
+        PyObject *key = PyObject_CallMethodNoArgs(c->queue, str_popleft);
+        if (key == NULL)
+            return -1;
+        long long block, chain[2], leaf;
+        int n = 0;
+        int rc = PySet_Discard(c->limbo, key) < 0 ||
+                 block_arg(key, &block) < 0 ||
+                 walk(c, block, chain, &n) < 0 ? -1 : 0;
+        if (rc == 0 && n) {
+            PyObject *ok = PyObject_CallMethodOneArg(c->queue, str_append,
+                                                     key);
+            rc = ok != NULL && PySet_Add(c->limbo, key) == 0 ? 0 : -1;
+            Py_XDECREF(ok);
+        } else if (rc == 0) {
+            long long parent = parent_of(c, block);
+            rc = restore_leaf(c, block, &leaf) < 0 ||
+                 (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
+                 stash_add(c, block, leaf) < 0 ||
+                 bump(c, K_REINSERTS) < 0 ? -1 : 0;
+        }
+        Py_DECREF(key);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The head of the request queue when it has arrived by ``now``: 1 with a
+ * new reference in ``*request`` and its checked block and kind, 0 when
+ * the queue is empty or its head arrives later, or -1 with an exception
+ * set. */
+static int
+arrived_head(KernelState *c, long long now, PyObject **request,
+             long long *block, int *kind)
+{
+    Py_ssize_t queued = PyObject_Size(c->requests);
+    if (queued <= 0)
+        return queued < 0 ? -1 : 0;
+    PyObject *head = PySequence_GetItem(c->requests, 0);
+    if (head == NULL)
+        return -1;
+    PyObject *arrival = PyObject_GetAttr(head, str_arrival);
+    long long at = arrival != NULL ? PyLong_AsLongLong(arrival) : -1;
+    Py_XDECREF(arrival);
+    if (at == -1 && PyErr_Occurred())
+        goto fail;
+    if (at > now) {
+        Py_DECREF(head);
+        return 0;
+    }
+    if (request_fields(c, head, block, kind) < 0)
+        goto fail;
+    *request = head;
+    return 1;
+fail:
+    Py_DECREF(head);
+    return -1;
+}
+
+/* The served head request leaves the queue and joins the completions;
+ * a READ-kind one ends the drain after its slot. */
+static int
+complete_head(KernelState *c, PyObject *request, int kind,
+              PyObject *completions, SlotOut *s)
+{
+    PyObject *head = PyObject_CallMethodNoArgs(c->requests, str_popleft);
+    if (head == NULL)
+        return -1;
+    Py_DECREF(head);
+    if (kind == KIND_READ)
+        s->read_done = 1;
+    return PyList_Append(completions, request);
+}
+
+/* Controller._step_posmap_writeback: fetch the first missing parent of
+ * the victim-buffer entry at the head of the queue. */
+static int
+posmap_writeback(KernelState *c, long long now, PathOut *out,
+                 Py_ssize_t *pt)
+{
+    PyObject *key = PySequence_GetItem(c->queue, 0);
+    long long block, chain[2];
+    int n = 0;
+    int rc = key != NULL && block_arg(key, &block) == 0 ? 0 : -1;
+    Py_XDECREF(key);
+    if (rc < 0 || walk(c, block, chain, &n) < 0)
+        return -1;
+    if (!n) {
+        PyErr_SetString(
+            PyExc_RuntimeError,
+            "victim-buffer entry with a satisfied chain survived draining");
+        return -1;
+    }
+    return bump(c, K_POSMAP_WRITEBACK_PATHS) < 0 ||
+           fetch_posmap(c, chain[0], now, out, pt) < 0 ? -1 : 0;
+}
+
+/* Controller._eviction_path: read and write back a random path, no remap
+ * and no serve, counted with its cycles. */
+static int
+eviction_path(KernelState *c, long long now, PathOut *out, Py_ssize_t *pt)
+{
+    long long leaf, peak;
+    *pt = PT_EVICTION;
+    return randbelow(&c->rng, c->leaves, &leaf) < 0 ||
+           kernel_access(c, leaf, now, EMPTY, SERVED_NONE, PT_EVICTION, 1,
+                         out, &peak) < 0 ||
+           bump(c, K_EVICTION_PATHS) < 0 ||
+           add_count(c, K_EVICTION_CYCLES, out->finish_write - now) < 0
+        ? -1 : 0;
+}
+
+/* One issue slot at ``now``, as PathORAMController.step runs it untraced
+ * on the serve tier: the victim-buffer re-inserts, then each arrived head
+ * request through serve_slot until one takes the slot or waits, then
+ * Controller._issue_priority_path (a victim-buffer parent fetch; a
+ * background eviction, unless ``*streak`` back-to-back ones let a
+ * waiting request through; the head request's step), and with nothing
+ * issued a dummy slot as ``dummies`` says.  Completed requests are
+ * appended to ``completions``, a dummy path is tallied in ``t``, and
+ * ``*streak`` is Controller._consecutive_evictions.  Returns 0, or -1
+ * with an exception set.
+ */
+static int
+drain_slot(KernelState *c, long long now, int dummies, long long *streak,
+           PyObject *completions, DummyTally *t, SlotOut *s)
+{
+    PathOut out;
+    memset(&out, 0, sizeof out);
+    out.finish_read = out.finish_write = now;
+    s->pt = -1;
+    s->dummy_wanted = s->read_done = 0;
+
+    PyObject *head = NULL;
+    long long block = 0;
+    int kind = 0, status = SERVE_BLOCKED, rc;
+    if (drain_reinserts(c) < 0)
+        return -1;
+    while ((rc = arrived_head(c, now, &head, &block, &kind)) > 0) {
+        status = serve_slot(c, head, block, kind, now, &out, &s->pt);
+        if (status != SERVE_INSTANT)
+            break;
+        rc = complete_head(c, head, kind, completions, s);
+        Py_CLEAR(head);
+        if (rc < 0)
+            return -1;
+    }
+    if (rc < 0 || status < 0)
+        goto fail;
+    if (head == NULL || status == SERVE_BLOCKED) {
+        /* Controller._issue_priority_path. */
+        Py_ssize_t waiting = PyObject_Size(c->queue);
+        int over = c->background_eviction &&
+                   c->hdr[SLAB_LIVE] > c->eviction_threshold;
+        rc = waiting < 0 ? -1 : 0;
+        if (waiting > 0) {
+            rc = posmap_writeback(c, now, &out, &s->pt);
+        } else if (waiting == 0 && over &&
+                   (*streak < c->max_evictions || head == NULL)) {
+            (*streak)++;
+            rc = eviction_path(c, now, &out, &s->pt);
+        } else if (waiting == 0) {
+            /* An eviction storm yields to a waiting request. */
+            if (over && bump(c, K_EVICTION_STORM_YIELDS) < 0)
+                goto fail;
+            *streak = 0;
+            if (head != NULL) {
+                rc = status = step_request(c, head, block, kind, now, &out,
+                                           &s->pt);
+            } else if (dummies == DUMMIES_CALLER) {
+                s->dummy_wanted = 1;
+            } else if (dummies == DUMMIES_KERNEL) {
+                rc = dummy_path(c, now, c->eviction_threshold, t);
+                out = t->out;
+                s->pt = PT_DUMMY;
+            }
+        }
+        if (rc < 0)
+            goto fail;
+    }
+    if (head != NULL && status != SERVE_BLOCKED) {
+        /* The head took the slot: a fetch, an on-chip serve or its data
+         * path. */
+        *streak = 0;
+        if (status != SERVE_FETCH &&
+            complete_head(c, head, kind, completions, s) < 0)
+            goto fail;
+    }
+    Py_XDECREF(head);
+    s->finish_read = out.finish_read;
+    s->finish_write = out.finish_write;
+    return 0;
+fail:
+    Py_XDECREF(head);
+    return -1;
+}
+
+/* drain_slots(state, now, cap, horizon, dummies, streak)
+ *   -> (completions, records, now, slots, stop, streak)
+ *
+ * Run consecutive issue slots from ``now`` (drain_slot each), as the
+ * simulator's loop would call PathORAMController.step for them with no
+ * hook attached, without returning to the interpreter between slots.
+ * After a slot that issued a path the clock moves as the loop moves it:
+ * to ``max(now + interval, finish_write)`` with the timing defense on,
+ * else to ``max(now + 1, finish_write)``; after an on-chip slot it stays.
+ *
+ * The call returns at the first slot boundary the loop would have handled
+ * differently, so the caller sees the same slots the loop would:
+ *
+ *   - before a slot at or past ``horizon`` (-1 = none), the next cycle
+ *     the processor could issue a request at;
+ *   - after a slot that completed a READ-kind request, which the
+ *     processor and the LLC must see;
+ *   - after ``cap`` slots;
+ *   - after a slot that did nothing (DRAIN_IDLE: step() returned None);
+ *   - with ``dummies`` DUMMIES_CALLER, at a slot nothing real takes,
+ *     whose dummy the caller then runs (DRAIN_DUMMY).
+ *
+ * ``completions`` lists the completed requests in order; ``records`` is
+ * an array('q') of (path type index, start, finish_read, finish_write,
+ * stall_until) per issued path, ``stall_until`` being the earliest cycle
+ * the next slot may issue; ``slots`` counts the slots run, the last of a
+ * DRAIN_IDLE or DRAIN_DUMMY call included; ``streak`` is the eviction
+ * streak after them.  Real paths book themselves as kernel paths, dummy
+ * paths as one batch (book_dummies, engine.batch.calls and .paths).
+ */
+static PyObject *
+drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "drain_slots(state, now, cap, horizon, dummies, "
+                        "streak)");
+        return NULL;
+    }
+    KernelState *c = state_arg(args[0]);
+    if (c == NULL)
+        return NULL;
+    long long values[5];
+    for (int i = 0; i < 5; i++) {
+        values[i] = PyLong_AsLongLong(args[i + 1]);
+        if (values[i] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    long long now = values[0], cap = values[1], horizon = values[2];
+    long long dummies = values[3], streak = values[4];
+    if (now < 0 || cap < 0 || horizon < -1 || dummies < DUMMIES_NONE ||
+        dummies > DUMMIES_CALLER || streak < 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed drain_slots call");
+        return NULL;
+    }
+    PyObject *completions = PyList_New(0);
+    if (completions == NULL)
+        return NULL;
+    long long *records = NULL;
+    Py_ssize_t n_records = 0, room = 0;
+    long long slots = 0;
+    int stop = DRAIN_BOUNDARY;
+    DummyTally tally;
+    memset(&tally, 0, sizeof tally);
+    if (slab_open(c) < 0)
+        goto fail;
+    while (slots < cap && !(horizon >= 0 && now >= horizon)) {
+        SlotOut s;
+        Py_ssize_t before = PyList_GET_SIZE(completions);
+        if (drain_slot(c, now, (int)dummies, &streak, completions, &tally,
+                       &s) < 0)
+            goto fail;
+        slots++;
+        if (s.dummy_wanted) {
+            stop = DRAIN_DUMMY;
+            break;
+        }
+        if (s.pt >= 0) {
+            if (n_records == room) {
+                room = room ? 2 * room : 16;
+                long long *grown = PyMem_Realloc(
+                    records, sizeof(long long) * 5 * (size_t)room);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto fail;
+                }
+                records = grown;
+            }
+            long long stall_until, next;
+            if (c->timing_protection) {
+                stall_until = next = now + c->issue_interval;
+            } else {
+                stall_until = s.finish_write;
+                next = now + 1;
+            }
+            long long *record = records + 5 * n_records++;
+            record[0] = s.pt;
+            record[1] = now;
+            record[2] = s.finish_read;
+            record[3] = s.finish_write;
+            record[4] = stall_until;
+            now = s.finish_write > next ? s.finish_write : next;
+        } else if (PyList_GET_SIZE(completions) == before) {
+            stop = DRAIN_IDLE;
+            break;
+        }
+        if (s.read_done)
+            break;
+    }
+    if (book_dummies(c, &tally) < 0 ||
+        (tally.n && (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
+                     add_engine(c, K_BATCH_PATHS, tally.n) < 0)))
+        goto fail;
+    slab_close(c);
+    PyObject *raw = PyBytes_FromStringAndSize(
+        (const char *)records, (Py_ssize_t)sizeof(long long) * 5 * n_records);
+    PyMem_Free(records);
+    PyObject *array = raw != NULL
+        ? PyObject_CallFunction(array_type, "sO", "q", raw) : NULL;
+    Py_XDECREF(raw);
+    if (array == NULL) {
+        Py_DECREF(completions);
+        return NULL;
+    }
+    return Py_BuildValue("(NNLLiL)", completions, array, now, slots, stop,
+                         streak);
+
+fail:
+    slab_close(c);
+    PyMem_Free(records);
+    Py_DECREF(completions);
+    return NULL;
 }
 
 /* ---------------------------------------------------------------- */
@@ -2776,6 +3235,8 @@ static PyMethodDef fastpath_methods[] = {
      METH_FASTCALL, "Where a block sits in the cached top of a path."},
     {"serve_request", (PyCFunction)(void (*)(void))serve_request,
      METH_FASTCALL, "The head request's share of one issue slot."},
+    {"drain_slots", (PyCFunction)(void (*)(void))drain_slots,
+     METH_FASTCALL, "Consecutive issue slots in one call."},
     {"draw_leaves", draw_leaves, METH_VARARGS,
      "The position map's initial leaf table, as an array('q')."},
     {"init_tree", init_tree, METH_VARARGS,
@@ -2802,11 +3263,13 @@ PyInit__repro_fastpath(void)
     if (array_type == NULL)
         return NULL;
     str_append = PyUnicode_InternFromString("append");
+    str_popleft = PyUnicode_InternFromString("popleft");
     str_note_peak = PyUnicode_InternFromString("note_peak");
     str_slab = PyUnicode_InternFromString("_slab");
     str_remap_count = PyUnicode_InternFromString("remap_count");
     str_block = PyUnicode_InternFromString("block");
     str_kind = PyUnicode_InternFromString("kind");
+    str_arrival = PyUnicode_InternFromString("arrival");
     str_completion = PyUnicode_InternFromString("completion");
     str_paths_used = PyUnicode_InternFromString("paths_used");
     str_translation_counted =
@@ -2814,9 +3277,10 @@ PyInit__repro_fastpath(void)
     str_stash = PyUnicode_InternFromString("stash");
     str_sstash = PyUnicode_InternFromString("sstash");
     int_one = PyLong_FromLong(1);
-    if (str_append == NULL || str_note_peak == NULL ||
+    if (str_append == NULL || str_popleft == NULL || str_note_peak == NULL ||
         str_slab == NULL || str_remap_count == NULL ||
-        str_block == NULL || str_kind == NULL || str_completion == NULL ||
+        str_block == NULL || str_kind == NULL || str_arrival == NULL ||
+        str_completion == NULL ||
         str_paths_used == NULL || str_translation_counted == NULL ||
         str_stash == NULL || str_sstash == NULL ||
         int_one == NULL || PyType_Ready(&KernelStateType) < 0)

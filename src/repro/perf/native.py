@@ -3,10 +3,15 @@
 The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
+* ``drain_slots`` — consecutive untraced issue slots in one call: the
+  victim-buffer re-inserts, each arrived head request's share of the
+  slot, the victim-buffer parent fetches, background evictions and dummy
+  paths, until the next event the simulator's loop must see;
 * ``serve_request`` — the head queued request's share of an untraced
-  issue slot: the stash and S-Stash probes, the translation walk, then
-  either an on-chip serve, or the first missing PosMap block's fetch, or
-  the request's data path, through the same per-path function;
+  issue slot, the code ``drain_slots`` serves requests through: the
+  stash and S-Stash probes, the translation walk, then either an on-chip
+  serve, or the first missing PosMap block's fetch, or the request's
+  data path, through the same per-path function;
 * ``access_path`` — one whole path access, the one call every other
   real, eviction or dummy path makes: read burst, read phase, the served
   block's remap or extraction, greedy bottom-up placement and write
@@ -88,7 +93,7 @@ import subprocess
 import sys
 import sysconfig
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Optional
 
 from .. import stats_keys as sk
@@ -126,6 +131,9 @@ COUNTER_KEYS = (
     sk.SERVE_STASH_HITS, sk.SERVE_SSTASH_HITS, sk.SERVE_TREETOP_HITS,
     sk.SERVE_REINSERTS, sk.TRANSLATION_COMPLETED, sk.PLB_MISS_FETCHES,
     sk.POSMAP_ACCESSES, sk.WRITEBACK_PATHS,
+    # a slot's priority paths
+    sk.POSMAP_WRITEBACK_PATHS, sk.EVICTION_PATHS, sk.EVICTION_CYCLES,
+    sk.EVICTION_STORM_YIELDS,
     sk.HIT_LEVEL,
     sk.ENGINE_TIER_KERNEL_PATHS, sk.ENGINE_BATCH_CALLS,
     sk.ENGINE_BATCH_PATHS,
@@ -152,6 +160,14 @@ SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
 #: eviction; served on chip by the slot; a PosMap fetch; the data path.
 (SERVE_INSTANT, SERVE_BLOCKED, SERVE_ONCHIP, SERVE_FETCH,
  SERVE_DATA) = range(5)
+
+#: ``drain_slots`` dummy modes: leave a slot no real work takes empty,
+#: run its dummy path in the kernel, or hand it back to the caller.
+DUMMIES_NONE, DUMMIES_KERNEL, DUMMIES_CALLER = range(3)
+
+#: ``drain_slots`` stops: at a slot boundary; after an idle slot; with
+#: the last slot's dummy left to the caller.
+DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY = range(3)
 
 
 def _self_test(module) -> bool:
@@ -188,7 +204,7 @@ def _self_test(module) -> bool:
         def __init__(self, value):
             self.value = value
 
-    types = tuple(PathType(value) for value in ("d", "p1", "p2", "m"))
+    types = tuple(PathType(value) for value in ("d", "p1", "p2", "m", "e"))
     kinds = (object(), object(), object())  # read, write-back, re-insert
 
     def state(**fields):
@@ -211,7 +227,8 @@ def _self_test(module) -> bool:
             histograms=defaultdict(lambda: defaultdict(float)),
             batch_counters={}, path_count=q([0]), eviction_threshold=10,
             background_eviction=True, delayed_remap=False,
-            onchip_latency=20,
+            onchip_latency=20, requests=deque(), issue_interval=0,
+            timing_protection=True, max_evictions=50,
         )
         base.update(fields)
         return module.KernelState(**base)
@@ -394,37 +411,52 @@ def _self_test(module) -> bool:
     # 1), leaving the stash empty again.  One supernode at row 7 holds
     # both levels (local offsets 0, 1, 2), so leaf 1's path is two
     # blocks in row 7 of the one bank.
-    level_used = q([1, 0])
-    ready = q([0])
-    open_row = q([-1])
-    bus_free = q([0])
-    tree = q([3, -1, -1])
+    def batch_state(**fields):
+        return state(
+            getrandbits=lambda bits: 1, leaves=2,
+            path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
+            leaf_table=q([-1, -1, -1, 0]), z_per_level=[1, 1], **fields,
+        )
+
+    def batch_arrays():
+        return dict(tree_slots=q([3, -1, -1]), level_used=q([1, 0]),
+                    bank_ready=q([0]), bank_open_row=q([-1]),
+                    bus_free=q([0]))
+
     # The batch books its dummy path in aggregate: 2 blocks per burst,
     # 3 row hits over both bursts, the stash peak of 1.
     counters, batch, held = {}, {}, stash()
-    batch_state = state(
-        getrandbits=lambda bits: 1, leaves=2,
-        path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
-        tree_slots=tree, leaf_table=q([-1, -1, -1, 0]),
-        z_per_level=[1, 1], level_used=level_used,
-        bank_ready=ready, bank_open_row=open_row, bus_free=bus_free,
-        counters=counters, batch_counters=batch, stash=held,
-    )
-    result = module.run_batch(batch_state, 0, 0, 1, -1, -1, 10, 1)
+    arrays = batch_arrays()
+    result = module.run_batch(batch_state(
+        counters=counters, batch_counters=batch, stash=held, **arrays,
+    ), 0, 0, 1, -1, -1, 10, 1)
     if result != (1, 17, [0, 10, 17]):
         return False
     if not (
         len(held) == 0
-        and tree == q([3, -1, -1])
-        and level_used == q([1, 0])
-        and ready == q([14])
-        and open_row == q([7])
-        and bus_free == q([14])
+        and arrays["tree_slots"] == q([3, -1, -1])
+        and arrays["level_used"] == q([1, 0])
+        and arrays["bank_ready"] == q([14])
+        and arrays["bank_open_row"] == q([7])
+        and arrays["bus_free"] == q([14])
         and held.peak_occupancy == 1
         and batch == {sk.ENGINE_BATCH_CALLS: 1, sk.ENGINE_BATCH_PATHS: 1}
         and counters[sk.DRAM_ACCESSES] == 4 and counters[sk.DRAM_READS] == 2
         and counters[sk.DRAM_ROW_HITS] == 3 and counters["paths.m"] == 1
         and counters["mem.blocks.m"] == 4
+    ):
+        return False
+    # A one-slot drain with no request runs the same dummy path and
+    # books it the same way: a record of the fourth path type issued at
+    # 0, finishing at 10 and 17, the next slot at 17 (interval 0).
+    drained, arrays = {}, batch_arrays()
+    result = module.drain_slots(batch_state(counters=drained, **arrays),
+                                0, 1, -1, DUMMIES_KERNEL, 0)
+    if not (
+        result == ([], q([3, 0, 10, 17, 0]), 17, 1, DRAIN_BOUNDARY, 0)
+        and drained == counters
+        and arrays["tree_slots"] == q([3, -1, -1])
+        and arrays["bank_ready"] == q([14])
     ):
         return False
 

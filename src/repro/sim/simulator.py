@@ -24,7 +24,7 @@ from ..errors import ProtocolError
 from ..obs import events as ev
 from ..obs.breakdown import CycleAttribution
 from ..oram.controller import PathORAMController
-from ..oram.types import PathType, Request, RequestKind
+from ..oram.types import Request, RequestKind
 from ..stats import Stats
 from ..traces.trace import Trace
 from .results import SimulationResult
@@ -138,6 +138,13 @@ class MemoryHierarchy:
         )
 
 
+def batch_slots() -> int:
+    """``REPRO_BATCH_SLOTS``: the most issue slots one ``drain_slots``
+    call runs (default 256); 0 steps every slot through
+    :meth:`PathORAMController.step`."""
+    return env_number("REPRO_BATCH_SLOTS", 256)
+
+
 class Simulator:
     """Drives one trace through one scheme's memory system."""
 
@@ -214,20 +221,19 @@ class Simulator:
         idle_iterations = self._idle_iterations
         checkpointer = self.checkpointer
 
-        # Batched dummy-slot draining: while the processor computes and the
-        # controller has no real work, whole runs of dummy paths execute in
-        # one native call instead of one step() round trip each.  Every
-        # slot-boundary hook forces per-slot stepping (a flush at every
-        # boundary): observers, tracers, checkpointers, and utilization or
-        # progress sampling all see exactly the slots they would have seen,
-        # and cycles/counters are bit-identical either way.  The knob is
-        # parsed on every run, so a malformed value fails even a run that
-        # could not batch.
-        batch_slots = env_number("REPRO_BATCH_SLOTS", 256)
+        # The slot drain: with no hook attached, a serve-tier controller
+        # runs consecutive issue slots in one drain_slots kernel call, up
+        # to REPRO_BATCH_SLOTS of them, until the next event this loop
+        # must see (docs/simulator.md, "The slot drain").  Observers,
+        # tracers, checkpointers, and utilization or progress sampling
+        # force one step() per slot, so each sees exactly the slots it
+        # would have seen; cycles and counters are bit-identical either
+        # way.  The knob is parsed on every run, so a malformed value
+        # fails even a run that could not drain.
+        drain_cap = batch_slots()
         if not (
-            oram.timing_protection
-            and controller.SUPPORTS_NATIVE_BATCH
-            and controller.dwb is None
+            controller._serve
+            and "step" not in vars(controller)
             and controller.observer is None
             and controller.slot_observer is None
             and checkpointer is None
@@ -235,53 +241,44 @@ class Simulator:
             and snapshot_every == 0
             and progress_every == 0
         ):
-            batch_slots = 0
-        dummy_value = PathType.DUMMY.value
+            drain_cap = 0
+        stats = self.stats
 
         while True:
             if tracer is not None:
                 tracer.now = now
             processor.advance_to(now, hierarchy.cpu_access)
             trace_active = not processor.trace_exhausted()
-            if (
-                batch_slots
-                and trace_active
-                and not controller.has_pending_work(now)
-                and processor.next_request_time() is not None
-            ):
-                # The processor neither blocks nor finishes before
-                # cpu_time, and no queued request matures before its
-                # arrival, so until the earlier of the two every slot is a
-                # dummy slot (or a background eviction, which ends the
-                # batch via its threshold stop).
-                horizon = processor.cpu_time
-                arrival = controller.next_arrival()
-                if arrival is not None and arrival < horizon:
-                    horizon = arrival
-                if now < horizon:
-                    issued, batch_now, bounds = controller.run_dummy_batch(
-                        now,
-                        batch_slots,
-                        interval=interval,
-                        horizon=horizon,
-                        stop_on_threshold=True,
-                        want_bounds=True,
+            if drain_cap:
+                # Until a completion reaches it, the processor does
+                # nothing before its own clock, and a blocked one only
+                # books the stall of each advance_to the drain skips.
+                blocked = trace_active and processor.blocked()
+                horizon = (
+                    processor.cpu_time if trace_active and not blocked
+                    else -1
+                )
+                completions, records, next_now, slots, idle = (
+                    controller.drain_slots(
+                        now, drain_cap, horizon, trace_active
                     )
-                    if issued:
-                        for i in range(0, 3 * issued, 3):
-                            start = bounds[i]
-                            attribution.on_path(
-                                dummy_value,
-                                start,
-                                bounds[i + 1],
-                                bounds[i + 2],
-                                start + interval,
-                            )
-                        last_finish = max(last_finish, bounds[-1])
-                        now = batch_now
-                        idle_iterations = 0
-                        continue
-            result = controller.step(now, allow_dummy=trace_active)
+                )
+                if blocked and slots > 1:
+                    stats.inc(sk.CPU_BLOCK_EVENTS, slots - 1)
+                for request in completions:
+                    hierarchy.on_completion(request, processor)
+                if records:
+                    attribution.on_paths(records)
+                    last_finish = max(last_finish, records[-2])
+                now = next_now
+                if slots and not idle:
+                    idle_iterations = 0
+                    continue
+                if slots > 1:
+                    idle_iterations = 0
+                result = None
+            else:
+                result = controller.step(now, allow_dummy=trace_active)
 
             if result is None:
                 if processor.done and not controller.has_any_real_work() and (

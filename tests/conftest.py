@@ -132,8 +132,8 @@ def make_oram(levels=9, z=4, top=3, **kwargs) -> ORAMConfig:
 
 class CountingKernels:
     """A controller's kernel module, counting the calls into each entry
-    and the PosMap fetches ``serve_request`` makes.  Assign one to a
-    controller's ``_native`` to count its calls."""
+    and the PosMap fetches ``serve_request`` and ``drain_slots`` make.
+    Assign one to a controller's ``_native`` to count its calls."""
 
     def __init__(self, module):
         self._module = module
@@ -141,15 +141,24 @@ class CountingKernels:
         self.served_fetches = 0
 
     def __getattr__(self, name):
+        from repro.oram.types import PathType
         from repro.perf.native import SERVE_FETCH
 
         entry = getattr(self._module, name)
+        posmap_codes = {
+            code for code, path_type in enumerate(PathType)
+            if path_type.is_posmap
+        }
 
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
             result = entry(*args)
             if name == "serve_request" and result[0] == SERVE_FETCH:
                 self.served_fetches += 1
+            elif name == "drain_slots":
+                self.served_fetches += sum(
+                    code in posmap_codes for code in result[1][::5]
+                )
             return result
 
         return counted

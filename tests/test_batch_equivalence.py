@@ -1,11 +1,11 @@
 """Whole-run batch fastpath equivalence: batched, per-access, pure Python.
 
-The native ``run_batch`` kernel executes thousands of dummy paths per
-Python call; the contract (docs/simulator.md, "Batched native fastpath")
-is that batching is *pure execution strategy* — simulated cycles,
-counters, path counts, RNG stream, and stash/tree/DRAM state are
-bit-identical whether slots drain through the batch kernel, the
-per-access native helpers, or the pure-Python fallbacks.  These tests
+The native ``drain_slots`` kernel runs consecutive issue slots per
+Python call, and ``run_batch`` whole stretches of dummy paths; the
+contract (docs/simulator.md, "The slot drain") is that both are *pure
+execution strategy* — simulated cycles, counters, path counts, RNG
+stream, and stash/tree/DRAM state are bit-identical whether slots drain
+through the kernels, step one by one, or run the pure-Python fallbacks.  These tests
 pin that contract for every registered scheme, audited runs included,
 and for checkpoint/resume digests with natives on and off.
 """

@@ -106,7 +106,7 @@ class TestFullAccess:
             block = rng.randrange(controller.namespace.user_blocks)
             request = read_request(block, arrival=now)
             controller.enqueue(request)
-            while controller.has_pending_work(now):
+            while True:
                 result = controller.step(now, allow_dummy=False)
                 if result is None:
                     break

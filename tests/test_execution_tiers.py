@@ -203,7 +203,7 @@ def _count_kernel_calls(controller):
 def test_translation_runs_in_the_kernel(scheme):
     """Every chain walk runs in the kernel, and every PosMap fetch
     installs there: through ``plb_install``, or inside the
-    ``serve_request`` call that fetched it."""
+    ``drain_slots`` call that fetched it."""
     config = SystemConfig.tiny()
     stats = Stats()
     components = build_scheme(scheme, config, stats, random.Random(5))
@@ -288,7 +288,7 @@ def test_class_level_timing_wrappers_keep_real_slots_on_the_kernel(
 ):
     """perfbench's traced mode wraps ``step``, ``full_access``,
     ``fetch_posmap_block`` and ``dummy_path`` on the class; every real
-    slot still goes through ``serve_request`` and every path runs in the
+    slot still goes through ``drain_slots`` and every path runs in the
     kernels."""
     import functools
 
@@ -307,6 +307,6 @@ def test_class_level_timing_wrappers_keep_real_slots_on_the_kernel(
     kernels = _count_kernel_calls(controller)
     result = _simulate(components)
     tiers = controller.tier_counters()
-    assert kernels.calls.get("serve_request", 0) > 0
+    assert kernels.calls.get("drain_slots", 0) > 0
     assert tiers[PYTHON] == 0
     assert tiers[KERNEL] + tiers[BATCH] == result.counters["paths.total"]

@@ -1,10 +1,11 @@
-"""``serve_request`` against the Python slot it replaces.
+"""The kernel's served slot against the Python slot it replaces.
 
-An untraced, unobserved kernel-tier controller serves each arrived head
-request's share of an issue slot in one ``serve_request`` call: the stash
-and S-Stash probes, the translation walk, then the victim-buffer and
-eviction priority check, and the first missing PosMap block's fetch or
-the request's data path.  On small trees with a tiny PLB (so chains of
+An untraced, unobserved kernel-tier controller runs each issue slot in a
+one-slot ``drain_slots`` call, which serves each arrived head request
+through the same code as ``serve_request``: the stash and S-Stash
+probes, the translation walk, then the victim-buffer and eviction
+priority check, and the first missing PosMap block's fetch or the
+request's data path.  On small trees with a tiny PLB (so chains of
 PosMap2 then PosMap1 fetches, PLB victims and deferred re-inserts are
 common), drawn cached-top depth, both tree-top modes, LLC-D's delayed
 remapping and a low eviction threshold, two identical controllers step
@@ -192,7 +193,7 @@ def _run_pair(setup, plan, traced):
 @given(setup=setups(), plan=plans)
 def test_serve_request_matches_the_python_slot(setup, plan):
     kernels, served_slots = _run_pair(setup, plan, traced=False)
-    assert kernels.calls.get("serve_request", 0) >= served_slots
+    assert kernels.calls.get("drain_slots", 0) >= served_slots
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,11 +202,11 @@ def test_traced_slot_matches_the_python_slot(setup, plan):
     """Traced, the slot runs the Python methods over the kernel's path
     and translation entries, with the same events as the Python tier."""
     kernels, _ = _run_pair(setup, plan, traced=True)
-    assert kernels.calls.get("serve_request", 0) == 0
+    assert kernels.calls.get("drain_slots", 0) == 0
 
 
 def test_serve_request_runs_real_slots():
-    """A plain run serves its requests through ``serve_request``, and
+    """A plain run serves its requests through ``drain_slots``, and
     every path it books is a kernel path."""
     config = SystemConfig.tiny()
     controller = _controller(config, 0, False, 3, traced=False)
@@ -217,7 +218,7 @@ def test_serve_request_runs_real_slots():
     while controller.queue:
         result = controller.step(now)
         now = max(now + config.oram.issue_interval, result.finish_write)
-    assert kernels.calls.get("serve_request", 0) > 0
+    assert kernels.calls.get("drain_slots", 0) > 0
     tiers = controller.tier_counters()
     assert tiers["engine.tier.kernel_paths"] == controller.path_count > 0
     assert tiers["engine.tier.python_paths"] == 0
