@@ -1,4 +1,5 @@
-"""On-chip caches: a generic set-associative write-back cache and the LLC."""
+"""On-chip caches: the flat-array true-LRU base, the LLC, and the
+set-associative reference cache they are held to."""
 
 from .cache import EvictedLine, SetAssocCache
 from .llc import LastLevelCache

@@ -1,9 +1,11 @@
 """A generic set-associative write-back cache with true-LRU replacement.
 
-This is the substrate for the simulated LLC (Table I: 8-way, 2 MB) and for
-the PLB.  Lines are identified by block address (cache-line granularity);
-no data payload is simulated — only presence and dirtiness, which is all
-the ORAM study needs.
+It is the reference the simulated LLC (Table I: 8-way, 2 MB) and the PLB
+are held to: both keep their lines in the flat arrays of
+:mod:`repro.cache.flat`, which the C kernels index, and must behave as
+this cache does, counter for counter.  Lines are identified by block
+address (cache-line granularity); no data payload is simulated — only
+presence and dirtiness, which is all the ORAM study needs.
 """
 
 from __future__ import annotations

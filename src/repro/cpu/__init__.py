@@ -1,5 +1,5 @@
 """Trace-driven processor front end."""
 
-from .processor import MemoryOp, Processor
+from .processor import Processor
 
-__all__ = ["Processor", "MemoryOp"]
+__all__ = ["Processor"]

@@ -29,16 +29,21 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..oram.types import PathType
+from ..perf.native import fastpath as _fastpath
 
 #: A path type's code in the recorded timeline: its index in
 #: ``PathType``, as the C kernels' slot drain records it too.
 PATH_CODES = {path_type.value: code for code, path_type in enumerate(PathType)}
-#: path types folded into the "dummy" bucket (timing-defense filler slots)
-_DATA_CODE = PATH_CODES[PathType.DATA.value]
-_DUMMY_CODES = (PATH_CODES[PathType.DUMMY.value],
-                PATH_CODES[PathType.DWB.value])
-_POSMAP_CODES = (PATH_CODES[PathType.POS1.value],
-                 PATH_CODES[PathType.POS2.value])
+#: Each path type code's breakdown bucket: 0 data, 1 PosMap recursion,
+#: 2 dummy slots (timing-defense fillers and IR-DWB conversions), 3
+#: background eviction.
+_BUCKETS = tuple(
+    0 if path_type is PathType.DATA
+    else 1 if path_type.is_posmap
+    else 2 if path_type in (PathType.DUMMY, PathType.DWB)
+    else 3
+    for path_type in PathType
+)
 
 
 @dataclass
@@ -135,12 +140,21 @@ class CycleAttribution:
 
         The gap before each path (from the previous write phase's end to
         this path's start) is a timing stall up to the previous path's
-        ``stall_until`` and idle after it.  One pass with local sums: it
-        runs once per path of the run.
+        ``stall_until`` and idle after it.  The C kernel's
+        ``attribute_cycles`` runs the same pass when it is loaded.
         """
+        if _fastpath is not None:
+            parts = _fastpath.attribute_cycles(
+                self._records, cycles, _BUCKETS
+            )
+        else:
+            parts = self._attribute(cycles)
+        return CycleBreakdown(cycles, *parts)
+
+    def _attribute(self, cycles: int) -> tuple:
+        """``attribute_cycles`` in Python: one pass with local sums."""
         records = self._records
-        data = posmap = dummy = eviction = (0, 0)
-        sums = {}
+        sums = [0] * 8
         stall = idle = 0
         cursor = stall_until = 0
         for base in range(0, len(records), 5):
@@ -160,10 +174,9 @@ class CycleAttribution:
                     stall += stall_end - cursor
                     cursor = stall_end
                 idle += start - cursor
-            read, write = sums.get(code, (0, 0))
-            sums[code] = (
-                read + finish_read - start, write + finish_write - finish_read
-            )
+            bucket = 2 * (_BUCKETS[code] if 0 <= code < len(_BUCKETS) else 3)
+            sums[bucket] += finish_read - start
+            sums[bucket + 1] += finish_write - finish_read
             cursor = finish_write
             stall_until = records[base + 4]
         if cycles > cursor:
@@ -172,20 +185,4 @@ class CycleAttribution:
                 stall += stall_end - cursor
                 cursor = stall_end
             idle += cycles - cursor
-        for code, (read, write) in sums.items():
-            if code == _DATA_CODE:
-                data = (data[0] + read, data[1] + write)
-            elif code in _POSMAP_CODES:
-                posmap = (posmap[0] + read, posmap[1] + write)
-            elif code in _DUMMY_CODES:
-                dummy = (dummy[0] + read, dummy[1] + write)
-            else:  # eviction
-                eviction = (eviction[0] + read, eviction[1] + write)
-        return CycleBreakdown(
-            total=cycles,
-            data_read=data[0], data_write=data[1],
-            posmap_read=posmap[0], posmap_write=posmap[1],
-            dummy_read=dummy[0], dummy_write=dummy[1],
-            eviction_read=eviction[0], eviction_write=eviction[1],
-            timing_stall=stall, idle=idle,
-        )
+        return (*sums, stall, idle)

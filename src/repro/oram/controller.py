@@ -431,10 +431,10 @@ class PathORAMController:
         each path access and translation.
         """
         if self._serve and self.stats.tracer is None and self.observer is None:
-            completions, records, _, _, idle = self.drain_slots(
+            completions, records, _, _, stop, _ = self.drain_slots(
                 now, 1, allow_dummy=allow_dummy
             )
-            if idle:
+            if stop == DRAIN_IDLE:
                 return None
             result = SlotResult(False, None, now, now, now, completions)
             if records:
@@ -458,22 +458,21 @@ class PathORAMController:
             observer(result)
         return result
 
-    def drain_slots(
-        self, now: int, cap: int, horizon: int = -1, allow_dummy: bool = True
-    ) -> Tuple[List[Request], "array[int]", int, int, bool]:
+    def drain_slots(self, now: int, cap: int, allow_dummy: bool = True,
+                    front=None, idle: int = 0) -> tuple:
         """Run up to ``cap`` issue slots from ``now`` in one ``drain_slots``
-        kernel call, as :meth:`step` would run them one by one, the clock
-        advanced between them as the simulator's loop advances it
-        (serve tier only, untraced and unobserved).
-
-        The kernel stops before ``horizon`` (-1: none), after a slot that
-        completes a READ-kind request and after an idle slot.  It runs
-        dummy paths itself unless IR-DWB may convert them: then it stops
-        at the dummy slot, which :meth:`_dummy_slot` fills here.  Returns
-        the completed requests, an ``array('q')`` of (path type code,
-        start, finish_read, finish_write, stall_until) per issued path
-        (:meth:`CycleAttribution.on_paths`), the next slot's cycle, the
-        slots run, and whether the last was idle (``step`` gives None).
+        kernel call, as the simulator's loop would step them (serve tier
+        only, untraced and unobserved).  Without a ``front`` end the
+        kernel also stops after an idle slot (DRAIN_IDLE: ``step`` gives
+        None); with the simulator's ``FrontEnd`` it runs the processor
+        and the completions between slots and the idle slots (``idle``
+        counts them), up to the end of the run (DRAIN_DONE).  Unless
+        IR-DWB may convert it, it runs a dummy slot itself; else it stops
+        there (DRAIN_DUMMY), :meth:`_dummy_slot` fills it here, and that
+        slot's completions come back unapplied.  Returns the completions,
+        an ``array('q')`` of (path type code, start, finish_read,
+        finish_write, stall_until) per path, the next slot's cycle, the
+        slots run, the stop and the idle count.
         """
         if not (allow_dummy and self.oram.timing_protection):
             dummies = DUMMIES_NONE
@@ -483,9 +482,9 @@ class PathORAMController:
             dummies = DUMMIES_CALLER
         try:
             (completions, records, now, slots, stop,
-             self._consecutive_evictions) = self._native.drain_slots(
-                self._kstate, now, cap, horizon, dummies,
-                self._consecutive_evictions,
+             self._consecutive_evictions, idle) = self._native.drain_slots(
+                self._kstate, front, now, cap, dummies,
+                self._consecutive_evictions, idle,
             )
         except RuntimeError as exc:
             raise ProtocolError(str(exc)) from None
@@ -497,7 +496,7 @@ class PathORAMController:
                 result.finish_read, result.finish_write, stall_until,
             ))
             now = max(stall_until, result.finish_write)
-        return completions, records, now, slots, stop == DRAIN_IDLE
+        return completions, records, now, slots, stop, idle
 
     def _issue_priority_path(self, now: int) -> Optional[SlotResult]:
         if self.internal_queue:

@@ -11,7 +11,9 @@
  * it.  A KernelState, built once per controller, holds the controller's
  * array('q') state through the buffer protocol and references to the
  * dicts, sets and objects the kernels mutate or call; everything it holds
- * is validated once, when it is built.
+ * is validated once, when it is built.  A FrontEnd, built once per
+ * simulation, holds the processor's, the LLC's and the in-flight table's
+ * arrays the same way, for the slot drain.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -254,6 +256,91 @@ randbelow(Draws *r, long long n, long long *out)
 }
 
 /* ---------------------------------------------------------------- */
+/* Flat true-LRU caches: the PLB and the LLC                         */
+/* ---------------------------------------------------------------- */
+
+/* A cache in cache/flat.py's layout: ``sets * ways`` block slots, set by
+ * set, each set's ``fills[set]`` resident blocks first, least recently
+ * used first; a dirty flag per slot.  ``sets`` is a power of two. */
+typedef struct {
+    long long *blocks, *dirty, *fills;
+    long long sets, ways;
+} LruCache;
+
+/* Check a cache's geometry against its three arrays' lengths.  Returns
+ * 0, or -1 with ValueError set. */
+static int
+lru_check(const LruCache *lc, Py_ssize_t n_blocks, Py_ssize_t n_dirty,
+          const char *what)
+{
+    if (lc->sets < 1 || (lc->sets & (lc->sets - 1)) || lc->ways < 1 ||
+        lc->ways > PY_SSIZE_T_MAX / lc->sets ||
+        n_blocks != lc->sets * lc->ways || n_dirty != n_blocks) {
+        PyErr_Format(PyExc_ValueError, "%s buffers do not match its geometry",
+                     what);
+        return -1;
+    }
+    return 0;
+}
+
+/* FlatLRUCache._slot: the slot holding ``block``, -1 when it is not
+ * resident, or -2 with ValueError set when its set's fill count is out
+ * of range. */
+static Py_ssize_t
+lru_slot(const LruCache *lc, long long block)
+{
+    long long set = block & (lc->sets - 1);
+    long long fill = lc->fills[set];
+    if (fill < 0 || fill > lc->ways) {
+        PyErr_SetString(PyExc_ValueError, "cache fill count out of range");
+        return -2;
+    }
+    Py_ssize_t base = (Py_ssize_t)(set * lc->ways);
+    for (Py_ssize_t slot = base; slot < base + fill; slot++) {
+        if (lc->blocks[slot] == block)
+            return slot;
+    }
+    return -1;
+}
+
+/* FlatLRUCache._touch: move the block in ``slot`` (or, when it is its
+ * full set's LRU slot, the new ``block`` replacing it) to the set's most
+ * recently used end with dirty flag ``dirty``. */
+static void
+lru_touch(LruCache *lc, long long block, Py_ssize_t slot, long long dirty)
+{
+    long long set = block & (lc->sets - 1);
+    Py_ssize_t last = (Py_ssize_t)(set * lc->ways + lc->fills[set] - 1);
+    size_t bytes = sizeof(long long) * (size_t)(last - slot);
+    memmove(&lc->blocks[slot], &lc->blocks[slot + 1], bytes);
+    memmove(&lc->dirty[slot], &lc->dirty[slot + 1], bytes);
+    lc->blocks[last] = block;
+    lc->dirty[last] = dirty;
+}
+
+/* FlatLRUCache._fill for a block lru_slot found absent: it becomes its
+ * set's MRU line.  A full set evicts its LRU line into ``*victim`` and
+ * ``*victim_dirty`` and returns 1; else returns 0. */
+static int
+lru_fill(LruCache *lc, long long block, long long dirty, long long *victim,
+         long long *victim_dirty)
+{
+    long long set = block & (lc->sets - 1);
+    Py_ssize_t base = (Py_ssize_t)(set * lc->ways);
+    long long fill = lc->fills[set];
+    if (fill < lc->ways) {
+        lc->blocks[base + fill] = block;
+        lc->dirty[base + fill] = dirty;
+        lc->fills[set] = fill + 1;
+        return 0;
+    }
+    *victim = lc->blocks[base];
+    *victim_dirty = lc->dirty[base];
+    lru_touch(lc, block, base, dirty);
+    return 1;
+}
+
+/* ---------------------------------------------------------------- */
 /* The kernel state                                                  */
 /* ---------------------------------------------------------------- */
 
@@ -296,6 +383,11 @@ enum CounterKey {
     /* a slot's priority paths */
     K_POSMAP_WRITEBACK_PATHS, K_EVICTION_PATHS, K_EVICTION_CYCLES,
     K_EVICTION_STORM_YIELDS,
+    /* the front end: processor, LLC and hierarchy (FRONT_KEYS of them) */
+    K_CPU_STALL_CYCLES, K_CPU_READS_ISSUED, K_CPU_WRITES_ISSUED,
+    K_CPU_BLOCK_EVENTS, K_LLC_HITS, K_LLC_MISSES, K_LLC_EVICTIONS,
+    K_LLC_DIRTY_EVICTIONS, K_DEMAND_MISSES, K_REQUESTS_READ,
+    K_REQUESTS_WRITEBACK, K_REQUESTS_REINSERT,
     /* the stats histogram keyed by where a read was served */
     K_HIT_LEVEL,
     /* the controller's batch_counters (ints) */
@@ -411,7 +503,7 @@ typedef struct {
     Py_buffer bufs[N_BUFS];
     long long *tree, *level_used, *leaf_table, *path_count;
     long long *set_index, *set_count;  /* the S-Stash, mode 1 */
-    long long *plb_blocks, *plb_dirty, *plb_fills;
+    LruCache plb;
     const long long *path_table;
     BankState banks;
     Py_ssize_t leaf_count;  /* blocks the position map covers */
@@ -427,7 +519,6 @@ typedef struct {
     long long z_arr[FASTPATH_MAX_LEVELS];
     long long offset[FASTPATH_MAX_LEVELS];
     long long p1_base, p2_base, total, fanout;  /* the namespace */
-    long long plb_sets, plb_ways;
     long long *triples;  /* one path's DRAM triples */
     long long path_slots;  /* every slot on a path, cached levels too */
     Py_buffer slab_view;  /* held from slab_open to slab_close only */
@@ -509,7 +600,7 @@ check_path_table(KernelState *c, Py_ssize_t len)
 static PyObject *str_append, *str_popleft, *str_note_peak, *str_slab,
     *str_remap_count, *str_block, *str_kind, *str_arrival, *str_completion,
     *str_paths_used, *str_translation_counted, *str_stash, *str_sstash,
-    *int_one;
+    *str_waiters, *int_one;
 
 /* Take a view of the stash's slab for one kernel call and check it: the
  * header (USED and LIVE within the slots, LIVE the count of live
@@ -740,7 +831,7 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             &s->row_blocks, &s->channels, &s->banks_per_channel, &mode,
             &arrays[BUF_SET_INDEX], &arrays[BUF_SET_COUNT], &s->sets,
             &s->ways, &getrandbits, &arrays[BUF_PLB_BLOCKS],
-            &arrays[BUF_PLB_DIRTY], &arrays[BUF_PLB_FILLS], &s->plb_ways,
+            &arrays[BUF_PLB_DIRTY], &arrays[BUF_PLB_FILLS], &s->plb.ways,
             &s->p1_base, &s->p2_base, &s->total, &s->fanout, &PySet_Type,
             &limbo, &queue, &PyDict_Type, &counters, &PyTuple_Type, &keys,
             &stash, &posmap, &PyTuple_Type, &path_types, &kinds[KIND_READ],
@@ -820,10 +911,10 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->banks.bus_free = s->bufs[BUF_BUS_FREE].buf;
     s->banks.n_banks = len[BUF_READY];
     s->banks.n_channels = len[BUF_BUS_FREE];
-    s->plb_blocks = s->bufs[BUF_PLB_BLOCKS].buf;
-    s->plb_dirty = s->bufs[BUF_PLB_DIRTY].buf;
-    s->plb_fills = s->bufs[BUF_PLB_FILLS].buf;
-    s->plb_sets = len[BUF_PLB_FILLS];
+    s->plb.blocks = s->bufs[BUF_PLB_BLOCKS].buf;
+    s->plb.dirty = s->bufs[BUF_PLB_DIRTY].buf;
+    s->plb.fills = s->bufs[BUF_PLB_FILLS].buf;
+    s->plb.sets = len[BUF_PLB_FILLS];
     s->path_count = s->bufs[BUF_PATH_COUNT].buf;
     if (len[BUF_PATH_COUNT] != 1) {
         PyErr_SetString(PyExc_ValueError, "path_count must hold one item");
@@ -862,14 +953,9 @@ state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     }
     if (check_path_table(s, len[BUF_PATH]) < 0)
         goto fail;
-    if (s->plb_sets < 1 || (s->plb_sets & (s->plb_sets - 1)) ||
-        s->plb_ways < 1 || s->plb_ways > PY_SSIZE_T_MAX / s->plb_sets ||
-        len[BUF_PLB_BLOCKS] != s->plb_sets * s->plb_ways ||
-        len[BUF_PLB_DIRTY] != len[BUF_PLB_BLOCKS]) {
-        PyErr_SetString(PyExc_ValueError,
-                        "PLB buffers do not match its geometry");
+    if (lru_check(&s->plb, len[BUF_PLB_BLOCKS], len[BUF_PLB_DIRTY],
+                  "PLB") < 0)
         goto fail;
-    }
     if (s->p1_base < 0 || s->p2_base < s->p1_base ||
         s->total < s->p2_base || s->fanout < 1) {
         PyErr_SetString(PyExc_ValueError, "malformed namespace");
@@ -1851,46 +1937,12 @@ fail:
  * RecursionError the Python chain would hit. */
 #define TRANSLATE_MAX_DEPTH 200
 
-/* The PLB slot holding ``block``, -1 when it is not resident, or -2 with
- * ValueError set when its set's fill count is out of range. */
-static Py_ssize_t
-plb_slot(const KernelState *c, long long block)
-{
-    long long set = block & (c->plb_sets - 1);
-    long long fill = c->plb_fills[set];
-    if (fill < 0 || fill > c->plb_ways) {
-        PyErr_SetString(PyExc_ValueError, "PLB fill count out of range");
-        return -2;
-    }
-    Py_ssize_t base = (Py_ssize_t)(set * c->plb_ways);
-    for (Py_ssize_t slot = base; slot < base + fill; slot++) {
-        if (c->plb_blocks[slot] == block)
-            return slot;
-    }
-    return -1;
-}
-
-/* Move the block in ``slot`` (or, when it is its full set's LRU slot, the
- * new ``block`` replacing it) to the set's most recently used end with
- * dirty flag ``dirty``.  Mirrors PLB._touch. */
-static void
-plb_touch(KernelState *c, long long block, Py_ssize_t slot, long long dirty)
-{
-    long long set = block & (c->plb_sets - 1);
-    Py_ssize_t last = (Py_ssize_t)(set * c->plb_ways + c->plb_fills[set] - 1);
-    size_t bytes = sizeof(long long) * (size_t)(last - slot);
-    memmove(&c->plb_blocks[slot], &c->plb_blocks[slot + 1], bytes);
-    memmove(&c->plb_dirty[slot], &c->plb_dirty[slot + 1], bytes);
-    c->plb_blocks[last] = block;
-    c->plb_dirty[last] = dirty;
-}
-
 /* Controller._posmap_on_chip: in the PLB or in the victim buffer.
  * Returns 1, 0, or -1 with an exception set. */
 static int
 on_chip(KernelState *c, long long block)
 {
-    Py_ssize_t slot = plb_slot(c, block);
+    Py_ssize_t slot = lru_slot(&c->plb, block);
     if (slot != -1)
         return slot >= 0 ? 1 : -1;
     PyObject *key = PyLong_FromLongLong(block);
@@ -1917,10 +1969,10 @@ check_mapped_index(const KernelState *c, long long block)
 static int
 plb_mark_dirty(KernelState *c, long long block)
 {
-    Py_ssize_t slot = plb_slot(c, block);
+    Py_ssize_t slot = lru_slot(&c->plb, block);
     if (slot < 0)
         return slot == -1 ? 0 : -1;
-    plb_touch(c, block, slot, 1);
+    lru_touch(&c->plb, block, slot, 1);
     return bump(c, K_PLB_HITS);
 }
 
@@ -2023,24 +2075,16 @@ reinsert(KernelState *c, long long block)
 static int
 plb_fill(KernelState *c, long long block, long long dirty, int fetch)
 {
-    Py_ssize_t slot = plb_slot(c, block);
+    Py_ssize_t slot = lru_slot(&c->plb, block);
     if (slot == -2)
         return -1;
     if (slot >= 0) {
-        plb_touch(c, block, slot, c->plb_dirty[slot] || dirty);
+        lru_touch(&c->plb, block, slot, c->plb.dirty[slot] || dirty);
         return 0;
     }
-    long long set = block & (c->plb_sets - 1);
-    Py_ssize_t base = (Py_ssize_t)(set * c->plb_ways);
-    long long fill = c->plb_fills[set];
-    if (fill < c->plb_ways) {
-        c->plb_blocks[base + fill] = block;
-        c->plb_dirty[base + fill] = dirty;
-        c->plb_fills[set] = fill + 1;
+    long long victim, victim_dirty;
+    if (!lru_fill(&c->plb, block, dirty, &victim, &victim_dirty))
         return 0;
-    }
-    long long victim = c->plb_blocks[base], victim_dirty = c->plb_dirty[base];
-    plb_touch(c, block, base, dirty);
     if (bump(c, K_PLB_EVICTIONS) < 0 ||
         (victim_dirty && bump(c, K_PLB_DIRTY_EVICTIONS) < 0) ||
         (victim_dirty && fetch && bump(c, K_PLB_DIRTY_EVICTIONS) < 0))
@@ -2660,6 +2704,613 @@ serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ---------------------------------------------------------------- */
+/* The front end: processor, LLC and the miss/completion glue        */
+/* ---------------------------------------------------------------- */
+
+/* Fields of Processor._clock (cpu/processor.py). */
+enum {
+    CPU_TIME, CPU_INDEX, CPU_RETIRED, CPU_FINISH, CPU_READ_HEAD,
+    CPU_READ_COUNT, CPU_WRITE_HEAD, CPU_WRITE_COUNT, CPU_FIELDS
+};
+/* Items per processor queue entry: issue time, token, completion (-1
+ * while pending). */
+#define ENTRY 3
+#define PENDING -1
+#define FRONT_KEYS (K_REQUESTS_REINSERT - K_CPU_STALL_CYCLES + 1)
+
+/* One of the processor's queues: a ring of ``cap`` entries whose head
+ * and length live in the clock array. */
+typedef struct {
+    long long *items, *head, *count;
+    long long cap;
+} Ring;
+
+/* The array('q') buffers a FrontEnd holds. */
+enum {
+    FB_CLOCK, FB_READS, FB_WRITES, FB_LLC_BLOCKS, FB_LLC_DIRTY,
+    FB_LLC_FILLS, FB_FLIGHTS, FB_FLIGHT_DIRTY, FB_STATE, N_FBUFS
+};
+
+/* FrontEnd(records, processor, llc, hierarchy, request_type, max_idle)
+ *
+ * One simulation's front end as drain_slots runs it, built once per
+ * run: the trace's record list (read in place, one (gap, block,
+ * is_write) tuple per record), the Processor's clock array and its two
+ * queue rings with its issue width, ROB reach, MLP limit and write
+ * buffer, the LastLevelCache's three arrays and ways, the
+ * MemoryHierarchy's in-flight table (blocks, dirty flags and the list
+ * of Requests) and its one-item last-demand-completion array, the
+ * Request class the misses and evictions build, and the idle-slot
+ * limit.  The geometry is checked here, the queue heads and lengths at
+ * every call.  It also keeps the front-end counts of the current call.
+ */
+typedef struct {
+    PyObject_HEAD
+    PyObject *records, *flight_requests, *request_type;
+    Py_buffer bufs[N_FBUFS];
+    long long *clock, *flights, *flight_dirty, *last_demand;
+    Ring reads, writes;
+    LruCache llc;
+    Py_ssize_t flight_cap;
+    long long issue_width, rob_reach, max_reads, write_buffer, max_idle;
+    long long tally[FRONT_KEYS];
+} FrontEnd;
+
+static PyTypeObject FrontEndType;
+
+static void
+front_dealloc(FrontEnd *f)
+{
+    PyObject_GC_UnTrack(f);
+    for (int i = 0; i < N_FBUFS; i++)
+        PyBuffer_Release(&f->bufs[i]);
+    Py_XDECREF(f->records);
+    Py_XDECREF(f->flight_requests);
+    Py_XDECREF(f->request_type);
+    Py_TYPE(f)->tp_free((PyObject *)f);
+}
+
+static int
+front_traverse(FrontEnd *f, visitproc visit, void *arg)
+{
+    for (int i = 0; i < N_FBUFS; i++)
+        Py_VISIT(f->bufs[i].obj);
+    Py_VISIT(f->records);
+    Py_VISIT(f->flight_requests);
+    Py_VISIT(f->request_type);
+    return 0;
+}
+
+/* obj.name as a C integer. */
+static int
+int_attr(PyObject *obj, const char *name, long long *out)
+{
+    PyObject *value = PyObject_GetAttrString(obj, name);
+    if (value == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+front_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static const struct { int owner; const char *name; } fields[N_FBUFS] = {
+        {0, "_clock"}, {0, "_reads"}, {0, "_writes"}, {1, "_blocks"},
+        {1, "_dirty"}, {1, "_fills"}, {2, "_flights"}, {2, "_flight_dirty"},
+        {2, "_state"},
+    };
+    PyObject *owners[3], *records, *request_type;
+    long long max_idle;
+    if (!PyArg_ParseTuple(args, "O!OOOOL:FrontEnd", &PyList_Type, &records,
+                          &owners[0], &owners[1], &owners[2], &request_type,
+                          &max_idle))
+        return NULL;
+    FrontEnd *f = (FrontEnd *)type->tp_alloc(type, 0);
+    if (f == NULL)
+        return NULL;
+    f->records = Py_NewRef(records);
+    f->request_type = Py_NewRef(request_type);
+    f->max_idle = max_idle;
+    Py_ssize_t len[N_FBUFS];
+    for (int i = 0; i < N_FBUFS; i++) {
+        PyObject *array = PyObject_GetAttrString(owners[fields[i].owner],
+                                                 fields[i].name);
+        len[i] = array != NULL
+            ? get_q_buffer(array, &f->bufs[i], fields[i].name) : -1;
+        Py_XDECREF(array);
+        if (len[i] < 0)
+            goto fail;
+    }
+    f->flight_requests = PyObject_GetAttrString(owners[2],
+                                                "_flight_requests");
+    PyObject *config = PyObject_GetAttrString(owners[0], "config");
+    int rc = config == NULL || f->flight_requests == NULL ||
+             int_attr(config, "issue_width", &f->issue_width) < 0 ||
+             int_attr(config, "max_outstanding_reads", &f->max_reads) < 0 ||
+             int_attr(config, "write_buffer", &f->write_buffer) < 0 ||
+             int_attr(owners[0], "_rob_reach", &f->rob_reach) < 0 ||
+             int_attr(owners[1], "ways", &f->llc.ways) < 0 ? -1 : 0;
+    Py_XDECREF(config);
+    if (rc < 0)
+        goto fail;
+    f->clock = f->bufs[FB_CLOCK].buf;
+    f->reads = (Ring){f->bufs[FB_READS].buf, &f->clock[CPU_READ_HEAD],
+                      &f->clock[CPU_READ_COUNT], len[FB_READS] / ENTRY};
+    f->writes = (Ring){f->bufs[FB_WRITES].buf, &f->clock[CPU_WRITE_HEAD],
+                       &f->clock[CPU_WRITE_COUNT], len[FB_WRITES] / ENTRY};
+    f->llc.blocks = f->bufs[FB_LLC_BLOCKS].buf;
+    f->llc.dirty = f->bufs[FB_LLC_DIRTY].buf;
+    f->llc.fills = f->bufs[FB_LLC_FILLS].buf;
+    f->llc.sets = len[FB_LLC_FILLS];
+    f->flights = f->bufs[FB_FLIGHTS].buf;
+    f->flight_dirty = f->bufs[FB_FLIGHT_DIRTY].buf;
+    f->last_demand = f->bufs[FB_STATE].buf;
+    f->flight_cap = len[FB_FLIGHTS];
+    if (len[FB_CLOCK] != CPU_FIELDS || len[FB_STATE] != 1 ||
+        f->issue_width < 1 || f->rob_reach < 0 || f->write_buffer < 1 ||
+        len[FB_READS] != ENTRY * (f->max_reads > 1 ? f->max_reads : 1) ||
+        len[FB_WRITES] != ENTRY * f->write_buffer) {
+        PyErr_SetString(PyExc_ValueError,
+                        "processor arrays do not match its configuration");
+        goto fail;
+    }
+    /* Every fetch in flight holds a queue entry, so the queues bound
+     * the table. */
+    if (!PyList_Check(f->flight_requests) ||
+        PyList_GET_SIZE(f->flight_requests) != f->flight_cap ||
+        len[FB_FLIGHT_DIRTY] != f->flight_cap ||
+        f->flight_cap < f->reads.cap + f->writes.cap) {
+        PyErr_SetString(PyExc_ValueError,
+                        "in-flight table does not match the processor");
+        goto fail;
+    }
+    if (lru_check(&f->llc, len[FB_LLC_BLOCKS], len[FB_LLC_DIRTY], "LLC") < 0)
+        goto fail;
+    return (PyObject *)f;
+fail:
+    Py_DECREF(f);
+    return NULL;
+}
+
+static PyTypeObject FrontEndType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_fastpath.FrontEnd",
+    .tp_basicsize = sizeof(FrontEnd),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One simulation's processor, LLC and in-flight table.",
+    .tp_new = front_new,
+    .tp_dealloc = (destructor)front_dealloc,
+    .tp_traverse = (traverseproc)front_traverse,
+};
+
+/* Check what Python code may have changed since the last call: the
+ * queue heads and lengths, the trace index and the request list's
+ * length (lru_slot checks each LLC set's fill count as it meets it).
+ * Returns 0, or -1 with ValueError set. */
+static int
+front_check(FrontEnd *f)
+{
+    const Ring *rings[2] = {&f->reads, &f->writes};
+    for (int i = 0; i < 2; i++) {
+        const Ring *r = rings[i];
+        if (*r->head < 0 || *r->head >= r->cap || *r->count < 0 ||
+            *r->count > r->cap) {
+            PyErr_SetString(PyExc_ValueError, "processor queue out of range");
+            return -1;
+        }
+    }
+    if (f->clock[CPU_INDEX] < 0 ||
+        PyList_GET_SIZE(f->flight_requests) != f->flight_cap) {
+        PyErr_SetString(PyExc_ValueError, "front end state out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* Count front-end counter ``k`` for the call. */
+static inline void
+tally(FrontEnd *f, int k, long long n)
+{
+    f->tally[k - K_CPU_STALL_CYCLES] += n;
+}
+
+/* Book the call's front-end counts (each key only when nonzero, as
+ * Stats.inc creates it) and clear them. */
+static int
+book_front(KernelState *c, FrontEnd *f)
+{
+    for (int i = 0; i < FRONT_KEYS; i++) {
+        if (f->tally[i] && add_count(c, K_CPU_STALL_CYCLES + i,
+                                     f->tally[i]) < 0)
+            return -1;
+        f->tally[i] = 0;
+    }
+    return 0;
+}
+
+static inline long long *
+ring_at(const Ring *r, long long i)
+{
+    return r->items + ENTRY * ((*r->head + i) % r->cap);
+}
+
+/* Processor._pop: drop the head entry, returning its completion. */
+static inline long long
+ring_pop(Ring *r)
+{
+    long long completion = r->items[ENTRY * *r->head + 2];
+    *r->head = (*r->head + 1) % r->cap;
+    (*r->count)--;
+    return completion;
+}
+
+static inline void
+ring_push(Ring *r, long long issue, long long token)
+{
+    long long *entry = ring_at(r, *r->count);
+    entry[0] = issue;
+    entry[1] = token;
+    entry[2] = PENDING;
+    (*r->count)++;
+}
+
+/* Processor._retire_ready. */
+static void
+retire_ready(FrontEnd *f, Ring *r)
+{
+    while (*r->count) {
+        long long completion = r->items[ENTRY * *r->head + 2];
+        if (completion == PENDING || completion > f->clock[CPU_TIME])
+            return;
+        ring_pop(r);
+    }
+}
+
+/* Processor._blocking_queue: the queue that stops issue, or NULL. */
+static Ring *
+blocking_queue(FrontEnd *f)
+{
+    if (*f->writes.count >= f->write_buffer)
+        return &f->writes;
+    if (!*f->reads.count)
+        return NULL;
+    if (*f->reads.count >= f->max_reads ||
+        f->clock[CPU_TIME] - f->reads.items[ENTRY * *f->reads.head] >
+            f->rob_reach)
+        return &f->reads;
+    return NULL;
+}
+
+/* Processor.complete: every pending entry holding ``token`` completes at
+ * ``time``. */
+static void
+complete_token(FrontEnd *f, long long token, long long time)
+{
+    Ring *rings[2] = {&f->reads, &f->writes};
+    for (int i = 0; i < 2; i++) {
+        for (long long j = 0; j < *rings[i]->count; j++) {
+            long long *entry = ring_at(rings[i], j);
+            if (entry[1] == token && entry[2] == PENDING)
+                entry[2] = time;
+        }
+    }
+}
+
+/* The in-flight table row of ``block`` (-1 for a free row), or -1. */
+static Py_ssize_t
+flight_row(const FrontEnd *f, long long block)
+{
+    for (Py_ssize_t row = 0; row < f->flight_cap; row++) {
+        if (f->flights[row] == block)
+            return row;
+    }
+    return -1;
+}
+
+/* Controller.enqueue, untraced: a new Request(block, kind, arrival,
+ * is_write) joins the request queue and requests.<kind> counts it. */
+static int
+enqueue(KernelState *c, FrontEnd *f, long long block, int kind,
+        long long arrival, PyObject *is_write, PyObject **out)
+{
+    PyObject *block_obj = PyLong_FromLongLong(block);
+    PyObject *arrival_obj = PyLong_FromLongLong(arrival);
+    PyObject *request = NULL;
+    if (block_obj != NULL && arrival_obj != NULL) {
+        PyObject *argv[4] = {block_obj, c->kinds[kind], arrival_obj,
+                             is_write};
+        request = PyObject_Vectorcall(f->request_type, argv, 4, NULL);
+    }
+    Py_XDECREF(block_obj);
+    Py_XDECREF(arrival_obj);
+    if (request == NULL)
+        return -1;
+    PyObject *ok = PyObject_CallMethodOneArg(c->requests, str_append,
+                                             request);
+    if (ok == NULL) {
+        Py_DECREF(request);
+        return -1;
+    }
+    Py_DECREF(ok);
+    tally(f, K_REQUESTS_READ + kind, 1);
+    if (out != NULL)
+        *out = request;
+    else
+        Py_DECREF(request);
+    return 0;
+}
+
+/* MemoryHierarchy.cpu_access for one trace record: a merge into the
+ * fetch in flight for the block, an LLC hit, or a miss, whose READ
+ * request is enqueued and enters the in-flight table.  Sets ``*token``
+ * to the block when the processor must wait for it, else to -1.
+ * Returns 0, or -1 with an exception set. */
+static int
+cpu_access(KernelState *c, FrontEnd *f, long long block, PyObject *is_write,
+           int writing, long long time, long long *token)
+{
+    *token = -1;
+    Py_ssize_t row = flight_row(f, block);
+    if (row >= 0) {
+        /* MSHR-style merge: writes coalesce, reads wait for the fill. */
+        PyObject *request = PyList_GET_ITEM(f->flight_requests, row);
+        PyObject *waiters = PyObject_GetAttr(request, str_waiters);
+        PyObject *next = waiters != NULL
+            ? PyNumber_Add(waiters, int_one) : NULL;
+        int rc = next != NULL
+            ? PyObject_SetAttr(request, str_waiters, next) : -1;
+        Py_XDECREF(waiters);
+        Py_XDECREF(next);
+        if (rc < 0)
+            return -1;
+        if (writing)
+            f->flight_dirty[row] = 1;
+        else
+            *token = block;
+        return 0;
+    }
+    Py_ssize_t slot = lru_slot(&f->llc, block);
+    if (slot == -2)
+        return -1;
+    if (slot >= 0) {
+        lru_touch(&f->llc, block, slot, f->llc.dirty[slot] | writing);
+        tally(f, K_LLC_HITS, 1);
+        return 0;
+    }
+    tally(f, K_LLC_MISSES, 1);
+    tally(f, K_DEMAND_MISSES, 1);
+    row = flight_row(f, -1);
+    if (row < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "in-flight table full");
+        return -1;
+    }
+    PyObject *request;
+    if (enqueue(c, f, block, KIND_READ, time, is_write, &request) < 0)
+        return -1;
+    f->flights[row] = block;
+    f->flight_dirty[row] = writing;
+    PyList_SetItem(f->flight_requests, row, request);
+    *token = block;
+    return 0;
+}
+
+/* Trace record ``index``: its gap, block and is_write object (borrowed
+ * from the record).  Returns 0, or -1 with an exception set. */
+static int
+trace_record(FrontEnd *f, Py_ssize_t index, long long *gap,
+             long long *block, PyObject **is_write)
+{
+    PyObject *record = PyList_GET_ITEM(f->records, index);
+    if (!PyTuple_Check(record) || PyTuple_GET_SIZE(record) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "trace record must be a (gap, block, is_write) tuple");
+        return -1;
+    }
+    *gap = PyLong_AsLongLong(PyTuple_GET_ITEM(record, 0));
+    if (*gap == -1 && PyErr_Occurred())
+        return -1;
+    if (block_arg(PyTuple_GET_ITEM(record, 1), block) < 0)
+        return -1;
+    if (*gap < 0 || *block < 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed trace record");
+        return -1;
+    }
+    *is_write = PyTuple_GET_ITEM(record, 2);
+    return 0;
+}
+
+/* Processor.advance_to(now, cpu_access): retire what has arrived, stall
+ * on a blocking queue whose head has completed (booking the stall) or
+ * stop on one that has not (a block event), and otherwise issue trace
+ * records until the clock passes ``now``; past the last record, retire
+ * everything completed and set the finish time.  Returns 0, or -1 with
+ * an exception set. */
+static int
+advance_to(KernelState *c, FrontEnd *f, long long now)
+{
+    long long *clock = f->clock;
+    for (;;) {
+        retire_ready(f, &f->reads);
+        retire_ready(f, &f->writes);
+        if (clock[CPU_INDEX] >= PyList_GET_SIZE(f->records)) {
+            /* Processor._drain. */
+            Ring *rings[2] = {&f->reads, &f->writes};
+            for (int i = 0; i < 2; i++) {
+                while (*rings[i]->count &&
+                       rings[i]->items[ENTRY * *rings[i]->head + 2] !=
+                           PENDING) {
+                    long long completion = ring_pop(rings[i]);
+                    if (completion > clock[CPU_TIME])
+                        clock[CPU_TIME] = completion;
+                }
+            }
+            if (!*f->reads.count && !*f->writes.count &&
+                clock[CPU_FINISH] < 0)
+                clock[CPU_FINISH] = clock[CPU_TIME];
+            return 0;
+        }
+        Ring *blocker = blocking_queue(f);
+        if (blocker != NULL) {
+            /* Processor._unblock. */
+            if (blocker->items[ENTRY * *blocker->head + 2] == PENDING) {
+                tally(f, K_CPU_BLOCK_EVENTS, 1);
+                return 0;
+            }
+            long long completion = ring_pop(blocker);
+            if (completion > clock[CPU_TIME]) {
+                tally(f, K_CPU_STALL_CYCLES, completion - clock[CPU_TIME]);
+                clock[CPU_TIME] = completion;
+            }
+            continue;
+        }
+        if (clock[CPU_TIME] > now)
+            return 0;
+        long long gap, block, token;
+        PyObject *is_write;
+        if (trace_record(f, (Py_ssize_t)clock[CPU_INDEX], &gap, &block,
+                         &is_write) < 0)
+            return -1;
+        int writing = PyObject_IsTrue(is_write);
+        if (writing < 0)
+            return -1;
+        clock[CPU_INDEX]++;
+        clock[CPU_RETIRED] += gap;
+        clock[CPU_TIME] += gap / f->issue_width > 1
+            ? gap / f->issue_width : 1;
+        if (cpu_access(c, f, block, is_write, writing, clock[CPU_TIME],
+                       &token) < 0)
+            return -1;
+        if (token < 0)
+            continue;
+        ring_push(writing ? &f->writes : &f->reads, clock[CPU_TIME], token);
+        tally(f, writing ? K_CPU_WRITES_ISSUED : K_CPU_READS_ISSUED, 1);
+    }
+}
+
+/* MemoryHierarchy.on_completion for one completed request: a demand
+ * READ whose block is in flight leaves the table, raises the last demand
+ * completion, fills the LLC (its victim goes back to the ORAM as an
+ * LLC-D REINSERT or, when dirty, a WRITEBACK request) and completes the
+ * processor entries waiting for it.  Returns 0, or -1 with an exception
+ * set. */
+static int
+on_completion(KernelState *c, FrontEnd *f, PyObject *request)
+{
+    PyObject *value = PyObject_GetAttr(request, str_completion);
+    if (value == NULL)
+        return -1;
+    if (value == Py_None) {
+        Py_DECREF(value);
+        PyErr_SetString(PyExc_RuntimeError,
+                        "completed request lacks a completion time");
+        return -1;
+    }
+    long long completion = PyLong_AsLongLong(value), block;
+    Py_DECREF(value);
+    if (completion == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *kind = PyObject_GetAttr(request, str_kind);
+    if (kind == NULL)
+        return -1;
+    Py_DECREF(kind);
+    if (kind != c->kinds[KIND_READ])
+        return 0;
+    value = PyObject_GetAttr(request, str_block);
+    int rc = value != NULL ? block_arg(value, &block) : -1;
+    Py_XDECREF(value);
+    if (rc < 0)
+        return -1;
+    Py_ssize_t row = block >= 0 ? flight_row(f, block) : -1;
+    if (row < 0)
+        return 0;  /* an internally generated access */
+    long long dirty = f->flight_dirty[row];
+    f->flights[row] = -1;
+    if (PyList_SetItem(f->flight_requests, row, Py_NewRef(Py_None)) < 0)
+        return -1;
+    if (completion > *f->last_demand)
+        *f->last_demand = completion;
+    Py_ssize_t slot = lru_slot(&f->llc, block);
+    long long victim, victim_dirty;
+    if (slot == -2)
+        return -1;
+    if (slot >= 0) {
+        lru_touch(&f->llc, block, slot, f->llc.dirty[slot] | dirty);
+    } else if (lru_fill(&f->llc, block, dirty, &victim, &victim_dirty)) {
+        tally(f, K_LLC_EVICTIONS, 1);
+        if (victim_dirty)
+            tally(f, K_LLC_DIRTY_EVICTIONS, 1);
+        int kind = c->delayed_remap ? KIND_REINSERT
+            : victim_dirty ? KIND_WRITEBACK : -1;
+        if (kind >= 0 &&
+            enqueue(c, f, victim, kind, completion,
+                    victim_dirty ? Py_True : Py_False, NULL) < 0)
+            return -1;
+    }
+    complete_token(f, block, completion);
+    return 0;
+}
+
+/* Whether the run is over, as Simulator._loop checks after an idle slot:
+ * the processor done, no request or victim-buffer entry queued, and
+ * nothing in flight.  Returns 1, 0, or -1 with an exception set. */
+static int
+run_done(KernelState *c, FrontEnd *f)
+{
+    if (f->clock[CPU_INDEX] < PyList_GET_SIZE(f->records) ||
+        *f->reads.count || *f->writes.count)
+        return 0;
+    for (Py_ssize_t row = 0; row < f->flight_cap; row++) {
+        if (f->flights[row] != -1)
+            return 0;
+    }
+    Py_ssize_t queued = PyObject_Size(c->requests);
+    Py_ssize_t waiting = queued == 0 ? PyObject_Size(c->queue) : 0;
+    if (queued < 0 || waiting < 0)
+        return -1;
+    return queued == 0 && waiting == 0;
+}
+
+/* Simulator._advance_idle: nothing issued, so jump to the next time
+ * anything can happen, the head request's arrival or the processor's
+ * next issue.  Returns 0, or -1 with an exception set. */
+static int
+advance_idle(KernelState *c, FrontEnd *f, long long *now)
+{
+    long long next = -1;
+    Py_ssize_t queued = PyObject_Size(c->requests);
+    if (queued < 0)
+        return -1;
+    if (queued > 0) {
+        PyObject *head = PySequence_GetItem(c->requests, 0);
+        int rc = head != NULL ? int_attr(head, "arrival", &next) : -1;
+        Py_XDECREF(head);
+        if (rc < 0)
+            return -1;
+    }
+    Py_ssize_t index = (Py_ssize_t)f->clock[CPU_INDEX];
+    if (index < PyList_GET_SIZE(f->records) && blocking_queue(f) == NULL) {
+        /* Processor.next_request_time. */
+        long long gap, block, projected;
+        PyObject *is_write;
+        if (trace_record(f, index, &gap, &block, &is_write) < 0)
+            return -1;
+        projected = f->clock[CPU_TIME] +
+                    (gap / f->issue_width > 1 ? gap / f->issue_width : 1);
+        if (next < 0 || projected < next)
+            next = projected;
+    }
+    if (next < 0) {
+        /* The processor is blocked, so a queued request must exist. */
+        PyErr_SetString(PyExc_RuntimeError, "idle with a blocked processor");
+        return -1;
+    }
+    *now = next > *now + 1 ? next : *now + 1;
+    return 0;
+}
+
+/* ---------------------------------------------------------------- */
 /* Draining consecutive issue slots                                  */
 /* ---------------------------------------------------------------- */
 
@@ -2669,19 +3320,17 @@ serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
  * convert it, or a subclass replaces it). */
 enum { DUMMIES_NONE, DUMMIES_KERNEL, DUMMIES_CALLER };
 
-/* Why drain_slots returned: at a slot boundary (its cap, the horizon, or
- * after a slot that completed a read); after an idle slot, which the
- * caller treats as step() returning None; or with the last slot's dummy
- * left to the caller. */
-enum { DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY };
+/* Why drain_slots returned: after its cap of slots; after an idle slot
+ * (without a front end: step() would return None); with the last slot's
+ * dummy left to the caller; at the end of the run (with a front end). */
+enum { DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY, DRAIN_DONE };
 
 /* One slot's outcome: the issued path's type (-1 for none) and finishes,
- * whether the caller must fill it with a dummy, and whether it completed
- * a READ-kind request. */
+ * and whether the caller must fill it with a dummy. */
 typedef struct {
     Py_ssize_t pt;
     long long finish_read, finish_write;
-    int dummy_wanted, read_done;
+    int dummy_wanted;
 } SlotOut;
 
 /* Controller._drain_posmap_reinserts: each victim-buffer entry waiting
@@ -2756,18 +3405,14 @@ fail:
     return -1;
 }
 
-/* The served head request leaves the queue and joins the completions;
- * a READ-kind one ends the drain after its slot. */
+/* The served head request leaves the queue and joins the completions. */
 static int
-complete_head(KernelState *c, PyObject *request, int kind,
-              PyObject *completions, SlotOut *s)
+complete_head(KernelState *c, PyObject *request, PyObject *completions)
 {
     PyObject *head = PyObject_CallMethodNoArgs(c->requests, str_popleft);
     if (head == NULL)
         return -1;
     Py_DECREF(head);
-    if (kind == KIND_READ)
-        s->read_done = 1;
     return PyList_Append(completions, request);
 }
 
@@ -2828,7 +3473,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
     memset(&out, 0, sizeof out);
     out.finish_read = out.finish_write = now;
     s->pt = -1;
-    s->dummy_wanted = s->read_done = 0;
+    s->dummy_wanted = 0;
 
     PyObject *head = NULL;
     long long block = 0;
@@ -2839,7 +3484,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
         status = serve_slot(c, head, block, kind, now, &out, &s->pt);
         if (status != SERVE_INSTANT)
             break;
-        rc = complete_head(c, head, kind, completions, s);
+        rc = complete_head(c, head, completions);
         Py_CLEAR(head);
         if (rc < 0)
             return -1;
@@ -2882,7 +3527,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
          * path. */
         *streak = 0;
         if (status != SERVE_FETCH &&
-            complete_head(c, head, kind, completions, s) < 0)
+            complete_head(c, head, completions) < 0)
             goto fail;
     }
     Py_XDECREF(head);
@@ -2894,61 +3539,73 @@ fail:
     return -1;
 }
 
-/* drain_slots(state, now, cap, horizon, dummies, streak)
- *   -> (completions, records, now, slots, stop, streak)
+/* drain_slots(state, front, now, cap, dummies, streak, idle)
+ *   -> (completions, records, now, slots, stop, streak, idle)
  *
  * Run consecutive issue slots from ``now`` (drain_slot each), as the
- * simulator's loop would call PathORAMController.step for them with no
- * hook attached, without returning to the interpreter between slots.
- * After a slot that issued a path the clock moves as the loop moves it:
- * to ``max(now + interval, finish_write)`` with the timing defense on,
- * else to ``max(now + 1, finish_write)``; after an on-chip slot it stays.
+ * simulator's loop runs PathORAMController.step for them with no hook
+ * attached, without returning to the interpreter between slots.  After
+ * a slot that issued a path the clock moves as the loop moves it: to
+ * ``max(now + interval, finish_write)`` with the timing defense on, else
+ * to ``max(now + 1, finish_write)``; after an on-chip slot it stays.
  *
- * The call returns at the first slot boundary the loop would have handled
- * differently, so the caller sees the same slots the loop would:
+ * With a FrontEnd ``front`` the call runs the loop's front end too:
+ * before each slot the processor advances to ``now`` (advance_to, its
+ * misses enqueued through cpu_access), and the slot runs dummies only
+ * while trace records remain; after it the slot's completions are
+ * applied (on_completion).  A slot that does nothing counts as idle
+ * (``idle`` counts them in a row, as Simulator._loop does, up to the
+ * front end's limit): the run ends there when it is over (DRAIN_DONE),
+ * else the clock jumps to the next arrival or issue (advance_idle).
+ * Without a front end an idle slot ends the call (DRAIN_IDLE), and the
+ * completions are returned for the caller to apply.
  *
- *   - before a slot at or past ``horizon`` (-1 = none), the next cycle
- *     the processor could issue a request at;
- *   - after a slot that completed a READ-kind request, which the
- *     processor and the LLC must see;
- *   - after ``cap`` slots;
- *   - after a slot that did nothing (DRAIN_IDLE: step() returned None);
- *   - with ``dummies`` DUMMIES_CALLER, at a slot nothing real takes,
- *     whose dummy the caller then runs (DRAIN_DUMMY).
- *
- * ``completions`` lists the completed requests in order; ``records`` is
- * an array('q') of (path type index, start, finish_read, finish_write,
- * stall_until) per issued path, ``stall_until`` being the earliest cycle
- * the next slot may issue; ``slots`` counts the slots run, the last of a
- * DRAIN_IDLE or DRAIN_DUMMY call included; ``streak`` is the eviction
- * streak after them.  Real paths book themselves as kernel paths, dummy
- * paths as one batch (book_dummies, engine.batch.calls and .paths).
+ * The call also returns after ``cap`` slots (DRAIN_BOUNDARY) and, with
+ * ``dummies`` DUMMIES_CALLER, at a slot nothing real takes, whose dummy
+ * the caller then runs (DRAIN_DUMMY); that slot's completions come back
+ * unapplied.  ``records`` is an array('q') of (path type index, start,
+ * finish_read, finish_write, stall_until) per issued path,
+ * ``stall_until`` being the earliest cycle the next slot may issue;
+ * ``slots`` counts the slots run, the last included; ``streak`` is the
+ * eviction streak after them.  Real paths book themselves as kernel
+ * paths, dummy paths as one batch (book_dummies, engine.batch.calls and
+ * .paths), and the front end's counts are booked once per call.
  */
 static PyObject *
 drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
+    if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError,
-                        "drain_slots(state, now, cap, horizon, dummies, "
-                        "streak)");
+                        "drain_slots(state, front, now, cap, dummies, "
+                        "streak, idle)");
         return NULL;
     }
     KernelState *c = state_arg(args[0]);
     if (c == NULL)
         return NULL;
+    FrontEnd *f = NULL;
+    if (args[1] != Py_None) {
+        if (!PyObject_TypeCheck(args[1], &FrontEndType)) {
+            PyErr_SetString(PyExc_TypeError, "expected a FrontEnd or None");
+            return NULL;
+        }
+        f = (FrontEnd *)args[1];
+    }
     long long values[5];
     for (int i = 0; i < 5; i++) {
-        values[i] = PyLong_AsLongLong(args[i + 1]);
+        values[i] = PyLong_AsLongLong(args[i + 2]);
         if (values[i] == -1 && PyErr_Occurred())
             return NULL;
     }
-    long long now = values[0], cap = values[1], horizon = values[2];
-    long long dummies = values[3], streak = values[4];
-    if (now < 0 || cap < 0 || horizon < -1 || dummies < DUMMIES_NONE ||
-        dummies > DUMMIES_CALLER || streak < 0) {
+    long long now = values[0], cap = values[1], dummies = values[2];
+    long long streak = values[3], idle = values[4];
+    if (now < 0 || cap < 0 || dummies < DUMMIES_NONE ||
+        dummies > DUMMIES_CALLER || streak < 0 || idle < 0) {
         PyErr_SetString(PyExc_ValueError, "malformed drain_slots call");
         return NULL;
     }
+    if (f != NULL && front_check(f) < 0)
+        return NULL;
     PyObject *completions = PyList_New(0);
     if (completions == NULL)
         return NULL;
@@ -2960,16 +3617,53 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     memset(&tally, 0, sizeof tally);
     if (slab_open(c) < 0)
         goto fail;
-    while (slots < cap && !(horizon >= 0 && now >= horizon)) {
+    while (slots < cap) {
         SlotOut s;
+        int mode = (int)dummies;
+        if (f != NULL) {
+            if (advance_to(c, f, now) < 0)
+                goto fail;
+            if (f->clock[CPU_INDEX] >= PyList_GET_SIZE(f->records))
+                mode = DUMMIES_NONE;
+        }
         Py_ssize_t before = PyList_GET_SIZE(completions);
-        if (drain_slot(c, now, (int)dummies, &streak, completions, &tally,
-                       &s) < 0)
+        if (drain_slot(c, now, mode, &streak, completions, &tally, &s) < 0)
             goto fail;
         slots++;
         if (s.dummy_wanted) {
             stop = DRAIN_DUMMY;
+            idle = 0;
             break;
+        }
+        if (s.pt < 0 && PyList_GET_SIZE(completions) == before) {
+            if (f == NULL) {
+                stop = DRAIN_IDLE;
+                break;
+            }
+            int done = run_done(c, f);
+            if (done < 0)
+                goto fail;
+            if (done) {
+                stop = DRAIN_DONE;
+                break;
+            }
+            if (++idle > f->max_idle) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "simulation stopped making progress");
+                goto fail;
+            }
+            if (advance_idle(c, f, &now) < 0)
+                goto fail;
+            continue;
+        }
+        idle = 0;
+        if (f != NULL) {
+            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(completions); i++) {
+                if (on_completion(c, f, PyList_GET_ITEM(completions, i)) < 0)
+                    goto fail;
+            }
+            if (PyList_SetSlice(completions, 0, PY_SSIZE_T_MAX, NULL) < 0)
+                goto fail;
         }
         if (s.pt >= 0) {
             if (n_records == room) {
@@ -2996,16 +3690,12 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             record[3] = s.finish_write;
             record[4] = stall_until;
             now = s.finish_write > next ? s.finish_write : next;
-        } else if (PyList_GET_SIZE(completions) == before) {
-            stop = DRAIN_IDLE;
-            break;
         }
-        if (s.read_done)
-            break;
     }
     if (book_dummies(c, &tally) < 0 ||
         (tally.n && (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
-                     add_engine(c, K_BATCH_PATHS, tally.n) < 0)))
+                     add_engine(c, K_BATCH_PATHS, tally.n) < 0)) ||
+        (f != NULL && book_front(c, f) < 0))
         goto fail;
     slab_close(c);
     PyObject *raw = PyBytes_FromStringAndSize(
@@ -3018,10 +3708,12 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(completions);
         return NULL;
     }
-    return Py_BuildValue("(NNLLiL)", completions, array, now, slots, stop,
-                         streak);
+    return Py_BuildValue("(NNLLiLL)", completions, array, now, slots, stop,
+                         streak, idle);
 
 fail:
+    if (f != NULL)
+        memset(f->tally, 0, sizeof f->tally);
     slab_close(c);
     PyMem_Free(records);
     Py_DECREF(completions);
@@ -3218,6 +3910,89 @@ done:
     return overflow;
 }
 
+/* ---------------------------------------------------------------- */
+/* The cycle breakdown                                               */
+/* ---------------------------------------------------------------- */
+
+/* attribute_cycles(records, cycles, buckets)
+ *   -> (data_read, data_write, posmap_read, posmap_write, dummy_read,
+ *       dummy_write, eviction_read, eviction_write, timing_stall, idle)
+ *
+ * CycleAttribution.finalize over its flat timeline, an array('q') of
+ * (type code, start, finish_read, finish_write, stall_until) per path:
+ * each path's phases, clipped to ``cycles``, go to the bucket
+ * ``buckets[code]`` names (0 data, 1 PosMap, 2 dummy, 3 eviction; a code
+ * past the tuple is an eviction), and the gap before each path (and
+ * before ``cycles``) is a timing stall up to the previous path's
+ * ``stall_until`` and idle after it.
+ */
+static PyObject *
+attribute_cycles(PyObject *self, PyObject *args)
+{
+    PyObject *records_obj, *buckets;
+    long long cycles;
+    if (!PyArg_ParseTuple(args, "OLO!", &records_obj, &cycles, &PyTuple_Type,
+                          &buckets))
+        return NULL;
+    Py_buffer view;
+    Py_ssize_t n = get_q_buffer(records_obj, &view, "records");
+    if (n < 0)
+        return NULL;
+    if (n % 5 != 0) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_ValueError, "records are not five per path");
+        return NULL;
+    }
+    long long bucket_of[MAX_PATH_TYPES];
+    Py_ssize_t n_buckets = PyTuple_GET_SIZE(buckets);
+    if (n_buckets > MAX_PATH_TYPES)
+        n_buckets = MAX_PATH_TYPES;
+    for (Py_ssize_t i = 0; i < n_buckets; i++) {
+        bucket_of[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(buckets, i));
+        if ((bucket_of[i] == -1 && PyErr_Occurred()) || bucket_of[i] < 0 ||
+            bucket_of[i] > 3) {
+            PyBuffer_Release(&view);
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "bucket out of range");
+            return NULL;
+        }
+    }
+    const long long *r = view.buf;
+    long long sums[4][2] = {{0, 0}, {0, 0}, {0, 0}, {0, 0}};
+    long long stall = 0, idle = 0, cursor = 0, stall_until = 0;
+    for (Py_ssize_t base = 0; base <= n; base += 5) {
+        int last = base == n;
+        long long start = last ? cycles : r[base + 1];
+        if (start > cycles)
+            start = cycles;
+        if (start > cursor) {
+            long long stall_end = stall_until < start ? stall_until : start;
+            if (stall_end > cursor) {
+                stall += stall_end - cursor;
+                cursor = stall_end;
+            }
+            idle += start - cursor;
+        }
+        if (last)
+            break;
+        long long finish_read = r[base + 2], finish_write = r[base + 3];
+        if (finish_read > cycles)
+            finish_read = cycles;
+        if (finish_write > cycles)
+            finish_write = cycles;
+        long long code = r[base];
+        long long b = code >= 0 && code < n_buckets ? bucket_of[code] : 3;
+        sums[b][0] += finish_read - start;
+        sums[b][1] += finish_write - finish_read;
+        cursor = finish_write;
+        stall_until = r[base + 4];
+    }
+    PyBuffer_Release(&view);
+    return Py_BuildValue("(LLLLLLLLLL)", sums[0][0], sums[0][1], sums[1][0],
+                         sums[1][1], sums[2][0], sums[2][1], sums[3][0],
+                         sums[3][1], stall, idle);
+}
+
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
      "Batch DRAM timing over an array('q') of (bank, channel, row) triples."},
@@ -3236,7 +4011,10 @@ static PyMethodDef fastpath_methods[] = {
     {"serve_request", (PyCFunction)(void (*)(void))serve_request,
      METH_FASTCALL, "The head request's share of one issue slot."},
     {"drain_slots", (PyCFunction)(void (*)(void))drain_slots,
-     METH_FASTCALL, "Consecutive issue slots in one call."},
+     METH_FASTCALL,
+     "Consecutive issue slots, with the processor and LLC between them."},
+    {"attribute_cycles", attribute_cycles, METH_VARARGS,
+     "Bucket a run's path timeline into its cycle breakdown."},
     {"draw_leaves", draw_leaves, METH_VARARGS,
      "The position map's initial leaf table, as an array('q')."},
     {"init_tree", init_tree, METH_VARARGS,
@@ -3276,19 +4054,23 @@ PyInit__repro_fastpath(void)
         PyUnicode_InternFromString("translation_counted");
     str_stash = PyUnicode_InternFromString("stash");
     str_sstash = PyUnicode_InternFromString("sstash");
+    str_waiters = PyUnicode_InternFromString("waiters");
     int_one = PyLong_FromLong(1);
     if (str_append == NULL || str_popleft == NULL || str_note_peak == NULL ||
         str_slab == NULL || str_remap_count == NULL ||
         str_block == NULL || str_kind == NULL || str_arrival == NULL ||
         str_completion == NULL ||
         str_paths_used == NULL || str_translation_counted == NULL ||
-        str_stash == NULL || str_sstash == NULL ||
-        int_one == NULL || PyType_Ready(&KernelStateType) < 0)
+        str_stash == NULL || str_sstash == NULL || str_waiters == NULL ||
+        int_one == NULL || PyType_Ready(&KernelStateType) < 0 ||
+        PyType_Ready(&FrontEndType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&fastpath_module);
     if (module != NULL &&
-        PyModule_AddObjectRef(module, "KernelState",
-                              (PyObject *)&KernelStateType) < 0)
+        (PyModule_AddObjectRef(module, "KernelState",
+                               (PyObject *)&KernelStateType) < 0 ||
+         PyModule_AddObjectRef(module, "FrontEnd",
+                               (PyObject *)&FrontEndType) < 0))
         Py_CLEAR(module);
     return module;
 }

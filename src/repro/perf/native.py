@@ -3,10 +3,19 @@
 The simulator's innermost loops have bit-identical C implementations in
 ``_fastpath.c``, exposed as these entry points:
 
-* ``drain_slots`` — consecutive untraced issue slots in one call: the
-  victim-buffer re-inserts, each arrived head request's share of the
-  slot, the victim-buffer parent fetches, background evictions and dummy
-  paths, until the next event the simulator's loop must see;
+* ``drain_slots`` — the simulator's untraced loop in one call: before
+  each slot the processor advances through the trace, probing the LLC
+  and enqueueing its misses; the slot runs the victim-buffer
+  re-inserts, each arrived head request's share of the slot, the
+  victim-buffer parent fetches, background evictions and dummy paths;
+  after it the completions fill the LLC (enqueueing its victims) and
+  wake the processor; idle slots jump the clock.  It returns every
+  ``REPRO_BATCH_SLOTS`` slots, at a dummy slot IR-DWB may convert and at
+  the end of the run.  The front end's state is a ``FrontEnd`` over the
+  trace's record list and the processor's, the LLC's and the in-flight
+  table's arrays;
+* ``attribute_cycles`` — the cycle breakdown's pass over a run's path
+  timeline;
 * ``serve_request`` — the head queued request's share of an untraced
   issue slot, the code ``drain_slots`` serves requests through: the
   stash and S-Stash probes, the translation walk, then either an on-chip
@@ -51,7 +60,9 @@ which the controller builds once from its live state and which holds
 and validates it for its lifetime: the tree's slots, the position map's
 leaves, the level occupancy, the layout's ``path_table``, the DRAM bank
 state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
-dirty flags, per-set fill counts) and the S-Stash's two arrays (each
+dirty flags, per-set fill counts, the layout the LLC shares through
+:mod:`repro.cache.flat` and one set of C helpers) and the S-Stash's
+two arrays (each
 block's set-index entry with its residency flag, each set's count) as
 ``array('q')`` buffers the kernels index directly, with the
 controller's path count; the ``Stash``, the victim buffer, the
@@ -134,6 +145,12 @@ COUNTER_KEYS = (
     # a slot's priority paths
     sk.POSMAP_WRITEBACK_PATHS, sk.EVICTION_PATHS, sk.EVICTION_CYCLES,
     sk.EVICTION_STORM_YIELDS,
+    # the front end
+    sk.CPU_STALL_CYCLES, sk.CPU_READ_MISSES_ISSUED,
+    sk.CPU_WRITE_MISSES_ISSUED, sk.CPU_BLOCK_EVENTS, sk.LLC_HITS,
+    sk.LLC_MISSES, sk.LLC_EVICTIONS, sk.LLC_DIRTY_EVICTIONS,
+    sk.HIERARCHY_DEMAND_MISSES, sk.REQUESTS_READ, sk.REQUESTS_WRITEBACK,
+    sk.REQUESTS_REINSERT,
     sk.HIT_LEVEL,
     sk.ENGINE_TIER_KERNEL_PATHS, sk.ENGINE_BATCH_CALLS,
     sk.ENGINE_BATCH_PATHS,
@@ -165,9 +182,10 @@ SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
 #: run its dummy path in the kernel, or hand it back to the caller.
 DUMMIES_NONE, DUMMIES_KERNEL, DUMMIES_CALLER = range(3)
 
-#: ``drain_slots`` stops: at a slot boundary; after an idle slot; with
-#: the last slot's dummy left to the caller.
-DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY = range(3)
+#: ``drain_slots`` stops: after its cap of slots; after an idle slot
+#: (without a front end); with the last slot's dummy left to the caller;
+#: at the end of the run (with a front end).
+DRAIN_BOUNDARY, DRAIN_IDLE, DRAIN_DUMMY, DRAIN_DONE = range(4)
 
 
 def _self_test(module) -> bool:
@@ -451,13 +469,21 @@ def _self_test(module) -> bool:
     # 0, finishing at 10 and 17, the next slot at 17 (interval 0).
     drained, arrays = {}, batch_arrays()
     result = module.drain_slots(batch_state(counters=drained, **arrays),
-                                0, 1, -1, DUMMIES_KERNEL, 0)
+                                None, 0, 1, DUMMIES_KERNEL, 0, 0)
     if not (
-        result == ([], q([3, 0, 10, 17, 0]), 17, 1, DRAIN_BOUNDARY, 0)
+        result == ([], q([3, 0, 10, 17, 0]), 17, 1, DRAIN_BOUNDARY, 0, 0)
         and drained == counters
         and arrays["tree_slots"] == q([3, -1, -1])
         and arrays["bank_ready"] == q([14])
     ):
+        return False
+
+    # The cycle breakdown: a dummy path 10-20-30 whose next slot may
+    # issue at 40, then a data path 50-60-90 clipped to 80 cycles: 10
+    # idle, the stall 30-40, idle 40-50.
+    if module.attribute_cycles(
+        q([3, 10, 20, 30, 40, 0, 50, 60, 90, 100]), 80, (0, 1, 1, 2, 3, 2)
+    ) != (10, 20, 0, 0, 10, 10, 0, 0, 10, 20):
         return False
 
     # Serving a read of user block 1 (leaf 2, at the bottom of its path)

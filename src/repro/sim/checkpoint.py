@@ -46,8 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simulator import Simulator
 
 #: on-disk checkpoint format; bump on any layout change (2: the S-Stash
-#: pickles as two arrays, not dicts; 3: the stash pickles as one slab)
-CHECKPOINT_VERSION = 3
+#: pickles as two arrays, not dicts; 3: the stash pickles as one slab;
+#: 4: the processor, the LLC and the in-flight table pickle as arrays)
+CHECKPOINT_VERSION = 4
 
 _SALT: Optional[str] = None
 

@@ -11,91 +11,94 @@ queueing delay are both workload-dependent, as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from array import array
+from typing import List, Optional
 
 from .. import stats_keys as sk
 from ..cache.cache import EvictedLine
 from ..cache.llc import LastLevelCache
 from ..core.schemes import SimComponents
 from ..config import env_number
-from ..cpu.processor import MemoryOp, Processor
+from ..cpu.processor import Processor, read_capacity
 from ..errors import ProtocolError
 from ..obs import events as ev
 from ..obs.breakdown import CycleAttribution
 from ..oram.controller import PathORAMController
 from ..oram.types import Request, RequestKind
+from ..perf.native import DRAIN_DONE
 from ..stats import Stats
 from ..traces.trace import Trace
 from .results import SimulationResult
 
 
-@dataclass
-class _InFlight:
-    """A demand fetch on its way through the ORAM."""
-
-    request: Request
-    want_dirty: bool
-    tokens: List[int] = field(default_factory=list)
-
-
 class MemoryHierarchy:
-    """LLC plus the glue between processor, LLC, and ORAM controller."""
+    """LLC plus the glue between processor, LLC, and ORAM controller.
+
+    Demand fetches in flight are a table keyed by block, shared with the
+    C front end: row ``r`` is ``_flights[r]`` (-1: free),
+    ``_flight_dirty[r]`` and ``_flight_requests[r]``; each fetch holds a
+    processor queue entry, so the queues bound it (``capacity`` rows).
+    """
 
     def __init__(
         self,
         llc: LastLevelCache,
         controller: PathORAMController,
         stats: Stats,
+        capacity: int,
     ) -> None:
         self.llc = llc
         self.controller = controller
         self.stats = stats
         self.delayed_remap = controller.delayed_remap
-        self.in_flight: Dict[int, _InFlight] = {}
-        self._next_token = 0
-        self.last_demand_completion = 0
+        self._flights = array("q", [-1]) * capacity
+        self._flight_dirty = array("q", [0]) * capacity
+        self._flight_requests: List[Optional[Request]] = [None] * capacity
+        self._state = array("q", [0])
+
+    @property
+    def last_demand_completion(self) -> int:
+        return self._state[0]
+
+    def in_flight_count(self) -> int:
+        return len(self._flights) - self._flights.count(-1)
+
+    def _row(self, block: int) -> int:
+        """The table row of ``block``'s fetch, or -1.  Most accesses find
+        no fetch in flight, so the membership test (a C scan) comes first
+        and the miss raises nothing."""
+        flights = self._flights
+        return flights.index(block) if block in flights else -1
 
     # -- processor-facing ---------------------------------------------------
-    def cpu_access(self, op: MemoryOp) -> Optional[int]:
-        """LLC lookup for one L1 miss; returns a wait token on a read miss."""
-        block = op.block
-        flight = self.in_flight.get(block)
-        if flight is not None:
+    def cpu_access(self, block: int, is_write: bool, time: int) -> Optional[int]:
+        """LLC lookup for one L1 miss; returns a wait token (the block) on
+        a read miss or a write-allocate fetch."""
+        row = self._row(block)
+        if row >= 0:
             # MSHR-style merge: writes coalesce, reads wait for the fill.
-            flight.request.merge()
-            if op.is_write:
-                flight.want_dirty = True
+            self._flight_requests[row].merge()
+            if is_write:
+                self._flight_dirty[row] = 1
                 return None
-            return self._add_token(flight)
+            return block
         if self.llc.probe(block):
-            self.llc.access(block, op.is_write)  # counts the hit, moves LRU
+            self.llc.access(block, is_write)  # counts the hit, moves LRU
             return None
         self.stats.inc(sk.LLC_MISSES)
         self.stats.inc(sk.HIERARCHY_DEMAND_MISSES)
         tracer = self.stats.tracer
         if tracer is not None:
-            tracer.emit(
-                ev.LLC_MISS, op.time, block=block, write=bool(op.is_write)
-            )
-        request = Request(
-            block=block,
-            kind=RequestKind.READ,
-            arrival=op.time,
-            is_write=op.is_write,
-        )
+            tracer.emit(ev.LLC_MISS, time, block=block, write=bool(is_write))
+        request = Request(block, RequestKind.READ, time, is_write)
         self.controller.enqueue(request)
-        flight = _InFlight(request, want_dirty=op.is_write)
-        self.in_flight[block] = flight
+        row = self._flights.index(-1)
+        self._flights[row] = block
+        self._flight_dirty[row] = 1 if is_write else 0
+        self._flight_requests[row] = request
         # Both read misses and write-allocate fetches hand the processor a
         # token: reads gate the ROB/MLP window, writes the write buffer.
-        return self._add_token(flight)
-
-    def _add_token(self, flight: _InFlight) -> int:
-        token = self._next_token
-        self._next_token += 1
-        flight.tokens.append(token)
-        return token
+        return block
 
     # -- controller-facing -----------------------------------------------------
     def on_completion(self, request: Request, processor: Processor) -> None:
@@ -104,12 +107,14 @@ class MemoryHierarchy:
             raise ProtocolError("completed request lacks a completion time")
         if request.kind is not RequestKind.READ:
             return
-        flight = self.in_flight.pop(request.block, None)
-        if flight is None:
+        row = self._row(request.block)
+        if row < 0:
             return  # internally generated access (e.g. IR-DWB)
-        self.last_demand_completion = max(
-            self.last_demand_completion, request.completion
-        )
+        want_dirty = self._flight_dirty[row]
+        self._flights[row] = -1
+        self._flight_requests[row] = None
+        if request.completion > self._state[0]:
+            self._state[0] = request.completion
         tracer = self.stats.tracer
         if tracer is not None:
             tracer.emit(
@@ -119,11 +124,10 @@ class MemoryHierarchy:
                 latency=request.completion - request.arrival,
                 waiters=request.waiters,
             )
-        evicted = self.llc.insert(request.block, dirty=flight.want_dirty)
+        evicted = self.llc.insert(request.block, dirty=bool(want_dirty))
         if evicted is not None:
             self.handle_eviction(evicted, request.completion)
-        for token in flight.tokens:
-            processor.complete(token, request.completion)
+        processor.complete(request.block, request.completion)
 
     def handle_eviction(self, evicted: EvictedLine, time: int) -> None:
         if self.delayed_remap:
@@ -157,8 +161,12 @@ class Simulator:
         self.stats = components.stats
         self.controller = components.controller
         self.llc = components.llc
-        self.hierarchy = MemoryHierarchy(self.llc, self.controller, self.stats)
-        self.processor = Processor(trace, components.config.cpu, self.stats)
+        cpu = components.config.cpu
+        self.hierarchy = MemoryHierarchy(
+            self.llc, self.controller, self.stats,
+            read_capacity(cpu) + cpu.write_buffer,
+        )
+        self.processor = Processor(trace, cpu, self.stats)
         #: optional mid-run checkpoint hook (see repro.sim.checkpoint);
         #: consulted between issue slots, never inside one, so captured
         #: state is always at a well-defined protocol boundary.
@@ -205,6 +213,14 @@ class Simulator:
             raise ProtocolError("resume() on a simulator that never ran")
         return self._loop()
 
+    def _front_end(self):
+        """The C front end over this run's trace records, processor, LLC
+        and in-flight table, for ``drain_slots``."""
+        return self.controller._native.FrontEnd(
+            self.trace.records, self.processor, self.llc, self.hierarchy,
+            Request, self.MAX_IDLE_ITERATIONS,
+        )
+
     def _loop(self) -> SimulationResult:
         controller = self.controller
         processor = self.processor
@@ -222,16 +238,15 @@ class Simulator:
         checkpointer = self.checkpointer
 
         # The slot drain: with no hook attached, a serve-tier controller
-        # runs consecutive issue slots in one drain_slots kernel call, up
-        # to REPRO_BATCH_SLOTS of them, until the next event this loop
-        # must see (docs/simulator.md, "The slot drain").  Observers,
-        # tracers, checkpointers, and utilization or progress sampling
-        # force one step() per slot, so each sees exactly the slots it
-        # would have seen; cycles and counters are bit-identical either
-        # way.  The knob is parsed on every run, so a malformed value
-        # fails even a run that could not drain.
+        # runs this whole loop in drain_slots kernel calls of up to
+        # REPRO_BATCH_SLOTS slots, which return early only for an IR-DWB
+        # dummy slot (its completions handed back) and at the end of the
+        # run (docs/simulator.md, "The slot drain").  Any hook forces one
+        # step() per slot, so it sees exactly the slots it would have
+        # seen; cycles and counters are bit-identical either way.  The
+        # knob is parsed on every run, so a malformed value always fails.
         drain_cap = batch_slots()
-        if not (
+        front = self._front_end() if drain_cap and (
             controller._serve
             and "step" not in vars(controller)
             and controller.observer is None
@@ -240,49 +255,32 @@ class Simulator:
             and tracer is None
             and snapshot_every == 0
             and progress_every == 0
-        ):
-            drain_cap = 0
-        stats = self.stats
+        ) else None
 
         while True:
-            if tracer is not None:
-                tracer.now = now
-            processor.advance_to(now, hierarchy.cpu_access)
-            trace_active = not processor.trace_exhausted()
-            if drain_cap:
-                # Until a completion reaches it, the processor does
-                # nothing before its own clock, and a blocked one only
-                # books the stall of each advance_to the drain skips.
-                blocked = trace_active and processor.blocked()
-                horizon = (
-                    processor.cpu_time if trace_active and not blocked
-                    else -1
-                )
-                completions, records, next_now, slots, idle = (
+            if front is not None:
+                completions, records, now, _, stop, idle_iterations = (
                     controller.drain_slots(
-                        now, drain_cap, horizon, trace_active
+                        now, drain_cap, front=front, idle=idle_iterations
                     )
                 )
-                if blocked and slots > 1:
-                    stats.inc(sk.CPU_BLOCK_EVENTS, slots - 1)
                 for request in completions:
                     hierarchy.on_completion(request, processor)
                 if records:
                     attribution.on_paths(records)
                     last_finish = max(last_finish, records[-2])
-                now = next_now
-                if slots and not idle:
-                    idle_iterations = 0
-                    continue
-                if slots > 1:
-                    idle_iterations = 0
-                result = None
-            else:
-                result = controller.step(now, allow_dummy=trace_active)
-
+                if stop == DRAIN_DONE:
+                    break
+                continue
+            if tracer is not None:
+                tracer.now = now
+            processor.advance_to(now, hierarchy.cpu_access)
+            result = controller.step(
+                now, allow_dummy=not processor.trace_exhausted()
+            )
             if result is None:
                 if processor.done and not controller.has_any_real_work() and (
-                    not hierarchy.in_flight
+                    not hierarchy.in_flight_count()
                 ):
                     break
                 idle_iterations += 1
@@ -377,7 +375,7 @@ class Simulator:
             "paths": controller.path_count,
             "instructions": self.processor.retired_instructions,
             "stash": len(controller.stash),
-            "in_flight": len(self.hierarchy.in_flight),
+            "in_flight": self.hierarchy.in_flight_count(),
         }
         tracer.emit(ev.PROGRESS, now, **data)
         self.stats.record(sk.OBS_PROGRESS, now, data)

@@ -1,10 +1,18 @@
-"""Unit tests for the trace-driven processor model."""
+"""Unit tests for the trace-driven processor model.
 
-import pytest
+The array-backed :class:`Processor` also runs against
+:class:`ReferenceProcessor`, the deque-and-dict model it replaced: the
+cases below and random traces with random completion schedules must
+leave both in the same state.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CPUConfig
-from repro.cpu.processor import MemoryOp, Processor
+from repro.cpu.processor import Processor
 from repro.traces.trace import Trace
+from tests.reference_processor import ReferenceProcessor
 
 
 def make_trace(records):
@@ -20,9 +28,10 @@ class Recorder:
         self.next_token = 0
         self.tokens = {}
 
-    def __call__(self, op: MemoryOp):
+    def __call__(self, block, is_write, time):
+        op = (block, is_write, time)
         self.ops.append(op)
-        if op.block in self.miss_blocks:
+        if block in self.miss_blocks:
             token = self.next_token
             self.next_token += 1
             self.tokens[token] = op
@@ -51,7 +60,7 @@ class TestExecution:
         cpu = Processor(trace, CPUConfig())
         cpu.advance_to(150, Recorder())
         # only ~2 records fit in 150 cycles (+1 overshoot record)
-        assert 1 <= cpu._index <= 3
+        assert 1 <= cpu.trace_index <= 3
 
     def test_read_miss_blocks_at_rob_reach(self):
         trace = make_trace([(40, 0, False)] + [(40, i + 1, False) for i in range(20)])
@@ -132,3 +141,53 @@ class TestSchedulingHints:
         cpu = Processor(trace, CPUConfig())
         cpu.advance_to(10**9, Recorder())
         assert cpu.next_request_time() is None
+
+
+# ----------------------------------------------------------------------
+# against the reference model
+# ----------------------------------------------------------------------
+def _state(cpu, hierarchy):
+    return (
+        cpu.cpu_time, cpu.trace_index, cpu.retired_instructions,
+        cpu.finish_time, cpu.done, cpu.trace_exhausted(),
+        cpu.next_request_time(), hierarchy.ops, dict(cpu.stats.counters),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 12), st.booleans()),
+        max_size=40,
+    ),
+    width=st.integers(1, 4),
+    rob=st.integers(1, 64),
+    mlp=st.integers(0, 4),
+    buffer=st.integers(1, 4),
+    misses=st.sets(st.integers(0, 12)),
+    steps=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 600)),
+                   max_size=30),
+)
+def test_matches_reference_processor(records, width, rob, mlp, buffer,
+                                      misses, steps):
+    """Interleaved advances and completions (the oldest outstanding
+    token each time, at a drawn delay) agree step for step."""
+    config = CPUConfig(issue_width=width, rob_size=rob,
+                       max_outstanding_reads=mlp, write_buffer=buffer)
+    trace = make_trace(records)
+    models = [(cls(trace, config), Recorder(misses))
+              for cls in (Processor, ReferenceProcessor)]
+    now = 0
+    completed = set()
+    for advance, delay in steps:
+        now += advance
+        for cpu, hierarchy in models:
+            cpu.advance_to(now, hierarchy)
+        states = [_state(cpu, hierarchy) for cpu, hierarchy in models]
+        assert states[0] == states[1]
+        hierarchy = models[0][1]
+        waiting = sorted(set(hierarchy.tokens) - completed)
+        if waiting:
+            completed.add(waiting[0])
+            for cpu, _ in models:
+                cpu.complete(waiting[0], now + delay)
