@@ -199,14 +199,11 @@ def _audit_options(obs: ObsOptions):
 
 
 def _check_run_knobs() -> None:
-    """Parse the knobs every run reads (``REPRO_AUDIT``,
-    ``REPRO_BATCH_SLOTS``) before a fan-out starts a worker pool, so a
-    malformed one raises :class:`ConfigError` here instead of failing in
-    each worker, where the pool would retry it like a crash."""
-    from .sim.simulator import batch_slots
-
+    """Parse the knob every run reads (``REPRO_AUDIT``) before a fan-out
+    starts a worker pool, so a malformed one raises :class:`ConfigError`
+    here instead of failing in each worker, where the pool would retry it
+    like a crash."""
     env_number("REPRO_AUDIT", 0)
-    batch_slots()
 
 
 def _build_tracer(obs: ObsOptions) -> Optional[Tracer]:

@@ -104,12 +104,6 @@ class SlotResult:
 class PathORAMController:
     """Freecursive Path ORAM controller with pluggable IR-ORAM extensions."""
 
-    #: Whether :meth:`run_dummy_batch` and the slot drain may run dummy
-    #: paths in the kernel.  Subclasses that override the per-path
-    #: protocol (Rho's two-tree scheduling, Palermo-style decoupling) must
-    #: set this False so dummies run through their overrides.
-    SUPPORTS_NATIVE_BATCH = True
-
     def __init__(
         self,
         config: SystemConfig,
@@ -150,9 +144,9 @@ class PathORAMController:
         self._track_migration = False
 
         #: ``engine.tier.kernel_paths`` and ``engine.batch.*`` (calls,
-        #: paths): how the paths ran, booked by the kernels and by
-        #: :meth:`run_dummy_batch`'s fallback loop; surfaced through the
-        #: stats snapshot by the API layer after the run completes.
+        #: paths): how the paths ran, booked by the kernels; surfaced
+        #: through the stats snapshot by the API layer after the run
+        #: completes.
         self.batch_counters: dict = {}
 
         self.queue: Deque[Request] = deque()
@@ -170,8 +164,8 @@ class PathORAMController:
         """(Re)derive the optional C-kernel binding from current state.
 
         One binding serves setup (the position map's draws and the tree
-        fill), whole path accesses and whole-batch dummy paths for every
-        tree-top type.  The kernels draw leaves by inlining
+        fill), whole path accesses and drained slots for every tree-top
+        type.  The kernels draw leaves by inlining
         ``random.Random``'s own rejection loop over ``getrandbits``, so a
         subclass of it runs the Python code throughout.  Called from
         ``__init__`` and again after unpickling: the kernel module is
@@ -476,7 +470,7 @@ class PathORAMController:
         """
         if not (allow_dummy and self.oram.timing_protection):
             dummies = DUMMIES_NONE
-        elif self.dwb is None and self.SUPPORTS_NATIVE_BATCH:
+        elif self.dwb is None:
             dummies = DUMMIES_KERNEL
         else:
             dummies = DUMMIES_CALLER
@@ -1281,7 +1275,7 @@ class PathORAMController:
         return SlotResult(True, PathType.DUMMY, now, finish_read, finish_write)
 
     # ------------------------------------------------------------------
-    # whole-batch dummy stepping
+    # path bookkeeping
     # ------------------------------------------------------------------
     def _apply_path_counters(self, path_type: PathType, blocks: int) -> None:
         """Count one Python-tier path of ``path_type`` that read
@@ -1293,75 +1287,18 @@ class PathORAMController:
         counters[sk.MEM_BLOCKS_READ] += blocks
         counters[_MEM_BLOCKS_KEY[path_type]] += 2 * blocks
 
-    def run_dummy_batch(
-        self,
-        now: int,
-        max_paths: int,
-        interval: int = 0,
-        horizon: Optional[int] = None,
-        stop_on_threshold: bool = False,
-        want_bounds: bool = False,
-    ) -> Tuple[int, int, Optional[List[int]]]:
-        """Issue up to ``max_paths`` dummy paths without per-path overhead.
+    def run_dummy_batch(self, now: int, max_paths: int) -> int:
+        """Issue ``max_paths`` dummy paths back to back, one
+        :meth:`dummy_path` each, from ``now``; returns the cycle the last
+        one's write burst ends.
 
-        Bit-identical to the loop ``result = self.dummy_path(now); now =
-        max(now + interval, result.finish_write)`` with the same stopping
-        rules: stop at ``horizon`` (the next cycle real work could appear)
-        and, with ``stop_on_threshold``, as soon as the stash crosses the
-        eviction threshold — the caller's per-slot logic then decides what
-        the next slot does, exactly as it would have mid-loop.
-
-        Returns ``(issued, new_now, bounds)`` where ``bounds`` (when
-        requested) is a flat ``[start, finish_read, finish_write, ...]``
-        list for cycle attribution.  Uses the native whole-batch kernel,
-        which books the batch itself, when every precondition holds, else
-        a pure-Python loop over :meth:`dummy_path`.
+        No simulation calls this: an untraced run's dummy slots drain
+        inside :meth:`drain_slots`.  It stays because perfbench's
+        ``perf.batch_s`` row still times it.
         """
-        if (
-            self.SUPPORTS_NATIVE_BATCH
-            and self._tier
-            and self.stats.tracer is None
-            and self.observer is None
-            and self.slot_observer is None
-        ):
-            n, new_now, bounds = self._native.run_batch(
-                self._kstate,
-                now,
-                interval,
-                max_paths,
-                -1 if horizon is None else horizon,
-                self.oram.eviction_threshold if stop_on_threshold else -1,
-                self.oram.eviction_threshold,
-                want_bounds,
-            )
-            if stop_on_threshold and n:
-                self._consecutive_evictions = 0
-            return n, new_now, bounds
-
-        bounds = [] if want_bounds else None
-        n = 0
-        while n < max_paths:
-            if horizon is not None and now >= horizon:
-                break
-            if stop_on_threshold and self.stash.over_threshold(
-                self.oram.eviction_threshold
-            ):
-                break
-            result = self.dummy_path(now)
-            if want_bounds:
-                bounds.extend(
-                    (result.start, result.finish_read, result.finish_write)
-                )
-            next_now = now + interval
-            now = max(next_now, result.finish_write)
-            n += 1
-        if stop_on_threshold and n:
-            self._consecutive_evictions = 0
-        batch = self.batch_counters
-        batch[sk.ENGINE_BATCH_FALLBACK_PATHS] = (
-            batch.get(sk.ENGINE_BATCH_FALLBACK_PATHS, 0) + n
-        )
-        return n, now, bounds
+        for _ in range(max_paths):
+            now = self.dummy_path(now).finish_write
+        return now
 
     # ------------------------------------------------------------------
     # inspection helpers
@@ -1387,8 +1324,8 @@ class PathORAMController:
         }
 
 
-#: The phase methods ``access_path`` and ``run_batch`` fuse, as defined
-#: here; :meth:`PathORAMController._kernel_tier` compares against these.
+#: The phase methods the kernels' path access fuses, as defined here;
+#: :meth:`PathORAMController._kernel_tier` compares against these.
 _STOCK_PHASES = tuple(
     (name, vars(PathORAMController)[name])
     for name in ("_service_path", "_write_path", "_place_path")

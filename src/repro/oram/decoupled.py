@@ -51,10 +51,6 @@ WINDOW = 4
 class DecoupledPathORAMController(PathORAMController):
     """Baseline controller with deferred, overlapping write bursts."""
 
-    #: The native batch kernel composes read and write bursts back to
-    #: back inside one path; decoupled timing needs the per-slot path.
-    SUPPORTS_NATIVE_BATCH = False
-
     def __init__(
         self,
         config: SystemConfig,

@@ -58,10 +58,6 @@ def scaled_base_buckets(main_levels: int) -> int:
 class PyramidController(PathORAMController):
     """Main Path ORAM tree plus a small reshuffled bucket hierarchy."""
 
-    #: Pyramid slots interleave probe bursts with main-tree paths; the
-    #: native batch kernel only models the single main tree.
-    SUPPORTS_NATIVE_BATCH = False
-
     def __init__(
         self,
         config: SystemConfig,

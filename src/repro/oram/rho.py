@@ -57,10 +57,6 @@ def scaled_small_levels(main_levels: int, llc_lines: int = 2048) -> int:
 class RhoController(PathORAMController):
     """Two-tree ORAM controller with a fixed main:small issue pattern."""
 
-    #: Dummy slots alternate between the two trees here; the native batch
-    #: kernel only models a single tree, so batches step per slot.
-    SUPPORTS_NATIVE_BATCH = False
-
     def __init__(
         self,
         config: SystemConfig,

@@ -110,10 +110,6 @@ class RingBucket:
 class RingController(PathORAMController):
     """Two-tree controller: Freecursive main tree + a Ring ORAM hot tree."""
 
-    #: Ring slots touch one slot per bucket and append reshuffle bursts;
-    #: the native batch kernel only models full Path ORAM paths.
-    SUPPORTS_NATIVE_BATCH = False
-
     def __init__(
         self,
         config: SystemConfig,

@@ -1569,14 +1569,15 @@ served_step(KernelState *c, long long leaf, long long served, int mode)
 }
 
 /* One path access's outputs.  The row hit and conflict counts add to
- * what the fields already hold, so run_batch sums them over a batch. */
+ * what the fields already hold, so a DummyTally sums them over a
+ * drain's dummy paths. */
 typedef struct {
     long long finish_read, finish_write, served_level, occupancy;
     long long read_hits, read_conflicts, write_hits, write_conflicts;
 } PathOut;
 
 /* One whole path access over the live controller state, the one
- * per-path function behind access_path and run_batch's loop:
+ * per-path function behind every real, eviction and dummy path:
  *
  *   under the S-Stash, a check of the set-index entries the read phase
  *   will release (check_top_entries); room in the slab for every slot of
@@ -1782,7 +1783,7 @@ access_path(PyObject *self, PyObject *args)
 }
 
 /* ---------------------------------------------------------------- */
-/* Whole-run batch stepping                                          */
+/* Dummy paths                                                       */
 /* ---------------------------------------------------------------- */
 
 /* The dummy paths one call ran, booked together when it returns: their
@@ -1794,16 +1795,15 @@ typedef struct {
     PathOut out;
 } DummyTally;
 
-/* One dummy path at ``now``, the loop body run_batch and drain_slots
- * share: a leaf draw (randbelow) and path_access, as
+/* One dummy path at ``now``, as drain_slots runs a slot no real work
+ * takes: a leaf draw (randbelow) and path_access, as
  * PathORAMController.dummy_path, with its stash peak raised and its
- * counts added to ``t``; stash occupancy over ``trigger_threshold``
+ * counts added to ``t``; stash occupancy over the eviction threshold
  * after the write phase counts an eviction trigger.  ``t->out`` holds
  * its finishes.  Returns 0, or -1 with an exception set.
  */
 static int
-dummy_path(KernelState *c, long long now, long long trigger_threshold,
-           DummyTally *t)
+dummy_path(KernelState *c, long long now, DummyTally *t)
 {
     long long leaf;
     reset_hooks(c);
@@ -1811,7 +1811,7 @@ dummy_path(KernelState *c, long long now, long long trigger_threshold,
         path_access(c, leaf, now, EMPTY, SERVED_NONE, 1, &t->out) < 0)
         return -1;
     raise_peak(c, t->out.occupancy);
-    if (c->hdr[SLAB_LIVE] > trigger_threshold)
+    if (c->hdr[SLAB_LIVE] > c->eviction_threshold)
         t->triggers++;
     long long hooks[5] = {
         c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
@@ -1823,10 +1823,10 @@ dummy_path(KernelState *c, long long now, long long trigger_threshold,
     return 0;
 }
 
-/* Book the tallied dummy paths as an untraced batch always has: the
- * dummy-path and hook counters, both bursts' DRAM counts, the blocks
- * written and the eviction triggers.  The engine counts are the
- * caller's.  Returns 0, or -1 with an exception set.
+/* Book a drain's tallied dummy paths together: the dummy-path and hook
+ * counters, both bursts' DRAM counts, the blocks written and the
+ * eviction triggers.  The engine counts are the caller's.  Returns 0, or
+ * -1 with an exception set.
  */
 static int
 book_dummies(KernelState *c, const DummyTally *t)
@@ -1846,86 +1846,6 @@ book_dummies(KernelState *c, const DummyTally *t)
            add_count(c, K_BLOCKS_WRITTEN, blocks) < 0 ||
            (t->triggers &&
             add_count(c, K_EVICTION_TRIGGERS, t->triggers) < 0) ? -1 : 0;
-}
-
-/* run_batch(state, now, interval, max_paths, horizon, stop_threshold,
- *           trigger_threshold, want_bounds)
- *   -> (n, now, bounds | None)
- *
- * Execute up to ``max_paths`` whole dummy-path accesses (dummy_path)
- * without returning to the interpreter between paths.  Each iteration is
- * bit-identical to PathORAMController.dummy_path followed by ``now =
- * max(now + interval, finish_write)``.  The batch stops early at
- * ``horizon`` (next real work item, -1 = none), or as soon as the stash
- * is over ``stop_threshold`` (-1 = never), so every slot-boundary
- * decision the per-access loop would have made stays identical.
- * Stash occupancy is compared against ``trigger_threshold`` after every
- * write phase to count eviction triggers.
- *
- * A batch that ran paths books them in aggregate (book_dummies); every
- * call counts engine.batch.calls and engine.batch.paths.  ``bounds`` is a
- * flat [start, finish_read, finish_write, ...] list when requested.
- */
-static PyObject *
-run_batch(PyObject *self, PyObject *args)
-{
-    KernelState *c;
-    long long now, interval, max_paths, horizon, stop_threshold,
-        trigger_threshold;
-    int want_bounds;
-    if (!PyArg_ParseTuple(args, "O!LLLLLLp", &KernelStateType, &c,
-                          &now, &interval, &max_paths, &horizon,
-                          &stop_threshold, &trigger_threshold,
-                          &want_bounds))
-        return NULL;
-    if (max_paths < 0 || now < 0) {
-        PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
-        return NULL;
-    }
-    PyObject *bounds = NULL;
-    if (want_bounds && (bounds = PyList_New(0)) == NULL)
-        return NULL;
-    if (slab_open(c) < 0)
-        goto fail;
-
-    DummyTally tally;
-    memset(&tally, 0, sizeof tally);
-    while (tally.n < max_paths) {
-        if (horizon >= 0 && now >= horizon)
-            break;
-        if (stop_threshold >= 0 && c->hdr[SLAB_LIVE] > stop_threshold)
-            break;
-        if (dummy_path(c, now, trigger_threshold, &tally) < 0)
-            goto fail;
-        if (want_bounds) {
-            long long triple[3] = {now, tally.out.finish_read,
-                                   tally.out.finish_write};
-            for (int b = 0; b < 3; b++) {
-                PyObject *value = PyLong_FromLongLong(triple[b]);
-                if (value == NULL || PyList_Append(bounds, value) < 0) {
-                    Py_XDECREF(value);
-                    goto fail;
-                }
-                Py_DECREF(value);
-            }
-        }
-        long long next_now = now + interval;
-        now = tally.out.finish_write > next_now ? tally.out.finish_write
-                                                : next_now;
-    }
-    if (book_dummies(c, &tally) < 0 ||
-        add_engine(c, K_BATCH_CALLS, 1) < 0 ||
-        add_engine(c, K_BATCH_PATHS, tally.n) < 0)
-        goto fail;
-    slab_close(c);
-    if (bounds == NULL)
-        bounds = Py_NewRef(Py_None);
-    return Py_BuildValue("(LLN)", tally.n, now, bounds);
-
-fail:
-    slab_close(c);
-    Py_XDECREF(bounds);
-    return NULL;
 }
 
 /* ---------------------------------------------------------------- */
@@ -2333,7 +2253,7 @@ find_in_treetop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* Serving one request's slot                                        */
 /* ---------------------------------------------------------------- */
 
-/* What serve_request did with the head request. */
+/* What serve_slot did with the head request. */
 enum {
     SERVE_INSTANT,  /* served on chip before the slot's path choice */
     SERVE_BLOCKED,  /* not on chip; a victim-buffer entry or background
@@ -2564,9 +2484,16 @@ step_request(KernelState *c, PyObject *request, long long block, int kind,
         ? -1 : SERVE_DATA;
 }
 
-/* The head request's slot (see serve_request), over a checked block and
- * kind.  Returns a SERVE_* status, or -1 with an exception set; a path
- * access fills ``out`` and sets ``*pt`` to its path type. */
+/* The head queued request's share of one issue slot at ``now``, over a
+ * checked block and kind, as the Python controller runs it:
+ * Controller._try_instant (the stash and S-Stash probes, with the probe
+ * counters; a translation walk; an LLC-D re-insert or a tree-top hit),
+ * then, unless a victim-buffer entry or background eviction takes the
+ * slot (SERVE_BLOCKED, nothing more done), step_request.  The request is
+ * updated in place: ``completion``, ``paths_used`` and
+ * ``translation_counted``; every counter and the hit-level histogram are
+ * booked here.  Returns a SERVE_* status, or -1 with an exception set; a
+ * path access fills ``out`` and sets ``*pt`` to its path type. */
 static int
 serve_slot(KernelState *c, PyObject *request, long long block, int kind,
            long long now, PathOut *out, Py_ssize_t *pt)
@@ -2643,64 +2570,6 @@ request_fields(KernelState *c, PyObject *request, long long *block,
         return -1;
     }
     return 0;
-}
-
-/* serve_request(state, request, now)
- *   -> (status, path_type | None, finish_read, finish_write)
- *
- * The head queued request's share of one issue slot at ``now``, as the
- * Python controller runs it: Controller._try_instant (the stash and
- * S-Stash probes, with the probe counters; a translation walk; an LLC-D
- * re-insert or a tree-top hit), then, unless a victim-buffer entry or
- * background eviction takes the slot (SERVE_BLOCKED, nothing more
- * done), Controller._step_request: the chain walk again, then either the
- * first missing PosMap block's fetch (its path access, posmap.accesses,
- * plb.miss_fetches and its PLB install) or the request's own data path
- * (the block's remap or LLC-D extraction and the parent's mark_dirty) —
- * or an on-chip serve when the walk made translation free.
- *
- * The request is updated in place: ``completion``, ``paths_used`` and
- * ``translation_counted``; every counter and the hit-level histogram are
- * booked here.  ``path_type`` and the finishes describe the issued path
- * (both finishes are ``now`` when none was).  The request's block and
- * kind and ``now`` are checked before anything is touched.
- */
-static PyObject *
-serve_request(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "serve_request(state, request, now)");
-        return NULL;
-    }
-    KernelState *c = state_arg(args[0]);
-    PyObject *request = args[1];
-    if (c == NULL)
-        return NULL;
-    long long now = PyLong_AsLongLong(args[2]);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
-    long long block;
-    int kind;
-    if (request_fields(c, request, &block, &kind) < 0)
-        return NULL;
-    if (now < 0) {
-        PyErr_SetString(PyExc_ValueError, "malformed serve_request call");
-        return NULL;
-    }
-    PathOut out;
-    Py_ssize_t pt = -1;
-    memset(&out, 0, sizeof out);
-    out.finish_read = out.finish_write = now;
-    if (slab_open(c) < 0)
-        return NULL;
-    int status = serve_slot(c, request, block, kind, now, &out, &pt);
-    slab_close(c);
-    if (status < 0)
-        return NULL;
-    return Py_BuildValue(
-        "(iOLL)", status,
-        pt >= 0 ? PyTuple_GET_ITEM(c->path_types, pt) : Py_None,
-        out.finish_read, out.finish_write);
 }
 
 /* ---------------------------------------------------------------- */
@@ -3477,10 +3346,13 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
 
     PyObject *head = NULL;
     long long block = 0;
-    int kind = 0, status = SERVE_BLOCKED, rc;
-    if (drain_reinserts(c) < 0)
-        return -1;
-    while ((rc = arrived_head(c, now, &head, &block, &kind)) > 0) {
+    int kind = 0, status = SERVE_BLOCKED;
+    /* The arrived head is checked before the re-inserts touch anything;
+     * they leave the request queue as it is. */
+    int rc = arrived_head(c, now, &head, &block, &kind);
+    if (rc < 0 || drain_reinserts(c) < 0)
+        goto fail;
+    while (rc > 0) {
         status = serve_slot(c, head, block, kind, now, &out, &s->pt);
         if (status != SERVE_INSTANT)
             break;
@@ -3488,6 +3360,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
         Py_CLEAR(head);
         if (rc < 0)
             return -1;
+        rc = arrived_head(c, now, &head, &block, &kind);
     }
     if (rc < 0 || status < 0)
         goto fail;
@@ -3514,7 +3387,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
             } else if (dummies == DUMMIES_CALLER) {
                 s->dummy_wanted = 1;
             } else if (dummies == DUMMIES_KERNEL) {
-                rc = dummy_path(c, now, c->eviction_threshold, t);
+                rc = dummy_path(c, now, t);
                 out = t->out;
                 s->pt = PT_DUMMY;
             }
@@ -4000,16 +3873,12 @@ static PyMethodDef fastpath_methods[] = {
      "DRAM (bank, channel, row) triples of one path, as an array('q')."},
     {"access_path", access_path, METH_VARARGS,
      "One whole path access: read, served-block step, placement, bursts."},
-    {"run_batch", run_batch, METH_VARARGS,
-     "Whole-batch dummy-path execution over live controller state."},
     {"translate", (PyCFunction)(void (*)(void))translate, METH_FASTCALL,
      "The PosMap blocks to fetch before a block's leaf is known."},
     {"plb_install", (PyCFunction)(void (*)(void))plb_install, METH_FASTCALL,
      "Install a PosMap block in the PLB and re-insert its victim."},
     {"find_in_treetop", (PyCFunction)(void (*)(void))find_in_treetop,
      METH_FASTCALL, "Where a block sits in the cached top of a path."},
-    {"serve_request", (PyCFunction)(void (*)(void))serve_request,
-     METH_FASTCALL, "The head request's share of one issue slot."},
     {"drain_slots", (PyCFunction)(void (*)(void))drain_slots,
      METH_FASTCALL,
      "Consecutive issue slots, with the processor and LLC between them."},

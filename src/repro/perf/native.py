@@ -9,24 +9,20 @@ The simulator's innermost loops have bit-identical C implementations in
   re-inserts, each arrived head request's share of the slot, the
   victim-buffer parent fetches, background evictions and dummy paths;
   after it the completions fill the LLC (enqueueing its victims) and
-  wake the processor; idle slots jump the clock.  It returns every
-  ``REPRO_BATCH_SLOTS`` slots, at a dummy slot IR-DWB may convert and at
+  wake the processor; idle slots jump the clock.  A head request's share
+  of a slot is the stash and S-Stash probes, the translation walk, then
+  either an on-chip serve, or the first missing PosMap block's fetch, or
+  the request's data path.  It returns every ``DRAIN_CHUNK`` slots (see
+  :mod:`repro.sim.simulator`), at a dummy slot IR-DWB may convert and at
   the end of the run.  The front end's state is a ``FrontEnd`` over the
   trace's record list and the processor's, the LLC's and the in-flight
   table's arrays;
 * ``attribute_cycles`` — the cycle breakdown's pass over a run's path
   timeline;
-* ``serve_request`` — the head queued request's share of an untraced
-  issue slot, the code ``drain_slots`` serves requests through: the
-  stash and S-Stash probes, the translation walk, then either an on-chip
-  serve, or the first missing PosMap block's fetch, or the request's
-  data path, through the same per-path function;
-* ``access_path`` — one whole path access, the one call every other
-  real, eviction or dummy path makes: read burst, read phase, the served
-  block's remap or extraction, greedy bottom-up placement and write
-  burst;
-* ``run_batch`` — whole stretches of dummy paths in one call, through the
-  same per-path function;
+* ``access_path`` — one whole path access, as a slot outside the drain
+  issues it: read burst, read phase, the served block's remap or
+  extraction, greedy bottom-up placement and write burst.  The drain's
+  paths run through the same per-path function;
 * ``dram_triples`` — one path's DRAM (bank, channel, row) triples, as an
   ``array('q')``;
 * ``dram_service`` — DRAM bank timing over such an array.  The last two
@@ -69,8 +65,8 @@ controller's path count; the ``Stash``, the victim buffer, the
 counters, the histograms, the engine counts and ``getrandbits`` as
 references; the path types and request kinds it
 compares against; and the geometry, the namespace, the S-Stash's sets
-and ways, the DRAM timing and the slot parameters.  ``access_path``,
-``run_batch`` and ``dram_triples`` share one read loop, one placement
+and ways, the DRAM timing and the slot parameters.  ``drain_slots``,
+``access_path`` and ``dram_triples`` share one read loop, one placement
 engine and one DRAM timing loop, for both tree-top modes: the dedicated
 cache and IR-Stash's S-Stash, whose entries the read loop releases and
 whose set-occupancy gate the placement engine applies, hashing a block's
@@ -171,12 +167,6 @@ def counter_keys(path_types) -> tuple:
 #: ``access_path`` modes: what happens to the served block between the
 #: read and the write phase.
 SERVED_NONE, SERVED_REMAP, SERVED_EXTRACT = 0, 1, 2
-
-#: ``serve_request`` outcomes: served on chip before the slot's path
-#: choice; left waiting behind a victim-buffer entry or background
-#: eviction; served on chip by the slot; a PosMap fetch; the data path.
-(SERVE_INSTANT, SERVE_BLOCKED, SERVE_ONCHIP, SERVE_FETCH,
- SERVE_DATA) = range(5)
 
 #: ``drain_slots`` dummy modes: leave a slot no real work takes empty,
 #: run its dummy path in the kernel, or hand it back to the caller.
@@ -422,33 +412,26 @@ def _self_test(module) -> bool:
     ):
         return False
 
-    # Whole-path batch: 2 leaves, 2 levels, block 3 sits at the root of
-    # leaf 1's path mapped to leaf 0 -> read at t=0 finishes at 10
-    # (activate 3 + two row-hit bursts), write finishes at 17, and the
-    # block is placed back at the root (diverges from its leaf at level
-    # 1), leaving the stash empty again.  One supernode at row 7 holds
-    # both levels (local offsets 0, 1, 2), so leaf 1's path is two
-    # blocks in row 7 of the one bank.
-    def batch_state(**fields):
-        return state(
-            getrandbits=lambda bits: 1, leaves=2,
-            path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
-            leaf_table=q([-1, -1, -1, 0]), z_per_level=[1, 1], **fields,
-        )
-
-    def batch_arrays():
-        return dict(tree_slots=q([3, -1, -1]), level_used=q([1, 0]),
-                    bank_ready=q([0]), bank_open_row=q([-1]),
-                    bus_free=q([0]))
-
-    # The batch books its dummy path in aggregate: 2 blocks per burst,
-    # 3 row hits over both bursts, the stash peak of 1.
+    # A dummy path: 2 leaves, 2 levels, block 3 sits at the root of leaf
+    # 1's path mapped to leaf 0 -> read at t=0 finishes at 10 (activate 3
+    # + two row-hit bursts), write finishes at 17, and the block is placed
+    # back at the root (diverges from its leaf at level 1), leaving the
+    # stash empty again.  One supernode at row 7 holds both levels (local
+    # offsets 0, 1, 2), so leaf 1's path is two blocks in row 7 of the one
+    # bank.  A one-slot drain with no request runs it: a record of the
+    # fourth path type issued at 0, finishing at 10 and 17, the next slot
+    # at 17 (interval 0).  It books the path as a batch of one: 2 blocks
+    # per burst, 3 row hits over both bursts, the stash peak of 1.
     counters, batch, held = {}, {}, stash()
-    arrays = batch_arrays()
-    result = module.run_batch(batch_state(
+    arrays = dict(tree_slots=q([3, -1, -1]), level_used=q([1, 0]),
+                  bank_ready=q([0]), bank_open_row=q([-1]), bus_free=q([0]))
+    result = module.drain_slots(state(
+        getrandbits=lambda bits: 1, leaves=2,
+        path_table=q([2, 1, 1, 0, 7, 1, 13, 0, 1, 1, 7, 1, 14, 0, 1, 2]),
+        leaf_table=q([-1, -1, -1, 0]), z_per_level=[1, 1],
         counters=counters, batch_counters=batch, stash=held, **arrays,
-    ), 0, 0, 1, -1, -1, 10, 1)
-    if result != (1, 17, [0, 10, 17]):
+    ), None, 0, 1, DUMMIES_KERNEL, 0, 0)
+    if result != ([], q([3, 0, 10, 17, 0]), 17, 1, DRAIN_BOUNDARY, 0, 0):
         return False
     if not (
         len(held) == 0
@@ -459,22 +442,12 @@ def _self_test(module) -> bool:
         and arrays["bus_free"] == q([14])
         and held.peak_occupancy == 1
         and batch == {sk.ENGINE_BATCH_CALLS: 1, sk.ENGINE_BATCH_PATHS: 1}
-        and counters[sk.DRAM_ACCESSES] == 4 and counters[sk.DRAM_READS] == 2
-        and counters[sk.DRAM_ROW_HITS] == 3 and counters["paths.m"] == 1
-        and counters["mem.blocks.m"] == 4
-    ):
-        return False
-    # A one-slot drain with no request runs the same dummy path and
-    # books it the same way: a record of the fourth path type issued at
-    # 0, finishing at 10 and 17, the next slot at 17 (interval 0).
-    drained, arrays = {}, batch_arrays()
-    result = module.drain_slots(batch_state(counters=drained, **arrays),
-                                None, 0, 1, DUMMIES_KERNEL, 0, 0)
-    if not (
-        result == ([], q([3, 0, 10, 17, 0]), 17, 1, DRAIN_BOUNDARY, 0, 0)
-        and drained == counters
-        and arrays["tree_slots"] == q([3, -1, -1])
-        and arrays["bank_ready"] == q([14])
+        and counters == {
+            "paths.m": 1, sk.PATHS_TOTAL: 1, sk.MEM_BLOCKS_READ: 2,
+            "mem.blocks.m": 4, sk.DRAM_ACCESSES: 4, sk.DRAM_ROW_HITS: 3,
+            sk.DRAM_ROW_CONFLICTS: 0, sk.DRAM_READS: 2, sk.DRAM_WRITES: 2,
+            sk.MEM_BLOCKS_WRITTEN: 2,
+        }
     ):
         return False
 
@@ -486,15 +459,16 @@ def _self_test(module) -> bool:
     ) != (10, 20, 0, 0, 10, 10, 0, 0, 10, 20):
         return False
 
-    # Serving a read of user block 1 (leaf 2, at the bottom of its path)
-    # whose PosMap1 block 4 is in the PLB: PosMap2 block 8 is not on
-    # chip, but block 1's chain needs only block 4, so both walks are
-    # free and nothing is on chip.  The data path reads block 1 from
-    # level 2 at t=5, draws 3 bits to remap it (6 rejected, then leaf
-    # 1), places it at the root and dirties block 4, a PLB hit; the
-    # request completes at the read finish, one path used.
+    # A one-slot drain serving a read of user block 1 (leaf 2, at the
+    # bottom of its path) whose PosMap1 block 4 is in the PLB: PosMap2
+    # block 8 is not on chip, but block 1's chain needs only block 4, so
+    # both walks are free and nothing is on chip.  The data path reads
+    # block 1 from level 2 at t=5, draws 3 bits to remap it (6 rejected,
+    # then leaf 1), places it at the root and dirties block 4, a PLB hit;
+    # the request leaves the queue and completes at the read finish, one
+    # path used.
     class Request:
-        block, kind, completion, paths_used = 1, kinds[0], None, 0
+        block, kind, arrival, completion, paths_used = 1, kinds[0], 0, None, 0
         translation_counted = False
 
     request = Request()
@@ -505,22 +479,22 @@ def _self_test(module) -> bool:
         widths.append(bits)
         return next(script)
 
-    held, counters = stash(), {}
+    held, counters, requests = stash(), {}, deque([request])
     histograms = defaultdict(lambda: defaultdict(float))
     tree = q([-1, -1, -1, -1, -1, -1, 1, -1])
     level_used = q([0, 0, 1])
     leaf_table = q([-1] * 10)
     leaf_table[1] = 2
     plb_blocks, plb_dirty, plb_fills = q([4, -1]), q([0, 0]), q([1, 0])
-    result = module.serve_request(state(
+    result = module.drain_slots(state(
         tree_slots=tree, stash=held, leaf_table=leaf_table,
         level_used=level_used, getrandbits=getrandbits,
         plb_blocks=plb_blocks, plb_dirty=plb_dirty, plb_fills=plb_fills,
-        counters=counters, histograms=histograms,
-    ), request, 5)
+        counters=counters, histograms=histograms, requests=requests,
+    ), None, 5, 1, DUMMIES_KERNEL, 0, 0)
     return (
-        result == (SERVE_DATA, types[0], 5, 5)
-        and widths == [3, 3] and len(held) == 0
+        result == ([request], q([0, 5, 5, 5, 5]), 5, 1, DRAIN_BOUNDARY, 0, 0)
+        and not requests and widths == [3, 3] and len(held) == 0
         and tree == q([1, -1, -1, -1, -1, -1, -1, -1])
         and level_used == q([1, 0, 0]) and leaf_table[1] == 1
         and plb_blocks == q([4, -1]) and plb_dirty == q([1, 0])

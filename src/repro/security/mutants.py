@@ -43,8 +43,6 @@ class _SkipDummiesController(PathORAMController):
     IR-ORAM's Section IV-E argument) exists to close.
     """
 
-    SUPPORTS_NATIVE_BATCH = False
-
     def _dummy_slot(self, now: int) -> Optional[SlotResult]:
         return None
 
@@ -57,8 +55,6 @@ class _HalfRateDummiesController(PathORAMController):
     the interval exactly when the program is idle — a data-dependent
     issue cadence.
     """
-
-    SUPPORTS_NATIVE_BATCH = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -79,8 +75,6 @@ class _LeafBiasedDummiesController(PathORAMController):
     histogram.
     """
 
-    SUPPORTS_NATIVE_BATCH = False
-
     def dummy_path(self, now: int) -> SlotResult:
         leaf = self.rng.randrange(max(1, self.oram.leaves // 2))
         finish_read, start, _ = self._service_path(leaf, PathType.DUMMY, now)
@@ -100,7 +94,6 @@ def _biased_remap(config: SystemConfig, stats: Stats, rng: random.Random):
 
     llc = LastLevelCache(config.llc, stats)
     controller = PathORAMController(config, stats, rng)
-    controller.SUPPORTS_NATIVE_BATCH = False
     posmap = controller.posmap
 
     def biased(block: int) -> int:

@@ -18,7 +18,6 @@ from .. import stats_keys as sk
 from ..cache.cache import EvictedLine
 from ..cache.llc import LastLevelCache
 from ..core.schemes import SimComponents
-from ..config import env_number
 from ..cpu.processor import Processor, read_capacity
 from ..errors import ProtocolError
 from ..obs import events as ev
@@ -142,11 +141,10 @@ class MemoryHierarchy:
         )
 
 
-def batch_slots() -> int:
-    """``REPRO_BATCH_SLOTS``: the most issue slots one ``drain_slots``
-    call runs (default 256); 0 steps every slot through
-    :meth:`PathORAMController.step`."""
-    return env_number("REPRO_BATCH_SLOTS", 256)
+#: The most issue slots one ``drain_slots`` call runs.  The drain stops
+#: for nothing Python has to see, so this only sets how often the loop
+#: turns; cycles and counters are the same for every value.
+DRAIN_CHUNK = 256
 
 
 class Simulator:
@@ -239,14 +237,12 @@ class Simulator:
 
         # The slot drain: with no hook attached, a serve-tier controller
         # runs this whole loop in drain_slots kernel calls of up to
-        # REPRO_BATCH_SLOTS slots, which return early only for an IR-DWB
-        # dummy slot (its completions handed back) and at the end of the
-        # run (docs/simulator.md, "The slot drain").  Any hook forces one
+        # DRAIN_CHUNK slots, which return early only for an IR-DWB dummy
+        # slot (its completions handed back) and at the end of the run
+        # (docs/simulator.md, "The slot drain").  Any hook forces one
         # step() per slot, so it sees exactly the slots it would have
-        # seen; cycles and counters are bit-identical either way.  The
-        # knob is parsed on every run, so a malformed value always fails.
-        drain_cap = batch_slots()
-        front = self._front_end() if drain_cap and (
+        # seen; cycles and counters are bit-identical either way.
+        front = self._front_end() if (
             controller._serve
             and "step" not in vars(controller)
             and controller.observer is None
@@ -261,7 +257,7 @@ class Simulator:
             if front is not None:
                 completions, records, now, _, stop, idle_iterations = (
                     controller.drain_slots(
-                        now, drain_cap, front=front, idle=idle_iterations
+                        now, DRAIN_CHUNK, front=front, idle=idle_iterations
                     )
                 )
                 for request in completions:

@@ -218,22 +218,21 @@ ENGINE_TIMEOUTS = "engine.timeouts"
 ENGINE_DEGRADED = "engine.degraded"
 ENGINE_CACHE_CORRUPT = "engine.cache.corrupt"
 
-# -- engine.batch: the whole-run native batch fastpath ------------------------
-# calls counts run_batch kernel invocations; paths counts paths executed
-# inside the kernel; fallback_paths counts paths executed by the
-# pure-Python batch loop (natives off, unsupported tree-top, observers
-# attached).  All of these describe *execution*, never simulated
-# behaviour: cycles and counters are identical with batching on or off.
+# -- engine.batch: dummy paths inside the slot drain --------------------------
+# calls counts the drain_slots kernel calls that ran dummy paths; paths
+# counts the dummy paths they ran.  Both describe *execution*, never
+# simulated behaviour: cycles and counters are identical however the
+# slots ran.
 ENGINE_BATCH_CALLS = "engine.batch.calls"
 ENGINE_BATCH_PATHS = "engine.batch.paths"
-ENGINE_BATCH_FALLBACK_PATHS = "engine.batch.fallback_paths"
 
 # -- engine.tier: which execution tier served each path -----------------------
-# Kernel paths are whole accesses through ``access_path``; batch paths ran
-# inside ``run_batch``; Python paths ran the pure-Python phases (or a
-# scheme's own small-tree code).  kernel_setup is 1 when ``init_tree``
-# built the tree, else 0.  Recorded beside ``engine.batch.*``, after the
-# result snapshot.
+# Kernel paths are whole accesses through the kernels' per-path function
+# (``access_path``, or a real path inside ``drain_slots``); batch paths
+# are the dummy paths a drain ran; Python paths ran the pure-Python phases
+# (or a scheme's own small-tree code).  kernel_setup is 1 when
+# ``init_tree`` built the tree, else 0.  Recorded beside
+# ``engine.batch.*``, after the result snapshot.
 ENGINE_TIER_KERNEL_PATHS = "engine.tier.kernel_paths"
 ENGINE_TIER_BATCH_PATHS = "engine.tier.batch_paths"
 ENGINE_TIER_PYTHON_PATHS = "engine.tier.python_paths"

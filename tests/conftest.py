@@ -22,6 +22,7 @@ import pytest
 
 from repro.config import CacheConfig, DRAMConfig, ORAMConfig, SystemConfig
 from repro.core.schemes import build_scheme
+from repro.oram.types import PathType
 from repro.stats import Stats
 
 try:
@@ -132,8 +133,8 @@ def make_oram(levels=9, z=4, top=3, **kwargs) -> ORAMConfig:
 
 class CountingKernels:
     """A controller's kernel module, counting the calls into each entry
-    and the PosMap fetches ``serve_request`` and ``drain_slots`` make.
-    Assign one to a controller's ``_native`` to count its calls."""
+    and the PosMap fetches ``drain_slots`` makes.  Assign one to a
+    controller's ``_native`` to count its calls."""
 
     def __init__(self, module):
         self._module = module
@@ -141,9 +142,6 @@ class CountingKernels:
         self.served_fetches = 0
 
     def __getattr__(self, name):
-        from repro.oram.types import PathType
-        from repro.perf.native import SERVE_FETCH
-
         entry = getattr(self._module, name)
         posmap_codes = {
             code for code, path_type in enumerate(PathType)
@@ -153,9 +151,7 @@ class CountingKernels:
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
             result = entry(*args)
-            if name == "serve_request" and result[0] == SERVE_FETCH:
-                self.served_fetches += 1
-            elif name == "drain_slots":
+            if name == "drain_slots":
                 self.served_fetches += sum(
                     code in posmap_codes for code in result[1][::5]
                 )

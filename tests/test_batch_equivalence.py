@@ -1,13 +1,13 @@
-"""Whole-run batch fastpath equivalence: batched, per-access, pure Python.
+"""Slot-drain equivalence: drained, stepped, pure Python.
 
-The native ``drain_slots`` kernel runs consecutive issue slots per
-Python call, and ``run_batch`` whole stretches of dummy paths; the
-contract (docs/simulator.md, "The slot drain") is that both are *pure
-execution strategy* — simulated cycles, counters, path counts, RNG
-stream, and stash/tree/DRAM state are bit-identical whether slots drain
-through the kernels, step one by one, or run the pure-Python fallbacks.  These tests
-pin that contract for every registered scheme, audited runs included,
-and for checkpoint/resume digests with natives on and off.
+An unhooked run drains its issue slots, dummy paths included, in the
+native ``drain_slots`` kernel; a hooked one steps them one at a time.
+The contract (docs/simulator.md, "The slot drain") is that this is *pure
+execution strategy*: simulated cycles, counters, path counts, RNG
+stream, and stash/tree/DRAM state are bit-identical drained, stepped or
+on the pure-Python fallbacks.  These tests pin that contract for every
+registered scheme, audited runs included, and for checkpoint/resume
+digests with natives on and off.
 """
 
 import os
@@ -18,6 +18,7 @@ import pytest
 from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
+from repro.perf import native
 from repro.validate import golden
 
 from tests.tiers import snapshot
@@ -26,15 +27,15 @@ ALL_SCHEMES = sorted(SCHEMES)
 KERNEL_SCHEMES = ["Baseline", "IR-Stash", "IR-Alloc", "IR-ORAM"]
 #: uneven chunk sizes so batch boundaries never line up with anything
 KERNEL_CHUNKS = (1, 3, 64, 120)
+needs_native = pytest.mark.skipif(
+    native.fastpath is None, reason="native kernels unavailable"
+)
 
 
 def _disable_natives(monkeypatch):
-    """Force every pure-Python fallback, including the batch kernel."""
-    import repro.mem.dram as dram
-    import repro.oram.controller as controller
-
-    monkeypatch.setattr(dram, "_native", None)
-    monkeypatch.setattr(controller, "_fastpath", None)
+    """Force every pure-Python fallback, the slot drain included."""
+    monkeypatch.setattr("repro.mem.dram._native", None)
+    monkeypatch.setattr("repro.oram.controller._fastpath", None)
 
 
 def _fingerprint(result):
@@ -43,6 +44,15 @@ def _fingerprint(result):
         tuple(sorted(result.path_counts.items())),
         tuple(sorted(result.counters.items())),
     )
+
+
+def _step_every_slot(monkeypatch):
+    """Step every slot, as a hooked run does: a no-op slot observer."""
+    def hooked(*args, **kwargs):
+        components = build_scheme(*args, **kwargs)
+        components.controller.slot_observer = lambda result: None
+        return components
+    monkeypatch.setattr("repro.core.schemes.build_scheme", hooked)
 
 
 def _run_sim(scheme, seed=11, records=200):
@@ -58,34 +68,25 @@ def _controller_state(controller):
 
 
 class TestKernelLockstep:
-    """run_dummy_batch vs the dummy_path loop, state compared mid-run."""
+    """Empty-queue drained slots vs a stepped Python twin, state mid-run."""
 
+    @needs_native
     @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
     def test_batch_matches_per_path_loop(self, scheme):
-        from repro.perf import native
-
-        if native.fastpath is None:
-            pytest.skip("native kernels unavailable; nothing to compare")
-
-        def build(natives):
-            config = SystemConfig.scaled(levels=13)
-            controller = build_scheme(
-                scheme, config, rng=random.Random(7)
-            ).controller
-            if not natives:
-                controller._native = None
-            return controller
-
-        batched = build(natives=True)
-        assert batched._native is not None
-        reference = build(natives=False)
-        interval = 50
+        batched, reference = (build_scheme(
+            scheme, SystemConfig.scaled(levels=13), rng=random.Random(7)
+        ).controller for _ in range(2))
+        reference._native = None
+        assert batched._serve and not reference._tier
+        interval = batched.oram.issue_interval
         now_a = now_b = 0
         for chunk in KERNEL_CHUNKS:
-            issued, now_a, _ = batched.run_dummy_batch(now_a, chunk, interval)
-            assert issued == chunk
+            left = chunk
+            while left:  # IR-DWB hands each dummy slot back to Python
+                _, _, now_a, slots, _, _ = batched.drain_slots(now_a, left)
+                left -= slots
             for _ in range(chunk):
-                res = reference.dummy_path(now_b)
+                res = reference.step(now_b)
                 now_b = max(now_b + interval, res.finish_write)
             # Full controller state, not just cycles: RNG stream, stash
             # contents in order, per-level occupancy, DRAM bank state.
@@ -106,21 +107,24 @@ class TestRecordedDummyCycles:
         "IR-Stash": 1252416,
         "IR-ORAM": 974532,
     }
+    TIERS = [pytest.param("batch", marks=needs_native), "per-access", "python"]
 
     def _drain(self, scheme, tier):
-        from repro.perf import native
-
-        controller = build_scheme(
-            scheme, SystemConfig.scaled(levels=13), rng=random.Random(7)
-        ).controller
-        if tier == "per-access":
-            controller.SUPPORTS_NATIVE_BATCH = False
+        # Back to back, no evictions, no IR-DWB conversions: only dummies.
+        controller = build_scheme(scheme, SystemConfig.scaled(
+            levels=13, issue_interval=0, allow_background_eviction=False,
+        ), rng=random.Random(7)).controller
+        controller.dwb = None
         now = done = 0
         while done < self.PATHS:
             chunk = min(self.CHUNK, self.PATHS - done)
-            issued, now, _ = controller.run_dummy_batch(now, chunk)
-            assert issued == chunk
-            done += issued
+            if tier == "batch":
+                _, _, now, issued, _, _ = controller.drain_slots(now, chunk)
+                assert issued == chunk
+            else:
+                for _ in range(chunk):
+                    now = controller.dummy_path(now).finish_write
+            done += chunk
         if native.fastpath is not None:
             ran = {
                 "batch": "engine.tier.batch_paths",
@@ -130,7 +134,7 @@ class TestRecordedDummyCycles:
             assert controller.tier_counters()[ran] == self.PATHS
         return now
 
-    @pytest.mark.parametrize("tier", ["batch", "per-access", "python"])
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("scheme", sorted(CYCLES))
     def test_final_cycle_matches_record(self, scheme, tier, monkeypatch):
         if tier == "python":
@@ -144,7 +148,7 @@ class TestFullRunEquivalence:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_batch_vs_no_batch(self, scheme, monkeypatch):
         batched = _fingerprint(_run_sim(scheme))
-        monkeypatch.setenv("REPRO_BATCH_SLOTS", "0")
+        _step_every_slot(monkeypatch)
         per_access = _fingerprint(_run_sim(scheme))
         assert batched == per_access
 
@@ -157,13 +161,12 @@ class TestFullRunEquivalence:
 
     @pytest.mark.parametrize("scheme", ["Baseline", "IR-ORAM", "Decoupled"])
     def test_audited_runs_identical(self, scheme, monkeypatch):
-        """REPRO_AUDIT flushes the batch at every slot boundary; the
-        invariant auditor must see identical state either way."""
-        monkeypatch.setenv("REPRO_AUDIT", "1")
+        """REPRO_AUDIT steps every slot for the invariant auditor; the
+        audited run must match the drained one."""
         batched = _fingerprint(_run_sim(scheme))
-        monkeypatch.setenv("REPRO_BATCH_SLOTS", "0")
-        per_access = _fingerprint(_run_sim(scheme))
-        assert batched == per_access
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        audited = _fingerprint(_run_sim(scheme))
+        assert batched == audited
 
 
 class TestCheckpointBatchGuard:
@@ -202,14 +205,10 @@ class TestCheckpointBatchGuard:
 
 
 class TestBatchExecution:
-    """The batch kernel actually runs — and says so in the run stats."""
+    """The drain's dummy paths run in the kernel, as the stats say."""
 
-    def test_batch_counters_surface_in_stats(self, monkeypatch):
-        from repro.perf import native
-
-        if native.fastpath is None:
-            pytest.skip("native kernels unavailable")
-        monkeypatch.setenv("REPRO_BATCH_SLOTS", "256")
+    @needs_native
+    def test_batch_counters_surface_in_stats(self):
         out = api.run(
             api.RunSpec(
                 scheme="Baseline",

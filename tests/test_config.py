@@ -252,16 +252,6 @@ class TestEnvKnobs:
         assert env_number("REPRO_TASK_TIMEOUT", 0.0, float) == 1.5
 
     @pytest.mark.parametrize("value", BAD_VALUES)
-    def test_batch_slots(self, value, monkeypatch):
-        from repro import api
-
-        monkeypatch.setenv("REPRO_BATCH_SLOTS", value)
-        spec = api.RunSpec(scheme="Baseline", workload="random",
-                           records=50, config=SystemConfig.tiny())
-        with pytest.raises(ConfigError, match="REPRO_BATCH_SLOTS"):
-            api.run(spec)
-
-    @pytest.mark.parametrize("value", BAD_VALUES)
     def test_audit(self, value, monkeypatch):
         from repro import api
 

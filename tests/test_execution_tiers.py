@@ -1,11 +1,11 @@
 """Which execution tier runs each path, and what an observer sees of it.
 
-``engine.tier.*`` counts the paths the whole-access kernel
-(``access_path``), the batch kernel (``run_batch``) and the pure-Python
-phases ran, and records whether the setup kernel (``init_tree``) built
-the tree.  Traced and observed runs go through the kernel too, so the
-event stream and the observer's records of a native run must equal those
-of a kernel-less run, event for event.
+``engine.tier.*`` counts the paths the kernels ran whole (``access_path``
+or real paths in ``drain_slots``), a drain's dummy paths and the
+pure-Python paths, and records whether the setup kernel (``init_tree``)
+built the tree.  Traced and observed runs go through the kernel too, so
+the event stream and the observer's records of a native run must equal
+those of a kernel-less run, event for event.
 """
 
 import random

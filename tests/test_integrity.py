@@ -148,8 +148,9 @@ class TestControllerIntegration:
         assert stats.get("integrity.violations") == 0
 
     def test_batched_dummy_paths_stay_verified(self):
-        """A sparse trace drains dummy slots through run_dummy_batch; the
-        Merkle hooks must see every one of those paths too."""
+        """A sparse trace has many dummy slots, which an unhooked run
+        drains in the kernel; the Merkle hooks move a run to the Python
+        tier, and must see every one of those paths too."""
         config = SystemConfig.tiny()
         components = build_scheme("Baseline", config)
         attach_integrity(components.controller)

@@ -16,8 +16,8 @@ No entry accepts a tuple of the same fields in its place.
 What a call brings from outside is still checked on every call: a leaf
 outside ``[0, leaves)``, a served block outside the position map, a
 malformed ``access_path`` mode, a block outside the namespace, a
-``serve_request`` whose request has no int block, an unknown kind or a
-negative cycle, an install of a block whose mapping is still live, a
+drained head request with no int block or an unknown kind, a negative
+cycle, an install of a block whose mapping is still live, a
 lookup on an unmapped block's leaf (-1), a PLB fill count past its
 ways and an S-Stash set-index entry naming no set all raise with nothing
 mutated and the RNG untouched, and leave no export behind once the state
@@ -122,11 +122,19 @@ def _call(kernel, state, arg):
         served, mode, write_burst = _ACCESS_SHAPES[kernel]
         return fast.access_path(state, arg, 0, served, mode, write_burst,
                                 PathType.DUMMY)
-    if kernel == "run_batch":
-        return fast.run_batch(state, 0, 0, 4, -1, -1, 90, False)
+    if kernel == "drain_slots":
+        return fast.drain_slots(state, None, 0, 4, native.DUMMIES_KERNEL, 0, 0)
     if kernel == "plb_install":
         return fast.plb_install(state, arg, False, True)
     return getattr(fast, kernel)(state, arg)
+
+
+def _serve_head(controller, request, now=0):
+    """A one-slot drain with ``request`` at the head of the queue."""
+    controller.queue.appendleft(request)
+    return controller._native.drain_slots(
+        controller._kstate, None, now, 1, native.DUMMIES_KERNEL, 0, 0
+    )
 
 
 def _refused(controller, fields, error, kernel=None):
@@ -178,7 +186,7 @@ def _malformed_fields(controller, case):
 
 @pytest.mark.parametrize(
     "kernel", ["read_path", "write_path_place", "access_path",
-               "dram_triples", "run_batch"]
+               "dram_triples", "drain_slots"]
 )
 @pytest.mark.parametrize("case", [
     "offset index past its table",
@@ -308,9 +316,10 @@ def test_corrupt_set_index_entry_raises_and_touches_nothing(
     sstash_controller, kernel, entry
 ):
     """A set-index entry that names no set, on a block in the cached top
-    of the path read (``access_path``) or probed (``serve_request``), is
-    refused before its set indexes the set counts, with nothing mutated
-    and the RNG untouched."""
+    of the path read (``access_path``) or probed for the head request of
+    a one-slot drain (``serve_request``), is refused before its set
+    indexes the set counts, with nothing mutated and the RNG
+    untouched."""
     controller = sstash_controller
     treetop = controller.treetop
     # Remap blocks until one lands in the S-Stash.
@@ -333,9 +342,7 @@ def test_corrupt_set_index_entry_raises_and_touches_nothing(
                 None, SERVED_NONE, True, PathType.DUMMY,
             )
         else:
-            controller._native.serve_request(
-                controller._kstate, Request(block, RequestKind.READ, 0), 0
-            )
+            _serve_head(controller, Request(block, RequestKind.READ, 0))
     assert _translation_state(controller) == before
     _drop_state(controller)
 
@@ -389,9 +396,13 @@ def _translation_state(controller):
 @pytest.fixture
 def translating(sstash_controller):
     """An S-Stash controller whose PLB holds a dirty PosMap2 block, so a
-    translation that ran would promote, fill and re-insert."""
+    translation or a drain that ran would promote, fill and re-insert."""
     controller = sstash_controller
     pm2 = controller.namespace.posmap2_base
+    victim = controller.namespace.posmap1_base + 1
+    controller.posmap.discard(victim)
+    controller.internal_queue.append(victim)
+    controller._limbo.add(victim)
     controller.posmap.discard(pm2)
     for level, position, slots in controller.tree.iter_buckets():
         if pm2 in slots:
@@ -481,10 +492,10 @@ def test_malformed_plb_buffers_raise(translating, entry, case, error):
     ("not a request", AttributeError),
 ])
 def test_malformed_serve_request_raises(translating, case, error):
-    """What a ``serve_request`` call brings — the request's block and
-    kind, and the cycle — is checked before anything is touched: no
-    state, counter, histogram or request field changes, the RNG is
-    untouched, and no export is left behind."""
+    """What a one-slot drain serves — the head request's block and kind,
+    and the cycle — is checked before anything is touched: no state,
+    counter, histogram or request field changes, the request stays at
+    the head, the RNG is untouched, and no export is left behind."""
     controller = translating
     request, now = Request(0, RequestKind.READ, 0), 0
     if case == "block past the namespace":
@@ -510,7 +521,8 @@ def test_malformed_serve_request_raises(translating, case, error):
 
     before = snapshot()
     with pytest.raises(error):
-        controller._native.serve_request(controller._kstate, request, now)
+        _serve_head(controller, request, now)
+    assert controller.queue.popleft() is request and not controller.queue
     assert snapshot() == before
     _drop_state(controller)
 
@@ -521,7 +533,7 @@ def test_malformed_serve_request_raises(translating, case, error):
     ("block outside the position map", IndexError),
 ])
 @pytest.mark.parametrize("kernel", [
-    "KernelState", "access_path", "run_batch", "translate", "plb_install",
+    "KernelState", "access_path", "drain_slots", "translate", "plb_install",
     "serve_request",
 ])
 def test_corrupt_stash_slab_raises_and_touches_nothing(
@@ -529,7 +541,9 @@ def test_corrupt_stash_slab_raises_and_touches_nothing(
 ):
     """Every entry that reads the stash checks its slab's header and
     entries when it takes the slab, before anything is touched, and
-    leaves no export behind; a state is not built over such a slab."""
+    leaves no export behind; a state is not built over such a slab.
+    ``serve_request`` is a one-slot drain with a request queued at the
+    head: the slab is checked before the head is read."""
     controller = translating
     stash = controller.stash
     slab = stash._slab
@@ -547,9 +561,7 @@ def test_corrupt_stash_slab_raises_and_touches_nothing(
     before = _translation_state(controller)
     with pytest.raises(error, match="stash"):
         if kernel == "serve_request":
-            controller._native.serve_request(
-                controller._kstate, Request(0, RequestKind.READ, 0), 0
-            )
+            _serve_head(controller, Request(0, RequestKind.READ, 0))
         else:
             _call(kernel, controller._kstate,
                   pm1 if kernel == "plb_install" else 0)
@@ -585,11 +597,14 @@ def test_find_in_treetop_rejects_a_leaf_outside_the_tree(translating):
 
 def test_state_outlives_its_controller():
     """The state keeps every object and array it reads alive: with the
-    controller collected it still runs path accesses, a batch and a
-    translation (under the sanitized build, without a report)."""
+    controller collected it still runs path accesses, dummy slots, a
+    translation and its queued request's slot (under the sanitized
+    build, without a report)."""
     config = SystemConfig.tiny()
     controller = PathORAMController(config, treetop=SStash(config.oram))
     state = controller._kstate
+    arrival = 1 << 40  # after the dummy slots
+    controller.queue.append(Request(0, RequestKind.READ, arrival))
     gone = weakref.ref(controller)
     del controller
     gc.collect()
@@ -598,11 +613,12 @@ def test_state_outlives_its_controller():
     for leaf in range(config.oram.leaves):
         fast.access_path(state, leaf, 0, None, SERVED_NONE, True,
                          PathType.DUMMY)
-    assert fast.run_batch(state, 0, 10, 8, -1, -1, 90, True)[0] == 8
+    dummies = native.DUMMIES_KERNEL
+    assert fast.drain_slots(state, None, 0, 8, dummies, 0, 0)[3] == 8
     for block in range(config.oram.user_blocks):
         assert isinstance(fast.translate(state, block), list)
-    request = Request(0, RequestKind.READ, 0)
-    assert fast.serve_request(state, request, 0)[0] in range(5)
+    slots = fast.drain_slots(state, None, arrival, 1, dummies, 0, 0)
+    assert slots[3] == 1 and len(slots[1]) == 5
     assert len(fast.dram_triples(state, 0)) % 3 == 0
 
 

@@ -19,7 +19,6 @@ from repro.oram.ring import (
     RING_EVICT_RATE,
     RING_S,
     RING_Z,
-    RingController,
     _bit_reverse,
     scaled_ring_levels,
 )
@@ -292,6 +291,3 @@ class TestFullRun:
         assert stats.get("ring.evict_paths") > 0
         assert stats.get("ring.early_reshuffles") > 0
         assert stats.get("ring.dummies") > 0
-
-    def test_native_batch_disabled(self):
-        assert RingController.SUPPORTS_NATIVE_BATCH is False

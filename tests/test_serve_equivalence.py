@@ -1,20 +1,19 @@
 """The kernel's served slot against the Python slot it replaces.
 
 An untraced, unobserved kernel-tier controller runs each issue slot in a
-one-slot ``drain_slots`` call, which serves each arrived head request
-through the same code as ``serve_request``: the stash and S-Stash
-probes, the translation walk, then the victim-buffer and eviction
-priority check, and the first missing PosMap block's fetch or the
-request's data path.  On small trees with a tiny PLB (so chains of
-PosMap2 then PosMap1 fetches, PLB victims and deferred re-inserts are
-common), drawn cached-top depth, both tree-top modes, LLC-D's delayed
-remapping and a low eviction threshold, two identical controllers step
-through the same drawn requests, one on the kernel tier and one on the
-Python methods.  They must agree on every ``SlotResult``, every request's
-completion, path count and translation flag, every counter (key, value
-and type), the hit-level histogram, the RNG and all state.  A traced pair
-(which runs the Python slot over the kernel's path entries) must also
-agree event for event.
+one-slot ``drain_slots`` call, which serves each arrived head request in
+C: the stash and S-Stash probes, the translation walk, then the
+victim-buffer and eviction priority check, and the first missing PosMap
+block's fetch or the request's data path.  On small trees with a tiny PLB
+(so chains of PosMap2 then PosMap1 fetches, PLB victims and deferred
+re-inserts are common), drawn cached-top depth, both tree-top modes,
+LLC-D's delayed remapping and a low eviction threshold, two identical
+controllers step through the same drawn requests, one on the kernel tier
+and one on the Python methods.  They must agree on every ``SlotResult``,
+every request's completion, path count and translation flag, every
+counter (key, value and type), the hit-level histogram, the RNG and all
+state.  A traced pair (which runs the Python slot over the kernel's path
+entries) must also agree event for event.
 """
 
 import random

@@ -2,11 +2,11 @@
 
 With no hook attached, the simulator's loop runs in ``drain_slots``
 kernel calls: the processor and the LLC between slots, the completions
-after them, idle slots and the end of the run, up to
-``REPRO_BATCH_SLOTS`` slots a call.  At ``REPRO_BATCH_SLOTS=0`` the loop
-is Python and calls ``step`` once per slot, and the Python tier steps
-through the Python slot methods.  Whole simulations on small trees with
-a tiny PLB (deep PosMap chains, PLB victims, deferred re-inserts), both
+after them, idle slots and the end of the run, up to ``DRAIN_CHUNK``
+slots a call.  With a hook attached (here a no-op slot observer) the
+loop is Python and calls ``step`` once per slot, and the Python tier
+steps through the Python slot methods.  Whole simulations on small trees
+with a tiny PLB (deep PosMap chains, PLB victims, deferred re-inserts), both
 tree-top modes, LLC-D's re-inserts, IR-DWB's converted dummy slots, a
 low eviction threshold, the timing defense on and off and small cores
 (ROB-reach, MLP and write-buffer blocks, merges into fetches in flight,
@@ -36,6 +36,8 @@ from repro.oram.controller import MAX_CONSECUTIVE_EVICTIONS
 from repro.oram.stash import Stash
 from repro.oram.types import Request, RequestKind
 from repro.perf import native
+from repro.security.mutants import MUTANTS, build_mutant
+from repro.sim import simulator as simulator_module
 from repro.sim.runner import make_workload
 from repro.sim.simulator import MemoryHierarchy, Simulator
 from repro.stats import Stats
@@ -79,9 +81,12 @@ def cases(draw):
 
 def _simulate(config, scheme, workload, seed, monkeypatch, slots,
               natives=True):
-    monkeypatch.setenv("REPRO_BATCH_SLOTS", str(slots))
+    """One run, ``slots`` slots a drain call; 0 steps every slot."""
+    if slots:
+        monkeypatch.setattr(simulator_module, "DRAIN_CHUNK", slots)
     components = build_scheme(scheme, config, Stats(), random.Random(seed))
     controller = components.controller
+    controller.slot_observer = None if slots else (lambda result: None)
     if not natives:
         controller._native = None
     kernels = CountingKernels(controller._native) if natives else None
@@ -98,6 +103,16 @@ def _simulate(config, scheme, workload, seed, monkeypatch, slots,
         controller._consecutive_evictions,
     )
     return fingerprint, kernels, controller
+
+
+def test_controllers_that_replace_slot_methods_never_drain():
+    """Rho, Ring, Pyramid, Decoupled and the leaky mutants replace a slot
+    method, the write burst or the remap, so the drain never runs them."""
+    config = SystemConfig.tiny()
+    built = [build_scheme(name, config).controller
+             for name in ("Rho", "Ring", "Pyramid", "Decoupled")]
+    built += [build_mutant(name, config).controller for name in MUTANTS]
+    assert all(c._native is not None and not c._serve for c in built)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,16 +138,12 @@ def test_drain_matches_stepping_and_the_python_tier(case):
     assert kernels.calls.get("drain_slots", 0) <= stepping.calls.get(
         "drain_slots", 0
     )
-    assert "serve_request" not in kernels.calls
 
 
 def test_small_cores_block_merge_and_stall(monkeypatch):
     """A narrow core with two reads and two writes in flight blocks,
     stalls, and merges accesses into fetches in flight; the drained run
     matches the Python loop on the Python tier, merge for merge."""
-    from repro.oram.types import Request
-    from repro.sim import simulator as simulator_module
-
     config = replace(SystemConfig.tiny(levels=6), cpu=CPUConfig(
         issue_width=1, rob_size=32, max_outstanding_reads=2, write_buffer=2,
     ))
@@ -229,9 +240,13 @@ def _enqueue(controllers, block, kind=RequestKind.READ, arrival=0):
 @pytest.mark.parametrize("cap", [0, 1])
 def test_cap_zero_and_one(cap):
     kernel, python = _pair()
+    before = _state(kernel)
+    _, records, now, _, _, _ = _check(kernel, python, 0, cap)
+    assert records[::5] == [PATH_CODES["PTm"]] * cap
+    assert (_state(kernel) == before) == (cap == 0)
     _enqueue((kernel, python), 5)
     before = _state(kernel)
-    _, _, now, slots, stop, _ = _check(kernel, python, 0, cap)
+    _, _, now, slots, stop, _ = _check(kernel, python, now, cap)
     assert slots == cap and stop == native.DRAIN_BOUNDARY
     if cap == 0:
         assert now == 0 and _state(kernel) == before
@@ -389,7 +404,7 @@ def test_kernel_tier_does_no_python_victim_buffer_work(monkeypatch):
 # ----------------------------------------------------------------------
 # malformed knobs fail before a pool starts
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("knob", ["REPRO_AUDIT", "REPRO_BATCH_SLOTS"])
+@pytest.mark.parametrize("knob", ["REPRO_AUDIT"])
 def test_malformed_run_knob_fails_before_the_pool(knob, monkeypatch):
     """A malformed per-run knob raises ``ConfigError`` from ``run_many``
     itself, not an ``EngineFaultError`` after the pool's retries."""
@@ -415,8 +430,8 @@ def test_malformed_run_knob_fails_before_the_pool(knob, monkeypatch):
 # ----------------------------------------------------------------------
 def test_untraced_run_is_one_kernel_loop(monkeypatch):
     """No Python processor, hierarchy or LLC method runs in a drained
-    run: the loop turns once per REPRO_BATCH_SLOTS slots, and every path
-    is a kernel path."""
+    run: the loop turns once per DRAIN_CHUNK slots, and every path is a
+    kernel path."""
     from repro.oram.controller import PathORAMController
 
     calls = {}
@@ -431,7 +446,7 @@ def test_untraced_run_is_one_kernel_loop(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    monkeypatch.setenv("REPRO_BATCH_SLOTS", "64")
+    monkeypatch.setattr(simulator_module, "DRAIN_CHUNK", 64)
     config = SystemConfig.tiny()
     components = build_scheme("Baseline", config, Stats(), random.Random(2))
     kernels = CountingKernels(components.controller._native)
@@ -446,16 +461,15 @@ def test_untraced_run_is_one_kernel_loop(monkeypatch):
         sk.ENGINE_TIER_BATCH_PATHS] == result.total_paths()
 
 
-def _front(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_SLOTS", "16")
+def _front():
     config = SystemConfig.tiny(levels=6)
     components = build_scheme("Baseline", config, Stats(), random.Random(1))
     simulator = Simulator(components, make_workload("mix", config, 60, 1))
     return simulator, simulator._front_end()
 
 
-def test_front_end_stops_at_the_cap_and_at_the_end(monkeypatch):
-    simulator, front = _front(monkeypatch)
+def test_front_end_stops_at_the_cap_and_at_the_end():
+    simulator, front = _front()
     controller = simulator.controller
     now, idle, stops = 0, 0, []
     while not stops or stops[-1] != native.DRAIN_DONE:
@@ -476,8 +490,8 @@ def test_front_end_stops_at_the_cap_and_at_the_end(monkeypatch):
     )
 
 
-def test_front_end_refuses_what_it_cannot_index(monkeypatch):
-    simulator, front = _front(monkeypatch)
+def test_front_end_refuses_what_it_cannot_index():
+    simulator, front = _front()
     controller, processor = simulator.controller, simulator.processor
     with pytest.raises(ValueError):
         controller._native.FrontEnd(
