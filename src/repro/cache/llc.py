@@ -40,13 +40,20 @@ class LastLevelCache(FlatLRUCache):
         Returns ``(hit, evicted)`` where ``evicted`` describes the victim
         line if the fill displaced one.
         """
-        slot = self._slot(block)
-        if slot >= 0:
-            self._touch(block, slot, self._dirty[slot] | bool(is_write))
-            self.stats.inc(sk.LLC_HITS)
+        if self.hit(block, is_write):
             return True, None
         self.stats.inc(sk.LLC_MISSES)
         return False, self._fill(block, int(bool(is_write)))
+
+    def hit(self, block: int, is_write: bool) -> bool:
+        """Reference a resident ``block`` as :meth:`access` does on a hit,
+        with one scan of its set; False, counting nothing, when absent."""
+        slot = self._slot(block)
+        if slot < 0:
+            return False
+        self._touch(block, slot, self._dirty[slot] | bool(is_write))
+        self.stats.inc(sk.LLC_HITS)
+        return True
 
     def insert(self, block: int, dirty: bool) -> Optional[EvictedLine]:
         """Install a line without counting a hit/miss (e.g. a prefetch fill)."""

@@ -18,6 +18,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -3784,6 +3785,332 @@ done:
 }
 
 /* ---------------------------------------------------------------- */
+/* Trace generation                                                  */
+/* ---------------------------------------------------------------- */
+
+/* random() through the RNG's bound ``random``.  Returns 0, or -1 with
+ * an exception set. */
+static int
+draw_unit(PyObject *py_random, double *out)
+{
+    PyObject *draw = PyObject_CallNoArgs(py_random);
+    if (draw == NULL)
+        return -1;
+    double u = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    if (u == -1.0 && PyErr_Occurred())
+        return -1;
+    *out = u;
+    return 0;
+}
+
+/* Random.expovariate(rate) as Python evaluates it: -log(1.0 - random())
+ * divided by ``rate``, which the caller computed as 1.0 / mean. */
+static int
+draw_expo(PyObject *py_random, double rate, double *out)
+{
+    double u;
+    if (draw_unit(py_random, &u) < 0)
+        return -1;
+    *out = -log(1.0 - u) / rate;
+    return 0;
+}
+
+/* The generator's LRU image of the LLC, the C form of its OrderedDict:
+ * a doubly linked list of nodes, least recently used at ``head``, and a
+ * linear-probing hash from an offset to its node (-1: empty).  Node
+ * ``spare`` is the one the last eviction freed, -1 if none. */
+typedef struct {
+    long long *key;
+    Py_ssize_t *prev, *next, *table;
+    size_t mask;
+    Py_ssize_t head, tail, size, used, spare;
+} LruImage;
+
+static size_t
+image_home(const LruImage *m, long long key)
+{
+    unsigned long long x = (unsigned long long)key * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(x ^ (x >> 32)) & m->mask;
+}
+
+/* The hash slot holding ``key``, or the empty slot it would take. */
+static size_t
+image_find(const LruImage *m, long long key)
+{
+    size_t i = image_home(m, key);
+    while (m->table[i] >= 0 && m->key[m->table[i]] != key)
+        i = (i + 1) & m->mask;
+    return i;
+}
+
+/* Empty hash slot ``i``, moving back each later member of its probe run
+ * whose home does not lie cyclically in (i, j] (deletion without
+ * tombstones). */
+static void
+image_unhash(LruImage *m, size_t i)
+{
+    for (;;) {
+        m->table[i] = -1;
+        size_t j = i;
+        for (;;) {
+            j = (j + 1) & m->mask;
+            if (m->table[j] < 0)
+                return;
+            size_t home = image_home(m, m->key[m->table[j]]);
+            if (i <= j ? (home <= i || home > j) : (home <= i && home > j))
+                break;
+        }
+        m->table[i] = m->table[j];
+        i = j;
+    }
+}
+
+static void
+image_unlink(LruImage *m, Py_ssize_t n)
+{
+    Py_ssize_t p = m->prev[n], q = m->next[n];
+    if (p >= 0)
+        m->next[p] = q;
+    else
+        m->head = q;
+    if (q >= 0)
+        m->prev[q] = p;
+    else
+        m->tail = p;
+}
+
+static void
+image_append(LruImage *m, Py_ssize_t n)
+{
+    m->prev[n] = m->tail;
+    m->next[n] = -1;
+    if (m->tail >= 0)
+        m->next[m->tail] = n;
+    else
+        m->head = n;
+    m->tail = n;
+}
+
+/* One OrderedDict step: move a present ``key`` to the MRU end, or insert
+ * it and, past ``lines`` entries, pop the LRU entry into *victim and
+ * return 1. */
+static int
+image_access(LruImage *m, long long key, long long lines, long long *victim)
+{
+    size_t i = image_find(m, key);
+    Py_ssize_t n = m->table[i];
+    if (n >= 0) {
+        if (n != m->tail) {
+            image_unlink(m, n);
+            image_append(m, n);
+        }
+        return 0;
+    }
+    n = m->spare >= 0 ? m->spare : m->used++;
+    m->spare = -1;
+    m->key[n] = key;
+    m->table[i] = n;
+    image_append(m, n);
+    if (++m->size <= lines)
+        return 0;
+    Py_ssize_t lru = m->head;
+    *victim = m->key[lru];
+    image_unlink(m, lru);
+    image_unhash(m, image_find(m, *victim));
+    m->spare = lru;
+    m->size--;
+    return 1;
+}
+
+/* benchmark_records(count, scan_region, footprint, region, base_block,
+ *                   history_cap, midreuse_span, llc_lines, ring_cap,
+ *                   burst_len, (stream, reuse, spill, midreuse),
+ *                   (quiet_prob, burst_prob, write_prob),
+ *                   (gap_rate, quiet_rate, reuse_rate, spill_rate),
+ *                   random, getrandbits) -> [(gap, block, is_write)]
+ *
+ * benchmark_trace's record loop over its derived parameters: the four
+ * cumulative mode thresholds, the probabilities and the expovariate
+ * rates (1.0 / mean) come summed and divided by the caller.  Each draw
+ * goes through the RNG's bound ``random`` (random, expovariate) or
+ * ``getrandbits`` (randrange, through randbelow) in the Python loop's
+ * order, so the records and the RNG's final state are the Python
+ * loop's.  The history window, the OrderedDict LRU image of the LLC and
+ * the deque of recent evictions live in C memory sized by ``count``.
+ * The caller keeps every gap, block and size within int64.
+ */
+static PyObject *
+benchmark_records(PyObject *self, PyObject *args)
+{
+    Py_ssize_t count;
+    long long scan_region, footprint, region, base_block, history_cap,
+        midreuse_span, llc_lines, ring_cap, burst_len;
+    double t_stream, t_reuse, t_spill, t_mid, quiet_prob, burst_prob,
+        write_prob, gap_rate, quiet_rate, reuse_rate, spill_rate;
+    PyObject *py_random, *getrandbits;
+    if (!PyArg_ParseTuple(args, "nLLLLLLLLL(dddd)(ddd)(dddd)OO", &count,
+                          &scan_region, &footprint, &region, &base_block,
+                          &history_cap, &midreuse_span, &llc_lines,
+                          &ring_cap, &burst_len, &t_stream, &t_reuse,
+                          &t_spill, &t_mid, &quiet_prob, &burst_prob,
+                          &write_prob, &gap_rate, &quiet_rate, &reuse_rate,
+                          &spill_rate, &py_random, &getrandbits))
+        return NULL;
+    if (count < 1 || scan_region < 1 || footprint < 1 || region < 1 ||
+        history_cap < 4 || midreuse_span < 1 || ring_cap < 1) {
+        PyErr_SetString(PyExc_ValueError, "malformed benchmark_records call");
+        return NULL;
+    }
+    /* Neither window outgrows the record count, so capping a bound at
+     * ``count`` changes no record. */
+    if (history_cap > count)
+        history_cap = count;
+    if (ring_cap > count)
+        ring_cap = count;
+    long long lines = llc_lines < 0 ? 0 : llc_lines;
+    if (lines > count)
+        lines = count;
+    /* Between records the window holds at most ``history_cap`` offsets.
+     * A quarter's slack past that bounds the compaction's memmove to
+     * four moves a record and keeps the buffer small: with twice the
+     * window, sparse-xal's peak RSS rose by 0.3 MB. */
+    Py_ssize_t h_alloc = history_cap / 4 < count - history_cap - 1
+                             ? history_cap + 1 + history_cap / 4 : count;
+    Py_ssize_t nodes = (Py_ssize_t)lines + 1;
+    size_t slots = 4;
+    while (slots < 2 * (size_t)nodes)
+        slots <<= 1;
+
+    long long *hist = PyMem_New(long long, h_alloc);
+    long long *ring = PyMem_New(long long, ring_cap);
+    LruImage m = {NULL, NULL, NULL, NULL, slots - 1, -1, -1, 0, 0, -1};
+    m.key = PyMem_New(long long, nodes);
+    m.prev = PyMem_New(Py_ssize_t, nodes);
+    m.next = PyMem_New(Py_ssize_t, nodes);
+    m.table = PyMem_New(Py_ssize_t, slots);
+    PyObject *records = PyList_New(count);
+    Draws rng = {getrandbits, NULL, -1};
+    if (hist == NULL || ring == NULL || m.key == NULL || m.prev == NULL ||
+        m.next == NULL || m.table == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (records == NULL)
+        goto fail;
+    memset(m.table, 0xff, sizeof(Py_ssize_t) * slots);
+
+    Py_ssize_t h_head = 0, h_tail = 0, r_head = 0, r_len = 0;
+    long long cursor, burst_remaining = 0, r;
+    double u, e;
+    if (randbelow(&rng, scan_region, &cursor) < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        long long gap, offset;
+        if (burst_remaining > 0) {
+            if (randbelow(&rng, 3, &r) < 0)
+                goto fail;
+            gap = 1 + r;
+            burst_remaining--;
+        } else {
+            if (draw_expo(py_random, gap_rate, &e) < 0)
+                goto fail;
+            gap = (long long)e;
+            if (gap < 1)
+                gap = 1;
+            if (quiet_prob != 0.0) {
+                if (draw_unit(py_random, &u) < 0)
+                    goto fail;
+                if (u < quiet_prob) {
+                    if (draw_expo(py_random, quiet_rate, &e) < 0)
+                        goto fail;
+                    gap += (long long)e;
+                }
+            }
+            if (draw_unit(py_random, &u) < 0)
+                goto fail;
+            if (u < burst_prob)
+                burst_remaining = burst_len;
+        }
+        Py_ssize_t h_len = h_tail - h_head;
+        double draw;
+        if (draw_unit(py_random, &draw) < 0)
+            goto fail;
+        if (draw < t_stream) {
+            cursor = (cursor + 1) % scan_region;
+            offset = cursor;
+        } else if (draw < t_reuse && h_len) {
+            /* history[-min(1 + int(e), len)] */
+            if (draw_expo(py_random, reuse_rate, &e) < 0)
+                goto fail;
+            offset = hist[h_tail - (e >= (double)(h_len - 1)
+                                        ? h_len : 1 + (Py_ssize_t)e)];
+        } else if (draw < t_spill && r_len) {
+            /* recently_evicted[len - 1 - min(int(e), len - 1)] */
+            if (draw_expo(py_random, spill_rate, &e) < 0)
+                goto fail;
+            Py_ssize_t back = e >= (double)(r_len - 1) ? r_len - 1
+                                                       : (Py_ssize_t)e;
+            offset = ring[(r_head + r_len - 1 - back) % ring_cap];
+        } else if (draw < t_mid && h_len) {
+            if (randbelow(&rng, h_len < midreuse_span ? h_len : midreuse_span,
+                          &r) < 0)
+                goto fail;
+            offset = hist[h_tail - 1 - r];
+        } else if (randbelow(&rng, footprint, &offset) < 0) {
+            goto fail;
+        }
+        if (h_tail == h_alloc) {
+            memmove(hist, hist + h_head, sizeof(long long) * (size_t)h_len);
+            h_tail = h_len;
+            h_head = 0;
+        }
+        hist[h_tail++] = offset;
+        if (h_tail - h_head > history_cap)
+            h_head += history_cap / 4;
+        long long victim;
+        if (image_access(&m, offset, lines, &victim)) {
+            if (r_len < ring_cap) {
+                ring[(r_head + r_len++) % ring_cap] = victim;
+            } else {
+                ring[r_head] = victim;
+                r_head = (r_head + 1) % ring_cap;
+            }
+        }
+        if (draw_unit(py_random, &u) < 0)
+            goto fail;
+        PyObject *record = PyTuple_New(3);
+        if (record == NULL)
+            goto fail;
+        PyList_SET_ITEM(records, i, record);
+        PyObject *gap_obj = PyLong_FromLongLong(gap);
+        if (gap_obj == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(record, 0, gap_obj);
+        PyObject *block_obj = PyLong_FromLongLong(base_block + offset % region);
+        if (block_obj == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(record, 1, block_obj);
+        PyObject *is_write = u < write_prob ? Py_True : Py_False;
+        Py_INCREF(is_write);
+        PyTuple_SET_ITEM(record, 2, is_write);
+    }
+    goto done;
+
+fail:
+    Py_CLEAR(records);
+done:
+    Py_XDECREF(rng.bits);
+    PyMem_Free(hist);
+    PyMem_Free(ring);
+    PyMem_Free(m.key);
+    PyMem_Free(m.prev);
+    PyMem_Free(m.next);
+    PyMem_Free(m.table);
+    return records;
+}
+
+/* ---------------------------------------------------------------- */
 /* The cycle breakdown                                               */
 /* ---------------------------------------------------------------- */
 
@@ -3888,6 +4215,8 @@ static PyMethodDef fastpath_methods[] = {
      "The position map's initial leaf table, as an array('q')."},
     {"init_tree", init_tree, METH_VARARGS,
      "Shuffle every block and place it bottom-up into an empty tree."},
+    {"benchmark_records", benchmark_records, METH_VARARGS,
+     "A benchmark model's trace records, drawn as benchmark_trace draws."},
     {NULL, NULL, 0, NULL},
 };
 

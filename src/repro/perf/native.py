@@ -38,12 +38,20 @@ The simulator's innermost loops have bit-identical C implementations in
 * ``draw_leaves`` — the position map's initial leaf table;
 * ``init_tree`` — the initial tree: a ``Random.shuffle`` of every block
   id, then bottom-up placement into the empty tree array, returning the
-  blocks that overflow into the stash.
+  blocks that overflow into the stash;
+* ``benchmark_records`` — a Table II benchmark model's trace records:
+  ``benchmark_trace``'s loop, with its history window, its LRU image of
+  the LLC and its ring of recent evictions in C memory.
+  ``benchmark_trace`` calls it for a plain ``random.Random`` when every
+  integer the loop produces fits in int64.
 
-Every RNG draw — a leaf, a remap, a shuffle step — goes through one C
-helper, ``randbelow``: ``Random._randbelow_with_getrandbits`` inlined
-over the RNG's bound ``getrandbits``, so the kernels consume exactly the
-bits the Python code consumes, and only for a plain ``random.Random``.
+Every integer RNG draw — a leaf, a remap, a shuffle step, a trace's
+``randrange`` — goes through one C helper, ``randbelow``:
+``Random._randbelow_with_getrandbits`` inlined over the RNG's bound
+``getrandbits``; a trace's ``random()`` calls the bound ``random``, and
+its ``expovariate`` is Python's formula over that draw.  So the kernels
+consume exactly the bits the Python code consumes, and only for a plain
+``random.Random``.
 
 The path entries book their own counters — every stats counter, the
 ``hit.level`` histogram, the stash peak, ``remap_count``, the path count
@@ -51,9 +59,9 @@ and the ``engine.*`` tier and batch counts — with the keys of the
 state's ``counter_keys`` (:func:`counter_keys`) and the Python code's
 value types, so the controller only emits trace events around them.
 
-All but ``dram_service`` and the setup entries take one ``KernelState``,
-which the controller builds once from its live state and which holds
-and validates it for its lifetime: the tree's slots, the position map's
+All but ``dram_service``, the setup entries and ``benchmark_records``
+take one ``KernelState``, which the controller builds once from its live
+state and which holds and validates it for its lifetime: the tree's slots, the position map's
 leaves, the level occupancy, the layout's ``path_table``, the DRAM bank
 state, the PLB's three arrays (block ids per set in LRU-to-MRU order,
 dirty flags, per-set fill counts, the layout the LLC shares through
@@ -412,6 +420,36 @@ def _self_test(module) -> bool:
     ):
         return False
 
+    # Trace generation: six records over a 4-block scan region inside an
+    # 8-block footprint at block 100, a one-line LLC image, thresholds
+    # 0.2/0.4/0.6/0.8, bursts of one record at probability 0.5, no quiet
+    # phases, and a gap rate of 0.5.  The cursor draws 3 bits (5
+    # rejected, then 2).  1: gap int(-log(0.25) / 0.5) = 2, a scan to
+    # offset 3.  2: gap 1, a burst starts, a short reuse of offset 3.
+    # 3: the burst's gap 1 + 1 (2 bits, 3 rejected), a uniform offset 6
+    # (4 bits) that evicts 3.  4: a thrash reuse of the last eviction,
+    # 3, which evicts 6.  5: a mid-range reuse 1 + 1 back (3 bits for a
+    # 4-record history): 6.  6: a short reuse whose distance, 1 + 4,
+    # clamps to the 5-record history: offset 3.
+    units = iter([
+        0.75, 0.9, 0.1, 0.9, 0.0, 0.1, 0.3, 0.0, 0.1, 0.9, 0.9, 0.0, 0.9,
+        0.5, 0.0, 0.1, 0.0, 0.9, 0.7, 0.9, 0.0, 0.9, 0.3, 0.99, 0.1,
+    ])
+    script = iter([5, 2, 3, 1, 6, 1])
+    widths = []
+    records = module.benchmark_records(
+        6, 4, 8, 8, 100, 64, 64, 1, 64, 1, (0.2, 0.4, 0.6, 0.8),
+        (0.0, 0.5, 0.5), (0.5, 1.0, 1.0, 1.0), lambda: next(units),
+        getrandbits,
+    )
+    if not (
+        records == [(2, 103, False), (1, 103, True), (2, 106, False),
+                    (1, 103, True), (1, 106, False), (1, 103, True)]
+        and widths == [3, 3, 2, 2, 4, 3]
+        and next(units, None) is None and next(script, None) is None
+    ):
+        return False
+
     # A dummy path: 2 leaves, 2 levels, block 3 sits at the root of leaf
     # 1's path mapped to leaf 0 -> read at t=0 finishes at 10 (activate 3
     # + two row-hit bursts), write finishes at 17, and the block is placed
@@ -521,6 +559,7 @@ def _build(so_path: str) -> bool:
         "-fPIC",
         f"-I{include}",
         _SOURCE,
+        "-lm",
         "-o",
         tmp_path,
     ]

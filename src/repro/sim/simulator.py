@@ -81,8 +81,7 @@ class MemoryHierarchy:
                 self._flight_dirty[row] = 1
                 return None
             return block
-        if self.llc.probe(block):
-            self.llc.access(block, is_write)  # counts the hit, moves LRU
+        if self.llc.hit(block, is_write):  # counts the hit, moves LRU
             return None
         self.stats.inc(sk.LLC_MISSES)
         self.stats.inc(sk.HIERARCHY_DEMAND_MISSES)

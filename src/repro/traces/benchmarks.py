@@ -32,10 +32,12 @@ configuration scales them with ``distance_scale``.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, List
 
 from ..errors import TraceError
+from ..perf.native import fastpath
 from .trace import Trace, TraceRecord
 
 
@@ -161,6 +163,12 @@ def benchmark_trace(
     reuse distances and the scan region; ``llc_lines`` is the capacity of
     the LLC the trace will face, used to aim thrash re-references at
     just-evicted blocks (the generator carries a small LRU model of it).
+
+    The record loop runs in the C kernel (``benchmark_records``) when it
+    is loaded, the RNG is a plain ``random.Random`` and every integer
+    the loop produces fits in int64; otherwise in :func:`_records_py`,
+    its oracle.  Both make the same RNG calls, so the records and the
+    RNG's final state are the same on either tier.
     """
     if count < 1:
         raise TraceError("trace needs at least one record")
@@ -173,11 +181,75 @@ def benchmark_trace(
     reuse_scale = max(1.0, model.reuse_scale * distance_scale)
     midreuse_span = max(64, int(model.midreuse_span * distance_scale))
     history_cap = max(64, int(4 * reuse_scale), midreuse_span + 64)
+    ring_cap = max(64, llc_lines // 4)
+    sizes = (
+        count, scan_region, footprint, region, base_block, history_cap,
+        midreuse_span, llc_lines, ring_cap, model.burst_len,
+    )
+    # Cumulative mode thresholds, summed left to right as the chained
+    # comparisons always summed them.
+    thresholds = (
+        model.stream_prob,
+        model.stream_prob + model.reuse_prob,
+        model.stream_prob + model.reuse_prob + model.spill_prob,
+        model.stream_prob + model.reuse_prob + model.spill_prob
+        + model.midreuse_prob,
+    )
+    probs = (model.quiet_prob, model.burst_prob, model.write_prob)
+    # expovariate's rates, 1.0 / mean: gaps, quiet phases (drawn only
+    # with a quiet probability), short reuse and thrash distances.
+    rates = (
+        1.0 / mean_gap,
+        1.0 / model.quiet_gap if model.quiet_prob else 0.0,
+        1.0 / reuse_scale,
+        1.0 / 24.0,
+    )
+    if _kernel_fits(rng, sizes, region, mean_gap, model.quiet_gap):
+        records = fastpath.benchmark_records(
+            *sizes, thresholds, probs, rates, rng.random, rng.getrandbits
+        )
+    else:
+        records = _records_py(sizes, thresholds, probs, rates, rng)
+    return Trace(model.name, records)
 
-    from collections import OrderedDict, deque
+
+#: Bound on every integer the kernel handles; a gap, block or size past
+#: it runs the Python loop, whose integers are unbounded.
+_INT_LIMIT = 1 << 62
+
+
+def _kernel_fits(rng, sizes, region, mean_gap, quiet_gap) -> bool:
+    """Whether the kernel can run the loop: it is loaded, the RNG is a
+    plain ``random.Random``, every size is an int in int64 (and the
+    region positive, as C's ``%`` needs), and no gap can leave int64.
+    A gap is at most ``int(e * mean_gap) + int(e * quiet_gap)`` with
+    ``e = -log(1 - random()) <= 36.8``."""
+    return (
+        fastpath is not None
+        and type(rng) is random.Random
+        and all(
+            isinstance(size, int) and -_INT_LIMIT < size < _INT_LIMIT
+            for size in sizes
+        )
+        and region > 0
+        and abs(quiet_gap) < _INT_LIMIT
+        and 37 * (mean_gap + abs(quiet_gap)) < _INT_LIMIT
+    )
+
+
+def _records_py(sizes, thresholds, probs, rates, rng) -> List[TraceRecord]:
+    """benchmark_trace's record loop in Python: the kernel's oracle and
+    the tier for RNG subclasses and out-of-range parameters."""
+    (
+        count, scan_region, footprint, region, base_block, history_cap,
+        midreuse_span, llc_lines, ring_cap, burst_len,
+    ) = sizes
+    stream_below, reuse_below, spill_below, midreuse_below = thresholds
+    quiet_prob, burst_prob, write_prob = probs
+    gap_rate, quiet_rate, reuse_rate, spill_rate = rates
 
     lru: "OrderedDict[int, None]" = OrderedDict()
-    recently_evicted: deque = deque(maxlen=max(64, llc_lines // 4))
+    recently_evicted: deque = deque(maxlen=ring_cap)
 
     records: List[TraceRecord] = []
     history: List[int] = []
@@ -188,37 +260,27 @@ def benchmark_trace(
             gap = 1 + rng.randrange(3)
             burst_remaining -= 1
         else:
-            gap = max(1, int(rng.expovariate(1.0 / mean_gap)))
-            if model.quiet_prob and rng.random() < model.quiet_prob:
-                gap += int(rng.expovariate(1.0 / model.quiet_gap))
-            if rng.random() < model.burst_prob:
-                burst_remaining = model.burst_len
+            gap = max(1, int(rng.expovariate(gap_rate)))
+            if quiet_prob and rng.random() < quiet_prob:
+                gap += int(rng.expovariate(quiet_rate))
+            if rng.random() < burst_prob:
+                burst_remaining = burst_len
         draw = rng.random()
-        if draw < model.stream_prob:
+        if draw < stream_below:
             cursor = (cursor + 1) % scan_region
             offset = cursor
-        elif draw < model.stream_prob + model.reuse_prob and history:
-            distance = 1 + int(rng.expovariate(1.0 / reuse_scale))
+        elif draw < reuse_below and history:
+            distance = 1 + int(rng.expovariate(reuse_rate))
             offset = history[-min(distance, len(history))]
-        elif (
-            draw < model.stream_prob + model.reuse_prob + model.spill_prob
-            and recently_evicted
-        ):
+        elif draw < spill_below and recently_evicted:
             # Thrash re-reference: a block the LLC evicted moments ago,
             # biased toward the very freshest evictions (whose write-backs
             # just parked them near the top of the ORAM tree).
             back = min(
-                int(rng.expovariate(1.0 / 24.0)), len(recently_evicted) - 1
+                int(rng.expovariate(spill_rate)), len(recently_evicted) - 1
             )
             offset = recently_evicted[len(recently_evicted) - 1 - back]
-        elif (
-            draw
-            < model.stream_prob
-            + model.reuse_prob
-            + model.spill_prob
-            + model.midreuse_prob
-            and history
-        ):
+        elif draw < midreuse_below and history:
             distance = 1 + rng.randrange(min(len(history), midreuse_span))
             offset = history[-distance]
         else:
@@ -235,9 +297,9 @@ def benchmark_trace(
                 victim, _ = lru.popitem(last=False)
                 recently_evicted.append(victim)
         block = base_block + offset % region
-        is_write = rng.random() < model.write_prob
+        is_write = rng.random() < write_prob
         records.append((gap, block, is_write))
-    return Trace(model.name, records)
+    return records
 
 
 def table2_rows() -> List[Dict[str, object]]:

@@ -55,7 +55,8 @@ class ReferenceLLC(SetAssocCache):
 
 
 BLOCK_OPS = ("probe", "read", "write", "insert", "insert_dirty", "is_dirty",
-             "mark_clean", "invalidate", "is_lru", "evict_for_writeback")
+             "mark_clean", "invalidate", "is_lru", "evict_for_writeback",
+             "hit_read", "hit_write")
 
 operations = st.lists(
     st.one_of(
@@ -73,6 +74,12 @@ def _apply(cache, op, arg):
         return cache.access(arg, False)
     if op == "write":
         return cache.access(arg, True)
+    if op in ("hit_read", "hit_write"):
+        write = op == "hit_write"
+        if isinstance(cache, LastLevelCache):
+            return cache.hit(arg, write)
+        # The hierarchy's hit test before ``hit``: a probe, then an access.
+        return cache.probe(arg) and cache.access(arg, write)[0]
     if op == "insert":
         return cache.insert(arg, False)
     if op == "insert_dirty":
