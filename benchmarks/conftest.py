@@ -22,13 +22,13 @@ FULL = os.environ.get("REPRO_BENCH_FULL") == "1"
 
 def bench_records(default: int = 1200) -> int:
     if FULL:
-        return common.experiment_records()
+        return common.RECORDS
     return int(os.environ.get("REPRO_BENCH_RECORDS", default))
 
 
 def bench_workloads():
     if FULL:
-        return common.experiment_workloads()
+        return list(common.ALL_WORKLOADS)
     raw = os.environ.get("REPRO_BENCH_WORKLOADS", "gcc,mcf,lbm,dee")
     return [name.strip() for name in raw.split(",") if name.strip()]
 
@@ -36,7 +36,7 @@ def bench_workloads():
 @pytest.fixture(scope="session")
 def bench_config() -> SystemConfig:
     if FULL:
-        return common.experiment_config()
+        return SystemConfig.scaled()
     return SystemConfig.scaled(levels=13)
 
 

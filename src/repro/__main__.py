@@ -4,7 +4,7 @@ Commands
 --------
 run         Run one scheme on one workload and print the result summary.
 compare     Run several schemes on one workload, normalized to the first.
-experiments Regenerate the paper's tables/figures (wraps run_all).
+experiments Regenerate the paper's tables/figures (run_all, export).
 inspect     Summarize a JSONL event trace written by ``--trace-out``.
 schemes     List available schemes.
 workloads   List available workloads.
@@ -19,12 +19,12 @@ through :mod:`repro.api`.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from . import api
 from .core.schemes import SCHEMES
+from .experiments.common import ALL_WORKLOADS, CONFIG, RECORDS, SEED
 from .traces.benchmarks import BENCHMARKS
 
 
@@ -138,17 +138,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments import run_all
+    from .experiments import export, run_all
 
-    # The harness reads its knobs from the environment so they survive
-    # the trip into --jobs worker processes.
-    if args.records is not None:
-        os.environ["REPRO_RECORDS"] = str(args.records)
-    if args.seed is not None:
-        os.environ["REPRO_SEED"] = str(args.seed)
-    if args.config is not None:
-        os.environ["REPRO_CONFIG"] = args.config
-    run_all.main(args.ids, jobs=args.jobs)
+    settings = dict(
+        jobs=args.jobs,
+        records=args.records,
+        seed=args.seed,
+        config=args.config,
+        workloads=args.workloads,
+    )
+    if args.markdown:
+        path = export.export(args.markdown, args.ids, **settings)
+        print(f"wrote {path}")
+    else:
+        run_all.main(args.ids, **settings)
     return 0
 
 
@@ -201,6 +204,31 @@ def cmd_zsearch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
+def _workload_list(text: str) -> List[str]:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in ALL_WORKLOADS]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload(s) {unknown or [text]}; "
+            f"options: {','.join(ALL_WORKLOADS)}"
+        )
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="IR-ORAM (HPCA 2022) reproduction"
@@ -238,13 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("ids", nargs="*", help='e.g. "Fig. 10" "Table II"')
     exp_p.add_argument("--jobs", type=int, default=1,
                        help="experiment regenerators run in parallel")
-    exp_p.add_argument("--records", type=int, default=None,
-                       help="trace records per workload (REPRO_RECORDS)")
-    exp_p.add_argument("--seed", type=int, default=None,
-                       help="base seed of the matrix (REPRO_SEED)")
+    exp_p.add_argument("--records", type=_positive, default=RECORDS,
+                       help=f"trace records per workload (default {RECORDS})")
+    exp_p.add_argument("--seed", type=_non_negative, default=SEED,
+                       help=f"base seed of the matrix (default {SEED})")
     exp_p.add_argument("--config", choices=("scaled", "paper"),
-                       default=None,
-                       help="named platform (REPRO_CONFIG)")
+                       default=CONFIG,
+                       help=f"named platform (default {CONFIG})")
+    exp_p.add_argument("--workloads", type=_workload_list,
+                       default=ALL_WORKLOADS,
+                       metavar="A,B,...",
+                       help="comma-separated workload subset "
+                            "(default: every workload and mix)")
+    exp_p.add_argument("--markdown", default=None, metavar="PATH",
+                       help="also write the tables as one Markdown report")
     exp_p.set_defaults(func=cmd_experiments)
 
     ins_p = sub.add_parser(

@@ -242,12 +242,12 @@ def run(
     """Run one :class:`RunSpec` to completion.
 
     ``artifacts`` is an optional :class:`repro.perf.engine.ArtifactCache`
-    supplying pre-built config-derived artifacts (workload traces and
-    subtree layouts).  Everything it caches is a pure function
-    of the config and seed, so injected runs are cycle- and counter-
-    bit-identical to cold ones; the cache's hit/miss deltas are recorded
-    into :attr:`RunResult.stats` under ``engine.*`` *after* the simulation
-    result snapshots its counters, keeping ``result.counters`` clean.
+    supplying pre-built workload traces.  Everything it caches is a pure
+    function of the config and seed, so injected runs are cycle- and
+    counter-bit-identical to cold ones; the cache's hit/miss deltas are
+    recorded into :attr:`RunResult.stats` under ``engine.*`` *after* the
+    simulation result snapshots its counters, keeping ``result.counters``
+    clean.
 
     ``checkpoint_every=N`` writes a resumable mid-run checkpoint to
     ``checkpoint_path`` every N issued paths (``checkpoint_limit`` bounds
@@ -278,8 +278,6 @@ def run(
     if tracer is not None:
         stats.tracer = tracer
     components = build_scheme(spec.scheme, config, stats, random.Random(spec.seed))
-    if artifacts is not None:
-        artifacts.attach(components.controller)
     audit, audit_every = _audit_options(spec.obs)
     auditor = None
     if audit:
@@ -366,8 +364,8 @@ def run_many(
     (tracers do not pickle); use ``trace_out`` files instead.
 
     Execution goes through the warm-pool engine
-    (:mod:`repro.perf.engine`): workers persist across calls, config-
-    derived artifacts are cached per process, and specs dispatch
+    (:mod:`repro.perf.engine`): workers persist across calls, workload
+    traces are cached per process, and specs dispatch
     longest-expected-first so stragglers start early.
     """
     from .perf.engine import engine_map, run_spec_warm, spec_cost

@@ -25,28 +25,26 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
-N = TypeVar("N", int, float)
 
+def env_number(name: str, default: int) -> int:
+    """The environment knob ``name`` as a non-negative integer.
 
-def env_number(name: str, default: N, kind: Callable[[str], N] = int) -> N:
-    """The environment knob ``name`` as a non-negative ``kind`` number.
-
-    Unset or blank gives ``default``.  A malformed or negative value (or a
-    NaN) raises :class:`ConfigError` naming the variable, so a mistyped
-    knob fails the run instead of silently running other code.
+    Unset or blank gives ``default``.  A malformed or negative value
+    raises :class:`ConfigError` naming the variable, so a mistyped knob
+    fails the run instead of silently running other code.
     """
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        value = kind(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{name}={raw!r} is not a number") from None
-    if not value >= 0:
+    if value < 0:
         raise ConfigError(f"{name}={raw!r} must be non-negative")
     return value
 

@@ -1,9 +1,10 @@
 """Regenerators for every table and figure in the paper's evaluation.
 
-Each module exposes ``run(...) -> ExperimentResult`` and prints the same
-rows/series the paper reports.  ``run_all`` executes the whole suite.
+Each module exposes ``run(...) -> ExperimentResult`` holding the same
+rows/series the paper reports.  ``repro experiments`` runs the suite
+through ``run_all`` (and ``export`` for a Markdown report).
 """
 
-from .common import ExperimentResult, experiment_config, experiment_records
+from .common import ExperimentResult
 
-__all__ = ["ExperimentResult", "experiment_config", "experiment_records"]
+__all__ = ["ExperimentResult"]

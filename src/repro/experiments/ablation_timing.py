@@ -9,13 +9,13 @@ background evictions when the defense is on).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config import SystemConfig
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
     geometric_mean,
 )
 
@@ -25,13 +25,14 @@ SCHEMES = ["IR-Alloc", "IR-Stash"]
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
     unprotected = config.with_oram(
         replace(config.oram, timing_protection=False)
     )
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     speedups = {
         (scheme, protected): []
@@ -41,9 +42,11 @@ def run(
     for workload in workloads:
         row: List[object] = [workload]
         for protected, cfg in ((True, config), (False, unprotected)):
-            baseline = cached_run("Baseline", workload, cfg, records)
+            baseline = cached_run(
+                "Baseline", workload, cfg, records, seed=seed
+            )
             for scheme in SCHEMES:
-                result = cached_run(scheme, workload, cfg, records)
+                result = cached_run(scheme, workload, cfg, records, seed=seed)
                 speedup = result.speedup_over(baseline)
                 speedups[(scheme, protected)].append(speedup)
                 row.append(round(speedup, 3))
@@ -70,11 +73,3 @@ def run(
         paper_claim="IR-Alloc: 40% speedup without timing protection vs 41% "
                     "with it (dummies double as free evictions)",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

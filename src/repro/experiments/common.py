@@ -6,55 +6,33 @@ them.  Simulation runs are memoized per (scheme, workload, records, config)
 because several figures slice the same underlying matrix (Fig. 10/11/14/15
 all share runs).
 
-Environment knobs (env vars so they reach ``--jobs`` worker processes):
-
-* ``REPRO_RECORDS``  — trace length per workload (default 5000);
-* ``REPRO_WORKLOADS`` — comma-separated subset of workloads to run;
-* ``REPRO_CONFIG``   — named platform (``scaled``/``paper``, default scaled);
-* ``REPRO_SEED``     — base seed of the simulation matrix (default 7).
+The harness settings are plain arguments: ``repro experiments`` hands its
+``--records/--seed/--config/--workloads`` to :func:`run_all.main`, which
+puts them into every work item.  A regenerator called without them runs
+at the defaults below.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import api
-from ..config import SystemConfig, env_number
+from ..config import SystemConfig
 from ..sim.results import SimulationResult
 from ..traces.benchmarks import BENCHMARKS
 
 #: paper order of evaluated workloads, plus the mix bar of Fig. 10
 ALL_WORKLOADS: Tuple[str, ...] = tuple(BENCHMARKS) + ("mix",)
 
+#: default trace length per workload
+RECORDS = 5000
 
-def experiment_records(default: int = 5000) -> int:
-    """Trace length used by the experiment harness (``REPRO_RECORDS``
-    overrides; a malformed or negative value raises ConfigError)."""
-    return env_number("REPRO_RECORDS", default)
+#: default base seed of the simulation matrix
+SEED = 7
 
-
-def experiment_workloads(
-    default: Sequence[str] = ALL_WORKLOADS,
-) -> List[str]:
-    raw = os.environ.get("REPRO_WORKLOADS")
-    if not raw:
-        return list(default)
-    return [name.strip() for name in raw.split(",") if name.strip()]
-
-
-def experiment_config() -> SystemConfig:
-    """The platform every experiment runs on (``REPRO_CONFIG`` selects)."""
-    return api.RunSpec(
-        config_name=os.environ.get("REPRO_CONFIG", "scaled")
-    ).resolve_config()
-
-
-def experiment_seed(default: int = 7) -> int:
-    """Base seed of the simulation matrix (``REPRO_SEED`` overrides; a
-    malformed or negative value raises ConfigError)."""
-    return env_number("REPRO_SEED", default)
+#: default named platform (see :meth:`repro.api.RunSpec.resolve_config`)
+CONFIG = "scaled"
 
 
 @dataclass
@@ -120,9 +98,10 @@ def cached_run(
     utilization_snapshots: int = 0,
 ) -> SimulationResult:
     """Run (or reuse) one simulation of the experiment matrix."""
-    config = config if config is not None else experiment_config()
-    records = records if records is not None else experiment_records()
-    seed = seed if seed is not None else experiment_seed()
+    if config is None:
+        config = api.RunSpec(config_name=CONFIG).resolve_config()
+    records = records if records is not None else RECORDS
+    seed = seed if seed is not None else SEED
     key = (scheme, workload, records, seed, utilization_snapshots, repr(config))
     if key not in _CACHE:
         _CACHE[key] = api.run(

@@ -1,46 +1,28 @@
-"""Export a full regeneration run as a Markdown report.
+"""Export a regeneration run as a Markdown report.
 
 Runs every experiment (or a subset) and renders one document with the
 paper claims next to the measured tables — the machinery used to produce
 the results section of EXPERIMENTS.md from a fresh run.
 
-Usage::
+Driven by ``repro experiments --markdown PATH``::
 
-    python -m repro.experiments.export RESULTS.md
-    REPRO_RECORDS=2000 python -m repro.experiments.export quick.md "Fig. 10"
+    python -m repro experiments --markdown RESULTS.md
+    python -m repro experiments --records 2000 --markdown quick.md "Fig. 10"
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Sequence
 
 from ..analysis.report import write_report
-from .run_all import ALL_EXPERIMENTS
+from . import run_all
 
 
-def export(path: str, ids: Optional[List[str]] = None) -> Path:
-    selected = set(ids or [])
-    results = []
-    for name, runner in ALL_EXPERIMENTS:
-        if selected and name not in selected:
-            continue
-        results.append(runner())
+def export(path: str, ids: Sequence[str] = (), **settings) -> Path:
+    """Regenerate ``ids`` through :func:`run_all.main` (which prints each
+    table; ``settings`` are its keyword arguments) and write the report."""
+    results = run_all.main(ids, **settings)
     return write_report(
         results, path, title="IR-ORAM reproduction — regenerated results"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    if not argv:
-        print(__doc__)
-        return 2
-    destination = export(argv[0], argv[1:])
-    print(f"wrote {destination}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

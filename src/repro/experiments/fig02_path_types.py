@@ -6,26 +6,27 @@ accesses, PT_p ~33% (Pos1 about 4x Pos2), PT_m the remaining ~11%.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..oram.types import PathType
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
 )
 
 
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     for workload in workloads:
-        result = cached_run("Baseline", workload, config, records)
+        result = cached_run("Baseline", workload, config, records, seed=seed)
         counts = result.path_counts
         pos1 = counts.get(PathType.POS1.value, 0.0)
         pos2 = counts.get(PathType.POS2.value, 0.0)
@@ -56,11 +57,3 @@ def run(
         rows=rows,
         paper_claim="PTd ~56%, PTp ~33% (Pos1 ~ 4x Pos2), PTm ~11%",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

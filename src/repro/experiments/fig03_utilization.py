@@ -15,7 +15,7 @@ from ..config import SystemConfig
 from ..core.schemes import build_scheme
 from ..sim.simulator import Simulator
 from ..traces.mix import benchmark_mix_with_random_tail
-from .common import ExperimentResult, experiment_records
+from .common import RECORDS, ExperimentResult
 
 
 def run(
@@ -25,7 +25,7 @@ def run(
     scheme: str = "Baseline",
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
-    records = records if records is not None else experiment_records()
+    records = records if records is not None else RECORDS
     rng = random.Random(11)
     # 92.5% benchmark mix, 7.5% random tail — the paper's 3.7B-of-4B split.
     trace = benchmark_mix_with_random_tail(
@@ -60,11 +60,3 @@ def run(
                     "to ~30% (random); bottom levels 70-80%",
         notes=[f"trace: benchmark mix + random tail, {records} records"],
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,6 +17,7 @@ def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
     workloads: Optional[List[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
     workloads = workloads if workloads is not None else ["gcc", "lbm", "random"]
@@ -24,7 +25,8 @@ def run(
     rows = []
     for workload in workloads:
         result = cached_run(
-            "Baseline", workload, config, records, utilization_snapshots=4
+            "Baseline", workload, config, records, seed=seed,
+            utilization_snapshots=4,
         )
         series = result.utilization_series
         if not series:
@@ -40,11 +42,3 @@ def run(
         paper_claim="the utilization trend is the same per workload; random "
                     "traces push middle levels higher than program traces",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,7 @@ from ..config import SystemConfig
 from ..core.schemes import build_scheme
 from ..sim.simulator import Simulator
 from ..sim.runner import make_workload
-from .common import ExperimentResult, experiment_records
+from .common import RECORDS, ExperimentResult
 
 
 def run(
@@ -24,7 +24,7 @@ def run(
     workload: str = "mix",
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
-    records = records if records is not None else experiment_records()
+    records = records if records is not None else RECORDS
     components = build_scheme("Baseline", config)
     components.controller.track_migration = True
     trace = make_workload(workload, config, records, seed=13)
@@ -61,11 +61,3 @@ def run(
             f"pre-existing {pre_top:.2f} vs fetched {fetched_top:.2f}",
         ],
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

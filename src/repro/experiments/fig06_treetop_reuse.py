@@ -19,7 +19,7 @@ from typing import Optional
 from .. import api
 from ..config import CacheConfig, SystemConfig
 from ..traces.synthetic import zipf_trace
-from .common import ExperimentResult, experiment_records
+from .common import RECORDS, ExperimentResult
 
 
 def run(
@@ -28,7 +28,7 @@ def run(
     alpha: float = 1.0,
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
-    records = records if records is not None else experiment_records()
+    records = records if records is not None else RECORDS
     # degenerate LLC: every request reaches the ORAM controller
     config = replace(config, llc=CacheConfig(sets=1, ways=1))
     rng = random.Random(17)
@@ -73,11 +73,3 @@ def run(
             f"slots and served {top_share:.1%} of requests",
         ],
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

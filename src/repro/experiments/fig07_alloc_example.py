@@ -34,11 +34,3 @@ def run() -> ExperimentResult:
         paper_claim="IR-Alloc accesses 43 blocks per path vs 60 (cached "
                     "baseline) and 100 (uncached Path ORAM)",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -7,13 +7,13 @@ programs but slows mcf by 1.9x.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config import SystemConfig
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
     geometric_mean,
 )
 
@@ -31,21 +31,22 @@ SCHEME_ORDER = [
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
     schemes: Optional[List[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     schemes = schemes if schemes is not None else SCHEME_ORDER
     rows = []
     speedups = {scheme: [] for scheme in schemes}
     for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records)
+        baseline = cached_run("Baseline", workload, config, records, seed=seed)
         row: List[object] = [workload]
         for scheme in schemes:
             result = (
                 baseline
                 if scheme == "Baseline"
-                else cached_run(scheme, workload, config, records)
+                else cached_run(scheme, workload, config, records, seed=seed)
             )
             speedup = result.speedup_over(baseline)
             speedups[scheme].append(speedup)
@@ -63,11 +64,3 @@ def run(
         paper_claim="averages: Rho 1.11x, IR-Alloc 1.41x, IR-Stash 1.27x, "
                     "IR-DWB 1.05x, IR-ORAM 1.57x; LLC-D slows mcf 1.9x",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -7,13 +7,13 @@ hits, giving IR-Stash more PosMap accesses to eliminate).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
     geometric_mean,
 )
 
@@ -21,15 +21,16 @@ from .common import (
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     speedups = []
     for workload in workloads:
-        base = cached_run("LLC-D", workload, config, records)
+        base = cached_run("LLC-D", workload, config, records, seed=seed)
         improved = cached_run(
-            "IR-Stash+IR-Alloc(LLC-D)", workload, config, records
+            "IR-Stash+IR-Alloc(LLC-D)", workload, config, records, seed=seed
         )
         speedup = improved.speedup_over(base)
         speedups.append(speedup)
@@ -42,11 +43,3 @@ def run(
         rows=rows,
         paper_claim="72% average improvement over LLC-D; 1.63x for mcf",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -7,14 +7,14 @@ performance, but aggressive shrinking raises background-eviction time.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config import SystemConfig
 from ..core.ir_alloc import PAPER_ALLOC_CONFIGS
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
     geometric_mean,
 )
 
@@ -24,16 +24,17 @@ CONFIGS = ["IR-Alloc1", "IR-Alloc2", "IR-Alloc3", "IR-Alloc4"]
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     ratios = {name: [] for name in CONFIGS}
     for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records)
+        baseline = cached_run("Baseline", workload, config, records, seed=seed)
         row: List[object] = [workload]
         for name in CONFIGS:
-            result = cached_run(name, workload, config, records)
+            result = cached_run(name, workload, config, records, seed=seed)
             normalized = result.cycles / max(baseline.cycles, 1)
             ratios[name].append(normalized)
             row.append(round(normalized, 3))
@@ -58,11 +59,3 @@ def run(
                     "(IR-Alloc3/4) spend visibly more time on background "
                     "eviction",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

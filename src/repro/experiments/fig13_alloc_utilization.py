@@ -30,11 +30,3 @@ def run(
         "higher utilization; random traces push them above 50%"
     )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -7,13 +7,13 @@ mcf), tracking how often the needed blocks sit in the cached tree top.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from .common import (
+    ALL_WORKLOADS,
     ExperimentResult,
     cached_run,
-    experiment_workloads,
     geometric_mean,
 )
 
@@ -21,14 +21,15 @@ from .common import (
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     ratios = []
     for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records)
-        ir_stash = cached_run("IR-Stash", workload, config, records)
+        baseline = cached_run("Baseline", workload, config, records, seed=seed)
+        ir_stash = cached_run("IR-Stash", workload, config, records, seed=seed)
         base_pos = baseline.posmap_paths()
         stash_pos = ir_stash.posmap_paths()
         ratio = stash_pos / base_pos if base_pos else 1.0
@@ -45,11 +46,3 @@ def run(
         paper_claim="IR-Stash issues 49% of Baseline's PosMap accesses on "
                     "average (dee -94%, mcf smallest reduction)",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

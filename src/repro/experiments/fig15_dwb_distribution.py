@@ -6,25 +6,26 @@ write-backs to shrink the dummy share from ~11% to ~6% on average.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..oram.types import PathType
-from .common import ExperimentResult, cached_run, experiment_workloads
+from .common import ALL_WORKLOADS, ExperimentResult, cached_run
 
 
 def run(
     config: Optional[SystemConfig] = None,
     records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else experiment_workloads()
+    workloads = workloads if workloads is not None else ALL_WORKLOADS
     rows = []
     base_dummy_total = base_total = 0.0
     dwb_dummy_total = dwb_total = 0.0
     for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records)
-        dwb = cached_run("IR-DWB", workload, config, records)
+        baseline = cached_run("Baseline", workload, config, records, seed=seed)
+        dwb = cached_run("IR-DWB", workload, config, records, seed=seed)
         base_frac = baseline.dummy_fraction()
         dwb_frac = dwb.dummy_fraction()
         converted = dwb.counters.get("dwb.converted_slots", 0.0)
@@ -56,11 +57,3 @@ def run(
         rows=rows,
         paper_claim="IR-DWB reduces the average dummy share from ~11% to ~6%",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from .. import api
 from ..config import SystemConfig
 from ..traces.synthetic import random_trace
-from .common import ExperimentResult, experiment_records
+from .common import RECORDS, ExperimentResult
 
 
 def run(
@@ -24,7 +24,7 @@ def run(
     records: Optional[int] = None,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> ExperimentResult:
-    records = records if records is not None else experiment_records()
+    records = records if records is not None else RECORDS
     rows: List[List[object]] = []
     for levels in levels_sweep:
         config = SystemConfig.scaled(levels=levels)
@@ -62,11 +62,3 @@ def run(
         paper_claim="speedups stay stable across 1/2/4 GB user data with "
                     "near-zero variance across random traces",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -49,11 +49,3 @@ def run(config: Optional[SystemConfig] = None) -> ExperimentResult:
         paper_claim="8GB/4GB protected space, L=25, Z=4, 2MB LLC, "
                     "10-level tree-top cache, 200-entry stash",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..config import SystemConfig
 from ..traces.benchmarks import BENCHMARKS, benchmark_trace
-from .common import ExperimentResult, experiment_records
+from .common import RECORDS, ExperimentResult
 
 
 def measured_llc_mpki(name: str, config: SystemConfig, records: int, seed: int = 7):
@@ -46,7 +46,7 @@ def run(
     config: Optional[SystemConfig] = None, records: Optional[int] = None
 ) -> ExperimentResult:
     config = config if config is not None else SystemConfig.scaled()
-    records = records if records is not None else experiment_records()
+    records = records if records is not None else RECORDS
     rows = []
     for name, model in BENCHMARKS.items():
         read_measured, write_measured = measured_llc_mpki(name, config, records)
@@ -79,11 +79,3 @@ def run(
             "read/write balance and relative intensity, not exact values.",
         ],
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -57,11 +57,3 @@ def run(
                     "<=1% space and <=15% eviction-increase constraints, "
                     "application-independently",
     )
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -187,8 +187,8 @@ class PathORAMController:
         It holds live references into controller state — the kernels
         mutate the same arrays, dicts and sets the Python loops would, so
         execution tiers can be mixed freely within one run — and
-        validates them once, here.  Rebuilt whenever a referenced
-        container is replaced: artifact adoption and unpickling.
+        validates them once, here.  Rebuilt on unpickling, which
+        replaces every referenced container.
         """
         self._kstate = (
             self._native.KernelState(**self._kernel_state_fields())
@@ -597,7 +597,7 @@ class PathORAMController:
 
         On the kernel tier ``find_in_treetop`` scans the flat slot array.
         """
-        if self._kernel_translation():
+        if self._tier:
             try:
                 return self._native.find_in_treetop(self._kstate, block, leaf)
             except RuntimeError as exc:
@@ -644,12 +644,6 @@ class PathORAMController:
         """
         return self.plb.contains(pm_block) or pm_block in self._limbo
 
-    def _kernel_translation(self) -> bool:
-        """Whether translation (the chain walk, the PLB install and the
-        tree-top scan) runs in the kernel: the kept tier verdict
-        (:meth:`refresh_tier`), like every path access."""
-        return self._tier
-
     def _translation_chain(self, block: int) -> List[int]:
         """PosMap blocks that must be fetched before ``block``'s leaf is known.
 
@@ -668,7 +662,7 @@ class PathORAMController:
         below (:meth:`_try_promote`, :meth:`_fill_plb`,
         :meth:`_reinsert_posmap_block`) is its oracle.
         """
-        if self._kernel_translation():
+        if self._tier:
             try:
                 return self._native.translate(self._kstate, block)
             except RuntimeError as exc:
@@ -735,7 +729,7 @@ class PathORAMController:
     def _fill_plb(self, pm_block: int) -> None:
         """Install a promoted PosMap block, dirty, and re-insert the
         victim (``plb_install`` on the kernel tier)."""
-        if self._kernel_translation():
+        if self._tier:
             self._install_plb(pm_block, True, False)
             return
         victim = self.plb.fill(pm_block, dirty=True)
@@ -913,19 +907,6 @@ class PathORAMController:
                 write_addresses=list(addresses),
             )
             self.observer(record)
-
-    def adopt_artifacts(self, layout: TreeLayout) -> None:
-        """Adopt a shared subtree layout from an artifact cache.
-
-        The layout is a pure function of the system config, so adopting
-        it changes no simulated cycle or counter, only setup cost.
-        Called by :meth:`repro.perf.engine.ArtifactCache.attach` for plain
-        ``PathORAMController`` instances (subclasses lay out additional
-        trees at shifted base rows and keep private state).
-        """
-        self.layout = layout
-        # The kernel state holds the replaced layout's path table.
-        self._bind_kernel_state()
 
     def _dram_triples(self, leaf: int) -> "array[int]":
         """The DRAM (bank, channel, row) triples of one path, computed
@@ -1162,7 +1143,7 @@ class PathORAMController:
                 path_type=path_type.value,
                 finish=result.finish_write,
             )
-        if self._kernel_translation():
+        if self._tier:
             # The fill, the victim's dirty counts and its re-insert.
             self._install_plb(pm_block, False, True)
             return result

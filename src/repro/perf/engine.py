@@ -9,19 +9,17 @@ cooperating pieces:
   initializer that imports the scheme zoo, and reused by every subsequent
   ``run_many``/``sweep_parameter``/``experiments`` call.  The pool is
   recreated only when a caller asks for more workers than it has or when
-  the ``REPRO_*`` environment knobs change (forked workers snapshot the
+  a ``REPRO_*`` environment variable changes (forked workers snapshot the
   environment).
 
 * **Artifact cache** — a per-process, in-memory :class:`ArtifactCache`
-  holding the subtree layout (path table + path-address cache) per
-  :meth:`repro.config.SystemConfig.fingerprint` and the generated
-  workload traces.  Everything cached is a pure function of the config
-  (and trace seed), so injection never changes simulation results — the
-  equivalence tests in ``tests/test_engine.py`` assert bit-identical
-  cycles and counters against the serial loop.  Z-search outcomes
-  persist under ``.repro_cache/`` (see :func:`cache_root`), keyed by a
-  salt over every source file of the package, so code changes invalidate
-  stale entries automatically.
+  holding the generated workload traces.  Everything cached is a pure
+  function of the config and trace seed, so injection never changes
+  simulation results — the equivalence tests in ``tests/test_engine.py``
+  assert bit-identical cycles and counters against the serial loop.
+  Z-search outcomes persist under ``.repro_cache/`` (see
+  :func:`cache_root`), keyed by a salt over every source file of the
+  package, so code changes invalidate stale entries automatically.
 
 * **Straggler-aware scheduling** — points are dispatched *individually*,
   longest-expected-first, with at most ``jobs`` in flight; per-scheme
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import stats_keys as sk
-from ..config import ORAMConfig, SystemConfig, env_number
+from ..config import ORAMConfig, SystemConfig
 from ..errors import EngineFaultError
 from ..obs import events as ev
 
@@ -68,7 +66,7 @@ CACHE_SCHEMA = 1
 PRIOR_ALPHA = 0.5
 
 #: a task's deadline is ``max(TASK_TIMEOUT_FLOOR, TASK_TIMEOUT_FACTOR x
-#: its EWMA-prior seconds)`` unless ``REPRO_TASK_TIMEOUT`` fixes it
+#: its EWMA-prior seconds)`` unless ``engine_map(timeout=...)`` fixes it
 TASK_TIMEOUT_FLOOR = 30.0
 TASK_TIMEOUT_FACTOR = 20.0
 
@@ -147,17 +145,15 @@ def code_salt() -> str:
 class ArtifactCache:
     """Config-derived artifacts shared across runs in a process.
 
-    Layouts and traces live in memory only; Z-search outcomes go to disk.
-    All values are pure functions of their keys, so sharing them between
-    controllers (or loading a Z vector from disk) cannot change simulation
-    behaviour.  Counters use the ``engine.*`` keys from
-    :mod:`repro.stats_keys`.
+    Traces live in memory only; Z-search outcomes go to disk.  All values
+    are pure functions of their keys, so sharing them between runs (or
+    loading a Z vector from disk) cannot change simulation behaviour.
+    Counters use the ``engine.*`` keys from :mod:`repro.stats_keys`.
     """
 
     def __init__(self, disk_dir: Optional[str] = None) -> None:
         self.disk_dir = disk_dir if disk_dir is not None else cache_root()
         self.counters: Dict[str, int] = {}
-        self._layouts: Dict[str, Any] = {}
         self._traces: Dict[Tuple, Any] = {}
 
     # -- counters ----------------------------------------------------------
@@ -202,21 +198,6 @@ class ArtifactCache:
             except OSError:
                 pass
 
-    # -- layouts -----------------------------------------------------------
-    def layout_for(self, config: SystemConfig):
-        """The shared :class:`~repro.mem.layout.TreeLayout` for a config."""
-        from ..mem.layout import TreeLayout
-
-        fp = config.fingerprint()
-        layout = self._layouts.get(fp)
-        if layout is None:
-            self._bump(sk.ENGINE_LAYOUT_MISSES)
-            layout = TreeLayout(config.oram, config.dram)
-            self._layouts[fp] = layout
-        else:
-            self._bump(sk.ENGINE_LAYOUT_HITS)
-        return layout
-
     # -- workload traces ---------------------------------------------------
     def trace_for(
         self, name: str, config: SystemConfig, records: int, seed: int
@@ -254,19 +235,6 @@ class ArtifactCache:
     def zsearch_put(self, digest: str, z_vector: Sequence[int]) -> None:
         self._disk_store("zsearch", digest, [int(z) for z in z_vector])
 
-    # -- controller injection ---------------------------------------------
-    def attach(self, controller) -> None:
-        """Inject the shared layout into a freshly built controller.
-
-        Only the plain :class:`~repro.oram.controller.PathORAMController`
-        participates: subclasses (Rho) lay extra trees out at non-zero
-        base rows, so their layouts must stay private.
-        """
-        from ..oram.controller import PathORAMController
-
-        if type(controller) is not PathORAMController:
-            return
-        controller.adopt_artifacts(self.layout_for(controller.config))
 
 _CACHE: Optional[ArtifactCache] = None
 
@@ -512,15 +480,15 @@ class _Supervisor:
     only *where* it runs.  The escalation ladder:
 
     1. a task raising an exception is retried with exponential backoff,
-       up to ``REPRO_TASK_RETRIES`` times, then surfaces as
+       up to ``retries`` times, then surfaces as
        :class:`~repro.errors.EngineFaultError`;
     2. a crashed worker breaks the pool; the pool is respawned and every
        in-flight task re-dispatched (each crash victim charged a retry,
        whether the crash shows up in a wait or at submit time);
-    3. a task exceeding its deadline (``REPRO_TASK_TIMEOUT`` override, or
+    3. a task exceeding its deadline (the ``timeout`` override, or
        ``max(floor, factor × EWMA prior)`` when a cost estimator exists)
        gets the pool killed and is charged a retry like a crash;
-    4. after ``REPRO_MAX_RESPAWNS`` pool failures in one call, the engine
+    4. after ``respawns`` pool failures in one call, the engine
        degrades: every unfinished item runs serially in-process.
     """
 
@@ -531,6 +499,9 @@ class _Supervisor:
         jobs: int,
         costs: Optional[List[float]],
         order: List[int],
+        retries: int,
+        respawns: int,
+        timeout: Optional[float],
     ) -> None:
         self.worker = worker
         self.items = items
@@ -541,13 +512,13 @@ class _Supervisor:
         self.attempts: Dict[int, int] = {}
         self.inflight: Dict[Any, _TaskState] = {}
         self.pool_failures = 0
-        self.retry_budget = env_number("REPRO_TASK_RETRIES", 2)
-        self.max_respawns = env_number("REPRO_MAX_RESPAWNS", 3)
-        self.timeout_override = env_number("REPRO_TASK_TIMEOUT", 0.0, float)
+        self.retry_budget = retries
+        self.max_respawns = respawns
+        self.timeout_override = timeout
 
     # -- policy -------------------------------------------------------------
     def _deadline_for(self, index: int) -> Optional[float]:
-        if self.timeout_override > 0:
+        if self.timeout_override is not None:
             seconds = self.timeout_override
         elif self.costs is not None:
             seconds = max(
@@ -563,8 +534,7 @@ class _Supervisor:
         if attempt > self.retry_budget:
             raise EngineFaultError(
                 f"task {index} failed {attempt} times (last cause: {cause}); "
-                f"retry budget REPRO_TASK_RETRIES={self.retry_budget} "
-                "exhausted"
+                f"retry budget of {self.retry_budget} exhausted"
             )
         _bump_local(sk.ENGINE_RETRIES)
         _emit(ev.ENGINE_RETRY, index=index, attempt=attempt, cause=cause)
@@ -720,6 +690,9 @@ def engine_map(
     items: Sequence[T],
     jobs: int = 1,
     cost: Optional[Callable[[T], float]] = None,
+    retries: int = 2,
+    respawns: int = 3,
+    timeout: Optional[float] = None,
 ) -> List[R]:
     """Map a picklable worker over items through the supervised warm pool.
 
@@ -731,9 +704,10 @@ def engine_map(
     loop.
 
     Worker crashes, hangs, and broken pools are handled by
-    :class:`_Supervisor`: tasks are retried (bounded by
-    ``REPRO_TASK_RETRIES``), the pool respawned (bounded by
-    ``REPRO_MAX_RESPAWNS``), and as a last resort the remaining items run
+    :class:`_Supervisor`: tasks are retried (at most ``retries`` times
+    each), the pool respawned (at most ``respawns`` times per call; each
+    task's deadline is ``timeout`` seconds when given, else scaled from
+    its ``cost``), and as a last resort the remaining items run
     serially in-process — in every case returning exactly what the serial
     loop would have returned.  Recovery activity surfaces through the
     ``engine.retries`` / ``engine.respawns`` / ``engine.timeouts`` /
@@ -748,7 +722,9 @@ def engine_map(
     if cost is not None:
         costs = [float(cost(item)) for item in items]
         order.sort(key=lambda index: -costs[index])
-    return _Supervisor(worker, items, jobs, costs, order).run()
+    return _Supervisor(
+        worker, items, jobs, costs, order, retries, respawns, timeout
+    ).run()
 
 
 # ----------------------------------------------------------------------

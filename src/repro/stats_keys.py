@@ -195,8 +195,6 @@ PYRAMID_MAIN_ACCESSES = "pyramid.main_accesses"
 PYRAMID_MAIN_REINSERTS = "pyramid.main_reinserts"
 
 # -- engine: warm-pool execution engine + artifact cache ----------------------
-ENGINE_LAYOUT_HITS = "engine.layout_hits"
-ENGINE_LAYOUT_MISSES = "engine.layout_misses"
 ENGINE_TRACE_HITS = "engine.trace_hits"
 ENGINE_TRACE_MISSES = "engine.trace_misses"
 ENGINE_ZSEARCH_HITS = "engine.zsearch_hits"

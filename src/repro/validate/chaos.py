@@ -39,13 +39,10 @@ from ..perf import engine
 #: what ends it, the sleep itself is just a backstop
 HANG_SECONDS = 60.0
 
-#: supervision knobs forced during a chaos run: tiny-config points finish
-#: well under a second, so a 10 s deadline only fires on injected hangs
-CHAOS_ENV = {
-    "REPRO_TASK_TIMEOUT": "10",
-    "REPRO_TASK_RETRIES": "3",
-    "REPRO_MAX_RESPAWNS": "10",
-}
+#: supervision forced during a chaos run (``engine_map`` keywords):
+#: tiny-config points finish well under a second, so a 10 s deadline only
+#: fires on injected hangs
+SUPERVISION = {"timeout": 10.0, "retries": 3, "respawns": 10}
 
 
 @dataclass(frozen=True)
@@ -138,17 +135,18 @@ def tear_cache_files(
 
 
 @contextmanager
-def _env(overrides: Dict[str, str]) -> Iterator[None]:
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
+def _cache_dir(path: str) -> Iterator[None]:
+    """Point the engine's disk cache (``REPRO_CACHE_DIR``) at ``path``;
+    set in the environment so forked pool workers share it."""
+    saved = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = path
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = saved
 
 
 def _chaos_specs(budget: str):
@@ -218,7 +216,7 @@ def run_chaos(
         )
         report["crash_indices"] = list(plan.crash_indices)
         report["hang_indices"] = list(hang_plan.hang_indices)
-        with _env({**CHAOS_ENV, "REPRO_CACHE_DIR": cache_dir}):
+        with _cache_dir(cache_dir):
             engine.reset()
             engine.set_event_hook(
                 lambda kind, **data: events.append((kind, data))
@@ -229,6 +227,7 @@ def run_chaos(
                     ChaosWorker(plan),
                     list(enumerate(specs)),
                     jobs=max(2, jobs),
+                    **SUPERVISION,
                 )
                 counters = {
                     key: value - before.get(key, 0)
@@ -241,6 +240,7 @@ def run_chaos(
                     ChaosWorker(hang_plan),
                     list(enumerate(hang_specs)),
                     jobs=2,
+                    **SUPERVISION,
                 )
                 hang_counters = {
                     key: value - before.get(key, 0)
@@ -307,7 +307,7 @@ def run_chaos(
                 engine.set_event_hook(None)
                 engine.reset()
 
-        # Leg 2: checkpoint/resume round trip, outside the scratch env.
+        # Leg 2: checkpoint/resume round trip, outside the scratch cache.
         ckpt = os.path.join(scratch, "chaos.ckpt")
         spec = specs[0]
         api.run(spec, checkpoint_every=40, checkpoint_path=ckpt)

@@ -150,14 +150,11 @@ class TestSupervision:
         )
         assert counters.get("engine.respawns", 0) >= 1
 
-    def test_hang_past_timeout_is_killed_and_retried(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1")
+    def test_hang_past_timeout_is_killed_and_retried(self, tmp_path):
         (tmp_path / "m").mkdir()
         worker = FaultyDouble(tmp_path / "m", hang=(1,), hang_s=30.0)
         start = time.monotonic()
-        out = engine.engine_map(worker, _tasks(4), jobs=2)
+        out = engine.engine_map(worker, _tasks(4), jobs=2, timeout=1.0)
         assert out == _expected(4)
         assert time.monotonic() - start < 25  # the 30 s sleep was killed
         counters = engine.engine_counters()
@@ -171,23 +168,18 @@ class TestSupervision:
         assert out == _expected(6)
         assert engine.engine_counters().get("engine.retries", 0) >= 1
 
-    def test_deterministic_failure_exhausts_budget(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+    def test_deterministic_failure_exhausts_budget(self, tmp_path):
         (tmp_path / "m").mkdir()
         worker = FaultyDouble(tmp_path / "m", explode_always=(2,))
         with pytest.raises(EngineFaultError, match="task 2"):
-            engine.engine_map(worker, _tasks(5), jobs=2)
+            engine.engine_map(worker, _tasks(5), jobs=2, retries=1)
 
-    def test_degrades_to_serial_after_respawn_budget(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_MAX_RESPAWNS", "0")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "10")
+    def test_degrades_to_serial_after_respawn_budget(self, tmp_path):
         (tmp_path / "m").mkdir()
         worker = ParentSafeCrash(tmp_path / "m", parent_pid=os.getpid())
-        out = engine.engine_map(worker, _tasks(6), jobs=2)
+        out = engine.engine_map(
+            worker, _tasks(6), jobs=2, retries=10, respawns=0
+        )
         assert out == _expected(6)
         assert engine.engine_counters().get("engine.degraded", 0) == 1
 
@@ -230,10 +222,7 @@ class TestSweepBitIdentity:
         ]
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_crash_mid_sweep_bit_identical(
-        self, tmp_path, monkeypatch, jobs
-    ):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "4")
+    def test_crash_mid_sweep_bit_identical(self, tmp_path, jobs):
         specs = self._specs()
         serial = [api.run(spec) for spec in specs]
         markers = tmp_path / "markers"
@@ -243,15 +232,14 @@ class TestSweepBitIdentity:
         )
         assert plan.crash_indices  # the plan actually injects something
         outs = engine.engine_map(
-            ChaosWorker(plan), list(enumerate(specs)), jobs=jobs
+            ChaosWorker(plan), list(enumerate(specs)), jobs=jobs, retries=4
         )
         for want, got in zip(serial, outs):
             assert got.cycles == want.cycles
             assert got.result.counters == want.result.counters
         assert engine.engine_counters().get("engine.respawns", 0) >= 1
 
-    def test_hang_mid_sweep_bit_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "10")
+    def test_hang_mid_sweep_bit_identical(self, tmp_path):
         specs = self._specs()
         serial = [api.run(spec) for spec in specs]
         markers = tmp_path / "markers"
@@ -261,7 +249,7 @@ class TestSweepBitIdentity:
         )
         assert plan.hang_indices
         outs = engine.engine_map(
-            ChaosWorker(plan), list(enumerate(specs)), jobs=2
+            ChaosWorker(plan), list(enumerate(specs)), jobs=2, timeout=10.0
         )
         for want, got in zip(serial, outs):
             assert got.cycles == want.cycles

@@ -67,29 +67,23 @@ class TestResumeMatchesGolden:
         """Checkpoint at a drawn cadence, resume, compare to the corpus."""
         expected = _corpus()[golden.entry_key(_golden_spec(scheme, workload))]
         spec = _golden_spec(scheme, workload)
-        saved_audit = os.environ.get("REPRO_AUDIT")
-        try:
+        # Hypothesis reruns the body per example, so the function-scoped
+        # ``monkeypatch`` fixture cannot serve; a context per example can.
+        with pytest.MonkeyPatch.context() as monkeypatch, \
+                tempfile.TemporaryDirectory() as scratch:
             if audit:
-                os.environ["REPRO_AUDIT"] = "1"
+                monkeypatch.setenv("REPRO_AUDIT", "1")
             else:
-                os.environ.pop("REPRO_AUDIT", None)
-            with tempfile.TemporaryDirectory() as scratch:
-                path = os.path.join(scratch, "run.ckpt")
-                full = api.run(
-                    spec, checkpoint_every=every, checkpoint_path=path
-                )
-                assert golden.entry_from(full)["digest"] == expected["digest"]
-                if os.path.exists(path):  # every > total paths writes none
-                    resumed = api.resume_run(path)
-                    entry = golden.entry_from(resumed)
-                    assert entry["digest"] == expected["digest"]
-                    assert resumed.cycles == expected["cycles"]
-                    assert entry["counters"] == expected["counters"]
-        finally:
-            if saved_audit is None:
-                os.environ.pop("REPRO_AUDIT", None)
-            else:
-                os.environ["REPRO_AUDIT"] = saved_audit
+                monkeypatch.delenv("REPRO_AUDIT", raising=False)
+            path = os.path.join(scratch, "run.ckpt")
+            full = api.run(spec, checkpoint_every=every, checkpoint_path=path)
+            assert golden.entry_from(full)["digest"] == expected["digest"]
+            if os.path.exists(path):  # every > total paths writes none
+                resumed = api.resume_run(path)
+                entry = golden.entry_from(resumed)
+                assert entry["digest"] == expected["digest"]
+                assert resumed.cycles == expected["cycles"]
+                assert entry["counters"] == expected["counters"]
 
     def test_resume_is_deterministic(self, tmp_path):
         spec = _golden_spec("IR-ORAM")
@@ -133,7 +127,8 @@ class TestResumeMatchesGolden:
                     reason="native kernels unavailable")
 class TestKernelStateRebuild:
     """The controller's kernel state is process-local: a pickle drops it,
-    unpickling and artifact adoption rebuild it over the live state."""
+    unpickling (or swapping a container and rebinding) rebuilds it over
+    the live state."""
 
     def test_pickled_controller_carries_no_kernel_state(self):
         controller = PathORAMController(SystemConfig.tiny())
@@ -162,7 +157,8 @@ class TestKernelStateRebuild:
         controller = PathORAMController(config)
         replaced = controller.layout.path_table
         layout = TreeLayout(config.oram, config.dram)
-        controller.adopt_artifacts(layout)
+        controller.layout = layout
+        controller._bind_kernel_state()
         gc.collect()
         # The new state exports the adopted table and released the old.
         with pytest.raises(BufferError):

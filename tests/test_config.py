@@ -240,16 +240,16 @@ BAD_VALUES = ["2x", "-1", "nan"]
 
 
 class TestEnvKnobs:
-    """A malformed or negative knob fails loudly, naming the variable,
-    instead of silently running other code."""
+    """A malformed or negative setting fails loudly, naming the variable
+    or the option, instead of silently running other code."""
 
     def test_unset_or_blank_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-        assert env_number("REPRO_TASK_RETRIES", 2) == 2
-        monkeypatch.setenv("REPRO_TASK_RETRIES", " ")
-        assert env_number("REPRO_TASK_RETRIES", 2) == 2
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
-        assert env_number("REPRO_TASK_TIMEOUT", 0.0, float) == 1.5
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        assert env_number("REPRO_AUDIT", 0) == 0
+        monkeypatch.setenv("REPRO_AUDIT", " ")
+        assert env_number("REPRO_AUDIT", 0) == 0
+        monkeypatch.setenv("REPRO_AUDIT", "16")
+        assert env_number("REPRO_AUDIT", 0) == 16
 
     @pytest.mark.parametrize("value", BAD_VALUES)
     def test_audit(self, value, monkeypatch):
@@ -272,21 +272,22 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_AUDIT", value)
         assert api._audit_options(api.ObsOptions()) == expected
 
+    @staticmethod
+    def _refused(option, value, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", option, value, "Table I"])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", BAD_VALUES)
-    def test_experiment_records(self, value, monkeypatch):
-        from repro.experiments.common import experiment_records
-
-        monkeypatch.setenv("REPRO_RECORDS", value)
-        with pytest.raises(ConfigError, match="REPRO_RECORDS"):
-            experiment_records()
+    def test_experiment_records(self, value, capsys):
+        self._refused("--records", value, capsys)
 
     @pytest.mark.parametrize("value", BAD_VALUES)
-    def test_experiment_seed(self, value, monkeypatch):
-        from repro.experiments.common import experiment_seed
-
-        monkeypatch.setenv("REPRO_SEED", value)
-        with pytest.raises(ConfigError, match="REPRO_SEED"):
-            experiment_seed()
+    def test_experiment_seed(self, value, capsys):
+        self._refused("--seed", value, capsys)
 
     @pytest.mark.parametrize("value", BAD_VALUES)
     @pytest.mark.parametrize(
@@ -294,11 +295,9 @@ class TestEnvKnobs:
                  "REPRO_TASK_TIMEOUT"],
     )
     def test_engine_knobs(self, knob, value, monkeypatch):
+        """The supervision settings are ``engine_map`` arguments: a stale
+        variable of the deleted knob is ignored, even a malformed one."""
         from repro.perf import engine
 
-        starts = engine.engine_counters().get("engine.pool_starts")
         monkeypatch.setenv(knob, value)
-        with pytest.raises(ConfigError, match=knob):
-            engine.engine_map(abs, [1, 2], jobs=2)
-        # Refused before a pool is started.
-        assert engine.engine_counters().get("engine.pool_starts") == starts
+        assert engine.engine_map(abs, [1, -2, 3], jobs=2) == [1, 2, 3]

@@ -9,9 +9,7 @@ import pytest
 from repro import api
 from repro.analysis.sweep import sweep_parameter
 from repro.config import SystemConfig
-from repro.core.schemes import build_scheme
 from repro.perf import engine
-from repro.stats import Stats
 
 
 @pytest.fixture(autouse=True)
@@ -109,8 +107,9 @@ class TestArtifactCache:
         api.run(spec, artifacts=cache)
         before = dict(cache.counters)
         api.run(spec, artifacts=cache)
-        for key in ("engine.trace_hits", "engine.layout_hits"):
-            assert cache.counters[key] > before.get(key, 0)
+        assert cache.counters["engine.trace_hits"] > before.get(
+            "engine.trace_hits", 0
+        )
 
     def test_disk_cache_can_be_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
@@ -119,24 +118,6 @@ class TestArtifactCache:
         engine.cached_z_allocation(config, records=80, seed=5)
         assert engine.get_cache().counters.get("engine.zsearch_hits") is None
         assert not os.path.exists(os.path.join(engine.cache_root(), "zsearch"))
-
-    def test_attach_skips_rho(self):
-        cache = engine.get_cache()
-        config = SystemConfig.tiny()
-        components = build_scheme("Rho", config, Stats())
-        controller = components.controller
-        layout_before = controller.layout
-        cache.attach(controller)
-        assert controller.layout is layout_before
-
-    def test_attach_shares_layout_between_plain_controllers(self):
-        cache = engine.get_cache()
-        config = SystemConfig.tiny()
-        first = build_scheme("Baseline", config, Stats()).controller
-        second = build_scheme("LLC-D", config, Stats()).controller
-        cache.attach(first)
-        cache.attach(second)
-        assert first.layout is second.layout
 
 
 class TestCodeSalt:

@@ -233,7 +233,7 @@ def test_hooked_controllers_translate_in_python(hook):
         components = build_mutant("biased-remap", config, stats,
                                   random.Random(5))
     controller = components.controller
-    assert not controller._kernel_translation()
+    assert not controller._tier
     kernels = _count_kernel_calls(controller)
     trace = make_workload("mix", config, 300, 5)
     result = Simulator(components, trace).run()

@@ -180,8 +180,8 @@ def test_translation_kernels_match_python(setup, plan):
         assume(False)  # the S-Stash cannot hold the initial tree top
     python = _controller(config, ways, seed)
     python._native = None
-    assert kernel._kernel_translation()
-    assert not python._kernel_translation()
+    assert kernel._tier
+    assert not python._tier
     leaves = config.oram.leaves
     now = 0
     for op, block, reject in plan:

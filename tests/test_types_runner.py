@@ -76,7 +76,7 @@ class TestDistanceScale:
 
 class TestRunAllWiring:
     def test_every_regenerator_registered(self):
-        names = [name for name, _ in ALL_EXPERIMENTS]
+        names = [name for name, _, _ in ALL_EXPERIMENTS]
         for expected in (
             "Table I", "Table II", "Fig. 2", "Fig. 3", "Fig. 4", "Fig. 5",
             "Fig. 6", "Fig. 7", "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13",
@@ -85,7 +85,7 @@ class TestRunAllWiring:
             assert expected in names
 
     def test_ids_unique(self):
-        names = [name for name, _ in ALL_EXPERIMENTS]
+        names = [name for name, _, _ in ALL_EXPERIMENTS]
         assert len(names) == len(set(names))
 
 
