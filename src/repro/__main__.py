@@ -37,9 +37,9 @@ def _add_platform_args(
     parser.add_argument("--levels", type=int, default=None,
                         help="ORAM tree levels (scaled default 15; "
                              "paper uses 25)")
-    parser.add_argument("--records", type=int, default=5000,
+    parser.add_argument("--records", type=_positive, default=5000,
                         help="trace records to simulate")
-    parser.add_argument("--seed", type=int, default=7,
+    parser.add_argument("--seed", type=_non_negative, default=7,
                         help="simulation seed")
     if jobs:
         parser.add_argument("--jobs", type=int, default=1,
@@ -218,6 +218,17 @@ def _positive(text: str) -> int:
     return value
 
 
+def _experiment_id(text: str) -> str:
+    from .experiments.run_all import ALL_EXPERIMENTS
+
+    names = [name for name, _, _ in ALL_EXPERIMENTS]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {text!r}; options: {', '.join(names)}"
+        )
+    return text
+
+
 def _workload_list(text: str) -> List[str]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     unknown = [name for name in names if name not in ALL_WORKLOADS]
@@ -263,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=cmd_compare)
 
     exp_p = sub.add_parser("experiments", help="regenerate tables/figures")
-    exp_p.add_argument("ids", nargs="*", help='e.g. "Fig. 10" "Table II"')
+    exp_p.add_argument("ids", nargs="*", type=_experiment_id,
+                       help='e.g. "Fig. 10" "Table II"')
     exp_p.add_argument("--jobs", type=int, default=1,
                        help="experiment regenerators run in parallel")
     exp_p.add_argument("--records", type=_positive, default=RECORDS,

@@ -49,8 +49,10 @@ from .. import stats_keys as sk
 from ..errors import AuditError
 from ..obs import events as ev
 from ..oram.controller import PathORAMController, SlotResult
+from ..oram.hybrid import HybridController
 from ..oram.integrity import IntegrityError
-from ..oram.ring import RING_S, RING_Z
+from ..oram.rho import RhoController
+from ..oram.ring import RING_S, RING_Z, RingController
 from ..oram.tree import EMPTY
 from ..oram.types import BlockKind
 from ..stats import Stats
@@ -245,9 +247,7 @@ class InvariantAuditor:
             claim(block, "victim-buffer")
             self._check_posmap_holder(block, "victim buffer")
 
-        self._claim_rho_holders(claim)
-        self._claim_pyramid_holders(claim)
-        self._claim_ring_holders(claim)
+        self._claim_hybrid_holders(claim)
 
         missing_ok = controller.delayed_remap
         for block in range(total):
@@ -284,24 +284,61 @@ class InvariantAuditor:
                 f"(the PLB is exclusive)"
             )
 
-    def _rho_custody(self):
-        """Rho's small-tree position map, when the controller is a Rho."""
-        return getattr(self.controller, "small_map", None)
-
-    def _claim_rho_holders(self, claim) -> None:
-        small_map = self._rho_custody()
-        if small_map is None:
-            return
+    def _claim_hybrid_holders(self, claim) -> None:
+        """Custody of a hybrid scheme (Rho, Ring, Pyramid): the side
+        structure's residents (checked per scheme), the side stash, the
+        pending main inserts, and exclusivity against the main PosMap."""
         controller = self.controller
+        if not isinstance(controller, HybridController):
+            return
         posmap = controller.posmap
+        side_map = controller.side_map
+        label = controller.TREE
+        if isinstance(controller, RhoController):
+            held = self._claim_small_tree(claim)
+        elif isinstance(controller, RingController):
+            held = self._claim_ring_buckets(claim)
+        else:
+            held = self._claim_pyramid_levels(claim)
+        stash = controller.side_stash
+        for block, leaf in stash.items() if stash is not None else ():
+            claim(block, f"{label}-stash")
+            held.add(block)
+            if side_map.get(block) != leaf:
+                self._fail(
+                    f"{label}-stash leaf tag for block {block} disagrees "
+                    f"with the {label} map"
+                )
+        for block in controller._pending_main_insert:
+            claim(block, "pending-main-insert")
+            if posmap.is_mapped(block):
+                self._fail(
+                    f"pending-main-insert block {block} already mapped"
+                )
+        for block in side_map:
+            if posmap.is_mapped(block):
+                self._fail(
+                    f"{label}-custody block {block} still mapped in the "
+                    f"main PosMap (promotion must be exclusive)"
+                )
+            if block not in held:
+                self._fail(
+                    f"{label}-custody block {block} in neither the "
+                    f"{label} structure nor its stash"
+                )
+
+    def _claim_small_tree(self, claim) -> Set[int]:
+        """Rho: every small-tree block sits on its small-map path."""
+        controller = self.controller
+        small_map = controller.side_map
         small_tree = controller.small_tree
-        tree_resident: Set[int] = set()
+        held: Set[int] = set()
         for level, position, slots in small_tree.iter_buckets():
             for block in slots:
                 if block == EMPTY:
                     continue
                 claim(block, f"small-tree@L{level}")
-                tree_resident.add(block)
+                held.add(block)
                 leaf = small_map.get(block)
                 if leaf is None:
                     self._fail(
@@ -313,79 +350,15 @@ class InvariantAuditor:
                         f"block {block} off its small-tree path: at "
                         f"(L{level}, {position}) but mapped to leaf {leaf}"
                     )
-        for block, leaf in controller.small_stash.items():
-            claim(block, "small-stash")
-            if small_map.get(block) != leaf:
-                self._fail(
-                    f"small-stash leaf tag for block {block} disagrees "
-                    f"with the small map"
-                )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pending-main-insert block {block} already mapped"
-                )
-        for block in small_map:
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"small-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-            if block not in tree_resident and block not in controller.small_stash:
-                self._fail(
-                    f"small-custody block {block} in neither the small "
-                    f"tree nor the small stash"
-                )
+        return held
 
-    def _pyramid_custody(self):
-        """Pyramid's level map, when the controller is a Pyramid."""
-        return getattr(self.controller, "pyramid_map", None)
-
-    def _claim_pyramid_holders(self, claim) -> None:
-        pyramid_map = self._pyramid_custody()
-        if pyramid_map is None:
-            return
+    def _claim_ring_buckets(self, claim) -> Set[int]:
+        """Ring: every ring block sits on its ring-map path, and every
+        bucket's real blocks, counter and touched slots are in bounds."""
         controller = self.controller
-        posmap = controller.posmap
-        level_buckets = controller.level_buckets
-        for block, (level, bucket) in pyramid_map.items():
-            claim(block, f"pyramid@L{level}")
-            if not 0 <= level < len(level_buckets):
-                self._fail(
-                    f"pyramid block {block} assigned to level {level} "
-                    f"outside the hierarchy"
-                )
-            if not 0 <= bucket < level_buckets[level]:
-                self._fail(
-                    f"pyramid block {block} assigned bucket {bucket} "
-                    f"outside level {level} ({level_buckets[level]} buckets)"
-                )
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pyramid-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pending-main-insert block {block} already mapped"
-                )
-
-    def _ring_custody(self):
-        """Ring's position map, when the controller is a Ring."""
-        return getattr(self.controller, "ring_map", None)
-
-    def _claim_ring_holders(self, claim) -> None:
-        ring_map = self._ring_custody()
-        if ring_map is None:
-            return
-        controller = self.controller
-        posmap = controller.posmap
-        ring_oram = controller.ring_oram
-        levels = ring_oram.levels
-        tree_resident: Set[int] = set()
+        ring_map = controller.side_map
+        levels = controller.ring_oram.levels
+        held: Set[int] = set()
         for level, position, bucket in controller.iter_ring_buckets():
             slots = bucket.slots
             real = 0
@@ -394,7 +367,7 @@ class InvariantAuditor:
                     continue
                 real += 1
                 claim(block, f"ring@L{level}")
-                tree_resident.add(block)
+                held.add(block)
                 if index in bucket.touched:
                     self._fail(
                         f"ring bucket (L{level}, {position}) slot {index} "
@@ -433,30 +406,26 @@ class InvariantAuditor:
                     f"ring bucket (L{level}, {position}) touched-slot set "
                     f"references slots outside the bucket"
                 )
-        for block, leaf in controller.ring_stash.items():
-            claim(block, "ring-stash")
-            if ring_map.get(block) != leaf:
+        return held
+
+    def _claim_pyramid_levels(self, claim) -> Set[int]:
+        """Pyramid: custody entries name a level and a bucket in range."""
+        level_buckets = self.controller.level_buckets
+        held: Set[int] = set()
+        for block, (level, bucket) in self.controller.side_map.items():
+            claim(block, f"pyramid@L{level}")
+            held.add(block)
+            if not 0 <= level < len(level_buckets):
                 self._fail(
-                    f"ring-stash leaf tag for block {block} disagrees "
-                    f"with the ring map"
+                    f"pyramid block {block} assigned to level {level} "
+                    f"outside the hierarchy"
                 )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
+            if not 0 <= bucket < level_buckets[level]:
                 self._fail(
-                    f"pending-main-insert block {block} already mapped"
+                    f"pyramid block {block} assigned bucket {bucket} "
+                    f"outside level {level} ({level_buckets[level]} buckets)"
                 )
-        for block in ring_map:
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"ring-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-            if block not in tree_resident and block not in controller.ring_stash:
-                self._fail(
-                    f"ring-custody block {block} in neither the ring "
-                    f"tree nor the ring stash"
-                )
+        return held
 
     def _check_stash_bounds(self) -> None:
         controller = self.controller
@@ -467,23 +436,14 @@ class InvariantAuditor:
                 f"stash bound exceeded: occupancy {len(stash)}, "
                 f"high-water {stash.peak_occupancy}, capacity {capacity}"
             )
-        small = getattr(controller, "small_stash", None)
-        if small is not None:
-            small_cap = controller.small_oram.stash_capacity
-            if len(small) > small_cap or small.peak_occupancy > small_cap:
+        side = getattr(controller, "side_stash", None)
+        if side is not None:
+            capacity = side.capacity
+            if len(side) > capacity or side.peak_occupancy > capacity:
                 self._fail(
-                    f"small-stash bound exceeded: occupancy {len(small)}, "
-                    f"high-water {small.peak_occupancy}, "
-                    f"capacity {small_cap}"
-                )
-        ring = getattr(controller, "ring_stash", None)
-        if ring is not None:
-            ring_cap = controller.ring_oram.stash_capacity
-            if len(ring) > ring_cap or ring.peak_occupancy > ring_cap:
-                self._fail(
-                    f"ring-stash bound exceeded: occupancy {len(ring)}, "
-                    f"high-water {ring.peak_occupancy}, "
-                    f"capacity {ring_cap}"
+                    f"{controller.TREE}-stash bound exceeded: occupancy "
+                    f"{len(side)}, high-water {side.peak_occupancy}, "
+                    f"capacity {capacity}"
                 )
 
     def _check_queues(self) -> None:
@@ -494,38 +454,17 @@ class InvariantAuditor:
                 f"queue={sorted(set(controller.internal_queue))} "
                 f"set={sorted(controller._limbo)}"
             )
-        small_map = self._rho_custody()
-        if small_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail("Rho main-insert queue and pending set diverged")
-            if not controller._evicting <= set(small_map):
-                self._fail(
-                    "Rho eviction set references blocks outside the small map"
-                )
-        pyramid_map = self._pyramid_custody()
-        if pyramid_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail(
-                    "Pyramid main-insert queue and pending set diverged"
-                )
-        ring_map = self._ring_custody()
-        if ring_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail("Ring main-insert queue and pending set diverged")
-            if not controller._evicting <= set(ring_map):
-                self._fail(
-                    "Ring eviction set references blocks outside the "
-                    "ring map"
-                )
+        if not isinstance(controller, HybridController):
+            return
+        name = type(controller).__name__
+        pending = controller._pending_main_insert
+        if set(controller.main_insert_queue) != pending:
+            self._fail(f"{name} main-insert queue and pending set diverged")
+        if not controller._evicting <= set(controller.side_map):
+            self._fail(
+                f"{name} eviction set references blocks outside the "
+                f"{controller.TREE} map"
+            )
 
     def _check_treetop_mirror(self) -> None:
         """IR-Stash: the S-Stash address index mirrors top-level residency,

@@ -258,4 +258,4 @@ class TestSchemes:
         controller = components.controller
         assert isinstance(controller, RhoController)
         assert controller.small_oram.levels < components.config.oram.levels
-        assert controller.small_budget > 0
+        assert controller.side_budget > 0

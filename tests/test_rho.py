@@ -56,7 +56,7 @@ class TestPattern:
     def test_promotion_after_main_access(self, rho):
         request = Request(block=3, kind=RequestKind.READ, arrival=0)
         drive(rho, request)
-        assert 3 in rho.small_map
+        assert 3 in rho.side_map
         assert not rho.posmap.is_mapped(3)
         assert rho.stats.get("rho.promotions") >= 1
 
@@ -75,18 +75,18 @@ class TestPattern:
         config = SystemConfig.tiny()
         controller = RhoController(config, small_levels=4)
         now = 0
-        for block in range(controller.small_budget + 20):
+        for block in range(controller.side_budget + 20):
             request = Request(block=block, kind=RequestKind.READ, arrival=now)
             now = drive(controller, request, now=now, limit=400)
-        active = len(controller.small_map) - len(controller._evicting)
-        assert active <= controller.small_budget
+        active = len(controller.side_map) - len(controller._evicting)
+        assert active <= controller.side_budget
         assert controller.stats.get("rho.small_evictions") > 0
 
     def test_extraction_round_trip(self):
         config = SystemConfig.tiny()
         controller = RhoController(config, small_levels=3)
         now = 0
-        blocks = list(range(controller.small_budget + 8))
+        blocks = list(range(controller.side_budget + 8))
         for block in blocks:
             request = Request(block=block, kind=RequestKind.READ, arrival=now)
             now = drive(controller, request, now=now, limit=400)
@@ -102,7 +102,7 @@ class TestPattern:
         assert reinserted > 0
         # re-inserted blocks are mapped again in the main tree
         for block in blocks:
-            in_small = block in controller.small_map
+            in_small = block in controller.side_map
             pending = block in controller._pending_main_insert
             assert in_small or pending or controller.posmap.is_mapped(block)
 

@@ -78,7 +78,7 @@ class TestPromotionAndHits:
     def test_promotion_after_main_access(self, ring):
         request = Request(block=3, kind=RequestKind.READ, arrival=0)
         drive(ring, request)
-        assert 3 in ring.ring_map
+        assert 3 in ring.side_map
         assert not ring.posmap.is_mapped(3)
         assert ring.stats.get("ring.promotions") >= 1
 
@@ -96,15 +96,15 @@ class TestPromotionAndHits:
     def test_ring_budget_enforced(self, rng):
         controller = build_scheme("Ring", SystemConfig.tiny()).controller
         drive_blocks(
-            controller, range(controller.ring_budget + 20), rng
+            controller, range(controller.side_budget + 20), rng
         )
-        active = len(controller.ring_map) - len(controller._evicting)
-        assert active <= controller.ring_budget
+        active = len(controller.side_map) - len(controller._evicting)
+        assert active <= controller.side_budget
         assert controller.stats.get("ring.evictions") > 0
 
     def test_extraction_round_trip(self, rng):
         controller = build_scheme("Ring", SystemConfig.tiny()).controller
-        blocks = list(range(controller.ring_budget + 8))
+        blocks = list(range(controller.side_budget + 8))
         now = drive_blocks(controller, blocks, rng)
         for _ in range(600):
             if not controller.has_any_real_work():
@@ -115,7 +115,7 @@ class TestPromotionAndHits:
             now = max(now + 1, result.finish_write)
         assert controller.stats.get("ring.main_reinserts") > 0
         for block in blocks:
-            in_ring = block in controller.ring_map
+            in_ring = block in controller.side_map
             pending = block in controller._pending_main_insert
             assert in_ring or pending or controller.posmap.is_mapped(block)
 
@@ -230,7 +230,7 @@ class TestEvictSchedule:
         drive_blocks(controller, [rng.randrange(50) for _ in range(40)], rng)
         assert len(evict_leaves) >= 2
         expected = [
-            _bit_reverse(g % controller.ring_leaves, levels - 1)
+            _bit_reverse(g % controller.side_leaves, levels - 1)
             for g in range(len(evict_leaves))
         ]
         assert evict_leaves == expected
@@ -256,8 +256,8 @@ class TestStashBound:
         rng = random.Random(seed ^ 0xE1)
         drive_blocks(controller, [rng.randrange(80) for _ in range(60)], rng)
         capacity = controller.ring_oram.stash_capacity
-        assert controller.ring_stash.peak_occupancy <= capacity
-        assert len(controller.ring_stash) <= capacity
+        assert controller.side_stash.peak_occupancy <= capacity
+        assert len(controller.side_stash) <= capacity
 
 
 class TestAuditorIntegration:

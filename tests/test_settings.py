@@ -6,8 +6,10 @@ Two guards:
   (the deployment paths, the kernel switch and CI's audit override) and
   of the code that writes ``os.environ`` — only the chaos harness does,
   to point forked workers at its scratch cache;
-* ``repro experiments`` refuses bad settings in argparse, before any
-  worker pool starts, and hands good ones to every work item.
+* ``repro experiments`` refuses bad settings and unknown experiment ids
+  in argparse, before any worker pool starts, and hands good ones to
+  every work item; ``run``, ``compare`` and ``zsearch`` refuse a
+  non-positive ``--records`` and a negative ``--seed`` the same way.
 """
 
 import ast
@@ -114,6 +116,7 @@ class TestExperimentSettings:
             ["--workloads", "bogus", "--jobs", "2", "Table II", "Fig. 16"],
             ["--workloads", "gcc,bogus", "Fig. 2"],
             ["--workloads", ",", "Fig. 2"],
+            ["Fig 10"],
         ],
     )
     def test_bad_setting_exits_2_before_any_pool(self, argv, capsys):
@@ -147,3 +150,30 @@ class TestExperimentSettings:
         assert f"wrote {path}" in capsys.readouterr().out
         text = path.read_text()
         assert "Table I" in text and "Fig. 7" in text
+
+    def test_unknown_id_names_the_valid_ones(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "Fig 10"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'Fig 10'" in err and "Fig. 10" in err
+
+
+class TestPlatformSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "mix", "--records", "-5", "--jobs", "2"],
+            ["compare", "mix", "--seed", "-1", "--jobs", "2"],
+            ["run", "Baseline", "mix", "--records", "-5"],
+            ["run", "Baseline", "mix", "--records", "0"],
+            ["zsearch", "--records", "-5"],
+        ],
+    )
+    def test_bad_setting_exits_2_before_any_pool(self, argv, capsys):
+        starts = engine.engine_counters().get("engine.pool_starts", 0)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert engine.engine_counters().get("engine.pool_starts", 0) == starts

@@ -158,7 +158,7 @@ class TestSchemeBehaviour:
                         holders[block] = holders.get(block, 0) + 1
         for holder in (
             controller.stash.blocks(),
-            controller.small_stash.blocks(),
+            controller.side_stash.blocks(),
             list(controller.plb.contents()),
             list(controller._limbo),
             list(controller.main_insert_queue),
