@@ -23,7 +23,9 @@ import sys
 from typing import List, Optional
 
 from . import api
+from .config import SystemConfig
 from .core.schemes import SCHEMES
+from .errors import ConfigError
 from .experiments.common import ALL_WORKLOADS, CONFIG, RECORDS, SEED
 from .traces.benchmarks import BENCHMARKS
 
@@ -34,7 +36,7 @@ def _add_platform_args(
     parser.add_argument("--config", choices=("scaled", "paper"),
                         default="scaled",
                         help="named platform (default scaled)")
-    parser.add_argument("--levels", type=int, default=None,
+    parser.add_argument("--levels", type=_levels, default=None,
                         help="ORAM tree levels (scaled default 15; "
                              "paper uses 25)")
     parser.add_argument("--records", type=_positive, default=5000,
@@ -42,7 +44,7 @@ def _add_platform_args(
     parser.add_argument("--seed", type=_non_negative, default=7,
                         help="simulation seed")
     if jobs:
-        parser.add_argument("--jobs", type=int, default=1,
+        parser.add_argument("--jobs", type=_positive, default=1,
                             help="independent runs in parallel")
 
 
@@ -218,6 +220,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _levels(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text}: an ORAM tree needs at least 2 levels"
+        )
+    return value
+
+
 def _experiment_id(text: str) -> str:
     from .experiments.run_all import ALL_EXPERIMENTS
 
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("experiments", help="regenerate tables/figures")
     exp_p.add_argument("ids", nargs="*", type=_experiment_id,
                        help='e.g. "Fig. 10" "Table II"')
-    exp_p.add_argument("--jobs", type=int, default=1,
+    exp_p.add_argument("--jobs", type=_positive, default=1,
                        help="experiment regenerators run in parallel")
     exp_p.add_argument("--records", type=_positive, default=RECORDS,
                        help=f"trace records per workload (default {RECORDS})")
@@ -324,6 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "levels", None) is not None and args.config == "scaled":
+        # Refuse a depth the scaled platform cannot hold before any run.
+        try:
+            SystemConfig.scaled(levels=args.levels)
+        except ConfigError as exc:
+            parser.error(f"argument --levels: {exc}")
     try:
         return args.func(args)
     except BrokenPipeError:

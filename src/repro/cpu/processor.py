@@ -17,8 +17,10 @@ The processor does not touch the LLC itself; it hands each trace record
 to whatever memory hierarchy the simulator wires in, and is told about
 completions via :meth:`Processor.complete`.
 
-The state is flat ``array('q')`` buffers, which the C front end
-(``drain_slots``) indexes as well:
+It reads the trace's packed records (``Trace.packed``: gap, block and
+is_write per record) in place, as the C front end (``drain_slots``)
+does.  The state is flat ``array('q')`` buffers, which the C front end
+indexes as well:
 
 * ``_clock`` — the clock, the trace index, the retired instructions, the
   finish time (-1 until the run is done), then the head and the length
@@ -115,23 +117,24 @@ class Processor:
     def done(self) -> bool:
         clock = self._clock
         return (
-            clock[TRACE_INDEX] >= len(self.trace.records)
+            clock[TRACE_INDEX] >= len(self.trace)
             and not clock[READ_COUNT]
             and not clock[WRITE_COUNT]
         )
 
     def trace_exhausted(self) -> bool:
-        return self._clock[TRACE_INDEX] >= len(self.trace.records)
+        return self._clock[TRACE_INDEX] >= len(self.trace)
 
     def advance_to(self, now: int, hierarchy: HierarchyFn) -> None:
         """Execute forward until ``cpu_time`` passes ``now`` or the core blocks."""
-        records = self.trace.records
+        records = self.trace.packed
+        count = len(records) // 3
         clock = self._clock
         width = self.config.issue_width
         while True:
             self._retire_ready(self._reads, READ_HEAD)
             self._retire_ready(self._writes, WRITE_HEAD)
-            if clock[TRACE_INDEX] >= len(records):
+            if clock[TRACE_INDEX] >= count:
                 self._drain()
                 return
             blocker = self._blocking_queue()
@@ -142,7 +145,10 @@ class Processor:
                 continue
             if clock[CPU_TIME] > now:
                 return
-            gap, block, is_write = records[clock[TRACE_INDEX]]
+            at = 3 * clock[TRACE_INDEX]
+            gap, block, is_write = (
+                records[at], records[at + 1], records[at + 2] != 0
+            )
             clock[TRACE_INDEX] += 1
             clock[RETIRED] += gap
             clock[CPU_TIME] += max(1, gap // width)
@@ -235,5 +241,5 @@ class Processor:
         """Projected time of the next memory op, or None if blocked/done."""
         if self.trace_exhausted() or self._blocking_queue() is not None:
             return None
-        gap, _, _ = self.trace.records[self._clock[TRACE_INDEX]]
+        gap = self.trace.packed[3 * self._clock[TRACE_INDEX]]
         return self._clock[CPU_TIME] + max(1, gap // self.config.issue_width)

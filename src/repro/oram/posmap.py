@@ -33,13 +33,13 @@ class PositionMap:
     ) -> None:
         """Draw every block's leaf, block 0 first.  ``native`` (the C
         kernel module, for a plain ``random.Random`` only) draws the same
-        leaves with the same RNG calls in ``draw_leaves``."""
+        leaves with the same RNG draws in ``draw_leaves``."""
         self.namespace = namespace
         self.leaves = leaves
         self._rng = rng
         n = namespace.total_blocks
         if native is not None:
-            self._leaf_of = native.draw_leaves(n, leaves, rng.getrandbits)
+            self._leaf_of = native.draw_leaves(n, leaves, rng)
         else:
             self._leaf_of = array(
                 "q", (rng.randrange(leaves) for _ in range(n))

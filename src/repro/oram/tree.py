@@ -185,7 +185,7 @@ class ORAMTree:
             try:
                 return native.init_tree(
                     self._slots, leaf_table, self.z_per_level,
-                    self.level_used, rng.getrandbits,
+                    self.level_used, rng,
                 )
             except IndexError as exc:
                 raise ProtocolError(str(exc)) from None

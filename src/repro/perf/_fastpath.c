@@ -22,8 +22,8 @@
 #include <stdint.h>
 #include <string.h>
 
-/* array.array, imported at module init: dram_triples and draw_leaves
- * return one. */
+/* array.array, imported at module init: dram_triples, draw_leaves and
+ * benchmark_records return one. */
 static PyObject *array_type;
 
 /* Marker of an empty tree slot (tree.EMPTY) and of an unmapped block's
@@ -213,17 +213,267 @@ level_offsets(PyObject **z_items, long long levels, long long *z_arr,
     return total;
 }
 
-/* A plain random.Random's bound ``getrandbits`` and the bit-width PyLong
- * of its last draw (owned, or NULL), cached across draws of the same
- * width. */
+/* MT19937 exactly as CPython's _random module runs it (genrand_uint32):
+ * the 624-word state and the index of its next word. */
+#define MT_N 624
+#define MT_M 397
+
 typedef struct {
-    PyObject *getrandbits;
+    uint32_t mt[MT_N];
+    int index;
+} Mt;
+
+/* Regenerate all 624 words at once, as genrand_uint32 does when the
+ * index runs past the state. */
+static void
+mt_twist(Mt *m)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *mt = m->mt, y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    m->index = 0;
+}
+
+/* genrand_uint32: the next tempered 32-bit word. */
+static inline uint32_t
+mt_next(Mt *m)
+{
+    if (m->index >= MT_N)
+        mt_twist(m);
+    uint32_t y = m->mt[m->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* Random.getrandbits(k) for 0 <= k <= 64: one word shifted right for
+ * k <= 32; past that the words fill the integer least significant first,
+ * and the last, most significant one keeps its top k - 32 bits. */
+static inline uint64_t
+mt_bits(Mt *m, long long k)
+{
+    if (k == 0)
+        return 0;
+    if (k <= 32)
+        return mt_next(m) >> (32 - k);
+    uint64_t low = mt_next(m);
+    uint64_t high = mt_next(m) >> (64 - k);
+    return low | high << 32;
+}
+
+/* Random.random() (genrand_res53): 53 bits from two words. */
+static inline double
+mt_unit(Mt *m)
+{
+    uint32_t a = mt_next(m) >> 5, b = mt_next(m) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random, imported at module init: the one RNG type the setup
+ * entries mirror. */
+static PyObject *random_type;
+
+/* A setup entry's or a KernelState's RNG draws.  Setup entries open them
+ * over the RNG object (draws_open): a plain random.Random runs on the
+ * mirror, its state loaded into ``mt`` and written back when the entry
+ * returns (draws_close); any other RNG draws through its bound
+ * ``getrandbits`` and ``random``, caching the PyLong bit width of the
+ * last getrandbits call.  A KernelState holds the callback form only,
+ * with ``getrandbits`` set at construction. */
+typedef struct {
+    PyObject *getrandbits, *random;
     PyObject *bits;
     long long k;
+    Mt *mt;                /* the live state on the mirror, else NULL */
+    PyObject *rng, *version, *gauss_next;  /* the mirror's write-back */
+    int drawn;             /* the mirror consumed a word */
 } Draws;
 
-/* Random._randbelow_with_getrandbits inlined, the one RNG draw of every
- * kernel: a uniform integer in [0, n) for n >= 1, drawn as
+/* Whether ``rng`` runs on the mirror: exactly random.Random, with
+ * nothing set on the instance but ``gauss_next``, so no method of it is
+ * overridden.  Returns 1 or 0, or -1 with an exception set. */
+static int
+plain_random(PyObject *rng)
+{
+    if (Py_TYPE(rng) != (PyTypeObject *)random_type)
+        return 0;
+    PyObject *dict = PyObject_GenericGetDict(rng, NULL);
+    if (dict == NULL)
+        return -1;
+    PyObject *key, *value;
+    Py_ssize_t pos = 0;
+    int plain = 1;
+    while (plain && PyDict_Next(dict, &pos, &key, &value))
+        plain = PyUnicode_Check(key) &&
+                PyUnicode_CompareWithASCIIString(key, "gauss_next") == 0;
+    Py_DECREF(dict);
+    return plain;
+}
+
+/* Load a plain random.Random's getstate() -- (version, the 624 words and
+ * the index, gauss_next) -- into ``mt``.  Returns 0, or -1 with an
+ * exception set. */
+static int
+mt_load(Draws *r, PyObject *rng, Mt *mt)
+{
+    PyObject *state = PyObject_CallMethod(rng, "getstate", NULL);
+    if (state == NULL)
+        return -1;
+    PyObject *version, *words, *gauss_next;
+    int ok = PyTuple_Check(state) &&
+             PyArg_ParseTuple(state, "OO!O", &version, &PyTuple_Type, &words,
+                              &gauss_next) &&
+             PyTuple_GET_SIZE(words) == MT_N + 1;
+    for (Py_ssize_t i = 0; ok && i <= MT_N; i++) {
+        unsigned long word = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, i));
+        ok = !(word == (unsigned long)-1 && PyErr_Occurred()) &&
+             word <= (i < MT_N ? 0xffffffffUL : MT_N);
+        if (i < MT_N)
+            mt->mt[i] = (uint32_t)word;
+        else
+            mt->index = (int)word;
+    }
+    if (!ok) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "unexpected random.Random state");
+        Py_DECREF(state);
+        return -1;
+    }
+    r->version = Py_NewRef(version);
+    r->gauss_next = Py_NewRef(gauss_next);
+    r->rng = rng;
+    r->mt = mt;
+    Py_DECREF(state);
+    return 0;
+}
+
+/* Write the mirror's state back with rng.setstate((version, words,
+ * gauss_next)).  An exception already set survives it.  Returns 0, or
+ * -1 with an exception set. */
+static int
+mt_store(Draws *r)
+{
+    PyObject *type, *value, *trace;
+    PyErr_Fetch(&type, &value, &trace);
+    PyObject *words = PyTuple_New(MT_N + 1);
+    for (Py_ssize_t i = 0; words != NULL && i <= MT_N; i++) {
+        PyObject *word = PyLong_FromUnsignedLong(
+            i < MT_N ? r->mt->mt[i] : (unsigned long)r->mt->index);
+        if (word == NULL)
+            Py_CLEAR(words);
+        else
+            PyTuple_SET_ITEM(words, i, word);
+    }
+    PyObject *done = words == NULL ? NULL
+        : PyObject_CallMethod(r->rng, "setstate", "((OOO))", r->version,
+                              words, r->gauss_next);
+    Py_XDECREF(words);
+    Py_XDECREF(done);
+    if (type != NULL) {
+        PyErr_Restore(type, value, trace);
+        return -1;
+    }
+    return done == NULL ? -1 : 0;
+}
+
+/* Open a setup entry's draws over ``rng``, on the mirror (state in
+ * ``mt``) when it is a plain random.Random, else over its bound
+ * ``getrandbits`` and, when ``units`` is set, ``random``.  Returns 0, or
+ * -1 with an exception set and nothing held. */
+static int
+draws_open(Draws *r, PyObject *rng, Mt *mt, int units)
+{
+    memset(r, 0, sizeof(*r));
+    r->k = -1;
+    int plain = plain_random(rng);
+    if (plain != 0)
+        return plain < 0 ? -1 : mt_load(r, rng, mt);
+    r->getrandbits = PyObject_GetAttrString(rng, "getrandbits");
+    if (r->getrandbits == NULL)
+        return -1;
+    if (units) {
+        r->random = PyObject_GetAttrString(rng, "random");
+        if (r->random == NULL) {
+            Py_CLEAR(r->getrandbits);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Close a setup entry's draws: write the mirror's state back once a word
+ * was drawn, on every exit, and drop what the draws hold.  Returns 0, or
+ * -1 with an exception set (one already set stays set). */
+static int
+draws_close(Draws *r)
+{
+    int rc = r->mt != NULL && r->drawn ? mt_store(r) : 0;
+    Py_CLEAR(r->getrandbits);
+    Py_CLEAR(r->random);
+    Py_CLEAR(r->bits);
+    Py_CLEAR(r->version);
+    Py_CLEAR(r->gauss_next);
+    r->mt = NULL;
+    return rc;
+}
+
+/* getrandbits(k) through the RNG's bound method, as an unsigned integer
+ * of at most 64 bits.  Returns 0, or -1 with an exception set. */
+static int
+call_bits(Draws *r, long long k, uint64_t *out)
+{
+    if (k != r->k) {
+        Py_XSETREF(r->bits, PyLong_FromLongLong(k));
+        r->k = r->bits != NULL ? k : -1;
+        if (r->bits == NULL)
+            return -1;
+    }
+    PyObject *draw = PyObject_CallOneArg(r->getrandbits, r->bits);
+    if (draw == NULL)
+        return -1;
+    if (k == 64) {
+        *out = PyLong_AsUnsignedLongLong(draw);
+        Py_DECREF(draw);
+        return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+    }
+    long long value = PyLong_AsLongLong(draw);
+    Py_DECREF(draw);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (value < 0) {
+        PyErr_SetString(PyExc_ValueError, "getrandbits returned a negative");
+        return -1;
+    }
+    *out = (uint64_t)value;
+    return 0;
+}
+
+/* getrandbits(k) for 0 <= k <= 64, on the mirror or through the bound
+ * method.  Returns 0, or -1 with an exception set. */
+static inline int
+draw_bits(Draws *r, long long k, uint64_t *out)
+{
+    if (r->mt == NULL)
+        return call_bits(r, k, out);
+    r->drawn = 1;
+    *out = mt_bits(r->mt, k);
+    return 0;
+}
+
+/* Random._randbelow_with_getrandbits inlined, the one integer draw of
+ * every kernel: a uniform integer in [0, n) for n >= 1, drawn as
  * getrandbits(n.bit_length()) with draws >= n rejected, so the RNG
  * consumes exactly the bits randrange(n) and Random.shuffle consume.
  * Returns 0, or -1 with an exception set.
@@ -232,27 +482,33 @@ static int
 randbelow(Draws *r, long long n, long long *out)
 {
     long long k = bit_length((unsigned long long)n);
-    if (k != r->k) {
-        Py_XSETREF(r->bits, PyLong_FromLongLong(k));
-        r->k = r->bits != NULL ? k : -1;
-        if (r->bits == NULL)
-            return -1;
-    }
-    long long value;
+    uint64_t value;
     do {
-        PyObject *draw = PyObject_CallOneArg(r->getrandbits, r->bits);
-        if (draw == NULL)
+        if (draw_bits(r, k, &value) < 0)
             return -1;
-        value = PyLong_AsLongLong(draw);
-        Py_DECREF(draw);
-        if (value == -1 && PyErr_Occurred())
-            return -1;
-    } while (value >= n);
-    if (value < 0) {
-        PyErr_SetString(PyExc_ValueError, "getrandbits returned a negative");
-        return -1;
+    } while (value >= (uint64_t)n);
+    *out = (long long)value;
+    return 0;
+}
+
+/* random(), on the mirror or through the RNG's bound ``random``.
+ * Returns 0, or -1 with an exception set. */
+static int
+draw_unit(Draws *r, double *out)
+{
+    if (r->mt != NULL) {
+        r->drawn = 1;
+        *out = mt_unit(r->mt);
+        return 0;
     }
-    *out = value;
+    PyObject *draw = PyObject_CallNoArgs(r->random);
+    if (draw == NULL)
+        return -1;
+    double u = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    if (u == -1.0 && PyErr_Occurred())
+        return -1;
+    *out = u;
     return 0;
 }
 
@@ -2604,8 +2860,8 @@ enum {
 /* FrontEnd(records, processor, llc, hierarchy, request_type, max_idle)
  *
  * One simulation's front end as drain_slots runs it, built once per
- * run: the trace's record list (read in place, one (gap, block,
- * is_write) tuple per record), the Processor's clock array and its two
+ * run: the trace's records (Trace.packed, an array('q') of gap, block
+ * and is_write per record, read in place), the Processor's clock array and its two
  * queue rings with its issue width, ROB reach, MLP limit and write
  * buffer, the LastLevelCache's three arrays and ways, the
  * MemoryHierarchy's in-flight table (blocks, dirty flags and the list
@@ -2616,7 +2872,10 @@ enum {
  */
 typedef struct {
     PyObject_HEAD
-    PyObject *records, *flight_requests, *request_type;
+    PyObject *flight_requests, *request_type;
+    Py_buffer trace;  /* the records */
+    const long long *records;
+    Py_ssize_t n_records;
     Py_buffer bufs[N_FBUFS];
     long long *clock, *flights, *flight_dirty, *last_demand;
     Ring reads, writes;
@@ -2634,7 +2893,7 @@ front_dealloc(FrontEnd *f)
     PyObject_GC_UnTrack(f);
     for (int i = 0; i < N_FBUFS; i++)
         PyBuffer_Release(&f->bufs[i]);
-    Py_XDECREF(f->records);
+    PyBuffer_Release(&f->trace);
     Py_XDECREF(f->flight_requests);
     Py_XDECREF(f->request_type);
     Py_TYPE(f)->tp_free((PyObject *)f);
@@ -2645,7 +2904,7 @@ front_traverse(FrontEnd *f, visitproc visit, void *arg)
 {
     for (int i = 0; i < N_FBUFS; i++)
         Py_VISIT(f->bufs[i].obj);
-    Py_VISIT(f->records);
+    Py_VISIT(f->trace.obj);
     Py_VISIT(f->flight_requests);
     Py_VISIT(f->request_type);
     return 0;
@@ -2673,15 +2932,23 @@ front_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     };
     PyObject *owners[3], *records, *request_type;
     long long max_idle;
-    if (!PyArg_ParseTuple(args, "O!OOOOL:FrontEnd", &PyList_Type, &records,
-                          &owners[0], &owners[1], &owners[2], &request_type,
-                          &max_idle))
+    if (!PyArg_ParseTuple(args, "OOOOOL:FrontEnd", &records, &owners[0],
+                          &owners[1], &owners[2], &request_type, &max_idle))
         return NULL;
     FrontEnd *f = (FrontEnd *)type->tp_alloc(type, 0);
     if (f == NULL)
         return NULL;
-    f->records = Py_NewRef(records);
     f->request_type = Py_NewRef(request_type);
+    Py_ssize_t items = get_q_buffer(records, &f->trace, "records");
+    if (items < 0)
+        goto fail;
+    if (items % 3 != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "records must hold three items per record");
+        goto fail;
+    }
+    f->records = f->trace.buf;
+    f->n_records = items / 3;
     f->max_idle = max_idle;
     Py_ssize_t len[N_FBUFS];
     for (int i = 0; i < N_FBUFS; i++) {
@@ -2918,8 +3185,8 @@ enqueue(KernelState *c, FrontEnd *f, long long block, int kind,
  * to the block when the processor must wait for it, else to -1.
  * Returns 0, or -1 with an exception set. */
 static int
-cpu_access(KernelState *c, FrontEnd *f, long long block, PyObject *is_write,
-           int writing, long long time, long long *token)
+cpu_access(KernelState *c, FrontEnd *f, long long block, int writing,
+           long long time, long long *token)
 {
     *token = -1;
     Py_ssize_t row = flight_row(f, block);
@@ -2957,7 +3224,8 @@ cpu_access(KernelState *c, FrontEnd *f, long long block, PyObject *is_write,
         return -1;
     }
     PyObject *request;
-    if (enqueue(c, f, block, KIND_READ, time, is_write, &request) < 0)
+    if (enqueue(c, f, block, KIND_READ, time,
+                writing ? Py_True : Py_False, &request) < 0)
         return -1;
     f->flights[row] = block;
     f->flight_dirty[row] = writing;
@@ -2966,28 +3234,20 @@ cpu_access(KernelState *c, FrontEnd *f, long long block, PyObject *is_write,
     return 0;
 }
 
-/* Trace record ``index``: its gap, block and is_write object (borrowed
- * from the record).  Returns 0, or -1 with an exception set. */
+/* Trace record ``index``: its gap, block and whether it writes.
+ * Returns 0, or -1 with ValueError set for a negative gap or block. */
 static int
 trace_record(FrontEnd *f, Py_ssize_t index, long long *gap,
-             long long *block, PyObject **is_write)
+             long long *block, int *writing)
 {
-    PyObject *record = PyList_GET_ITEM(f->records, index);
-    if (!PyTuple_Check(record) || PyTuple_GET_SIZE(record) != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "trace record must be a (gap, block, is_write) tuple");
-        return -1;
-    }
-    *gap = PyLong_AsLongLong(PyTuple_GET_ITEM(record, 0));
-    if (*gap == -1 && PyErr_Occurred())
-        return -1;
-    if (block_arg(PyTuple_GET_ITEM(record, 1), block) < 0)
-        return -1;
+    const long long *record = &f->records[3 * index];
+    *gap = record[0];
+    *block = record[1];
+    *writing = record[2] != 0;
     if (*gap < 0 || *block < 0) {
         PyErr_SetString(PyExc_ValueError, "malformed trace record");
         return -1;
     }
-    *is_write = PyTuple_GET_ITEM(record, 2);
     return 0;
 }
 
@@ -3004,7 +3264,7 @@ advance_to(KernelState *c, FrontEnd *f, long long now)
     for (;;) {
         retire_ready(f, &f->reads);
         retire_ready(f, &f->writes);
-        if (clock[CPU_INDEX] >= PyList_GET_SIZE(f->records)) {
+        if (clock[CPU_INDEX] >= f->n_records) {
             /* Processor._drain. */
             Ring *rings[2] = {&f->reads, &f->writes};
             for (int i = 0; i < 2; i++) {
@@ -3038,19 +3298,15 @@ advance_to(KernelState *c, FrontEnd *f, long long now)
         if (clock[CPU_TIME] > now)
             return 0;
         long long gap, block, token;
-        PyObject *is_write;
+        int writing;
         if (trace_record(f, (Py_ssize_t)clock[CPU_INDEX], &gap, &block,
-                         &is_write) < 0)
-            return -1;
-        int writing = PyObject_IsTrue(is_write);
-        if (writing < 0)
+                         &writing) < 0)
             return -1;
         clock[CPU_INDEX]++;
         clock[CPU_RETIRED] += gap;
         clock[CPU_TIME] += gap / f->issue_width > 1
             ? gap / f->issue_width : 1;
-        if (cpu_access(c, f, block, is_write, writing, clock[CPU_TIME],
-                       &token) < 0)
+        if (cpu_access(c, f, block, writing, clock[CPU_TIME], &token) < 0)
             return -1;
         if (token < 0)
             continue;
@@ -3128,7 +3384,7 @@ on_completion(KernelState *c, FrontEnd *f, PyObject *request)
 static int
 run_done(KernelState *c, FrontEnd *f)
 {
-    if (f->clock[CPU_INDEX] < PyList_GET_SIZE(f->records) ||
+    if (f->clock[CPU_INDEX] < f->n_records ||
         *f->reads.count || *f->writes.count)
         return 0;
     for (Py_ssize_t row = 0; row < f->flight_cap; row++) {
@@ -3160,11 +3416,11 @@ advance_idle(KernelState *c, FrontEnd *f, long long *now)
             return -1;
     }
     Py_ssize_t index = (Py_ssize_t)f->clock[CPU_INDEX];
-    if (index < PyList_GET_SIZE(f->records) && blocking_queue(f) == NULL) {
+    if (index < f->n_records && blocking_queue(f) == NULL) {
         /* Processor.next_request_time. */
         long long gap, block, projected;
-        PyObject *is_write;
-        if (trace_record(f, index, &gap, &block, &is_write) < 0)
+        int writing;
+        if (trace_record(f, index, &gap, &block, &writing) < 0)
             return -1;
         projected = f->clock[CPU_TIME] +
                     (gap / f->issue_width > 1 ? gap / f->issue_width : 1);
@@ -3497,7 +3753,7 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (f != NULL) {
             if (advance_to(c, f, now) < 0)
                 goto fail;
-            if (f->clock[CPU_INDEX] >= PyList_GET_SIZE(f->records))
+            if (f->clock[CPU_INDEX] >= f->n_records)
                 mode = DUMMIES_NONE;
         }
         Py_ssize_t before = PyList_GET_SIZE(completions);
@@ -3598,7 +3854,18 @@ fail:
 /* Setup: position-map draws and the initial tree                    */
 /* ---------------------------------------------------------------- */
 
-/* draw_leaves(n, leaves, getrandbits) -> array('q')
+/* A new array('q') of ``n`` zeros.  Returns NULL with an exception set
+ * on failure. */
+static PyObject *
+new_q_array(Py_ssize_t n)
+{
+    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
+    PyObject *array = zero != NULL ? PySequence_Repeat(zero, n) : NULL;
+    Py_XDECREF(zero);
+    return array;
+}
+
+/* draw_leaves(n, leaves, rng) -> array('q')
  *
  * The position map's initial leaf table: ``n`` draws of randrange(leaves)
  * through randbelow, block 0 first.  Mirrors PositionMap.__init__.
@@ -3608,16 +3875,14 @@ draw_leaves(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
     long long leaves;
-    PyObject *getrandbits;
-    if (!PyArg_ParseTuple(args, "nLO", &n, &leaves, &getrandbits))
+    PyObject *rng_obj;
+    if (!PyArg_ParseTuple(args, "nLO", &n, &leaves, &rng_obj))
         return NULL;
     if (n < 0 || leaves < 1) {
         PyErr_SetString(PyExc_ValueError, "malformed draw_leaves call");
         return NULL;
     }
-    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
-    PyObject *table = zero != NULL ? PySequence_Repeat(zero, n) : NULL;
-    Py_XDECREF(zero);
+    PyObject *table = new_q_array(n);
     if (table == NULL)
         return NULL;
     Py_buffer view;
@@ -3626,18 +3891,84 @@ draw_leaves(PyObject *self, PyObject *args)
         return NULL;
     }
     long long *leaf = view.buf;
-    Draws rng = {getrandbits, NULL, -1};
-    int rc = 0;
+    Mt mt;
+    Draws rng;
+    int rc = draws_open(&rng, rng_obj, &mt, 0);
     for (Py_ssize_t i = 0; i < n && rc == 0; i++)
         rc = randbelow(&rng, leaves, &leaf[i]);
-    Py_XDECREF(rng.bits);
+    if (draws_close(&rng) < 0)
+        rc = -1;
     PyBuffer_Release(&view);
     if (rc < 0)
         Py_CLEAR(table);
     return table;
 }
 
-/* init_tree(tree_slots, leaf_table, z_per_level, level_used, getrandbits)
+/* rng_draws(rng, calls) -> list
+ *
+ * One draw per (name, arg) item of ``calls``, through the same Draws the
+ * setup entries open: ("getrandbits", k) for 0 <= k <= 64,
+ * ("randbelow", n) for n >= 1 and ("random", None).  The self-test and
+ * the tests compare it with the interpreter's own random.Random.
+ */
+static PyObject *
+rng_draws(PyObject *self, PyObject *args)
+{
+    PyObject *rng_obj, *calls_obj;
+    if (!PyArg_ParseTuple(args, "OO", &rng_obj, &calls_obj))
+        return NULL;
+    PyObject *calls = PySequence_Fast(calls_obj, "calls must be a sequence");
+    if (calls == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(calls);
+    PyObject *out = PyList_New(n);
+    Mt mt;
+    Draws rng;
+    if (out == NULL || draws_open(&rng, rng_obj, &mt, 1) < 0) {
+        Py_XDECREF(out);
+        Py_DECREF(calls);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        const char *name;
+        PyObject *arg_obj, *draw = NULL;
+        long long arg;
+        double u;
+        uint64_t bits;
+        PyObject *call = PySequence_Fast_GET_ITEM(calls, i);
+        if (!PyTuple_Check(call)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a draw call is a (name, arg) tuple");
+        } else if (!PyArg_ParseTuple(call, "sO", &name, &arg_obj)) {
+            /* draw stays NULL */
+        } else if (strcmp(name, "random") == 0) {
+            if (draw_unit(&rng, &u) == 0)
+                draw = PyFloat_FromDouble(u);
+        } else if ((arg = PyLong_AsLongLong(arg_obj)) == -1 &&
+                   PyErr_Occurred()) {
+            /* draw stays NULL */
+        } else if (strcmp(name, "getrandbits") == 0 && 0 <= arg &&
+                   arg <= 64) {
+            if (draw_bits(&rng, arg, &bits) == 0)
+                draw = PyLong_FromUnsignedLongLong(bits);
+        } else if (strcmp(name, "randbelow") == 0 && arg >= 1) {
+            if (randbelow(&rng, arg, &arg) == 0)
+                draw = PyLong_FromLongLong(arg);
+        } else {
+            PyErr_SetString(PyExc_ValueError, "malformed rng_draws call");
+        }
+        if (draw == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, draw);
+    }
+    if (draws_close(&rng) < 0)
+        Py_CLEAR(out);
+    Py_DECREF(calls);
+    return out;
+}
+
+/* init_tree(tree_slots, leaf_table, z_per_level, level_used, rng)
  *   -> overflow blocks, a list in shuffled order
  *
  * Fill an empty tree with blocks 0 .. len(leaf_table) - 1: shuffle them
@@ -3652,9 +3983,9 @@ draw_leaves(PyObject *self, PyObject *args)
 static PyObject *
 init_tree(PyObject *self, PyObject *args)
 {
-    PyObject *tree_obj, *table_obj, *z_obj, *used_obj, *getrandbits;
+    PyObject *tree_obj, *table_obj, *z_obj, *used_obj, *rng_obj;
     if (!PyArg_ParseTuple(args, "OOOOO", &tree_obj, &table_obj, &z_obj,
-                          &used_obj, &getrandbits))
+                          &used_obj, &rng_obj))
         return NULL;
     PyObject *z_seq = PySequence_Fast(z_obj, "z_per_level must be a sequence");
     if (z_seq == NULL)
@@ -3729,18 +4060,22 @@ init_tree(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t i = 0; i < n; i++)
         order[i] = i;
-    Draws rng = {getrandbits, NULL, -1};
-    for (Py_ssize_t i = n - 1; i > 0; i--) {
+    Mt mt;
+    Draws rng;
+    if (draws_open(&rng, rng_obj, &mt, 0) < 0)
+        goto done;
+    int rc = 0;
+    for (Py_ssize_t i = n - 1; i > 0 && rc == 0; i--) {
         long long j;
-        if (randbelow(&rng, i + 1, &j) < 0) {
-            Py_XDECREF(rng.bits);
-            goto done;
+        rc = randbelow(&rng, i + 1, &j);
+        if (rc == 0) {
+            Py_ssize_t swap = order[i];
+            order[i] = order[j];
+            order[j] = swap;
         }
-        Py_ssize_t swap = order[i];
-        order[i] = order[j];
-        order[j] = swap;
     }
-    Py_XDECREF(rng.bits);
+    if (draws_close(&rng) < 0 || rc < 0)
+        goto done;
 
     /* Bottom-up placement; overflow blocks gather at the front of
      * ``order``, in shuffled order (never past the block being placed). */
@@ -3788,29 +4123,13 @@ done:
 /* Trace generation                                                  */
 /* ---------------------------------------------------------------- */
 
-/* random() through the RNG's bound ``random``.  Returns 0, or -1 with
- * an exception set. */
-static int
-draw_unit(PyObject *py_random, double *out)
-{
-    PyObject *draw = PyObject_CallNoArgs(py_random);
-    if (draw == NULL)
-        return -1;
-    double u = PyFloat_AsDouble(draw);
-    Py_DECREF(draw);
-    if (u == -1.0 && PyErr_Occurred())
-        return -1;
-    *out = u;
-    return 0;
-}
-
 /* Random.expovariate(rate) as Python evaluates it: -log(1.0 - random())
  * divided by ``rate``, which the caller computed as 1.0 / mean. */
 static int
-draw_expo(PyObject *py_random, double rate, double *out)
+draw_expo(Draws *r, double rate, double *out)
 {
     double u;
-    if (draw_unit(py_random, &u) < 0)
+    if (draw_unit(r, &u) < 0)
         return -1;
     *out = -log(1.0 - u) / rate;
     return 0;
@@ -3928,16 +4247,17 @@ image_access(LruImage *m, long long key, long long lines, long long *victim)
  *                   burst_len, (stream, reuse, spill, midreuse),
  *                   (quiet_prob, burst_prob, write_prob),
  *                   (gap_rate, quiet_rate, reuse_rate, spill_rate),
- *                   random, getrandbits) -> [(gap, block, is_write)]
+ *                   rng) -> array('q') of gap, block, is_write (0 or 1)
+ *                   per record
  *
  * benchmark_trace's record loop over its derived parameters: the four
  * cumulative mode thresholds, the probabilities and the expovariate
  * rates (1.0 / mean) come summed and divided by the caller.  Each draw
- * goes through the RNG's bound ``random`` (random, expovariate) or
- * ``getrandbits`` (randrange, through randbelow) in the Python loop's
- * order, so the records and the RNG's final state are the Python
- * loop's.  The history window, the OrderedDict LRU image of the LLC and
- * the deque of recent evictions live in C memory sized by ``count``.
+ * is a random() (random, expovariate) or a randbelow (randrange) in the
+ * Python loop's order, so the records and the RNG's final state are the
+ * Python loop's.  The history window, the OrderedDict LRU image of the
+ * LLC and the deque of recent evictions live in C memory sized by
+ * ``count``; the records go straight into the flat array a Trace keeps.
  * The caller keeps every gap, block and size within int64.
  */
 static PyObject *
@@ -3948,17 +4268,18 @@ benchmark_records(PyObject *self, PyObject *args)
         midreuse_span, llc_lines, ring_cap, burst_len;
     double t_stream, t_reuse, t_spill, t_mid, quiet_prob, burst_prob,
         write_prob, gap_rate, quiet_rate, reuse_rate, spill_rate;
-    PyObject *py_random, *getrandbits;
-    if (!PyArg_ParseTuple(args, "nLLLLLLLLL(dddd)(ddd)(dddd)OO", &count,
+    PyObject *rng_obj;
+    if (!PyArg_ParseTuple(args, "nLLLLLLLLL(dddd)(ddd)(dddd)O", &count,
                           &scan_region, &footprint, &region, &base_block,
                           &history_cap, &midreuse_span, &llc_lines,
                           &ring_cap, &burst_len, &t_stream, &t_reuse,
                           &t_spill, &t_mid, &quiet_prob, &burst_prob,
                           &write_prob, &gap_rate, &quiet_rate, &reuse_rate,
-                          &spill_rate, &py_random, &getrandbits))
+                          &spill_rate, &rng_obj))
         return NULL;
-    if (count < 1 || scan_region < 1 || footprint < 1 || region < 1 ||
-        history_cap < 4 || midreuse_span < 1 || ring_cap < 1) {
+    if (count < 1 || count > PY_SSIZE_T_MAX / 3 || scan_region < 1 ||
+        footprint < 1 || region < 1 || history_cap < 4 ||
+        midreuse_span < 1 || ring_cap < 1) {
         PyErr_SetString(PyExc_ValueError, "malformed benchmark_records call");
         return NULL;
     }
@@ -3989,15 +4310,20 @@ benchmark_records(PyObject *self, PyObject *args)
     m.prev = PyMem_New(Py_ssize_t, nodes);
     m.next = PyMem_New(Py_ssize_t, nodes);
     m.table = PyMem_New(Py_ssize_t, slots);
-    PyObject *records = PyList_New(count);
-    Draws rng = {getrandbits, NULL, -1};
+    PyObject *records = NULL;
+    Py_buffer view = {0};
+    Mt mt;
+    Draws rng = {0};
     if (hist == NULL || ring == NULL || m.key == NULL || m.prev == NULL ||
         m.next == NULL || m.table == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    if (records == NULL)
+    records = new_q_array(3 * count);
+    if (records == NULL || get_q_buffer(records, &view, "records") < 0 ||
+        draws_open(&rng, rng_obj, &mt, 1) < 0)
         goto fail;
+    long long *out = view.buf;
     memset(m.table, 0xff, sizeof(Py_ssize_t) * slots);
 
     Py_ssize_t h_head = 0, h_tail = 0, r_head = 0, r_len = 0;
@@ -4013,41 +4339,41 @@ benchmark_records(PyObject *self, PyObject *args)
             gap = 1 + r;
             burst_remaining--;
         } else {
-            if (draw_expo(py_random, gap_rate, &e) < 0)
+            if (draw_expo(&rng, gap_rate, &e) < 0)
                 goto fail;
             gap = (long long)e;
             if (gap < 1)
                 gap = 1;
             if (quiet_prob != 0.0) {
-                if (draw_unit(py_random, &u) < 0)
+                if (draw_unit(&rng, &u) < 0)
                     goto fail;
                 if (u < quiet_prob) {
-                    if (draw_expo(py_random, quiet_rate, &e) < 0)
+                    if (draw_expo(&rng, quiet_rate, &e) < 0)
                         goto fail;
                     gap += (long long)e;
                 }
             }
-            if (draw_unit(py_random, &u) < 0)
+            if (draw_unit(&rng, &u) < 0)
                 goto fail;
             if (u < burst_prob)
                 burst_remaining = burst_len;
         }
         Py_ssize_t h_len = h_tail - h_head;
         double draw;
-        if (draw_unit(py_random, &draw) < 0)
+        if (draw_unit(&rng, &draw) < 0)
             goto fail;
         if (draw < t_stream) {
             cursor = (cursor + 1) % scan_region;
             offset = cursor;
         } else if (draw < t_reuse && h_len) {
             /* history[-min(1 + int(e), len)] */
-            if (draw_expo(py_random, reuse_rate, &e) < 0)
+            if (draw_expo(&rng, reuse_rate, &e) < 0)
                 goto fail;
             offset = hist[h_tail - (e >= (double)(h_len - 1)
                                         ? h_len : 1 + (Py_ssize_t)e)];
         } else if (draw < t_spill && r_len) {
             /* recently_evicted[len - 1 - min(int(e), len - 1)] */
-            if (draw_expo(py_random, spill_rate, &e) < 0)
+            if (draw_expo(&rng, spill_rate, &e) < 0)
                 goto fail;
             Py_ssize_t back = e >= (double)(r_len - 1) ? r_len - 1
                                                        : (Py_ssize_t)e;
@@ -4077,30 +4403,20 @@ benchmark_records(PyObject *self, PyObject *args)
                 r_head = (r_head + 1) % ring_cap;
             }
         }
-        if (draw_unit(py_random, &u) < 0)
+        if (draw_unit(&rng, &u) < 0)
             goto fail;
-        PyObject *record = PyTuple_New(3);
-        if (record == NULL)
-            goto fail;
-        PyList_SET_ITEM(records, i, record);
-        PyObject *gap_obj = PyLong_FromLongLong(gap);
-        if (gap_obj == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(record, 0, gap_obj);
-        PyObject *block_obj = PyLong_FromLongLong(base_block + offset % region);
-        if (block_obj == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(record, 1, block_obj);
-        PyObject *is_write = u < write_prob ? Py_True : Py_False;
-        Py_INCREF(is_write);
-        PyTuple_SET_ITEM(record, 2, is_write);
+        out[3 * i] = gap;
+        out[3 * i + 1] = base_block + offset % region;
+        out[3 * i + 2] = u < write_prob;
     }
     goto done;
 
 fail:
     Py_CLEAR(records);
 done:
-    Py_XDECREF(rng.bits);
+    PyBuffer_Release(&view);
+    if (draws_close(&rng) < 0)
+        Py_CLEAR(records);
     PyMem_Free(hist);
     PyMem_Free(ring);
     PyMem_Free(m.key);
@@ -4213,6 +4529,8 @@ static PyMethodDef fastpath_methods[] = {
      "Bucket a run's path timeline into its cycle breakdown."},
     {"draw_leaves", draw_leaves, METH_VARARGS,
      "The position map's initial leaf table, as an array('q')."},
+    {"rng_draws", rng_draws, METH_VARARGS,
+     "Draws through the setup entries' RNG, for checking the mirror."},
     {"init_tree", init_tree, METH_VARARGS,
      "Shuffle every block and place it bottom-up into an empty tree."},
     {"benchmark_records", benchmark_records, METH_VARARGS,
@@ -4237,6 +4555,13 @@ PyInit__repro_fastpath(void)
     Py_XSETREF(array_type, PyObject_GetAttrString(array_module, "array"));
     Py_DECREF(array_module);
     if (array_type == NULL)
+        return NULL;
+    PyObject *random_module = PyImport_ImportModule("random");
+    if (random_module == NULL)
+        return NULL;
+    Py_XSETREF(random_type, PyObject_GetAttrString(random_module, "Random"));
+    Py_DECREF(random_module);
+    if (random_type == NULL)
         return NULL;
     str_append = PyUnicode_InternFromString("append");
     str_popleft = PyUnicode_InternFromString("popleft");

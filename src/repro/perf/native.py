@@ -15,8 +15,8 @@ The simulator's innermost loops have bit-identical C implementations in
   the request's data path.  It returns every ``DRAIN_CHUNK`` slots (see
   :mod:`repro.sim.simulator`), at a dummy slot IR-DWB may convert and at
   the end of the run.  The front end's state is a ``FrontEnd`` over the
-  trace's record list and the processor's, the LLC's and the in-flight
-  table's arrays;
+  trace's packed records (``Trace.packed``) and the processor's, the
+  LLC's and the in-flight table's arrays;
 * ``attribute_cycles`` — the cycle breakdown's pass over a run's path
   timeline;
 * ``access_path`` — one whole path access, as a slot outside the drain
@@ -39,19 +39,31 @@ The simulator's innermost loops have bit-identical C implementations in
 * ``init_tree`` — the initial tree: a ``Random.shuffle`` of every block
   id, then bottom-up placement into the empty tree array, returning the
   blocks that overflow into the stash;
-* ``benchmark_records`` — a Table II benchmark model's trace records:
-  ``benchmark_trace``'s loop, with its history window, its LRU image of
-  the LLC and its ring of recent evictions in C memory.
+* ``benchmark_records`` — a Table II benchmark model's trace records as
+  the flat ``array('q')`` a ``Trace`` keeps (gap, block, is_write as 0
+  or 1 per record): ``benchmark_trace``'s loop, with its history window,
+  its LRU image of the LLC and its ring of recent evictions in C memory.
   ``benchmark_trace`` calls it for a plain ``random.Random`` when every
-  integer the loop produces fits in int64.
+  integer the loop produces fits in int64;
+* ``rng_draws`` — single draws through the setup entries' RNG path, which
+  the self-test and the tests compare with the interpreter's own
+  ``random.Random``.
 
 Every integer RNG draw — a leaf, a remap, a shuffle step, a trace's
 ``randrange`` — goes through one C helper, ``randbelow``:
-``Random._randbelow_with_getrandbits`` inlined over the RNG's bound
-``getrandbits``; a trace's ``random()`` calls the bound ``random``, and
-its ``expovariate`` is Python's formula over that draw.  So the kernels
-consume exactly the bits the Python code consumes, and only for a plain
-``random.Random``.
+``Random._randbelow_with_getrandbits`` inlined.  The three setup entries
+take the RNG object itself.  For a plain ``random.Random`` (that exact
+type, nothing set on the instance but ``gauss_next``) they read
+``getstate()`` once, run CPython's MT19937 in C — its 32-bit words,
+``getrandbits`` up to 64 bits (words least significant first, the last
+one shifted right) and ``random()`` (53 bits from two words) — and write
+the state back with ``setstate()``, keeping ``gauss_next``, whenever a
+word was drawn.  Any other RNG draws through its bound ``getrandbits``
+and ``random``, as do the path entries' remaps through the
+``KernelState``'s ``getrandbits``.  A trace's ``expovariate`` is
+Python's formula over a ``random()`` draw.  So the kernels consume
+exactly the bits the Python code consumes; :func:`_mirror_matches`
+refuses the kernels on an interpreter whose generator differs.
 
 The path entries book their own counters — every stats counter, the
 ``hit.level`` histogram, the stash peak, ``remap_count``, the path count
@@ -93,7 +105,8 @@ by source hash and Python ABI, and exposes the loaded module as
 :data:`fastpath`.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
-self-test, or ``REPRO_FASTPATH=0`` in the environment all yield
+self-test (the kernels' or the RNG mirror's), or ``REPRO_FASTPATH=0`` in
+the environment all yield
 ``fastpath = None`` and the simulator runs on its pure-Python fallbacks.
 No third-party packages are involved — only the system toolchain.
 """
@@ -104,11 +117,13 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 import sysconfig
 from array import array
 from collections import defaultdict, deque
+from types import SimpleNamespace
 from typing import Optional
 
 from .. import stats_keys as sk
@@ -392,14 +407,17 @@ def _self_test(module) -> bool:
     ):
         return False
 
-    # Setup: draw_leaves draws 2 bits per leaf of 3 (3 is rejected).
+    # Setup, over scripted RNGs (which take the callback path):
+    # draw_leaves draws 2 bits per leaf of 3 (3 is rejected).
     # init_tree shuffles blocks 0-3 (leaves 0, 0, 1, 0) into a 2-level
     # tree with Z=1: i=3 draws 3 bits (5 rejected, then 1: swap slots 3
     # and 1), i=2 draws 2 bits (2: no swap), i=1 draws 2 bits (0: swap
     # slots 1 and 0), giving order 3, 0, 2, 1.  Block 3 takes leaf 0's
     # bucket, 0 the root, 2 leaf 1's bucket, and 1 overflows.
     draws = iter([3, 2, 0, 1])
-    leaves = module.draw_leaves(3, 3, lambda bits: next(draws))
+    leaves = module.draw_leaves(
+        3, 3, SimpleNamespace(getrandbits=lambda bits: next(draws))
+    )
     if leaves != q([2, 0, 1]):
         return False
     script = iter([5, 1, 2, 0])
@@ -412,7 +430,8 @@ def _self_test(module) -> bool:
     tree = q([-1, -1, -1])
     level_used = q([0, 0])
     overflow = module.init_tree(
-        tree, q([0, 0, 1, 0]), [1, 1], level_used, getrandbits
+        tree, q([0, 0, 1, 0]), [1, 1], level_used,
+        SimpleNamespace(getrandbits=getrandbits),
     )
     if not (
         overflow == [1] and widths == [3, 3, 2, 2]
@@ -439,12 +458,12 @@ def _self_test(module) -> bool:
     widths = []
     records = module.benchmark_records(
         6, 4, 8, 8, 100, 64, 64, 1, 64, 1, (0.2, 0.4, 0.6, 0.8),
-        (0.0, 0.5, 0.5), (0.5, 1.0, 1.0, 1.0), lambda: next(units),
-        getrandbits,
+        (0.0, 0.5, 0.5), (0.5, 1.0, 1.0, 1.0),
+        SimpleNamespace(getrandbits=getrandbits, random=lambda: next(units)),
     )
     if not (
-        records == [(2, 103, False), (1, 103, True), (2, 106, False),
-                    (1, 103, True), (1, 106, False), (1, 103, True)]
+        records == q([2, 103, 0, 1, 103, 1, 2, 106, 0,
+                      1, 103, 1, 1, 106, 0, 1, 103, 1])
         and widths == [3, 3, 2, 2, 4, 3]
         and next(units, None) is None and next(script, None) is None
     ):
@@ -545,6 +564,51 @@ def _self_test(module) -> bool:
     )
 
 
+def _mirror_matches(module) -> bool:
+    """The setup entries' MT19937 mirror against this interpreter's
+    ``random.Random``: the same ``getrandbits`` (one word, two words, 64
+    bits), ``randrange`` at and just past powers of two (the rejection
+    boundary), ``random()``, a shuffle past the 624-word twist, leaf
+    draws, and the same final ``getstate()`` with ``gauss_next`` set.  A
+    CPython whose generator differs loads no kernel instead of drifting."""
+    calls = (
+        [("getrandbits", k) for k in (1, 31, 32, 33, 63, 64)]
+        + [
+            ("randbelow", n)
+            for m in (1, 5, 31, 32, 33, 62)
+            for n in (1 << m, (1 << m) + 1)
+        ]
+        + [("random", None)] * 4
+    )
+    for seed in (0, 1, (1 << 40) + 7):
+        mirror, python = random.Random(seed), random.Random(seed)
+        mirror.gauss(0.0, 1.0)
+        python.gauss(0.0, 1.0)
+        want = [
+            python.getrandbits(arg) if name == "getrandbits"
+            else python.randrange(arg) if name == "randbelow"
+            else python.random()
+            for name, arg in calls
+        ]
+        if module.rng_draws(mirror, calls) != want:
+            return False
+        # A one-level tree with no slots overflows every block, in
+        # shuffled order.
+        order = list(range(700))
+        python.shuffle(order)
+        overflow = module.init_tree(
+            array("q"), array("q", [0]) * 700, [0], array("q", [0]), mirror
+        )
+        if overflow != order:
+            return False
+        leaves = array("q", (python.randrange(1000) for _ in range(50)))
+        if module.draw_leaves(50, 1000, mirror) != leaves:
+            return False
+        if mirror.getstate() != python.getstate():
+            return False
+    return True
+
+
 def _build(so_path: str) -> bool:
     cc = (
         os.environ.get("CC")
@@ -600,7 +664,7 @@ def _load() -> Optional[object]:
             return None
         module = importlib.util.module_from_spec(spec)
         loader.exec_module(module)
-        if not _self_test(module):
+        if not (_self_test(module) and _mirror_matches(module)):
             return None
         return module
     except Exception:

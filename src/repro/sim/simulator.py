@@ -214,7 +214,7 @@ class Simulator:
         """The C front end over this run's trace records, processor, LLC
         and in-flight table, for ``drain_slots``."""
         return self.controller._native.FrontEnd(
-            self.trace.records, self.processor, self.llc, self.hierarchy,
+            self.trace.packed, self.processor, self.llc, self.hierarchy,
             Request, self.MAX_IDLE_ITERATIONS,
         )
 

@@ -167,8 +167,9 @@ def benchmark_trace(
     The record loop runs in the C kernel (``benchmark_records``) when it
     is loaded, the RNG is a plain ``random.Random`` and every integer
     the loop produces fits in int64; otherwise in :func:`_records_py`,
-    its oracle.  Both make the same RNG calls, so the records and the
-    RNG's final state are the same on either tier.
+    its oracle.  Both make the same RNG draws, so the records and the
+    RNG's final state are the same on either tier.  The kernel writes the
+    records straight into the trace's packed array.
     """
     if count < 1:
         raise TraceError("trace needs at least one record")
@@ -206,7 +207,7 @@ def benchmark_trace(
     )
     if _kernel_fits(rng, sizes, region, mean_gap, model.quiet_gap):
         records = fastpath.benchmark_records(
-            *sizes, thresholds, probs, rates, rng.random, rng.getrandbits
+            *sizes, thresholds, probs, rates, rng
         )
     else:
         records = _records_py(sizes, thresholds, probs, rates, rng)

@@ -12,12 +12,13 @@ Two composition modes mirror the paper's setups:
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from array import array
+from typing import Sequence
 
 from ..errors import TraceError
 from .benchmarks import BENCHMARKS, benchmark_trace
 from .synthetic import random_trace
-from .trace import Trace, TraceRecord, concat
+from .trace import Trace, concat
 
 
 def mix_traces(traces: Sequence[Trace], rng: random.Random, name: str = "mix") -> Trace:
@@ -26,12 +27,15 @@ def mix_traces(traces: Sequence[Trace], rng: random.Random, name: str = "mix") -
     if not traces:
         raise TraceError("cannot mix zero traces")
     cursors = [0] * len(traces)
-    records: List[TraceRecord] = []
-    remaining = sum(len(t) for t in traces)
+    lengths = [len(t) for t in traces]
+    sources = [t.packed for t in traces]
+    records = array("q")
+    remaining = sum(lengths)
     while remaining:
-        candidates = [i for i, t in enumerate(traces) if cursors[i] < len(t)]
+        candidates = [i for i, n in enumerate(lengths) if cursors[i] < n]
         index = candidates[rng.randrange(len(candidates))]
-        records.append(traces[index].records[cursors[index]])
+        at = 3 * cursors[index]
+        records += sources[index][at:at + 3]
         cursors[index] += 1
         remaining -= 1
     return Trace(name, records)

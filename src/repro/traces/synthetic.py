@@ -14,6 +14,7 @@ Three primitive access patterns compose into benchmark-like behaviour:
 from __future__ import annotations
 
 import random
+from array import array
 from typing import List
 
 from ..errors import TraceError
@@ -37,11 +38,14 @@ def random_trace(
 ) -> Trace:
     """Uniform random accesses over ``[0, footprint)`` blocks."""
     _check(count, footprint)
-    records: List[TraceRecord] = []
-    for _ in range(count):
-        block = rng.randrange(footprint)
-        is_write = rng.random() < write_fraction
-        records.append((gap, block, is_write))
+    randrange, unit = rng.randrange, rng.random
+    draws = [(randrange(footprint), unit() < write_fraction)
+             for _ in range(count)]
+    blocks, writes = zip(*draws)
+    # Packed in place: every record shares the gap.
+    records = array("q", [gap]) * (3 * count)
+    records[1::3] = array("q", blocks)
+    records[2::3] = array("q", writes)
     return Trace(name, records)
 
 

@@ -381,8 +381,7 @@ def test_init_tree_rejects_before_writing(controller, case, error):
     state = rng.getstate()
     with pytest.raises(error):
         controller._native.init_tree(
-            tree._slots, table, tree.z_per_level, tree.level_used,
-            rng.getrandbits,
+            tree._slots, table, tree.z_per_level, tree.level_used, rng,
         )
     assert (tree._slots.tobytes(), tree.level_used.tobytes()) == before
     assert rng.getstate() == state

@@ -116,6 +116,8 @@ class TestExperimentSettings:
             ["--workloads", "bogus", "--jobs", "2", "Table II", "Fig. 16"],
             ["--workloads", "gcc,bogus", "Fig. 2"],
             ["--workloads", ",", "Fig. 2"],
+            ["--jobs", "0", "Table II", "Fig. 16"],
+            ["--jobs", "-1", "Table II", "Fig. 16"],
             ["Fig 10"],
         ],
     )
@@ -167,7 +169,15 @@ class TestPlatformSettings:
             ["compare", "mix", "--seed", "-1", "--jobs", "2"],
             ["run", "Baseline", "mix", "--records", "-5"],
             ["run", "Baseline", "mix", "--records", "0"],
+            ["run", "Baseline", "mix", "--levels", "0", "--records", "50"],
+            ["run", "Baseline", "mix", "--levels", "1", "--records", "50"],
+            ["run", "Baseline", "mix", "--levels", "2", "--records", "50"],
+            ["compare", "mix", "--levels", "-3", "--jobs", "2"],
+            ["compare", "mix", "--jobs", "-1", "--records", "50",
+             "--schemes", "Baseline"],
+            ["compare", "mix", "--jobs", "0", "--records", "50"],
             ["zsearch", "--records", "-5"],
+            ["zsearch", "--levels", "1"],
         ],
     )
     def test_bad_setting_exits_2_before_any_pool(self, argv, capsys):

@@ -495,7 +495,12 @@ def test_front_end_refuses_what_it_cannot_index():
     controller, processor = simulator.controller, simulator.processor
     with pytest.raises(ValueError):
         controller._native.FrontEnd(
-            simulator.trace.records, _Short(processor), simulator.llc,
+            simulator.trace.packed, _Short(processor), simulator.llc,
+            simulator.hierarchy, Request, 10,
+        )
+    with pytest.raises(ValueError, match="three items per record"):
+        controller._native.FrontEnd(
+            simulator.trace.packed[:-1], processor, simulator.llc,
             simulator.hierarchy, Request, 10,
         )
     before = sim_snapshot(simulator)

@@ -2,12 +2,13 @@
 
 ``benchmark_trace`` runs its record loop in ``benchmark_records`` when the
 kernel is loaded, the RNG is a plain ``random.Random`` and every integer
-fits in int64.  The kernel makes the Python loop's RNG calls in its order
-(``randrange`` through ``getrandbits``, ``random`` and ``expovariate``
-through ``random``), so for every Table II model, seed and geometry both
-tiers must give the same records and leave the RNG in the same state --
-which ``standard_mix`` relies on, since it reuses one RNG across several
-traces and then mixes them.
+fits in int64.  The kernel makes the Python loop's RNG draws in its order
+(``randrange``, ``random`` and ``expovariate``), on its MT19937 mirror or,
+for an RNG with a method set on the instance, through the bound methods,
+so for every Table II model, seed and geometry both tiers must give the
+same records and leave the RNG in the same state -- which
+``standard_mix`` relies on, since it reuses one RNG across several traces
+and then mixes them.
 """
 
 import gc
@@ -258,4 +259,4 @@ def test_malformed_call_is_refused():
         call = list(args)
         call[index] = bad
         with pytest.raises(ValueError, match="malformed"):
-            native.fastpath.benchmark_records(*call, never, never)
+            native.fastpath.benchmark_records(*call, never)
