@@ -23,7 +23,6 @@ import sys
 from typing import List, Optional
 
 from . import api
-from .config import SystemConfig
 from .core.schemes import SCHEMES
 from .errors import ConfigError
 from .experiments.common import ALL_WORKLOADS, CONFIG, RECORDS, SEED
@@ -37,8 +36,8 @@ def _add_platform_args(
                         default="scaled",
                         help="named platform (default scaled)")
     parser.add_argument("--levels", type=_levels, default=None,
-                        help="ORAM tree levels (scaled default 15; "
-                             "paper uses 25)")
+                        help="ORAM tree levels of the scaled platform "
+                             "(default 15; --config paper fixes 25)")
     parser.add_argument("--records", type=_positive, default=5000,
                         help="trace records to simulate")
     parser.add_argument("--seed", type=_non_negative, default=7,
@@ -335,10 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "levels", None) is not None and args.config == "scaled":
-        # Refuse a depth the scaled platform cannot hold before any run.
+    if getattr(args, "levels", None) is not None:
+        # Refuse a depth the platform cannot hold (or, for the fixed
+        # paper platform, any depth) before any run.
         try:
-            SystemConfig.scaled(levels=args.levels)
+            api.RunSpec(
+                config_name=args.config, levels=args.levels
+            ).resolve_config()
         except ConfigError as exc:
             parser.error(f"argument --levels: {exc}")
     try:

@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..api import RunSpec, run_many
 from ..config import SystemConfig
 from ..errors import ConfigError
-from ..perf.engine import get_priors
 from ..sim.results import SimulationResult
 
 #: knob name -> function(config, value) -> new config
@@ -109,8 +108,6 @@ def sweep_parameter(
     With ``jobs > 1`` the points fan out over worker processes through
     :func:`repro.api.run_many` (each point is an independent simulation);
     results are identical to the serial run and stay in ``values`` order.
-    Each point's wall time updates the ``points`` priors, so the next
-    sweep dispatches its stragglers first.
     """
     if parameter not in KNOBS:
         raise ConfigError(
@@ -128,9 +125,6 @@ def sweep_parameter(
         )
         for value in values
     ]
-    priors = get_priors()
     for value, out in zip(values, run_many(specs, jobs=jobs)):
-        priors.observe_point(scheme, workload, records, out.wall_s)
         sweep.points.append(SweepPoint(value=value, result=out.result))
-    priors.save()
     return sweep

@@ -107,9 +107,10 @@ class RunSpec:
     """One fully specified simulation.
 
     ``config`` wins when given; otherwise ``config_name`` (+ ``levels``
-    for the scaled platform) selects a named platform.  ``trace`` runs a
-    pre-built :class:`~repro.traces.trace.Trace` instead of generating the
-    named ``workload``.  Specs are frozen, comparable, and picklable (with
+    for the scaled and tiny platforms; the paper platform refuses it)
+    selects a named platform.  ``trace`` runs a pre-built
+    :class:`~repro.traces.trace.Trace` instead of generating the named
+    ``workload``.  Specs are frozen, comparable, and picklable (with
     the exception of ``obs.callback``), so they fan out across worker
     processes unchanged.
     """
@@ -135,6 +136,11 @@ class RunSpec:
                 return SystemConfig.scaled(levels=self.levels)
             return SystemConfig.scaled()
         if self.config_name == "paper":
+            if self.levels is not None:
+                raise ConfigError(
+                    "the paper platform is Table I's fixed 25-level tree; "
+                    "levels applies to the scaled and tiny platforms"
+                )
             return SystemConfig.paper()
         if self.config_name == "tiny":
             if self.levels is not None:
@@ -273,23 +279,10 @@ def run(
         )
     else:
         trace = make_workload(spec.workload, config, spec.records, spec.seed)
-    stats = Stats()
-    tracer = _build_tracer(spec.obs)
-    if tracer is not None:
-        stats.tracer = tracer
-    components = build_scheme(spec.scheme, config, stats, random.Random(spec.seed))
-    audit, audit_every = _audit_options(spec.obs)
-    auditor = None
-    if audit:
-        from .validate.invariants import attach_auditor
-
-        auditor = attach_auditor(
-            components,
-            every=audit_every,
-            check_rate=config.oram.timing_protection,
-        )
+    components = build_scheme(
+        spec.scheme, config, Stats(), random.Random(spec.seed)
+    )
     simulator = Simulator(components, trace)
-    manager = None
     if checkpoint_every:
         from .sim.checkpoint import CheckpointManager
 
@@ -299,18 +292,53 @@ def run(
             )
         # The frozen spec drops obs: callbacks don't pickle, and a resumed
         # run attaches its own observability anyway.
-        manager = CheckpointManager(
+        simulator.checkpointer = CheckpointManager(
             checkpoint_every,
             checkpoint_path,
             spec=spec.with_obs(ObsOptions()),
             limit=checkpoint_limit,
         )
-        _chain_slot_observer(components.controller, manager.observe)
-        simulator.checkpointer = manager
-    try:
-        result = simulator.run(
-            utilization_snapshots=spec.utilization_snapshots
+    return _execute(spec, simulator, start, artifacts, engine_before)
+
+
+def _execute(
+    spec: RunSpec,
+    simulator,
+    start: float,
+    artifacts=None,
+    engine_before: Optional[Dict[str, int]] = None,
+    resume: bool = False,
+) -> RunResult:
+    """The body :func:`run` and :func:`resume_run` share: attach the
+    tracer, the auditor and the checkpoint observer, run (or resume) the
+    simulator, then record the bookkeeping that must stay out of the
+    result."""
+    components = simulator.components
+    stats = simulator.stats
+    tracer = _build_tracer(spec.obs)
+    stats.tracer = tracer
+    audit, audit_every = _audit_options(spec.obs)
+    auditor = None
+    if audit:
+        from .validate.invariants import attach_auditor
+
+        auditor = attach_auditor(
+            components,
+            every=audit_every,
+            check_rate=components.config.oram.timing_protection,
         )
+    manager = simulator.checkpointer
+    if manager is not None:
+        # Observers are stripped on pickling, so a resumed run re-joins
+        # the chain and keeps checkpointing where the original left off.
+        _chain_slot_observer(components.controller, manager.observe)
+    try:
+        if resume:
+            result = simulator.resume()
+        else:
+            result = simulator.run(
+                utilization_snapshots=spec.utilization_snapshots
+            )
         if auditor is not None:
             auditor.final_check(result)
     finally:
@@ -365,16 +393,16 @@ def run_many(
 
     Execution goes through the warm-pool engine
     (:mod:`repro.perf.engine`): workers persist across calls, workload
-    traces are cached per process, and specs dispatch
-    longest-expected-first so stragglers start early.
+    traces are cached per process, and specs dispatch one at a time in
+    input order, so no worker idles while specs remain.
     """
-    from .perf.engine import engine_map, run_spec_warm, spec_cost
+    from .perf.engine import engine_map, run_spec_warm
 
     specs = list(specs)
     if jobs is None:
         jobs = max((spec.jobs for spec in specs), default=1)
     _check_run_knobs()
-    return engine_map(run_spec_warm, specs, jobs=jobs, cost=spec_cost)
+    return engine_map(run_spec_warm, specs, jobs=jobs)
 
 
 def resume_run(
@@ -392,44 +420,10 @@ def resume_run(
 
     start = time.perf_counter()
     payload = load_checkpoint(checkpoint)
-    simulator = payload.sim
     spec = payload.spec if payload.spec is not None else RunSpec()
     if obs is not None:
         spec = spec.with_obs(obs)
-    stats = simulator.stats
-    tracer = _build_tracer(spec.obs)
-    if tracer is not None:
-        stats.tracer = tracer
-    audit, audit_every = _audit_options(spec.obs)
-    auditor = None
-    if audit:
-        from .validate.invariants import attach_auditor
-
-        auditor = attach_auditor(
-            simulator.components,
-            every=audit_every,
-            check_rate=simulator.components.config.oram.timing_protection,
-        )
-    manager = simulator.checkpointer
-    if manager is not None:
-        # Observers are stripped on pickling; re-join the chain so the
-        # resumed run keeps checkpointing where the original left off.
-        _chain_slot_observer(simulator.controller, manager.observe)
-    try:
-        result = simulator.resume()
-        if auditor is not None:
-            auditor.final_check(result)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if manager is not None and manager.saves:
-        stats.set(sk.CHECKPOINT_SAVES, manager.saves)
-    _record_batch_counters(simulator.controller, stats)
-    if spec.obs.metrics_out:
-        with open(spec.obs.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(stats.to_json(indent=1))
-            handle.write("\n")
-    return RunResult(spec, result, stats, time.perf_counter() - start)
+    return _execute(spec, payload.sim, start, resume=True)
 
 
 def campaign_key(spec: RunSpec) -> str:
@@ -461,7 +455,6 @@ def run_campaign(
     journaled point and simulates only the remainder.  Results return in
     input order regardless of how many came from the journal.
     """
-    from .perf.engine import engine_map, run_spec_warm, spec_cost
     from .sim.persistence import CampaignJournal
 
     if not isinstance(journal, CampaignJournal):
@@ -473,10 +466,7 @@ def run_campaign(
         for index, (key, spec) in enumerate(zip(keys, specs))
         if not journal.done(key)
     ]
-    _check_run_knobs()
-    fresh = engine_map(
-        run_spec_warm, [spec for _, spec in todo], jobs=jobs, cost=spec_cost
-    )
+    fresh = run_many([spec for _, spec in todo], jobs=jobs)
     for (index, _), out in zip(todo, fresh):
         journal.record(keys[index], out.result)
     return [journal.get(key) for key in keys]

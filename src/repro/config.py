@@ -81,7 +81,6 @@ class ORAMConfig:
     posmap_entry_bytes: int = 4
     stash_capacity: int = 200
     eviction_threshold: int = 150
-    eviction_batch: int = 2
     plb_sets: int = 32
     plb_ways: int = 4
     timing_protection: bool = True

@@ -106,11 +106,11 @@ def main(
         _run_named,
         items,
         jobs=jobs,
-        cost=lambda item: priors.predict("experiments", item[0]) or 1.0,
+        cost=lambda item: priors.predict(item[0]) or 1.0,
     )
     results = []
     for name, result, elapsed in rows:
-        priors.observe("experiments", name, elapsed)
+        priors.observe(name, elapsed)
         print(result.to_text())
         print(f"[{name} regenerated in {elapsed:.1f}s]")
         print()

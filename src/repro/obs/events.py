@@ -42,7 +42,7 @@ CHECKPOINT_SAVED = "checkpoint.saved"
 ENGINE_RETRY = "engine.retry"
 #: the warm pool was torn down and rebuilt (payload: cause, inflight)
 ENGINE_RESPAWN = "engine.respawn"
-#: a task exceeded its EWMA-scaled deadline (payload: index, deadline_s)
+#: a task ran past the caller's timeout (payload: index, deadline_s)
 ENGINE_TIMEOUT = "engine.timeout"
 #: the engine gave up on the pool and fell back to serial execution
 ENGINE_DEGRADED = "engine.degraded"

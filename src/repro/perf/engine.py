@@ -21,11 +21,13 @@ cooperating pieces:
   :func:`cache_root`), keyed by a salt over every source file of the
   package, so code changes invalidate stale entries automatically.
 
-* **Straggler-aware scheduling** — points are dispatched *individually*,
-  longest-expected-first, with at most ``jobs`` in flight; per-scheme
-  wall-time priors recorded by previous runs (``priors.json``) supply the
-  cost estimates.  Results still return in input order, so callers are
-  deterministic for every ``--jobs`` value.
+* **Individual dispatch** — items are submitted one at a time with at
+  most ``jobs`` in flight, so a straggler never strands pre-chunked work
+  on an idle worker.  A caller may pass a ``cost`` estimator to dispatch
+  longest-expected-first; ``repro experiments`` does, from the figure
+  wall times recorded by previous runs (``priors.json``).  Results still
+  return in input order, so callers are deterministic for every
+  ``--jobs`` value.
 
 Cache-hit counters surface through the normal stats/obs layer under the
 ``engine.*`` namespace, recorded per run after the simulation result is
@@ -64,11 +66,6 @@ CACHE_SCHEMA = 1
 
 #: EWMA weight of the newest wall-time observation in the priors store
 PRIOR_ALPHA = 0.5
-
-#: a task's deadline is ``max(TASK_TIMEOUT_FLOOR, TASK_TIMEOUT_FACTOR x
-#: its EWMA-prior seconds)`` unless ``engine_map(timeout=...)`` fixes it
-TASK_TIMEOUT_FLOOR = 30.0
-TASK_TIMEOUT_FACTOR = 20.0
 
 
 # ----------------------------------------------------------------------
@@ -248,31 +245,30 @@ def get_cache() -> ArtifactCache:
 
 
 # ----------------------------------------------------------------------
-# wall-time priors (straggler-aware dispatch order)
+# wall-time priors (``repro experiments`` dispatch order)
 # ----------------------------------------------------------------------
 class PriorStore:
-    """EWMA wall-time priors persisted as ``priors.json`` in the cache dir.
+    """EWMA wall seconds per experiment, persisted as ``priors.json``.
 
-    Priors only influence dispatch *order*, never results, so a missing,
-    stale, or corrupt store degrades to input-order dispatch.
+    ``repro experiments`` reads them to dispatch its slowest figures
+    first and records each regeneration's wall time afterwards.  Priors
+    only influence dispatch *order*, never results, so a missing, stale,
+    or corrupt store degrades to input-order dispatch.  The file keeps
+    its ``{"experiments": {name: seconds}}`` layout; any other table in
+    it is ignored and dropped on the next :meth:`save`.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path if path is not None else os.path.join(
             cache_root(), "priors.json"
         )
-        self.data: Dict[str, Dict[str, float]] = {}
+        self.data: Dict[str, float] = {}
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-            if isinstance(raw, dict):
-                self.data = {
-                    str(ns): {
-                        str(k): float(v) for k, v in entries.items()
-                    }
-                    for ns, entries in raw.items()
-                    if isinstance(entries, dict)
-                }
+            entries = raw.get("experiments") if isinstance(raw, dict) else None
+            if isinstance(entries, dict):
+                self.data = {str(k): float(v) for k, v in entries.items()}
         except FileNotFoundError:
             pass
         except Exception:
@@ -283,16 +279,15 @@ class PriorStore:
             _bump_local(sk.ENGINE_CACHE_CORRUPT)
             self.data = {}
 
-    def predict(self, namespace: str, key: str) -> Optional[float]:
-        return self.data.get(namespace, {}).get(key)
+    def predict(self, key: str) -> Optional[float]:
+        return self.data.get(key)
 
-    def observe(self, namespace: str, key: str, value: float) -> None:
-        entries = self.data.setdefault(namespace, {})
-        old = entries.get(key)
-        entries[key] = (
-            value
+    def observe(self, key: str, seconds: float) -> None:
+        old = self.data.get(key)
+        self.data[key] = (
+            seconds
             if old is None
-            else PRIOR_ALPHA * value + (1.0 - PRIOR_ALPHA) * old
+            else PRIOR_ALPHA * seconds + (1.0 - PRIOR_ALPHA) * old
         )
 
     def save(self) -> None:
@@ -302,36 +297,16 @@ class PriorStore:
         try:
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(self.data, handle, indent=1, sort_keys=True)
+                json.dump(
+                    {"experiments": self.data}, handle, indent=1,
+                    sort_keys=True,
+                )
             os.replace(tmp, self.path)
         except OSError:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    # -- simulation-point helpers -----------------------------------------
-    def point_cost(self, scheme: str, workload: str, records: int) -> float:
-        """Expected wall seconds of one simulation point.
-
-        Falls back to the mean per-record rate across all known points —
-        and, with an empty store, to the record count itself, which still
-        ranks bigger points first.
-        """
-        per_record = self.predict("points", f"{scheme}/{workload}")
-        if per_record is None:
-            known = self.data.get("points", {})
-            per_record = (
-                sum(known.values()) / len(known) if known else 1.0
-            )
-        return records * per_record
-
-    def observe_point(
-        self, scheme: str, workload: str, records: int, wall_s: float
-    ) -> None:
-        self.observe(
-            "points", f"{scheme}/{workload}", wall_s / max(records, 1)
-        )
 
 
 _PRIORS: Optional[PriorStore] = None
@@ -485,9 +460,9 @@ class _Supervisor:
     2. a crashed worker breaks the pool; the pool is respawned and every
        in-flight task re-dispatched (each crash victim charged a retry,
        whether the crash shows up in a wait or at submit time);
-    3. a task exceeding its deadline (the ``timeout`` override, or
-       ``max(floor, factor × EWMA prior)`` when a cost estimator exists)
-       gets the pool killed and is charged a retry like a crash;
+    3. a task running past the caller's ``timeout`` gets the pool killed
+       and is charged a retry like a crash (without a ``timeout`` no task
+       has a deadline: the engine never guesses a ceiling);
     4. after ``respawns`` pool failures in one call, the engine
        degrades: every unfinished item runs serially in-process.
     """
@@ -497,7 +472,6 @@ class _Supervisor:
         worker: Callable[[T], R],
         items: List[T],
         jobs: int,
-        costs: Optional[List[float]],
         order: List[int],
         retries: int,
         respawns: int,
@@ -506,7 +480,6 @@ class _Supervisor:
         self.worker = worker
         self.items = items
         self.jobs = jobs
-        self.costs = costs
         self.results: Dict[int, R] = {}
         self.pending: List[int] = list(order)  # dispatch order, front first
         self.attempts: Dict[int, int] = {}
@@ -514,20 +487,9 @@ class _Supervisor:
         self.pool_failures = 0
         self.retry_budget = retries
         self.max_respawns = respawns
-        self.timeout_override = timeout
+        self.timeout = timeout
 
     # -- policy -------------------------------------------------------------
-    def _deadline_for(self, index: int) -> Optional[float]:
-        if self.timeout_override is not None:
-            seconds = self.timeout_override
-        elif self.costs is not None:
-            seconds = max(
-                TASK_TIMEOUT_FLOOR, TASK_TIMEOUT_FACTOR * self.costs[index]
-            )
-        else:
-            return None  # no estimate, no override: don't guess a ceiling
-        return time.monotonic() + seconds
-
     def _charge_retry(self, index: int, cause: str) -> None:
         attempt = self.attempts.get(index, 0) + 1
         self.attempts[index] = attempt
@@ -554,7 +516,10 @@ class _Supervisor:
         self.inflight[future] = _TaskState(
             index=index,
             attempt=self.attempts.get(index, 0),
-            deadline=self._deadline_for(index),
+            deadline=(
+                None if self.timeout is None
+                else time.monotonic() + self.timeout
+            ),
         )
         if self.attempts.get(index, 0) == 0:
             _bump_local(sk.ENGINE_TASKS)
@@ -670,16 +635,22 @@ class _Supervisor:
         ]
         if not expired:
             return
-        for future, state in expired:
-            if future.done():
-                continue  # finished in the window between wait() and here
-            _bump_local(sk.ENGINE_TIMEOUTS)
-            _emit(
-                ev.ENGINE_TIMEOUT,
-                index=state.index,
-                deadline_s=round(state.deadline - now, 3),
-            )
-            self._charge_retry(state.index, cause="timeout")
+        try:
+            for future, state in expired:
+                if future.done():
+                    continue  # finished between wait() and here
+                _bump_local(sk.ENGINE_TIMEOUTS)
+                _emit(
+                    ev.ENGINE_TIMEOUT,
+                    index=state.index,
+                    deadline_s=round(state.deadline - now, 3),
+                )
+                self._charge_retry(state.index, cause="timeout")
+        except EngineFaultError:
+            # Out of retries: the hung worker must not outlive the error,
+            # or the interpreter cannot exit until it finishes.
+            _kill_pool(pool)
+            raise
         # A hung worker can't be cancelled individually — concurrent.futures
         # offers no per-task kill — so the whole pool goes.
         raise BrokenProcessPool("task exceeded its deadline")
@@ -705,9 +676,9 @@ def engine_map(
 
     Worker crashes, hangs, and broken pools are handled by
     :class:`_Supervisor`: tasks are retried (at most ``retries`` times
-    each), the pool respawned (at most ``respawns`` times per call; each
-    task's deadline is ``timeout`` seconds when given, else scaled from
-    its ``cost``), and as a last resort the remaining items run
+    each), the pool respawned (at most ``respawns`` times per call; a
+    task has a deadline only when ``timeout`` is given, that many seconds
+    after its dispatch), and as a last resort the remaining items run
     serially in-process — in every case returning exactly what the serial
     loop would have returned.  Recovery activity surfaces through the
     ``engine.retries`` / ``engine.respawns`` / ``engine.timeouts`` /
@@ -718,12 +689,11 @@ def engine_map(
         return [worker(item) for item in items]
     jobs = min(jobs, len(items))
     order = list(range(len(items)))
-    costs: Optional[List[float]] = None
     if cost is not None:
         costs = [float(cost(item)) for item in items]
         order.sort(key=lambda index: -costs[index])
     return _Supervisor(
-        worker, items, jobs, costs, order, retries, respawns, timeout
+        worker, items, jobs, order, retries, respawns, timeout
     ).run()
 
 
@@ -735,10 +705,6 @@ def run_spec_warm(spec) -> Any:
     from .. import api
 
     return api.run(spec, artifacts=get_cache())
-
-
-def spec_cost(spec) -> float:
-    return get_priors().point_cost(spec.scheme, spec.workload, spec.records)
 
 
 # ----------------------------------------------------------------------

@@ -206,7 +206,7 @@ ENGINE_TASKS = "engine.tasks"
 # -- engine supervision: worker failure handling (repro.perf.engine) ----------
 # A retry is one re-dispatch of a task after a crash, hang, or worker
 # exception; a respawn is one pool teardown+rebuild after a BrokenProcessPool
-# or a hung worker; a timeout is one task exceeding its EWMA-scaled deadline;
+# or a hung worker; a timeout is one task running past the caller's timeout;
 # degraded counts engine_map calls that fell back to serial in-process
 # execution after the pool repeatedly failed.  cache.corrupt counts artifact
 # or prior files quarantined because they failed to load.

@@ -17,9 +17,16 @@ the same task runs clean.  That mirrors the real failure model
 deterministically recur) and is what makes bit-identical recovery
 possible at all.
 
-Everything is seed-replayable: the same ``--seed`` injects the same
-faults at the same indices, so a chaos failure in CI reproduces locally
-with one command (``repro validate --chaos --seed N``).
+The injections are seed-replayable: the same ``--seed`` crashes and
+hangs the same task indices and tears the same cache files, so a chaos
+failure in CI reproduces locally with one command (``repro validate
+--chaos --seed N``).  The report's ``crash_indices``, ``hang_indices``,
+``torn_files`` and ``quarantined`` replay exactly, and so do the
+``engine.respawns`` and ``engine.timeouts`` counts.  ``engine.retries``
+and the ``engine.retry`` entries of the report's ``events`` do not: a
+crash charges a retry to every sibling in flight at that moment, and how
+many are in flight depends on timing (6 or 7 at ``--seed 7``, for
+instance).  The results themselves always equal the serial loop's.
 """
 
 from __future__ import annotations
@@ -171,7 +178,7 @@ def run_chaos(
 ) -> Dict[str, object]:
     """Full chaos pass; raises :class:`~repro.errors.AuditError` on drift.
 
-    Three legs, all seed-replayable:
+    Three legs, each injecting seed-replayable faults:
 
     1. **sweep under fire** — the scheme zoo runs through the supervised
        engine with injected worker crashes and a hang; every result must
@@ -272,12 +279,7 @@ def run_chaos(
                     probe_config, records=probe_spec.records, seed=seed
                 )
                 priors = engine.get_priors()
-                priors.observe_point(
-                    probe_spec.scheme,
-                    probe_spec.workload,
-                    probe_spec.records,
-                    1.0,
-                )
+                priors.observe("chaos probe", 1.0)
                 priors.save()
                 report["torn_files"] = len(
                     tear_cache_files(cache_dir, seed, fraction=1.0)

@@ -23,6 +23,8 @@ from . import golden, oracle
 
 
 def add_parser(sub) -> None:
+    from ..__main__ import _non_negative, _positive
+
     parser = sub.add_parser(
         "validate",
         help="conformance suite: golden corpus, lockstep oracle, fuzzer",
@@ -36,7 +38,7 @@ def add_parser(sub) -> None:
         help="re-run the golden matrix and rewrite the corpus file",
     )
     parser.add_argument(
-        "--fuzz", type=int, default=0, metavar="N",
+        "--fuzz", type=_non_negative, default=0, metavar="N",
         help="run N seed-replayable fuzz cases",
     )
     parser.add_argument(
@@ -79,9 +81,9 @@ def add_parser(sub) -> None:
         "--budget", choices=("small", "full"), default="small",
         help="chaos/distinguish sweep size",
     )
-    parser.add_argument("--seed", type=int, default=1,
+    parser.add_argument("--seed", type=_non_negative, default=1,
                         help="base seed for the fuzzer and chaos plans")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive, default=1,
                         help="matrix runs in parallel (also enables the "
                              "serial-vs-parallel engine oracle)")
     parser.set_defaults(func=run_validate)

@@ -46,6 +46,11 @@ class TestRunSpec:
         with pytest.raises(ConfigError):
             api.RunSpec(config_name="warehouse").resolve_config()
 
+    def test_paper_platform_refuses_levels(self):
+        """Table I's tree is fixed at L=25; a depth would be dropped."""
+        with pytest.raises(ConfigError, match="paper"):
+            api.RunSpec(config_name="paper", levels=30).resolve_config()
+
     def test_with_obs(self):
         spec = api.RunSpec().with_obs(api.ObsOptions(ring_size=10))
         assert spec.obs.ring_size == 10

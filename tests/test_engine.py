@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import time
 
 import pytest
 
@@ -169,50 +170,90 @@ class TestZSearchCache:
 class TestPriors:
     def test_observe_predict_round_trip(self, tmp_path):
         store = engine.PriorStore(str(tmp_path / "priors.json"))
-        store.observe_point("Baseline", "mix", 1000, 2.0)
-        assert store.predict("points", "Baseline/mix") == pytest.approx(
-            0.002
-        )
+        store.observe("Fig. 10", 2.0)
+        assert store.predict("Fig. 10") == pytest.approx(2.0)
         # EWMA folds new observations in instead of overwriting.
-        store.observe_point("Baseline", "mix", 1000, 4.0)
-        assert store.predict("points", "Baseline/mix") == pytest.approx(
-            0.003
-        )
+        store.observe("Fig. 10", 4.0)
+        assert store.predict("Fig. 10") == pytest.approx(3.0)
 
     def test_save_and_reload(self, tmp_path):
         path = str(tmp_path / "priors.json")
         store = engine.PriorStore(path)
-        store.observe("experiments", "Fig. 10", 12.5)
+        store.observe("Fig. 10", 12.5)
         store.save()
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle) == {"experiments": {"Fig. 10": 12.5}}
         reloaded = engine.PriorStore(path)
-        assert reloaded.predict("experiments", "Fig. 10") == 12.5
+        assert reloaded.predict("Fig. 10") == 12.5
 
     def test_corrupt_store_degrades_gracefully(self, tmp_path):
         path = tmp_path / "priors.json"
         path.write_text("{not json", encoding="utf-8")
         store = engine.PriorStore(str(path))
-        assert store.predict("points", "anything") is None
+        assert store.predict("anything") is None
 
-    def test_unknown_point_cost_ranks_by_records(self, tmp_path):
-        store = engine.PriorStore(str(tmp_path / "priors.json"))
-        assert store.point_cost("X", "y", 2000) > store.point_cost(
-            "X", "y", 100
-        )
+    def test_stale_points_table_is_ignored_and_dropped(self, tmp_path):
+        """A ``points`` table left by older versions loads as nothing and
+        disappears on the next save; the experiment times survive."""
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps({
+            "experiments": {"Table I": 0.5},
+            "points": {"Baseline/mix": 0.002},
+        }), encoding="utf-8")
+        store = engine.PriorStore(str(path))
+        assert store.predict("Table I") == 0.5
+        assert store.predict("Baseline/mix") is None
+        store.save()
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "experiments": {"Table I": 0.5}
+        }
 
-    def test_run_points_records_priors(self):
-        """A sweep records each point's seconds per record under the
-        ``points`` namespace and saves ``priors.json``."""
-        sweep = sweep_parameter(
-            "issue_interval", [100, 200], config=SystemConfig.tiny(),
-            records=200, jobs=1,
-        )
+    def test_simulation_batches_leave_priors_alone(self, tmp_path):
+        """``sweep_parameter``, ``run_many`` and ``run_campaign`` neither
+        read nor write ``priors.json``: a torn file is neither quarantined
+        nor replaced."""
         priors_path = os.path.join(engine.cache_root(), "priors.json")
-        with open(priors_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        assert set(data) == {"points"}
-        assert set(data["points"]) == {"Baseline/mix"}
-        assert data["points"]["Baseline/mix"] > 0
+        os.makedirs(os.path.dirname(priors_path), exist_ok=True)
+        with open(priors_path, "w", encoding="utf-8") as handle:
+            handle.write("{torn mid-")
+        config = SystemConfig.tiny()
+        sweep = sweep_parameter(
+            "issue_interval", [100, 200], config=config, records=150, jobs=2,
+        )
+        specs = [
+            api.RunSpec(scheme=scheme, workload="mix", records=150,
+                        config=config)
+            for scheme in ("Baseline", "IR-ORAM")
+        ]
+        api.run_many(specs, jobs=2)
+        api.run_campaign(specs, str(tmp_path / "journal.jsonl"), jobs=2)
         assert len(sweep.points) == 2
+        with open(priors_path, "r", encoding="utf-8") as handle:
+            assert handle.read() == "{torn mid-"
+        assert not os.path.exists(priors_path + ".corrupt")
+        assert engine.engine_counters().get("engine.cache.corrupt") is None
+
+    def test_experiments_dispatch_by_recorded_wall_times(self, monkeypatch):
+        """``repro experiments`` costs each figure by its recorded wall
+        time (1.0 when unknown) and records the new times afterwards."""
+        from repro.experiments import run_all
+
+        store = engine.get_priors()
+        store.observe("Fig. 7", 9.0)
+        store.save()
+        engine.reset()
+        seen = {}
+
+        def spy(worker, items, jobs=1, cost=None, **kwargs):
+            seen.update({item[0]: cost(item) for item in items})
+            return [worker(item) for item in items]
+
+        monkeypatch.setattr(engine, "engine_map", spy)
+        run_all.main(["Table I", "Fig. 7"], jobs=2, records=200)
+        assert seen == {"Table I": 1.0, "Fig. 7": 9.0}
+        reloaded = engine.PriorStore()
+        assert reloaded.predict("Table I") is not None
+        assert reloaded.predict("Fig. 7") < 9.0
 
 
 class TestEngineMap:
@@ -223,6 +264,16 @@ class TestEngineMap:
             _double, items, jobs=2, cost=lambda n: -n
         )
         assert plain == costed == [n * 2 for n in items]
+
+    def test_cost_sets_no_deadline(self, monkeypatch):
+        """A cost estimate orders dispatch only: with no ``timeout`` a
+        task may run as long as it needs, however small its cost."""
+        monkeypatch.setattr(engine, "TASK_TIMEOUT_FLOOR", 0.5, raising=False)
+        out = engine.engine_map(
+            _sleep_then_double, [1, 2], jobs=2, cost=lambda n: 0.01
+        )
+        assert out == [2, 4]
+        assert engine.engine_counters().get("engine.timeouts") is None
 
     def test_pool_persists_between_calls(self):
         engine.engine_map(_double, [1, 2, 3], jobs=2)
@@ -247,3 +298,7 @@ class TestEngineMap:
 def _double(n):
     return n * 2
 
+
+def _sleep_then_double(n):
+    time.sleep(1.0)
+    return n * 2

@@ -9,7 +9,10 @@ Two guards:
 * ``repro experiments`` refuses bad settings and unknown experiment ids
   in argparse, before any worker pool starts, and hands good ones to
   every work item; ``run``, ``compare`` and ``zsearch`` refuse a
-  non-positive ``--records`` and a negative ``--seed`` the same way.
+  non-positive ``--records``, a negative ``--seed`` and a ``--levels``
+  the platform cannot take (any, for ``--config paper``) the same way,
+  and ``validate`` a non-positive ``--jobs`` and a negative ``--seed``
+  or ``--fuzz``.
 """
 
 import ast
@@ -178,6 +181,16 @@ class TestPlatformSettings:
             ["compare", "mix", "--jobs", "0", "--records", "50"],
             ["zsearch", "--records", "-5"],
             ["zsearch", "--levels", "1"],
+            ["run", "Baseline", "mix", "--config", "paper", "--levels",
+             "30", "--records", "50"],
+            ["compare", "mix", "--config", "paper", "--levels", "25",
+             "--jobs", "2", "--records", "50"],
+            ["zsearch", "--config", "paper", "--levels", "25"],
+            ["validate", "--check", "--jobs", "-1"],
+            ["validate", "--check", "--jobs", "0"],
+            ["validate", "--chaos", "--seed", "-1"],
+            ["validate", "--fuzz", "1", "--seed", "-7"],
+            ["validate", "--fuzz", "-3"],
         ],
     )
     def test_bad_setting_exits_2_before_any_pool(self, argv, capsys):
