@@ -380,7 +380,9 @@ def _record_batch_counters(controller, stats: Stats) -> None:
 
 
 def run_many(
-    specs: Sequence[RunSpec], jobs: Optional[int] = None
+    specs: Sequence[RunSpec],
+    jobs: Optional[int] = None,
+    on_result: Optional[Callable[[int, RunResult], None]] = None,
 ) -> List[RunResult]:
     """Run independent specs, fanned out over worker processes.
 
@@ -394,7 +396,9 @@ def run_many(
     Execution goes through the warm-pool engine
     (:mod:`repro.perf.engine`): workers persist across calls, workload
     traces are cached per process, and specs dispatch one at a time in
-    input order, so no worker idles while specs remain.
+    input order, so no worker idles while specs remain.  ``on_result(i,
+    result)`` runs here as spec ``i`` finishes, before the next result
+    is awaited.
     """
     from .perf.engine import engine_map, run_spec_warm
 
@@ -402,7 +406,7 @@ def run_many(
     if jobs is None:
         jobs = max((spec.jobs for spec in specs), default=1)
     _check_run_knobs()
-    return engine_map(run_spec_warm, specs, jobs=jobs)
+    return engine_map(run_spec_warm, specs, jobs=jobs, on_result=on_result)
 
 
 def resume_run(
@@ -461,14 +465,11 @@ def run_campaign(
         journal = CampaignJournal(journal)
     specs = list(specs)
     keys = [campaign_key(spec) for spec in specs]
-    todo = [
-        (index, spec)
-        for index, (key, spec) in enumerate(zip(keys, specs))
-        if not journal.done(key)
-    ]
-    fresh = run_many([spec for _, spec in todo], jobs=jobs)
-    for (index, _), out in zip(todo, fresh):
-        journal.record(keys[index], out.result)
+    todo = [index for index, key in enumerate(keys) if not journal.done(key)]
+    run_many(
+        [specs[index] for index in todo], jobs=jobs,
+        on_result=lambda n, out: journal.record(keys[todo[n]], out.result),
+    )
     return [journal.get(key) for key in keys]
 
 

@@ -31,31 +31,34 @@ from ..stats import Stats
 
 
 class DWBEngine:
-    """The Ptr/Stage state machine driving dummy-slot conversion."""
+    """The Ptr/Stage state machine driving dummy-slot conversion.
 
-    def __init__(
-        self,
-        controller: PathORAMController,
-        llc: LastLevelCache,
-        stats: Optional[Stats] = None,
-    ) -> None:
-        self.controller = controller
+    The controller that owns the engine (``controller.dwb``) hands itself
+    to each :meth:`dummy_slot` call; the engine keeps no reference to it,
+    so the two form no reference cycle and a run's tree is freed as soon
+    as the run lets go of its controller.
+    """
+
+    def __init__(self, llc: LastLevelCache, stats: Stats) -> None:
         self.llc = llc
-        self.stats = stats if stats is not None else controller.stats
+        self.stats = stats
         self.ptr: Optional[Tuple[int, int]] = None  # (set index, block)
         self.stage = 0
 
     # ------------------------------------------------------------------
-    def dummy_slot(self, now: int) -> Optional[SlotResult]:
-        """Use a dummy slot productively; ``None`` means "issue a plain dummy"."""
+    def dummy_slot(
+        self, controller: PathORAMController, now: int
+    ) -> Optional[SlotResult]:
+        """Use a dummy slot of ``controller`` productively; ``None`` means
+        "issue a plain dummy"."""
         if self.stage != 0 and self.ptr is not None:
             if self._still_valid():
-                return self._advance(now)
+                return self._advance(controller, now)
             self._abort()
         candidate = self.llc.find_dirty_lru(now)
         if candidate is None:
             return None
-        if not self.controller.posmap.is_mapped(candidate[1]):
+        if not controller.posmap.is_mapped(candidate[1]):
             # A two-tree composition (Ring+IR-DWB) may hold the dirty
             # line's home block in its hot tree, where no main-tree
             # mapping exists to write through; spend the slot as a plain
@@ -64,11 +67,11 @@ class DWBEngine:
             return None
         self.ptr = candidate
         block = candidate[1]
-        chain = self.controller._translation_chain(block)
+        chain = controller._translation_chain(block)
         self.stage = 1 + len(chain)
         self.stats.inc(sk.DWB_FLUSHES_STARTED)
         self.stats.bump(sk.DWB_START_STAGE, self.stage)
-        return self._advance(now)
+        return self._advance(controller, now)
 
     # ------------------------------------------------------------------
     def _still_valid(self) -> bool:
@@ -80,10 +83,9 @@ class DWBEngine:
         self.ptr = None
         self.stage = 0
 
-    def _advance(self, now: int) -> SlotResult:
+    def _advance(self, controller: PathORAMController, now: int) -> SlotResult:
         """Perform the next path access of the in-flight flush."""
         _, block = self.ptr
-        controller = self.controller
         chain = controller._translation_chain(block)
         if chain:
             result = controller.fetch_posmap_block(chain[0], now)

@@ -101,7 +101,7 @@ def _baseline(config: SystemConfig, stats: Stats, rng: random.Random,
             raise ConfigError(
                 "IR-DWB requires the traditional remap policy (Section IV-D)"
             )
-        controller.dwb = DWBEngine(controller, llc, stats)
+        controller.dwb = DWBEngine(llc, stats)
     return SimComponents(config, controller, llc, stats, rng)
 
 
@@ -132,7 +132,7 @@ def _ring(config: SystemConfig, stats: Stats, rng: random.Random,
     llc = LastLevelCache(config.llc, stats)
     controller = RingController(config, stats, rng)
     if dwb:
-        controller.dwb = DWBEngine(controller, llc, stats)
+        controller.dwb = DWBEngine(llc, stats)
     return SimComponents(config, controller, llc, stats, rng)
 
 

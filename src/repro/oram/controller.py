@@ -1243,7 +1243,7 @@ class PathORAMController:
     def _dummy_slot(self, now: int) -> Optional[SlotResult]:
         """Fill an empty issue slot: IR-DWB conversion if possible, else dummy."""
         if self.dwb is not None:
-            converted = self.dwb.dummy_slot(now)
+            converted = self.dwb.dummy_slot(self, now)
             if converted is not None:
                 self.stats.inc(sk.DWB_CONVERTED_SLOTS)
                 return converted

@@ -14,6 +14,13 @@
  * is validated once, when it is built.  A FrontEnd, built once per
  * simulation, holds the processor's, the LLC's and the in-flight table's
  * arrays the same way, for the slot drain.
+ *
+ * The one exception is counting: the kernels count into the state's
+ * per-call books (Books) and apply them to the counters and engine
+ * dicts, the hit-level histogram and posmap.remap_count on every exit of
+ * an entry, an error included (flush_on_exit).  So those Python objects
+ * are current whenever a kernel call has returned, and no Python object
+ * is built per counted event.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -640,7 +647,9 @@ enum CounterKey {
     /* a slot's priority paths */
     K_POSMAP_WRITEBACK_PATHS, K_EVICTION_PATHS, K_EVICTION_CYCLES,
     K_EVICTION_STORM_YIELDS,
-    /* the front end: processor, LLC and hierarchy (FRONT_KEYS of them) */
+    /* the front end: processor, LLC and hierarchy (every amount booked
+     * is positive, so a key is created only when its count is nonzero,
+     * as the Python front end's Stats.inc creates it) */
     K_CPU_STALL_CYCLES, K_CPU_READS_ISSUED, K_CPU_WRITES_ISSUED,
     K_CPU_BLOCK_EVENTS, K_LLC_HITS, K_LLC_MISSES, K_LLC_EVICTIONS,
     K_LLC_DIRTY_EVICTIONS, K_DEMAND_MISSES, K_REQUESTS_READ,
@@ -656,6 +665,29 @@ enum CounterKey {
  * state's ``path_types`` as. */
 enum { PT_DATA, PT_POS1, PT_POS2, PT_DUMMY, PT_EVICTION, PT_ROLES };
 #define MAX_PATH_TYPES 16
+
+/* The slots of a state's books: counter key ``k`` of ``counter_keys``
+ * (the K_HIT_LEVEL slot itself unused; the ``engine.*`` ones go to
+ * batch_counters), then one hit-level bucket per tree level, the
+ * ``"stash"`` and ``"sstash"`` buckets, and posmap.remap_count. */
+enum {
+    B_HIT = K_COUNT + 2 * MAX_PATH_TYPES,
+    B_HIT_STASH = B_HIT + FASTPATH_MAX_LEVELS,
+    B_HIT_SSTASH,
+    B_REMAP,
+    N_BOOKS
+};
+
+/* What one kernel call has counted and not yet applied to the Python
+ * objects: a pending amount per slot, and the slots touched so far in
+ * the order of their first touch, which is the order flush_books
+ * creates missing keys in. */
+typedef struct {
+    long long amount[N_BOOKS];
+    unsigned char touched[N_BOOKS];
+    short order[N_BOOKS];
+    int n;
+} Books;
 
 /* A request's kind, by its place in the state's ``request_kinds``. */
 enum { KIND_READ, KIND_WRITEBACK, KIND_REINSERT, N_KINDS };
@@ -749,7 +781,7 @@ enum {
  * for it (slab_room), never in the middle of a path.
  *
  * The state also keeps the scratch of one path (its DRAM triples) and
- * the tree-top hook counts of the current path-entry call.
+ * the books of the current call (Books), empty between calls.
  */
 typedef struct {
     PyObject_HEAD
@@ -782,8 +814,8 @@ typedef struct {
     int slab_held;
     long long *hdr, *sblocks, *sleaves;  /* the open slab's regions */
     Py_ssize_t slab_slots;
-    long long placed_top, removed_top, ss_placed, ss_removed, ss_skips;
     int depth;  /* nested PLB victim re-inserts */
+    Books books;
 } KernelState;
 
 static PyTypeObject KernelStateType;
@@ -1275,84 +1307,134 @@ path_bucket(const KernelState *c, long long leaf, long long level)
 /* Counters                                                          */
 /* ---------------------------------------------------------------- */
 
-/* counters[key k] += n, as Stats.inc does on its defaultdict(float): a
- * missing key starts at 0.0, and a float count stays a float. */
-static int
+/* The kernels count into the state's books (Books), never into the
+ * Python objects: add_count and bump add to a slot's pending amount.
+ * flush_books applies the books to the counters and engine dicts, the
+ * hit-level histogram and posmap.remap_count, and every entry that books
+ * calls it on each exit (flush_on_exit), so the Python objects are
+ * current whenever a kernel call returns, with the same keys, value
+ * types and values as counting each event on its own: the counts are
+ * integers far below 2**53, so one add of their sum is exact.
+ */
+
+/* Count ``n`` on slot ``k`` of the books; a slot booked with n == 0 is
+ * touched all the same, so its key is still created. */
+static inline void
 add_count(KernelState *c, int k, long long n)
 {
-    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
-    PyObject *held = PyDict_GetItemWithError(c->counters, key);
-    PyObject *value;
-    if (held == NULL) {
-        if (PyErr_Occurred())
-            return -1;
-        value = PyFloat_FromDouble((double)n);
-    } else if (PyFloat_CheckExact(held)) {
-        value = PyFloat_FromDouble(PyFloat_AS_DOUBLE(held) + (double)n);
-    } else {
-        PyObject *amount = PyLong_FromLongLong(n);
-        value = amount != NULL ? PyNumber_Add(held, amount) : NULL;
-        Py_XDECREF(amount);
+    Books *b = &c->books;
+    if (!b->touched[k]) {
+        b->touched[k] = 1;
+        b->order[b->n++] = (short)k;
     }
-    if (value == NULL)
-        return -1;
-    int rc = PyDict_SetItem(c->counters, key, value);
-    Py_DECREF(value);
-    return rc;
+    b->amount[k] += n;
 }
 
-static int
+static inline void
 bump(KernelState *c, int k)
 {
-    return add_count(c, k, 1);
+    add_count(c, k, 1);
 }
 
-/* batch_counters[key k] = batch_counters.get(key, 0) + n: the engine's
- * own counts are ints. */
-static int
-add_engine(KernelState *c, int k, long long n)
+/* ``held + n`` for a held Python number. */
+static PyObject *
+plus(PyObject *held, long long n)
 {
-    PyObject *key = PyTuple_GET_ITEM(c->keys, k);
-    PyObject *held = PyDict_GetItemWithError(c->batch, key);
-    if (held == NULL && PyErr_Occurred())
-        return -1;
     PyObject *amount = PyLong_FromLongLong(n);
-    PyObject *value = amount == NULL ? NULL
-        : held == NULL ? Py_NewRef(amount) : PyNumber_Add(held, amount);
+    PyObject *value = amount != NULL ? PyNumber_Add(held, amount) : NULL;
     Py_XDECREF(amount);
-    if (value == NULL)
-        return -1;
-    int rc = PyDict_SetItem(c->batch, key, value);
-    Py_DECREF(value);
-    return rc;
+    return value;
 }
 
-/* Stats.bump(HIT_LEVEL, bucket): histograms[key][bucket] += 1 through
- * the defaultdicts' own item access, so a first bucket starts at 0.0. */
+/* Apply slot ``k``'s amount ``n``:
+ *   a counter key       counters[key] += n, as Stats.inc does on its
+ *                       defaultdict(float): a missing key starts at 0.0,
+ *                       and a float count stays a float;
+ *   an engine.* key     batch_counters[key] = get(key, 0) + n: ints;
+ *   a hit-level bucket  histograms[HIT_LEVEL][bucket] += n through the
+ *                       defaultdicts' own item access (Stats.bump), so a
+ *                       first bucket starts at 0.0;
+ *   B_REMAP             posmap.remap_count += n.
+ * Returns 0, or -1 with an exception set.
+ */
 static int
-hit_level(KernelState *c, PyObject *bucket)
+apply_book(KernelState *c, int k, long long n)
 {
-    PyObject *key = PyTuple_GET_ITEM(c->keys, K_HIT_LEVEL);
-    PyObject *histogram = PyObject_GetItem(c->histograms, key);
-    if (histogram == NULL)
-        return -1;
-    PyObject *held = PyObject_GetItem(histogram, bucket);
-    PyObject *value = held != NULL ? PyNumber_Add(held, int_one) : NULL;
-    int rc = value != NULL ? PyObject_SetItem(histogram, bucket, value) : -1;
-    Py_XDECREF(held);
+    PyObject *value = NULL, *held;
+    int rc = -1;
+    if (k == B_REMAP) {
+        held = PyObject_GetAttr(c->posmap, str_remap_count);
+        value = held != NULL ? plus(held, n) : NULL;
+        rc = value != NULL
+            ? PyObject_SetAttr(c->posmap, str_remap_count, value) : -1;
+        Py_XDECREF(held);
+    } else if (k >= B_HIT) {
+        PyObject *histogram = PyObject_GetItem(
+            c->histograms, PyTuple_GET_ITEM(c->keys, K_HIT_LEVEL));
+        PyObject *bucket = k == B_HIT_STASH ? Py_NewRef(str_stash)
+            : k == B_HIT_SSTASH ? Py_NewRef(str_sstash)
+            : PyLong_FromLongLong(k - B_HIT);
+        held = histogram != NULL && bucket != NULL
+            ? PyObject_GetItem(histogram, bucket) : NULL;
+        value = held != NULL ? plus(held, n) : NULL;
+        rc = value != NULL ? PyObject_SetItem(histogram, bucket, value) : -1;
+        Py_XDECREF(held);
+        Py_XDECREF(bucket);
+        Py_XDECREF(histogram);
+    } else {
+        PyObject *key = PyTuple_GET_ITEM(c->keys, k);
+        PyObject *dict = k >= K_KERNEL_PATHS && k < K_COUNT
+            ? c->batch : c->counters;
+        held = PyDict_GetItemWithError(dict, key);
+        if (held == NULL && PyErr_Occurred())
+            return -1;
+        if (dict == c->batch)
+            value = held != NULL ? plus(held, n) : PyLong_FromLongLong(n);
+        else if (held == NULL)
+            value = PyFloat_FromDouble((double)n);
+        else if (PyFloat_CheckExact(held))
+            value = PyFloat_FromDouble(PyFloat_AS_DOUBLE(held) + (double)n);
+        else
+            value = plus(held, n);
+        rc = value != NULL ? PyDict_SetItem(dict, key, value) : -1;
+    }
     Py_XDECREF(value);
-    Py_DECREF(histogram);
     return rc;
 }
 
-/* hit_level for a tree level. */
+/* Apply the books in the order their slots were first touched and clear
+ * them.  Returns 0, or -1 with an exception set; the books are empty
+ * either way, so nothing is applied twice. */
 static int
-hit_tree_level(KernelState *c, long long level)
+flush_books(KernelState *c)
 {
-    PyObject *bucket = PyLong_FromLongLong(level);
-    int rc = bucket != NULL ? hit_level(c, bucket) : -1;
-    Py_XDECREF(bucket);
+    Books *b = &c->books;
+    int rc = 0;
+    for (int i = 0; i < b->n; i++) {
+        int k = b->order[i];
+        if (rc == 0)
+            rc = apply_book(c, k, b->amount[k]);
+        b->amount[k] = 0;
+        b->touched[k] = 0;
+    }
+    b->n = 0;
     return rc;
+}
+
+/* The exit of a booking entry whose work returned ``rc``: flush the
+ * books, and on failure keep the work's exception over any of the
+ * flush's.  Returns ``rc``, or -1 when the flush fails. */
+static int
+flush_on_exit(KernelState *c, int rc)
+{
+    if (rc == 0)
+        return flush_books(c);
+    PyObject *type, *value, *traceback;
+    PyErr_Fetch(&type, &value, &traceback);
+    if (flush_books(c) < 0)
+        PyErr_Clear();
+    PyErr_Restore(type, value, traceback);
+    return -1;
 }
 
 /* Stash.note_peak without its event: raise the slab's recorded peak to
@@ -1364,19 +1446,6 @@ raise_peak(KernelState *c, long long occupancy)
         return 0;
     c->hdr[SLAB_PEAK] = occupancy;
     return 1;
-}
-
-/* posmap.remap_count += 1. */
-static int
-count_remap(KernelState *c)
-{
-    PyObject *count = PyObject_GetAttr(c->posmap, str_remap_count);
-    PyObject *next = count != NULL ? PyNumber_Add(count, int_one) : NULL;
-    int rc = next != NULL
-        ? PyObject_SetAttr(c->posmap, str_remap_count, next) : -1;
-    Py_XDECREF(count);
-    Py_XDECREF(next);
-    return rc;
 }
 
 /* ---------------------------------------------------------------- */
@@ -1537,9 +1606,9 @@ read_path_core(KernelState *c, long long leaf, long long served,
                 if (c->gated) {
                     if (sstash_remove(c, value) < 0)
                         return -1;
-                    c->ss_removed++;
+                    bump(c, K_SSTASH_REMOVED);
                 } else {
-                    c->removed_top++;
+                    bump(c, K_TREETOP_REMOVED);
                 }
             }
             slab_push(c, value, bleaf);
@@ -1653,7 +1722,7 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
                 if (c->set_count[set] >= c->ways) {
                     /* Set full: skip this block for this round. */
                     rejected[n_rej++] = item;
-                    c->ss_skips++;
+                    bump(c, K_SSTASH_SKIPS);
                     continue;
                 }
             }
@@ -1671,9 +1740,9 @@ place_pools(KernelState *c, long long leaf, PoolItem *items, Py_ssize_t total,
             if (level_gated) {
                 c->set_count[set]++;
                 c->set_index[item.value] = set + SS_RESIDENT;
-                c->ss_placed++;
+                bump(c, K_SSTASH_PLACED);
             } else if (level < c->top) {
-                c->placed_top++;
+                bump(c, K_TREETOP_PLACED);
             }
             slab_kill(c, item.at);
         }
@@ -1826,8 +1895,7 @@ served_step(KernelState *c, long long leaf, long long served, int mode)
 }
 
 /* One path access's outputs.  The row hit and conflict counts add to
- * what the fields already hold, so a DummyTally sums them over a
- * drain's dummy paths. */
+ * what the fields already hold, so the caller zeroes them. */
 typedef struct {
     long long finish_read, finish_write, served_level, occupancy;
     long long read_hits, read_conflicts, write_hits, write_conflicts;
@@ -1883,87 +1951,52 @@ path_access(KernelState *c, long long leaf, long long now, long long served,
     return 0;
 }
 
-/* Zero the tree-top hook counts at the start of a path-entry call. */
-static void
-reset_hooks(KernelState *c)
-{
-    c->placed_top = c->removed_top = 0;
-    c->ss_placed = c->ss_removed = c->ss_skips = 0;
-}
-
 /* One memory burst of ``blocks`` accesses, as DRAMModel.book counts it. */
-static int
+static void
 book_burst(KernelState *c, long long blocks, int is_write, long long hits,
            long long conflicts)
 {
-    return add_count(c, K_DRAM_ACCESSES, blocks) < 0 ||
-           add_count(c, K_DRAM_ROW_HITS, hits) < 0 ||
-           add_count(c, K_DRAM_ROW_CONFLICTS, conflicts) < 0 ||
-           add_count(c, is_write ? K_DRAM_WRITES : K_DRAM_READS, blocks) < 0
-        ? -1 : 0;
-}
-
-/* ``n`` paths of path type ``pt`` that moved ``blocks`` memory blocks per
- * burst in all, and the tree-top hook counts of the current call: what
- * PathORAMController._apply_path_counters books.  A hook key is only
- * touched when its count is nonzero, as the Python hooks only create it
- * when they run. */
-static int
-book_paths(KernelState *c, Py_ssize_t pt, long long n, long long blocks)
-{
-    static const int hook_keys[5] = {
-        K_TREETOP_PLACED, K_TREETOP_REMOVED, K_SSTASH_PLACED,
-        K_SSTASH_REMOVED, K_SSTASH_SKIPS,
-    };
-    long long hooks[5] = {
-        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
-        c->ss_skips,
-    };
-    c->path_count[0] += n;
-    if (add_count(c, K_COUNT + (int)pt, n) < 0 ||
-        add_count(c, K_PATHS_TOTAL, n) < 0 ||
-        add_count(c, K_BLOCKS_READ, blocks) < 0 ||
-        add_count(c, K_COUNT + (int)(c->n_types + pt), 2 * blocks) < 0)
-        return -1;
-    for (int h = 0; h < 5; h++) {
-        if (hooks[h] && add_count(c, hook_keys[h], hooks[h]) < 0)
-            return -1;
-    }
-    return 0;
+    add_count(c, K_DRAM_ACCESSES, blocks);
+    add_count(c, K_DRAM_ROW_HITS, hits);
+    add_count(c, K_DRAM_ROW_CONFLICTS, conflicts);
+    add_count(c, is_write ? K_DRAM_WRITES : K_DRAM_READS, blocks);
 }
 
 /* One kernel path access of path type ``pt``, through path_access, then
  * booked as the Python phases book it: the read burst, the stash peak
  * (``*peak`` is the post-read occupancy when it raised the peak, else
- * 0), the path and hook counters, the write burst and
+ * 0), the path counters (PathORAMController._apply_path_counters; the
+ * tree-top hooks counted themselves), the write burst and
  * mem.blocks_written (``write_burst`` only: a deferred burst books
  * itself when it issues), the eviction trigger, the served block's
- * remap and engine.tier.kernel_paths.
+ * remap and the engine count ``engine``: engine.tier.kernel_paths, or
+ * engine.batch.paths for a drain's dummy path.
  */
 static int
 kernel_access(KernelState *c, long long leaf, long long now,
               long long served, int mode, Py_ssize_t pt, int write_burst,
-              PathOut *out, long long *peak)
+              int engine, PathOut *out, long long *peak)
 {
     long long blocks = c->path_blocks;
-    reset_hooks(c);
-    if (path_access(c, leaf, now, served, mode, write_burst, out) < 0 ||
-        book_burst(c, blocks, 0, out->read_hits, out->read_conflicts) < 0)
+    if (path_access(c, leaf, now, served, mode, write_burst, out) < 0)
         return -1;
-    int raised = raise_peak(c, out->occupancy);
-    if (book_paths(c, pt, 1, blocks) < 0)
-        return -1;
-    *peak = raised ? out->occupancy : 0;
-    if (write_burst &&
-        (book_burst(c, blocks, 1, out->write_hits, out->write_conflicts) < 0
-         || add_count(c, K_BLOCKS_WRITTEN, blocks) < 0))
-        return -1;
-    if (c->hdr[SLAB_LIVE] > c->eviction_threshold &&
-        bump(c, K_EVICTION_TRIGGERS) < 0)
-        return -1;
-    if (mode == SERVED_REMAP && count_remap(c) < 0)
-        return -1;
-    return add_engine(c, K_KERNEL_PATHS, 1);
+    book_burst(c, blocks, 0, out->read_hits, out->read_conflicts);
+    *peak = raise_peak(c, out->occupancy) ? out->occupancy : 0;
+    c->path_count[0]++;
+    bump(c, K_COUNT + (int)pt);
+    bump(c, K_PATHS_TOTAL);
+    add_count(c, K_BLOCKS_READ, blocks);
+    add_count(c, K_COUNT + (int)(c->n_types + pt), 2 * blocks);
+    if (write_burst) {
+        book_burst(c, blocks, 1, out->write_hits, out->write_conflicts);
+        add_count(c, K_BLOCKS_WRITTEN, blocks);
+    }
+    if (c->hdr[SLAB_LIVE] > c->eviction_threshold)
+        bump(c, K_EVICTION_TRIGGERS);
+    if (mode == SERVED_REMAP)
+        bump(c, B_REMAP);
+    bump(c, engine);
+    return 0;
 }
 
 /* The index of a path type in the state's ``path_types``, by identity,
@@ -2028,10 +2061,10 @@ access_path(PyObject *self, PyObject *args)
     memset(&out, 0, sizeof out);
     if (slab_open(c) < 0)
         return NULL;
-    int rc = kernel_access(c, leaf, now, served, mode, pt, write_burst, &out,
-                           &peak);
+    int rc = kernel_access(c, leaf, now, served, mode, pt, write_burst,
+                           K_KERNEL_PATHS, &out, &peak);
     slab_close(c);
-    if (rc < 0)
+    if (flush_on_exit(c, rc) < 0)
         return NULL;
     return Py_BuildValue(
         "LLLLLLLLL", out.finish_read, out.finish_write, out.served_level,
@@ -2043,66 +2076,18 @@ access_path(PyObject *self, PyObject *args)
 /* Dummy paths                                                       */
 /* ---------------------------------------------------------------- */
 
-/* The dummy paths one call ran, booked together when it returns: their
- * count, the eviction triggers after their write phases, their summed row
- * hits and conflicts, and their tree-top hook counts (book_paths' order).
- */
-typedef struct {
-    long long n, triggers, hooks[5];
-    PathOut out;
-} DummyTally;
-
 /* One dummy path at ``now``, as drain_slots runs a slot no real work
- * takes: a leaf draw (randbelow) and path_access, as
- * PathORAMController.dummy_path, with its stash peak raised and its
- * counts added to ``t``; stash occupancy over the eviction threshold
- * after the write phase counts an eviction trigger.  ``t->out`` holds
- * its finishes.  Returns 0, or -1 with an exception set.
- */
-static int
-dummy_path(KernelState *c, long long now, DummyTally *t)
-{
-    long long leaf;
-    reset_hooks(c);
-    if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
-        path_access(c, leaf, now, EMPTY, SERVED_NONE, 1, &t->out) < 0)
-        return -1;
-    raise_peak(c, t->out.occupancy);
-    if (c->hdr[SLAB_LIVE] > c->eviction_threshold)
-        t->triggers++;
-    long long hooks[5] = {
-        c->placed_top, c->removed_top, c->ss_placed, c->ss_removed,
-        c->ss_skips,
-    };
-    for (int h = 0; h < 5; h++)
-        t->hooks[h] += hooks[h];
-    t->n++;
-    return 0;
-}
-
-/* Book a drain's tallied dummy paths together: the dummy-path and hook
- * counters, both bursts' DRAM counts, the blocks written and the
- * eviction triggers.  The engine counts are the caller's.  Returns 0, or
+ * takes: a leaf draw (randbelow) and kernel_access, as
+ * PathORAMController.dummy_path, counted as a batch path.  Returns 0, or
  * -1 with an exception set.
  */
 static int
-book_dummies(KernelState *c, const DummyTally *t)
+dummy_path(KernelState *c, long long now, PathOut *out)
 {
-    long long blocks = t->n * c->path_blocks;
-    if (!t->n)
-        return 0;
-    c->placed_top = t->hooks[0];
-    c->removed_top = t->hooks[1];
-    c->ss_placed = t->hooks[2];
-    c->ss_removed = t->hooks[3];
-    c->ss_skips = t->hooks[4];
-    return book_paths(c, PT_DUMMY, t->n, blocks) < 0 ||
-           book_burst(c, blocks, 0, t->out.read_hits + t->out.write_hits,
-                      t->out.read_conflicts + t->out.write_conflicts) < 0 ||
-           book_burst(c, blocks, 1, 0, 0) < 0 ||
-           add_count(c, K_BLOCKS_WRITTEN, blocks) < 0 ||
-           (t->triggers &&
-            add_count(c, K_EVICTION_TRIGGERS, t->triggers) < 0) ? -1 : 0;
+    long long leaf, peak;
+    return randbelow(&c->rng, c->leaves, &leaf) < 0 ||
+           kernel_access(c, leaf, now, EMPTY, SERVED_NONE, PT_DUMMY, 1,
+                         K_BATCH_PATHS, out, &peak) < 0 ? -1 : 0;
 }
 
 /* ---------------------------------------------------------------- */
@@ -2150,7 +2135,8 @@ plb_mark_dirty(KernelState *c, long long block)
     if (slot < 0)
         return slot == -1 ? 0 : -1;
     lru_touch(&c->plb, block, slot, 1);
-    return bump(c, K_PLB_HITS);
+    bump(c, K_PLB_HITS);
+    return 0;
 }
 
 static int walk(KernelState *c, long long block, long long *chain, int *n);
@@ -2183,7 +2169,8 @@ restore_leaf(KernelState *c, long long block, long long *leaf)
     if (randbelow(&c->rng, c->leaves, leaf) < 0)
         return -1;
     c->leaf_table[block] = *leaf;
-    return count_remap(c);
+    bump(c, B_REMAP);
+    return 0;
 }
 
 /* Stash.add: the entry (a present block's leaf is updated in place, an
@@ -2228,16 +2215,18 @@ reinsert(KernelState *c, long long block)
         PyObject *key = PyLong_FromLongLong(block);
         PyObject *ok = key != NULL
             ? PyObject_CallMethodOneArg(c->queue, str_append, key) : NULL;
-        rc = ok != NULL && PySet_Add(c->limbo, key) == 0
-            ? bump(c, K_DEFERRED_REINSERTS) : -1;
+        rc = ok != NULL && PySet_Add(c->limbo, key) == 0 ? 0 : -1;
+        if (rc == 0)
+            bump(c, K_DEFERRED_REINSERTS);
         Py_XDECREF(ok);
         Py_XDECREF(key);
     } else if (rc == 0) {
         long long parent = parent_of(c, block);
         rc = restore_leaf(c, block, &leaf) < 0 ||
              (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
-             stash_add(c, block, leaf) < 0 ||
-             bump(c, K_REINSERTS) < 0 ? -1 : 0;
+             stash_add(c, block, leaf) < 0 ? -1 : 0;
+        if (rc == 0)
+            bump(c, K_REINSERTS);
     }
     c->depth--;
     return rc;
@@ -2262,10 +2251,9 @@ plb_fill(KernelState *c, long long block, long long dirty, int fetch)
     long long victim, victim_dirty;
     if (!lru_fill(&c->plb, block, dirty, &victim, &victim_dirty))
         return 0;
-    if (bump(c, K_PLB_EVICTIONS) < 0 ||
-        (victim_dirty && bump(c, K_PLB_DIRTY_EVICTIONS) < 0) ||
-        (victim_dirty && fetch && bump(c, K_PLB_DIRTY_EVICTIONS) < 0))
-        return -1;
+    bump(c, K_PLB_EVICTIONS);
+    if (victim_dirty)
+        add_count(c, K_PLB_DIRTY_EVICTIONS, fetch ? 2 : 1);
     return reinsert(c, victim);
 }
 
@@ -2316,16 +2304,18 @@ try_promote(KernelState *c, long long block)
             return -1;
         slab_kill(c, at);
         c->leaf_table[block] = UNMAPPED;
-        return plb_fill(c, block, 1, 0) < 0 ||
-               bump(c, K_STASH_PROMOTIONS) < 0 ? -1 : 0;
+        if (plb_fill(c, block, 1, 0) < 0)
+            return -1;
+        bump(c, K_STASH_PROMOTIONS);
+        return 0;
     }
     if (c->top == 0 || !c->gated)
         return 0;
     long long entry;
     if (check_mapped_index(c, block) < 0 ||
-        sstash_entry(c, block, &entry) < 0 ||
-        bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
+        sstash_entry(c, block, &entry) < 0)
         return -1;
+    bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES);
     if (entry < SS_RESIDENT)
         return 0;
     long long leaf = c->leaf_table[block];
@@ -2339,11 +2329,14 @@ try_promote(KernelState *c, long long block)
     /* ORAMTree.remove, SStash.on_remove, PositionMap.discard. */
     *slot = EMPTY;
     c->level_used[level]--;
-    if (sstash_remove(c, block) < 0 || bump(c, K_SSTASH_REMOVED) < 0)
+    if (sstash_remove(c, block) < 0)
         return -1;
+    bump(c, K_SSTASH_REMOVED);
     c->leaf_table[block] = UNMAPPED;
-    return plb_fill(c, block, 1, 0) < 0 ||
-           bump(c, K_TREETOP_PROMOTIONS) < 0 ? -1 : 0;
+    if (plb_fill(c, block, 1, 0) < 0)
+        return -1;
+    bump(c, K_TREETOP_PROMOTIONS);
+    return 0;
 }
 
 /* Controller._translation_chain: the PosMap blocks to fetch before
@@ -2425,7 +2418,7 @@ translate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     int rc = walk(c, block, chain, &n);
     slab_close(c);
-    if (rc < 0)
+    if (flush_on_exit(c, rc) < 0)
         return NULL;
     PyObject *result = PyList_New(n);
     for (int i = 0; result != NULL && i < n; i++) {
@@ -2477,7 +2470,7 @@ plb_install(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     int rc = plb_fill(c, block, dirty, fetch);
     slab_close(c);
-    return rc < 0 ? NULL : Py_NewRef(Py_None);
+    return flush_on_exit(c, rc) < 0 ? NULL : Py_NewRef(Py_None);
 }
 
 /* find_in_treetop(state, block, leaf) -> (level, position) or None
@@ -2558,7 +2551,8 @@ count_translation(KernelState *c, PyObject *request)
         return counted < 0 ? -1 : 0;
     if (PyObject_SetAttr(request, str_translation_counted, Py_True) < 0)
         return -1;
-    return bump(c, K_TRANSLATIONS);
+    bump(c, K_TRANSLATIONS);
+    return 0;
 }
 
 /* Controller._remove_from_treetop plus PositionMap.discard (LLC-D): the
@@ -2578,28 +2572,29 @@ leave_treetop(KernelState *c, long long block)
     }
     *slot = EMPTY;
     c->level_used[level]--;
-    if (c->gated
-        ? sstash_remove(c, block) < 0 || bump(c, K_SSTASH_REMOVED) < 0
-        : bump(c, K_TREETOP_REMOVED) < 0)
+    if (c->gated && sstash_remove(c, block) < 0)
         return -1;
+    bump(c, c->gated ? K_SSTASH_REMOVED : K_TREETOP_REMOVED);
     c->leaf_table[block] = UNMAPPED;
     return 0;
 }
 
 /* An on-chip serve: Controller._serve_stash_hit, _serve_treetop_hit_by_
  * address and _serve_treetop_hit.  The request completes after the
- * on-chip latency, counter ``k`` counts it, a read's ``bucket`` goes to
- * the hit-level histogram, and under LLC-D a read's block leaves the
- * ORAM: from the stash (``from_stash``) or from the cached tree top.
+ * on-chip latency, counter ``k`` counts it, a read counts on its
+ * hit-level bucket ``bucket`` (a B_HIT* slot), and under LLC-D a read's
+ * block leaves the ORAM: from the stash (``from_stash``) or from the
+ * cached tree top.
  */
 static int
 serve_onchip(KernelState *c, PyObject *request, long long block,
-             int reading, long long now, int k, PyObject *bucket,
-             int from_stash)
+             int reading, long long now, int k, int bucket, int from_stash)
 {
-    if (complete(request, now + c->onchip_latency) < 0 || bump(c, k) < 0 ||
-        (reading && hit_level(c, bucket) < 0))
+    if (complete(request, now + c->onchip_latency) < 0)
         return -1;
+    bump(c, k);
+    if (reading)
+        bump(c, bucket);
     if (!(c->delayed_remap && reading))
         return 0;
     if (!from_stash)
@@ -2623,11 +2618,13 @@ finish_reinsert(KernelState *c, PyObject *request, long long block,
                 long long now)
 {
     long long leaf, parent = parent_of(c, block);
-    return restore_leaf(c, block, &leaf) < 0 ||
-           (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
-           stash_add(c, block, leaf) < 0 ||
-           complete(request, now + c->onchip_latency) < 0 ||
-           bump(c, K_SERVE_REINSERTS) < 0 ? -1 : 0;
+    if (restore_leaf(c, block, &leaf) < 0 ||
+        (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
+        stash_add(c, block, leaf) < 0 ||
+        complete(request, now + c->onchip_latency) < 0)
+        return -1;
+    bump(c, K_SERVE_REINSERTS);
+    return 0;
 }
 
 /* A tree-top hit after a free translation: the block sits in the cached
@@ -2644,13 +2641,9 @@ treetop_hit(KernelState *c, PyObject *request, long long block,
         return -1;
     if (slot == NULL)
         return 0;
-    PyObject *bucket = PyLong_FromLongLong(level);
-    if (bucket == NULL)
-        return -1;
-    int rc = serve_onchip(c, request, block, reading, now,
-                          K_SERVE_TREETOP_HITS, bucket, 0);
-    Py_DECREF(bucket);
-    return rc < 0 ? -1 : 1;
+    return serve_onchip(c, request, block, reading, now,
+                        K_SERVE_TREETOP_HITS, B_HIT + (int)level, 0) < 0
+        ? -1 : 1;
 }
 
 /* Controller.fetch_posmap_block on the kernel tier: the PosMap block's
@@ -2662,11 +2655,12 @@ fetch_posmap(KernelState *c, long long pm, long long now, PathOut *out,
 {
     long long leaf, peak;
     *pt = pm < c->p2_base ? PT_POS1 : PT_POS2;
-    return mapped_leaf(c, pm, &leaf) < 0 ||
-           kernel_access(c, leaf, now, pm, SERVED_EXTRACT, *pt, 1, out,
-                         &peak) < 0 ||
-           bump(c, K_POSMAP_ACCESSES) < 0 ||
-           plb_fill(c, pm, 0, 1) < 0 ? -1 : 0;
+    if (mapped_leaf(c, pm, &leaf) < 0 ||
+        kernel_access(c, leaf, now, pm, SERVED_EXTRACT, *pt, 1,
+                      K_KERNEL_PATHS, out, &peak) < 0)
+        return -1;
+    bump(c, K_POSMAP_ACCESSES);
+    return plb_fill(c, pm, 0, 1);
 }
 
 /* Controller.full_access for a served request's data path: the access
@@ -2683,11 +2677,10 @@ serve_data(KernelState *c, PyObject *request, long long block, int reading,
     if (mapped_leaf(c, block, &leaf) < 0 ||
         kernel_access(c, leaf, now, block,
                       extract ? SERVED_EXTRACT : SERVED_REMAP, PT_DATA, 1,
-                      out, &peak) < 0)
+                      K_KERNEL_PATHS, out, &peak) < 0)
         return -1;
-    if (reading && out->served_level >= 0 &&
-        hit_tree_level(c, out->served_level) < 0)
-        return -1;
+    if (reading && out->served_level >= 0)
+        bump(c, B_HIT + (int)out->served_level);
     long long parent = extract ? -1 : parent_of(c, block);
     if (parent >= 0) {
         int rc = on_chip(c, parent);
@@ -2722,10 +2715,11 @@ step_request(KernelState *c, PyObject *request, long long block, int kind,
     int n, rc;
     if (walk(c, block, chain, &n) < 0)
         return -1;
-    if (n)
-        return bump(c, K_MISS_FETCHES) < 0 ||
-               fetch_posmap(c, chain[0], now, out, pt) < 0
+    if (n) {
+        bump(c, K_MISS_FETCHES);
+        return fetch_posmap(c, chain[0], now, out, pt) < 0
             ? -1 : SERVE_FETCH;
+    }
     if (count_translation(c, request) < 0)
         return -1;
     if (kind == KIND_REINSERT)
@@ -2734,8 +2728,8 @@ step_request(KernelState *c, PyObject *request, long long block, int kind,
     rc = treetop_hit(c, request, block, reading, now);
     if (rc != 0)
         return rc < 0 ? -1 : SERVE_ONCHIP;
-    if (kind == KIND_WRITEBACK && bump(c, K_WRITEBACK_PATHS) < 0)
-        return -1;
+    if (kind == KIND_WRITEBACK)
+        bump(c, K_WRITEBACK_PATHS);
     *pt = PT_DATA;
     return serve_data(c, request, block, reading, now, out) < 0
         ? -1 : SERVE_DATA;
@@ -2763,16 +2757,16 @@ serve_slot(KernelState *c, PyObject *request, long long block, int kind,
      * free translation that finds the block in the cached tree top. */
     if (slab_find(c, block) >= 0)
         return serve_onchip(c, request, block, reading, now,
-                            K_SERVE_STASH_HITS, str_stash, 1) < 0
+                            K_SERVE_STASH_HITS, B_HIT_STASH, 1) < 0
             ? -1 : SERVE_INSTANT;
     if (c->gated) {
         long long entry;
-        if (sstash_entry(c, block, &entry) < 0 ||
-            bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES) < 0)
+        if (sstash_entry(c, block, &entry) < 0)
             return -1;
+        bump(c, entry >= SS_RESIDENT ? K_PROBE_HITS : K_PROBE_MISSES);
         if (entry >= SS_RESIDENT)
             return serve_onchip(c, request, block, reading, now,
-                                K_SERVE_SSTASH_HITS, str_sstash, 0) < 0
+                                K_SERVE_SSTASH_HITS, B_HIT_SSTASH, 0) < 0
                 ? -1 : SERVE_INSTANT;
     }
     if (walk(c, block, chain, &n) < 0)
@@ -2842,7 +2836,6 @@ enum {
  * while pending). */
 #define ENTRY 3
 #define PENDING -1
-#define FRONT_KEYS (K_REQUESTS_REINSERT - K_CPU_STALL_CYCLES + 1)
 
 /* One of the processor's queues: a ring of ``cap`` entries whose head
  * and length live in the clock array. */
@@ -2868,7 +2861,7 @@ enum {
  * of Requests) and its one-item last-demand-completion array, the
  * Request class the misses and evictions build, and the idle-slot
  * limit.  The geometry is checked here, the queue heads and lengths at
- * every call.  It also keeps the front-end counts of the current call.
+ * every call.  Its counts go to the KernelState's books.
  */
 typedef struct {
     PyObject_HEAD
@@ -2882,7 +2875,6 @@ typedef struct {
     LruCache llc;
     Py_ssize_t flight_cap;
     long long issue_width, rob_reach, max_reads, write_buffer, max_idle;
-    long long tally[FRONT_KEYS];
 } FrontEnd;
 
 static PyTypeObject FrontEndType;
@@ -3046,27 +3038,6 @@ front_check(FrontEnd *f)
     return 0;
 }
 
-/* Count front-end counter ``k`` for the call. */
-static inline void
-tally(FrontEnd *f, int k, long long n)
-{
-    f->tally[k - K_CPU_STALL_CYCLES] += n;
-}
-
-/* Book the call's front-end counts (each key only when nonzero, as
- * Stats.inc creates it) and clear them. */
-static int
-book_front(KernelState *c, FrontEnd *f)
-{
-    for (int i = 0; i < FRONT_KEYS; i++) {
-        if (f->tally[i] && add_count(c, K_CPU_STALL_CYCLES + i,
-                                     f->tally[i]) < 0)
-            return -1;
-        f->tally[i] = 0;
-    }
-    return 0;
-}
-
 static inline long long *
 ring_at(const Ring *r, long long i)
 {
@@ -3171,7 +3142,7 @@ enqueue(KernelState *c, FrontEnd *f, long long block, int kind,
         return -1;
     }
     Py_DECREF(ok);
-    tally(f, K_REQUESTS_READ + kind, 1);
+    add_count(c, K_REQUESTS_READ + kind, 1);
     if (out != NULL)
         *out = request;
     else
@@ -3213,11 +3184,11 @@ cpu_access(KernelState *c, FrontEnd *f, long long block, int writing,
         return -1;
     if (slot >= 0) {
         lru_touch(&f->llc, block, slot, f->llc.dirty[slot] | writing);
-        tally(f, K_LLC_HITS, 1);
+        add_count(c, K_LLC_HITS, 1);
         return 0;
     }
-    tally(f, K_LLC_MISSES, 1);
-    tally(f, K_DEMAND_MISSES, 1);
+    add_count(c, K_LLC_MISSES, 1);
+    add_count(c, K_DEMAND_MISSES, 1);
     row = flight_row(f, -1);
     if (row < 0) {
         PyErr_SetString(PyExc_RuntimeError, "in-flight table full");
@@ -3285,12 +3256,13 @@ advance_to(KernelState *c, FrontEnd *f, long long now)
         if (blocker != NULL) {
             /* Processor._unblock. */
             if (blocker->items[ENTRY * *blocker->head + 2] == PENDING) {
-                tally(f, K_CPU_BLOCK_EVENTS, 1);
+                add_count(c, K_CPU_BLOCK_EVENTS, 1);
                 return 0;
             }
             long long completion = ring_pop(blocker);
             if (completion > clock[CPU_TIME]) {
-                tally(f, K_CPU_STALL_CYCLES, completion - clock[CPU_TIME]);
+                add_count(c, K_CPU_STALL_CYCLES,
+                          completion - clock[CPU_TIME]);
                 clock[CPU_TIME] = completion;
             }
             continue;
@@ -3311,7 +3283,7 @@ advance_to(KernelState *c, FrontEnd *f, long long now)
         if (token < 0)
             continue;
         ring_push(writing ? &f->writes : &f->reads, clock[CPU_TIME], token);
-        tally(f, writing ? K_CPU_WRITES_ISSUED : K_CPU_READS_ISSUED, 1);
+        add_count(c, writing ? K_CPU_WRITES_ISSUED : K_CPU_READS_ISSUED, 1);
     }
 }
 
@@ -3364,9 +3336,9 @@ on_completion(KernelState *c, FrontEnd *f, PyObject *request)
     if (slot >= 0) {
         lru_touch(&f->llc, block, slot, f->llc.dirty[slot] | dirty);
     } else if (lru_fill(&f->llc, block, dirty, &victim, &victim_dirty)) {
-        tally(f, K_LLC_EVICTIONS, 1);
+        add_count(c, K_LLC_EVICTIONS, 1);
         if (victim_dirty)
-            tally(f, K_LLC_DIRTY_EVICTIONS, 1);
+            add_count(c, K_LLC_DIRTY_EVICTIONS, 1);
         int kind = c->delayed_remap ? KIND_REINSERT
             : victim_dirty ? KIND_WRITEBACK : -1;
         if (kind >= 0 &&
@@ -3489,8 +3461,9 @@ drain_reinserts(KernelState *c)
             long long parent = parent_of(c, block);
             rc = restore_leaf(c, block, &leaf) < 0 ||
                  (parent >= 0 && plb_mark_dirty(c, parent) < 0) ||
-                 stash_add(c, block, leaf) < 0 ||
-                 bump(c, K_REINSERTS) < 0 ? -1 : 0;
+                 stash_add(c, block, leaf) < 0 ? -1 : 0;
+            if (rc == 0)
+                bump(c, K_REINSERTS);
         }
         Py_DECREF(key);
         if (rc < 0)
@@ -3561,8 +3534,8 @@ posmap_writeback(KernelState *c, long long now, PathOut *out,
             "victim-buffer entry with a satisfied chain survived draining");
         return -1;
     }
-    return bump(c, K_POSMAP_WRITEBACK_PATHS) < 0 ||
-           fetch_posmap(c, chain[0], now, out, pt) < 0 ? -1 : 0;
+    bump(c, K_POSMAP_WRITEBACK_PATHS);
+    return fetch_posmap(c, chain[0], now, out, pt);
 }
 
 /* Controller._eviction_path: read and write back a random path, no remap
@@ -3572,12 +3545,13 @@ eviction_path(KernelState *c, long long now, PathOut *out, Py_ssize_t *pt)
 {
     long long leaf, peak;
     *pt = PT_EVICTION;
-    return randbelow(&c->rng, c->leaves, &leaf) < 0 ||
-           kernel_access(c, leaf, now, EMPTY, SERVED_NONE, PT_EVICTION, 1,
-                         out, &peak) < 0 ||
-           bump(c, K_EVICTION_PATHS) < 0 ||
-           add_count(c, K_EVICTION_CYCLES, out->finish_write - now) < 0
-        ? -1 : 0;
+    if (randbelow(&c->rng, c->leaves, &leaf) < 0 ||
+        kernel_access(c, leaf, now, EMPTY, SERVED_NONE, PT_EVICTION, 1,
+                      K_KERNEL_PATHS, out, &peak) < 0)
+        return -1;
+    bump(c, K_EVICTION_PATHS);
+    add_count(c, K_EVICTION_CYCLES, out->finish_write - now);
+    return 0;
 }
 
 /* One issue slot at ``now``, as PathORAMController.step runs it untraced
@@ -3587,13 +3561,13 @@ eviction_path(KernelState *c, long long now, PathOut *out, Py_ssize_t *pt)
  * background eviction, unless ``*streak`` back-to-back ones let a
  * waiting request through; the head request's step), and with nothing
  * issued a dummy slot as ``dummies`` says.  Completed requests are
- * appended to ``completions``, a dummy path is tallied in ``t``, and
- * ``*streak`` is Controller._consecutive_evictions.  Returns 0, or -1
- * with an exception set.
+ * appended to ``completions``, and ``*streak`` is
+ * Controller._consecutive_evictions.  Returns 0, or -1 with an exception
+ * set.
  */
 static int
 drain_slot(KernelState *c, long long now, int dummies, long long *streak,
-           PyObject *completions, DummyTally *t, SlotOut *s)
+           PyObject *completions, SlotOut *s)
 {
     PathOut out;
     memset(&out, 0, sizeof out);
@@ -3635,8 +3609,8 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
             rc = eviction_path(c, now, &out, &s->pt);
         } else if (waiting == 0) {
             /* An eviction storm yields to a waiting request. */
-            if (over && bump(c, K_EVICTION_STORM_YIELDS) < 0)
-                goto fail;
+            if (over)
+                bump(c, K_EVICTION_STORM_YIELDS);
             *streak = 0;
             if (head != NULL) {
                 rc = status = step_request(c, head, block, kind, now, &out,
@@ -3644,8 +3618,7 @@ drain_slot(KernelState *c, long long now, int dummies, long long *streak,
             } else if (dummies == DUMMIES_CALLER) {
                 s->dummy_wanted = 1;
             } else if (dummies == DUMMIES_KERNEL) {
-                rc = dummy_path(c, now, t);
-                out = t->out;
+                rc = dummy_path(c, now, &out);
                 s->pt = PT_DUMMY;
             }
         }
@@ -3697,9 +3670,11 @@ fail:
  * finish_read, finish_write, stall_until) per issued path,
  * ``stall_until`` being the earliest cycle the next slot may issue;
  * ``slots`` counts the slots run, the last included; ``streak`` is the
- * eviction streak after them.  Real paths book themselves as kernel
- * paths, dummy paths as one batch (book_dummies, engine.batch.calls and
- * .paths), and the front end's counts are booked once per call.
+ * eviction streak after them.  Real paths count as kernel paths and
+ * dummy paths as batch paths; a call that ran any counts one batch call
+ * (engine.batch.calls).  The books are flushed on every exit, also when
+ * a slot fails partway: what the failed call did up to the error is
+ * counted, once.
  */
 static PyObject *
 drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -3742,23 +3717,21 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long long *records = NULL;
     Py_ssize_t n_records = 0, room = 0;
     long long slots = 0;
-    int stop = DRAIN_BOUNDARY;
-    DummyTally tally;
-    memset(&tally, 0, sizeof tally);
+    int stop = DRAIN_BOUNDARY, rc = -1;
     if (slab_open(c) < 0)
-        goto fail;
+        goto done;
     while (slots < cap) {
         SlotOut s;
         int mode = (int)dummies;
         if (f != NULL) {
             if (advance_to(c, f, now) < 0)
-                goto fail;
+                goto done;
             if (f->clock[CPU_INDEX] >= f->n_records)
                 mode = DUMMIES_NONE;
         }
         Py_ssize_t before = PyList_GET_SIZE(completions);
-        if (drain_slot(c, now, mode, &streak, completions, &tally, &s) < 0)
-            goto fail;
+        if (drain_slot(c, now, mode, &streak, completions, &s) < 0)
+            goto done;
         slots++;
         if (s.dummy_wanted) {
             stop = DRAIN_DUMMY;
@@ -3772,7 +3745,7 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             }
             int done = run_done(c, f);
             if (done < 0)
-                goto fail;
+                goto done;
             if (done) {
                 stop = DRAIN_DONE;
                 break;
@@ -3780,20 +3753,20 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             if (++idle > f->max_idle) {
                 PyErr_SetString(PyExc_RuntimeError,
                                 "simulation stopped making progress");
-                goto fail;
+                goto done;
             }
             if (advance_idle(c, f, &now) < 0)
-                goto fail;
+                goto done;
             continue;
         }
         idle = 0;
         if (f != NULL) {
             for (Py_ssize_t i = 0; i < PyList_GET_SIZE(completions); i++) {
                 if (on_completion(c, f, PyList_GET_ITEM(completions, i)) < 0)
-                    goto fail;
+                    goto done;
             }
             if (PyList_SetSlice(completions, 0, PY_SSIZE_T_MAX, NULL) < 0)
-                goto fail;
+                goto done;
         }
         if (s.pt >= 0) {
             if (n_records == room) {
@@ -3802,7 +3775,7 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     records, sizeof(long long) * 5 * (size_t)room);
                 if (grown == NULL) {
                     PyErr_NoMemory();
-                    goto fail;
+                    goto done;
                 }
                 records = grown;
             }
@@ -3822,32 +3795,28 @@ drain_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             now = s.finish_write > next ? s.finish_write : next;
         }
     }
-    if (book_dummies(c, &tally) < 0 ||
-        (tally.n && (add_engine(c, K_BATCH_CALLS, 1) < 0 ||
-                     add_engine(c, K_BATCH_PATHS, tally.n) < 0)) ||
-        (f != NULL && book_front(c, f) < 0))
-        goto fail;
+    rc = 0;
+done:
     slab_close(c);
-    PyObject *raw = PyBytes_FromStringAndSize(
-        (const char *)records, (Py_ssize_t)sizeof(long long) * 5 * n_records);
+    /* A call that ran dummy paths is one batch call. */
+    if (c->books.touched[K_BATCH_PATHS])
+        bump(c, K_BATCH_CALLS);
+    PyObject *array = NULL;
+    if (flush_on_exit(c, rc) == 0) {
+        PyObject *raw = PyBytes_FromStringAndSize(
+            (const char *)records,
+            (Py_ssize_t)sizeof(long long) * 5 * n_records);
+        array = raw != NULL
+            ? PyObject_CallFunction(array_type, "sO", "q", raw) : NULL;
+        Py_XDECREF(raw);
+    }
     PyMem_Free(records);
-    PyObject *array = raw != NULL
-        ? PyObject_CallFunction(array_type, "sO", "q", raw) : NULL;
-    Py_XDECREF(raw);
     if (array == NULL) {
         Py_DECREF(completions);
         return NULL;
     }
     return Py_BuildValue("(NNLLiLL)", completions, array, now, slots, stop,
                          streak, idle);
-
-fail:
-    if (f != NULL)
-        memset(f->tally, 0, sizeof f->tally);
-    slab_close(c);
-    PyMem_Free(records);
-    Py_DECREF(completions);
-    return NULL;
 }
 
 /* ---------------------------------------------------------------- */

@@ -476,6 +476,7 @@ class _Supervisor:
         retries: int,
         respawns: int,
         timeout: Optional[float],
+        on_result: Optional[Callable[[int, R], None]],
     ) -> None:
         self.worker = worker
         self.items = items
@@ -488,6 +489,12 @@ class _Supervisor:
         self.retry_budget = retries
         self.max_respawns = respawns
         self.timeout = timeout
+        self.on_result = on_result
+
+    def _finish(self, index: int, result: R) -> None:
+        self.results[index] = result
+        if self.on_result is not None:
+            self.on_result(index, result)
 
     # -- policy -------------------------------------------------------------
     def _charge_retry(self, index: int, cause: str) -> None:
@@ -547,7 +554,7 @@ class _Supervisor:
         _emit(ev.ENGINE_DEGRADED, remaining=len(self.items) - len(self.results))
         for index in range(len(self.items)):
             if index not in self.results:
-                self.results[index] = self.worker(self.items[index])
+                self._finish(index, self.worker(self.items[index]))
         return [self.results[index] for index in range(len(self.items))]
 
     # -- the loop -----------------------------------------------------------
@@ -576,7 +583,7 @@ class _Supervisor:
         Returns True when the task's worker died with the pool.
         """
         try:
-            self.results[state.index] = future.result()
+            result = future.result()
         except BrokenExecutor:
             self._charge_retry(state.index, cause="worker_crash")
             self.pending.insert(0, state.index)
@@ -586,6 +593,8 @@ class _Supervisor:
                 state.index, cause=f"{type(exc).__name__}: {exc}"
             )
             self.pending.insert(0, state.index)
+        else:
+            self._finish(state.index, result)
         return False
 
     def _charge_victims(self) -> None:
@@ -664,6 +673,7 @@ def engine_map(
     retries: int = 2,
     respawns: int = 3,
     timeout: Optional[float] = None,
+    on_result: Optional[Callable[[int, R], None]] = None,
 ) -> List[R]:
     """Map a picklable worker over items through the supervised warm pool.
 
@@ -683,17 +693,26 @@ def engine_map(
     loop would have returned.  Recovery activity surfaces through the
     ``engine.retries`` / ``engine.respawns`` / ``engine.timeouts`` /
     ``engine.degraded`` counters and the :func:`set_event_hook` observer.
+
+    ``on_result(index, result)``, when given, runs in this process as
+    each item finishes, before any later result is awaited, so a caller
+    can keep what finished when a later item raises.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
+        results = []
+        for index, item in enumerate(items):
+            results.append(worker(item))
+            if on_result is not None:
+                on_result(index, results[-1])
+        return results
     jobs = min(jobs, len(items))
     order = list(range(len(items)))
     if cost is not None:
         costs = [float(cost(item)) for item in items]
         order.sort(key=lambda index: -costs[index])
     return _Supervisor(
-        worker, items, jobs, order, retries, respawns, timeout
+        worker, items, jobs, order, retries, respawns, timeout, on_result
     ).run()
 
 

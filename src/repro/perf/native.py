@@ -70,6 +70,9 @@ The path entries book their own counters — every stats counter, the
 and the ``engine.*`` tier and batch counts — with the keys of the
 state's ``counter_keys`` (:func:`counter_keys`) and the Python code's
 value types, so the controller only emits trace events around them.
+They count into per-call books in C and apply them to the Python
+objects on every return, an error included, so those objects are
+current whenever a kernel call has returned.
 
 All but ``dram_service``, the setup entries and ``benchmark_records``
 take one ``KernelState``, which the controller builds once from its live

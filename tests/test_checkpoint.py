@@ -302,6 +302,18 @@ class TestCampaignResume:
         assert calls == ["Rho"]
         assert len(results) == 3
 
+    def test_finished_points_survive_a_later_failure(self, tmp_path):
+        """Each point is journaled as it finishes, so a campaign whose
+        second point raises keeps the first point's entry."""
+        journal_path = tmp_path / "journal.jsonl"
+        good = self._specs()[0]
+        bad = api.RunSpec(scheme="No-Such-Scheme", workload="mix",
+                          records=120, seed=3, config_name="tiny")
+        with pytest.raises(KeyError):
+            api.run_campaign([good, bad], str(journal_path), jobs=1)
+        journal = CampaignJournal(str(journal_path))
+        assert len(journal) == 1 and journal.done(api.campaign_key(good))
+
     def test_torn_trailing_line_is_tolerated(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
         specs = self._specs()

@@ -1,6 +1,8 @@
 """Unit tests for the IR-ORAM core: IR-Alloc, IR-Stash, IR-DWB, schemes."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -181,7 +183,7 @@ class TestDWBEngine:
         return build_scheme("IR-DWB", SystemConfig.tiny())
 
     def test_no_candidate_returns_none(self, system):
-        assert system.controller.dwb.dummy_slot(0) is None
+        assert system.controller.dwb.dummy_slot(system.controller, 0) is None
 
     def test_flush_cleans_line(self, system):
         controller, llc = system.controller, system.llc
@@ -190,7 +192,7 @@ class TestDWBEngine:
         now = 0
         slots = 0
         while llc.is_dirty(3) and slots < 10:
-            result = dwb.dummy_slot(now)
+            result = dwb.dummy_slot(controller, now)
             assert result is not None
             now = max(now + 1000, result.finish_write)
             slots += 1
@@ -205,20 +207,47 @@ class TestDWBEngine:
         sets = llc.config.sets
         llc.access(3, is_write=True)
         llc.access(3 + sets, is_write=True)
-        first = dwb.dummy_slot(0)
+        first = dwb.dummy_slot(controller, 0)
         if dwb.stage != 0:
             # make the locked line MRU: flush must abort
             block = dwb.ptr[1]
             llc.access(block, is_write=False)
             other = 2 * sets + block
             llc.access(other, is_write=True)
-            dwb.dummy_slot(5000)
+            dwb.dummy_slot(controller, 5000)
             assert controller.stats.get("dwb.aborts") >= 1
+
+    def test_tree_is_freed_when_the_run_returns(self, monkeypatch):
+        """The engine keeps no reference to its controller, so with the
+        cycle collector off an IR-ORAM run's controller and tree die as
+        soon as ``api.run`` returns."""
+        from repro import api
+        from repro.core import schemes
+
+        built = []
+        build = schemes.build_scheme
+
+        def spy(*args, **kwargs):
+            components = build(*args, **kwargs)
+            built.append(weakref.ref(components.controller))
+            built.append(weakref.ref(components.controller.tree))
+            return components
+
+        monkeypatch.setattr(schemes, "build_scheme", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            api.run(api.RunSpec(scheme="IR-ORAM", workload="mix",
+                                records=200, seed=1, config_name="tiny"))
+            assert len(built) == 2
+            assert [ref() for ref in built] == [None, None]
+        finally:
+            gc.enable()
 
     def test_stage_recorded(self, system):
         controller, llc = system.controller, system.llc
         llc.access(3, is_write=True)
-        controller.dwb.dummy_slot(0)
+        controller.dwb.dummy_slot(controller, 0)
         start_stages = controller.stats.histogram("dwb.start_stage")
         assert sum(start_stages.values()) == 1
         assert set(start_stages) <= {1, 2, 3}
