@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures through
-the same code path as ``repro.experiments.run_all``, at a reduced scale so
-the whole harness completes in minutes.  Environment knobs:
+its regenerator's ``run``, at a reduced scale so the whole harness
+completes in minutes.  Each ``run`` simulates its own points; nothing is
+shared between benchmarks.  Environment knobs:
 
 * ``REPRO_BENCH_RECORDS``   — trace length per workload (default 1200);
 * ``REPRO_BENCH_WORKLOADS`` — comma-separated workload subset
@@ -38,13 +39,6 @@ def bench_config() -> SystemConfig:
     if FULL:
         return SystemConfig.scaled()
     return SystemConfig.scaled(levels=13)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _shared_cache():
-    """One memoized run matrix for the whole benchmark session."""
-    yield
-    common.clear_cache()
 
 
 def regenerate(benchmark, fn, *args, **kwargs):

@@ -433,15 +433,23 @@ def resume_run(
 def campaign_key(spec: RunSpec) -> str:
     """Stable journal key identifying what a spec computes.
 
-    Only inputs that change simulation results participate; observability
-    and job-count knobs do not.
+    Every input that changes the simulation result participates;
+    observability and job-count knobs do not.  A pre-built ``trace`` has
+    no key (its content is not the ``workload`` name), so a spec with one
+    raises :class:`ConfigError`.
     """
+    if spec.trace is not None:
+        raise ConfigError(
+            "a spec with a pre-built trace has no campaign key; "
+            "name a workload instead"
+        )
     config = spec.resolve_config()
     return "|".join((
         spec.scheme,
         spec.workload,
         str(spec.records),
         str(spec.seed),
+        str(spec.utilization_snapshots),
         config.fingerprint(),
     ))
 

@@ -58,13 +58,6 @@ class DWBEngine:
         candidate = self.llc.find_dirty_lru(now)
         if candidate is None:
             return None
-        if not controller.posmap.is_mapped(candidate[1]):
-            # A two-tree composition (Ring+IR-DWB) may hold the dirty
-            # line's home block in its hot tree, where no main-tree
-            # mapping exists to write through; spend the slot as a plain
-            # dummy instead.  Single-tree schemes map every block, so
-            # this never fires for them.
-            return None
         self.ptr = candidate
         block = candidate[1]
         chain = controller._translation_chain(block)

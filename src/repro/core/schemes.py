@@ -22,10 +22,7 @@ engine) from a :class:`~repro.config.SystemConfig`:
   trusted-processor family the distinguisher harness evaluates);
 * ``Ring``           — Baseline paired with a Ring ORAM hot tree
   (Z real + S dummy permuted slots, one-slot ReadPaths,
-  reverse-lexicographic EvictPaths, early reshuffles);
-* ``Ring+IR-DWB``    — Ring with idle main-tree dummy slots converted
-  to early write-backs (the IR technique that composes unchanged —
-  see DESIGN.md on why IR-Alloc's Z-search does not).
+  reverse-lexicographic EvictPaths, early reshuffles).
 """
 
 from __future__ import annotations
@@ -127,12 +124,9 @@ def _pyramid(
     return SimComponents(config, controller, llc, stats, rng)
 
 
-def _ring(config: SystemConfig, stats: Stats, rng: random.Random,
-          *, dwb: bool = False) -> SimComponents:
+def _ring(config: SystemConfig, stats: Stats, rng: random.Random) -> SimComponents:
     llc = LastLevelCache(config.llc, stats)
     controller = RingController(config, stats, rng)
-    if dwb:
-        controller.dwb = DWBEngine(llc, stats)
     return SimComponents(config, controller, llc, stats, rng)
 
 
@@ -197,11 +191,6 @@ SCHEMES: Dict[str, Scheme] = {
             "Ring",
             "Ring ORAM hot tree (Z+S permuted slots, one-slot reads)",
             _ring,
-        ),
-        Scheme(
-            "Ring+IR-DWB",
-            "Ring with idle main dummy slots converted to write-backs",
-            lambda c, s, r: _ring(c, s, r, dwb=True),
         ),
         Scheme(
             "IR-Alloc1",

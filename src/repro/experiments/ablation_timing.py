@@ -9,44 +9,46 @@ background evictions when the defense is on).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Tuple
 
+from ..api import RunSpec
 from ..config import SystemConfig
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-    geometric_mean,
-)
+from .common import ExperimentResult, Results, Settings, geometric_mean, runner
 
 SCHEMES = ["IR-Alloc", "IR-Stash"]
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    config = config if config is not None else SystemConfig.scaled()
+def _platforms(settings: Settings) -> List[Tuple[bool, SystemConfig]]:
+    """``(timing protected, platform)``, protected first."""
+    config = settings.platform()
     unprotected = config.with_oram(
         replace(config.oram, timing_protection=False)
     )
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+    return [(True, config), (False, unprotected)]
+
+
+def points(settings: Settings) -> List[RunSpec]:
+    return [
+        settings.point(scheme, workload, cfg)
+        for workload in settings.workload_list()
+        for _, cfg in _platforms(settings)
+        for scheme in ["Baseline", *SCHEMES]
+    ]
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
     speedups = {
         (scheme, protected): []
         for scheme in SCHEMES
         for protected in (True, False)
     }
-    for workload in workloads:
+    for workload in settings.workload_list():
         row: List[object] = [workload]
-        for protected, cfg in ((True, config), (False, unprotected)):
-            baseline = cached_run(
-                "Baseline", workload, cfg, records, seed=seed
-            )
+        for protected, cfg in _platforms(settings):
+            baseline = settings.result(results, "Baseline", workload, cfg)
             for scheme in SCHEMES:
-                result = cached_run(scheme, workload, cfg, records, seed=seed)
+                result = settings.result(results, scheme, workload, cfg)
                 speedup = result.speedup_over(baseline)
                 speedups[(scheme, protected)].append(speedup)
                 row.append(round(speedup, 3))
@@ -73,3 +75,6 @@ def run(
         paper_claim="IR-Alloc: 40% speedup without timing protection vs 41% "
                     "with it (dummies double as free evictions)",
     )
+
+
+run = runner(points, table)

@@ -2,20 +2,34 @@
 
 Results are plain tables (:class:`ExperimentResult`) so the harness can
 print them, benchmarks can assert on them, and EXPERIMENTS.md can embed
-them.  Simulation runs are memoized per (scheme, workload, records, config)
-because several figures slice the same underlying matrix (Fig. 10/11/14/15
-all share runs).
+them.  Several figures slice one scheme x workload simulation matrix
+(Fig. 2, 10, 12, 14 and 15 all run the Baseline), so each of those
+regenerators is split in two: ``points(settings)`` lists the specs it
+needs (:class:`Settings`), and ``table(results, settings)`` renders its
+table from a mapping of :func:`repro.api.campaign_key` to result.  Its
+``run(...)`` composes the two (:func:`runner`);
+:func:`run_all.main` instead simulates the union of the selected
+figures' points once.
 
-The harness settings are plain arguments: ``repro experiments`` hands its
-``--records/--seed/--config/--workloads`` to :func:`run_all.main`, which
-puts them into every work item.  A regenerator called without them runs
-at the defaults below.
+The harness settings are plain arguments: ``repro experiments`` hands
+its ``--records/--seed/--config/--workloads`` to :func:`run_all.main`,
+which passes each regenerator the settings it takes.  A regenerator
+called without them runs at the defaults below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import api
 from ..config import SystemConfig
@@ -84,41 +98,94 @@ def _fmt(cell: object) -> str:
 
 
 # ----------------------------------------------------------------------
-# memoized simulation matrix
+# the simulation matrix
 # ----------------------------------------------------------------------
-_CACHE: Dict[Tuple, SimulationResult] = {}
+#: simulation results keyed by :func:`repro.api.campaign_key`
+Results = Mapping[str, SimulationResult]
 
 
-def cached_run(
-    scheme: str,
-    workload: str,
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    seed: Optional[int] = None,
-    utilization_snapshots: int = 0,
-) -> SimulationResult:
-    """Run (or reuse) one simulation of the experiment matrix."""
-    if config is None:
-        config = api.RunSpec(config_name=CONFIG).resolve_config()
-    records = records if records is not None else RECORDS
-    seed = seed if seed is not None else SEED
-    key = (scheme, workload, records, seed, utilization_snapshots, repr(config))
-    if key not in _CACHE:
-        _CACHE[key] = api.run(
-            api.RunSpec(
-                scheme=scheme,
-                workload=workload,
-                records=records,
-                seed=seed,
-                config=config,
-                utilization_snapshots=utilization_snapshots,
-            )
-        ).result
-    return _CACHE[key]
+@dataclass(frozen=True)
+class Settings:
+    """The settings a matrix regenerator runs at; ``None`` takes the
+    harness default (:data:`CONFIG`, :data:`RECORDS`, :data:`SEED`, and
+    the regenerator's own workload list).
+
+    :meth:`point` builds the spec of one simulation; a regenerator's
+    ``points`` lists them and its ``table`` looks each result up through
+    :meth:`result` with the same arguments.
+    """
+
+    config: Optional[SystemConfig] = None
+    records: Optional[int] = None
+    workloads: Optional[Sequence[str]] = None
+    seed: Optional[int] = None
+
+    def platform(self) -> SystemConfig:
+        if self.config is not None:
+            return self.config
+        return api.RunSpec(config_name=CONFIG).resolve_config()
+
+    def workload_list(
+        self, default: Sequence[str] = ALL_WORKLOADS
+    ) -> Sequence[str]:
+        return self.workloads if self.workloads is not None else default
+
+    def point(
+        self,
+        scheme: str,
+        workload: str,
+        config: Optional[SystemConfig] = None,
+        utilization_snapshots: int = 0,
+    ) -> api.RunSpec:
+        """One simulation; ``config`` overrides :meth:`platform`."""
+        return api.RunSpec(
+            scheme=scheme,
+            workload=workload,
+            records=self.records if self.records is not None else RECORDS,
+            seed=self.seed if self.seed is not None else SEED,
+            config=config if config is not None else self.platform(),
+            utilization_snapshots=utilization_snapshots,
+        )
+
+    def grid(self, schemes: Sequence[str]) -> List[api.RunSpec]:
+        """Every scheme in ``schemes`` on every workload."""
+        return [
+            self.point(scheme, workload)
+            for workload in self.workload_list()
+            for scheme in schemes
+        ]
+
+    def result(self, results: Results, *args, **kwargs) -> SimulationResult:
+        """The result of ``self.point(*args, **kwargs)`` in ``results``."""
+        return results[api.campaign_key(self.point(*args, **kwargs))]
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
+def distinct(specs: Iterable[api.RunSpec]) -> Dict[str, api.RunSpec]:
+    """``specs`` keyed by :func:`repro.api.campaign_key`, first seen first,
+    so a point listed more than once is simulated once."""
+    unique: Dict[str, api.RunSpec] = {}
+    for spec in specs:
+        unique.setdefault(api.campaign_key(spec), spec)
+    return unique
+
+
+def runner(
+    points: Callable[..., List[api.RunSpec]],
+    table: Callable[..., ExperimentResult],
+) -> Callable[..., ExperimentResult]:
+    """A matrix regenerator's ``run(config=None, records=None,
+    workloads=None, seed=None, **extra)``: simulate each distinct point of
+    ``points(settings, **extra)`` once, in this process, and render
+    ``table(results, settings, **extra)``."""
+
+    def run(config=None, records=None, workloads=None, seed=None, **extra):
+        settings = Settings(config, records, workloads, seed)
+        unique = distinct(points(settings, **extra))
+        outs = api.run_many(list(unique.values()), jobs=1)
+        results = {key: out.result for key, out in zip(unique, outs)}
+        return table(results, settings, **extra)
+
+    return run
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -6,28 +6,21 @@ accesses, PT_p ~33% (Pos1 about 4x Pos2), PT_m the remaining ~11%.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..config import SystemConfig
+from ..api import RunSpec
 from ..oram.types import PathType
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-)
+from .common import ExperimentResult, Results, Settings, runner
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+def points(settings: Settings) -> List[RunSpec]:
+    return settings.grid(["Baseline"])
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
-    for workload in workloads:
-        result = cached_run("Baseline", workload, config, records, seed=seed)
-        counts = result.path_counts
+    for workload in settings.workload_list():
+        counts = settings.result(results, "Baseline", workload).path_counts
         pos1 = counts.get(PathType.POS1.value, 0.0)
         pos2 = counts.get(PathType.POS2.value, 0.0)
         data = counts.get(PathType.DATA.value, 0.0)
@@ -57,3 +50,6 @@ def run(
         rows=rows,
         paper_claim="PTd ~56%, PTp ~33% (Pos1 ~ 4x Pos2), PTm ~11%",
     )
+
+
+run = runner(points, table)

@@ -7,32 +7,35 @@ traces, higher for random traces.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..config import SystemConfig
-from .common import ExperimentResult, cached_run
+from ..api import RunSpec
+from .common import ExperimentResult, Results, Settings, runner
+
+WORKLOADS = ("gcc", "lbm", "random")
+
+#: utilization snapshots per run (the table reads the last one)
+SNAPSHOTS = 4
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[List[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    config = config if config is not None else SystemConfig.scaled()
-    workloads = workloads if workloads is not None else ["gcc", "lbm", "random"]
-    levels = config.oram.levels
+def points(settings: Settings) -> List[RunSpec]:
+    return [
+        settings.point("Baseline", workload, utilization_snapshots=SNAPSHOTS)
+        for workload in settings.workload_list(WORKLOADS)
+    ]
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
-    for workload in workloads:
-        result = cached_run(
-            "Baseline", workload, config, records, seed=seed,
-            utilization_snapshots=4,
-        )
-        series = result.utilization_series
+    for workload in settings.workload_list(WORKLOADS):
+        series = settings.result(
+            results, "Baseline", workload, utilization_snapshots=SNAPSHOTS
+        ).utilization_series
         if not series:
             continue
         final = series[-1][1]
         rows.append([workload] + [round(u, 3) for u in final])
+    levels = settings.platform().oram.levels
     headers = ["workload"] + [f"L{level}" for level in range(levels)]
     return ExperimentResult(
         experiment_id="Fig. 4",
@@ -42,3 +45,6 @@ def run(
         paper_claim="the utilization trend is the same per workload; random "
                     "traces push middle levels higher than program traces",
     )
+
+
+run = runner(points, table)

@@ -7,15 +7,10 @@ programs but slows mcf by 1.9x.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..config import SystemConfig
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-    geometric_mean,
-)
+from ..api import RunSpec
+from .common import ExperimentResult, Results, Settings, geometric_mean, runner
 
 SCHEME_ORDER = [
     "Baseline",
@@ -28,26 +23,24 @@ SCHEME_ORDER = [
 ]
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    schemes: Optional[List[str]] = None,
-    seed: Optional[int] = None,
+def points(
+    settings: Settings, schemes: Sequence[str] = SCHEME_ORDER
+) -> List[RunSpec]:
+    return settings.grid(["Baseline", *schemes])
+
+
+def table(
+    results: Results,
+    settings: Settings,
+    schemes: Sequence[str] = SCHEME_ORDER,
 ) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
-    schemes = schemes if schemes is not None else SCHEME_ORDER
     rows = []
     speedups = {scheme: [] for scheme in schemes}
-    for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records, seed=seed)
+    for workload in settings.workload_list():
+        baseline = settings.result(results, "Baseline", workload)
         row: List[object] = [workload]
         for scheme in schemes:
-            result = (
-                baseline
-                if scheme == "Baseline"
-                else cached_run(scheme, workload, config, records, seed=seed)
-            )
+            result = settings.result(results, scheme, workload)
             speedup = result.speedup_over(baseline)
             speedups[scheme].append(speedup)
             row.append(round(speedup, 3))
@@ -59,8 +52,12 @@ def run(
     return ExperimentResult(
         experiment_id="Fig. 10",
         title="Speedup over Baseline (higher is better)",
-        headers=["workload"] + schemes,
+        headers=["workload"] + list(schemes),
         rows=rows,
         paper_claim="averages: Rho 1.11x, IR-Alloc 1.41x, IR-Stash 1.27x, "
                     "IR-DWB 1.05x, IR-ORAM 1.57x; LLC-D slows mcf 1.9x",
     )
+
+
+#: ``run(config, records, workloads, seed, schemes=SCHEME_ORDER)``
+run = runner(points, table)

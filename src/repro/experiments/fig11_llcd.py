@@ -7,30 +7,24 @@ hits, giving IR-Stash more PosMap accesses to eliminate).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..config import SystemConfig
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-    geometric_mean,
-)
+from ..api import RunSpec
+from .common import ExperimentResult, Results, Settings, geometric_mean, runner
+
+SCHEMES = ("LLC-D", "IR-Stash+IR-Alloc(LLC-D)")
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+def points(settings: Settings) -> List[RunSpec]:
+    return settings.grid(SCHEMES)
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
     speedups = []
-    for workload in workloads:
-        base = cached_run("LLC-D", workload, config, records, seed=seed)
-        improved = cached_run(
-            "IR-Stash+IR-Alloc(LLC-D)", workload, config, records, seed=seed
+    for workload in settings.workload_list():
+        base, improved = (
+            settings.result(results, scheme, workload) for scheme in SCHEMES
         )
         speedup = improved.speedup_over(base)
         speedups.append(speedup)
@@ -43,3 +37,6 @@ def run(
         rows=rows,
         paper_claim="72% average improvement over LLC-D; 1.63x for mcf",
     )
+
+
+run = runner(points, table)

@@ -7,34 +7,27 @@ performance, but aggressive shrinking raises background-eviction time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..config import SystemConfig
+from ..api import RunSpec
 from ..core.ir_alloc import PAPER_ALLOC_CONFIGS
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-    geometric_mean,
-)
+from .common import ExperimentResult, Results, Settings, geometric_mean, runner
 
 CONFIGS = ["IR-Alloc1", "IR-Alloc2", "IR-Alloc3", "IR-Alloc4"]
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+def points(settings: Settings) -> List[RunSpec]:
+    return settings.grid(["Baseline", *CONFIGS])
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
     ratios = {name: [] for name in CONFIGS}
-    for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records, seed=seed)
+    for workload in settings.workload_list():
+        baseline = settings.result(results, "Baseline", workload)
         row: List[object] = [workload]
         for name in CONFIGS:
-            result = cached_run(name, workload, config, records, seed=seed)
+            result = settings.result(results, name, workload)
             normalized = result.cycles / max(baseline.cycles, 1)
             ratios[name].append(normalized)
             row.append(round(normalized, 3))
@@ -59,3 +52,6 @@ def run(
                     "(IR-Alloc3/4) spend visibly more time on background "
                     "eviction",
     )
+
+
+run = runner(points, table)

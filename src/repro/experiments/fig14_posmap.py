@@ -7,31 +7,26 @@ mcf), tracking how often the needed blocks sit in the cached tree top.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..config import SystemConfig
-from .common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    cached_run,
-    geometric_mean,
-)
+from ..api import RunSpec
+from .common import ExperimentResult, Results, Settings, geometric_mean, runner
+
+SCHEMES = ("Baseline", "IR-Stash")
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+def points(settings: Settings) -> List[RunSpec]:
+    return settings.grid(SCHEMES)
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
     ratios = []
-    for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records, seed=seed)
-        ir_stash = cached_run("IR-Stash", workload, config, records, seed=seed)
-        base_pos = baseline.posmap_paths()
-        stash_pos = ir_stash.posmap_paths()
+    for workload in settings.workload_list():
+        base_pos, stash_pos = (
+            settings.result(results, scheme, workload).posmap_paths()
+            for scheme in SCHEMES
+        )
         ratio = stash_pos / base_pos if base_pos else 1.0
         ratios.append(ratio)
         rows.append(
@@ -46,3 +41,6 @@ def run(
         paper_claim="IR-Stash issues 49% of Baseline's PosMap accesses on "
                     "average (dee -94%, mcf smallest reduction)",
     )
+
+
+run = runner(points, table)

@@ -6,26 +6,27 @@ write-backs to shrink the dummy share from ~11% to ~6% on average.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..config import SystemConfig
+from ..api import RunSpec
 from ..oram.types import PathType
-from .common import ALL_WORKLOADS, ExperimentResult, cached_run
+from .common import ExperimentResult, Results, Settings, runner
+
+SCHEMES = ("Baseline", "IR-DWB")
 
 
-def run(
-    config: Optional[SystemConfig] = None,
-    records: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    workloads = workloads if workloads is not None else ALL_WORKLOADS
+def points(settings: Settings) -> List[RunSpec]:
+    return settings.grid(SCHEMES)
+
+
+def table(results: Results, settings: Settings) -> ExperimentResult:
     rows = []
     base_dummy_total = base_total = 0.0
     dwb_dummy_total = dwb_total = 0.0
-    for workload in workloads:
-        baseline = cached_run("Baseline", workload, config, records, seed=seed)
-        dwb = cached_run("IR-DWB", workload, config, records, seed=seed)
+    for workload in settings.workload_list():
+        baseline, dwb = (
+            settings.result(results, scheme, workload) for scheme in SCHEMES
+        )
         base_frac = baseline.dummy_fraction()
         dwb_frac = dwb.dummy_fraction()
         converted = dwb.counters.get("dwb.converted_slots", 0.0)
@@ -57,3 +58,6 @@ def run(
         rows=rows,
         paper_claim="IR-DWB reduces the average dummy share from ~11% to ~6%",
     )
+
+
+run = runner(points, table)

@@ -113,8 +113,6 @@ class HybridController(PathORAMController):
         if not (allow_dummy and self.oram.timing_protection):
             result = self._main_slot(now) or self._side_slot(now)
         elif self._pattern_pos % (SIDE_PER_MAIN + 1) == 0:
-            # _dummy_slot: an attached DWB engine may convert an idle main
-            # slot (Ring+IR-DWB); with none it is a plain dummy path.
             result = self._main_slot(now) or self._dummy_slot(now)
         else:
             result = self._side_slot(now) or self._side_dummy(now)

@@ -21,13 +21,12 @@ cooperating pieces:
   :func:`cache_root`), keyed by a salt over every source file of the
   package, so code changes invalidate stale entries automatically.
 
-* **Individual dispatch** — items are submitted one at a time with at
-  most ``jobs`` in flight, so a straggler never strands pre-chunked work
-  on an idle worker.  A caller may pass a ``cost`` estimator to dispatch
-  longest-expected-first; ``repro experiments`` does, from the figure
-  wall times recorded by previous runs (``priors.json``).  Results still
-  return in input order, so callers are deterministic for every
-  ``--jobs`` value.
+* **Individual dispatch** — items are submitted one at a time, in input
+  order, with at most ``jobs`` in flight, so a straggler never strands
+  pre-chunked work on an idle worker.  ``repro experiments`` puts its
+  self-contained regenerators first and then one item per distinct
+  simulation point.  Results return in input order, so callers are
+  deterministic for every ``--jobs`` value.
 
 Cache-hit counters surface through the normal stats/obs layer under the
 ``engine.*`` namespace, recorded per run after the simulation result is
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 import pickle
 import time
@@ -63,9 +61,6 @@ R = TypeVar("R")
 
 #: schema version of the on-disk cache; bump on layout changes
 CACHE_SCHEMA = 1
-
-#: EWMA weight of the newest wall-time observation in the priors store
-PRIOR_ALPHA = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -245,81 +240,6 @@ def get_cache() -> ArtifactCache:
 
 
 # ----------------------------------------------------------------------
-# wall-time priors (``repro experiments`` dispatch order)
-# ----------------------------------------------------------------------
-class PriorStore:
-    """EWMA wall seconds per experiment, persisted as ``priors.json``.
-
-    ``repro experiments`` reads them to dispatch its slowest figures
-    first and records each regeneration's wall time afterwards.  Priors
-    only influence dispatch *order*, never results, so a missing, stale,
-    or corrupt store degrades to input-order dispatch.  The file keeps
-    its ``{"experiments": {name: seconds}}`` layout; any other table in
-    it is ignored and dropped on the next :meth:`save`.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path if path is not None else os.path.join(
-            cache_root(), "priors.json"
-        )
-        self.data: Dict[str, float] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-            entries = raw.get("experiments") if isinstance(raw, dict) else None
-            if isinstance(entries, dict):
-                self.data = {str(k): float(v) for k, v in entries.items()}
-        except FileNotFoundError:
-            pass
-        except Exception:
-            # Corrupt priors only cost dispatch-order quality, but a torn
-            # file left in place would fail on every load: quarantine it
-            # and count the event like any other cache corruption.
-            _quarantine(self.path)
-            _bump_local(sk.ENGINE_CACHE_CORRUPT)
-            self.data = {}
-
-    def predict(self, key: str) -> Optional[float]:
-        return self.data.get(key)
-
-    def observe(self, key: str, seconds: float) -> None:
-        old = self.data.get(key)
-        self.data[key] = (
-            seconds
-            if old is None
-            else PRIOR_ALPHA * seconds + (1.0 - PRIOR_ALPHA) * old
-        )
-
-    def save(self) -> None:
-        if not disk_cache_enabled():
-            return
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        try:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"experiments": self.data}, handle, indent=1,
-                    sort_keys=True,
-                )
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-_PRIORS: Optional[PriorStore] = None
-
-
-def get_priors() -> PriorStore:
-    global _PRIORS
-    if _PRIORS is None:
-        _PRIORS = PriorStore()
-    return _PRIORS
-
-
-# ----------------------------------------------------------------------
 # the warm pool
 # ----------------------------------------------------------------------
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -392,15 +312,14 @@ atexit.register(shutdown)
 
 
 def reset() -> None:
-    """Forget all process-wide engine state (pool, caches, priors).
+    """Forget all process-wide engine state (pool, caches, counters).
 
     Test hook: combined with ``REPRO_CACHE_DIR`` this yields a fully
     isolated engine per test.
     """
-    global _CACHE, _PRIORS
+    global _CACHE
     shutdown()
     _CACHE = None
-    _PRIORS = None
     _COUNTERS.clear()
 
 
@@ -472,7 +391,6 @@ class _Supervisor:
         worker: Callable[[T], R],
         items: List[T],
         jobs: int,
-        order: List[int],
         retries: int,
         respawns: int,
         timeout: Optional[float],
@@ -482,7 +400,7 @@ class _Supervisor:
         self.items = items
         self.jobs = jobs
         self.results: Dict[int, R] = {}
-        self.pending: List[int] = list(order)  # dispatch order, front first
+        self.pending: List[int] = list(range(len(items)))  # front first
         self.attempts: Dict[int, int] = {}
         self.inflight: Dict[Any, _TaskState] = {}
         self.pool_failures = 0
@@ -669,7 +587,6 @@ def engine_map(
     worker: Callable[[T], R],
     items: Sequence[T],
     jobs: int = 1,
-    cost: Optional[Callable[[T], float]] = None,
     retries: int = 2,
     respawns: int = 3,
     timeout: Optional[float] = None,
@@ -677,12 +594,10 @@ def engine_map(
 ) -> List[R]:
     """Map a picklable worker over items through the supervised warm pool.
 
-    Items are submitted individually — longest-expected-first when a
-    ``cost`` estimator is given (stable for ties, so input order is the
-    tiebreak) — with at most ``jobs`` in flight, so a straggler never
-    strands pre-chunked work on an idle worker.  Results return in input
-    order.  With ``jobs <= 1`` (or one item) this is a plain in-process
-    loop.
+    Items are submitted individually, in input order, with at most
+    ``jobs`` in flight, so a straggler never strands pre-chunked work on
+    an idle worker.  Results return in input order.  With ``jobs <= 1``
+    (or one item) this is a plain in-process loop.
 
     Worker crashes, hangs, and broken pools are handled by
     :class:`_Supervisor`: tasks are retried (at most ``retries`` times
@@ -706,13 +621,9 @@ def engine_map(
             if on_result is not None:
                 on_result(index, results[-1])
         return results
-    jobs = min(jobs, len(items))
-    order = list(range(len(items)))
-    if cost is not None:
-        costs = [float(cost(item)) for item in items]
-        order.sort(key=lambda index: -costs[index])
     return _Supervisor(
-        worker, items, jobs, order, retries, respawns, timeout, on_result
+        worker, items, min(jobs, len(items)), retries, respawns, timeout,
+        on_result,
     ).run()
 
 

@@ -117,8 +117,8 @@ def tear_cache_files(
 ) -> List[str]:
     """Corrupt a deterministic sample of on-disk cache files in place.
 
-    Pickled artifacts are truncated to half their length (a torn write),
-    ``priors.json`` gets non-JSON bytes.  Returns the damaged paths.
+    Pickled artifacts are truncated to half their length (a torn write).
+    Returns the damaged paths.
     """
     rng = random.Random(seed)
     victims: List[str] = []
@@ -133,11 +133,6 @@ def tear_cache_files(
             with open(path, "wb") as handle:
                 handle.write(data[: max(1, len(data) // 2)])
             victims.append(path)
-    priors = os.path.join(cache_dir, "priors.json")
-    if os.path.exists(priors):
-        with open(priors, "w", encoding="utf-8") as handle:
-            handle.write("{torn mid-")
-        victims.append(priors)
     return victims
 
 
@@ -187,10 +182,9 @@ def run_chaos(
     2. **checkpoint round trip** — one scheme runs checkpointed, then the
        checkpoint resumes and must reproduce the uninterrupted cycles and
        counters exactly;
-    3. **torn caches** — a persisted Z-search outcome and the priors are
-       corrupted in place; reading them back must quarantine both
-       (``engine.cache.corrupt``), and the re-run search must return the
-       same Z vector.
+    3. **torn caches** — a persisted Z-search outcome is corrupted in
+       place; reading it back must quarantine it (``engine.cache.corrupt``),
+       and the re-run search must return the same Z vector.
     """
     from .. import api
 
@@ -268,8 +262,8 @@ def run_chaos(
                     if key.startswith("engine.")
                 }
 
-                # Leg 3: persist a Z-search outcome and the priors, tear
-                # both, and read them back.
+                # Leg 3: persist a Z-search outcome, tear it, and read it
+                # back.
                 engine.reset()
                 probe_spec = specs[
                     plan.crash_indices[0] if plan.crash_indices else 0
@@ -278,9 +272,6 @@ def run_chaos(
                 searched = engine.cached_z_allocation(
                     probe_config, records=probe_spec.records, seed=seed
                 )
-                priors = engine.get_priors()
-                priors.observe("chaos probe", 1.0)
-                priors.save()
                 report["torn_files"] = len(
                     tear_cache_files(cache_dir, seed, fraction=1.0)
                 )
@@ -289,7 +280,6 @@ def run_chaos(
                     "nothing persisted to tear; leg 3 proved nothing",
                 )
                 engine.reset()  # drop in-memory copies; force disk loads
-                engine.get_priors()  # loads (and quarantines) torn priors
                 again = engine.cached_z_allocation(
                     probe_config, records=probe_spec.records, seed=seed
                 )

@@ -52,7 +52,7 @@ def derived_seed(nodeid: str, salt: int = 0) -> int:
 
 @pytest.fixture(scope="session", autouse=True)
 def _private_cache_dir(tmp_path_factory):
-    """Point the engine's disk cache (Z-search memo, priors) at a session
+    """Point the engine's disk cache (the Z-search memo) at a session
     temp dir, so no test reads or writes the checkout's ``.repro_cache``.
     Tests that set their own ``REPRO_CACHE_DIR`` override this one."""
     with pytest.MonkeyPatch.context() as patch:

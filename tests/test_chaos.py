@@ -7,7 +7,6 @@ Faults are injected deterministically (marker files claimed with
 seed-stable across runs and ``--jobs`` values.
 """
 
-import json
 import multiprocessing
 import os
 import time
@@ -296,26 +295,6 @@ class TestCorruptionQuarantine:
         cache = engine.get_cache()
         assert cache._disk_load("zsearch", "nothere") is None
         assert cache.counters.get("engine.cache.corrupt") is None
-
-    def test_torn_priors_quarantined_and_ignored(self, tmp_path):
-        priors_path = tmp_path / "cache" / "priors.json"
-        priors_path.parent.mkdir(parents=True, exist_ok=True)
-        priors_path.write_text("{torn mid-")
-        store = engine.PriorStore(str(priors_path))
-        assert store.data == {}
-        assert not priors_path.exists()
-        assert priors_path.with_suffix(".json.corrupt").exists()
-        assert engine.engine_counters().get("engine.cache.corrupt") == 1
-
-    def test_priors_survive_round_trip_after_quarantine(self, tmp_path):
-        priors_path = tmp_path / "cache" / "priors.json"
-        priors_path.parent.mkdir(parents=True, exist_ok=True)
-        priors_path.write_text("not json at all")
-        store = engine.PriorStore(str(priors_path))
-        store.observe("Fig. 10", 0.5)
-        store.save()
-        again = engine.PriorStore(str(priors_path))
-        assert again.predict("Fig. 10") == 0.5
 
     def test_store_is_atomic_no_tmp_left_behind(self):
         cache = engine.get_cache()

@@ -14,6 +14,7 @@ import os
 import pickle
 import shutil
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -22,13 +23,14 @@ from hypothesis import strategies as st
 from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES
-from repro.errors import CheckpointError, ProtocolError
+from repro.errors import CheckpointError, ConfigError, ProtocolError
 from repro.mem.layout import TreeLayout
 from repro.oram.controller import PathORAMController
 from repro.perf import engine, native
 from repro.sim import checkpoint as ckpt_mod
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.persistence import CampaignJournal
+from repro.sim.runner import make_workload
 from repro.validate import golden
 
 
@@ -332,6 +334,27 @@ class TestCampaignResume:
         for want, got, again in zip(fresh, campaign, reloaded):
             assert want.cycles == got.cycles == again.cycles
             assert want.counters == got.counters == again.counters
+
+
+    def test_snapshot_point_is_not_served_by_a_plain_one(self, tmp_path):
+        """``utilization_snapshots`` changes the result (its utilization
+        series), so a journaled plain point never answers for it."""
+        journal_path = str(tmp_path / "journal.jsonl")
+        plain = api.RunSpec(scheme="Baseline", workload="gcc", records=300,
+                            seed=1, config_name="tiny")
+        snapshots = replace(plain, utilization_snapshots=4)
+        assert api.campaign_key(plain) != api.campaign_key(snapshots)
+        api.run_campaign([plain], journal_path, jobs=1)
+        (result,) = api.run_campaign([snapshots], journal_path, jobs=1)
+        expected = api.run(snapshots).result.utilization_series
+        assert expected and result.utilization_series == expected
+
+    def test_prebuilt_trace_has_no_key(self):
+        config = SystemConfig.tiny()
+        spec = api.RunSpec(workload="gcc", records=50, config=config,
+                           trace=make_workload("gcc", config, 50, 1))
+        with pytest.raises(ConfigError, match="pre-built trace"):
+            api.campaign_key(spec)
 
 
 class TestCheckpointCLI:

@@ -1,6 +1,5 @@
 """Tests for the warm-pool execution engine and its artifact caches."""
 
-import json
 import os
 import shutil
 import time
@@ -8,7 +7,6 @@ import time
 import pytest
 
 from repro import api
-from repro.analysis.sweep import sweep_parameter
 from repro.config import SystemConfig
 from repro.perf import engine
 
@@ -167,111 +165,11 @@ class TestZSearchCache:
         assert len(calls) == 1
 
 
-class TestPriors:
-    def test_observe_predict_round_trip(self, tmp_path):
-        store = engine.PriorStore(str(tmp_path / "priors.json"))
-        store.observe("Fig. 10", 2.0)
-        assert store.predict("Fig. 10") == pytest.approx(2.0)
-        # EWMA folds new observations in instead of overwriting.
-        store.observe("Fig. 10", 4.0)
-        assert store.predict("Fig. 10") == pytest.approx(3.0)
-
-    def test_save_and_reload(self, tmp_path):
-        path = str(tmp_path / "priors.json")
-        store = engine.PriorStore(path)
-        store.observe("Fig. 10", 12.5)
-        store.save()
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle) == {"experiments": {"Fig. 10": 12.5}}
-        reloaded = engine.PriorStore(path)
-        assert reloaded.predict("Fig. 10") == 12.5
-
-    def test_corrupt_store_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "priors.json"
-        path.write_text("{not json", encoding="utf-8")
-        store = engine.PriorStore(str(path))
-        assert store.predict("anything") is None
-
-    def test_stale_points_table_is_ignored_and_dropped(self, tmp_path):
-        """A ``points`` table left by older versions loads as nothing and
-        disappears on the next save; the experiment times survive."""
-        path = tmp_path / "priors.json"
-        path.write_text(json.dumps({
-            "experiments": {"Table I": 0.5},
-            "points": {"Baseline/mix": 0.002},
-        }), encoding="utf-8")
-        store = engine.PriorStore(str(path))
-        assert store.predict("Table I") == 0.5
-        assert store.predict("Baseline/mix") is None
-        store.save()
-        assert json.loads(path.read_text(encoding="utf-8")) == {
-            "experiments": {"Table I": 0.5}
-        }
-
-    def test_simulation_batches_leave_priors_alone(self, tmp_path):
-        """``sweep_parameter``, ``run_many`` and ``run_campaign`` neither
-        read nor write ``priors.json``: a torn file is neither quarantined
-        nor replaced."""
-        priors_path = os.path.join(engine.cache_root(), "priors.json")
-        os.makedirs(os.path.dirname(priors_path), exist_ok=True)
-        with open(priors_path, "w", encoding="utf-8") as handle:
-            handle.write("{torn mid-")
-        config = SystemConfig.tiny()
-        sweep = sweep_parameter(
-            "issue_interval", [100, 200], config=config, records=150, jobs=2,
-        )
-        specs = [
-            api.RunSpec(scheme=scheme, workload="mix", records=150,
-                        config=config)
-            for scheme in ("Baseline", "IR-ORAM")
-        ]
-        api.run_many(specs, jobs=2)
-        api.run_campaign(specs, str(tmp_path / "journal.jsonl"), jobs=2)
-        assert len(sweep.points) == 2
-        with open(priors_path, "r", encoding="utf-8") as handle:
-            assert handle.read() == "{torn mid-"
-        assert not os.path.exists(priors_path + ".corrupt")
-        assert engine.engine_counters().get("engine.cache.corrupt") is None
-
-    def test_experiments_dispatch_by_recorded_wall_times(self, monkeypatch):
-        """``repro experiments`` costs each figure by its recorded wall
-        time (1.0 when unknown) and records the new times afterwards."""
-        from repro.experiments import run_all
-
-        store = engine.get_priors()
-        store.observe("Fig. 7", 9.0)
-        store.save()
-        engine.reset()
-        seen = {}
-
-        def spy(worker, items, jobs=1, cost=None, **kwargs):
-            seen.update({item[0]: cost(item) for item in items})
-            return [worker(item) for item in items]
-
-        monkeypatch.setattr(engine, "engine_map", spy)
-        run_all.main(["Table I", "Fig. 7"], jobs=2, records=200)
-        assert seen == {"Table I": 1.0, "Fig. 7": 9.0}
-        reloaded = engine.PriorStore()
-        assert reloaded.predict("Table I") is not None
-        assert reloaded.predict("Fig. 7") < 9.0
-
-
 class TestEngineMap:
-    def test_cost_order_does_not_change_results(self):
-        items = list(range(6))
-        plain = engine.engine_map(_double, items, jobs=2)
-        costed = engine.engine_map(
-            _double, items, jobs=2, cost=lambda n: -n
-        )
-        assert plain == costed == [n * 2 for n in items]
-
-    def test_cost_sets_no_deadline(self, monkeypatch):
-        """A cost estimate orders dispatch only: with no ``timeout`` a
-        task may run as long as it needs, however small its cost."""
-        monkeypatch.setattr(engine, "TASK_TIMEOUT_FLOOR", 0.5, raising=False)
-        out = engine.engine_map(
-            _sleep_then_double, [1, 2], jobs=2, cost=lambda n: 0.01
-        )
+    def test_cost_sets_no_deadline(self):
+        """With no ``timeout`` a task has no deadline: it may run as long
+        as it needs."""
+        out = engine.engine_map(_sleep_then_double, [1, 2], jobs=2)
         assert out == [2, 4]
         assert engine.engine_counters().get("engine.timeouts") is None
 

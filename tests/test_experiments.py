@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.config import SystemConfig
-from repro.experiments import common
+from repro.experiments import common, run_all
 from repro.experiments import (
     fig02_path_types,
     fig03_utilization,
@@ -22,17 +23,11 @@ from repro.experiments import (
     table2_benchmarks,
 )
 from repro.experiments.common import ExperimentResult
+from repro.perf import engine
 
 TINY = SystemConfig.tiny()
 RECORDS = 300
 WORKLOADS = ["gcc", "lbm"]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    common.clear_cache()
-    yield
-    common.clear_cache()
 
 
 def check(result: ExperimentResult, min_rows=1):
@@ -147,10 +142,48 @@ class TestFigures:
 
 
 class TestHarness:
-    def test_cached_run_reuses(self):
-        first = common.cached_run("Baseline", "gcc", TINY, 200, seed=1)
-        second = common.cached_run("Baseline", "gcc", TINY, 200, seed=1)
-        assert first is second
+    def test_shared_points_are_simulated_once(self, monkeypatch, capsys):
+        """``run_all.main`` simulates the union of the figures' points,
+        each distinct campaign key once, and prints for every figure the
+        table its standalone ``run`` builds."""
+        settings = dict(records=200, workloads=["gcc", "lbm"])
+        expected = [
+            fig02_path_types.run(**settings),
+            fig04_utilization_per_bench.run(records=200),
+            fig10_performance.run(**settings),
+            fig14_posmap.run(**settings),
+        ]
+        declared = [
+            spec
+            for module, kwargs in (
+                (fig02_path_types, settings),
+                (fig04_utilization_per_bench, dict(records=200)),
+                (fig10_performance, settings),
+                (fig14_posmap, settings),
+            )
+            for spec in module.points(common.Settings(**kwargs))
+        ]
+        seen = []
+        real = engine.run_spec_warm
+
+        def spy(spec):
+            seen.append(api.campaign_key(spec))
+            return real(spec)
+
+        monkeypatch.setattr(engine, "run_spec_warm", spy)
+        capsys.readouterr()
+        tables = run_all.main(
+            ["Fig. 2", "Fig. 10", "Fig. 14", "Fig. 4"], **settings
+        )
+        out = capsys.readouterr().out
+        assert len(declared) == 25
+        assert sorted(seen) == sorted(set(seen))
+        assert set(seen) == {api.campaign_key(spec) for spec in declared}
+        assert len(seen) == 17
+        assert [t.to_text() for t in tables] == [
+            t.to_text() for t in expected
+        ]
+        assert out == "".join(f"{t.to_text()}\n\n" for t in expected)
 
     def test_geometric_mean(self):
         assert common.geometric_mean([1.0, 4.0]) == pytest.approx(2.0)

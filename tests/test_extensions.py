@@ -1,18 +1,8 @@
 """Tests for the extension experiments: timing ablation and Z-search."""
 
-import pytest
-
 from repro.config import SystemConfig
 from repro.experiments import ablation_timing, zsearch
-from repro.experiments import common
 from repro.sim.runner import random_trace_evaluator
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    common.clear_cache()
-    yield
-    common.clear_cache()
 
 
 class TestAblation:

@@ -1,5 +1,5 @@
-"""The hybrid-controller family: Rho, Ring (plain and with IR-DWB) and
-Pyramid share one two-tree scheduler (:class:`repro.oram.hybrid.HybridController`).
+"""The hybrid-controller family: Rho, Ring and Pyramid share one
+two-tree scheduler (:class:`repro.oram.hybrid.HybridController`).
 
 * Pinned digests: one per scheme and workload on the tiny config, over
   what the golden corpus does not hash — the traced event stream with
@@ -36,8 +36,6 @@ PINNED = {
     ("Rho", "random"): "16745806eede0999",
     ("Ring", "mix"): "aa36bbc3322e79b6",
     ("Ring", "random"): "591afd80f8293774",
-    ("Ring+IR-DWB", "mix"): "50b40b160b74846d",
-    ("Ring+IR-DWB", "random"): "2621e1f0a5ed4d89",
     ("Pyramid", "mix"): "76dd0ce48af6f9d5",
     ("Pyramid", "random"): "833eda807ce6c87d",
 }

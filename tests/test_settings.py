@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.config import SystemConfig
-from repro.experiments import common, fig02_path_types
+from repro.experiments import fig02_path_types
 from repro.perf import engine
 
 SRC = Path(repro.__file__).parent
@@ -135,12 +135,10 @@ class TestExperimentSettings:
     def test_settings_reach_the_workers(self, capsys):
         """``--jobs 2`` regenerates in pool workers; the table they print
         is the one a direct call with the same arguments builds."""
-        common.clear_cache()
         expected = fig02_path_types.run(
             SystemConfig.scaled(), records=200, workloads=["gcc", "mcf"],
             seed=3,
         ).to_text()
-        common.clear_cache()
         assert main([
             "experiments", "--records", "200", "--seed", "3",
             "--workloads", "gcc,mcf", "--jobs", "2", "Fig. 2", "Table I",
